@@ -6,7 +6,7 @@
 use blobseer_core::dht::MetaDht;
 use blobseer_core::gc::GcTracker;
 use blobseer_core::meta::key::BlockRange;
-use blobseer_core::meta::log::{LogChain, LogEntry, LogSegment};
+use blobseer_core::meta::log::{LogChain, LogEntry, LogSegment, SharedLog, WriteLog};
 use blobseer_core::meta::node::BlockDescriptor;
 use blobseer_core::meta::tree::TreeStore;
 use blobseer_core::ports::{GcService, MetaStore};
@@ -24,7 +24,7 @@ struct Fx {
     gc: Arc<dyn GcService>,
     stats: EngineStats,
     exec: FanoutExecutor,
-    log: Arc<RwLock<Vec<LogEntry>>>,
+    log: SharedLog,
     blob: BlobId,
 }
 
@@ -35,7 +35,7 @@ impl Fx {
             gc: Arc::new(GcTracker::new()),
             stats: EngineStats::new(),
             exec: FanoutExecutor::new(1),
-            log: Arc::new(RwLock::new(Vec::new())),
+            log: Arc::new(RwLock::new(WriteLog::new())),
             blob: BlobId::new(1),
         }
     }

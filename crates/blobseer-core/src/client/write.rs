@@ -104,9 +104,15 @@ impl BlobClient {
     /// Repairs an assigned-but-failed write (publishes alias metadata and
     /// commits). Public so integration tests can drive the two halves
     /// separately.
+    ///
+    /// The alias targets are the previous writers of the *leaves* the
+    /// failed write covered — answers no wire ticket carries — so the
+    /// history comes from the version manager: an `Arc` clone in process,
+    /// one full transfer over RPC, paid on this failure path only.
     pub fn repair_aborted(&self, ticket: &WriteTicket) -> Result<()> {
         let tree = self.sys.tree();
-        let root = tree.publish_repair(ticket.blob, &ticket.entry, &ticket.chain)?;
+        let chain = self.sys.vm.chain(ticket.blob)?;
+        let root = tree.publish_repair(ticket.blob, &ticket.entry, &chain)?;
         tree.register_root(root)?;
         EngineStats::add(&self.sys.stats.writes_aborted, 1);
         self.sys.vm.commit(ticket.blob, ticket.version)

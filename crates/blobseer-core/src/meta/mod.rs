@@ -4,8 +4,9 @@
 //! * [`codec`] — the binary encoding shared by the RPC wire and the
 //!   disk-backed metadata store's durable record logs;
 //! * [`node`] — node payloads (inner nodes, leaves, aliases);
-//! * [`log`] — the per-BLOB write log and the materializing-version rule
-//!   that makes concurrent metadata *weaving* possible;
+//! * [`log`] — the per-BLOB write log, its per-position index, the
+//!   materializing-version rule that makes concurrent metadata *weaving*
+//!   possible, and the border answers a ticket carries over the wire;
 //! * [`tree`] — publishing a write's metadata and locating blocks for reads;
 //! * [`shape`] — pure node-count arithmetic shared with the figure-scale
 //!   simulator.
@@ -18,6 +19,6 @@ pub mod shape;
 pub mod tree;
 
 pub use key::{BlockRange, NodeKey, Pos};
-pub use log::{LogChain, LogEntry, LogSegment, Materializer, SharedLog};
+pub use log::{Border, LogChain, LogEntry, LogSegment, Materializer, SharedLog, WriteLog};
 pub use node::{BlockDescriptor, NodeRef, TreeNode};
 pub use tree::{LocatedBlock, TreeStore};

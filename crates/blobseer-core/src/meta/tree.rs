@@ -7,14 +7,24 @@
 //! *reference* to the latest lower version materializing that position —
 //! computed purely from the write log, so references to still-in-flight
 //! concurrent writers work ("the client is able to predict the values
-//! corresponding to the metadata that is being written", §III-D).
+//! corresponding to the metadata that is being written", §III-D). The
+//! positions woven are the write's *border* (`meta::log`), and their
+//! answers are all the build takes from the ticket's chain.
+//!
+//! The nodes of one version then go out **in parallel** (§III-D), through
+//! [`MetaStore::put_levels`]. No ordering between them protects anything a
+//! reader can see: no reader touches version *v*'s nodes before *v* is
+//! revealed, reveal follows commit, commit follows the whole publish;
+//! later writers weave *keys* of *v* without reading them; child refcounts
+//! are taken before the first put; and an abort repair re-puts every
+//! position, force-replacing what the aborted attempt left.
 //!
 //! **Reading** (§III-C): descend from the root of the requested snapshot,
 //! following child references across versions, visiting only subtrees that
 //! intersect the requested range, and collect leaf block descriptors.
 
 use super::key::{BlockRange, NodeKey, Pos};
-use super::log::{LogChain, LogEntry};
+use super::log::{Border, LogChain, LogEntry};
 use super::node::{BlockDescriptor, NodeRef, TreeNode};
 use crate::exec::FanoutExecutor;
 use crate::ports::{GcService, MetaStore};
@@ -48,6 +58,9 @@ enum LeafMode<'a> {
 struct BuildCx<'a, 'b> {
     blob: BlobId,
     entry: &'a LogEntry,
+    /// Where the tree is woven into older versions, and to which.
+    border: Border,
+    /// The history, consulted directly only for repair's alias targets.
     chain: &'a LogChain,
     mode: &'a LeafMode<'b>,
     levels: Vec<Vec<(NodeKey, TreeNode)>>,
@@ -152,6 +165,10 @@ impl<'a> TreeStore<'a> {
     /// previous version's content. Readers of this version observe the
     /// previous snapshot's bytes over the aborted range (zeros where the
     /// range extended the BLOB). Returns the new root key.
+    ///
+    /// The alias targets are leaf positions *inside* the written range,
+    /// which no border holds: `chain` must be the BLOB's live (or fully
+    /// transferred) history, not the border-only chain of a wire ticket.
     pub fn publish_repair(
         &self,
         blob: BlobId,
@@ -180,12 +197,13 @@ impl<'a> TreeStore<'a> {
         let mut cx = BuildCx {
             blob,
             entry,
+            border: chain.border(entry)?,
             chain,
             mode: &mode,
             levels: Vec::new(),
             incs: Vec::new(),
         };
-        let r = self.build(&mut cx, root, 0);
+        let r = self.build(&mut cx, root, 0)?;
         debug_assert_eq!(
             r,
             Some(NodeRef {
@@ -199,71 +217,111 @@ impl<'a> TreeStore<'a> {
         if !cx.incs.is_empty() {
             self.gc.inc_nodes(&cx.incs)?;
         }
-        let levels = cx.levels;
-        // Publish one vectored put per level, deepest first: children land
-        // before the parents that reference them, exactly like the old
-        // node-at-a-time post-order publish, but a remote backend now pays
-        // one round trip per level instead of one per node — and backends
-        // with independently reachable shards split each level's put
-        // across them concurrently (put_level). The level barrier stays: a
-        // parent level is only dispatched once the whole child level
-        // settled. A failed item leaves already-published nodes in place
-        // (the crashed-writer shape of §VI-B).
+        // One vectored put per level, deepest first. Where every level is
+        // a single fan-out group the whole run goes to the backend at once
+        // (put_levels: a remote backend overlaps the round trips, a local
+        // one puts level after level and stops at the first failure);
+        // backends with independently reachable shards instead split each
+        // level across them concurrently (put_level). A failed item leaves
+        // already-published nodes in place (the crashed-writer shape of
+        // §VI-B).
+        let mut levels = cx.levels;
+        levels.reverse();
         let is_repair = matches!(mode, LeafMode::Repair);
-        for level in levels.iter().rev() {
-            let mut first_err = None;
-            let mut conflicts: Vec<usize> = Vec::new();
-            for (i, result) in self.put_level(level).into_iter().enumerate() {
-                match result {
-                    Ok(()) => EngineStats::add(&self.stats.meta_nodes_written, 1),
-                    Err(Error::MetadataConflict(_)) if is_repair => conflicts.push(i),
-                    Err(e) if first_err.is_none() => first_err = Some(e),
-                    Err(_) => {}
+        let pipelined = levels.iter().all(|level| self.is_one_group(level));
+        let mut rest = &levels[..];
+        while let Some(level) = rest.first() {
+            let attempted = if pipelined {
+                self.dht.put_levels(rest)
+            } else {
+                vec![self.put_level(level)]
+            };
+            if attempted.is_empty() || attempted.len() > rest.len() {
+                return Err(Error::Internal(format!(
+                    "metadata backend answered {} of {} levels",
+                    attempted.len(),
+                    rest.len()
+                )));
+            }
+            for (level, results) in rest.iter().zip(&attempted) {
+                if pipelined {
+                    self.stats.record_fanout(1);
                 }
+                self.settle_level(level, results, is_repair)?;
             }
-            // A repair owns its version's keys — no other writer ever
-            // publishes under this (blob, version). A conflicting node at
-            // one of them is a remnant of the aborted attempt (a batched
-            // publish fails per item, so sibling nodes of the failed one
-            // may have landed): force-replace it with the alias metadata,
-            // or a transiently refused put would strand the version
-            // forever behind its own half-published tree.
-            if !conflicts.is_empty() {
-                let keys: Vec<NodeKey> = conflicts.iter().map(|&i| level[i].0).collect();
-                let _ = self.dht.delete_many(&keys);
-                let retry: Vec<(NodeKey, TreeNode)> =
-                    conflicts.iter().map(|&i| level[i].clone()).collect();
-                for result in self.dht.put_many(&retry) {
-                    match result {
-                        Ok(()) => EngineStats::add(&self.stats.meta_nodes_written, 1),
-                        Err(e) if first_err.is_none() => first_err = Some(e),
-                        Err(_) => {}
-                    }
-                }
-            }
-            if let Some(e) = first_err {
-                return Err(e);
-            }
+            rest = &rest[attempted.len()..];
         }
         Ok(NodeKey::new(blob, entry.version, root))
     }
 
-    /// Recursively materializes `pos` if the write covers it — appending
-    /// the node to its depth's batch in `cx.levels` — else returns a woven
-    /// reference to the latest earlier materializer.
-    fn build(&self, cx: &mut BuildCx<'_, '_>, pos: Pos, depth: usize) -> Option<NodeRef> {
-        if !cx.entry.materializes(pos) {
+    /// True when `level` needs no fan-out: all its keys map to one group
+    /// of the backend ([`MetaStore::fanout_shard`]).
+    fn is_one_group(&self, level: &[(NodeKey, TreeNode)]) -> bool {
+        let mut shards = level.iter().map(|(key, _)| self.dht.fanout_shard(key));
+        shards
+            .next()
+            .is_none_or(|first| shards.all(|shard| shard == first))
+    }
+
+    /// Accounts one level's put results; the first failure fails the
+    /// publish.
+    fn settle_level(
+        &self,
+        level: &[(NodeKey, TreeNode)],
+        results: &[Result<()>],
+        is_repair: bool,
+    ) -> Result<()> {
+        if results.len() != level.len() {
+            return Err(Error::Internal(format!(
+                "metadata backend answered {} of {} nodes of a level",
+                results.len(),
+                level.len()
+            )));
+        }
+        let mut first_err = None;
+        let mut conflicts: Vec<usize> = Vec::new();
+        for (i, result) in results.iter().enumerate() {
+            match result {
+                Ok(()) => EngineStats::add(&self.stats.meta_nodes_written, 1),
+                Err(Error::MetadataConflict(_)) if is_repair => conflicts.push(i),
+                Err(e) if first_err.is_none() => first_err = Some(e.clone()),
+                Err(_) => {}
+            }
+        }
+        // A repair owns its version's keys — no other writer ever
+        // publishes under this (blob, version). A conflicting node at
+        // one of them is a remnant of the aborted attempt (a batched
+        // publish fails per item, so sibling nodes of the failed one
+        // may have landed): force-replace it with the alias metadata,
+        // or a transiently refused put would strand the version
+        // forever behind its own half-published tree.
+        if !conflicts.is_empty() {
+            let keys: Vec<NodeKey> = conflicts.iter().map(|&i| level[i].0).collect();
+            let _ = self.dht.delete_many(&keys);
+            let retry: Vec<(NodeKey, TreeNode)> =
+                conflicts.iter().map(|&i| level[i].clone()).collect();
+            for result in self.dht.put_many(&retry) {
+                match result {
+                    Ok(()) => EngineStats::add(&self.stats.meta_nodes_written, 1),
+                    Err(e) if first_err.is_none() => first_err = Some(e),
+                    Err(_) => {}
+                }
+            }
+        }
+        first_err.map_or(Ok(()), Err)
+    }
+
+    /// Recursively materializes `pos` — appending the node to its depth's
+    /// batch in `cx.levels` — unless it lies on the write's border, where
+    /// it returns the woven reference to the latest earlier materializer.
+    fn build(&self, cx: &mut BuildCx<'_, '_>, pos: Pos, depth: usize) -> Result<Option<NodeRef>> {
+        if let Some(woven) = cx.border.get(pos) {
             // Weave: reference the latest lower version materializing this
             // position (possibly still being written by a concurrent
             // writer), or a hole.
-            return cx
-                .chain
-                .materializer_before(pos, cx.entry.version)
-                .map(|m| NodeRef {
-                    blob: m.blob,
-                    version: m.version,
-                });
+            return Ok(woven);
         }
+        debug_assert!(cx.entry.materializes(pos));
         let key = NodeKey::new(cx.blob, cx.entry.version, pos);
         let node = if pos.is_leaf() {
             match cx.mode {
@@ -275,13 +333,7 @@ impl<'a> TreeStore<'a> {
                     TreeNode::Leaf(desc)
                 }
                 LeafMode::Repair => {
-                    let target = cx
-                        .chain
-                        .materializer_before(pos, cx.entry.version)
-                        .map(|m| NodeRef {
-                            blob: m.blob,
-                            version: m.version,
-                        });
+                    let target = cx.chain.try_materializer_before(pos, cx.entry.version)?;
                     if let Some(t) = target {
                         cx.incs.push(NodeKey::new(t.blob, t.version, pos));
                     }
@@ -289,8 +341,8 @@ impl<'a> TreeStore<'a> {
                 }
             }
         } else {
-            let left = self.build(cx, pos.left(), depth + 1);
-            let right = self.build(cx, pos.right(), depth + 1);
+            let left = self.build(cx, pos.left(), depth + 1)?;
+            let right = self.build(cx, pos.right(), depth + 1)?;
             if let Some(l) = left {
                 cx.incs.push(NodeKey::new(l.blob, l.version, pos.left()));
             }
@@ -303,10 +355,10 @@ impl<'a> TreeStore<'a> {
             cx.levels.resize_with(depth + 1, Vec::new);
         }
         cx.levels[depth].push((key, node));
-        Some(NodeRef {
+        Ok(Some(NodeRef {
             blob: cx.blob,
             version: cx.entry.version,
-        })
+        }))
     }
 
     /// Registers the root of a committed version (one GC reference — one
@@ -410,7 +462,7 @@ impl<'a> TreeStore<'a> {
 mod tests {
     use super::*;
     use crate::dht::MetaDht;
-    use crate::meta::log::LogSegment;
+    use crate::meta::log::{LogSegment, SharedLog, WriteLog};
     use blobseer_types::BlockId;
     use parking_lot::RwLock;
     use std::sync::Arc;
@@ -420,7 +472,7 @@ mod tests {
         gc: Arc<dyn GcService>,
         stats: EngineStats,
         exec: FanoutExecutor,
-        log: Arc<RwLock<Vec<LogEntry>>>,
+        log: SharedLog,
         blob: BlobId,
     }
 
@@ -431,7 +483,7 @@ mod tests {
                 gc: Arc::new(crate::gc::GcTracker::new()),
                 stats: EngineStats::new(),
                 exec: FanoutExecutor::new(2),
-                log: Arc::new(RwLock::new(Vec::new())),
+                log: Arc::new(RwLock::new(WriteLog::new())),
                 blob: BlobId::new(1),
             }
         }
@@ -695,6 +747,58 @@ mod tests {
             fx.blocks_of(2, 4, (0, 4)),
             vec![Some(1), Some(101), None, None]
         );
+    }
+
+    #[test]
+    fn a_failed_level_leaves_the_shallower_levels_unwritten_on_local_backends() {
+        use crate::faults::{FaultPlan, FaultyMetaStore, PutFault};
+        // The provided `put_levels` is the sequential loop: one `put_many`
+        // per level, deepest first, stopping after the level an item
+        // failed in — what a fault decorator saw before the levels were
+        // handed over together.
+        let mut fx = Fx::new();
+        let plan = FaultPlan::new();
+        fx.dht = Arc::new(FaultyMetaStore::new(
+            Arc::new(MetaDht::new(1, 1)),
+            Arc::clone(&plan),
+        ));
+        let entry = LogEntry {
+            version: Version::new(1),
+            blocks: BlockRange::new(0, 4),
+            cap_before: 0,
+            cap_after: 4,
+            size_after: 4 * 64,
+        };
+        fx.log.write().push(entry);
+        let leaves: HashMap<u64, BlockDescriptor> = (0..4)
+            .map(|b| {
+                let desc = BlockDescriptor {
+                    block_id: BlockId::new(b),
+                    providers: vec![0],
+                    len: 64,
+                };
+                (b, desc)
+            })
+            .collect();
+        plan.set(PutFault::FailOnce);
+        let err = fx
+            .store()
+            .publish_write(fx.blob, &entry, &fx.chain(), &leaves)
+            .unwrap_err();
+        assert!(matches!(err, Error::WriteAborted(_)), "{err}");
+        assert_eq!(
+            fx.dht.node_count(),
+            3,
+            "the refused leaf's three siblings landed; no inner node, no root"
+        );
+        assert_eq!(fx.stats.snapshot().meta_nodes_written, 3);
+        assert_eq!(fx.stats.snapshot().fanout_batches, 1, "one level attempted");
+        // The repair re-puts every position and owns what it finds there.
+        fx.store()
+            .publish_repair(fx.blob, &entry, &fx.chain())
+            .unwrap();
+        assert_eq!(fx.dht.node_count(), 7);
+        assert_eq!(fx.blocks_of(1, 4, (0, 4)), vec![None; 4]);
     }
 
     #[test]

@@ -43,8 +43,10 @@
 //! `delete_many` with per-item `Result`s — batches grouped by data
 //! provider for blocks, whole tree levels for metadata. The protocol's
 //! hot paths issue batches (the §III-D data phase puts one batch per
-//! provider, metadata publish pushes one batch per tree level, the §III-C
-//! descent fetches one batch per level, GC releases whole cascade waves),
+//! provider, metadata publish pushes one batch per tree level — all levels
+//! of a version handed over at once, [`MetaStore::put_levels`], so a remote
+//! backend can overlap them — the §III-C descent fetches one batch per
+//! level, GC releases whole cascade waves),
 //! so a remote backend pays O(levels + providers) round trips per
 //! operation instead of O(blocks + nodes). Every vectored method has a
 //! default implementation looping over its single-item sibling, so
@@ -225,6 +227,34 @@ pub trait MetaStore: Send + Sync {
             .iter()
             .map(|(key, node)| self.put(*key, node.clone()))
             .collect()
+    }
+
+    /// Stores the tree levels of one version's publish, given deepest
+    /// first, and returns the per-item results of every level it
+    /// *attempted*, in order — at least one, possibly fewer than given.
+    ///
+    /// §III-D publishes a version's metadata in parallel, and nothing a
+    /// reader can see depends on the order its nodes land in (the version
+    /// is revealed only after all of them did, see `meta::tree`). A remote
+    /// backend may therefore overlap the levels' round trips
+    /// (`blobseer-rpc` writes every level's frame before it awaits the
+    /// first response). The default is the sequential loop: one
+    /// [`Self::put_many`] per level, stopping after the first level in
+    /// which an item failed — so local backends and decorators (fault
+    /// injection, caching, SimGate charging) see exactly the calls a
+    /// level-by-level publish makes, and a failed publish leaves the
+    /// shallower levels unwritten.
+    fn put_levels(&self, levels: &[Vec<(NodeKey, TreeNode)>]) -> Vec<Vec<Result<()>>> {
+        let mut attempted = Vec::with_capacity(levels.len());
+        for level in levels {
+            let results = self.put_many(level);
+            let failed = results.iter().any(Result::is_err);
+            attempted.push(results);
+            if failed {
+                break;
+            }
+        }
+        attempted
     }
 
     /// Fetches a batch of nodes with per-item results in input order — one

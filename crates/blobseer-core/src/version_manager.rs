@@ -7,8 +7,10 @@
 //! offset to "the size of the snapshot corresponding to the preceding
 //! version number" — even when that snapshot is still being written
 //! (§III-D). Each assignment also appends a [`LogEntry`] to the BLOB's
-//! write log; the ticket carries the log *chain*, which is the hint
-//! mechanism concurrent writers use to weave metadata.
+//! write log (and to the log's per-position index); the ticket carries the
+//! log *chain*, which is the hint mechanism concurrent writers use to
+//! weave metadata — shared by `Arc` in process, reduced to the write's
+//! border answers on the wire (`meta::log`).
 //!
 //! Commits may arrive out of order; the snapshot `v` is *revealed* to
 //! readers only once every version `<= v` has committed ("the system simply
@@ -21,7 +23,7 @@
 //! branch point: an O(1) operation sharing all data and metadata.
 
 use crate::meta::key::{BlockRange, NodeKey, Pos};
-use crate::meta::log::{LogChain, LogEntry, LogSegment, SharedLog};
+use crate::meta::log::{LogChain, LogEntry, LogSegment, SharedLog, WriteLog};
 use crate::stats::EngineStats;
 use blobseer_types::{BlobId, Error, Result, Version};
 use parking_lot::{Condvar, Mutex, RwLock};
@@ -50,6 +52,14 @@ impl WriteIntent {
 }
 
 /// Everything a writer needs to publish its metadata after the data phase.
+///
+/// In process the ticket shares the version manager's live log. Over the
+/// wire it is bounded: `blobseer_rpc::wire::put_write_ticket` ships, in
+/// place of the log, the answers to the write's border — O(tree depth)
+/// whatever the length of the history — and the decoded `chain` holds
+/// those answers only. That is all [`crate::meta::tree::TreeStore::
+/// publish_write`] asks of it; anything else (abort repair's alias
+/// targets) takes the history from [`crate::ports::VersionService::chain`].
 #[derive(Clone)]
 pub struct WriteTicket {
     /// The BLOB being written.
@@ -62,7 +72,8 @@ pub struct WriteTicket {
     pub prev_size: u64,
     /// This write's log entry (blocks, capacities, new size).
     pub entry: LogEntry,
-    /// The write-log chain for metadata weaving.
+    /// The write-log chain for metadata weaving: live, or border-only
+    /// when the ticket crossed the wire.
     pub chain: LogChain,
 }
 
@@ -169,7 +180,7 @@ impl VersionManager {
         let state = BlobState {
             id,
             base: Version::ZERO,
-            log: Arc::new(RwLock::named(Vec::new(), "vm.blob.log")),
+            log: Arc::new(RwLock::named(WriteLog::new(), "vm.blob.log")),
             ancestry: Vec::new(),
             inner: Mutex::named(
                 BlobInner {
@@ -247,7 +258,7 @@ impl VersionManager {
         let state = BlobState {
             id,
             base: at,
-            log: Arc::new(RwLock::named(Vec::new(), "vm.blob.log")),
+            log: Arc::new(RwLock::named(WriteLog::new(), "vm.blob.log")),
             ancestry,
             inner: Mutex::named(
                 BlobInner {
@@ -458,9 +469,9 @@ impl VersionManager {
         let mut roots = Vec::new();
         {
             let inner = state.inner.lock();
+            let log = state.log.read();
             let mut v = inner.collected_up_to.max(state.base).next();
             while v <= inner.revealed {
-                let log = state.log.read();
                 let idx = (v.raw() - state.base.raw() - 1) as usize;
                 let e = log[idx];
                 roots.push(NodeKey::new(blob, v, Pos::root(e.cap_after)));
@@ -481,9 +492,9 @@ impl VersionManager {
         let limit = keep_from.min(inner.revealed); // never touch unrevealed or the latest
         let from = inner.collected_up_to.max(state.base).next();
         let mut roots = Vec::new();
+        let log = state.log.read();
         let mut v = from;
         while v < limit {
-            let log = state.log.read();
             let idx = (v.raw() - state.base.raw() - 1) as usize;
             let e = log[idx];
             roots.push(NodeKey::new(blob, v, Pos::root(e.cap_after)));

@@ -10,7 +10,10 @@
 //! response frames and routes each to the waiter holding the matching id.
 //! Many client threads therefore pipeline on a few sockets, responses may
 //! arrive out of order, and a blocking call (`wait_revealed`) parks only
-//! its own waiter — never the connection.
+//! its own waiter — never the connection. One caller can pipeline too:
+//! `MuxPool::call_all` writes a run of frames before it awaits the first
+//! response, which is how a version's tree levels are published in
+//! overlapping round trips ([`MetaStore::put_levels`]).
 //!
 //! A connection that dies *idle* (server restart) is redialed
 //! transparently on next use: the demux thread observes EOF immediately
@@ -53,6 +56,7 @@ use blobseer_types::{BlobId, BlockId, Error, NodeId, Result, Version};
 use bytes::Bytes;
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -190,7 +194,8 @@ impl MuxConn {
 /// Exits on EOF or a transport error — marking the connection dead first,
 /// so idle death (a server restart) is already known the next time the
 /// pool considers this connection.
-fn demux_loop(mut stream: TcpStream, conn: &MuxConn) {
+fn demux_loop(stream: TcpStream, conn: &MuxConn) {
+    let mut stream = BufReader::new(stream);
     loop {
         match wire::read_frame(&mut stream) {
             Ok(Some((id, body))) => {
@@ -295,12 +300,11 @@ impl MuxPool {
         Ok(conn)
     }
 
-    /// One request/response exchange, multiplexed: requests from many
-    /// threads pipeline on the slot connections, matched back by request
-    /// id. If the request frame could not be *written*, the exchange
-    /// retries once on a fresh connection — safe for any operation,
-    /// because an unwritten frame was never dispatched.
-    pub(crate) fn call(&self, request: &WireWriter) -> Result<Vec<u8>> {
+    /// Meters and writes one request frame on the slot's connection,
+    /// returning where its response will arrive. If the frame could not be
+    /// *written*, it is retried once on a fresh connection — safe for any
+    /// operation, because an unwritten frame was never dispatched.
+    fn send_on(&self, slot: usize, request: &WireWriter) -> Result<(Arc<MuxConn>, u64)> {
         if self.control {
             self.stats
                 .control_round_trips
@@ -308,16 +312,40 @@ impl MuxPool {
         } else {
             self.stats.port_round_trips.fetch_add(1, Ordering::Relaxed);
         }
-        let slot = self.next.fetch_add(1, Ordering::Relaxed) % self.slots.len();
         let conn = self.conn_at(slot)?;
         match conn.send(request) {
-            Ok(id) => conn.wait(id),
+            Ok(id) => Ok((conn, id)),
             Err(_) => {
                 let conn = self.conn_at(slot)?;
                 let id = conn.send(request)?;
-                conn.wait(id)
+                Ok((conn, id))
             }
         }
+    }
+
+    /// One request/response exchange, multiplexed: requests from many
+    /// threads pipeline on the slot connections, matched back by request
+    /// id.
+    pub(crate) fn call(&self, request: &WireWriter) -> Result<Vec<u8>> {
+        let slot = self.next.fetch_add(1, Ordering::Relaxed) % self.slots.len();
+        let (conn, id) = self.send_on(slot, request)?;
+        conn.wait(id)
+    }
+
+    /// [`Self::call`] for a run of independent requests: every frame is
+    /// written (on one connection, in order) before the first response is
+    /// awaited, so the round trips overlap. One frame, one meter tick and
+    /// one result per request, each frame under the same
+    /// unwritten-retries-once rule.
+    pub(crate) fn call_all(&self, requests: &[WireWriter]) -> Vec<Result<Vec<u8>>> {
+        let slot = self.next.fetch_add(1, Ordering::Relaxed) % self.slots.len();
+        let sent: Vec<_> = requests
+            .iter()
+            .map(|request| self.send_on(slot, request))
+            .collect();
+        sent.into_iter()
+            .map(|sent| sent.and_then(|(conn, id)| conn.wait(id)))
+            .collect()
     }
 }
 
@@ -799,22 +827,52 @@ impl RpcMetaStore {
             .fetch_add(items.len() as u64, Ordering::Relaxed);
         let mut out = Vec::with_capacity(items.len());
         for chunk in items.chunks(META_BATCH_MAX) {
-            let mut req = WireWriter::new();
-            req.put_u8(tag);
-            req.put_u64(chunk.len() as u64);
-            for item in chunk {
-                encode(&mut req, item);
-            }
-            match call(&self.pool, req).and_then(|payload| {
-                let mut r = payload.reader();
-                decode_batch_items(&mut r, chunk.len(), &mut decode)
-            }) {
-                Ok(results) => out.extend(results),
-                Err(e) => out.extend(chunk.iter().map(|_| Err(e.clone()))),
-            }
+            let req = batch_request(tag, chunk, &mut encode);
+            out.extend(batch_results(
+                self.pool.call(&req),
+                chunk.len(),
+                &mut decode,
+            ));
         }
         out
     }
+}
+
+/// One vectored metadata request frame: tag, item count, items.
+fn batch_request<I>(
+    tag: u8,
+    chunk: &[I],
+    mut encode: impl FnMut(&mut WireWriter, &I),
+) -> WireWriter {
+    let mut req = WireWriter::new();
+    req.put_u8(tag);
+    req.put_u64(chunk.len() as u64);
+    for item in chunk {
+        encode(&mut req, item);
+    }
+    req
+}
+
+/// The per-item results of one vectored frame's response; a frame whose
+/// exchange failed fails every one of its `n` items.
+fn batch_results<T>(
+    response: Result<Vec<u8>>,
+    n: usize,
+    decode: impl FnMut(&mut WireReader<'_>) -> Result<T>,
+) -> Vec<Result<T>> {
+    let decoded = response.and_then(|body| {
+        let mut r = decode_response(&body)?;
+        decode_batch_items(&mut r, n, decode)
+    });
+    match decoded {
+        Ok(results) => results,
+        Err(e) => (0..n).map(|_| Err(e.clone())).collect(),
+    }
+}
+
+fn put_node(w: &mut WireWriter, (key, node): &(NodeKey, TreeNode)) {
+    wire::put_node_key(w, key);
+    wire::put_tree_node(w, node);
 }
 
 impl MetaStore for RpcMetaStore {
@@ -857,15 +915,35 @@ impl MetaStore for RpcMetaStore {
     /// single round trip. Per-item failures (e.g. a metadata conflict on
     /// one node) come back as that item's own error.
     fn put_many(&self, items: &[(NodeKey, TreeNode)]) -> Vec<Result<()>> {
-        self.meta_batched(
-            meta_tag::PUT_MANY,
-            items,
-            |w, (key, node)| {
-                wire::put_node_key(w, key);
-                wire::put_tree_node(w, node);
-            },
-            |_| Ok(()),
-        )
+        self.meta_batched(meta_tag::PUT_MANY, items, put_node, |_| Ok(()))
+    }
+
+    /// Still one frame per level (per `META_BATCH_MAX` chunk of one), but
+    /// all of them are on the wire before the first response is awaited:
+    /// a publish of `d` levels costs one overlapped wait, not `d`
+    /// dependent round trips. Every level is attempted.
+    fn put_levels(&self, levels: &[Vec<(NodeKey, TreeNode)>]) -> Vec<Vec<Result<()>>> {
+        let chunks: Vec<(usize, &[(NodeKey, TreeNode)])> = levels
+            .iter()
+            .enumerate()
+            .flat_map(|(i, level)| level.chunks(META_BATCH_MAX).map(move |chunk| (i, chunk)))
+            .collect();
+        let items: usize = levels.iter().map(Vec::len).sum();
+        self.stats
+            .batched_items
+            .fetch_add(items as u64, Ordering::Relaxed);
+        let requests: Vec<WireWriter> = chunks
+            .iter()
+            .map(|(_, chunk)| batch_request(meta_tag::PUT_MANY, chunk, put_node))
+            .collect();
+        let mut out: Vec<Vec<Result<()>>> = levels
+            .iter()
+            .map(|level| Vec::with_capacity(level.len()))
+            .collect();
+        for ((level, chunk), response) in chunks.iter().zip(self.pool.call_all(&requests)) {
+            out[*level].extend(batch_results(response, chunk.len(), |_| Ok(())));
+        }
+        out
     }
 
     /// One frame per batch: a read descent fetches each tree level in a

@@ -83,9 +83,17 @@ pub struct RpcServer {
 /// Concurrent-request tracker, shareable across every server of a
 /// deployment: counts the requests currently between frame decode and
 /// response write, and remembers the highest count ever seen. The high
-/// watermark is the *structural* proof of client-side fan-out — a serial
-/// client can never push it above 1, however fast it pipelines, because it
-/// always waits for each response before sending the next batch.
+/// watermark is the *structural* proof of client-side overlap — it rises
+/// above 1 only where one client has several frames outstanding at once.
+/// Two things produce that. The fan-out executor (`client_io_threads >
+/// 1`) overlaps the per-provider batches of a data phase or a fetch wave.
+/// And the metadata phase of a write is pipelined whatever the thread
+/// count: every tree level's `put_many` frame is written before the first
+/// response is awaited (`MetaStore::put_levels`), so a write publishing
+/// `d` levels can raise the watermark to `d` — and no higher. Everything
+/// else a one-thread client does waits for each response before it sends
+/// the next frame: its data phase, its descent and its fetches keep the
+/// watermark at 1.
 #[derive(Debug, Default)]
 pub struct InFlight {
     cur: AtomicU64,
@@ -386,11 +394,12 @@ fn accept_loop(listener: TcpListener, service: RpcService, shared: Arc<Shared>) 
 /// for known-parking calls. Service errors are *answers* (encoded in the
 /// response envelope), never reasons to drop the connection.
 fn connection_loop(
-    mut stream: TcpStream,
+    stream: TcpStream,
     writer: Arc<Mutex<TcpStream>>,
     service: RpcService,
     shared: &Arc<Shared>,
 ) {
+    let mut stream = io::BufReader::new(stream);
     loop {
         let (req_id, body) = match wire::read_frame(&mut stream) {
             Ok(Some(frame)) => frame,

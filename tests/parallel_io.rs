@@ -6,7 +6,8 @@
 //! * fan-out vs. serial deployments are byte- and counter-identical;
 //! * a mid-fan-out put failure still undoes the whole allocation;
 //! * the RPC servers *structurally* observe overlapping requests
-//!   (in-flight high watermark > 1) only under fan-out;
+//!   (in-flight high watermark > 1) only where the client overlaps them:
+//!   the pipelined metadata phase and the fan-out executor;
 //! * read-ahead streams deliver the pinned snapshot byte-for-byte even
 //!   while writers append concurrently;
 //! * replica failover retries are batched and counted;
@@ -15,6 +16,7 @@
 use blobseer_core::faults::{FaultPlan, FaultyBlockStore, PutFault};
 use blobseer_core::ports::BlockStore;
 use blobseer_core::{BlobClient, BlobSeer, EnginePorts};
+use blobseer_disk::testutil::TempDir;
 use blobseer_rpc::LoopbackCluster;
 use blobseer_types::config::PlacementPolicy;
 use blobseer_types::{BlobSeerConfig, BlockId, Error, NodeId, Result};
@@ -115,45 +117,81 @@ fn failed_put_mid_fanout_undoes_the_whole_allocation() {
     assert_eq!(&data[..], &payload[..]);
 }
 
-/// Structural proof of overlap: with eight executor threads the cluster's
-/// servers must observe more than one request in flight at once; with one
-/// thread (a serial client) the watermark cannot exceed one.
+/// Structural proof of overlap, from the servers' in-flight watermark.
+/// Two mechanisms overlap one client's requests, and only those two:
+///
+/// * the fan-out executor — a read-only run (descent over several levels,
+///   fetches from eight providers) on a fresh cluster keeps the watermark
+///   at 1 with one executor thread and raises it with eight;
+/// * the pipelined metadata phase, whatever the thread count — with one
+///   thread, a single-block append at depth >= 4 raises the watermark to
+///   >= 2, and never above its level count.
 #[test]
 fn rpc_in_flight_watermark_exceeds_one_only_under_fanout() {
     let payload = vec![3u8; (32 * BLOCK) as usize];
+    let tmp = TempDir::new("parallel-io-watermark");
+    let cfg = |threads| cfg_with_threads(threads).with_data_dir(tmp.path());
 
-    let serial = LoopbackCluster::boot(cfg_with_threads(1), 8).unwrap();
-    let sys = serial.deploy().unwrap();
-    let client = sys.client(NodeId::new(100));
-    let blob = client.create();
-    client.write(blob, 0, &payload).unwrap();
-    client.read(blob, None, 0, payload.len() as u64).unwrap();
+    // A first cluster only writes what the read-only runs will read; the
+    // watermarks under test are those of *fresh* clusters booted over the
+    // same directory afterwards.
+    let blob = {
+        let writer = LoopbackCluster::boot(cfg(1), 8).unwrap();
+        let client = writer.deploy().unwrap().client(NodeId::new(100));
+        let blob = client.create();
+        client.write(blob, 0, &payload).unwrap();
+        blob
+    };
+    let read_all = |client: &BlobClient| {
+        let data = client.read(blob, None, 0, payload.len() as u64).unwrap();
+        assert_eq!(&data[..], &payload[..]);
+    };
+
+    {
+        let fanned = LoopbackCluster::boot(cfg(8), 8).unwrap();
+        let client = fanned.deploy().unwrap().client(NodeId::new(100));
+        // Overlap is a scheduling fact, not a protocol guarantee per call:
+        // retry a few reads until the watermark proves it happened.
+        for _ in 0..20 {
+            read_all(&client);
+            if fanned.in_flight_high_watermark() >= 2 {
+                break;
+            }
+        }
+        assert!(
+            fanned.in_flight_high_watermark() >= 2,
+            "8-wide fan-out never produced overlapping in-flight requests \
+             (watermark {})",
+            fanned.in_flight_high_watermark()
+        );
+    }
+
+    let serial = LoopbackCluster::boot(cfg(1), 8).unwrap();
+    let client = serial.deploy().unwrap().client(NodeId::new(100));
+    for _ in 0..3 {
+        read_all(&client);
+    }
     assert_eq!(
         serial.in_flight_high_watermark(),
         1,
-        "a serial client can never overlap its own requests"
+        "a one-thread client's descent and fetches never overlap"
     );
 
-    let fanned = LoopbackCluster::boot(cfg_with_threads(8), 8).unwrap();
-    let sys = fanned.deploy().unwrap();
-    let client = sys.client(NodeId::new(100));
-    let blob = client.create();
-    // Overlap is a scheduling fact, not a protocol guarantee per call:
-    // retry a few writes until the watermark proves it happened.
-    for i in 0..20 {
-        client
-            .write(blob, i * payload.len() as u64, &payload)
-            .unwrap();
-        client.read(blob, None, 0, payload.len() as u64).unwrap();
-        if fanned.in_flight_high_watermark() >= 2 {
+    // One block appended to the 32-block BLOB: capacity 64, a tree path of
+    // 7 levels, one `put_many` frame each, all written before the first
+    // response is awaited. Nothing else this client does overlaps, so the
+    // level count bounds the watermark.
+    const LEVELS: u64 = 7;
+    for _ in 0..20 {
+        client.append(blob, &[9u8; BLOCK as usize]).unwrap();
+        if serial.in_flight_high_watermark() >= 2 {
             break;
         }
     }
+    let high = serial.in_flight_high_watermark();
     assert!(
-        fanned.in_flight_high_watermark() >= 2,
-        "8-wide fan-out never produced overlapping in-flight requests \
-         (watermark {})",
-        fanned.in_flight_high_watermark()
+        (2..=LEVELS).contains(&high),
+        "a 7-level publish overlaps its own frames, and only those (watermark {high})"
     );
 }
 

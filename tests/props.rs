@@ -1,12 +1,24 @@
 //! Property-based tests: random operation sequences checked against simple
 //! reference models.
 
-use blobseer_core::BlobSeer;
-use blobseer_types::{BlobSeerConfig, ByteRange, NodeId, Version};
+use blobseer_core::gc::GcTracker;
+use blobseer_core::meta::key::{NodeKey, Pos};
+use blobseer_core::meta::log::{LogChain, Materializer};
+use blobseer_core::meta::node::{BlockDescriptor, TreeNode};
+use blobseer_core::meta::tree::TreeStore;
+use blobseer_core::ports::{GcService, MetaStore};
+use blobseer_core::{
+    BlobSeer, EngineStats, FanoutExecutor, VersionManager, WriteIntent, WriteTicket,
+};
+use blobseer_rpc::wire::{get_write_ticket, put_write_ticket};
+use blobseer_types::wire::{WireReader, WireWriter};
+use blobseer_types::{BlobId, BlobSeerConfig, BlockId, ByteRange, Error, NodeId, Result, Version};
 use bsfs::BsfsCluster;
 use dfs::api::FileSystem;
 use dfs::util::{read_fully, write_file};
 use proptest::prelude::*;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::{Arc, Mutex};
 
 const BLOCK: u64 = 64;
 
@@ -265,5 +277,308 @@ proptest! {
             cursor += s.len;
         }
         prop_assert_eq!(cursor, range.end());
+    }
+}
+
+// --- write-log histories ------------------------------------------------------
+
+/// Block size of the write-log histories: small, so a few hundred bytes
+/// span many blocks and tree levels.
+const LOG_BLOCK: u64 = 16;
+
+/// One step of a random write-log history over several lineages. `blob`
+/// picks among the lineages that exist when the step runs.
+#[derive(Clone, Debug)]
+enum LogOp {
+    /// `len` bytes at `offset`: aligned or not, inside the BLOB or past its
+    /// end (a hole, and capacity growth).
+    Write {
+        blob: prop::sample::Index,
+        offset: u16,
+        len: u16,
+    },
+    Append {
+        blob: prop::sample::Index,
+        len: u16,
+    },
+    /// A write that fails after its version was assigned and is repaired.
+    Abort {
+        blob: prop::sample::Index,
+        offset: u16,
+        len: u16,
+    },
+    /// Forks the lineage at one of its surviving versions; the parent
+    /// keeps taking writes afterwards.
+    Branch {
+        blob: prop::sample::Index,
+        at: prop::sample::Index,
+    },
+    /// Garbage-collects the lineage's own versions below one of them.
+    Collect {
+        blob: prop::sample::Index,
+        keep: prop::sample::Index,
+    },
+}
+
+fn log_op_strategy() -> impl Strategy<Value = LogOp> {
+    let blob = any::<prop::sample::Index>;
+    prop_oneof![
+        (blob(), 0u16..1500, 1u16..400).prop_map(|(blob, offset, len)| LogOp::Write {
+            blob,
+            offset,
+            len
+        }),
+        (blob(), 0u16..100, 1u16..5).prop_map(|(blob, at, len)| LogOp::Write {
+            blob,
+            offset: at * LOG_BLOCK as u16,
+            len: len * LOG_BLOCK as u16,
+        }),
+        (blob(), 1u16..200).prop_map(|(blob, len)| LogOp::Append { blob, len }),
+        (blob(), 0u16..1500, 1u16..200).prop_map(|(blob, offset, len)| LogOp::Abort {
+            blob,
+            offset,
+            len
+        }),
+        (blob(), blob()).prop_map(|(blob, at)| LogOp::Branch { blob, at }),
+        (blob(), blob()).prop_map(|(blob, keep)| LogOp::Collect { blob, keep }),
+    ]
+}
+
+/// A [`MetaStore`] that only remembers what was put.
+#[derive(Default)]
+struct Recorder(Mutex<BTreeMap<NodeKey, TreeNode>>);
+
+impl MetaStore for Recorder {
+    fn put(&self, key: NodeKey, node: TreeNode) -> Result<()> {
+        self.0.lock().unwrap().insert(key, node);
+        Ok(())
+    }
+    fn get(&self, key: &NodeKey) -> Result<TreeNode> {
+        let nodes = self.0.lock().unwrap();
+        let node = nodes.get(key).cloned();
+        node.ok_or_else(|| Error::MissingMetadata(format!("{key:?}")))
+    }
+    fn delete(&self, key: &NodeKey) -> bool {
+        self.0.lock().unwrap().remove(key).is_some()
+    }
+    fn shard_count(&self) -> usize {
+        1
+    }
+    fn node_count(&self) -> usize {
+        self.0.lock().unwrap().len()
+    }
+    fn shard_stats(&self) -> Vec<(usize, u64, u64)> {
+        Vec::new()
+    }
+    fn crash_shard(&self, _shard: usize) {}
+}
+
+/// Where one side of the comparison publishes its trees.
+struct Side {
+    nodes: Arc<Recorder>,
+    dht: Arc<dyn MetaStore>,
+    gc: Arc<dyn GcService>,
+    stats: EngineStats,
+    exec: FanoutExecutor,
+}
+
+impl Side {
+    fn new() -> Self {
+        let nodes = Arc::new(Recorder::default());
+        Self {
+            dht: Arc::clone(&nodes) as Arc<dyn MetaStore>,
+            nodes,
+            gc: Arc::new(GcTracker::new()),
+            stats: EngineStats::new(),
+            exec: FanoutExecutor::new(1),
+        }
+    }
+
+    fn tree(&self) -> TreeStore<'_> {
+        TreeStore {
+            dht: &self.dht,
+            gc: &self.gc,
+            stats: &self.stats,
+            exec: &self.exec,
+        }
+    }
+}
+
+/// A ticket as `RpcVersionService::assign` hands it out.
+fn over_the_wire(ticket: &WriteTicket) -> WriteTicket {
+    let mut w = WireWriter::new();
+    put_write_ticket(&mut w, ticket);
+    let mut r = WireReader::new(w.as_slice());
+    let back = get_write_ticket(&mut r).unwrap();
+    r.finish().unwrap();
+    back
+}
+
+/// The linear scan the per-position index replaced, as the oracle: the
+/// youngest segment's latest entry below `before` (and within the
+/// segment's `hi`) that materializes `pos`.
+fn scan_oracle(chain: &LogChain, pos: Pos, before: Version) -> Option<Materializer> {
+    chain.segments().iter().find_map(|seg| {
+        let entries = seg.entries.read();
+        let hit = entries
+            .iter()
+            .rev()
+            .find(|e| e.version < before && e.version <= seg.hi && e.materializes(pos));
+        hit.map(|e| Materializer {
+            blob: seg.blob,
+            version: e.version,
+        })
+    })
+}
+
+/// Every position of a tree of `cap` blocks.
+fn positions(cap: u64) -> impl Iterator<Item = Pos> {
+    let lens = (0..=cap.trailing_zeros()).map(|level| 1u64 << level);
+    lens.flat_map(move |len| (0..cap / len).map(move |i| Pos::new(i * len, len)))
+}
+
+/// A lineage of the history and what the script must know to pick valid
+/// versions of it.
+struct Lineage {
+    blob: BlobId,
+    /// Own versions are `> base`.
+    base: u64,
+    collected: u64,
+    latest: u64,
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// Over random histories — aligned and unaligned writes, appends, hole
+    /// writes and capacity growth, aborted-then-repaired writes, branches
+    /// whose parent keeps writing, collections:
+    ///
+    /// (a) the indexed `materializer_before` equals the linear-scan oracle
+    ///     for every position and every `before`, on every lineage;
+    /// (b) for every ticket, the copy that crossed the wire makes
+    ///     `publish_write` produce exactly the node keys and contents the
+    ///     live chain produces;
+    /// (c) that copy's chain, asked about a position outside its border or
+    ///     about another `before`, fails with `Error::Internal`.
+    #[test]
+    fn write_log_index_and_wire_tickets_match_the_live_log(
+        ops in proptest::collection::vec(log_op_strategy(), 1..40),
+    ) {
+        let vm = VersionManager::new(LOG_BLOCK, Arc::new(EngineStats::new()));
+        let (live, wire) = (Side::new(), Side::new());
+        let mut lineages = vec![Lineage { blob: vm.create_blob(), base: 0, collected: 0, latest: 0 }];
+        let mut max_cap = 1;
+
+        for op in &ops {
+            let (pick, intent, aborted) = match *op {
+                LogOp::Write { blob, offset, len } => (
+                    blob,
+                    WriteIntent::Write { offset: offset as u64, size: len as u64 },
+                    false,
+                ),
+                LogOp::Append { blob, len } => (blob, WriteIntent::Append { size: len as u64 }, false),
+                LogOp::Abort { blob, offset, len } => (
+                    blob,
+                    WriteIntent::Write { offset: offset as u64, size: len as u64 },
+                    true,
+                ),
+                LogOp::Branch { blob, at } => {
+                    let parent = &lineages[blob.index(lineages.len())];
+                    let floor = parent.collected.max(parent.base);
+                    if parent.latest > floor {
+                        let at = floor + 1 + at.index((parent.latest - floor) as usize) as u64;
+                        let fork = vm.branch(parent.blob, Version::new(at)).unwrap();
+                        lineages.push(Lineage { blob: fork, base: at, collected: 0, latest: at });
+                    }
+                    continue;
+                }
+                LogOp::Collect { blob, keep } => {
+                    let n = lineages.len();
+                    let l = &mut lineages[blob.index(n)];
+                    let floor = l.collected.max(l.base);
+                    if l.latest > floor + 1 {
+                        // Collects own versions in (floor, keep); the latest
+                        // revealed one always survives.
+                        let keep = floor + 2 + keep.index((l.latest - floor - 1) as usize) as u64;
+                        let roots = vm.collect_before(l.blob, Version::new(keep)).unwrap();
+                        prop_assert_eq!(roots.len() as u64, keep - 1 - floor);
+                        l.collected = keep - 1;
+                    }
+                    continue;
+                }
+            };
+            let n = lineages.len();
+            let l = &mut lineages[pick.index(n)];
+            let ticket = vm.assign(l.blob, intent).unwrap();
+            l.latest = ticket.version.raw();
+            max_cap = max_cap.max(ticket.entry.cap_after);
+            let decoded = over_the_wire(&ticket);
+            prop_assert_eq!(decoded.entry, ticket.entry);
+
+            // (c) The decoded chain answers its border, and nothing else.
+            let border = ticket.chain.border(&ticket.entry).unwrap();
+            prop_assert_eq!(&decoded.chain.border(&decoded.entry).unwrap(), &border);
+            let root = Pos::root(ticket.entry.cap_after);
+            let inside = Pos::new(ticket.entry.blocks.start, 1);
+            for pos in [root, inside] {
+                let asked = decoded.chain.try_materializer_before(pos, ticket.version);
+                prop_assert!(matches!(asked, Err(Error::Internal(_))), "{:?}: {:?}", pos, asked);
+            }
+            for (pos, answer) in border.answers() {
+                let asked = decoded.chain.try_materializer_before(*pos, ticket.version);
+                prop_assert_eq!(asked, Ok(*answer));
+                for other in [ticket.version.next(), Version::new(ticket.version.raw() - 1)] {
+                    let asked = decoded.chain.try_materializer_before(*pos, other);
+                    prop_assert!(matches!(asked, Err(Error::Internal(_))), "{:?}: {:?}", pos, asked);
+                }
+            }
+
+            // (b) Both chains publish the same tree. A repair takes the
+            // history from `chain()` on either side.
+            if aborted {
+                let history = vm.chain(l.blob).unwrap();
+                for side in [&live, &wire] {
+                    side.tree().publish_repair(l.blob, &ticket.entry, &history).unwrap();
+                }
+                let refused = wire.tree().publish_repair(l.blob, &decoded.entry, &decoded.chain);
+                prop_assert!(matches!(refused, Err(Error::Internal(_))), "{:?}", refused);
+            } else {
+                let leaves: HashMap<u64, BlockDescriptor> = ticket
+                    .entry
+                    .blocks
+                    .iter()
+                    .map(|b| {
+                        let desc = BlockDescriptor {
+                            block_id: BlockId::new(ticket.version.raw() * 1000 + b),
+                            providers: vec![(b % 3) as u32],
+                            len: LOG_BLOCK as u32,
+                        };
+                        (b, desc)
+                    })
+                    .collect();
+                let a = live.tree().publish_write(l.blob, &ticket.entry, &ticket.chain, &leaves);
+                let b = wire.tree().publish_write(l.blob, &decoded.entry, &decoded.chain, &leaves);
+                prop_assert_eq!(a.unwrap(), b.unwrap());
+            }
+            prop_assert_eq!(&*live.nodes.0.lock().unwrap(), &*wire.nodes.0.lock().unwrap());
+            vm.commit(l.blob, ticket.version).unwrap();
+        }
+
+        // (a) Index against oracle: every lineage, every `before`, every
+        // position of the largest tree and one level above it.
+        for l in &lineages {
+            let chain = vm.chain(l.blob).unwrap();
+            for before in 1..=l.latest + 2 {
+                let before = Version::new(before);
+                for pos in positions(2 * max_cap) {
+                    prop_assert_eq!(
+                        chain.materializer_before(pos, before),
+                        scan_oracle(&chain, pos, before),
+                        "{:?} before {} on {}", pos, before, l.blob
+                    );
+                }
+            }
+        }
     }
 }

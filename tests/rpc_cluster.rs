@@ -8,8 +8,12 @@
 //! protocol, error variants crossing the wire as themselves, concurrent
 //! appenders, GC, BSFS and a complete Map-Reduce job.
 
-use blobseer_core::BlobSeer;
-use blobseer_rpc::LoopbackCluster;
+use blobseer_core::faults::{FaultPlan, FaultyMetaStore, PutFault};
+use blobseer_core::{BlobSeer, EnginePorts, EngineStats, NoopObserver};
+use blobseer_rpc::{
+    LoopbackCluster, RpcBlockStore, RpcGcService, RpcMetaStore, RpcPlacementService,
+    RpcVersionService,
+};
 use blobseer_types::{BlobSeerConfig, Error, NodeId, Version};
 use bsfs::BsfsCluster;
 use dfs::api::FileSystem;
@@ -311,6 +315,68 @@ fn service_errors_cross_the_wire_as_themselves() {
         sys.dht().get(&bogus),
         Err(Error::MissingMetadata(_))
     ));
+}
+
+/// A writer whose metadata publish is refused after its version was
+/// assigned repairs the version itself — from a *wire* ticket, which
+/// carries the border answers only. The alias targets of the repair (the
+/// previous writers of the leaves inside the failed range) come from the
+/// version manager's `chain` call instead.
+#[test]
+fn self_repair_from_a_wire_ticket_reveals_the_previous_bytes() {
+    let cluster = cluster_with_block(BLOCK, 4);
+    let stats = Arc::new(EngineStats::new());
+    let plan = FaultPlan::new();
+    let dht = Arc::new(RpcMetaStore::connect(cluster.meta_addr(), Arc::clone(&stats)).unwrap());
+    let ports = EnginePorts {
+        providers: Arc::new(
+            RpcBlockStore::connect(cluster.block_addrs(), Arc::clone(&stats)).unwrap(),
+        ),
+        dht: Arc::new(FaultyMetaStore::new(dht, Arc::clone(&plan))),
+        vm: Arc::new(RpcVersionService::connect(cluster.vm_addr(), Arc::clone(&stats)).unwrap()),
+        pm: Arc::new(
+            RpcPlacementService::connect(cluster.placement_addr(), Arc::clone(&stats)).unwrap(),
+        ),
+        gc: Some(Arc::new(
+            RpcGcService::connect(cluster.gc_addr(), Arc::clone(&stats)).unwrap(),
+        )),
+        stats,
+        observer: Arc::new(NoopObserver),
+    };
+    let sys = BlobSeer::deploy_ports(cluster.config().clone(), ports);
+    let c = sys.client(NodeId::new(100));
+    let blob = c.create();
+    let base: Vec<u8> = (0..8 * BLOCK).map(|i| (i % 251) as u8).collect();
+    let v1 = c.write(blob, 0, &base).unwrap();
+
+    // v2 overwrites blocks 2..5; the first node its publish puts is
+    // refused. The version was assigned, so the writer repairs it.
+    plan.set(PutFault::FailOnce);
+    let err = c
+        .write(blob, 2 * BLOCK, &vec![0xEE; 3 * BLOCK as usize])
+        .unwrap_err();
+    assert!(matches!(err, Error::WriteAborted(_)), "{err}");
+    assert_eq!(plan.counters().1, 1, "exactly the injected refusal");
+    let v2 = v1.next();
+    assert_eq!(c.latest(blob).unwrap(), (v2, base.len() as u64));
+    assert!(sys
+        .version_manager()
+        .pending_versions(blob)
+        .unwrap()
+        .is_empty());
+    assert_eq!(sys.stats().snapshot().writes_aborted, 1);
+    let repaired = c.read(blob, Some(v2), 0, base.len() as u64).unwrap();
+    assert_eq!(&repaired[..], &base[..], "v2 must read as v1 did");
+
+    // The history stays weavable: a later write lands on top of the
+    // repaired version and everything outside it still reads as v1.
+    let v3 = c.write(blob, 3 * BLOCK, &[0x11; BLOCK as usize]).unwrap();
+    assert_eq!(v3, v2.next());
+    let head = c.read(blob, None, 0, base.len() as u64).unwrap();
+    let (lo, hi) = (3 * BLOCK as usize, 4 * BLOCK as usize);
+    assert_eq!(&head[..lo], &base[..lo]);
+    assert!(head[lo..hi].iter().all(|&b| b == 0x11));
+    assert_eq!(&head[hi..], &base[hi..]);
 }
 
 #[test]

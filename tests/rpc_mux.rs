@@ -10,10 +10,12 @@
 //! *server* side via its accept counter.
 
 use blobseer_core::block_store::ProviderSet;
-use blobseer_core::ports::BlockStore;
+use blobseer_core::meta::key::{NodeKey, Pos};
+use blobseer_core::meta::node::{NodeRef, TreeNode};
+use blobseer_core::ports::{BlockStore, MetaStore};
 use blobseer_core::{EngineStats, WriteIntent};
-use blobseer_rpc::{LoopbackCluster, RpcBlockStore, RpcServer, RpcService};
-use blobseer_types::{BlobSeerConfig, BlockId, Error, NodeId};
+use blobseer_rpc::{LoopbackCluster, RpcBlockStore, RpcMetaStore, RpcServer, RpcService};
+use blobseer_types::{BlobId, BlobSeerConfig, BlockId, Error, NodeId, Version};
 use bytes::Bytes;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
@@ -97,6 +99,62 @@ fn pipelined_requests_complete_within_the_connection_budget() {
     assert!(
         accepted <= (5 * budget) as u64,
         "{accepted} sockets accepted for 65 concurrent requests (budget {budget}/endpoint)"
+    );
+}
+
+/// `put_levels` over the wire: one frame per level, all of them written
+/// before the first response is awaited; every level is attempted, results
+/// stay per item, and each frame is one metered round trip.
+#[test]
+fn put_levels_overlaps_one_frame_per_level_with_per_item_results() {
+    let cluster =
+        LoopbackCluster::boot(BlobSeerConfig::small_for_tests().with_block_size(BLOCK), 1).unwrap();
+    let stats = Arc::new(EngineStats::new());
+    let dht = RpcMetaStore::connect(cluster.meta_addr(), Arc::clone(&stats)).unwrap();
+    let key = |v: u64, start: u64, len: u64| {
+        NodeKey::new(BlobId::new(1), Version::new(v), Pos::new(start, len))
+    };
+    let node = |v: u64| {
+        TreeNode::LeafAlias(Some(NodeRef {
+            blob: BlobId::new(1),
+            version: Version::new(v),
+        }))
+    };
+    // A node already stored with other content makes one item of the
+    // middle level a conflict.
+    dht.put(key(2, 2, 2), node(9)).unwrap();
+    let levels = vec![
+        vec![(key(2, 0, 1), node(1)), (key(2, 1, 1), node(1))],
+        vec![(key(2, 0, 2), node(1)), (key(2, 2, 2), node(1))],
+        vec![(key(2, 0, 4), node(1))],
+    ];
+    let (frames, trips) = (cluster.frames_served(), stats.snapshot());
+    let results = dht.put_levels(&levels);
+    let after = stats.snapshot();
+    assert_eq!(cluster.frames_served() - frames, 3, "one frame per level");
+    assert_eq!(after.port_round_trips - trips.port_round_trips, 3);
+    assert_eq!(after.batched_items - trips.batched_items, 5);
+
+    let shape: Vec<usize> = results.iter().map(Vec::len).collect();
+    assert_eq!(
+        shape,
+        [2, 2, 1],
+        "every level attempted, one result per item"
+    );
+    let flat: Vec<&Result<(), Error>> = results.iter().flatten().collect();
+    assert!(
+        matches!(flat[3], Err(Error::MetadataConflict(_))),
+        "{:?}",
+        flat[3]
+    );
+    assert_eq!(flat.iter().filter(|r| r.is_ok()).count(), 4);
+    // The level above the conflict landed too: the order protects nothing
+    // (a version is revealed only after its whole publish succeeded).
+    assert_eq!(dht.get(&key(2, 0, 4)).unwrap(), node(1));
+    assert_eq!(
+        dht.get(&key(2, 2, 2)).unwrap(),
+        node(9),
+        "conflict left in place"
     );
 }
 
