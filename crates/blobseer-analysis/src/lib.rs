@@ -24,6 +24,13 @@
 //! * [`no-panic-decode`](RULE_NO_PANIC_DECODE) — no `panic!` family
 //!   macros in the wire-decode paths: a malformed frame from a peer must
 //!   surface as `Error::Codec`, never as a server-side panic.
+//! * [`no-staging-copy`](RULE_NO_STAGING_COPY) — no
+//!   `Bytes::copy_from_slice` / `.to_vec()` in the four files a block's
+//!   bytes pass through between the socket and the volume file
+//!   (`blobseer-rpc/src/{server,client}.rs`,
+//!   `blobseer-disk/src/{frame,volume}.rs`): that path is single-pass —
+//!   a payload is sliced out of the buffer it arrived in and written from
+//!   there — and one innocent-looking copy per block undoes it.
 //!
 //! Escape hatch: a finding is suppressed by `// lint:allow(rule): reason`
 //! on the same line or the immediately preceding one; the reason is
@@ -39,13 +46,15 @@ pub const RULE_NO_UNWRAP: &str = "no-unwrap";
 pub const RULE_NO_STD_SYNC: &str = "no-std-sync";
 pub const RULE_NO_REAL_TIME: &str = "no-real-time";
 pub const RULE_NO_PANIC_DECODE: &str = "no-panic-decode";
+pub const RULE_NO_STAGING_COPY: &str = "no-staging-copy";
 
 /// Every rule the lint knows, in reporting order.
-pub const ALL_RULES: [&str; 4] = [
+pub const ALL_RULES: [&str; 5] = [
     RULE_NO_UNWRAP,
     RULE_NO_STD_SYNC,
     RULE_NO_REAL_TIME,
     RULE_NO_PANIC_DECODE,
+    RULE_NO_STAGING_COPY,
 ];
 
 /// One lint violation.
@@ -97,6 +106,15 @@ const NO_PANIC_DECODE_SCOPE: [&str; 5] = [
     "crates/blobseer-core/src/meta/codec.rs",
     "crates/blobseer-control/src/codec.rs",
     "crates/blobseer-control/src/replog.rs",
+];
+
+/// The block byte path: the files a payload crosses between the socket and
+/// the volume file, where it must be sliced and borrowed, never copied.
+const NO_STAGING_COPY_SCOPE: [&str; 4] = [
+    "crates/blobseer-rpc/src/server.rs",
+    "crates/blobseer-rpc/src/client.rs",
+    "crates/blobseer-disk/src/frame.rs",
+    "crates/blobseer-disk/src/volume.rs",
 ];
 
 /// The two sanctioned `std::sync` lock users: the shim itself (it *is*
@@ -230,6 +248,7 @@ pub fn lint_source(rel: &str, source: &str) -> Vec<Finding> {
     let real_time_scope = in_scope(&rel, &NO_REAL_TIME_SCOPE);
     let decode_scope = NO_PANIC_DECODE_SCOPE.contains(&rel.as_str());
     let std_sync_scope = !in_scope(&rel, &STD_SYNC_EXEMPT);
+    let staging_copy_scope = NO_STAGING_COPY_SCOPE.contains(&rel.as_str());
 
     let mut findings = Vec::new();
     let mut in_block_comment = false;
@@ -316,6 +335,13 @@ pub fn lint_source(rel: &str, source: &str) -> Vec<Finding> {
                 .iter()
                 .any(|t| cleaned.contains(t));
             check(RULE_NO_PANIC_DECODE, hit, &mut findings);
+        }
+        if staging_copy_scope {
+            check(
+                RULE_NO_STAGING_COPY,
+                cleaned.contains("Bytes::copy_from_slice") || cleaned.contains(".to_vec()"),
+                &mut findings,
+            );
         }
 
         prev_allows = allows;

@@ -4,7 +4,7 @@
 
 use blobseer_analysis::{
     lint_source, lint_workspace, workspace_root, RULE_NO_PANIC_DECODE, RULE_NO_REAL_TIME,
-    RULE_NO_STD_SYNC, RULE_NO_UNWRAP,
+    RULE_NO_STAGING_COPY, RULE_NO_STD_SYNC, RULE_NO_UNWRAP,
 };
 
 fn fixture(name: &str) -> String {
@@ -75,6 +75,34 @@ fn panic_decode_rule_fires_in_wire_files() {
     );
     assert_eq!(findings.len(), 1, "{findings:?}");
     assert_eq!(findings[0].rule, RULE_NO_PANIC_DECODE);
+}
+
+#[test]
+fn staging_copy_rule_fires_on_the_block_byte_path_only() {
+    let src = fixture("staging_copy_violation.rs");
+    for rel in [
+        "crates/blobseer-rpc/src/server.rs",
+        "crates/blobseer-rpc/src/client.rs",
+        "crates/blobseer-disk/src/frame.rs",
+        "crates/blobseer-disk/src/volume.rs",
+    ] {
+        let findings = lint_source(rel, &src);
+        assert_eq!(
+            findings.len(),
+            2,
+            "{rel}: copy_from_slice + to_vec: {findings:?}"
+        );
+        assert!(findings.iter().all(|f| f.rule == RULE_NO_STAGING_COPY));
+    }
+    // The same lines elsewhere — codecs, stores, the client — are not the
+    // rule's business.
+    for rel in [
+        "crates/blobseer-rpc/src/wire.rs",
+        "crates/blobseer-disk/src/record_log.rs",
+        "crates/blobseer-core/src/client/append.rs",
+    ] {
+        assert!(lint_source(rel, &src).is_empty(), "{rel}");
+    }
 }
 
 #[test]

@@ -252,7 +252,7 @@ impl ReplicaState {
         if let Some(disk) = &mut self.disk {
             disk.truncate_all()?;
             let frames: Vec<Vec<u8>> = entries.iter().map(encode_entry).collect();
-            disk.append_many(frames.iter().map(Vec::as_slice))?;
+            disk.append_payloads(frames.iter().map(Vec::as_slice))?;
             disk.sync()?;
         }
         Ok(())

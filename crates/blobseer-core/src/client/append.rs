@@ -12,7 +12,17 @@ impl BlobClient {
     /// Appends `data` at the end of the BLOB. The offset is fixed by the
     /// version manager *after* the data phase (§III-D); returns
     /// `(offset, version)`.
+    ///
+    /// The blocks the stores receive must outlive the caller's borrow, so
+    /// this copies `data` once; a caller that owns its buffer hands it
+    /// over with [`Self::append_bytes`] and pays no copy.
     pub fn append(&self, blob: BlobId, data: &[u8]) -> Result<(u64, Version)> {
+        self.append_bytes(blob, Bytes::copy_from_slice(data))
+    }
+
+    /// [`Self::append`] of a buffer the caller gives up: the blocks sent
+    /// to the providers are slices of `data` itself.
+    pub fn append_bytes(&self, blob: BlobId, data: Bytes) -> Result<(u64, Version)> {
         if data.is_empty() {
             return Err(Error::WriteAborted(
                 "zero-length appends are rejected".into(),
@@ -23,7 +33,7 @@ impl BlobClient {
         // Optimistic data phase: chunk as if the append lands block-aligned
         // (always true for BSFS's write-behind cache and for the paper's
         // workloads). Descriptors are keyed relative to block 0 for now.
-        let optimistic = self.store_blocks(Bytes::copy_from_slice(data), 0)?;
+        let optimistic = self.store_blocks(data.clone(), 0)?;
         self.observe(ProtocolOp::Append, ProtocolPhase::DataDone);
         let ticket = match self.sys.vm.assign(
             blob,
@@ -78,7 +88,7 @@ impl BlobClient {
                 .merge_boundaries(
                     blob,
                     ticket.offset,
-                    data,
+                    &data,
                     ticket.prev_size,
                     (ticket.version.prev(), ticket.prev_size),
                 )

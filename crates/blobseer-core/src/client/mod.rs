@@ -228,6 +228,7 @@ mod tests {
     use crate::version_manager::WriteIntent;
     use blobseer_types::config::PlacementPolicy;
     use blobseer_types::BlobSeerConfig;
+    use bytes::Bytes;
 
     fn small_system() -> Arc<BlobSeer> {
         BlobSeer::deploy(BlobSeerConfig::small_for_tests().with_block_size(64), 4)
@@ -263,6 +264,32 @@ mod tests {
         let all = c.read(blob, None, 0, 128).unwrap();
         assert!(all[..64].iter().all(|&b| b == 1));
         assert!(all[64..].iter().all(|&b| b == 2));
+    }
+
+    #[test]
+    fn append_bytes_stores_slices_of_the_callers_buffer() {
+        let sys = small_system();
+        let c = client(&sys);
+        let blob = c.create();
+        let data = Bytes::from((0..128u8).collect::<Vec<u8>>());
+        let at = data.as_ptr();
+        let (offset, version) = c.append_bytes(blob, data.clone()).unwrap();
+        assert_eq!(offset, 0);
+        let info = sys.version_manager().snapshot_info(blob, version).unwrap();
+        let blocks = crate::meta::key::BlockRange::new(0, 2);
+        let located = sys
+            .tree()
+            .locate(info.root_blob, info.version, info.cap, blocks)
+            .unwrap();
+        for (i, loc) in located.iter().enumerate() {
+            let desc = loc.desc.as_ref().unwrap();
+            let stored = sys
+                .providers()
+                .get(desc.providers[0] as usize, desc.block_id)
+                .unwrap();
+            assert_eq!(stored.as_ptr(), at.wrapping_add(i * 64), "block {i}");
+        }
+        assert_eq!(c.read(blob, None, 0, 128).unwrap(), data);
     }
 
     #[test]

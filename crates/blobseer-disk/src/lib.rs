@@ -41,7 +41,7 @@ pub mod testutil;
 pub mod version_log;
 pub mod volume;
 
-pub use frame::FrameLog;
+pub use frame::{Frame, FrameLog};
 pub use record_log::DiskMetaStore;
 pub use version_log::DurableVersionService;
 pub use volume::{DiskProviderSet, DiskVolume};

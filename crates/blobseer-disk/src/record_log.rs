@@ -149,7 +149,7 @@ impl DiskShard {
     }
 
     /// Batched put: items land in batch order, fresh records are
-    /// written with one `write_all`.
+    /// written with one vectored write.
     fn put_many(&self, items: &[(NodeKey, TreeNode)]) -> Vec<Result<()>> {
         self.puts.fetch_add(items.len() as u64, Ordering::Relaxed);
         let mut log = self.log.lock();
@@ -176,7 +176,7 @@ impl DiskShard {
                 }
             }
         }
-        if let Err(e) = log.append_many(fresh.iter().map(|(_, p)| p.as_slice())) {
+        if let Err(e) = log.append_payloads(fresh.iter().map(|(_, p)| p.as_slice())) {
             for (i, _) in &fresh {
                 out[*i] = Err(e.clone());
             }
@@ -236,7 +236,7 @@ impl DiskShard {
                 }
             }
         }
-        if let Err(e) = log.append_many(doomed.iter().map(|(_, p)| p.as_slice())) {
+        if let Err(e) = log.append_payloads(doomed.iter().map(|(_, p)| p.as_slice())) {
             for (i, _) in &doomed {
                 out[*i] = Err(e.clone());
             }

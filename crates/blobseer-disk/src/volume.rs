@@ -30,7 +30,7 @@
 //! other. One deliberate difference: op counters restart at zero on
 //! reopen (they are process-lifetime statistics, not durable state).
 
-use crate::frame::{read_exact_at, FrameLog, MAX_FRAME_PAYLOAD};
+use crate::frame::{read_exact_at, Frame, FrameLog};
 use blobseer_core::ports::BlockStore;
 use blobseer_types::wire::{WireReader, WireWriter};
 use blobseer_types::{BlockId, Error, NodeId, Result};
@@ -174,19 +174,16 @@ impl DiskVolume {
         self.log.lock().sync()
     }
 
-    fn encode_put(id: BlockId, data: &[u8]) -> Result<Vec<u8>> {
+    /// A put record up to where the block's bytes start: tag, id and
+    /// the length prefix. The block itself is never copied behind it — it
+    /// goes to the log as the frame's second part, from wherever the
+    /// caller's [`Bytes`] points.
+    fn put_head(id: BlockId, len: usize) -> Vec<u8> {
         let mut w = WireWriter::new();
         w.put_u8(REC_PUT);
         w.put_u64(id.raw());
-        w.put_slice(data);
-        let payload = w.into_vec();
-        if payload.len() > MAX_FRAME_PAYLOAD as usize {
-            return Err(Error::Storage(format!(
-                "block {id} of {} bytes exceeds the volume frame cap",
-                data.len()
-            )));
-        }
-        Ok(payload)
+        w.put_u64(len as u64);
+        w.into_vec()
     }
 
     fn encode_tombstone(id: BlockId) -> Vec<u8> {
@@ -221,16 +218,18 @@ impl DiskVolume {
 
     /// Stores a block (idempotent re-puts append nothing).
     pub fn put(&self, id: BlockId, data: Bytes) -> Result<()> {
+        // Checksummed before the lock is taken, like `put_many`.
+        let head = Self::put_head(id, data.len());
+        let frame = Frame::of_parts(&head, &data);
         let mut log = self.log.lock();
         self.puts.fetch_add(1, Ordering::Relaxed);
         if let Some(&ext) = self.index.read().get(&id) {
             self.debug_check_reput(id, ext, &data);
             return Ok(());
         }
-        let payload = Self::encode_put(id, &data)?;
-        let payload_off = log.append(&payload)?;
+        let payload_off = log.append_many(&[frame?])?[0];
         let ext = Extent {
-            offset: payload_off + (payload.len() - data.len()) as u64,
+            offset: payload_off + head.len() as u64,
             len: data.len() as u32,
         };
         self.index.write().insert(id, ext);
@@ -239,13 +238,30 @@ impl DiskVolume {
         Ok(())
     }
 
-    /// Stores a batch with one `write_all` for all new records.
+    /// Stores a batch with one vectored write for all new records.
+    ///
+    /// Record headers and checksums — the one pass this store makes over
+    /// the payload bytes — are computed before the volume lock is taken,
+    /// so concurrent batches checksum in parallel and the lock covers
+    /// only the idempotence check, the write and the index insert. The
+    /// price is a wasted checksum for a block that turns out to be stored
+    /// already, which happens only when a client retries.
     pub fn put_many(&self, items: &[(BlockId, Bytes)]) -> Vec<Result<()>> {
+        let heads: Vec<Vec<u8>> = items
+            .iter()
+            .map(|(id, data)| Self::put_head(*id, data.len()))
+            .collect();
+        let frames: Vec<Result<Frame<'_>>> = heads
+            .iter()
+            .zip(items)
+            .map(|(head, (_, data))| Frame::of_parts(head, data))
+            .collect();
         let mut log = self.log.lock();
         self.puts.fetch_add(items.len() as u64, Ordering::Relaxed);
         let mut out: Vec<Result<()>> = (0..items.len()).map(|_| Ok(())).collect();
         // Which items append a record (first occurrence of a new id).
-        let mut fresh: Vec<(usize, Vec<u8>)> = Vec::new();
+        let mut fresh: Vec<usize> = Vec::new();
+        let mut batch: Vec<Frame<'_>> = Vec::new();
         let mut fresh_ids: HashMap<BlockId, usize> = HashMap::new();
         {
             let index = self.index.read();
@@ -263,35 +279,37 @@ impl DiskVolume {
                     );
                     continue;
                 }
-                match Self::encode_put(*id, data) {
-                    Ok(payload) => {
+                match &frames[i] {
+                    Ok(frame) => {
                         fresh_ids.insert(*id, i);
-                        fresh.push((i, payload));
+                        fresh.push(i);
+                        batch.push(*frame);
                     }
-                    Err(e) => out[i] = Err(e),
+                    Err(e) => out[i] = Err(e.clone()),
                 }
             }
         }
-        let offsets = match log.append_many(fresh.iter().map(|(_, p)| p.as_slice())) {
+        let offsets = match log.append_many(&batch) {
             Ok(offsets) => offsets,
             Err(e) => {
-                for (i, _) in &fresh {
-                    out[*i] = Err(e.clone());
+                for i in fresh {
+                    out[i] = Err(e.clone());
                 }
                 return out;
             }
         };
         let mut index = self.index.write();
-        for ((i, payload), payload_off) in fresh.iter().zip(offsets) {
-            let len = items[*i].1.len();
+        for (i, payload_off) in fresh.into_iter().zip(offsets) {
+            let (id, data) = &items[i];
             index.insert(
-                items[*i].0,
+                *id,
                 Extent {
-                    offset: payload_off + (payload.len() - len) as u64,
-                    len: len as u32,
+                    offset: payload_off + heads[i].len() as u64,
+                    len: data.len() as u32,
                 },
             );
-            self.bytes_stored.fetch_add(len as u64, Ordering::Relaxed);
+            self.bytes_stored
+                .fetch_add(data.len() as u64, Ordering::Relaxed);
         }
         out
     }
@@ -342,7 +360,7 @@ impl DiskVolume {
         Ok(ext.len as u64)
     }
 
-    /// Deletes a batch with one `write_all` for all tombstones.
+    /// Deletes a batch with one vectored write for all tombstones.
     pub fn delete_many(&self, ids: &[BlockId]) -> Vec<Result<u64>> {
         let mut log = self.log.lock();
         let mut out = vec![Ok(0u64); ids.len()];
@@ -362,7 +380,7 @@ impl DiskVolume {
                 }
             }
         }
-        if let Err(e) = log.append_many(doomed.iter().map(|(_, _, p, _)| p.as_slice())) {
+        if let Err(e) = log.append_payloads(doomed.iter().map(|(_, _, p, _)| p.as_slice())) {
             for (i, _, _, _) in &doomed {
                 out[*i] = Err(e.clone());
             }

@@ -543,6 +543,7 @@ impl BlockStore for RpcBlockStore {
             .provider_request(block_tag::PUT, provider)
             .ok_or_else(|| Error::Internal(format!("provider index {provider} out of range")))?;
         req.put_u64(id.raw());
+        req.reserve(data.len() + wire::ITEM_HEADER_MAX);
         req.put_slice(&data);
         call(pool, req)?;
         Ok(())
@@ -617,7 +618,10 @@ impl BlockStore for RpcBlockStore {
                 end += 1;
             }
             let chunk = &items[start..end];
+            // The one copy the payload takes on this side: sized up
+            // front, so the request buffer never re-copies it growing.
             let mut req = WireWriter::new();
+            req.reserve(bytes + (chunk.len() + 1) * wire::ITEM_HEADER_MAX);
             req.put_u8(block_tag::PUT_MANY);
             req.put_u64(local);
             req.put_u64(chunk.len() as u64);

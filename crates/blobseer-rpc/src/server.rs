@@ -136,11 +136,12 @@ impl Drop for InFlightGuard {
 
 /// One decoded request waiting for a worker: where to write the answer
 /// (the connection's shared write half), which request id to echo, and
-/// the request body.
+/// the request body — the buffer the socket read filled, shareable so a
+/// block store can keep slices of it instead of copies.
 struct Job {
     writer: Arc<Mutex<TcpStream>>,
     req_id: u64,
-    body: Vec<u8>,
+    body: Bytes,
     /// Holds the request in the deployment's [`InFlight`] tracker from
     /// frame decode until it has been handled (response about to be
     /// written).
@@ -409,7 +410,7 @@ fn connection_loop(
         let job = Job {
             writer: Arc::clone(&writer),
             req_id,
-            body,
+            body: Bytes::from(body),
             _track: shared.in_flight.as_ref().map(|t| t.enter()),
         };
         if parks_a_thread(&service, &job.body) {
@@ -495,7 +496,7 @@ fn serve_job(service: &RpcService, job: Job) {
     let _ = wire::write_frame(&mut *writer.lock(), req_id, &response);
 }
 
-fn dispatch(service: &RpcService, body: &[u8]) -> Vec<u8> {
+fn dispatch(service: &RpcService, body: &Bytes) -> Vec<u8> {
     let result = match service {
         RpcService::Block(store) => handle_block(&**store, body),
         RpcService::Meta(store) => handle_meta(&**store, body),
@@ -534,10 +535,21 @@ pub(crate) mod block_tag {
     pub const DELETE_MANY: u8 = 10;
 }
 
-fn handle_block(store: &dyn BlockStore, body: &[u8]) -> Result<WireWriter> {
+/// Reads the next length-prefixed byte string as a zero-copy slice of
+/// `body`, the request buffer `r` is decoding. The slice keeps the whole
+/// request alive for as long as the store holds it.
+fn get_shared(r: &mut WireReader<'_>, body: &Bytes) -> Result<Bytes> {
+    let len = r.get_slice()?.len();
+    let end = body.len() - r.remaining();
+    Ok(body.slice(end - len..end))
+}
+
+fn handle_block(store: &dyn BlockStore, body: &Bytes) -> Result<WireWriter> {
     let mut r = WireReader::new(body);
     let tag = r.get_u8()?;
-    let mut w = WireWriter::new();
+    let mut w = wire::response_writer();
+    // What the envelope put in `w`; the batch budget counts payload only.
+    let envelope = w.as_slice().len();
     match tag {
         block_tag::DESCRIBE => {
             r.finish()?;
@@ -549,7 +561,7 @@ fn handle_block(store: &dyn BlockStore, body: &[u8]) -> Result<WireWriter> {
         block_tag::PUT => {
             let p = r.get_u64()?;
             let id = BlockId::new(r.get_u64()?);
-            let data = Bytes::copy_from_slice(r.get_slice()?);
+            let data = get_shared(&mut r, body)?;
             r.finish()?;
             store.put(check_provider(store, p)?, id, data)?;
         }
@@ -558,6 +570,7 @@ fn handle_block(store: &dyn BlockStore, body: &[u8]) -> Result<WireWriter> {
             let id = BlockId::new(r.get_u64()?);
             r.finish()?;
             let data = store.get(check_provider(store, p)?, id)?;
+            w.reserve(data.len() + wire::ITEM_HEADER_MAX);
             w.put_slice(&data);
         }
         block_tag::CONTAINS => {
@@ -578,8 +591,7 @@ fn handle_block(store: &dyn BlockStore, body: &[u8]) -> Result<WireWriter> {
             let mut items = Vec::with_capacity(n.min(4096));
             for _ in 0..n {
                 let id = BlockId::new(r.get_u64()?);
-                let data = Bytes::copy_from_slice(r.get_slice()?);
-                items.push((id, data));
+                items.push((id, get_shared(&mut r, body)?));
             }
             r.finish()?;
             let results = store.put_many(check_provider(store, p)?, &items);
@@ -598,6 +610,10 @@ fn handle_block(store: &dyn BlockStore, body: &[u8]) -> Result<WireWriter> {
             r.finish()?;
             let results = store.get_many(check_provider(store, p)?, &ids);
             w.put_u64(results.len() as u64);
+            // The payloads' one copy on this side: make room for them up
+            // front (at most a budget's worth leaves in this frame).
+            let payload: usize = results.iter().flatten().map(|d| d.len()).sum();
+            w.reserve(payload.min(wire::BATCH_BYTE_BUDGET) + wire::ITEM_HEADER_MAX * results.len());
             // Encode items while they fit the batch budget — counting the
             // payload *about to be appended*, or a batch of large blocks
             // could overshoot the budget by one block and assemble a frame
@@ -608,7 +624,8 @@ fn handle_block(store: &dyn BlockStore, body: &[u8]) -> Result<WireWriter> {
             // guaranteed progress.
             let mut included_any = false;
             for result in &results {
-                let projected = w.as_slice().len() + result.as_ref().map_or(0, |d| d.len());
+                let projected =
+                    w.as_slice().len() - envelope + result.as_ref().map_or(0, |d| d.len());
                 if included_any && projected > wire::BATCH_BYTE_BUDGET {
                     w.put_u8(wire::batch_status::DEFERRED);
                     continue;
@@ -676,7 +693,7 @@ pub(crate) mod meta_tag {
 fn handle_meta(store: &dyn MetaStore, body: &[u8]) -> Result<WireWriter> {
     let mut r = WireReader::new(body);
     let tag = r.get_u8()?;
-    let mut w = WireWriter::new();
+    let mut w = wire::response_writer();
     match tag {
         meta_tag::PUT => {
             let key = wire::get_node_key(&mut r)?;
@@ -796,7 +813,7 @@ pub(crate) mod version_tag {
 fn handle_version(vm: &dyn VersionService, body: &[u8]) -> Result<WireWriter> {
     let mut r = WireReader::new(body);
     let tag = r.get_u8()?;
-    let mut w = WireWriter::new();
+    let mut w = wire::response_writer();
     match tag {
         version_tag::BLOCK_SIZE => {
             r.finish()?;
@@ -894,7 +911,7 @@ pub(crate) mod placement_tag {
 fn handle_placement(pm: &dyn PlacementService, body: &[u8]) -> Result<WireWriter> {
     let mut r = WireReader::new(body);
     let tag = r.get_u8()?;
-    let mut w = WireWriter::new();
+    let mut w = wire::response_writer();
     match tag {
         placement_tag::PROVIDER_COUNT => {
             r.finish()?;
@@ -957,7 +974,7 @@ pub(crate) mod gc_tag {
 fn handle_gc(gc: &dyn GcService, body: &[u8]) -> Result<WireWriter> {
     let mut r = WireReader::new(body);
     let tag = r.get_u8()?;
-    let mut w = WireWriter::new();
+    let mut w = wire::response_writer();
     match tag {
         gc_tag::INC_NODES => {
             let keys = wire::get_node_keys(&mut r)?;

@@ -36,7 +36,7 @@ use blobseer_core::meta::log::{Border, LogChain, LogEntry, LogSegment, WriteLog}
 use blobseer_core::meta::node::NodeRef;
 use blobseer_core::provider_manager::BlockAllocation;
 use blobseer_core::version_manager::{SnapshotInfo, WriteIntent, WriteTicket};
-use blobseer_types::wire::{WireReader, WireWriter};
+use blobseer_types::wire::{write_all_vectored, WireReader, WireWriter};
 use blobseer_types::{BlobId, BlockId, Error, Result, Version};
 use parking_lot::RwLock;
 use std::io::{ErrorKind, IoSlice, Read, Write};
@@ -54,6 +54,11 @@ pub const MAX_FRAME_LEN: u64 = 80 * 1024 * 1024;
 /// client to re-request — either way a batch of 64 MB blocks can never
 /// assemble an over-cap frame.
 pub const BATCH_BYTE_BUDGET: usize = 64 * 1024 * 1024;
+
+/// Upper bound on what one block item adds to a frame besides its payload
+/// (an id varint or a status byte, then a length varint) — what a frame
+/// builder adds per item when it sizes its buffer for known payloads.
+pub(crate) const ITEM_HEADER_MAX: usize = 20;
 
 /// Per-item status bytes of the vectored (`*_many`) response frames.
 pub mod batch_status {
@@ -96,20 +101,10 @@ pub fn write_frame(stream: &mut impl Write, req_id: u64, body: &[u8]) -> Result<
     let mut header = WireWriter::new();
     header.put_u64((id_len + body.len()) as u64);
     header.put_u64(req_id);
-    let (mut head, mut body) = (header.as_slice(), body);
-    while !head.is_empty() || !body.is_empty() {
-        match stream.write_vectored(&[IoSlice::new(head), IoSlice::new(body)]) {
-            Ok(0) => return Err(Error::Transport("write frame: peer takes no bytes".into())),
-            Ok(n) => {
-                let of_head = n.min(head.len());
-                head = &head[of_head..];
-                body = &body[n - of_head..];
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => return Err(transport("write frame", e)),
-        }
-    }
-    stream.flush().map_err(|e| transport("write frame", e))
+    let mut parts = [IoSlice::new(header.as_slice()), IoSlice::new(body)];
+    write_all_vectored(stream, &mut parts)
+        .and_then(|()| stream.flush())
+        .map_err(|e| transport("write frame", e))
 }
 
 /// Reads one varint of a frame header byte by byte (through the caller's
@@ -539,19 +534,33 @@ pub fn get_gc_report(r: &mut WireReader<'_>) -> Result<GcReport> {
 
 // --- response envelope ------------------------------------------------------
 
-/// Wraps a handler outcome into a response body: status byte `0` followed
-/// by the payload, or status byte `1` followed by the encoded [`Error`].
+/// First byte of a response body that carries a payload.
+const STATUS_OK: u8 = 0;
+/// First byte of a response body that carries an encoded [`Error`].
+const STATUS_ERR: u8 = 1;
+
+/// The writer a handler encodes its answer into: it already holds the
+/// success status byte, so what the handler appends *is* the response
+/// body and [`encode_response`] has nothing to copy — a batched get's
+/// payloads are written once, straight behind the envelope.
+pub fn response_writer() -> WireWriter {
+    let mut w = WireWriter::new();
+    w.put_u8(STATUS_OK);
+    w
+}
+
+/// Wraps a handler outcome into a response body: the handler's own
+/// writer (started by [`response_writer`], status byte `0` in front of
+/// the payload), or status byte `1` followed by the encoded [`Error`].
 pub fn encode_response(result: Result<WireWriter>) -> Vec<u8> {
-    let mut out = WireWriter::new();
     match result {
-        Ok(payload) => {
-            out.put_u8(0);
-            let mut v = out.into_vec();
-            v.extend_from_slice(payload.as_slice());
-            v
+        Ok(body) => {
+            debug_assert_eq!(body.as_slice().first(), Some(&STATUS_OK));
+            body.into_vec()
         }
         Err(e) => {
-            out.put_u8(1);
+            let mut out = WireWriter::new();
+            out.put_u8(STATUS_ERR);
             out.put_error(&e);
             out.into_vec()
         }
@@ -564,8 +573,8 @@ pub fn encode_response(result: Result<WireWriter>) -> Vec<u8> {
 pub fn decode_response(body: &[u8]) -> Result<WireReader<'_>> {
     let mut r = WireReader::new(body);
     match r.get_u8()? {
-        0 => Ok(r),
-        1 => {
+        STATUS_OK => Ok(r),
+        STATUS_ERR => {
             let e = r.get_error()?;
             r.finish()?;
             Err(e)
@@ -986,7 +995,7 @@ mod tests {
 
     #[test]
     fn response_envelope_carries_payloads_and_errors() {
-        let mut payload = WireWriter::new();
+        let mut payload = response_writer();
         payload.put_u64(42);
         let body = encode_response(Ok(payload));
         let mut r = decode_response(&body).unwrap();

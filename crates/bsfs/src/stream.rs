@@ -227,8 +227,9 @@ impl BsfsOutput {
         if self.buf.is_empty() {
             return Ok(());
         }
+        // The frozen buffer *is* the block the providers store: no copy.
         let chunk = self.buf.split().freeze();
-        let (_, v) = self.client.append(self.blob, &chunk)?;
+        let (_, v) = self.client.append_bytes(self.blob, chunk)?;
         self.flushes += 1;
         self.last_version = Some(v);
         Ok(())

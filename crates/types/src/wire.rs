@@ -14,6 +14,32 @@
 //! failure on the connection that produced it.
 
 use crate::error::{Error, Result};
+use std::io::{ErrorKind, IoSlice, Write};
+
+/// Writes every byte of `bufs`, in order: `write_all` for a list of
+/// buffers. A writer that takes all it is offered sees one
+/// `write_vectored` call (one syscall on a socket or a file); one that
+/// takes less is offered the rest again, [`ErrorKind::Interrupted`] is
+/// retried, and a writer that takes nothing fails with
+/// [`ErrorKind::WriteZero`]. On an error an unknown prefix of the bytes
+/// has been written. `bufs` is consumed: its slices are advanced in place.
+///
+/// Both frame formats — the RPC wire's and the disk logs' — put a small
+/// header in front of a payload they do not own; this is how the two leave
+/// together without being copied into one buffer first.
+pub fn write_all_vectored(w: &mut impl Write, mut bufs: &mut [IoSlice<'_>]) -> std::io::Result<()> {
+    // Drops leading empty slices, so an all-empty list writes nothing.
+    IoSlice::advance_slices(&mut bufs, 0);
+    while !bufs.is_empty() {
+        match w.write_vectored(bufs) {
+            Ok(0) => return Err(ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
 
 /// Writes wire primitives into a growing buffer.
 #[derive(Debug, Default)]
@@ -25,6 +51,13 @@ impl WireWriter {
     /// A fresh, empty writer.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Makes room for `additional` more bytes, so a writer about to take a
+    /// large payload whose size is known grows once instead of doubling
+    /// its way there (every doubling re-copies what is already written).
+    pub fn reserve(&mut self, additional: usize) {
+        self.buf.reserve(additional);
     }
 
     /// Appends a raw byte.
@@ -466,6 +499,66 @@ mod tests {
         // Trailing bytes.
         let r = WireReader::new(&[1, 2]);
         assert!(matches!(r.finish(), Err(Error::Transport(_))));
+    }
+
+    /// Takes at most `take` bytes per call; every other call is
+    /// interrupted first.
+    struct Grudging {
+        take: usize,
+        calls: usize,
+        got: Vec<u8>,
+    }
+
+    impl Write for Grudging {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            self.calls += 1;
+            if self.calls.is_multiple_of(2) {
+                return Err(ErrorKind::Interrupted.into());
+            }
+            let mut room = self.take;
+            for buf in bufs {
+                let n = room.min(buf.len());
+                self.got.extend_from_slice(&buf[..n]);
+                room -= n;
+            }
+            Ok(self.take - room)
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn vectored_write_all_survives_short_writes_and_interrupts() {
+        let parts: [&[u8]; 5] = [b"", b"header", b"", b"a longer payload part", b"tail"];
+        let whole = parts.concat();
+        for take in [1, 5, 7, usize::MAX] {
+            let mut w = Grudging {
+                take,
+                calls: 0,
+                got: Vec::new(),
+            };
+            let mut bufs = parts.map(IoSlice::new);
+            write_all_vectored(&mut w, &mut bufs).unwrap();
+            assert_eq!(w.got, whole, "{take} bytes per call");
+            if take == usize::MAX {
+                assert_eq!(w.calls, 1, "a willing writer sees one call");
+            }
+        }
+        // Nothing to write: the writer is not called at all.
+        let mut idle = Grudging {
+            take: 0,
+            calls: 0,
+            got: Vec::new(),
+        };
+        write_all_vectored(&mut idle, &mut [IoSlice::new(b""), IoSlice::new(b"")]).unwrap();
+        assert_eq!(idle.calls, 0);
+        // A writer that takes nothing is an error, not a spin.
+        let err = write_all_vectored(&mut idle, &mut [IoSlice::new(b"x")]).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::WriteZero);
     }
 
     #[test]

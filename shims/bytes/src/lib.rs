@@ -2,11 +2,19 @@
 //! the build environment has no crates.io access.
 //!
 //! [`Bytes`] is a cheaply-clonable, immutable byte buffer: an
-//! `Arc<[u8]>` plus a `(start, end)` window, so [`Bytes::slice`] and
+//! `Arc<Vec<u8>>` plus a `(start, end)` window, so [`Bytes::slice`] and
 //! [`Clone`] are O(1) and never copy payloads — the property
 //! `blobseer-core`'s block store depends on ("get" hands back a refcount
-//! bump, not a memcpy). [`BytesMut`] is a growable buffer that
-//! [`BytesMut::freeze`]s into a `Bytes` without copying.
+//! bump, not a memcpy). `From<Vec<u8>>` *moves* the vector behind the
+//! `Arc` (one small allocation for the counts, no copy of the bytes), so
+//! a buffer filled by a socket read or a [`BytesMut`] becomes shareable
+//! for free: [`BytesMut::freeze`] and `split().freeze()` keep the
+//! allocation — and its address — they were filled in.
+//!
+//! As in the real crate, the price is retention: every clone and slice
+//! keeps the *whole* allocation alive, spare capacity included. A block
+//! sliced out of a 4 MiB request frame pins those 4 MiB until the last
+//! such slice is dropped.
 #![forbid(unsafe_code)]
 
 use std::ops::{Bound, Deref, RangeBounds};
@@ -15,7 +23,7 @@ use std::sync::Arc;
 /// A cheaply clonable, sliceable, immutable contiguous byte buffer.
 #[derive(Clone, Default)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Arc<Vec<u8>>,
     start: usize,
     end: usize,
 }
@@ -26,7 +34,7 @@ impl Bytes {
         Self::default()
     }
 
-    /// Creates `Bytes` viewing a static slice (copied once into the Arc;
+    /// Creates `Bytes` viewing a static slice (copied once into a buffer;
     /// the real crate borrows, but callers only rely on the signature).
     pub fn from_static(bytes: &'static [u8]) -> Self {
         Self::from(bytes.to_vec())
@@ -89,11 +97,13 @@ impl AsRef<[u8]> for Bytes {
     }
 }
 
+/// Takes ownership of the vector: its bytes are not copied and keep their
+/// address.
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
         let end = v.len();
         Self {
-            data: v.into(),
+            data: Arc::new(v),
             start: 0,
             end,
         }
@@ -144,7 +154,8 @@ impl std::fmt::Debug for Bytes {
     }
 }
 
-/// A growable byte buffer that freezes into [`Bytes`] without copying.
+/// A growable byte buffer that freezes into [`Bytes`] by handing over its
+/// allocation.
 #[derive(Clone, Default, PartialEq, Eq)]
 pub struct BytesMut {
     buf: Vec<u8>,
@@ -190,7 +201,8 @@ impl BytesMut {
         }
     }
 
-    /// Converts into an immutable [`Bytes`] without copying.
+    /// Converts into an immutable [`Bytes`]: a move of the buffer, not a
+    /// copy — the bytes stay at the address they were written to.
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.buf)
     }
@@ -251,6 +263,26 @@ mod tests {
         m.extend_from_slice(b"chunk");
         let taken = m.split().freeze();
         assert_eq!(&taken[..], b"chunk");
+        assert!(m.is_empty());
+    }
+
+    #[test]
+    fn from_vec_and_freeze_move_the_allocation() {
+        let v = vec![7u8; 4096];
+        let at = v.as_ptr();
+        let b = Bytes::from(v);
+        assert_eq!(b.as_ptr(), at, "From<Vec<u8>> must not copy");
+        assert_eq!(b.slice(10..).as_ptr(), at.wrapping_add(10));
+
+        let mut m = BytesMut::with_capacity(4096);
+        m.extend_from_slice(&[1u8; 100]);
+        let at = m.as_ptr();
+        assert_eq!(m.freeze().as_ptr(), at, "freeze must not copy");
+
+        let mut m = BytesMut::with_capacity(4096);
+        m.extend_from_slice(&[2u8; 100]);
+        let at = m.as_ptr();
+        assert_eq!(m.split().freeze().as_ptr(), at, "split().freeze() too");
         assert!(m.is_empty());
     }
 

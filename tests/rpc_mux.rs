@@ -297,3 +297,89 @@ fn read_cache_serves_hot_snapshots_and_reports_hits() {
         "cached re-read took {warm_trips} round trips vs {cold_trips} cold"
     );
 }
+
+/// A block store that notes where in memory each item it is handed lies.
+struct AddressSpy {
+    inner: Arc<dyn BlockStore>,
+    put_many_items: std::sync::Mutex<Vec<(usize, usize)>>,
+}
+
+impl BlockStore for AddressSpy {
+    fn len(&self) -> usize {
+        self.inner.len()
+    }
+    fn node(&self, provider: usize) -> NodeId {
+        self.inner.node(provider)
+    }
+    fn index_of_node(&self, node: NodeId) -> Option<usize> {
+        self.inner.index_of_node(node)
+    }
+    fn put(&self, provider: usize, id: BlockId, data: Bytes) -> blobseer_types::Result<()> {
+        self.inner.put(provider, id, data)
+    }
+    fn get(&self, provider: usize, id: BlockId) -> blobseer_types::Result<Bytes> {
+        self.inner.get(provider, id)
+    }
+    fn contains(&self, provider: usize, id: BlockId) -> bool {
+        self.inner.contains(provider, id)
+    }
+    fn delete(&self, provider: usize, id: BlockId) -> blobseer_types::Result<u64> {
+        self.inner.delete(provider, id)
+    }
+    fn put_many(
+        &self,
+        provider: usize,
+        items: &[(BlockId, Bytes)],
+    ) -> Vec<blobseer_types::Result<()>> {
+        self.put_many_items.lock().unwrap().extend(
+            items
+                .iter()
+                .map(|(_, data)| (data.as_ptr() as usize, data.len())),
+        );
+        self.inner.put_many(provider, items)
+    }
+    fn block_count(&self, provider: usize) -> usize {
+        self.inner.block_count(provider)
+    }
+    fn bytes_stored(&self, provider: usize) -> u64 {
+        self.inner.bytes_stored(provider)
+    }
+    fn op_counts(&self, provider: usize) -> (u64, u64) {
+        self.inner.op_counts(provider)
+    }
+}
+
+#[test]
+fn a_put_many_frame_reaches_the_store_as_slices_of_its_own_buffer() {
+    // The server hands the store the blocks where the socket read left
+    // them. Seen from the store: the items of one frame lie in one
+    // allocation, exactly as far apart as the frame's own item headers
+    // are wide — copies would lie wherever the allocator put them.
+    let spy = Arc::new(AddressSpy {
+        inner: Arc::new(ProviderSet::new(1, |_| NodeId::new(0))),
+        put_many_items: std::sync::Mutex::new(Vec::new()),
+    });
+    let server = RpcServer::spawn(RpcService::Block(spy.clone())).unwrap();
+    let remote = RpcBlockStore::connect(&[server.addr()], Arc::new(EngineStats::new())).unwrap();
+    // Ids and lengths that both encode as two-byte varints.
+    let items: Vec<(BlockId, Bytes)> = (0..16u64)
+        .map(|k| {
+            let block = vec![k as u8; 4096 + k as usize];
+            (BlockId::new(1000 + k), Bytes::from(block))
+        })
+        .collect();
+    assert!(remote.put_many(0, &items).iter().all(|r| r.is_ok()));
+    let seen = spy.put_many_items.lock().unwrap().clone();
+    assert_eq!(seen.len(), items.len(), "one frame, one put_many");
+    for (k, pair) in seen.windows(2).enumerate() {
+        let (at, len) = pair[0];
+        assert_eq!(pair[1].0, at + len + 4, "item {} is not a slice", k + 1);
+    }
+    for (got, (_, want)) in remote
+        .get_many(0, &items.iter().map(|(id, _)| *id).collect::<Vec<_>>())
+        .into_iter()
+        .zip(&items)
+    {
+        assert_eq!(&got.unwrap(), want);
+    }
+}
