@@ -1,11 +1,12 @@
-//! Per-op vs vectored port traffic over the RPC loopback cluster.
+//! 64 one-item frames vs 4 batch frames over the RPC loopback cluster.
 //!
-//! The vectored port API exists so the data phase, tree publish and
-//! descent pay one wire frame per batch instead of one per item. This
-//! bench measures that directly at the port boundary: storing and
-//! fetching a 64-block write's worth of blocks through the
-//! `RpcBlockStore` adapter, once as 64 single-op round trips and once as
-//! one `put_many`/`get_many` per provider — real sockets, real frames,
+//! The port API is vectored so the data phase, tree publish and descent
+//! pay one wire frame per batch instead of one per item. This bench
+//! measures that directly at the port boundary: storing and fetching a
+//! 64-block write's worth of blocks through the `RpcBlockStore` adapter,
+//! once as 64 `put_many`/`get_many` frames of one item each (the `per_op`
+//! groups: the provided single-item helpers, there is no single-item
+//! frame) and once as one frame per provider — real sockets, real frames,
 //! laptop-scale 4 KB blocks (the round trips under comparison are
 //! size-independent; the paper's 64 MB blocks only add stream time on
 //! both sides).

@@ -5,6 +5,7 @@
 use blobseer_core::dht::MetaDht;
 use blobseer_core::meta::key::{NodeKey, Pos};
 use blobseer_core::meta::node::{BlockDescriptor, TreeNode};
+use blobseer_core::ports::MetaStore;
 use blobseer_types::{BlobId, BlockId, Version};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;

@@ -27,13 +27,15 @@ fn put_storm(provider: &DataProvider, threads: u64) {
             let base = NEXT_ID.fetch_add(PUTS, Ordering::Relaxed);
             let payload = payload.clone();
             s.spawn(move || {
+                // One-item batches: every put takes its stripe's lock on
+                // its own, the access pattern the striping is for.
                 for i in 0..PUTS {
-                    provider.put(BlockId::new(base + i), payload.clone());
+                    provider.put_many(&[(BlockId::new(base + i), payload.clone())]);
                 }
                 // Drop the blocks again so long runs stay memory-flat; the
                 // deletes hit the same stripes and count as contention too.
                 for i in 0..PUTS {
-                    provider.delete(BlockId::new(base + i));
+                    provider.delete_many(&[BlockId::new(base + i)]);
                 }
             });
         }

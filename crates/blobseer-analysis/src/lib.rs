@@ -31,6 +31,11 @@
 //!   `blobseer-disk/src/{frame,volume}.rs`): that path is single-pass —
 //!   a payload is sliced out of the buffer it arrived in and written from
 //!   there — and one innocent-looking copy per block undoes it.
+//! * [`vectored-only`](RULE_VECTORED_ONLY) — in the `no-unwrap` crates, an
+//!   `impl BlockStore for` / `impl MetaStore for` block that defines
+//!   `fn put(`, `fn get(` or `fn delete(`: the batch forms are the port's
+//!   required methods and the single-item forms are provided over them,
+//!   so an adapter that writes its own is a second body of one operation.
 //!
 //! Escape hatch: a finding is suppressed by `// lint:allow(rule): reason`
 //! on the same line or the immediately preceding one; the reason is
@@ -47,14 +52,16 @@ pub const RULE_NO_STD_SYNC: &str = "no-std-sync";
 pub const RULE_NO_REAL_TIME: &str = "no-real-time";
 pub const RULE_NO_PANIC_DECODE: &str = "no-panic-decode";
 pub const RULE_NO_STAGING_COPY: &str = "no-staging-copy";
+pub const RULE_VECTORED_ONLY: &str = "vectored-only";
 
 /// Every rule the lint knows, in reporting order.
-pub const ALL_RULES: [&str; 5] = [
+pub const ALL_RULES: [&str; 6] = [
     RULE_NO_UNWRAP,
     RULE_NO_STD_SYNC,
     RULE_NO_REAL_TIME,
     RULE_NO_PANIC_DECODE,
     RULE_NO_STAGING_COPY,
+    RULE_VECTORED_ONLY,
 ];
 
 /// One lint violation.
@@ -84,7 +91,8 @@ impl fmt::Display for Finding {
 // ---------------------------------------------------------------------------
 
 /// Crates whose library code must propagate errors instead of unwrapping:
-/// everything on the client/server protocol paths.
+/// everything on the client/server protocol paths. Also the scope of
+/// `vectored-only`: these are the crates that ship store adapters.
 const NO_UNWRAP_SCOPE: [&str; 8] = [
     "crates/types/",
     "crates/blobseer-core/",
@@ -258,6 +266,11 @@ pub fn lint_source(rel: &str, source: &str) -> Vec<Finding> {
     let mut test_depth = 0usize;
     let mut pending_test_attr = false;
     let mut prev_allows: Vec<String> = Vec::new();
+    // Depth of `{` nesting inside an `impl BlockStore for` / `impl
+    // MetaStore for` block; 0 = outside one. `pending` bridges a header
+    // whose `{` sits on a later line.
+    let mut store_impl_depth = 0usize;
+    let mut pending_store_impl = false;
 
     for (idx, raw) in source.lines().enumerate() {
         let line_no = idx + 1;
@@ -315,6 +328,20 @@ pub fn lint_source(rel: &str, source: &str) -> Vec<Finding> {
                 cleaned.contains(".unwrap()") || cleaned.contains(".expect("),
                 &mut findings,
             );
+        }
+        if unwrap_scope {
+            let header = cleaned.trim_start().starts_with("impl")
+                && (cleaned.contains(" BlockStore for ") || cleaned.contains(" MetaStore for "));
+            if store_impl_depth > 0 {
+                let hit = ["fn put(", "fn get(", "fn delete("]
+                    .iter()
+                    .any(|t| cleaned.contains(t));
+                check(RULE_VECTORED_ONLY, hit, &mut findings);
+                store_impl_depth = (store_impl_depth + opens).saturating_sub(closes);
+            } else if header || pending_store_impl {
+                pending_store_impl = opens == 0;
+                store_impl_depth = opens.saturating_sub(closes);
+            }
         }
         if std_sync_scope {
             let hit = cleaned.contains("std::sync")

@@ -4,7 +4,7 @@
 
 use blobseer_analysis::{
     lint_source, lint_workspace, workspace_root, RULE_NO_PANIC_DECODE, RULE_NO_REAL_TIME,
-    RULE_NO_STAGING_COPY, RULE_NO_STD_SYNC, RULE_NO_UNWRAP,
+    RULE_NO_STAGING_COPY, RULE_NO_STD_SYNC, RULE_NO_UNWRAP, RULE_VECTORED_ONLY,
 };
 
 fn fixture(name: &str) -> String {
@@ -103,6 +103,25 @@ fn staging_copy_rule_fires_on_the_block_byte_path_only() {
     ] {
         assert!(lint_source(rel, &src).is_empty(), "{rel}");
     }
+}
+
+#[test]
+fn vectored_only_rule_fires_on_single_item_bodies_in_store_impls() {
+    let src = fixture("vectored_only_violation.rs");
+    let findings = lint_source("crates/blobseer-rpc/src/fixture.rs", &src);
+    assert_eq!(
+        findings.len(),
+        2,
+        "BlockStore::put + MetaStore::delete: {findings:?}"
+    );
+    assert!(findings.iter().all(|f| f.rule == RULE_VECTORED_ONLY));
+    assert!(findings[0].excerpt.starts_with("fn put("), "{findings:?}");
+    assert!(
+        findings[1].excerpt.starts_with("fn delete("),
+        "{findings:?}"
+    );
+    // Same scope as `no-unwrap`: harness crates may decorate as they like.
+    assert!(lint_source("crates/bench/src/fixture.rs", &src).is_empty());
 }
 
 #[test]

@@ -8,6 +8,7 @@
 //! so every malformed input must surface as an [`Error`] — this file is
 //! in the workspace `no-panic-decode` lint scope.
 
+use blobseer_core::meta::codec::{get_write_intent, put_write_intent};
 use blobseer_core::version_manager::WriteIntent;
 use blobseer_types::wire::{WireReader, WireWriter};
 use blobseer_types::{BlobId, Error, Result, Version};
@@ -18,9 +19,6 @@ const CMD_ASSIGN: u8 = 2;
 const CMD_COMMIT: u8 = 3;
 const CMD_DELETE_BLOB: u8 = 4;
 const CMD_COLLECT_BEFORE: u8 = 5;
-
-const INTENT_WRITE: u8 = 0;
-const INTENT_APPEND: u8 = 1;
 
 /// One replicated mutation, tagged with its submitter and sequence number
 /// so replicas can deduplicate retried submissions (exactly-once across
@@ -91,17 +89,7 @@ pub fn put_command(w: &mut WireWriter, cmd: &Command) {
         CommandKind::Assign { blob, intent } => {
             w.put_u8(CMD_ASSIGN);
             w.put_u64(blob.raw());
-            match intent {
-                WriteIntent::Write { offset, size } => {
-                    w.put_u8(INTENT_WRITE);
-                    w.put_u64(offset);
-                    w.put_u64(size);
-                }
-                WriteIntent::Append { size } => {
-                    w.put_u8(INTENT_APPEND);
-                    w.put_u64(size);
-                }
-            }
+            put_write_intent(w, intent);
         }
         CommandKind::Commit { blob, version } => {
             w.put_u8(CMD_COMMIT);
@@ -133,18 +121,8 @@ pub fn get_command(r: &mut WireReader<'_>) -> Result<Command> {
         },
         CMD_ASSIGN => {
             let blob = BlobId::new(r.get_u64()?);
-            let intent = match r.get_u8()? {
-                INTENT_WRITE => WriteIntent::Write {
-                    offset: r.get_u64()?,
-                    size: r.get_u64()?,
-                },
-                INTENT_APPEND => WriteIntent::Append { size: r.get_u64()? },
-                t => {
-                    return Err(Error::Storage(format!(
-                        "replicated log: unknown write-intent tag {t}"
-                    )))
-                }
-            };
+            let intent =
+                get_write_intent(r).map_err(|e| Error::Storage(format!("replicated log: {e}")))?;
             CommandKind::Assign { blob, intent }
         }
         CMD_COMMIT => CommandKind::Commit {

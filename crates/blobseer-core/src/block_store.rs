@@ -51,32 +51,12 @@ impl DataProvider {
         self.node
     }
 
-    /// Stores a block. Blocks are immutable: storing the same id twice with
-    /// different content is an engine bug and panics in debug builds;
-    /// idempotent re-puts (same content, e.g. a retried replica write) are
-    /// accepted.
-    pub fn put(&self, id: BlockId, data: Bytes) {
-        let mut map = self.blocks.shard_for(&id).write();
-        match map.get(&id) {
-            Some(existing) => {
-                debug_assert_eq!(
-                    existing, &data,
-                    "block {id} rewritten with different content — blocks are immutable"
-                );
-            }
-            None => {
-                self.bytes_stored
-                    .fetch_add(data.len() as u64, Ordering::Relaxed);
-                map.insert(id, data);
-            }
-        }
-        self.puts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Stores a batch of blocks, taking each lock stripe once per batch
-    /// instead of once per block. Observationally equivalent to calling
-    /// [`Self::put`] per item in order (within a stripe, items land in
-    /// batch order, so intra-batch re-puts behave identically).
+    /// Stores a batch of blocks, taking each lock stripe once per batch.
+    /// Blocks are immutable: storing the same id twice with different
+    /// content is an engine bug and panics in debug builds; idempotent
+    /// re-puts (same content, e.g. a retried replica write) are accepted.
+    /// Within a stripe, items land in batch order, so intra-batch re-puts
+    /// behave like the sequence of puts they stand for.
     pub fn put_many(&self, items: &[(BlockId, Bytes)]) {
         for (shard, range) in stripe_runs(&self.blocks, items.iter().map(|(id, _)| id)) {
             let mut map = self.blocks.shard_at(shard).write();
@@ -136,30 +116,9 @@ impl DataProvider {
         out
     }
 
-    /// Fetches a block (zero-copy clone of the payload).
-    pub fn get(&self, id: BlockId) -> Result<Bytes> {
-        self.gets.fetch_add(1, Ordering::Relaxed);
-        self.blocks
-            .get_cloned(&id)
-            .ok_or(Error::MissingBlock(id.raw()))
-    }
-
     /// True if the provider holds the block.
     pub fn contains(&self, id: BlockId) -> bool {
         self.blocks.contains_key(&id)
-    }
-
-    /// Deletes a block (garbage collection). Returns the number of bytes
-    /// freed (0 if absent).
-    pub fn delete(&self, id: BlockId) -> u64 {
-        match self.blocks.remove(&id) {
-            Some(data) => {
-                let n = data.len() as u64;
-                self.bytes_stored.fetch_sub(n, Ordering::Relaxed);
-                n
-            }
-            None => 0,
-        }
     }
 
     /// Number of blocks currently stored.
@@ -253,12 +212,16 @@ mod tests {
         DataProvider::new(NodeId::new(3))
     }
 
+    fn id(raw: u64) -> BlockId {
+        BlockId::new(raw)
+    }
+
     #[test]
     fn put_get_roundtrip() {
         let p = provider();
         let data = Bytes::from_static(b"hello blocks");
-        p.put(BlockId::new(1), data.clone());
-        assert_eq!(p.get(BlockId::new(1)).unwrap(), data);
+        p.put_many(&[(id(1), data.clone())]);
+        assert_eq!(p.get_many(&[id(1)]), [Ok(data)]);
         assert_eq!(p.block_count(), 1);
         assert_eq!(p.bytes_stored(), 12);
         assert_eq!(p.op_counts(), (1, 1));
@@ -267,15 +230,18 @@ mod tests {
     #[test]
     fn missing_block_is_an_error() {
         let p = provider();
-        assert_eq!(p.get(BlockId::new(9)), Err(Error::MissingBlock(9)));
+        p.put_many(&[(id(8), Bytes::from_static(b"held"))]);
+        let got = p.get_many(&[id(9), id(8)]);
+        assert_eq!(got[0], Err(Error::MissingBlock(9)));
+        assert!(got[1].is_ok(), "a miss fails its own item only");
     }
 
     #[test]
     fn idempotent_reput_is_accepted() {
         let p = provider();
         let data = Bytes::from_static(b"same");
-        p.put(BlockId::new(1), data.clone());
-        p.put(BlockId::new(1), data); // replica retry
+        p.put_many(&[(id(1), data.clone())]);
+        p.put_many(&[(id(1), data.clone()), (id(1), data)]); // replica retries
         assert_eq!(p.block_count(), 1);
         assert_eq!(p.bytes_stored(), 4, "no double counting");
     }
@@ -285,27 +251,27 @@ mod tests {
     #[cfg(debug_assertions)]
     fn rewriting_a_block_panics_in_debug() {
         let p = provider();
-        p.put(BlockId::new(1), Bytes::from_static(b"aa"));
-        p.put(BlockId::new(1), Bytes::from_static(b"bb"));
+        p.put_many(&[(id(1), Bytes::from_static(b"aa"))]);
+        p.put_many(&[(id(1), Bytes::from_static(b"bb"))]);
     }
 
     #[test]
     fn delete_frees_bytes() {
         let p = provider();
-        p.put(BlockId::new(1), Bytes::from_static(b"12345"));
-        assert_eq!(p.delete(BlockId::new(1)), 5);
-        assert_eq!(p.delete(BlockId::new(1)), 0, "second delete is a no-op");
+        p.put_many(&[(id(1), Bytes::from_static(b"12345"))]);
+        assert_eq!(p.delete_many(&[id(1), id(1)]), [5, 0], "re-delete: no-op");
+        assert_eq!(p.delete_many(&[id(1)]), [0]);
         assert_eq!(p.block_count(), 0);
         assert_eq!(p.bytes_stored(), 0);
-        assert!(!p.contains(BlockId::new(1)));
+        assert!(!p.contains(id(1)));
     }
 
     #[test]
     fn provider_set_layout_vector() {
         let set = ProviderSet::new(3, |i| NodeId::new(10 + i as u64));
-        set.get(0).put(BlockId::new(1), Bytes::from_static(b"x"));
-        set.get(0).put(BlockId::new(2), Bytes::from_static(b"y"));
-        set.get(2).put(BlockId::new(3), Bytes::from_static(b"z"));
+        let block = |raw, byte: &'static [u8]| (id(raw), Bytes::from_static(byte));
+        set.get(0).put_many(&[block(1, b"x"), block(2, b"y")]);
+        set.get(2).put_many(&[block(3, b"z")]);
         assert_eq!(set.layout_vector(), vec![2, 0, 1]);
         assert_eq!(set.index_of_node(NodeId::new(12)), Some(2));
         assert_eq!(set.index_of_node(NodeId::new(99)), None);
@@ -321,9 +287,9 @@ mod tests {
                 let p = Arc::clone(&p);
                 std::thread::spawn(move || {
                     for i in 0..100u64 {
-                        let id = BlockId::new(t * 1000 + i);
-                        p.put(id, Bytes::from(vec![t as u8; 16]));
-                        assert_eq!(p.get(id).unwrap().len(), 16);
+                        let block = id(t * 1000 + i);
+                        p.put_many(&[(block, Bytes::from(vec![t as u8; 16]))]);
+                        assert_eq!(p.get_many(&[block])[0].as_ref().unwrap().len(), 16);
                     }
                 })
             })

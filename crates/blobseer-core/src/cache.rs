@@ -170,38 +170,14 @@ impl BlockStore for CachedBlockStore {
         self.inner.index_of_node(node)
     }
 
-    /// Write-through, write-allocate: the stored bytes are the bytes a
-    /// reader would fetch (blocks are immutable), and a writer's own
-    /// blocks are the hottest read candidates right after the commit.
-    fn put(&self, provider: usize, id: BlockId, data: Bytes) -> Result<()> {
-        self.inner.put(provider, id, data.clone())?;
-        let size = data.len() as u64;
-        let evicted = self.lru.lock().insert((provider, id), data, size);
-        self.count(0, 0, evicted);
-        Ok(())
-    }
-
-    fn get(&self, provider: usize, id: BlockId) -> Result<Bytes> {
-        if let Some(hit) = self.lru.lock().get(&(provider, id)) {
-            self.count(1, 0, 0);
-            return Ok(hit);
-        }
-        let data = self.inner.get(provider, id)?;
-        let size = data.len() as u64;
-        let evicted = self.lru.lock().insert((provider, id), data.clone(), size);
-        self.count(0, 1, evicted);
-        Ok(data)
-    }
-
     fn contains(&self, provider: usize, id: BlockId) -> bool {
         self.inner.contains(provider, id)
     }
 
-    fn delete(&self, provider: usize, id: BlockId) -> Result<u64> {
-        self.lru.lock().remove(&(provider, id));
-        self.inner.delete(provider, id)
-    }
-
+    /// Write-through, write-allocate: the stored bytes are the bytes a
+    /// reader would fetch (blocks are immutable), and a writer's own
+    /// blocks are the hottest read candidates right after the commit.
+    /// Failed puts cache nothing.
     fn put_many(&self, provider: usize, items: &[(BlockId, Bytes)]) -> Vec<Result<()>> {
         let results = self.inner.put_many(provider, items);
         let mut evicted = 0;
@@ -324,29 +300,6 @@ impl MetaStore for CachedMetaStore {
     /// Write-through, write-allocate (a publish's nodes are descended
     /// moments later by the writer's own readers). Failed puts (e.g.
     /// [`blobseer_types::Error::MetadataConflict`]) cache nothing.
-    fn put(&self, key: NodeKey, node: TreeNode) -> Result<()> {
-        self.inner.put(key, node.clone())?;
-        let evicted = self.lru.lock().insert(key, node.clone(), node_size(&node));
-        self.count(0, 0, evicted);
-        Ok(())
-    }
-
-    fn get(&self, key: &NodeKey) -> Result<TreeNode> {
-        if let Some(hit) = self.lru.lock().get(key) {
-            self.count(1, 0, 0);
-            return Ok(hit);
-        }
-        let node = self.inner.get(key)?;
-        let evicted = self.lru.lock().insert(*key, node.clone(), node_size(&node));
-        self.count(0, 1, evicted);
-        Ok(node)
-    }
-
-    fn delete(&self, key: &NodeKey) -> bool {
-        self.lru.lock().remove(key);
-        self.inner.delete(key)
-    }
-
     fn put_many(&self, items: &[(NodeKey, TreeNode)]) -> Vec<Result<()>> {
         let results = self.inner.put_many(items);
         let mut evicted = 0;

@@ -54,23 +54,24 @@
 //! The traits are object-safe by design (`Arc<dyn …>` wiring), so backends
 //! can be chosen at runtime.
 //!
-//! **The vectored methods and the migration path.** The client's hot paths
-//! call the *vectored* store methods — `put_many`/`get_many`/`delete_many`
-//! on [`crate::ports::BlockStore`] (one batch per data provider) and
-//! [`crate::ports::MetaStore`] (one batch per tree level) — with per-item
-//! `Result`s, so a write's data phase, a publish, a descent and a GC
-//! cascade each cost O(levels + providers) backend calls rather than
-//! O(blocks + nodes). A new adapter does **not** have to implement them:
-//! every vectored method defaults to looping over its single-item
-//! sibling, so step 1 above is still "implement `put`/`get`/`delete`" and
-//! the protocol works immediately, just without amortization. Once the
-//! backend has a cheaper bulk path (a multi-put wire frame, a pipelined
-//! transaction, one lock per batch), override the vectored methods —
-//! keeping two invariants: results come back *per item, in input order*
-//! (a subset may fail while the rest land; decorators rely on this), and
-//! batched semantics must equal the same single ops run in sequence
+//! **Implement the three batch methods.** The client's hot paths call
+//! nothing but the *vectored* store methods —
+//! `put_many`/`get_many`/`delete_many` on [`crate::ports::BlockStore`]
+//! (one batch per data provider) and [`crate::ports::MetaStore`] (one
+//! batch per tree level) — so a write's data phase, a publish, a descent
+//! and a GC cascade each cost O(levels + providers) backend calls rather
+//! than O(blocks + nodes). They are the stores' *required* methods, and
+//! step 1 above is "implement those three" (plus the shape and
+//! diagnostics accessors): `put`/`get`/`delete` are provided by the
+//! traits as a batch of one, so an adapter writes each store operation
+//! once. Two invariants: results come back *per item, in input order* (a
+//! subset may fail while the rest land; decorators and the provided
+//! helpers rely on this — a one-item batch gets exactly one result), and
+//! a batch must answer like its items applied in sequence, so an
+//! intra-batch re-put or re-delete sees the items before it
 //! (`tests/ports_equivalence.rs` has ready-made properties to hold a new
-//! adapter to exactly that).
+//! adapter to exactly that). A backend with no bulk path of its own can
+//! satisfy both by mapping a private per-item function over the batch.
 //!
 //! **Worked example: the TCP backend.** The `blobseer-rpc` crate follows
 //! exactly this recipe to take the protocol over real sockets:

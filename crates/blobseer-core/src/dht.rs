@@ -9,6 +9,7 @@
 
 use crate::meta::key::NodeKey;
 use crate::meta::node::TreeNode;
+use crate::ports::single;
 use crate::sharded::{stripe_runs, ShardedMap, DEFAULT_SHARDS};
 use blobseer_types::{Error, Result};
 
@@ -37,29 +38,16 @@ impl MetaProvider {
         }
     }
 
-    /// Stores a node. Metadata, like data, is immutable: a re-put must carry
-    /// identical content (replica retries, abort-repair idempotence). A
-    /// conflicting re-put returns [`Error::MetadataConflict`] in **every**
-    /// build profile and leaves the stored copy untouched — silently keeping
-    /// either version would let two diverged writers both believe they
-    /// published (the seed only `debug_assert`ed here, so release builds
-    /// silently kept the old node).
-    fn put(&self, key: NodeKey, node: TreeNode) -> Result<()> {
-        self.puts.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let mut map = self.map.shard_for(&key).write();
-        if let Some(existing) = map.get(&key) {
-            if existing != &node {
-                return Err(Error::MetadataConflict(format!("{key:?}")));
-            }
-            return Ok(());
-        }
-        map.insert(key, node);
-        Ok(())
-    }
-
-    /// Batched [`Self::put`]: each lock stripe is taken once per batch;
-    /// items land in batch order within a stripe, so the per-item results
-    /// match the equivalent sequence of single puts exactly.
+    /// Stores a batch of nodes. Metadata, like data, is immutable: a re-put
+    /// must carry identical content (replica retries, abort-repair
+    /// idempotence). A conflicting re-put returns
+    /// [`Error::MetadataConflict`] for that item in **every** build profile
+    /// and leaves the stored copy untouched — silently keeping either
+    /// version would let two diverged writers both believe they published
+    /// (the seed only `debug_assert`ed here, so release builds silently
+    /// kept the old node). Each lock stripe is taken once per batch; items
+    /// land in batch order within a stripe, so an intra-batch re-put sees
+    /// the items before it.
     fn put_many(&self, items: &[(NodeKey, TreeNode)]) -> Vec<Result<()>> {
         self.puts
             .fetch_add(items.len() as u64, std::sync::atomic::Ordering::Relaxed);
@@ -82,12 +70,7 @@ impl MetaProvider {
         out
     }
 
-    fn get(&self, key: &NodeKey) -> Option<TreeNode> {
-        self.gets.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        self.map.get_cloned(key)
-    }
-
-    /// Batched [`Self::get`], one read-lock acquisition per stripe.
+    /// Fetches a batch of nodes, one read-lock acquisition per stripe.
     fn get_many(&self, keys: &[NodeKey]) -> Vec<Option<TreeNode>> {
         self.gets
             .fetch_add(keys.len() as u64, std::sync::atomic::Ordering::Relaxed);
@@ -101,7 +84,8 @@ impl MetaProvider {
         out
     }
 
-    /// Batched [`Self::delete`], one write-lock acquisition per stripe.
+    /// Deletes a batch of nodes, one write-lock acquisition per stripe;
+    /// true per item if it existed.
     fn delete_many(&self, keys: &[NodeKey]) -> Vec<bool> {
         let mut out = vec![false; keys.len()];
         for (stripe, range) in stripe_runs(&self.map, keys.iter()) {
@@ -116,10 +100,6 @@ impl MetaProvider {
     /// Lookup without touching the op counters (internal validation reads).
     fn peek(&self, key: &NodeKey) -> Option<TreeNode> {
         self.map.get_cloned(key)
-    }
-
-    fn delete(&self, key: &NodeKey) -> bool {
-        self.map.remove(key).is_some()
     }
 
     /// Number of nodes stored on this provider.
@@ -176,55 +156,50 @@ impl MetaDht {
         (key.hash64() % self.shards.len() as u64) as usize
     }
 
-    /// Stores a node on its `replication` home shards.
+    /// The `replication` consecutive shards holding `key`, home shard first.
+    fn replicas(&self, key: &NodeKey) -> impl Iterator<Item = &MetaProvider> {
+        let primary = self.shard_of(key);
+        (0..self.replication).map(move |i| &self.shards[(primary + i) % self.shards.len()])
+    }
+
+    /// Stores one node on all its replicas — the per-item walk of the
+    /// replicated (`replication > 1`) batch path.
     ///
     /// The put is validated against **every** replica that already holds
     /// the key *before* anything is inserted: a conflicting re-put
     /// ([`Error::MetadataConflict`]) must not install the forged node on a
     /// replica that happens to lack the key (e.g. a crashed-and-restarted
     /// shard) while a surviving replica still serves the original — that
-    /// would diverge the replicas and let `get` answer with either copy.
+    /// would diverge the replicas and let a fetch answer with either copy.
     /// A matching re-put, by contrast, re-populates missing replicas
     /// (per-replica idempotent, which is also the natural re-replication
     /// path after a shard crash). Each replica's own put re-validates
     /// under its stripe lock, so concurrent racing re-puts still cannot
     /// overwrite committed content.
-    pub fn put(&self, key: NodeKey, node: TreeNode) -> Result<()> {
-        let primary = self.shard_of(&key);
-        // The divergence scenario needs a second replica; with replication
-        // 1 the per-replica validation below already covers everything, so
-        // skip the pre-pass on the hot single-replica publish path.
-        if self.replication > 1 {
-            for i in 0..self.replication {
-                let shard = (primary + i) % self.shards.len();
-                if let Some(existing) = self.shards[shard].peek(&key) {
-                    if existing != node {
-                        return Err(Error::MetadataConflict(format!("{key:?}")));
-                    }
-                }
-            }
+    fn put_replicated(&self, item: &(NodeKey, TreeNode)) -> Result<()> {
+        let (key, node) = item;
+        if self
+            .replicas(key)
+            .any(|r| r.peek(key).is_some_and(|n| n != *node))
+        {
+            return Err(Error::MetadataConflict(format!("{key:?}")));
         }
-        for i in 0..self.replication {
-            let shard = (primary + i) % self.shards.len();
-            self.shards[shard].put(key, node.clone())?;
-        }
-        Ok(())
+        self.replicas(key)
+            .try_for_each(|r| single(r.put_many(std::slice::from_ref(item))))
     }
 
-    /// Batched [`Self::put`] with per-item results, in input order.
+    /// Stores a batch of nodes, each on its `replication` home shards,
+    /// with per-item results in input order.
     ///
     /// On the hot single-replica publish path the batch is grouped by home
     /// shard and each shard processes its group under one stripe lock per
-    /// stripe touched. With `replication > 1` the batch falls back to
-    /// sequential per-item puts: the cross-replica divergence validation
-    /// must observe every earlier item's install before the next item's
-    /// pre-pass, which a grouped apply cannot guarantee.
+    /// stripe touched. With `replication > 1` the items are walked one by
+    /// one (`put_replicated`): the cross-replica divergence
+    /// validation must observe every earlier item's install before the
+    /// next item's pre-pass, which a grouped apply cannot guarantee.
     pub fn put_many(&self, items: &[(NodeKey, TreeNode)]) -> Vec<Result<()>> {
         if self.replication > 1 {
-            return items
-                .iter()
-                .map(|(key, node)| self.put(*key, node.clone()))
-                .collect();
+            return items.iter().map(|item| self.put_replicated(item)).collect();
         }
         let mut out: Vec<Result<()>> = (0..items.len()).map(|_| Ok(())).collect();
         for (shard, range) in self.shard_groups(items.iter().map(|(k, _)| k)) {
@@ -236,16 +211,33 @@ impl MetaDht {
         out
     }
 
-    /// Batched [`Self::get`] with per-item results, in input order. Single
-    /// replica: grouped by home shard, one lock acquisition per stripe.
+    /// Fetches one node from the first replica (in order) that holds it —
+    /// the per-item walk of the replicated batch path.
+    fn get_replicated(&self, key: &NodeKey) -> Option<TreeNode> {
+        let one = std::slice::from_ref(key);
+        self.replicas(key)
+            .find_map(|r| r.get_many(one).pop().flatten())
+    }
+
+    /// Deletes one node from all its replicas; true if any held it.
+    fn delete_replicated(&self, key: &NodeKey) -> bool {
+        let one = std::slice::from_ref(key);
+        self.replicas(key)
+            .fold(false, |existed, r| existed | r.delete_many(one)[0])
+    }
+
+    /// Fetches a batch of nodes with per-item results, in input order.
+    /// Single replica: grouped by home shard, one lock acquisition per
+    /// stripe. Replicated: each key tries its replicas in order.
     pub fn get_many(&self, keys: &[NodeKey]) -> Vec<Result<TreeNode>> {
+        let missing = |key: &NodeKey| Error::MissingMetadata(format!("{key:?}"));
         if self.replication > 1 {
-            return keys.iter().map(|key| self.get(key)).collect();
+            return keys
+                .iter()
+                .map(|key| self.get_replicated(key).ok_or_else(|| missing(key)))
+                .collect();
         }
-        let mut out: Vec<Result<TreeNode>> = keys
-            .iter()
-            .map(|key| Err(Error::MissingMetadata(format!("{key:?}"))))
-            .collect();
+        let mut out: Vec<Result<TreeNode>> = keys.iter().map(|key| Err(missing(key))).collect();
         for (shard, range) in self.shard_groups(keys.iter()) {
             let group: Vec<NodeKey> = range.iter().map(|&i| keys[i]).collect();
             for (slot, found) in range.into_iter().zip(self.shards[shard].get_many(&group)) {
@@ -257,10 +249,11 @@ impl MetaDht {
         out
     }
 
-    /// Batched [`Self::delete`]: true per item if any replica existed.
+    /// Deletes a batch of nodes from all their replicas: true per item if
+    /// any replica existed.
     pub fn delete_many(&self, keys: &[NodeKey]) -> Vec<bool> {
         if self.replication > 1 {
-            return keys.iter().map(|key| self.delete(key)).collect();
+            return keys.iter().map(|key| self.delete_replicated(key)).collect();
         }
         let mut out = vec![false; keys.len()];
         for (shard, range) in self.shard_groups(keys.iter()) {
@@ -284,34 +277,10 @@ impl MetaDht {
         crate::sharded::group_indices_by(keys, |key| self.shard_of(key))
     }
 
-    /// Fetches a node, trying replicas in order.
-    pub fn get(&self, key: &NodeKey) -> Result<TreeNode> {
-        let primary = self.shard_of(key);
-        for i in 0..self.replication {
-            let shard = (primary + i) % self.shards.len();
-            if let Some(node) = self.shards[shard].get(key) {
-                return Ok(node);
-            }
-        }
-        Err(Error::MissingMetadata(format!("{key:?}")))
-    }
-
     /// Simulates the crash of one shard by dropping its contents; used by
     /// fault-tolerance tests to show replicated metadata survives.
     pub fn crash_shard(&self, shard: usize) {
         self.shards[shard].map.clear();
-    }
-
-    /// Deletes a node from all its replicas. Returns true if any replica
-    /// existed.
-    pub fn delete(&self, key: &NodeKey) -> bool {
-        let primary = self.shard_of(key);
-        let mut existed = false;
-        for i in 0..self.replication {
-            let shard = (primary + i) % self.shards.len();
-            existed |= self.shards[shard].delete(key);
-        }
-        existed
     }
 
     /// Total nodes stored across shards (replicas counted).
@@ -336,6 +305,7 @@ mod tests {
     use super::*;
     use crate::meta::key::Pos;
     use crate::meta::node::{BlockDescriptor, NodeRef};
+    use crate::ports::MetaStore;
     use blobseer_types::{BlobId, BlockId, Version};
 
     fn key(v: u64, start: u64, len: u64) -> NodeKey {

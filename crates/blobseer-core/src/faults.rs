@@ -18,12 +18,11 @@
 //! Reads, deletes and statistics always pass through, so tests can inspect
 //! the damage with the normal APIs.
 //!
-//! The decorators deliberately keep the *default* vectored implementations
-//! of `put_many`/`get_many`/`delete_many` (looping over the single-item
-//! methods): each item of a batch passes through the fault plan
-//! individually, so a `FailOnce` plan fails exactly the first item of a
-//! batch and lets the rest land — the partial-failure behavior the
-//! vectored API's per-item `Result`s exist for.
+//! `put_many` consults the fault plan **per item**, in batch order, so a
+//! `FailOnce` plan armed mid-run fails exactly one item and lets the rest
+//! land — the partial-failure behavior the vectored API's per-item
+//! `Result`s exist for. Runs of un-faulted items reach the inner store as
+//! the sub-batches they are, not one put at a time.
 
 use crate::meta::key::NodeKey;
 use crate::meta::node::TreeNode;
@@ -105,6 +104,55 @@ impl FaultPlan {
         PutFault::from_u8(self.mode.load(Ordering::SeqCst))
     }
 
+    /// Runs one `put_many` batch through the plan. Each item meets the
+    /// plan's current fault, in order (a `FailOnce` reverts to pass-through
+    /// as it fires); maximal runs of un-faulted items go to `pass` — the
+    /// inner store's `put_many` — whole. A refused item fails with
+    /// `refused(item)` as the reason, a delayed one is handed to `delay`,
+    /// a duplicated one is passed twice.
+    fn apply<I: Clone>(
+        &self,
+        items: &[I],
+        mut pass: impl FnMut(&[I]) -> Vec<Result<()>>,
+        refused: impl Fn(&I) -> String,
+        mut delay: impl FnMut(&I),
+    ) -> Vec<Result<()>> {
+        let mut out = Vec::with_capacity(items.len());
+        let mut clean_from = 0;
+        for (i, item) in items.iter().enumerate() {
+            let fault = self.current();
+            let counter = match fault {
+                PutFault::None => continue,
+                PutFault::Drop => &self.dropped,
+                PutFault::Fail => &self.failed,
+                PutFault::FailOnce => {
+                    self.set(PutFault::None);
+                    &self.failed
+                }
+                PutFault::Delay => &self.delayed,
+                PutFault::Duplicate => &self.duplicated,
+            };
+            counter.fetch_add(1, Ordering::SeqCst);
+            if clean_from < i {
+                out.extend(pass(&items[clean_from..i]));
+            }
+            clean_from = i + 1;
+            out.push(match fault {
+                PutFault::None | PutFault::Drop => Ok(()),
+                PutFault::Fail | PutFault::FailOnce => Err(Error::WriteAborted(refused(item))),
+                PutFault::Delay => {
+                    delay(item);
+                    Ok(())
+                }
+                PutFault::Duplicate => pass(&[item.clone(), item.clone()]).into_iter().collect(),
+            });
+        }
+        if clean_from < items.len() {
+            out.extend(pass(&items[clean_from..]));
+        }
+        out
+    }
+
     /// `(dropped, failed, delayed, duplicated)` puts so far.
     pub fn counters(&self) -> (u64, u64, u64, u64) {
         (
@@ -157,42 +205,22 @@ impl BlockStore for FaultyBlockStore {
     fn index_of_node(&self, node: NodeId) -> Option<usize> {
         self.inner.index_of_node(node)
     }
-    fn put(&self, provider: usize, id: BlockId, data: Bytes) -> Result<()> {
-        match self.plan.current() {
-            PutFault::None => self.inner.put(provider, id, data),
-            PutFault::Drop => {
-                self.plan.dropped.fetch_add(1, Ordering::SeqCst);
-                Ok(())
-            }
-            fault @ (PutFault::Fail | PutFault::FailOnce) => {
-                if fault == PutFault::FailOnce {
-                    self.plan.set(PutFault::None);
-                }
-                self.plan.failed.fetch_add(1, Ordering::SeqCst);
-                Err(Error::WriteAborted(format!(
-                    "injected fault: provider {provider} refused block {id}"
-                )))
-            }
-            PutFault::Delay => {
-                self.plan.delayed.fetch_add(1, Ordering::SeqCst);
-                self.delayed.lock().push((provider, id, data));
-                Ok(())
-            }
-            PutFault::Duplicate => {
-                self.plan.duplicated.fetch_add(1, Ordering::SeqCst);
-                self.inner.put(provider, id, data.clone())?;
-                self.inner.put(provider, id, data)
-            }
-        }
+    fn put_many(&self, provider: usize, items: &[(BlockId, Bytes)]) -> Vec<Result<()>> {
+        self.plan.apply(
+            items,
+            |run| self.inner.put_many(provider, run),
+            |(id, _)| format!("injected fault: provider {provider} refused block {id}"),
+            |(id, data)| self.delayed.lock().push((provider, *id, data.clone())),
+        )
     }
-    fn get(&self, provider: usize, id: BlockId) -> Result<Bytes> {
-        self.inner.get(provider, id)
+    fn get_many(&self, provider: usize, ids: &[BlockId]) -> Vec<Result<Bytes>> {
+        self.inner.get_many(provider, ids)
+    }
+    fn delete_many(&self, provider: usize, ids: &[BlockId]) -> Vec<Result<u64>> {
+        self.inner.delete_many(provider, ids)
     }
     fn contains(&self, provider: usize, id: BlockId) -> bool {
         self.inner.contains(provider, id)
-    }
-    fn delete(&self, provider: usize, id: BlockId) -> Result<u64> {
-        self.inner.delete(provider, id)
     }
     fn block_count(&self, provider: usize) -> usize {
         self.inner.block_count(provider)
@@ -236,39 +264,19 @@ impl FaultyMetaStore {
 }
 
 impl MetaStore for FaultyMetaStore {
-    fn put(&self, key: NodeKey, node: TreeNode) -> Result<()> {
-        match self.plan.current() {
-            PutFault::None => self.inner.put(key, node),
-            PutFault::Drop => {
-                self.plan.dropped.fetch_add(1, Ordering::SeqCst);
-                Ok(())
-            }
-            fault @ (PutFault::Fail | PutFault::FailOnce) => {
-                if fault == PutFault::FailOnce {
-                    self.plan.set(PutFault::None);
-                }
-                self.plan.failed.fetch_add(1, Ordering::SeqCst);
-                Err(Error::WriteAborted(format!(
-                    "injected fault: metadata put refused for {key:?}"
-                )))
-            }
-            PutFault::Delay => {
-                self.plan.delayed.fetch_add(1, Ordering::SeqCst);
-                self.delayed.lock().push((key, node));
-                Ok(())
-            }
-            PutFault::Duplicate => {
-                self.plan.duplicated.fetch_add(1, Ordering::SeqCst);
-                self.inner.put(key, node.clone())?;
-                self.inner.put(key, node)
-            }
-        }
+    fn put_many(&self, items: &[(NodeKey, TreeNode)]) -> Vec<Result<()>> {
+        self.plan.apply(
+            items,
+            |run| self.inner.put_many(run),
+            |(key, _)| format!("injected fault: metadata put refused for {key:?}"),
+            |item| self.delayed.lock().push(item.clone()),
+        )
     }
-    fn get(&self, key: &NodeKey) -> Result<TreeNode> {
-        self.inner.get(key)
+    fn get_many(&self, keys: &[NodeKey]) -> Vec<Result<TreeNode>> {
+        self.inner.get_many(keys)
     }
-    fn delete(&self, key: &NodeKey) -> bool {
-        self.inner.delete(key)
+    fn delete_many(&self, keys: &[NodeKey]) -> Vec<Result<bool>> {
+        self.inner.delete_many(keys)
     }
     fn shard_count(&self) -> usize {
         self.inner.shard_count()

@@ -370,9 +370,8 @@ mod tests {
                 providers: vec![0],
                 len: 4,
             };
-            f.providers
-                .get(0)
-                .put(BlockId::new(block), Bytes::from_static(b"data"));
+            let data = Bytes::from_static(b"data");
+            f.providers.put(0, BlockId::new(block), data).unwrap();
             f.dht.put(key(v, start, 1), TreeNode::Leaf(desc)).unwrap();
         }
         f.dht
@@ -484,9 +483,8 @@ mod tests {
             providers: vec![0],
             len: 4,
         };
-        providers
-            .get(0)
-            .put(BlockId::new(30), Bytes::from_static(b"data"));
+        let data = Bytes::from_static(b"data");
+        providers.put(0, BlockId::new(30), data).unwrap();
         dht.put(key(1, 0, 1), TreeNode::Leaf(desc)).unwrap();
         host.inc_nodes(&[key(1, 0, 1)]).unwrap();
         assert_eq!(host.node_count(&key(1, 0, 1)).unwrap(), 1);
@@ -519,9 +517,8 @@ mod tests {
             providers: vec![1],
             len: 4,
         };
-        f.providers
-            .get(1)
-            .put(BlockId::new(20), Bytes::from_static(b"xyzw"));
+        let data = Bytes::from_static(b"xyzw");
+        f.providers.put(1, BlockId::new(20), data).unwrap();
         f.dht.put(key(1, 0, 1), TreeNode::Leaf(desc)).unwrap();
         f.gc.inc_node(key(1, 0, 1)); // referenced as v1 root below
                                      // v2 repairs with an alias to v1's leaf.

@@ -1,10 +1,12 @@
 //! Binary codecs for the metadata domain types.
 //!
 //! These encodings cross *two* boundaries: the RPC wire (every tree node
-//! a client publishes or fetches travels in this form, see
-//! `blobseer_rpc::wire`) and the durable record logs of the disk-backed
-//! metadata store (`blobseer_disk`), whose on-disk records must decode
-//! after a process restart. Keeping one codec for both means a node
+//! a client publishes or fetches and every write intent it has a version
+//! assigned for travels in this form, see `blobseer_rpc::wire`) and the
+//! durable logs — the record logs of the disk-backed metadata store and
+//! the version log (`blobseer_disk`), the replicated version manager's
+//! command log (`blobseer_control`) — whose records must decode after a
+//! process restart. Keeping one codec for both means a node
 //! fetched over the wire and a node replayed from disk are bit-identical,
 //! and the round-trip properties proved by the wire tests cover the
 //! durable format for free.
@@ -14,12 +16,13 @@
 //! record can never panic a reader. The disk layer maps decode failures
 //! inside a checksummed frame to [`Error::Storage`] — a valid checksum
 //! over an undecodable payload means the *writer* was broken, not the
-//! medium.
+//! medium; so does the control plane for its command log.
 //!
 //! [`Error::Storage`]: blobseer_types::Error::Storage
 
 use crate::meta::key::{BlockRange, NodeKey, Pos};
 use crate::meta::node::{BlockDescriptor, NodeRef, TreeNode};
+use crate::version_manager::WriteIntent;
 use blobseer_types::wire::{WireReader, WireWriter};
 use blobseer_types::{BlobId, BlockId, Error, Result, Version};
 
@@ -156,9 +159,68 @@ pub fn get_tree_node(r: &mut WireReader<'_>) -> Result<TreeNode> {
     })
 }
 
+/// Encodes a write intent — the one form it has on the wire (`assign`
+/// requests), in `version.log` and in the `vm-replica-*.log` command logs.
+pub fn put_write_intent(w: &mut WireWriter, intent: WriteIntent) {
+    match intent {
+        WriteIntent::Write { offset, size } => {
+            w.put_u8(0);
+            w.put_u64(offset);
+            w.put_u64(size);
+        }
+        WriteIntent::Append { size } => {
+            w.put_u8(1);
+            w.put_u64(size);
+        }
+    }
+}
+
+/// Decodes a write intent.
+pub fn get_write_intent(r: &mut WireReader<'_>) -> Result<WriteIntent> {
+    Ok(match r.get_u8()? {
+        0 => WriteIntent::Write {
+            offset: r.get_u64()?,
+            size: r.get_u64()?,
+        },
+        1 => WriteIntent::Append { size: r.get_u64()? },
+        t => {
+            return Err(Error::Transport(format!(
+                "wire: unknown write-intent tag {t}"
+            )))
+        }
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Golden bytes: these are on disk in every `version.log` and
+    /// `vm-replica-*.log` written so far, and on the wire between mixed
+    /// builds — they may not move.
+    #[test]
+    fn write_intent_bytes_are_pinned() {
+        let cases = [
+            (
+                WriteIntent::Write {
+                    offset: 300,
+                    size: 5,
+                },
+                &[0u8, 0xAC, 0x02, 5][..],
+            ),
+            (WriteIntent::Append { size: 128 }, &[1, 0x80, 0x01][..]),
+        ];
+        for (intent, golden) in cases {
+            let mut w = WireWriter::new();
+            put_write_intent(&mut w, intent);
+            assert_eq!(w.as_slice(), golden, "{intent:?}");
+            let mut r = WireReader::new(golden);
+            assert_eq!(get_write_intent(&mut r).unwrap(), intent);
+            r.finish().unwrap();
+        }
+        let unknown = get_write_intent(&mut WireReader::new(&[2, 0]));
+        assert!(matches!(unknown, Err(Error::Transport(_))), "{unknown:?}");
+    }
 
     #[test]
     fn node_keys_roundtrip() {

@@ -38,21 +38,26 @@
 //! report where time goes — e.g. the version-manager queueing that bends
 //! Fig. 5 — without the client code knowing it is being simulated.
 //!
-//! The store traits are **vectored**: alongside the single-item methods,
-//! [`BlockStore`] and [`MetaStore`] expose `put_many`/`get_many`/
-//! `delete_many` with per-item `Result`s — batches grouped by data
-//! provider for blocks, whole tree levels for metadata. The protocol's
-//! hot paths issue batches (the §III-D data phase puts one batch per
-//! provider, metadata publish pushes one batch per tree level — all levels
-//! of a version handed over at once, [`MetaStore::put_levels`], so a remote
-//! backend can overlap them — the §III-C descent fetches one batch per
-//! level, GC releases whole cascade waves),
+//! The store traits are **vectored-only**: the protocol has no per-block
+//! primitive (§III-D stores a write's blocks and publishes its tree nodes
+//! "in parallel", §III-C fetches a level's siblings together), so the
+//! *required* methods of [`BlockStore`] and [`MetaStore`] are
+//! `put_many`/`get_many`/`delete_many` — one `Result` per item, in input
+//! order, batches grouped by data provider for blocks and by tree level
+//! for metadata. The protocol's hot paths issue nothing else (the data
+//! phase puts one batch per provider, metadata publish pushes one batch
+//! per tree level — all levels of a version handed over at once,
+//! [`MetaStore::put_levels`], so a remote backend can overlap them — the
+//! descent fetches one batch per level, GC releases whole cascade waves),
 //! so a remote backend pays O(levels + providers) round trips per
-//! operation instead of O(blocks + nodes). Every vectored method has a
-//! default implementation looping over its single-item sibling, so
-//! third-party adapters keep working unchanged — native adapters override
-//! them (the lock-striped stores take each stripe's lock once per batch;
-//! `blobseer-rpc` ships one wire frame per batch).
+//! operation instead of O(blocks + nodes). `put`/`get`/`delete` are
+//! *provided* one-liners over a batch of one ([`single`]): a backend
+//! implements each store operation exactly once, in its batch form, and a
+//! single-item call reaches the same code (the lock-striped stores take
+//! each stripe's lock once per batch; `blobseer-rpc` ships one wire frame
+//! per batch, also for a batch of one). The workspace lint's
+//! `vectored-only` rule rejects an adapter that defines the single-item
+//! form itself.
 //!
 //! Everything here is object-safe on purpose (`Arc<dyn …>` wiring): later
 //! PRs can add RPC-backed or async-bridged adapters without touching any
@@ -69,6 +74,20 @@ use crate::version_manager::{SnapshotInfo, WriteIntent, WriteTicket};
 use blobseer_types::{BlobId, BlockId, Error, NodeId, Result, Version};
 use bytes::Bytes;
 use std::time::Duration;
+
+/// The answer of a one-item batch — what the provided single-item port
+/// methods (and the stores' inherent one-item conveniences) reduce their
+/// batch call with. A backend that answers a batch of one with any other
+/// number of results broke the per-item contract: [`Error::Internal`].
+pub fn single<T>(mut results: Vec<Result<T>>) -> Result<T> {
+    let n = results.len();
+    match results.pop() {
+        Some(result) if n == 1 => result,
+        _ => Err(Error::Internal(format!(
+            "a one-item batch was answered with {n} results"
+        ))),
+    }
+}
 
 /// The data providers of a deployment, addressed by dense provider index
 /// `0..len()` — the index space the provider manager allocates in.
@@ -104,45 +123,41 @@ pub trait BlockStore: Send + Sync {
     /// Finds the dense index of the provider hosted on `node`, if any.
     fn index_of_node(&self, node: NodeId) -> Option<usize>;
 
-    /// Stores a block on provider `i`.
-    fn put(&self, provider: usize, id: BlockId, data: Bytes) -> Result<()>;
-
-    /// Fetches a block from provider `i` (zero-copy clone).
-    fn get(&self, provider: usize, id: BlockId) -> Result<Bytes>;
-
-    /// True if provider `i` holds the block.
-    fn contains(&self, provider: usize, id: BlockId) -> bool;
-
-    /// Deletes a block from provider `i`; returns the bytes freed (0 if
-    /// absent). `Err` means the outcome is *unknown* (e.g. transport loss
-    /// on a remote backend), which callers must not conflate with "absent".
-    fn delete(&self, provider: usize, id: BlockId) -> Result<u64>;
-
     /// Stores a batch of blocks on provider `i` — the vectored data phase
     /// (§III-D stores a write's blocks "in parallel"; batching lets remote
     /// backends ship one frame per provider instead of one per block).
     ///
     /// Returns one `Result` per item, in input order: a backend (or fault
-    /// decorator) may fail a subset while the rest land. The default
-    /// implementation loops over [`Self::put`], so existing third-party
-    /// adapters keep working unchanged.
-    fn put_many(&self, provider: usize, items: &[(BlockId, Bytes)]) -> Vec<Result<()>> {
-        items
-            .iter()
-            .map(|(id, data)| self.put(provider, *id, data.clone()))
-            .collect()
-    }
+    /// decorator) may fail a subset while the rest land.
+    fn put_many(&self, provider: usize, items: &[(BlockId, Bytes)]) -> Vec<Result<()>>;
 
-    /// Fetches a batch of blocks from provider `i`, with per-item results
-    /// in input order. Default: loops over [`Self::get`].
-    fn get_many(&self, provider: usize, ids: &[BlockId]) -> Vec<Result<Bytes>> {
-        ids.iter().map(|&id| self.get(provider, id)).collect()
-    }
+    /// Fetches a batch of blocks from provider `i` (zero-copy clones),
+    /// with per-item results in input order.
+    fn get_many(&self, provider: usize, ids: &[BlockId]) -> Vec<Result<Bytes>>;
 
     /// Deletes a batch of blocks from provider `i`, returning the bytes
-    /// freed per item in input order. Default: loops over [`Self::delete`].
-    fn delete_many(&self, provider: usize, ids: &[BlockId]) -> Vec<Result<u64>> {
-        ids.iter().map(|&id| self.delete(provider, id)).collect()
+    /// freed per item in input order (0 if absent). A per-item `Err` means
+    /// the outcome is *unknown* (e.g. transport loss on a remote backend),
+    /// which callers must not conflate with "absent".
+    fn delete_many(&self, provider: usize, ids: &[BlockId]) -> Vec<Result<u64>>;
+
+    /// Stores one block on provider `i`: [`Self::put_many`] of one item.
+    fn put(&self, provider: usize, id: BlockId, data: Bytes) -> Result<()> {
+        single(self.put_many(provider, &[(id, data)]))
+    }
+
+    /// Fetches one block from provider `i`: [`Self::get_many`] of one id.
+    fn get(&self, provider: usize, id: BlockId) -> Result<Bytes> {
+        single(self.get_many(provider, &[id]))
+    }
+
+    /// True if provider `i` holds the block.
+    fn contains(&self, provider: usize, id: BlockId) -> bool;
+
+    /// Deletes one block from provider `i`: [`Self::delete_many`] of one
+    /// id.
+    fn delete(&self, provider: usize, id: BlockId) -> Result<u64> {
+        single(self.delete_many(provider, &[id]))
     }
 
     /// Number of blocks currently stored on provider `i`.
@@ -207,26 +222,27 @@ pub trait BlockStore: Send + Sync {
 /// assert!(dht.put(key, conflicting).is_err());
 /// ```
 pub trait MetaStore: Send + Sync {
-    /// Stores a node (on all its replicas).
-    fn put(&self, key: NodeKey, node: TreeNode) -> Result<()>;
+    /// Stores a batch of nodes (each on all its replicas) with per-item
+    /// results in input order — how a writer publishes a whole tree level
+    /// in one call (§III-D publishes a version's nodes in parallel). A
+    /// backend may fail a subset (e.g. a per-item
+    /// [`blobseer_types::Error::MetadataConflict`]) while the rest land.
+    fn put_many(&self, items: &[(NodeKey, TreeNode)]) -> Vec<Result<()>>;
 
-    /// Fetches a node, trying replicas in order.
-    fn get(&self, key: &NodeKey) -> Result<TreeNode>;
+    /// Stores one node: [`Self::put_many`] of one item.
+    fn put(&self, key: NodeKey, node: TreeNode) -> Result<()> {
+        single(self.put_many(&[(key, node)]))
+    }
 
-    /// Deletes a node from all replicas; true if any replica existed.
-    fn delete(&self, key: &NodeKey) -> bool;
+    /// Fetches one node: [`Self::get_many`] of one key.
+    fn get(&self, key: &NodeKey) -> Result<TreeNode> {
+        single(self.get_many(std::slice::from_ref(key)))
+    }
 
-    /// Stores a batch of nodes with per-item results in input order — how
-    /// a writer publishes a whole tree level in one call (§III-D publishes
-    /// a version's nodes in parallel). A backend may fail a subset (e.g. a
-    /// per-item [`blobseer_types::Error::MetadataConflict`]) while the
-    /// rest land. Default: loops over [`Self::put`], so third-party
-    /// adapters keep working unchanged.
-    fn put_many(&self, items: &[(NodeKey, TreeNode)]) -> Vec<Result<()>> {
-        items
-            .iter()
-            .map(|(key, node)| self.put(*key, node.clone()))
-            .collect()
+    /// Deletes one node: [`Self::delete_many`] of one key. True if any
+    /// replica existed; an unknown outcome (`Err`) reads as `false`.
+    fn delete(&self, key: &NodeKey) -> bool {
+        single(self.delete_many(std::slice::from_ref(key))).unwrap_or(false)
     }
 
     /// Stores the tree levels of one version's publish, given deepest
@@ -257,19 +273,15 @@ pub trait MetaStore: Send + Sync {
         attempted
     }
 
-    /// Fetches a batch of nodes with per-item results in input order — one
-    /// call per level of a read's tree descent (§III-C fetches the sibling
-    /// nodes of a level concurrently). Default: loops over [`Self::get`].
-    fn get_many(&self, keys: &[NodeKey]) -> Vec<Result<TreeNode>> {
-        keys.iter().map(|key| self.get(key)).collect()
-    }
+    /// Fetches a batch of nodes (trying replicas in order) with per-item
+    /// results in input order — one call per level of a read's tree
+    /// descent (§III-C fetches the sibling nodes of a level concurrently).
+    fn get_many(&self, keys: &[NodeKey]) -> Vec<Result<TreeNode>>;
 
-    /// Deletes a batch of nodes; per item, `Ok(true)` if any replica
-    /// existed, `Err` when the outcome is unknown (remote backends).
-    /// Default: loops over [`Self::delete`].
-    fn delete_many(&self, keys: &[NodeKey]) -> Vec<Result<bool>> {
-        keys.iter().map(|key| Ok(self.delete(key))).collect()
-    }
+    /// Deletes a batch of nodes from all their replicas; per item,
+    /// `Ok(true)` if any replica existed, `Err` when the outcome is
+    /// unknown (remote backends, a failed tombstone append).
+    fn delete_many(&self, keys: &[NodeKey]) -> Vec<Result<bool>>;
 
     /// Stable shard index for client-side fan-out grouping: keys mapping
     /// to different indices may be batched and issued *concurrently* by
@@ -500,18 +512,8 @@ impl BlockStore for crate::block_store::ProviderSet {
     fn index_of_node(&self, node: NodeId) -> Option<usize> {
         crate::block_store::ProviderSet::index_of_node(self, node)
     }
-    fn put(&self, provider: usize, id: BlockId, data: Bytes) -> Result<()> {
-        self.get(provider).put(id, data);
-        Ok(())
-    }
-    fn get(&self, provider: usize, id: BlockId) -> Result<Bytes> {
-        self.get(provider).get(id)
-    }
     fn contains(&self, provider: usize, id: BlockId) -> bool {
         self.get(provider).contains(id)
-    }
-    fn delete(&self, provider: usize, id: BlockId) -> Result<u64> {
-        Ok(self.get(provider).delete(id))
     }
     fn put_many(&self, provider: usize, items: &[(BlockId, Bytes)]) -> Vec<Result<()>> {
         self.get(provider).put_many(items);
@@ -542,15 +544,6 @@ impl BlockStore for crate::block_store::ProviderSet {
 }
 
 impl MetaStore for crate::dht::MetaDht {
-    fn put(&self, key: NodeKey, node: TreeNode) -> Result<()> {
-        crate::dht::MetaDht::put(self, key, node)
-    }
-    fn get(&self, key: &NodeKey) -> Result<TreeNode> {
-        crate::dht::MetaDht::get(self, key)
-    }
-    fn delete(&self, key: &NodeKey) -> bool {
-        crate::dht::MetaDht::delete(self, key)
-    }
     fn put_many(&self, items: &[(NodeKey, TreeNode)]) -> Vec<Result<()>> {
         crate::dht::MetaDht::put_many(self, items)
     }

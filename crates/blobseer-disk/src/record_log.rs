@@ -126,28 +126,6 @@ impl DiskShard {
         Ok(())
     }
 
-    /// Applies one put under the log lock; counters already bumped.
-    fn put_locked(&self, log: &mut FrameLog, key: NodeKey, node: TreeNode) -> Result<()> {
-        {
-            let table = self.table.read();
-            if let Some(existing) = table.get(&key) {
-                if existing != &node {
-                    return Err(Error::MetadataConflict(format!("{key:?}")));
-                }
-                return Ok(());
-            }
-        }
-        log.append(&encode_put(&key, &node))?;
-        self.table.write().insert(key, node);
-        Ok(())
-    }
-
-    fn put(&self, key: NodeKey, node: TreeNode) -> Result<()> {
-        self.puts.fetch_add(1, Ordering::Relaxed);
-        let mut log = self.log.lock();
-        self.put_locked(&mut log, key, node)
-    }
-
     /// Batched put: items land in batch order, fresh records are
     /// written with one vectored write.
     fn put_many(&self, items: &[(NodeKey, TreeNode)]) -> Vec<Result<()>> {
@@ -190,15 +168,6 @@ impl DiskShard {
         out
     }
 
-    fn get(&self, key: &NodeKey) -> Result<TreeNode> {
-        self.gets.fetch_add(1, Ordering::Relaxed);
-        self.table
-            .read()
-            .get(key)
-            .cloned()
-            .ok_or_else(|| Error::MissingMetadata(format!("{key:?}")))
-    }
-
     fn get_many(&self, keys: &[NodeKey]) -> Vec<Result<TreeNode>> {
         self.gets.fetch_add(keys.len() as u64, Ordering::Relaxed);
         let table = self.table.read();
@@ -212,16 +181,9 @@ impl DiskShard {
             .collect()
     }
 
-    fn delete(&self, key: &NodeKey) -> Result<bool> {
-        let mut log = self.log.lock();
-        if !self.table.read().contains_key(key) {
-            return Ok(false);
-        }
-        log.append(&encode_tombstone(key))?;
-        self.table.write().remove(key);
-        Ok(true)
-    }
-
+    /// Batched delete: the tombstones are appended (one vectored write)
+    /// *before* the table is touched, so a failed append fails its items
+    /// and leaves log and memtable agreeing.
     fn delete_many(&self, keys: &[NodeKey]) -> Vec<Result<bool>> {
         let mut log = self.log.lock();
         let mut out: Vec<Result<bool>> = vec![Ok(false); keys.len()];
@@ -320,23 +282,6 @@ impl DiskMetaStore {
 }
 
 impl MetaStore for DiskMetaStore {
-    fn put(&self, key: NodeKey, node: TreeNode) -> Result<()> {
-        self.shards[self.shard_of(&key)].put(key, node)
-    }
-
-    fn get(&self, key: &NodeKey) -> Result<TreeNode> {
-        self.shards[self.shard_of(key)].get(key)
-    }
-
-    fn delete(&self, key: &NodeKey) -> bool {
-        // The trait's single delete is infallible; an append failure here
-        // means the log and memtable could diverge, so treat it as fatal
-        // rather than lie about the outcome.
-        self.shards[self.shard_of(key)]
-            .delete(key)
-            .expect("metadata shard log append failed during delete") // lint:allow(no-unwrap): in-memory delete already applied; diverging is fatal
-    }
-
     fn put_many(&self, items: &[(NodeKey, TreeNode)]) -> Vec<Result<()>> {
         let mut out: Vec<Result<()>> = (0..items.len()).map(|_| Ok(())).collect();
         for (shard, range) in group_indices_by(items.iter().map(|(k, _)| k), |k| self.shard_of(k)) {
@@ -520,6 +465,25 @@ mod tests {
         let deleted = store.delete_many(&[key(1, 0, 1), key(1, 0, 1), key(9, 0, 1)]);
         assert_eq!(deleted, vec![Ok(true), Ok(false), Ok(false)]);
         assert_eq!(store.node_count(), 1);
+    }
+
+    /// Regression: a tombstone append the disk refuses is that item's
+    /// `Err`, with the node still served — not the `expect` it was behind
+    /// the single-item `delete`, which let one frame against a failing
+    /// disk take an RPC worker thread down for good.
+    #[test]
+    fn a_refused_tombstone_append_is_a_per_item_error_not_a_panic() {
+        let tmp = TempDir::new("meta-enospc");
+        let store = DiskMetaStore::open(tmp.path(), 1).unwrap();
+        store.put(key(1, 0, 1), leaf(10)).unwrap();
+        // Every write to /dev/full fails with ENOSPC.
+        *store.shards[0].log.lock() = FrameLog::open("/dev/full").unwrap();
+        let out = store.delete_many(&[key(1, 0, 1), key(2, 0, 1)]);
+        assert!(matches!(out[0], Err(Error::Storage(_))), "{out:?}");
+        assert_eq!(out[1], Ok(false), "absent: no tombstone to append");
+        assert!(!store.delete(&key(1, 0, 1)), "unknown outcome: not deleted");
+        assert_eq!(store.get(&key(1, 0, 1)).unwrap(), leaf(10));
+        assert_eq!(store.node_count(), 1, "log and memtable still agree");
     }
 
     #[test]

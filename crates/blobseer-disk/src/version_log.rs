@@ -26,6 +26,7 @@
 //! log entirely and keep the manager's native concurrency.
 
 use crate::frame::FrameLog;
+use blobseer_core::meta::codec::{get_write_intent, put_write_intent};
 use blobseer_core::meta::key::NodeKey;
 use blobseer_core::meta::log::LogChain;
 use blobseer_core::ports::VersionService;
@@ -45,36 +46,6 @@ const REC_ASSIGN: u8 = 3;
 const REC_COMMIT: u8 = 4;
 const REC_DELETE: u8 = 5;
 const REC_COLLECT: u8 = 6;
-
-const INTENT_WRITE: u8 = 0;
-const INTENT_APPEND: u8 = 1;
-
-fn put_intent(w: &mut WireWriter, intent: WriteIntent) {
-    match intent {
-        WriteIntent::Write { offset, size } => {
-            w.put_u8(INTENT_WRITE);
-            w.put_u64(offset);
-            w.put_u64(size);
-        }
-        WriteIntent::Append { size } => {
-            w.put_u8(INTENT_APPEND);
-            w.put_u64(size);
-        }
-    }
-}
-
-fn get_intent(r: &mut WireReader<'_>) -> Result<WriteIntent> {
-    match r.get_u8()? {
-        INTENT_WRITE => Ok(WriteIntent::Write {
-            offset: r.get_u64()?,
-            size: r.get_u64()?,
-        }),
-        INTENT_APPEND => Ok(WriteIntent::Append { size: r.get_u64()? }),
-        t => Err(Error::Storage(format!(
-            "version log: unknown write-intent tag {t}"
-        ))),
-    }
-}
 
 fn replay_err(path: &Path, why: impl std::fmt::Display) -> Error {
     Error::Storage(format!("{}: version log replay: {why}", path.display()))
@@ -139,7 +110,7 @@ fn load(path: &Path, block_size: u64) -> Result<(VersionManager, FrameLog)> {
             }
             REC_ASSIGN => {
                 let blob = BlobId::new(r.get_u64().map_err(|e| replay_err(path, e))?);
-                let intent = get_intent(&mut r).map_err(|e| replay_err(path, e))?;
+                let intent = get_write_intent(&mut r).map_err(|e| replay_err(path, e))?;
                 let recorded = Version::new(r.get_u64().map_err(|e| replay_err(path, e))?);
                 let ticket = vm.assign(blob, intent).map_err(|e| replay_err(path, e))?;
                 if ticket.version != recorded {
@@ -271,7 +242,7 @@ impl VersionService for DurableVersionService {
             |ticket, w| {
                 w.put_u8(REC_ASSIGN);
                 w.put_u64(blob.raw());
-                put_intent(w, intent);
+                put_write_intent(w, intent);
                 w.put_u64(ticket.version.raw());
             },
         )

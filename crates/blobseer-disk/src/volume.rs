@@ -31,7 +31,7 @@
 //! reopen (they are process-lifetime statistics, not durable state).
 
 use crate::frame::{read_exact_at, Frame, FrameLog};
-use blobseer_core::ports::BlockStore;
+use blobseer_core::ports::{single, BlockStore};
 use blobseer_types::wire::{WireReader, WireWriter};
 use blobseer_types::{BlockId, Error, NodeId, Result};
 use bytes::Bytes;
@@ -216,29 +216,8 @@ impl DiskVolume {
         Ok(Bytes::from(buf))
     }
 
-    /// Stores a block (idempotent re-puts append nothing).
-    pub fn put(&self, id: BlockId, data: Bytes) -> Result<()> {
-        // Checksummed before the lock is taken, like `put_many`.
-        let head = Self::put_head(id, data.len());
-        let frame = Frame::of_parts(&head, &data);
-        let mut log = self.log.lock();
-        self.puts.fetch_add(1, Ordering::Relaxed);
-        if let Some(&ext) = self.index.read().get(&id) {
-            self.debug_check_reput(id, ext, &data);
-            return Ok(());
-        }
-        let payload_off = log.append_many(&[frame?])?[0];
-        let ext = Extent {
-            offset: payload_off + head.len() as u64,
-            len: data.len() as u32,
-        };
-        self.index.write().insert(id, ext);
-        self.bytes_stored
-            .fetch_add(data.len() as u64, Ordering::Relaxed);
-        Ok(())
-    }
-
-    /// Stores a batch with one vectored write for all new records.
+    /// Stores a batch with one vectored write for all new records
+    /// (idempotent re-puts append nothing).
     ///
     /// Record headers and checksums — the one pass this store makes over
     /// the payload bytes — are computed before the volume lock is taken,
@@ -314,16 +293,6 @@ impl DiskVolume {
         out
     }
 
-    /// Fetches a block with one positional read.
-    pub fn get(&self, id: BlockId) -> Result<Bytes> {
-        self.gets.fetch_add(1, Ordering::Relaxed);
-        let ext = match self.index.read().get(&id) {
-            Some(&ext) => ext,
-            None => return Err(Error::MissingBlock(id.raw())),
-        };
-        self.read_extent(ext)
-    }
-
     /// Fetches a batch: one index pass, then one positional read per hit.
     pub fn get_many(&self, ids: &[BlockId]) -> Vec<Result<Bytes>> {
         self.gets.fetch_add(ids.len() as u64, Ordering::Relaxed);
@@ -345,22 +314,9 @@ impl DiskVolume {
         self.index.read().contains_key(&id)
     }
 
-    /// Deletes a block: appends a tombstone, drops the index entry.
-    /// Returns the bytes freed (0 if absent — no tombstone appended).
-    pub fn delete(&self, id: BlockId) -> Result<u64> {
-        let mut log = self.log.lock();
-        let ext = match self.index.read().get(&id) {
-            Some(&ext) => ext,
-            None => return Ok(0),
-        };
-        log.append(&Self::encode_tombstone(id))?;
-        self.index.write().remove(&id);
-        self.bytes_stored
-            .fetch_sub(ext.len as u64, Ordering::Relaxed);
-        Ok(ext.len as u64)
-    }
-
-    /// Deletes a batch with one vectored write for all tombstones.
+    /// Deletes a batch: one vectored write for all tombstones, then the
+    /// index entries go. Per item, the bytes freed (0 if absent — no
+    /// tombstone appended).
     pub fn delete_many(&self, ids: &[BlockId]) -> Vec<Result<u64>> {
         let mut log = self.log.lock();
         let mut out = vec![Ok(0u64); ids.len()];
@@ -393,6 +349,21 @@ impl DiskVolume {
             out[i] = Ok(len as u64);
         }
         out
+    }
+
+    /// Stores one block: [`Self::put_many`] of one item.
+    pub fn put(&self, id: BlockId, data: Bytes) -> Result<()> {
+        single(self.put_many(&[(id, data)]))
+    }
+
+    /// Fetches one block: [`Self::get_many`] of one id.
+    pub fn get(&self, id: BlockId) -> Result<Bytes> {
+        single(self.get_many(&[id]))
+    }
+
+    /// Deletes one block: [`Self::delete_many`] of one id.
+    pub fn delete(&self, id: BlockId) -> Result<u64> {
+        single(self.delete_many(&[id]))
     }
 
     /// Number of live blocks.
@@ -482,17 +453,8 @@ impl BlockStore for DiskProviderSet {
     fn index_of_node(&self, node: NodeId) -> Option<usize> {
         self.volumes.iter().position(|v| v.node() == node)
     }
-    fn put(&self, provider: usize, id: BlockId, data: Bytes) -> Result<()> {
-        self.volumes[provider].put(id, data)
-    }
-    fn get(&self, provider: usize, id: BlockId) -> Result<Bytes> {
-        self.volumes[provider].get(id)
-    }
     fn contains(&self, provider: usize, id: BlockId) -> bool {
         self.volumes[provider].contains(id)
-    }
-    fn delete(&self, provider: usize, id: BlockId) -> Result<u64> {
-        self.volumes[provider].delete(id)
     }
     fn put_many(&self, provider: usize, items: &[(BlockId, Bytes)]) -> Vec<Result<()>> {
         self.volumes[provider].put_many(items)

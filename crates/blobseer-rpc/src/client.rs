@@ -46,7 +46,9 @@ use blobseer_core::gc::GcReport;
 use blobseer_core::meta::key::NodeKey;
 use blobseer_core::meta::log::LogChain;
 use blobseer_core::meta::node::TreeNode;
-use blobseer_core::ports::{BlockStore, GcService, MetaStore, PlacementService, VersionService};
+use blobseer_core::ports::{
+    single, BlockStore, GcService, MetaStore, PlacementService, VersionService,
+};
 use blobseer_core::provider_manager::BlockAllocation;
 use blobseer_core::version_manager::{SnapshotInfo, WriteIntent, WriteTicket};
 use blobseer_core::EngineStats;
@@ -538,38 +540,6 @@ impl BlockStore for RpcBlockStore {
         self.nodes.iter().position(|&n| n == node)
     }
 
-    fn put(&self, provider: usize, id: BlockId, data: Bytes) -> Result<()> {
-        let (pool, mut req) = self
-            .provider_request(block_tag::PUT, provider)
-            .ok_or_else(|| Error::Internal(format!("provider index {provider} out of range")))?;
-        req.put_u64(id.raw());
-        req.reserve(data.len() + wire::ITEM_HEADER_MAX);
-        req.put_slice(&data);
-        call(pool, req)?;
-        Ok(())
-    }
-
-    fn get(&self, provider: usize, id: BlockId) -> Result<Bytes> {
-        let (pool, mut req) = self
-            .provider_request(block_tag::GET, provider)
-            .ok_or_else(|| Error::Internal(format!("provider index {provider} out of range")))?;
-        req.put_u64(id.raw());
-        let payload = call(pool, req)?;
-        // Zero-copy hand-off: wrap the whole response buffer in `Bytes`
-        // and slice out the block payload, instead of memcpy-ing it —
-        // this is the hot read path.
-        let mut r = payload.reader();
-        let len = r.get_u64()? as usize;
-        if r.remaining() != len {
-            return Err(Error::Transport(format!(
-                "block payload length {len} disagrees with frame ({} bytes left)",
-                r.remaining()
-            )));
-        }
-        let data_start = payload.body.len() - len;
-        Ok(Bytes::from(payload.body).slice(data_start..))
-    }
-
     /// Transport failures degrade to `false` (the port reports presence,
     /// not reachability) — counted on `rpc_degraded_diagnostics`.
     fn contains(&self, provider: usize, id: BlockId) -> bool {
@@ -586,16 +556,6 @@ impl BlockStore for RpcBlockStore {
         }
     }
 
-    /// Transport loss is an `Err`, distinguishable from `Ok(0)` ("absent")
-    /// — the remote outcome of a lost delete is genuinely unknown.
-    fn delete(&self, provider: usize, id: BlockId) -> Result<u64> {
-        let (pool, mut req) = self
-            .provider_request(block_tag::DELETE, provider)
-            .ok_or_else(|| Error::Internal(format!("provider index {provider} out of range")))?;
-        req.put_u64(id.raw());
-        call(pool, req)?.reader().get_u64()
-    }
-
     fn put_many(&self, provider: usize, items: &[(BlockId, Bytes)]) -> Vec<Result<()>> {
         let Some(&(ei, local)) = self.route.get(provider) else {
             let e = Error::Internal(format!("provider index {provider} out of range"));
@@ -609,8 +569,8 @@ impl BlockStore for RpcBlockStore {
         let mut start = 0;
         while start < items.len() {
             // Greedy chunking: as many blocks per frame as fit the batch
-            // byte budget (always at least one, mirroring the single-put
-            // frame-size envelope).
+            // byte budget (always at least one: a block of any size the
+            // frame cap admits gets a frame).
             let mut end = start + 1;
             let mut bytes = items[start].1.len();
             while end < items.len() && bytes + items[end].1.len() <= wire::BATCH_BYTE_BUDGET {
@@ -711,6 +671,9 @@ impl BlockStore for RpcBlockStore {
         out
     }
 
+    /// Per item, transport loss is an `Err`, distinguishable from `Ok(0)`
+    /// ("absent") — the remote outcome of a lost delete is genuinely
+    /// unknown.
     fn delete_many(&self, provider: usize, ids: &[BlockId]) -> Vec<Result<u64>> {
         let Some(&(ei, local)) = self.route.get(provider) else {
             let e = Error::Internal(format!("provider index {provider} out of range"));
@@ -880,39 +843,14 @@ fn put_node(w: &mut WireWriter, (key, node): &(NodeKey, TreeNode)) {
 }
 
 impl MetaStore for RpcMetaStore {
-    fn put(&self, key: NodeKey, node: TreeNode) -> Result<()> {
-        let mut req = WireWriter::new();
-        req.put_u8(meta_tag::PUT);
-        wire::put_node_key(&mut req, &key);
-        wire::put_tree_node(&mut req, &node);
-        call(&self.pool, req)?;
-        Ok(())
-    }
-
-    fn get(&self, key: &NodeKey) -> Result<TreeNode> {
-        let mut req = WireWriter::new();
-        req.put_u8(meta_tag::GET);
-        wire::put_node_key(&mut req, key);
-        let payload = call(&self.pool, req)?;
-        let mut r = payload.reader();
-        let node = wire::get_tree_node(&mut r)?;
-        r.finish()?;
-        Ok(node)
-    }
-
-    /// Transport failures degrade to `false` (nothing deleted) — counted
-    /// on `rpc_degraded_diagnostics`.
+    /// The one single-item override in the tree: the provided helper maps
+    /// an unknown outcome to `false` silently, and a lost remote delete
+    /// must stay counted on `rpc_degraded_diagnostics`.
+    // lint:allow(vectored-only): keeps the degraded-diagnostics count for a lost single delete; the body is its own delete_many
     fn delete(&self, key: &NodeKey) -> bool {
-        let mut req = WireWriter::new();
-        req.put_u8(meta_tag::DELETE);
-        wire::put_node_key(&mut req, key);
-        match call(&self.pool, req).and_then(|payload| payload.reader().get_bool()) {
-            Ok(existed) => existed,
-            Err(e) => {
-                degraded(&self.stats, "MetaStore::delete", &e);
-                false
-            }
-        }
+        let lost = |e| degraded(&self.stats, "MetaStore::delete", &e);
+        let outcome = single(self.delete_many(std::slice::from_ref(key)));
+        outcome.map_err(lost).unwrap_or(false)
     }
 
     /// One frame per batch: how a writer publishes a whole tree level in a
@@ -962,8 +900,7 @@ impl MetaStore for RpcMetaStore {
     }
 
     /// One frame per batch: GC releases a whole cascade wave per round
-    /// trip. Per item, transport loss is an `Err` — unlike the single
-    /// [`Self::delete`], the batched form can report "outcome unknown".
+    /// trip. Per item, transport loss is an `Err` ("outcome unknown").
     fn delete_many(&self, keys: &[NodeKey]) -> Vec<Result<bool>> {
         self.meta_batched(meta_tag::DELETE_MANY, keys, wire::put_node_key, |r| {
             r.get_bool()

@@ -44,6 +44,7 @@ use blobseer_core::{
 use blobseer_disk::frame::FrameLog;
 use blobseer_disk::volume::volume_path;
 use blobseer_disk::{DiskMetaStore, DiskProviderSet, DiskVolume, DurableVersionService};
+use blobseer_types::config::DEFAULT_RPC_SERVER_QUEUE_DEPTH;
 use blobseer_types::{BlobSeerConfig, BlockId, Error, NodeId, Result};
 use bytes::Bytes;
 use std::net::SocketAddr;
@@ -106,20 +107,8 @@ impl BlockStore for FannedProviders {
             .position(|s| s.index_of_node(node).is_some())
     }
 
-    fn put(&self, provider: usize, id: BlockId, data: Bytes) -> Result<()> {
-        self.set(provider)?.put(0, id, data)
-    }
-
-    fn get(&self, provider: usize, id: BlockId) -> Result<Bytes> {
-        self.set(provider)?.get(0, id)
-    }
-
     fn contains(&self, provider: usize, id: BlockId) -> bool {
         self.sets.get(provider).is_some_and(|s| s.contains(0, id))
-    }
-
-    fn delete(&self, provider: usize, id: BlockId) -> Result<u64> {
-        self.set(provider)?.delete(0, id)
     }
 
     fn put_many(&self, provider: usize, items: &[(BlockId, Bytes)]) -> Vec<Result<()>> {
@@ -177,10 +166,10 @@ impl LoopbackCluster {
     /// client deployments.
     pub fn boot_seeded(cfg: BlobSeerConfig, n_providers: usize, pm_seed: u64) -> Result<Self> {
         assert!(n_providers > 0, "need at least one data provider");
-        // Worker-pool shape from the deployment config: N dispatcher
-        // threads over a bounded queue per server.
+        // Worker-pool shape: the deployment config's N dispatcher threads
+        // over the default bounded queue per server.
         let workers = cfg.rpc_server_workers;
-        let queue = cfg.rpc_server_queue_depth;
+        let queue = DEFAULT_RPC_SERVER_QUEUE_DEPTH;
         // One tracker across all servers: its high watermark observes
         // requests overlapping *anywhere* in the cluster, which is what
         // client-side fan-out produces and a serial client cannot.

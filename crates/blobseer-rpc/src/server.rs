@@ -12,8 +12,10 @@
 //! Concurrency model: per-connection *readers* feeding a bounded worker
 //! pool. The accept loop runs on its own thread; each accepted connection
 //! gets a reader thread that decodes frames and pushes them onto a
-//! bounded queue served by N shared workers (both knobs surface on
-//! `BlobSeerConfig` as `rpc_server_workers` / `rpc_server_queue_depth`).
+//! bounded queue served by N shared workers (`BlobSeerConfig::
+//! rpc_server_workers`; the queue bound is the constant
+//! `DEFAULT_RPC_SERVER_QUEUE_DEPTH`, with [`RpcServer::spawn_with`] taking
+//! an explicit one for tests).
 //! Every response frame echoes the request id of the frame it answers and
 //! may be written out of order, so one connection can carry many in-flight
 //! requests — the muxed client depends on it. Known-parking calls
@@ -521,12 +523,14 @@ fn check_provider(store: &dyn BlockStore, provider: u64) -> Result<usize> {
 }
 
 /// Method tags of the block service (mirrored by `client::RpcBlockStore`).
+///
+/// Tags 1, 2 and 4 were the single-item `PUT`/`GET`/`DELETE`, retired with
+/// the single-item port methods: a one-item call is a `*_MANY` frame of
+/// one. The numbers stay unused so surviving tags never move, and a frame
+/// carrying one answers like any unknown tag.
 pub(crate) mod block_tag {
     pub const DESCRIBE: u8 = 0;
-    pub const PUT: u8 = 1;
-    pub const GET: u8 = 2;
     pub const CONTAINS: u8 = 3;
-    pub const DELETE: u8 = 4;
     pub const BLOCK_COUNT: u8 = 5;
     pub const BYTES_STORED: u8 = 6;
     pub const OP_COUNTS: u8 = 7;
@@ -558,32 +562,11 @@ fn handle_block(store: &dyn BlockStore, body: &Bytes) -> Result<WireWriter> {
                 w.put_u64(store.node(i).raw());
             }
         }
-        block_tag::PUT => {
-            let p = r.get_u64()?;
-            let id = BlockId::new(r.get_u64()?);
-            let data = get_shared(&mut r, body)?;
-            r.finish()?;
-            store.put(check_provider(store, p)?, id, data)?;
-        }
-        block_tag::GET => {
-            let p = r.get_u64()?;
-            let id = BlockId::new(r.get_u64()?);
-            r.finish()?;
-            let data = store.get(check_provider(store, p)?, id)?;
-            w.reserve(data.len() + wire::ITEM_HEADER_MAX);
-            w.put_slice(&data);
-        }
         block_tag::CONTAINS => {
             let p = r.get_u64()?;
             let id = BlockId::new(r.get_u64()?);
             r.finish()?;
             w.put_bool(store.contains(check_provider(store, p)?, id));
-        }
-        block_tag::DELETE => {
-            let p = r.get_u64()?;
-            let id = BlockId::new(r.get_u64()?);
-            r.finish()?;
-            w.put_u64(store.delete(check_provider(store, p)?, id)?);
         }
         block_tag::PUT_MANY => {
             let p = r.get_u64()?;
@@ -619,9 +602,8 @@ fn handle_block(store: &dyn BlockStore, body: &Bytes) -> Result<WireWriter> {
             // could overshoot the budget by one block and assemble a frame
             // past MAX_FRAME_LEN that the client must reject. The tail is
             // marked DEFERRED for the client to re-request. The first item
-            // always encodes (whatever its size, matching the single-get
-            // frame envelope), so a client loop over deferrals is
-            // guaranteed progress.
+            // always encodes (whatever its size), so a client loop over
+            // deferrals is guaranteed progress.
             let mut included_any = false;
             for result in &results {
                 let projected =
@@ -677,10 +659,9 @@ fn handle_block(store: &dyn BlockStore, body: &Bytes) -> Result<WireWriter> {
 }
 
 /// Method tags of the meta service (mirrored by `client::RpcMetaStore`).
+/// Tags 0, 1 and 2 were the single-item `PUT`/`GET`/`DELETE`, retired
+/// like the block service's.
 pub(crate) mod meta_tag {
-    pub const PUT: u8 = 0;
-    pub const GET: u8 = 1;
-    pub const DELETE: u8 = 2;
     pub const SHARD_COUNT: u8 = 3;
     pub const NODE_COUNT: u8 = 4;
     pub const SHARD_STATS: u8 = 5;
@@ -695,23 +676,6 @@ fn handle_meta(store: &dyn MetaStore, body: &[u8]) -> Result<WireWriter> {
     let tag = r.get_u8()?;
     let mut w = wire::response_writer();
     match tag {
-        meta_tag::PUT => {
-            let key = wire::get_node_key(&mut r)?;
-            let node = wire::get_tree_node(&mut r)?;
-            r.finish()?;
-            store.put(key, node)?;
-        }
-        meta_tag::GET => {
-            let key = wire::get_node_key(&mut r)?;
-            r.finish()?;
-            let node = store.get(&key)?;
-            wire::put_tree_node(&mut w, &node);
-        }
-        meta_tag::DELETE => {
-            let key = wire::get_node_key(&mut r)?;
-            r.finish()?;
-            w.put_bool(store.delete(&key));
-        }
         meta_tag::PUT_MANY => {
             let n = r.get_u64()? as usize;
             let mut items = Vec::with_capacity(n.min(4096));

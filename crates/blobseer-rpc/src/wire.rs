@@ -35,7 +35,7 @@ use blobseer_core::meta::key::NodeKey;
 use blobseer_core::meta::log::{Border, LogChain, LogEntry, LogSegment, WriteLog};
 use blobseer_core::meta::node::NodeRef;
 use blobseer_core::provider_manager::BlockAllocation;
-use blobseer_core::version_manager::{SnapshotInfo, WriteIntent, WriteTicket};
+use blobseer_core::version_manager::{SnapshotInfo, WriteTicket};
 use blobseer_types::wire::{write_all_vectored, WireReader, WireWriter};
 use blobseer_types::{BlobId, BlockId, Error, Result, Version};
 use parking_lot::RwLock;
@@ -170,12 +170,14 @@ pub fn read_frame(stream: &mut impl Read) -> Result<Option<(u64, Vec<u8>)>> {
 // --- composite-type codecs --------------------------------------------------
 
 // The metadata domain codecs (positions, node keys, block ranges and
-// descriptors, tree nodes) live in `blobseer_core::meta::codec` because
-// the disk-backed metadata store persists records in the same encoding;
+// descriptors, tree nodes, write intents) live in
+// `blobseer_core::meta::codec` because the disk-backed stores and the
+// replicated version manager persist records in the same encoding;
 // re-exported here so wire call sites keep one import surface.
 pub use blobseer_core::meta::codec::{
     get_block_descriptor, get_block_range, get_node_key, get_opt_node_ref, get_pos, get_tree_node,
-    put_block_descriptor, put_block_range, put_node_key, put_opt_node_ref, put_pos, put_tree_node,
+    get_write_intent, put_block_descriptor, put_block_range, put_node_key, put_opt_node_ref,
+    put_pos, put_tree_node, put_write_intent,
 };
 
 /// Encodes a write-log entry.
@@ -229,37 +231,6 @@ pub fn get_snapshot_info(r: &mut WireReader<'_>) -> Result<SnapshotInfo> {
         cap: r.get_u64()?,
         root_blob: BlobId::new(r.get_u64()?),
         revealed: r.get_bool()?,
-    })
-}
-
-/// Encodes a write intent.
-pub fn put_write_intent(w: &mut WireWriter, intent: WriteIntent) {
-    match intent {
-        WriteIntent::Write { offset, size } => {
-            w.put_u8(0);
-            w.put_u64(offset);
-            w.put_u64(size);
-        }
-        WriteIntent::Append { size } => {
-            w.put_u8(1);
-            w.put_u64(size);
-        }
-    }
-}
-
-/// Decodes a write intent.
-pub fn get_write_intent(r: &mut WireReader<'_>) -> Result<WriteIntent> {
-    Ok(match r.get_u8()? {
-        0 => WriteIntent::Write {
-            offset: r.get_u64()?,
-            size: r.get_u64()?,
-        },
-        1 => WriteIntent::Append { size: r.get_u64()? },
-        t => {
-            return Err(Error::Transport(format!(
-                "wire: unknown write-intent tag {t}"
-            )))
-        }
     })
 }
 
@@ -590,7 +561,7 @@ mod tests {
     use super::*;
     use blobseer_core::meta::key::{BlockRange, Pos};
     use blobseer_core::meta::node::{BlockDescriptor, NodeRef, TreeNode};
-    use blobseer_core::{EngineStats, VersionManager};
+    use blobseer_core::{EngineStats, VersionManager, WriteIntent};
 
     #[test]
     fn frames_roundtrip_over_a_buffer() {

@@ -369,18 +369,6 @@ impl BlockStore for ConcBlockStore {
     fn index_of_node(&self, node: NodeId) -> Option<usize> {
         BlockStore::index_of_node(&self.inner, node)
     }
-    fn put(&self, provider: usize, id: BlockId, data: Bytes) -> Result<()> {
-        if self.fabric.should_charge() {
-            self.fabric.charge_block_put(provider, 1);
-        }
-        BlockStore::put(&self.inner, provider, id, data)
-    }
-    fn get(&self, provider: usize, id: BlockId) -> Result<Bytes> {
-        if self.fabric.should_charge() {
-            self.fabric.charge_block_get(provider, 1);
-        }
-        BlockStore::get(&self.inner, provider, id)
-    }
     fn put_many(&self, provider: usize, items: &[(BlockId, Bytes)]) -> Vec<Result<()>> {
         if self.fabric.should_charge() {
             self.fabric.charge_block_put(provider, items.len());
@@ -398,9 +386,6 @@ impl BlockStore for ConcBlockStore {
     }
     fn contains(&self, provider: usize, id: BlockId) -> bool {
         BlockStore::contains(&self.inner, provider, id)
-    }
-    fn delete(&self, provider: usize, id: BlockId) -> Result<u64> {
-        BlockStore::delete(&self.inner, provider, id)
     }
     fn block_count(&self, provider: usize) -> usize {
         BlockStore::block_count(&self.inner, provider)
@@ -422,18 +407,6 @@ pub struct ConcMetaStore {
 }
 
 impl MetaStore for ConcMetaStore {
-    fn put(&self, key: NodeKey, node: TreeNode) -> Result<()> {
-        if self.fabric.should_charge() {
-            self.fabric.charge_meta_put(1);
-        }
-        MetaStore::put(&self.inner, key, node)
-    }
-    fn get(&self, key: &NodeKey) -> Result<TreeNode> {
-        if self.fabric.should_charge() {
-            self.fabric.charge_meta_get(1);
-        }
-        MetaStore::get(&self.inner, key)
-    }
     fn put_many(&self, items: &[(NodeKey, TreeNode)]) -> Vec<Result<()>> {
         if self.fabric.should_charge() {
             self.fabric.charge_meta_put(items.len());
@@ -448,9 +421,6 @@ impl MetaStore for ConcMetaStore {
     }
     fn delete_many(&self, keys: &[NodeKey]) -> Vec<Result<bool>> {
         MetaStore::delete_many(&self.inner, keys)
-    }
-    fn delete(&self, key: &NodeKey) -> bool {
-        MetaStore::delete(&self.inner, key)
     }
     fn shard_count(&self) -> usize {
         MetaStore::shard_count(&self.inner)

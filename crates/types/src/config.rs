@@ -29,9 +29,10 @@ pub const DEFAULT_RPC_CLIENT_CONNECTIONS: usize = 4;
 /// run the port calls).
 pub const DEFAULT_RPC_SERVER_WORKERS: usize = 4;
 
-/// Default bound of an RPC server's request queue. A full queue makes
-/// connection readers stop pulling frames off their sockets (TCP
-/// backpressure) instead of buffering without limit.
+/// Bound of an RPC server's request queue (`RpcServer::spawn`, every
+/// `LoopbackCluster` server). A full queue makes connection readers stop
+/// pulling frames off their sockets (TCP backpressure) instead of
+/// buffering without limit.
 pub const DEFAULT_RPC_SERVER_QUEUE_DEPTH: usize = 128;
 
 /// Cap on the auto-sized client fan-out pool: with
@@ -80,9 +81,6 @@ pub struct BlobSeerConfig {
     /// Replication level of metadata tree nodes within the DHT (§VI-B:
     /// "metadata is stored in a DHT … resilient to faults by construction").
     pub metadata_replication: usize,
-    /// How many versions back from the latest must be preserved by the
-    /// garbage collector. `None` disables automatic pruning.
-    pub gc_keep_versions: Option<u64>,
     /// How long an unaligned append waits for the preceding snapshot's
     /// reveal before giving up and repairing its assigned version. Tests
     /// and simulation runs shrink this so a crashed predecessor does not
@@ -101,9 +99,6 @@ pub struct BlobSeerConfig {
     /// Worker threads per RPC server listener — the degree of request
     /// parallelism one service process offers.
     pub rpc_server_workers: usize,
-    /// Bound of an RPC server's request queue (pending, not-yet-executing
-    /// requests across all of the listener's connections).
-    pub rpc_server_queue_depth: usize,
     /// Byte budget of the client-side hot-read cache over blocks and
     /// metadata tree nodes. `0` disables caching — the default, and what
     /// the figure reproductions run with (the paper's curves are
@@ -148,12 +143,10 @@ impl Default for BlobSeerConfig {
             placement: PlacementPolicy::RoundRobin,
             metadata_providers: 20,
             metadata_replication: 1,
-            gc_keep_versions: None,
             unaligned_append_timeout: DEFAULT_UNALIGNED_APPEND_TIMEOUT,
             close_reveal_timeout: DEFAULT_CLOSE_REVEAL_TIMEOUT,
             rpc_client_connections: DEFAULT_RPC_CLIENT_CONNECTIONS,
             rpc_server_workers: DEFAULT_RPC_SERVER_WORKERS,
-            rpc_server_queue_depth: DEFAULT_RPC_SERVER_QUEUE_DEPTH,
             read_cache_bytes: 0,
             data_dir: None,
             client_io_threads: None,
@@ -171,23 +164,12 @@ impl BlobSeerConfig {
     pub fn small_for_tests() -> Self {
         Self {
             block_size: 4 * 1024,
-            replication: 1,
-            placement: PlacementPolicy::RoundRobin,
             metadata_providers: 4,
-            metadata_replication: 1,
-            gc_keep_versions: None,
-            unaligned_append_timeout: DEFAULT_UNALIGNED_APPEND_TIMEOUT,
             close_reveal_timeout: Duration::from_secs(2),
-            rpc_client_connections: DEFAULT_RPC_CLIENT_CONNECTIONS,
-            rpc_server_workers: DEFAULT_RPC_SERVER_WORKERS,
-            rpc_server_queue_depth: DEFAULT_RPC_SERVER_QUEUE_DEPTH,
-            read_cache_bytes: 0,
-            data_dir: None,
             // Small but real fan-out: tests exercise the pooled dispatch
             // path by default while staying cheap on 1-CPU runners.
             client_io_threads: Some(2),
-            readahead_bytes: 0,
-            version_replicas: 1,
+            ..Self::default()
         }
     }
 
@@ -233,30 +215,6 @@ impl BlobSeerConfig {
     #[must_use]
     pub fn with_close_reveal_timeout(mut self, timeout: Duration) -> Self {
         self.close_reveal_timeout = timeout;
-        self
-    }
-
-    /// Builder-style override of the per-endpoint connection budget.
-    #[must_use]
-    pub fn with_rpc_client_connections(mut self, connections: usize) -> Self {
-        assert!(connections >= 1, "need at least one connection");
-        self.rpc_client_connections = connections;
-        self
-    }
-
-    /// Builder-style override of the RPC server worker-thread count.
-    #[must_use]
-    pub fn with_rpc_server_workers(mut self, workers: usize) -> Self {
-        assert!(workers >= 1, "need at least one worker");
-        self.rpc_server_workers = workers;
-        self
-    }
-
-    /// Builder-style override of the RPC server request-queue bound.
-    #[must_use]
-    pub fn with_rpc_server_queue_depth(mut self, depth: usize) -> Self {
-        assert!(depth >= 1, "queue depth must be at least 1");
-        self.rpc_server_queue_depth = depth;
         self
     }
 
@@ -397,7 +355,6 @@ mod tests {
         assert_eq!(c.close_reveal_timeout, Duration::from_secs(30));
         assert_eq!(c.rpc_client_connections, 4);
         assert_eq!(c.rpc_server_workers, 4);
-        assert_eq!(c.rpc_server_queue_depth, 128);
         assert_eq!(c.read_cache_bytes, 0, "figure runs are cache-cold");
         assert_eq!(c.data_dir, None, "RAM-backed unless opted in");
         assert_eq!(c.client_io_threads, None, "auto: min(8, providers)");
@@ -418,9 +375,6 @@ mod tests {
             .with_metadata_providers(2)
             .with_unaligned_append_timeout(Duration::from_millis(50))
             .with_close_reveal_timeout(Duration::from_millis(80))
-            .with_rpc_client_connections(2)
-            .with_rpc_server_workers(3)
-            .with_rpc_server_queue_depth(16)
             .with_read_cache_bytes(1 << 20)
             .with_data_dir("/tmp/blobseer-data")
             .with_client_io_threads(4)
@@ -432,9 +386,6 @@ mod tests {
         assert_eq!(c.replication, 3);
         assert_eq!(c.placement, PlacementPolicy::LeastLoaded);
         assert_eq!(c.metadata_providers, 2);
-        assert_eq!(c.rpc_client_connections, 2);
-        assert_eq!(c.rpc_server_workers, 3);
-        assert_eq!(c.rpc_server_queue_depth, 16);
         assert_eq!(c.read_cache_bytes, 1 << 20);
         assert_eq!(c.data_dir, Some(PathBuf::from("/tmp/blobseer-data")));
         assert_eq!(c.client_io_threads, Some(4));

@@ -264,11 +264,8 @@ impl BlockStore for FailNextGet {
     fn index_of_node(&self, node: NodeId) -> Option<usize> {
         self.inner.index_of_node(node)
     }
-    fn put(&self, provider: usize, id: BlockId, data: Bytes) -> Result<()> {
-        self.inner.put(provider, id, data)
-    }
-    fn get(&self, provider: usize, id: BlockId) -> Result<Bytes> {
-        self.inner.get(provider, id)
+    fn put_many(&self, provider: usize, items: &[(BlockId, Bytes)]) -> Vec<Result<()>> {
+        self.inner.put_many(provider, items)
     }
     fn get_many(&self, provider: usize, ids: &[BlockId]) -> Vec<Result<Bytes>> {
         if self.armed.swap(false, Ordering::SeqCst) {
@@ -282,8 +279,8 @@ impl BlockStore for FailNextGet {
     fn contains(&self, provider: usize, id: BlockId) -> bool {
         self.inner.contains(provider, id)
     }
-    fn delete(&self, provider: usize, id: BlockId) -> Result<u64> {
-        self.inner.delete(provider, id)
+    fn delete_many(&self, provider: usize, ids: &[BlockId]) -> Vec<Result<u64>> {
+        self.inner.delete_many(provider, ids)
     }
     fn block_count(&self, provider: usize) -> usize {
         self.inner.block_count(provider)

@@ -11,12 +11,15 @@
 //!    observationally identical to the in-memory one for every op script
 //!    — sizes, versions, bytes read, **and error variants**, which must
 //!    cross the wire as themselves.
-//! 3. **Batched ≡ single-op sequence** (this PR): the vectored port
-//!    methods (`put_many`/`get_many`/`delete_many`) must answer exactly
-//!    like the equivalent sequence of single ops, per item and in input
-//!    order, on every adapter family — in-memory sharded, fault-decorated
-//!    (including partial batch failures via `FailOnce`) and the RPC
-//!    loopback adapters (including per-item conflicts inside one frame).
+//! 3. **Batched ≡ single-op sequence**: the vectored port methods
+//!    (`put_many`/`get_many`/`delete_many`) must answer exactly like the
+//!    equivalent sequence of single ops, per item and in input order, on
+//!    every adapter family — in-memory sharded, fault-decorated
+//!    (including partial batch failures via `FailOnce`), cached, disk and
+//!    the RPC loopback adapters (including per-item conflicts inside one
+//!    frame). The single ops are the ports' provided one-item helpers, so
+//!    every family appears on the *sequential* side of a pairing too: a
+//!    batch of one must be as good as any batch.
 //!
 //! 4. **Cached ≡ uncached** (PR 7): the hot-read LRU decorators
 //!    (`CachedBlockStore`/`CachedMetaStore`) must be observationally
@@ -89,17 +92,17 @@ proptest! {
         for op in &ops {
             match *op {
                 BlockOp::Put { writer, key } => {
-                    let id = block_id(writer, key);
-                    global.put(id, content(writer, key));
-                    sharded.put(id, content(writer, key));
+                    let item = [(block_id(writer, key), content(writer, key))];
+                    global.put_many(&item);
+                    sharded.put_many(&item);
                 }
                 BlockOp::Get { writer, key } => {
-                    let id = block_id(writer, key);
-                    prop_assert_eq!(global.get(id), sharded.get(id));
+                    let id = [block_id(writer, key)];
+                    prop_assert_eq!(global.get_many(&id), sharded.get_many(&id));
                 }
                 BlockOp::Delete { writer, key } => {
-                    let id = block_id(writer, key);
-                    prop_assert_eq!(global.delete(id), sharded.delete(id));
+                    let id = [block_id(writer, key)];
+                    prop_assert_eq!(global.delete_many(&id), sharded.delete_many(&id));
                 }
             }
             prop_assert_eq!(global.block_count(), sharded.block_count());
@@ -110,7 +113,7 @@ proptest! {
             for key in 0..=255u8 {
                 let id = block_id(writer, key);
                 prop_assert_eq!(global.contains(id), sharded.contains(id));
-                prop_assert_eq!(global.get(id).ok(), sharded.get(id).ok());
+                prop_assert_eq!(global.get_many(&[id]), sharded.get_many(&[id]));
             }
         }
     }
@@ -240,6 +243,77 @@ fn assert_block_batches_match_singles(
     }
 }
 
+/// A vectored metadata workload: `(kind, items)` steps — kind 0 puts, 1
+/// gets, anything else deletes the batch's keys. An item's `bool` salts
+/// the node content, so re-putting a key with the other salt is a
+/// conflict — on both sides of a comparison, at the same index.
+type MetaScript = Vec<(u8, Vec<(u8, bool)>)>;
+
+fn meta_script() -> impl Strategy<Value = MetaScript> {
+    proptest::collection::vec(
+        (
+            0u8..3,
+            proptest::collection::vec((any::<u8>(), any::<bool>()), 0..24),
+        ),
+        1..30,
+    )
+}
+
+fn meta_key(k: u8) -> NodeKey {
+    NodeKey::new(
+        BlobId::new(1),
+        Version::new(1 + (k % 5) as u64),
+        Pos::new(k as u64, 1),
+    )
+}
+
+fn meta_node(k: u8, salted: bool) -> TreeNode {
+    TreeNode::Leaf(BlockDescriptor {
+        block_id: BlockId::new(k as u64 * 2 + salted as u64),
+        providers: vec![0],
+        len: 64,
+    })
+}
+
+/// [`assert_block_batches_match_singles`] for the metadata port,
+/// including per-item `MetadataConflict`s inside one batch (a conflicting
+/// re-put of an already-stored key must fail exactly that item).
+fn assert_meta_batches_match_singles(
+    script: &[(u8, Vec<(u8, bool)>)],
+    batched: &dyn MetaStore,
+    sequential: &dyn MetaStore,
+) {
+    for (kind, items) in script {
+        let keys: Vec<NodeKey> = items.iter().map(|&(k, _)| meta_key(k)).collect();
+        match kind {
+            0 => {
+                let batch: Vec<(NodeKey, TreeNode)> = items
+                    .iter()
+                    .map(|&(k, salted)| (meta_key(k), meta_node(k, salted)))
+                    .collect();
+                let a = batched.put_many(&batch);
+                let b: Vec<_> = batch
+                    .iter()
+                    .map(|(key, node)| sequential.put(*key, node.clone()))
+                    .collect();
+                assert_eq!(a, b, "meta put_many diverged");
+            }
+            1 => {
+                let a = batched.get_many(&keys);
+                let b: Vec<_> = keys.iter().map(|key| sequential.get(key)).collect();
+                assert_eq!(a, b, "meta get_many diverged");
+            }
+            _ => {
+                let a = batched.delete_many(&keys);
+                let b: Vec<Result<bool, Error>> =
+                    keys.iter().map(|key| Ok(sequential.delete(key))).collect();
+                assert_eq!(a, b, "meta delete_many diverged");
+            }
+        }
+        assert_eq!(batched.node_count(), sequential.node_count());
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -273,60 +347,12 @@ proptest! {
     }
 
     /// Vectored metadata ops ≡ single-op sequences on the DHT, including
-    /// per-item `MetadataConflict`s inside one batch (a `conflicting`
-    /// re-put of an already-stored key must fail exactly that item).
+    /// per-item conflicts inside one batch.
     #[test]
-    fn meta_batches_equal_single_op_sequence(
-        script in proptest::collection::vec(
-            (0u8..3, proptest::collection::vec((any::<u8>(), any::<bool>()), 0..24)),
-            1..30,
-        )
-    ) {
+    fn meta_batches_equal_single_op_sequence(script in meta_script()) {
         let batched = MetaDht::with_stripes(4, 1, 32);
         let sequential = MetaDht::with_stripes(4, 1, 32);
-        let key_of = |k: u8| NodeKey::new(
-            BlobId::new(1),
-            Version::new(1 + (k % 5) as u64),
-            Pos::new(k as u64, 1),
-        );
-        // `salted` flips the node content, so re-putting the same key with
-        // the other salt is a conflict — on both sides, at the same index.
-        let node_of = |k: u8, salted: bool| {
-            TreeNode::Leaf(BlockDescriptor {
-                block_id: BlockId::new(k as u64 * 2 + salted as u64),
-                providers: vec![0],
-                len: 64,
-            })
-        };
-        for (kind, items) in &script {
-            match kind {
-                0 => {
-                    let batch: Vec<(NodeKey, TreeNode)> = items
-                        .iter()
-                        .map(|&(k, salted)| (key_of(k), node_of(k, salted)))
-                        .collect();
-                    let a = batched.put_many(&batch);
-                    let b: Vec<_> = batch
-                        .iter()
-                        .map(|(key, node)| sequential.put(*key, node.clone()))
-                        .collect();
-                    prop_assert_eq!(a, b, "meta put_many diverged");
-                }
-                1 => {
-                    let keys: Vec<NodeKey> = items.iter().map(|&(k, _)| key_of(k)).collect();
-                    let a = batched.get_many(&keys);
-                    let b: Vec<_> = keys.iter().map(|key| sequential.get(key)).collect();
-                    prop_assert_eq!(a, b, "meta get_many diverged");
-                }
-                _ => {
-                    let keys: Vec<NodeKey> = items.iter().map(|&(k, _)| key_of(k)).collect();
-                    let a = batched.delete_many(&keys);
-                    let b: Vec<_> = keys.iter().map(|key| sequential.delete(key)).collect();
-                    prop_assert_eq!(a, b, "meta delete_many diverged");
-                }
-            }
-            prop_assert_eq!(batched.node_count(), sequential.node_count());
-        }
+        assert_meta_batches_match_singles(&script, &batched, &sequential);
     }
 
     /// The hot-read LRU decorator over the block store is observationally
@@ -343,67 +369,31 @@ proptest! {
         );
         let bare = ProviderSet::with_shards(2, |i| NodeId::new(i as u64), 32);
         assert_block_batches_match_singles(&script, &cached, &bare, None);
+        // And the other way round: the decorator driven one item at a
+        // time, through the port's provided helpers.
+        let cached = CachedBlockStore::new(
+            Arc::new(ProviderSet::with_shards(2, |i| NodeId::new(i as u64), 32)),
+            256,
+            stats,
+        );
+        let bare = ProviderSet::with_shards(2, |i| NodeId::new(i as u64), 32);
+        assert_block_batches_match_singles(&script, &bare, &cached, None);
     }
 
     /// Same for the metadata-tree decorator, including conflicting re-puts
     /// (the cache must keep serving the *stored* node, never the refused
-    /// one) and deletes under eviction pressure.
+    /// one) and deletes under eviction pressure — batched over the cache
+    /// against singles on the bare DHT, then the other way round.
     #[test]
-    fn cached_meta_store_is_observationally_transparent(
-        script in proptest::collection::vec(
-            (0u8..3, proptest::collection::vec((any::<u8>(), any::<bool>()), 0..24)),
-            1..30,
-        )
-    ) {
-        let stats = Arc::new(EngineStats::new());
-        let cached = CachedMetaStore::new(
+    fn cached_meta_store_is_observationally_transparent(script in meta_script()) {
+        let cached = || CachedMetaStore::new(
             Arc::new(MetaDht::with_stripes(4, 1, 32)),
             200,
-            Arc::clone(&stats),
+            Arc::new(EngineStats::new()),
         );
-        let bare = MetaDht::with_stripes(4, 1, 32);
-        let key_of = |k: u8| NodeKey::new(
-            BlobId::new(1),
-            Version::new(1 + (k % 5) as u64),
-            Pos::new(k as u64, 1),
-        );
-        let node_of = |k: u8, salted: bool| {
-            TreeNode::Leaf(BlockDescriptor {
-                block_id: BlockId::new(k as u64 * 2 + salted as u64),
-                providers: vec![0],
-                len: 64,
-            })
-        };
-        for (kind, items) in &script {
-            match kind {
-                0 => {
-                    let batch: Vec<(NodeKey, TreeNode)> = items
-                        .iter()
-                        .map(|&(k, salted)| (key_of(k), node_of(k, salted)))
-                        .collect();
-                    let a = MetaStore::put_many(&cached, &batch);
-                    let b: Vec<_> = batch
-                        .iter()
-                        .map(|(key, node)| bare.put(*key, node.clone()))
-                        .collect();
-                    prop_assert_eq!(a, b, "cached meta put diverged");
-                }
-                1 => {
-                    let keys: Vec<NodeKey> = items.iter().map(|&(k, _)| key_of(k)).collect();
-                    let a = MetaStore::get_many(&cached, &keys);
-                    let b: Vec<_> = keys.iter().map(|key| bare.get(key)).collect();
-                    prop_assert_eq!(a, b, "cached meta get diverged");
-                }
-                _ => {
-                    let keys: Vec<NodeKey> = items.iter().map(|&(k, _)| key_of(k)).collect();
-                    let a = MetaStore::delete_many(&cached, &keys);
-                    let b: Vec<Result<bool, Error>> =
-                        keys.iter().map(|key| Ok(bare.delete(key))).collect();
-                    prop_assert_eq!(a, b, "cached meta delete diverged");
-                }
-            }
-            prop_assert_eq!(MetaStore::node_count(&cached), bare.node_count());
-        }
+        let bare = || MetaDht::with_stripes(4, 1, 32);
+        assert_meta_batches_match_singles(&script, &cached(), &bare());
+        assert_meta_batches_match_singles(&script, &bare(), &cached());
     }
 }
 
@@ -419,6 +409,12 @@ proptest! {
         let disk = DiskProviderSet::open(tmp.path(), 2, |i| NodeId::new(i as u64)).unwrap();
         let mem = ProviderSet::with_shards(2, |i| NodeId::new(i as u64), 32);
         assert_block_batches_match_singles(&script, &disk, &mem, None);
+        // And the disk store driven one item at a time (one frame and one
+        // write per op) against the in-memory store driven by batches.
+        let tmp = TempDir::new("equiv-disk-blocks-singles");
+        let disk = DiskProviderSet::open(tmp.path(), 2, |i| NodeId::new(i as u64)).unwrap();
+        let mem = ProviderSet::with_shards(2, |i| NodeId::new(i as u64), 32);
+        assert_block_batches_match_singles(&script, &mem, &disk, None);
     }
 
     /// Same property with a simulated process restart between script
@@ -447,72 +443,30 @@ proptest! {
 
     /// The disk metadata store ≡ the in-memory DHT under vectored scripts
     /// with idempotent and conflicting re-puts, restarting the disk store
-    /// periodically mid-script. Single-replica DHT: the disk backend keeps
-    /// one durable copy per node, so `replication = 1` is the comparable
-    /// configuration.
+    /// periodically mid-script — batches on disk against singles in
+    /// memory, then singles on disk against batches in memory.
+    /// Single-replica DHT: the disk backend keeps one durable copy per
+    /// node, so `replication = 1` is the comparable configuration.
     #[test]
-    fn disk_meta_equals_in_memory_across_reopen(
-        script in proptest::collection::vec(
-            (0u8..3, proptest::collection::vec((any::<u8>(), any::<bool>()), 0..24)),
-            1..30,
-        )
-    ) {
-        let tmp = TempDir::new("equiv-disk-meta");
-        let disk = DiskMetaStore::open(tmp.path(), 4).unwrap();
-        let mem = MetaDht::with_stripes(4, 1, 32);
-        let key_of = |k: u8| NodeKey::new(
-            BlobId::new(1),
-            Version::new(1 + (k % 5) as u64),
-            Pos::new(k as u64, 1),
-        );
-        let node_of = |k: u8, salted: bool| {
-            TreeNode::Leaf(BlockDescriptor {
-                block_id: BlockId::new(k as u64 * 2 + salted as u64),
-                providers: vec![0],
-                len: 64,
-            })
-        };
-        for (i, (kind, items)) in script.iter().enumerate() {
-            match kind {
-                0 => {
-                    let batch: Vec<(NodeKey, TreeNode)> = items
-                        .iter()
-                        .map(|&(k, salted)| (key_of(k), node_of(k, salted)))
-                        .collect();
-                    let a = MetaStore::put_many(&disk, &batch);
-                    let b: Vec<_> = batch
-                        .iter()
-                        .map(|(key, node)| mem.put(*key, node.clone()))
-                        .collect();
-                    prop_assert_eq!(a, b, "disk meta put_many diverged");
+    fn disk_meta_equals_in_memory_across_reopen(script in meta_script()) {
+        for disk_is_batched in [true, false] {
+            let tmp = TempDir::new("equiv-disk-meta");
+            let disk = DiskMetaStore::open(tmp.path(), 4).unwrap();
+            let mem = MetaDht::with_stripes(4, 1, 32);
+            for chunk in script.chunks(5) {
+                if disk_is_batched {
+                    assert_meta_batches_match_singles(chunk, &disk, &mem);
+                } else {
+                    assert_meta_batches_match_singles(chunk, &mem, &disk);
                 }
-                1 => {
-                    let keys: Vec<NodeKey> = items.iter().map(|&(k, _)| key_of(k)).collect();
-                    let a = MetaStore::get_many(&disk, &keys);
-                    let b: Vec<_> = keys.iter().map(|key| mem.get(key)).collect();
-                    prop_assert_eq!(a, b, "disk meta get_many diverged");
-                }
-                _ => {
-                    let keys: Vec<NodeKey> = items.iter().map(|&(k, _)| key_of(k)).collect();
-                    let a = MetaStore::delete_many(&disk, &keys);
-                    let b: Vec<Result<bool, Error>> =
-                        keys.iter().map(|key| Ok(mem.delete(key))).collect();
-                    prop_assert_eq!(a, b, "disk meta delete_many diverged");
-                }
-            }
-            prop_assert_eq!(MetaStore::node_count(&disk), mem.node_count());
-            if i % 7 == 3 {
                 disk.reopen().unwrap();
             }
-        }
-        // Placement parity: both sides home every key on the same shard,
-        // so a backend swap moves no keys.
-        for k in 0..=255u8 {
-            let key = key_of(k);
-            prop_assert_eq!(
-                MetaStore::fanout_shard(&disk, &key),
-                mem.shard_of(&key)
-            );
+            // Placement parity: both sides home every key on the same
+            // shard, so a backend swap moves no keys.
+            for k in 0..=255u8 {
+                let key = meta_key(k);
+                prop_assert_eq!(MetaStore::fanout_shard(&disk, &key), mem.shard_of(&key));
+            }
         }
     }
 }
@@ -535,6 +489,19 @@ fn rpc_batches_equal_in_memory_per_item() {
     // Mixed present/missing fetch: per-item results line up exactly.
     let probe: Vec<BlockId> = (0..24).map(id).collect();
     assert_eq!(rpc.get_many(1, &probe), mem.get_many(1, &probe));
+    // One item at a time — a frame of one per op through the provided
+    // helpers — answers what the batch answered, per item.
+    let singles: Vec<_> = probe.iter().map(|&id| rpc.get(1, id)).collect();
+    assert_eq!(singles, mem.get_many(1, &probe));
+    for (k, data) in [(30, &b"single"[..]), (30, b"single"), (31, b"")] {
+        let data = Bytes::copy_from_slice(data);
+        assert_eq!(rpc.put(2, id(k), data.clone()), mem.put(2, id(k), data));
+        assert_eq!(rpc.get(2, id(k)), mem.get(2, id(k)));
+    }
+    for k in [30, 31, 31, 32] {
+        assert_eq!(rpc.delete(2, id(k)), mem.delete(2, id(k)), "block {k}");
+    }
+    assert!(matches!(rpc.get(99, id(0)), Err(Error::Internal(_))));
     // An out-of-range provider fails every item of the batch on the
     // remote adapter (the in-memory stores treat it as a programmer error
     // and panic, same as their single-op methods always have).
@@ -577,6 +544,19 @@ fn rpc_batches_equal_in_memory_per_item() {
     assert!(matches!(&a[1], Err(Error::MetadataConflict(_))));
     let keys: Vec<NodeKey> = (0..12).map(key_of).collect();
     assert_eq!(rpc_dht.get_many(&keys), mem_dht.get_many(&keys));
+    // The same per item through the one-item helpers: fresh put,
+    // conflicting and idempotent re-put, hit, miss, delete, re-delete.
+    for (k, b) in [(20, 20), (20, 99), (20, 20)] {
+        assert_eq!(
+            rpc_dht.put(key_of(k), leaf(b)),
+            mem_dht.put(key_of(k), leaf(b))
+        );
+    }
+    for key in [key_of(20), key_of(21)] {
+        assert_eq!(rpc_dht.get(&key), mem_dht.get(&key));
+        assert_eq!(rpc_dht.delete(&key), mem_dht.delete(&key));
+        assert_eq!(rpc_dht.delete(&key), mem_dht.delete(&key));
+    }
     assert_eq!(rpc_dht.delete_many(&keys), mem_dht.delete_many(&keys));
 }
 

@@ -349,17 +349,23 @@ fn log_op_strategy() -> impl Strategy<Value = LogOp> {
 struct Recorder(Mutex<BTreeMap<NodeKey, TreeNode>>);
 
 impl MetaStore for Recorder {
-    fn put(&self, key: NodeKey, node: TreeNode) -> Result<()> {
-        self.0.lock().unwrap().insert(key, node);
-        Ok(())
+    fn put_many(&self, items: &[(NodeKey, TreeNode)]) -> Vec<Result<()>> {
+        let mut nodes = self.0.lock().unwrap();
+        nodes.extend(items.iter().cloned());
+        items.iter().map(|_| Ok(())).collect()
     }
-    fn get(&self, key: &NodeKey) -> Result<TreeNode> {
+    fn get_many(&self, keys: &[NodeKey]) -> Vec<Result<TreeNode>> {
         let nodes = self.0.lock().unwrap();
-        let node = nodes.get(key).cloned();
-        node.ok_or_else(|| Error::MissingMetadata(format!("{key:?}")))
+        let missing = |key| Error::MissingMetadata(format!("{key:?}"));
+        keys.iter()
+            .map(|key| nodes.get(key).cloned().ok_or_else(|| missing(key)))
+            .collect()
     }
-    fn delete(&self, key: &NodeKey) -> bool {
-        self.0.lock().unwrap().remove(key).is_some()
+    fn delete_many(&self, keys: &[NodeKey]) -> Vec<Result<bool>> {
+        let mut nodes = self.0.lock().unwrap();
+        keys.iter()
+            .map(|key| Ok(nodes.remove(key).is_some()))
+            .collect()
     }
     fn shard_count(&self) -> usize {
         1

@@ -237,6 +237,21 @@ fn diagnostics_against_a_dead_cluster_degrade_loudly_not_silently() {
         4,
         "every degraded diagnostic answer must be observable on EngineStats"
     );
+
+    // `MetaStore::delete` answers a `bool`: a delete lost on the wire
+    // reads as "nothing deleted", counted like the diagnostics above (the
+    // adapter's one single-item override, over its own `delete_many`).
+    let dht: Arc<dyn MetaStore> = Arc::new(blobseer_core::dht::MetaDht::new(2, 1));
+    let mut server = RpcServer::spawn(RpcService::Meta(Arc::clone(&dht))).unwrap();
+    let meta = RpcMetaStore::connect_with(server.addr(), Arc::clone(&stats), 1).unwrap();
+    let key = NodeKey::new(BlobId::new(1), Version::new(1), Pos::new(0, 1));
+    meta.put(key, TreeNode::LeafAlias(None)).unwrap();
+    assert!(meta.delete(&key), "a reachable delete answers for real");
+    assert_eq!(stats.snapshot().rpc_degraded_diagnostics, 4);
+    server.shutdown();
+    drop(server);
+    assert!(!meta.delete(&key));
+    assert_eq!(stats.snapshot().rpc_degraded_diagnostics, 5);
 }
 
 #[test]
@@ -314,17 +329,8 @@ impl BlockStore for AddressSpy {
     fn index_of_node(&self, node: NodeId) -> Option<usize> {
         self.inner.index_of_node(node)
     }
-    fn put(&self, provider: usize, id: BlockId, data: Bytes) -> blobseer_types::Result<()> {
-        self.inner.put(provider, id, data)
-    }
-    fn get(&self, provider: usize, id: BlockId) -> blobseer_types::Result<Bytes> {
-        self.inner.get(provider, id)
-    }
     fn contains(&self, provider: usize, id: BlockId) -> bool {
         self.inner.contains(provider, id)
-    }
-    fn delete(&self, provider: usize, id: BlockId) -> blobseer_types::Result<u64> {
-        self.inner.delete(provider, id)
     }
     fn put_many(
         &self,
@@ -337,6 +343,12 @@ impl BlockStore for AddressSpy {
                 .map(|(_, data)| (data.as_ptr() as usize, data.len())),
         );
         self.inner.put_many(provider, items)
+    }
+    fn get_many(&self, provider: usize, ids: &[BlockId]) -> Vec<blobseer_types::Result<Bytes>> {
+        self.inner.get_many(provider, ids)
+    }
+    fn delete_many(&self, provider: usize, ids: &[BlockId]) -> Vec<blobseer_types::Result<u64>> {
+        self.inner.delete_many(provider, ids)
     }
     fn block_count(&self, provider: usize) -> usize {
         self.inner.block_count(provider)
@@ -382,4 +394,97 @@ fn a_put_many_frame_reaches_the_store_as_slices_of_its_own_buffer() {
     {
         assert_eq!(&got.unwrap(), want);
     }
+}
+
+/// The single-item wire tags are retired, not reassigned: a frame carrying
+/// one is answered like a tag the service never had, and the connection
+/// it came on keeps serving.
+#[test]
+fn retired_single_item_tags_answer_unknown_tag_and_the_connection_lives_on() {
+    use blobseer_rpc::wire::{decode_response, read_frame, write_frame};
+    use blobseer_types::wire::WireWriter;
+
+    let cluster = LoopbackCluster::boot(BlobSeerConfig::small_for_tests(), 1).unwrap();
+    // (service, endpoint, its retired PUT/GET/DELETE tags, a surviving tag
+    // without arguments and the number it answers first).
+    let cases = [
+        ("block", cluster.block_addrs()[0], [1u8, 2, 4], 0u8, 1u64), // DESCRIBE: 1 provider
+        ("meta", cluster.meta_addr(), [0, 1, 2], 3, 4),              // SHARD_COUNT: 4 shards
+    ];
+    for (service, addr, retired, live_tag, live_answer) in cases {
+        let mut stream = std::net::TcpStream::connect(addr).unwrap();
+        let mut exchange = |req_id: u64, body: &[u8]| {
+            write_frame(&mut stream, req_id, body).unwrap();
+            let (id, response) = read_frame(&mut stream).unwrap().expect("a response");
+            assert_eq!(id, req_id, "{service}: response id");
+            response
+        };
+        for (req_id, tag) in retired.into_iter().enumerate() {
+            // The retired request as it was sent: its tag, then arguments.
+            let mut request = WireWriter::new();
+            request.put_u8(tag);
+            request.put_u64(0);
+            request.put_u64(7);
+            let response = exchange(req_id as u64, request.as_slice());
+            let err = decode_response(&response).unwrap_err();
+            let expected = format!("unknown {service} method tag {tag}");
+            assert!(
+                matches!(&err, Error::Transport(why) if why.contains(&expected)),
+                "{service} tag {tag}: {err}"
+            );
+        }
+        let response = exchange(99, &[live_tag]);
+        let mut payload = decode_response(&response).unwrap();
+        assert_eq!(payload.get_u64().unwrap(), live_answer, "{service}");
+    }
+}
+
+/// A transient refusal in the middle of batched traffic costs exactly one
+/// item, on both fault decorators: the plan is consulted per item and
+/// reverts as it fires, the refused item never leaves, and the un-faulted
+/// rest of its batch lands — as one frame, not one per item.
+#[test]
+fn fail_once_fails_one_item_and_ships_the_rest_of_its_batch_as_one_frame() {
+    use blobseer_core::{FaultPlan, FaultyBlockStore, FaultyMetaStore, PutFault};
+
+    let cluster = LoopbackCluster::boot(BlobSeerConfig::small_for_tests(), 1).unwrap();
+    let stats = Arc::new(EngineStats::new());
+    let frames = || stats.snapshot().port_round_trips;
+    let plan = FaultPlan::new();
+    let refused_first = |out: &[Result<(), Error>]| {
+        assert!(matches!(out[0], Err(Error::WriteAborted(_))), "{out:?}");
+        assert!(out[1..].iter().all(Result::is_ok), "{out:?}");
+        assert_eq!(plan.current(), PutFault::None, "reverted as it fired");
+    };
+
+    let remote = RpcBlockStore::connect(cluster.block_addrs(), Arc::clone(&stats)).unwrap();
+    let blocks = FaultyBlockStore::new(Arc::new(remote), Arc::clone(&plan));
+    let items: Vec<(BlockId, Bytes)> = (0..8u64)
+        .map(|k| (BlockId::new(500 + k), Bytes::from(vec![k as u8; 16])))
+        .collect();
+    assert!(blocks.put_many(0, &items[..2]).iter().all(Result::is_ok));
+    let before = frames();
+    plan.set(PutFault::FailOnce);
+    refused_first(&blocks.put_many(0, &items[2..]));
+    assert_eq!(frames() - before, 1, "five landed blocks, one frame");
+    let ids: Vec<BlockId> = items.iter().map(|(id, _)| *id).collect();
+    let held: Vec<bool> = blocks.get_many(0, &ids).iter().map(Result::is_ok).collect();
+    assert_eq!(held, [true, true, false, true, true, true, true, true]);
+
+    let remote = RpcMetaStore::connect(cluster.meta_addr(), Arc::clone(&stats)).unwrap();
+    let meta = FaultyMetaStore::new(Arc::new(remote), Arc::clone(&plan));
+    let nodes: Vec<(NodeKey, TreeNode)> = (0..4u64)
+        .map(|v| {
+            let key = NodeKey::new(BlobId::new(77), Version::new(v), Pos::new(0, 1));
+            (key, TreeNode::LeafAlias(None))
+        })
+        .collect();
+    let before = frames();
+    plan.set(PutFault::FailOnce);
+    refused_first(&meta.put_many(&nodes));
+    assert_eq!(frames() - before, 1, "three landed nodes, one frame");
+    let keys: Vec<NodeKey> = nodes.iter().map(|(key, _)| *key).collect();
+    let held: Vec<bool> = meta.get_many(&keys).iter().map(Result::is_ok).collect();
+    assert_eq!(held, [false, true, true, true]);
+    assert_eq!(plan.counters(), (0, 2, 0, 0));
 }
