@@ -1,35 +1,34 @@
-//! Client-side hot-read cache tier: byte-budgeted LRU decorators over the
-//! [`BlockStore`] and [`MetaStore`] ports.
+//! Client-side hot-read block cache: a byte-budgeted LRU decorator over
+//! the [`BlockStore`] port.
 //!
-//! BlobSeer's concurrency control never mutates data or metadata in place:
-//! a block id is written once, a tree node key `(blob, version, pos)` is
-//! published once, and both are immutable from then on (§III-A.4 — the
-//! versioning PR of Nicolae et al. spells this out as the property that
-//! makes client caches trivially coherent). A cached copy can therefore
-//! never go stale; the only cache policy needed is an eviction policy.
-//! That is exactly the "many readers of one hot snapshot" workload of
-//! Fig. 4: 250 clients re-descending the same segment tree and re-fetching
-//! the same revealed blocks.
+//! BlobSeer's concurrency control never mutates data in place: a block id
+//! is written once and its bytes are immutable from then on (§III-A.4 —
+//! the versioning paper of Nicolae et al. spells this out as the property
+//! that makes client caches trivially coherent). A cached copy can
+//! therefore never go stale; the only cache policy needed is an eviction
+//! policy. That is the "many readers of one hot snapshot" workload of
+//! Fig. 4: 250 clients re-fetching the same revealed blocks.
 //!
-//! The decorators wrap any adapter (`Arc<dyn …>`), so a deployment opts in
-//! per port — `blobseer_rpc::LoopbackCluster::deploy` wires them over the
-//! TCP adapters when [`blobseer_types::BlobSeerConfig::read_cache_bytes`]
-//! is non-zero, and the figure reproductions keep them off (the paper's
-//! curves are cache-cold).
+//! The decorator wraps any adapter (`Arc<dyn BlockStore>`), so a
+//! deployment opts in — `blobseer_rpc::LoopbackCluster::deploy` wires it
+//! over the TCP adapter when
+//! [`blobseer_types::BlobSeerConfig::read_cache_bytes`] is non-zero, and
+//! the figure reproductions keep it off (the paper's curves are
+//! cache-cold). Tree nodes are not cached here: the one adapter that pays
+//! a round trip per tree level, `blobseer_rpc::RpcMetaStore`, keeps the
+//! inner nodes it has read itself, always on and outside this budget.
 //!
 //! Transparency contract: a cached deployment is observably equivalent to
 //! an uncached one for every `Result`-carrying operation
-//! (`tests/ports_equivalence.rs` holds the decorators to it). Block
-//! entries are keyed `(provider, block id)` — strictly finer than block
-//! identity — so per-provider semantics (a replica miss that triggers
-//! fetch-fallback, per-provider op accounting) survive the decoration.
-//! Hits, misses and evictions are counted on
+//! (`tests/ports_equivalence.rs` holds the decorator to it). Entries are
+//! keyed `(provider, block id)` — strictly finer than block identity — so
+//! per-provider semantics (a replica miss that triggers fetch-fallback,
+//! per-provider op accounting) survive the decoration. Hits, misses and
+//! evictions are counted on
 //! [`EngineStats::cache_hits`]/[`EngineStats::cache_misses`]/
 //! [`EngineStats::cache_evictions`].
 
-use crate::meta::key::NodeKey;
-use crate::meta::node::TreeNode;
-use crate::ports::{BlockStore, MetaStore};
+use crate::ports::BlockStore;
 use crate::stats::EngineStats;
 use blobseer_types::{BlockId, NodeId, Result};
 use bytes::Bytes;
@@ -39,8 +38,8 @@ use std::hash::Hash;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-/// A byte-budgeted LRU map. Not a port itself — the engine behind both
-/// decorators. Entries larger than the whole budget are refused (caching
+/// A byte-budgeted LRU map. Not a port itself — the engine behind the
+/// decorator. Entries larger than the whole budget are refused (caching
 /// them would evict everything for a single-use payload).
 struct Lru<K, V> {
     map: HashMap<K, LruEntry<V>>,
@@ -116,12 +115,6 @@ impl<K: Eq + Hash + Clone, V: Clone> Lru<K, V> {
             self.order.remove(&entry.tick);
             self.bytes -= entry.size;
         }
-    }
-
-    fn clear(&mut self) {
-        self.map.clear();
-        self.order.clear();
-        self.bytes = 0;
     }
 }
 
@@ -254,139 +247,10 @@ impl BlockStore for CachedBlockStore {
     }
 }
 
-/// Approximate in-memory footprint of one cached tree node, for the byte
-/// budget. Tree nodes are tens of bytes; exactness does not matter, only
-/// that a budget bounds the cache.
-fn node_size(node: &TreeNode) -> u64 {
-    match node {
-        TreeNode::Inner { .. } => 48,
-        TreeNode::Leaf(d) => 48 + 8 * d.providers.len() as u64,
-        TreeNode::LeafAlias(_) => 32,
-    }
-}
-
-/// [`MetaStore`] decorator caching segment-tree nodes by [`NodeKey`] —
-/// the read descent's per-level `get_many` is its hot path.
-pub struct CachedMetaStore {
-    inner: Arc<dyn MetaStore>,
-    lru: Mutex<Lru<NodeKey, TreeNode>>,
-    stats: Arc<EngineStats>,
-}
-
-impl CachedMetaStore {
-    /// Wraps `inner` with a cache of roughly `budget_bytes` of tree nodes.
-    /// Hit/miss/eviction counters land on `stats`.
-    pub fn new(inner: Arc<dyn MetaStore>, budget_bytes: u64, stats: Arc<EngineStats>) -> Self {
-        Self {
-            inner,
-            lru: Mutex::named(Lru::new(budget_bytes), "cache.meta.lru"),
-            stats,
-        }
-    }
-
-    fn count(&self, hits: u64, misses: u64, evictions: u64) {
-        let add = |c: &std::sync::atomic::AtomicU64, n: u64| {
-            if n > 0 {
-                c.fetch_add(n, Ordering::Relaxed);
-            }
-        };
-        add(&self.stats.cache_hits, hits);
-        add(&self.stats.cache_misses, misses);
-        add(&self.stats.cache_evictions, evictions);
-    }
-}
-
-impl MetaStore for CachedMetaStore {
-    /// Write-through, write-allocate (a publish's nodes are descended
-    /// moments later by the writer's own readers). Failed puts (e.g.
-    /// [`blobseer_types::Error::MetadataConflict`]) cache nothing.
-    fn put_many(&self, items: &[(NodeKey, TreeNode)]) -> Vec<Result<()>> {
-        let results = self.inner.put_many(items);
-        let mut evicted = 0;
-        {
-            let mut lru = self.lru.lock();
-            for ((key, node), result) in items.iter().zip(&results) {
-                if result.is_ok() {
-                    evicted += lru.insert(*key, node.clone(), node_size(node));
-                }
-            }
-        }
-        self.count(0, 0, evicted);
-        results
-    }
-
-    fn get_many(&self, keys: &[NodeKey]) -> Vec<Result<TreeNode>> {
-        let mut out: Vec<Option<Result<TreeNode>>> = vec![None; keys.len()];
-        let mut missed: Vec<(usize, NodeKey)> = Vec::new();
-        {
-            let mut lru = self.lru.lock();
-            for (slot, key) in keys.iter().enumerate() {
-                match lru.get(key) {
-                    Some(hit) => out[slot] = Some(Ok(hit)),
-                    None => missed.push((slot, *key)),
-                }
-            }
-        }
-        let hits = (keys.len() - missed.len()) as u64;
-        let misses = missed.len() as u64;
-        let mut evicted = 0;
-        if !missed.is_empty() {
-            let miss_keys: Vec<NodeKey> = missed.iter().map(|&(_, key)| key).collect();
-            let fetched = self.inner.get_many(&miss_keys);
-            let mut lru = self.lru.lock();
-            for (&(slot, key), result) in missed.iter().zip(fetched) {
-                if let Ok(node) = &result {
-                    evicted += lru.insert(key, node.clone(), node_size(node));
-                }
-                out[slot] = Some(result);
-            }
-        }
-        self.count(hits, misses, evicted);
-        out.into_iter()
-            .map(|r| r.expect("every slot answered")) // lint:allow(no-unwrap): batched dispatch fills every slot exactly once
-            .collect()
-    }
-
-    fn delete_many(&self, keys: &[NodeKey]) -> Vec<Result<bool>> {
-        {
-            let mut lru = self.lru.lock();
-            for key in keys {
-                lru.remove(key);
-            }
-        }
-        self.inner.delete_many(keys)
-    }
-
-    fn shard_count(&self) -> usize {
-        self.inner.shard_count()
-    }
-
-    fn node_count(&self) -> usize {
-        self.inner.node_count()
-    }
-
-    fn shard_stats(&self) -> Vec<(usize, u64, u64)> {
-        self.inner.shard_stats()
-    }
-
-    /// The crash hook drops server-side state; cached copies of the lost
-    /// shard must not mask it, so the whole cache drops too (keys don't
-    /// reveal their shard here) — a crashed deployment then observes the
-    /// same errors an uncached one would.
-    fn crash_shard(&self, shard: usize) {
-        self.lru.lock().clear();
-        self.inner.crash_shard(shard)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::block_store::ProviderSet;
-    use crate::dht::MetaDht;
-    use crate::meta::key::Pos;
-    use crate::meta::node::BlockDescriptor;
-    use blobseer_types::{BlobId, Version};
 
     fn payload(n: usize, fill: u8) -> Bytes {
         Bytes::from(vec![fill; n])
@@ -455,26 +319,6 @@ mod tests {
             store.get(0, BlockId::new(7)).is_err(),
             "deleted block must not be served from cache"
         );
-    }
-
-    #[test]
-    fn cached_meta_serves_descent_nodes_and_respects_conflicts() {
-        let stats = Arc::new(EngineStats::new());
-        let inner = Arc::new(MetaDht::new(4, 1));
-        let dht = CachedMetaStore::new(inner, 1 << 16, Arc::clone(&stats));
-        let key = NodeKey::new(BlobId::new(1), Version::new(1), Pos::new(0, 1));
-        let leaf = TreeNode::Leaf(BlockDescriptor {
-            block_id: BlockId::new(42),
-            providers: vec![0],
-            len: 64,
-        });
-        dht.put(key, leaf.clone()).unwrap();
-        assert_eq!(dht.get(&key).unwrap(), leaf);
-        assert!(stats.snapshot().cache_hits >= 1);
-        // Immutability still enforced end to end: a conflicting re-put
-        // fails on the backend and must not poison the cache.
-        assert!(dht.put(key, TreeNode::LeafAlias(None)).is_err());
-        assert_eq!(dht.get(&key).unwrap(), leaf);
     }
 
     #[test]

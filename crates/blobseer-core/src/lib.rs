@@ -58,7 +58,7 @@ pub mod sharded;
 pub mod stats;
 pub mod version_manager;
 
-pub use cache::{CachedBlockStore, CachedMetaStore};
+pub use cache::CachedBlockStore;
 pub use client::{BlobClient, BlobSeer, BlockLocation, EnginePorts};
 pub use exec::{FanoutExecutor, Pending};
 pub use faults::{FaultPlan, FaultyBlockStore, FaultyMetaStore, PutFault};

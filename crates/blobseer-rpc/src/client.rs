@@ -38,7 +38,7 @@
 //! of reporting zeros. The fixed deployment *shape* — provider count,
 //! hosting nodes, DHT shard count, block size — is fetched once at
 //! connect time and served from cache, so the hot paths that consult it
-//! stay local.
+//! stay local (as do the tree's inner nodes once read, see [`RpcMetaStore`]).
 
 use crate::server::{block_tag, gc_tag, meta_tag, placement_tag, version_tag};
 use crate::wire::{self, batch_status, decode_response};
@@ -110,11 +110,13 @@ struct MuxConn {
     /// Set when the demux thread exits or a frame write fails; the pool
     /// replaces dead connections on next use.
     dead: AtomicBool,
+    /// The owning pool's count of connections that died ([`MuxPool::deaths`]).
+    deaths: Arc<AtomicU64>,
 }
 
 impl MuxConn {
     /// Dials the endpoint and starts its demux thread.
-    fn dial(addr: SocketAddr) -> Result<Arc<Self>> {
+    fn dial(addr: SocketAddr, deaths: Arc<AtomicU64>) -> Result<Arc<Self>> {
         let stream = TcpStream::connect(addr)
             .map_err(|e| wire::transport(&format!("connect to {addr}"), e))?;
         let _ = stream.set_nodelay(true);
@@ -134,6 +136,7 @@ impl MuxConn {
             ready: Condvar::named("rpc.mux.ready"),
             next_id: AtomicU64::new(0),
             dead: AtomicBool::new(false),
+            deaths,
         });
         let demux = Arc::clone(&conn);
         std::thread::Builder::new()
@@ -145,6 +148,12 @@ impl MuxConn {
 
     fn is_dead(&self) -> bool {
         self.dead.load(Ordering::SeqCst)
+    }
+
+    fn mark_dead(&self) {
+        if !self.dead.swap(true, Ordering::SeqCst) {
+            self.deaths.fetch_add(1, Ordering::SeqCst);
+        }
     }
 
     /// Registers a waiter and writes one request frame. On any failure the
@@ -165,7 +174,7 @@ impl MuxConn {
             Ok(()) => Ok(id),
             Err(e) => {
                 drop(writer);
-                self.dead.store(true, Ordering::SeqCst);
+                self.mark_dead();
                 self.pending.lock().results.remove(&id);
                 Err(e)
             }
@@ -209,7 +218,7 @@ fn demux_loop(stream: TcpStream, conn: &MuxConn) {
                 self_notify(conn);
             }
             Ok(None) | Err(_) => {
-                conn.dead.store(true, Ordering::SeqCst);
+                conn.mark_dead();
                 let mut p = conn.pending.lock();
                 p.closed = Some(Error::Transport(format!(
                     "{} closed the connection with requests in flight",
@@ -243,6 +252,8 @@ pub(crate) struct MuxPool {
     stats: Arc<EngineStats>,
     /// Control-plane pools meter on `control_round_trips`.
     control: bool,
+    /// Connections of this pool that have died, ever (see [`Self::deaths`]).
+    deaths: Arc<AtomicU64>,
 }
 
 impl MuxPool {
@@ -283,9 +294,16 @@ impl MuxPool {
             next: AtomicUsize::new(0),
             stats,
             control,
+            deaths: Arc::new(AtomicU64::new(0)),
         };
         pool.conn_at(0)?;
         Ok(pool)
+    }
+
+    /// How many of this pool's connections have died (EOF, reset, failed
+    /// write): when it moves, the peer may have been replaced.
+    pub(crate) fn deaths(&self) -> u64 {
+        self.deaths.load(Ordering::SeqCst)
     }
 
     /// The healthy connection for a slot, dialing (or redialing a dead
@@ -297,7 +315,7 @@ impl MuxPool {
                 return Ok(Arc::clone(conn));
             }
         }
-        let conn = MuxConn::dial(self.addr)?;
+        let conn = MuxConn::dial(self.addr, Arc::clone(&self.deaths))?;
         *guard = Some(Arc::clone(&conn));
         Ok(conn)
     }
@@ -750,11 +768,63 @@ impl BlockStore for RpcBlockStore {
 
 // --- meta store -------------------------------------------------------------
 
-/// [`MetaStore`] over a remote metadata DHT service.
+/// Entries the inner-node cache holds before it starts over: a descent
+/// touches O(depth) inner nodes, so this is thousands of hot paths.
+const INNER_NODES_MAX: usize = 1 << 16;
+
+/// The inner tree nodes an [`RpcMetaStore`] has read.
+#[derive(Default)]
+struct InnerNodes {
+    nodes: HashMap<NodeKey, TreeNode>,
+    /// The pool's [`MuxPool::deaths`] when `nodes` were read.
+    deaths: u64,
+    /// Bumped by every invalidation, so a fetch that overlapped one does
+    /// not put back what it removed.
+    generation: u64,
+}
+
+impl InnerNodes {
+    /// The current entries' generation, after dropping them all if the
+    /// pool lost a connection since they were read.
+    fn generation(&mut self, deaths: u64) -> u64 {
+        if self.deaths != deaths {
+            self.deaths = deaths;
+            self.forget(None);
+        }
+        self.generation
+    }
+
+    /// Drops `keys`, or every entry.
+    fn forget(&mut self, keys: Option<&[NodeKey]>) {
+        self.generation += 1;
+        match keys {
+            Some(keys) => keys.iter().for_each(|key| drop(self.nodes.remove(key))),
+            None => self.nodes.clear(),
+        }
+    }
+}
+
+/// [`MetaStore`] over a remote metadata DHT service, with an always-on
+/// cache of the **inner** tree nodes it has read.
+///
+/// Published nodes never change, so `get_many` answers the keys it has
+/// seen from memory and sends one `GET_MANY` frame carrying only the
+/// misses, or none: a warm one-block read costs 4 frames (latest,
+/// snapshot info, the leaf level, the block) at any history depth instead
+/// of 3 + depth. The cache is read-allocate, so a cold read pays what it
+/// always did, and never holds a leaf — the node an abort repair replaces
+/// and GC frees a block behind — so a stale inner node leads only to a
+/// leaf that is gone (`MissingMetadata`) or that names the version's
+/// exact bytes (docs/ARCHITECTURE.md, "The read descent"). Entries leave
+/// on this adapter's `delete_many` and `crash_shard`, and all at once
+/// when the pool loses a connection: the peer may be a restarted RAM
+/// server that reuses blob ids. Hits and misses count on
+/// [`EngineStats::cache_hits`]/[`EngineStats::cache_misses`].
 pub struct RpcMetaStore {
     pool: MuxPool,
     shard_count: usize,
     stats: Arc<EngineStats>,
+    inner_nodes: Mutex<InnerNodes>,
 }
 
 impl RpcMetaStore {
@@ -776,6 +846,7 @@ impl RpcMetaStore {
             pool,
             shard_count,
             stats,
+            inner_nodes: Mutex::named(InnerNodes::default(), "rpc.meta.inner_nodes"),
         })
     }
 
@@ -888,23 +959,58 @@ impl MetaStore for RpcMetaStore {
         out
     }
 
-    /// One frame per batch: a read descent fetches each tree level in a
-    /// single round trip.
+    /// Cached inner nodes answer locally; one frame per batch carries the
+    /// rest, so a read descent pays at most one round trip per tree level
+    /// and none for a level it has read before.
     fn get_many(&self, keys: &[NodeKey]) -> Vec<Result<TreeNode>> {
-        self.meta_batched(
-            meta_tag::GET_MANY,
-            keys,
-            wire::put_node_key,
-            wire::get_tree_node,
-        )
+        let (mut out, generation) = {
+            let mut cache = self.inner_nodes.lock();
+            let generation = cache.generation(self.pool.deaths());
+            let hits: Vec<_> = keys
+                .iter()
+                .map(|key| cache.nodes.get(key).cloned().map(Ok))
+                .collect();
+            (hits, generation)
+        };
+        let missed: Vec<NodeKey> = keys
+            .iter()
+            .zip(&out)
+            .filter_map(|(key, hit)| hit.is_none().then_some(*key))
+            .collect();
+        EngineStats::add(&self.stats.cache_hits, (keys.len() - missed.len()) as u64);
+        EngineStats::add(&self.stats.cache_misses, missed.len() as u64);
+        if !missed.is_empty() {
+            // `meta_batched` answers every key it is given, in order.
+            let fetched = self.meta_batched(
+                meta_tag::GET_MANY,
+                &missed,
+                wire::put_node_key,
+                wire::get_tree_node,
+            );
+            let mut cache = self.inner_nodes.lock();
+            let keep = cache.generation(self.pool.deaths()) == generation;
+            let slots = keys.iter().zip(&mut out).filter(|(_, slot)| slot.is_none());
+            for ((key, slot), result) in slots.zip(fetched) {
+                if let (true, Ok(node @ TreeNode::Inner { .. })) = (keep, &result) {
+                    if cache.nodes.len() >= INNER_NODES_MAX {
+                        cache.nodes.clear();
+                    }
+                    cache.nodes.insert(*key, node.clone());
+                }
+                *slot = Some(result);
+            }
+        }
+        out.into_iter().flatten().collect()
     }
 
     /// One frame per batch: GC releases a whole cascade wave per round
     /// trip. Per item, transport loss is an `Err` ("outcome unknown").
     fn delete_many(&self, keys: &[NodeKey]) -> Vec<Result<bool>> {
-        self.meta_batched(meta_tag::DELETE_MANY, keys, wire::put_node_key, |r| {
+        let out = self.meta_batched(meta_tag::DELETE_MANY, keys, wire::put_node_key, |r| {
             r.get_bool()
-        })
+        });
+        self.inner_nodes.lock().forget(Some(keys));
+        out
     }
 
     fn shard_count(&self) -> usize {
@@ -949,12 +1055,14 @@ impl MetaStore for RpcMetaStore {
     }
 
     /// Best-effort over the wire (a crash-injection hook; transport
-    /// failures are ignored).
+    /// failures are ignored). The cached inner nodes all go too — keys do
+    /// not reveal their shard here — so the crash is not masked.
     fn crash_shard(&self, shard: usize) {
         let mut req = WireWriter::new();
         req.put_u8(meta_tag::CRASH_SHARD);
         req.put_u64(shard as u64);
         let _ = call(&self.pool, req);
+        self.inner_nodes.lock().forget(None);
     }
 }
 

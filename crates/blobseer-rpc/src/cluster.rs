@@ -38,8 +38,7 @@ use blobseer_core::ports::{BlockStore, GcService, MetaStore, PlacementService, P
 use blobseer_core::provider_manager::ProviderManager;
 use blobseer_core::version_manager::VersionManager;
 use blobseer_core::{
-    BlobSeer, CachedBlockStore, CachedMetaStore, EnginePorts, EngineStats, FanoutExecutor,
-    NoopObserver,
+    BlobSeer, CachedBlockStore, EnginePorts, EngineStats, FanoutExecutor, NoopObserver,
 };
 use blobseer_disk::frame::FrameLog;
 use blobseer_disk::volume::volume_path;
@@ -345,30 +344,24 @@ impl LoopbackCluster {
             Arc::clone(&stats),
             budget,
         )?);
-        let mut dht: Arc<dyn MetaStore> = Arc::new(RpcMetaStore::connect_with(
-            self.meta_addr,
-            Arc::clone(&stats),
-            budget,
-        )?);
-        // Opt-in hot-read cache tier: LRU decorators over both read-path
-        // ports, safe because revealed blocks and published tree nodes
-        // are immutable. `read_cache_bytes == 0` (the default, and the
-        // figure-reproduction setting) leaves the wire paths untouched.
+        // Opt-in hot-read block cache, safe because revealed blocks are
+        // immutable. `read_cache_bytes == 0` (the default) leaves the block
+        // path untouched; the tree's inner nodes are cached by
+        // `RpcMetaStore` itself, always.
         if self.cfg.read_cache_bytes > 0 {
             providers = Arc::new(CachedBlockStore::new(
                 providers,
                 self.cfg.read_cache_bytes,
                 Arc::clone(&stats),
             ));
-            dht = Arc::new(CachedMetaStore::new(
-                dht,
-                self.cfg.read_cache_bytes,
-                Arc::clone(&stats),
-            ));
         }
         let ports = EnginePorts {
             providers,
-            dht,
+            dht: Arc::new(RpcMetaStore::connect_with(
+                self.meta_addr,
+                Arc::clone(&stats),
+                budget,
+            )?),
             vm: Arc::new(RpcVersionService::connect_with(
                 self.vm_addr,
                 Arc::clone(&stats),

@@ -40,6 +40,7 @@ use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -183,6 +184,8 @@ struct Shared {
     /// wake-up self-connect is not counted). The mux tests read this to
     /// prove 64 concurrent requests ride a handful of sockets.
     accepted: AtomicU64,
+    /// Requests whose handler panicked (answered `Error::Internal`).
+    panics: AtomicU64,
 }
 
 impl RpcServer {
@@ -254,6 +257,7 @@ impl RpcServer {
             in_flight,
             frames: AtomicU64::new(0),
             accepted: AtomicU64::new(0),
+            panics: AtomicU64::new(0),
         });
         let mut worker_threads = Vec::with_capacity(workers);
         for i in 0..workers {
@@ -298,6 +302,12 @@ impl RpcServer {
     /// matter how many requests are in flight.
     pub fn connections_accepted(&self) -> u64 {
         self.shared.accepted.load(Ordering::Relaxed)
+    }
+
+    /// Requests whose handler panicked. Each was answered with
+    /// [`Error::Internal`] and cost neither its worker nor its connection.
+    pub fn handler_panics(&self) -> u64 {
+        self.shared.panics.load(Ordering::Relaxed)
     }
 
     /// Stops accepting, closes every open connection, drains the queue,
@@ -447,9 +457,10 @@ fn parks_a_thread(service: &RpcService, body: &[u8]) -> bool {
 fn offload(service: &RpcService, shared: &Arc<Shared>, job: Job) {
     shared.offloads.lock().retain(|h| !h.is_finished());
     let service = service.clone();
+    let worker_shared = Arc::clone(shared);
     if let Ok(handle) = std::thread::Builder::new()
         .name("rpc-wait".into())
-        .spawn(move || serve_job(&service, job))
+        .spawn(move || serve_job(&service, &worker_shared, job))
     {
         shared.offloads.lock().push(handle);
     }
@@ -474,22 +485,32 @@ fn worker_loop(service: RpcService, shared: Arc<Shared>) {
             }
         };
         match job {
-            Some(job) => serve_job(&service, job),
+            Some(job) => serve_job(&service, &shared, job),
             None => return,
         }
     }
 }
 
 /// Dispatches one request and writes its response frame, echoing the
-/// request id so the client's demux can route it.
-fn serve_job(service: &RpcService, job: Job) {
+/// request id so the client's demux can route it. A handler that panics
+/// is answered [`Error::Internal`] and counted: the worker and the
+/// connection both serve the next request.
+fn serve_job(service: &RpcService, shared: &Shared, job: Job) {
     let Job {
         writer,
         req_id,
         body,
         _track: track,
     } = job;
-    let response = dispatch(service, &body);
+    let response =
+        catch_unwind(AssertUnwindSafe(|| dispatch(service, &body))).unwrap_or_else(|panic| {
+            shared.panics.fetch_add(1, Ordering::Relaxed);
+            let why = (panic.downcast_ref::<&str>().copied())
+                .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("non-string payload");
+            let e = Error::Internal(format!("{} handler panicked: {why}", service.name()));
+            encode_response(Err(e))
+        });
     // End the tracked span before the response leaves: once the frame is
     // on the wire the client may already be issuing its next request to
     // another server, and a serial client overlapping with our own

@@ -147,7 +147,8 @@ fn read_header_varint(
 /// the connection between requests).
 ///
 /// The two header varints are read a byte at a time, so hand this a
-/// buffered reader; the body is read straight into the returned vector.
+/// buffered reader; the body is read straight into the returned vector,
+/// with no zero-fill first where the reader takes uninitialized memory.
 pub fn read_frame(stream: &mut impl Read) -> Result<Option<(u64, Vec<u8>)>> {
     let Some((len, _)) = read_header_varint(stream, "frame length", 10)? else {
         return Ok(None); // clean EOF
@@ -160,10 +161,17 @@ pub fn read_frame(stream: &mut impl Read) -> Result<Option<(u64, Vec<u8>)>> {
     let Some((req_id, id_len)) = read_header_varint(stream, "request id", len)? else {
         return Err(Error::Transport("eof before request id".into()));
     };
-    let mut body = vec![0u8; (len - id_len) as usize];
-    stream
-        .read_exact(&mut body)
+    let n = len - id_len;
+    let mut body = Vec::with_capacity(n as usize);
+    let got = stream
+        .take(n)
+        .read_to_end(&mut body)
         .map_err(|e| transport("read frame body", e))?;
+    if got as u64 != n {
+        return Err(Error::Transport(format!(
+            "eof after {got} of a {n}-byte frame body"
+        )));
+    }
     Ok(Some((req_id, body)))
 }
 
@@ -665,7 +673,11 @@ mod tests {
         }
         assert!(read_frame(&mut reader).unwrap().is_none(), "clean EOF");
         // A body larger than the buffer is read into its own vector, not
-        // through the buffer: a few calls, not one per buffer-full.
+        // through the buffer: a few calls, not one per buffer-full (128).
+        // `read_to_end` offers a reader that initializes what it is handed,
+        // like this one, chunks doubling from 8 KiB — the header fill plus
+        // 8 KiB … 512 KiB plus the tail; a socket writes uninitialized
+        // memory and is offered the whole rest after its first short read.
         let mut wire = Vec::new();
         write_frame(&mut wire, 9, &vec![7u8; 1 << 20]).unwrap();
         let mut reader = std::io::BufReader::new(Counted {
@@ -674,7 +686,40 @@ mod tests {
         });
         let (_, body) = read_frame(&mut reader).unwrap().unwrap();
         assert_eq!(body, vec![7u8; 1 << 20]);
-        assert!(reader.get_ref().calls <= 3, "{}", reader.get_ref().calls);
+        assert!(reader.get_ref().calls <= 10, "{}", reader.get_ref().calls);
+    }
+
+    #[test]
+    fn a_body_is_read_to_exactly_its_length() {
+        for len in [0usize, 1, 8191, 8192, 8193, 300_000] {
+            let body: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+            let mut wire = Vec::new();
+            write_frame(&mut wire, 5, &body).unwrap();
+            write_frame(&mut wire, 6, b"next").unwrap();
+            let mut reader = std::io::BufReader::new(&wire[..]);
+            let (id, got) = read_frame(&mut reader).unwrap().unwrap();
+            assert_eq!((id, &got), (5, &body), "{len}-byte body");
+            assert_eq!(got.capacity(), len, "sized once, never grown");
+            // Not a byte of the next frame was taken.
+            let (id, got) = read_frame(&mut reader).unwrap().unwrap();
+            assert_eq!((id, &got[..]), (6, &b"next"[..]));
+        }
+    }
+
+    #[test]
+    fn a_truncated_body_is_a_transport_error() {
+        for len in [1usize, 100, 20_000] {
+            let mut wire = Vec::new();
+            write_frame(&mut wire, 3, &vec![1u8; len]).unwrap();
+            for cut in [2, wire.len() / 2, wire.len() - 1] {
+                let mut reader = std::io::BufReader::new(&wire[..cut]);
+                let err = read_frame(&mut reader).unwrap_err();
+                assert!(
+                    matches!(err, Error::Transport(_)),
+                    "{len} cut at {cut}: {err}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -697,6 +742,13 @@ mod tests {
         let buf = prefix.into_vec();
         let err = read_frame(&mut &buf[..]).unwrap_err();
         assert!(matches!(err, Error::Transport(_)), "{err}");
+        // Rejected on the prefix alone: a body behind it is never read.
+        let mut wire = buf.clone();
+        wire.extend_from_slice(&[0u8; 64]);
+        let mut reader = &wire[..];
+        let err = read_frame(&mut reader).unwrap_err();
+        assert!(matches!(err, Error::Transport(_)), "{err}");
+        assert_eq!(reader.len(), 64, "nothing past the prefix consumed");
     }
 
     #[test]

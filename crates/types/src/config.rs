@@ -99,10 +99,10 @@ pub struct BlobSeerConfig {
     /// Worker threads per RPC server listener — the degree of request
     /// parallelism one service process offers.
     pub rpc_server_workers: usize,
-    /// Byte budget of the client-side hot-read cache over blocks and
-    /// metadata tree nodes. `0` disables caching — the default, and what
-    /// the figure reproductions run with (the paper's curves are
-    /// cache-cold; see `docs/REPRODUCING.md`).
+    /// Byte budget of the client-side hot-read block cache of an RPC
+    /// deployment. `0` disables it — the default, and what the figure
+    /// reproductions run with (the paper's curves are cache-cold; see
+    /// `docs/REPRODUCING.md`). Tree nodes are not in this budget.
     pub read_cache_bytes: u64,
     /// Threads in the client's fan-out I/O pool, which overlaps
     /// per-provider batches across the data, fetch, publish and GC phases.

@@ -21,10 +21,10 @@
 //!    every family appears on the *sequential* side of a pairing too: a
 //!    batch of one must be as good as any batch.
 //!
-//! 4. **Cached ≡ uncached** (PR 7): the hot-read LRU decorators
-//!    (`CachedBlockStore`/`CachedMetaStore`) must be observationally
-//!    invisible under every script — including conflicts, deletes and
-//!    evictions forced by a tiny byte budget.
+//! 4. **Cached ≡ uncached** (PR 7): the hot-read block LRU
+//!    (`CachedBlockStore`) and the inner-node cache inside `RpcMetaStore`
+//!    must be observationally invisible under every script — including
+//!    conflicts, deletes and evictions forced by a tiny byte budget.
 //!
 //! 5. **Disk-backed ≡ in-memory** (this PR): the append-only stores of
 //!    `blobseer-disk` must answer every op script exactly like the
@@ -41,10 +41,10 @@ use blobseer_core::faults::{FaultPlan, PutFault};
 use blobseer_core::meta::key::{NodeKey, Pos};
 use blobseer_core::meta::node::{BlockDescriptor, NodeRef, TreeNode};
 use blobseer_core::ports::{BlockStore, MetaStore};
-use blobseer_core::{BlobSeer, CachedBlockStore, CachedMetaStore, EngineStats, WriteIntent};
+use blobseer_core::{BlobSeer, CachedBlockStore, EngineStats, WriteIntent};
 use blobseer_disk::testutil::TempDir;
 use blobseer_disk::{DiskMetaStore, DiskProviderSet};
-use blobseer_rpc::LoopbackCluster;
+use blobseer_rpc::{LoopbackCluster, RpcMetaStore, RpcServer, RpcService};
 use blobseer_types::wire::{error_fixture, WireReader, WireWriter};
 use blobseer_types::{BlobId, BlobSeerConfig, BlockId, Error, NodeId, Version};
 use bytes::Bytes;
@@ -267,7 +267,18 @@ fn meta_key(k: u8) -> NodeKey {
     )
 }
 
+/// Even keys hold inner nodes (what `RpcMetaStore` caches), odd keys
+/// leaves (what it never does).
 fn meta_node(k: u8, salted: bool) -> TreeNode {
+    if k.is_multiple_of(2) {
+        return TreeNode::Inner {
+            left: Some(NodeRef {
+                blob: BlobId::new(1),
+                version: Version::new(1 + salted as u64),
+            }),
+            right: None,
+        };
+    }
     TreeNode::Leaf(BlockDescriptor {
         block_id: BlockId::new(k as u64 * 2 + salted as u64),
         providers: vec![0],
@@ -380,20 +391,38 @@ proptest! {
         assert_block_batches_match_singles(&script, &bare, &cached, None);
     }
 
-    /// Same for the metadata-tree decorator, including conflicting re-puts
-    /// (the cache must keep serving the *stored* node, never the refused
-    /// one) and deletes under eviction pressure — batched over the cache
-    /// against singles on the bare DHT, then the other way round.
+    /// Same for the inner-node cache of the RPC metadata adapter, warmed
+    /// first — every key stored unsalted and read once through it — so
+    /// conflicting re-puts must keep answering the *stored* node, and a
+    /// delete followed by a re-put of the other salt must answer the new
+    /// one: batched over the warm adapter against singles on a bare DHT
+    /// given the same prefix, then the other way round.
     #[test]
-    fn cached_meta_store_is_observationally_transparent(script in meta_script()) {
-        let cached = || CachedMetaStore::new(
-            Arc::new(MetaDht::with_stripes(4, 1, 32)),
-            200,
-            Arc::new(EngineStats::new()),
-        );
-        let bare = || MetaDht::with_stripes(4, 1, 32);
-        assert_meta_batches_match_singles(&script, &cached(), &bare());
-        assert_meta_batches_match_singles(&script, &bare(), &cached());
+    fn warmed_rpc_meta_store_is_observationally_transparent(script in meta_script()) {
+        let warm_prefix: Vec<(NodeKey, TreeNode)> =
+            (0..=255u8).map(|k| (meta_key(k), meta_node(k, false))).collect();
+        let keys: Vec<NodeKey> = warm_prefix.iter().map(|(key, _)| *key).collect();
+        let bare = || {
+            let dht = MetaDht::with_stripes(4, 1, 32);
+            dht.put_many(&warm_prefix);
+            dht
+        };
+        for rpc_batched in [true, false] {
+            let server = RpcServer::spawn(RpcService::Meta(Arc::new(bare()))).unwrap();
+            let stats = Arc::new(EngineStats::new());
+            let rpc = RpcMetaStore::connect_with(server.addr(), Arc::clone(&stats), 1).unwrap();
+            // Cold, then warm: the 128 inner nodes hit, the leaves miss.
+            for _ in 0..2 {
+                prop_assert_eq!(rpc.get_many(&keys), bare().get_many(&keys));
+            }
+            let warm = stats.snapshot();
+            prop_assert_eq!((warm.cache_hits, warm.cache_misses), (128, 256 + 128));
+            if rpc_batched {
+                assert_meta_batches_match_singles(&script, &rpc, &bare());
+            } else {
+                assert_meta_batches_match_singles(&script, &bare(), &rpc);
+            }
+        }
     }
 }
 

@@ -588,3 +588,333 @@ proptest! {
         }
     }
 }
+
+// --- a warm descent cache never lies ----------------------------------------
+
+/// One step of a random history on a loopback cluster: appends and
+/// overwrites (past the end: holes), an aborted-then-repaired write, a
+/// branch (written into once), `collect_before` and `delete_blob` of the
+/// newest branch.
+#[derive(Clone, Debug)]
+enum Step {
+    Append { val: u8, len: u8 },
+    Write { offset: u16, val: u8, len: u8 },
+    Abort { offset: u16, len: u8 },
+    Branch { at: prop::sample::Index, val: u8 },
+    Collect { keep: prop::sample::Index },
+    DeleteBranch,
+}
+
+fn step_strategy() -> impl Strategy<Value = Step> {
+    let write = || {
+        (0u16..1200, any::<u8>(), 1u8..=200).prop_map(|(offset, val, len)| Step::Write {
+            offset,
+            val,
+            len,
+        })
+    };
+    let branch = || {
+        (any::<prop::sample::Index>(), any::<u8>()).prop_map(|(at, val)| Step::Branch { at, val })
+    };
+    let collect = || any::<prop::sample::Index>().prop_map(|keep| Step::Collect { keep });
+    // Overwrites, branches and collections weigh double: a branch point
+    // above a collected overwrite is where a warm reader can descend into
+    // a tree that is partly gone.
+    prop_oneof![
+        (any::<u8>(), 1u8..=200).prop_map(|(val, len)| Step::Append { val, len }),
+        write(),
+        write(),
+        (0u16..1200, 1u8..=200).prop_map(|(offset, len)| Step::Abort { offset, len }),
+        branch(),
+        branch(),
+        collect(),
+        collect(),
+        (0u8..1).prop_map(|_| Step::DeleteBranch),
+    ]
+}
+
+/// A metadata port that refuses the root level of the next publish it is
+/// armed for, after every level below it landed: the aborted writer leaves
+/// inner nodes and leaves behind for its repair to re-put or replace.
+struct RefuseRootOnce {
+    inner: Arc<dyn MetaStore>,
+    armed: Arc<std::sync::atomic::AtomicBool>,
+}
+
+impl MetaStore for RefuseRootOnce {
+    fn put_levels(&self, levels: &[Vec<(NodeKey, TreeNode)>]) -> Vec<Vec<Result<()>>> {
+        let Some((root, below)) = levels.split_last() else {
+            return Vec::new();
+        };
+        if !self.armed.swap(false, std::sync::atomic::Ordering::SeqCst) {
+            return self.inner.put_levels(levels);
+        }
+        let mut out = self.inner.put_levels(below);
+        out.push(
+            root.iter()
+                .map(|_| Err(Error::WriteAborted("refused root".into())))
+                .collect(),
+        );
+        out
+    }
+    fn put_many(&self, items: &[(NodeKey, TreeNode)]) -> Vec<Result<()>> {
+        self.inner.put_many(items)
+    }
+    fn get_many(&self, keys: &[NodeKey]) -> Vec<Result<TreeNode>> {
+        self.inner.get_many(keys)
+    }
+    fn delete_many(&self, keys: &[NodeKey]) -> Vec<Result<bool>> {
+        self.inner.delete_many(keys)
+    }
+    fn shard_count(&self) -> usize {
+        self.inner.shard_count()
+    }
+    fn node_count(&self) -> usize {
+        self.inner.node_count()
+    }
+    fn shard_stats(&self) -> Vec<(usize, u64, u64)> {
+        self.inner.shard_stats()
+    }
+    fn crash_shard(&self, shard: usize) {
+        self.inner.crash_shard(shard)
+    }
+}
+
+/// A client deployment on `cluster` over the RPC adapters, with the
+/// metadata port `dht` builds and, if asked, the block LRU.
+fn rpc_deployment(
+    cluster: &blobseer_rpc::LoopbackCluster,
+    dht: impl FnOnce(Arc<dyn MetaStore>) -> Arc<dyn MetaStore>,
+    block_lru: bool,
+) -> Arc<BlobSeer> {
+    use blobseer_rpc::{
+        RpcBlockStore, RpcGcService, RpcMetaStore, RpcPlacementService, RpcVersionService,
+    };
+    let stats = Arc::new(EngineStats::new());
+    let mut providers: Arc<dyn blobseer_core::BlockStore> =
+        Arc::new(RpcBlockStore::connect(cluster.block_addrs(), Arc::clone(&stats)).unwrap());
+    if block_lru {
+        providers = Arc::new(blobseer_core::CachedBlockStore::new(
+            providers,
+            1 << 20,
+            Arc::clone(&stats),
+        ));
+    }
+    let meta = RpcMetaStore::connect(cluster.meta_addr(), Arc::clone(&stats)).unwrap();
+    let ports = blobseer_core::EnginePorts {
+        providers,
+        dht: dht(Arc::new(meta)),
+        vm: Arc::new(RpcVersionService::connect(cluster.vm_addr(), Arc::clone(&stats)).unwrap()),
+        pm: Arc::new(
+            RpcPlacementService::connect(cluster.placement_addr(), Arc::clone(&stats)).unwrap(),
+        ),
+        gc: Some(Arc::new(
+            RpcGcService::connect(cluster.gc_addr(), Arc::clone(&stats)).unwrap(),
+        )),
+        stats,
+        observer: Arc::new(blobseer_core::NoopObserver),
+    };
+    BlobSeer::deploy_ports(cluster.config().clone(), ports)
+}
+
+/// What a BLOB of the model holds: every version's bytes (index = version
+/// − 1), whether it was deleted, and — for a branch — its branch point.
+struct ModelBlob {
+    id: BlobId,
+    versions: Vec<Vec<u8>>,
+    branched_at: Option<u64>,
+    deleted: bool,
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The descent cache cannot lie. After every step of a random history,
+    /// a deployment whose `RpcMetaStore` has read every version after every
+    /// earlier step — alone, and with the block LRU — reads every live
+    /// version exactly as a fresh, cold deployment does, and as the model
+    /// says. A collected
+    /// or deleted version may still read (its leaves are fetched, never
+    /// cached), but only as the exact bytes it held; otherwise it fails
+    /// with `NoSuchVersion`, `NoSuchBlob` or `MissingMetadata`.
+    #[test]
+    fn a_warm_deployment_reads_like_a_fresh_one(steps in proptest::collection::vec(step_strategy(), 1..20)) {
+        let cfg = BlobSeerConfig::small_for_tests().with_block_size(BLOCK);
+        let cluster = blobseer_rpc::LoopbackCluster::boot(cfg, 2).unwrap();
+        let refuse = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let writer_sys = rpc_deployment(&cluster, |inner| {
+            Arc::new(RefuseRootOnce { inner, armed: Arc::clone(&refuse) })
+        }, false);
+        let writer = writer_sys.client(NodeId::new(1));
+        // Two warm readers: the inner-node cache alone, and with the block
+        // LRU in front of the providers too.
+        let warm_sys = cluster.deploy().unwrap();
+        let warm = warm_sys.client(NodeId::new(2));
+        let lru_sys = rpc_deployment(&cluster, |inner| inner, true);
+        let warm_lru = lru_sys.client(NodeId::new(3));
+        let mut blobs = vec![ModelBlob {
+            id: writer.create(),
+            versions: Vec::new(),
+            branched_at: None,
+            deleted: false,
+        }];
+        // Main's versions up to here are collected.
+        let mut collected = 0u64;
+        // Live multi-block versions read before, and how often one was
+        // read again (each such re-read crosses at least one cached node).
+        let (mut seen, mut rereads) = (std::collections::HashSet::new(), 0);
+
+        for step in &steps {
+            let main = &mut blobs[0];
+            let head = main.versions.last().cloned().unwrap_or_default();
+            match step.clone() {
+                Step::Append { val, len } => {
+                    let data = vec![val; len as usize];
+                    let (off, v) = writer.append(main.id, &data).unwrap();
+                    prop_assert_eq!(off as usize, head.len());
+                    prop_assert_eq!(v.raw() as usize, main.versions.len() + 1);
+                    main.versions.push([head, data].concat());
+                }
+                Step::Write { offset, val, len } => {
+                    let data = vec![val; len as usize];
+                    writer.write(main.id, offset as u64, &data).unwrap();
+                    let mut next = head;
+                    let end = offset as usize + data.len();
+                    next.resize(next.len().max(end), 0);
+                    next[offset as usize..end].copy_from_slice(&data);
+                    main.versions.push(next);
+                }
+                Step::Abort { offset, len } => {
+                    refuse.store(true, std::sync::atomic::Ordering::SeqCst);
+                    let err = writer.write(main.id, offset as u64, &vec![0xEE; len as usize]);
+                    prop_assert!(matches!(err, Err(Error::WriteAborted(_))), "{:?}", err);
+                    // Repaired: the previous bytes, zeros where it extended.
+                    let mut next = head;
+                    next.resize(next.len().max(offset as usize + len as usize), 0);
+                    main.versions.push(next);
+                }
+                Step::Branch { at, val } => {
+                    if main.versions.is_empty() {
+                        continue;
+                    }
+                    let live = main.versions.len() as u64 - collected;
+                    let at = collected + 1 + at.index(live as usize) as u64;
+                    let fork = warm.branch(main.id, Version::new(at)).unwrap();
+                    let mut versions = main.versions[..at as usize].to_vec();
+                    let base = versions[at as usize - 1].clone();
+                    writer.append(fork, &[val; 50]).unwrap();
+                    versions.push([base, vec![val; 50]].concat());
+                    blobs.push(ModelBlob { id: fork, versions, branched_at: Some(at), deleted: false });
+                }
+                Step::Collect { keep } => {
+                    let latest = main.versions.len() as u64;
+                    if latest <= collected + 1 {
+                        continue;
+                    }
+                    let keep = collected + 2 + keep.index((latest - collected - 1) as usize) as u64;
+                    warm.gc_before(main.id, Version::new(keep)).unwrap();
+                    collected = keep - 1;
+                }
+                Step::DeleteBranch => {
+                    if let Some(fork) = blobs.iter_mut().rev().find(|b| b.branched_at.is_some() && !b.deleted) {
+                        warm.delete_blob(fork.id).unwrap();
+                        fork.deleted = true;
+                    }
+                }
+            }
+
+            let fresh_sys = cluster.deploy().unwrap();
+            let fresh = fresh_sys.client(NodeId::new(4));
+            for blob in &blobs {
+                for (i, expect) in blob.versions.iter().enumerate() {
+                    let v = i as u64 + 1;
+                    let live = !blob.deleted
+                        && match blob.branched_at {
+                            None => v > collected,
+                            Some(at) => v >= at || v > collected,
+                        };
+                    let len = expect.len() as u64;
+                    if live && len > BLOCK && !seen.insert((blob.id, v)) {
+                        rereads += 1;
+                    }
+                    for (who, c) in [("warm", &warm), ("warm+lru", &warm_lru), ("fresh", &fresh)] {
+                        let got = c.read(blob.id, Some(Version::new(v)), 0, len);
+                        let exact = matches!(&got, Ok(bytes) if bytes[..] == expect[..]);
+                        let gone = matches!(
+                            got,
+                            Err(Error::NoSuchVersion { .. } | Error::NoSuchBlob(_) | Error::MissingMetadata(_))
+                        );
+                        prop_assert!(
+                            exact || (!live && gone),
+                            "{} read of {} v{} (live: {}) after {:?}: {:?}",
+                            who, blob.id, v, live, step, got.map(|b| b.len())
+                        );
+                    }
+                }
+            }
+        }
+        for sys in [&warm_sys, &lru_sys] {
+            let hits = sys.stats().snapshot().cache_hits;
+            prop_assert!(rereads == 0 || hits > 0, "{} re-reads, no cache hit", rereads);
+        }
+    }
+}
+
+/// The case the property above meets only now and then, pinned: a branch
+/// keeps history below its branch point readable until the parent
+/// collects it. A warm reader then descends through cached inner nodes of
+/// the collected trees and stops at the first leaf GC freed — with the
+/// same `MissingMetadata` a cold reader gets one level up, never with a
+/// missing block behind a stale leaf, never with other bytes.
+#[test]
+fn a_descent_through_cached_nodes_of_a_collected_tree_stops_at_its_freed_leaf() {
+    let cluster = blobseer_rpc::LoopbackCluster::boot(
+        BlobSeerConfig::small_for_tests().with_block_size(BLOCK),
+        2,
+    )
+    .unwrap();
+    let writer_sys = cluster.deploy().unwrap();
+    let writer = writer_sys.client(NodeId::new(1));
+    let warm_sys = cluster.deploy().unwrap();
+    let warm = warm_sys.client(NodeId::new(2));
+    let blob = writer.create();
+    let n = BLOCK as usize;
+    writer.write(blob, 0, &vec![1u8; 2 * n]).unwrap();
+    writer.write(blob, 0, &vec![2u8; n]).unwrap();
+    writer.write(blob, BLOCK, &vec![3u8; n]).unwrap();
+    let fork = warm.branch(blob, Version::new(3)).unwrap();
+    let read =
+        |c: &blobseer_core::BlobClient, v: u64| c.read(fork, Some(Version::new(v)), 0, 2 * BLOCK);
+    assert_eq!(read(&warm, 1).unwrap().to_vec(), vec![1u8; 2 * n]);
+    assert_eq!(
+        read(&warm, 2).unwrap().to_vec(),
+        [vec![2u8; n], vec![1u8; n]].concat()
+    );
+
+    // v1 and v2 go; the fork pins v3 only.
+    warm.gc_before(blob, Version::new(3)).unwrap();
+    let fresh_sys = cluster.deploy().unwrap();
+    let fresh = fresh_sys.client(NodeId::new(3));
+    let hits = warm_sys.stats().snapshot().cache_hits;
+    for (v, freed_leaf) in [(1, "v1@(0,1)"), (2, "v1@(1,1)")] {
+        let got = read(&warm, v);
+        assert!(
+            matches!(&got, Err(Error::MissingMetadata(k)) if k.ends_with(freed_leaf)),
+            "warm v{v}: {got:?}"
+        );
+        let root = format!("v{v}@(0,2)");
+        let got = read(&fresh, v);
+        assert!(
+            matches!(&got, Err(Error::MissingMetadata(k)) if k.ends_with(&root)),
+            "fresh v{v}: {got:?}"
+        );
+    }
+    assert_eq!(
+        warm_sys.stats().snapshot().cache_hits - hits,
+        2,
+        "both roots were cached"
+    );
+    let v3 = [vec![2u8; n], vec![3u8; n]].concat();
+    assert_eq!(read(&warm, 3).unwrap().to_vec(), v3);
+    assert_eq!(read(&fresh, 3).unwrap().to_vec(), v3);
+}

@@ -204,6 +204,23 @@ fn vectored_ports_cost_frames_proportional_to_levels_not_blocks() {
             + (after_read.control_round_trips - before.control_round_trips)
     );
 
+    // The cold read left the tree's 63 inner nodes in the metadata
+    // adapter: the re-read descends through them locally and fetches the
+    // leaf level in one frame — 2 + 1 + 4 = 7. The descent still visits
+    // (and counts) all 127 nodes.
+    let again = c.read(blob, None, 0, data.len() as u64).unwrap();
+    assert_eq!(again, full);
+    let after_reread = sys.stats().snapshot();
+    assert_eq!(
+        after_reread.port_round_trips - after_read.port_round_trips,
+        7
+    );
+    assert_eq!(
+        after_reread.meta_nodes_read - after_read.meta_nodes_read,
+        127
+    );
+    assert_eq!(after_reread.cache_hits - after_read.cache_hits, 63);
+
     // And the bytes agree with the in-memory backend end to end.
     let mem = BlobSeer::deploy(cfg, 4);
     let mc = mem.client(NodeId::new(0));
@@ -214,6 +231,48 @@ fn vectored_ports_cost_frames_proportional_to_levels_not_blocks() {
         full,
         "vectored RPC backend is byte-identical to in-memory"
     );
+}
+
+/// A 4 KiB-style one-block read at the head of a long append log: cold,
+/// the descent pays one frame per tree level (history 1 / 1024 / 8192 →
+/// 4 / 14 / 17 frames: latest + snapshot info + levels + block). Warm, the
+/// inner nodes it crossed are cached and only the leaf level crosses the
+/// wire: 4 frames at every depth. The cold counts are `perf counts`'
+/// `rpc_append_log.read.h*` rows; appends never fill the cache.
+#[test]
+fn a_warm_descent_costs_four_frames_at_any_history_depth() {
+    let cluster = cluster_with_block(64, 4);
+    let sys = cluster.deploy().unwrap();
+    let c = sys.client(NodeId::new(100));
+    let blob = c.create();
+    for n in 1..=8192u64 {
+        let block = [(n % 251) as u8; 64];
+        let (offset, _) = c.append(blob, &block).unwrap();
+        let levels = match n {
+            1 => 1,
+            1024 => 11,
+            8192 => 14,
+            _ => continue,
+        };
+        for (pass, frames) in [("cold", 3 + levels), ("warm", 4)] {
+            let (served, before) = (cluster.frames_served(), sys.stats().snapshot());
+            let got = c.read(blob, None, offset, 64).unwrap();
+            let after = sys.stats().snapshot();
+            assert_eq!(&got[..], &block[..], "h{n} {pass}");
+            assert_eq!(
+                cluster.frames_served() - served,
+                frames,
+                "h{n} {pass}: frames"
+            );
+            assert_eq!(after.port_round_trips - before.port_round_trips, frames);
+            assert_eq!(after.control_round_trips, before.control_round_trips);
+            assert_eq!(
+                after.meta_nodes_read - before.meta_nodes_read,
+                levels,
+                "h{n} {pass}: the descent visits every level"
+            );
+        }
+    }
 }
 
 #[test]

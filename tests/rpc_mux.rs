@@ -1,6 +1,7 @@
 //! The multiplexed transport: many in-flight requests per connection, a
-//! bounded socket budget, transparent redial after a server restart, and
-//! the opt-in hot-read cache tier.
+//! bounded socket budget, transparent redial after a server restart,
+//! workers that survive a panicking handler, and the read caches (the
+//! opt-in block LRU and the metadata adapter's inner-node cache).
 //!
 //! The old transport model spent one TCP connection per in-flight request
 //! (a parked `wait_revealed` pinned a whole socket). These tests pin down
@@ -17,7 +18,7 @@ use blobseer_core::{EngineStats, WriteIntent};
 use blobseer_rpc::{LoopbackCluster, RpcBlockStore, RpcMetaStore, RpcServer, RpcService};
 use blobseer_types::{BlobId, BlobSeerConfig, BlockId, Error, NodeId, Version};
 use bytes::Bytes;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
@@ -263,54 +264,182 @@ fn read_cache_serves_hot_snapshots_and_reports_hits() {
     let sys = cluster.deploy().unwrap();
     let c = sys.client(NodeId::new(0));
 
+    // 16 blocks: a tree of 15 inner nodes over 16 leaves, 5 levels.
     let blob = c.create();
     let payload: Vec<u8> = (0..16 * BLOCK).map(|i| (i / 3) as u8).collect();
     c.write(blob, 0, &payload).unwrap();
 
-    // Write-allocate: the writer's own cache was populated by the puts,
-    // so reading back its own blob never re-fetches a block.
+    // Blocks are write-allocate, so the writer's read-back fetches no
+    // block; tree nodes are read-allocate, so its descent misses all 31.
+    let trips = |snap: &blobseer_core::StatsSnapshot| snap.port_round_trips;
+    let before = sys.stats().snapshot();
     let first = c.read(blob, None, 0, payload.len() as u64).unwrap();
     assert_eq!(&first[..], &payload[..]);
-    let writer_snap = sys.stats().snapshot();
-    assert!(
-        writer_snap.cache_hits > 0,
-        "write-allocate must serve the writer's read-back from cache"
-    );
-    assert_eq!(
-        writer_snap.cache_misses, 0,
-        "the writer populated every block and tree node it reads back"
-    );
+    let writer = sys.stats().snapshot();
+    assert_eq!((writer.cache_hits, writer.cache_misses), (16, 31));
+    assert_eq!(trips(&writer) - trips(&before), 2 + 5, "no block frame");
 
-    // A second deployment starts cold: its first read pays misses over
-    // the wire, the hot re-read is served from its own cache with fewer
-    // round trips.
+    // A second deployment starts cold: every block and node misses and
+    // the read costs its full 2 + 5 levels + 2 providers frames …
     let sys2 = cluster.deploy().unwrap();
     let c2 = sys2.client(NodeId::new(9));
+    let start = sys2.stats().snapshot();
     let cold = c2.read(blob, None, 0, payload.len() as u64).unwrap();
     assert_eq!(&cold[..], &payload[..]);
     let after_cold = sys2.stats().snapshot();
-    assert!(
-        after_cold.cache_misses > 0,
-        "the cold read populates via misses"
+    assert_eq!(
+        (after_cold.cache_hits, after_cold.cache_misses),
+        (0, 16 + 31)
     );
+    assert_eq!(trips(&after_cold) - trips(&start), 2 + 5 + 2);
 
+    // … and the hot re-read hits every block and every inner node: only
+    // the leaf level crosses the wire besides the version manager.
     let warm = c2.read(blob, None, 0, payload.len() as u64).unwrap();
     assert_eq!(&warm[..], &payload[..]);
     let after_warm = sys2.stats().snapshot();
-    assert!(
-        after_warm.cache_hits > after_cold.cache_hits,
-        "the hot re-read must hit the cache"
-    );
-    assert_eq!(
-        after_warm.cache_misses, after_cold.cache_misses,
-        "nothing evicted under a 1 MiB budget: the re-read misses nothing"
-    );
-    let cold_trips = after_cold.port_round_trips;
-    let warm_trips = after_warm.port_round_trips - cold_trips;
-    assert!(
-        warm_trips < cold_trips,
-        "cached re-read took {warm_trips} round trips vs {cold_trips} cold"
-    );
+    assert_eq!(after_warm.cache_hits - after_cold.cache_hits, 16 + 15);
+    assert_eq!(after_warm.cache_misses - after_cold.cache_misses, 16);
+    assert_eq!(trips(&after_warm) - trips(&after_cold), 2 + 1);
+}
+
+/// A metadata server restarted on the same port over a *fresh* RAM store
+/// reuses every blob id the old one had. The adapter that cached the old
+/// store's inner nodes must drop them when its connections die, and answer
+/// what the new store holds: nothing.
+#[test]
+fn a_meta_server_restarted_over_a_fresh_store_is_not_answered_from_the_old_cache() {
+    use blobseer_core::dht::MetaDht;
+
+    let mut server =
+        RpcServer::spawn_with(RpcService::Meta(Arc::new(MetaDht::new(2, 1))), 2, 16).unwrap();
+    let addr = server.addr();
+    let stats = Arc::new(EngineStats::new());
+    let meta = RpcMetaStore::connect_with(addr, Arc::clone(&stats), 2).unwrap();
+    let key = |pos: u64| NodeKey::new(BlobId::new(1), Version::new(1), Pos::new(pos, 2));
+    let inner = TreeNode::Inner {
+        left: Some(NodeRef {
+            blob: BlobId::new(1),
+            version: Version::new(1),
+        }),
+        right: None,
+    };
+    meta.put(key(0), inner.clone()).unwrap();
+    assert_eq!(meta.get(&key(0)).unwrap(), inner);
+    let frames = server.frames_served();
+    assert_eq!(meta.get(&key(0)).unwrap(), inner);
+    assert_eq!(server.frames_served(), frames, "the re-read is a cache hit");
+    assert_eq!(stats.snapshot().cache_hits, 1);
+
+    server.shutdown();
+    drop(server);
+    // While it is down a write fails, so this adapter has seen a
+    // connection die by the time the server is back.
+    assert!(meta.put(key(2), inner.clone()).is_err());
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let server = loop {
+        let fresh = RpcService::Meta(Arc::new(MetaDht::new(2, 1)));
+        match RpcServer::spawn_at(addr, fresh, 2, 16) {
+            Ok(s) => break s,
+            Err(e) if Instant::now() < deadline => {
+                let _ = e;
+                std::thread::sleep(Duration::from_millis(50));
+            }
+            Err(e) => panic!("could not rebind {addr}: {e}"),
+        }
+    };
+    let got = meta.get(&key(0));
+    assert!(matches!(got, Err(Error::MissingMetadata(_))), "{got:?}");
+    assert_eq!(server.frames_served(), 1, "asked the new server");
+    // What the new store does hold is read, cached and served as usual.
+    meta.put(
+        key(0),
+        TreeNode::Inner {
+            left: None,
+            right: None,
+        },
+    )
+    .unwrap();
+    for _ in 0..2 {
+        assert_eq!(
+            meta.get(&key(0)).unwrap(),
+            TreeNode::Inner {
+                left: None,
+                right: None
+            }
+        );
+    }
+    assert_eq!(server.frames_served(), 3);
+}
+
+/// A metadata store whose `get_many` panics while `panics_left` lasts.
+struct PanickyMeta {
+    inner: blobseer_core::dht::MetaDht,
+    panics_left: AtomicUsize,
+}
+
+impl MetaStore for PanickyMeta {
+    fn put_many(&self, items: &[(NodeKey, TreeNode)]) -> Vec<Result<(), Error>> {
+        MetaStore::put_many(&self.inner, items)
+    }
+    fn get_many(&self, keys: &[NodeKey]) -> Vec<Result<TreeNode, Error>> {
+        let take = |n: usize| n.checked_sub(1);
+        if self
+            .panics_left
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, take)
+            .is_ok()
+        {
+            panic!("seeded handler panic");
+        }
+        MetaStore::get_many(&self.inner, keys)
+    }
+    fn delete_many(&self, keys: &[NodeKey]) -> Vec<Result<bool, Error>> {
+        MetaStore::delete_many(&self.inner, keys)
+    }
+    fn shard_count(&self) -> usize {
+        MetaStore::shard_count(&self.inner)
+    }
+    fn node_count(&self) -> usize {
+        MetaStore::node_count(&self.inner)
+    }
+    fn shard_stats(&self) -> Vec<(usize, u64, u64)> {
+        MetaStore::shard_stats(&self.inner)
+    }
+    fn crash_shard(&self, shard: usize) {
+        MetaStore::crash_shard(&self.inner, shard)
+    }
+}
+
+/// A handler panic is an answer, not a lost thread. Without the unwind
+/// guard each of these panics killed the worker that ran it — the client
+/// waited forever for the reply, and the fourth left the server with no
+/// worker at all.
+#[test]
+fn a_panicking_handler_costs_neither_its_worker_nor_its_connection() {
+    const WORKERS: usize = 4;
+    let spy = Arc::new(PanickyMeta {
+        inner: blobseer_core::dht::MetaDht::new(2, 1),
+        panics_left: AtomicUsize::new(WORKERS),
+    });
+    let server = RpcServer::spawn_with(RpcService::Meta(spy), WORKERS, 16).unwrap();
+    let meta = RpcMetaStore::connect_with(server.addr(), Arc::new(EngineStats::new()), 1).unwrap();
+    // A leaf: never cached, so every get reaches the handler.
+    let key = NodeKey::new(BlobId::new(1), Version::new(1), Pos::new(0, 1));
+    meta.put(key, TreeNode::LeafAlias(None)).unwrap();
+    for _ in 0..WORKERS {
+        let err = meta.get(&key).unwrap_err();
+        assert!(
+            matches!(&err, Error::Internal(why) if why.contains("seeded handler panic")),
+            "{err}"
+        );
+    }
+    assert_eq!(server.handler_panics(), WORKERS as u64);
+    // Every worker still serves, on the same connection.
+    for _ in 0..2 * WORKERS {
+        assert_eq!(meta.get(&key).unwrap(), TreeNode::LeafAlias(None));
+    }
+    assert_eq!(server.connections_accepted(), 1);
+    assert_eq!(server.handler_panics(), WORKERS as u64);
 }
 
 /// A block store that notes where in memory each item it is handed lies.
