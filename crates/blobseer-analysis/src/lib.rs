@@ -36,6 +36,11 @@
 //!   `fn put(`, `fn get(` or `fn delete(`: the batch forms are the port's
 //!   required methods and the single-item forms are provided over them,
 //!   so an adapter that writes its own is a second body of one operation.
+//! * [`one-codec`](RULE_ONE_CODEC) — a list loop read as `get_u64()? as
+//!   usize` or an id built as `::new(r.get_u64()?)` outside the two codec
+//!   files (`types/src/wire.rs`, `blobseer-core/src/meta/codec.rs`): a
+//!   count, a list or an id has one encoding, the `Wire` impl of its type,
+//!   and a hand-written decode is a second copy of it.
 //!
 //! Escape hatch: a finding is suppressed by `// lint:allow(rule): reason`
 //! on the same line or the immediately preceding one; the reason is
@@ -53,15 +58,17 @@ pub const RULE_NO_REAL_TIME: &str = "no-real-time";
 pub const RULE_NO_PANIC_DECODE: &str = "no-panic-decode";
 pub const RULE_NO_STAGING_COPY: &str = "no-staging-copy";
 pub const RULE_VECTORED_ONLY: &str = "vectored-only";
+pub const RULE_ONE_CODEC: &str = "one-codec";
 
 /// Every rule the lint knows, in reporting order.
-pub const ALL_RULES: [&str; 6] = [
+pub const ALL_RULES: [&str; 7] = [
     RULE_NO_UNWRAP,
     RULE_NO_STD_SYNC,
     RULE_NO_REAL_TIME,
     RULE_NO_PANIC_DECODE,
     RULE_NO_STAGING_COPY,
     RULE_VECTORED_ONLY,
+    RULE_ONE_CODEC,
 ];
 
 /// One lint violation.
@@ -107,13 +114,26 @@ const NO_UNWRAP_SCOPE: [&str; 8] = [
 /// Crates charged to `simnet::SimGate` virtual time.
 const NO_REAL_TIME_SCOPE: [&str; 3] = ["crates/simnet/", "crates/experiments/", "crates/hdfs-sim/"];
 
-/// Wire-decode files where a malformed peer frame must never panic.
-const NO_PANIC_DECODE_SCOPE: [&str; 5] = [
-    "crates/blobseer-rpc/src/wire.rs",
+/// The files holding `Wire` impls and the RPC response envelope, where
+/// malformed bytes — a peer's frame, a persisted record — must never panic.
+const NO_PANIC_DECODE_SCOPE: [&str; 9] = [
     "crates/types/src/wire.rs",
     "crates/blobseer-core/src/meta/codec.rs",
+    "crates/blobseer-rpc/src/wire.rs",
     "crates/blobseer-control/src/codec.rs",
     "crates/blobseer-control/src/replog.rs",
+    "crates/blobseer-disk/src/version_log.rs",
+    "crates/blobseer-disk/src/record_log.rs",
+    "crates/blobseer-disk/src/volume.rs",
+    "crates/bsfs/src/namespace.rs",
+];
+
+/// The two files that may read a count or an id off the wire by hand: the
+/// `Wire` impls of the integers, ids and `Vec<T>`, and of the core domain
+/// types.
+const ONE_CODEC_EXEMPT: [&str; 2] = [
+    "crates/types/src/wire.rs",
+    "crates/blobseer-core/src/meta/codec.rs",
 ];
 
 /// The block byte path: the files a payload crosses between the socket and
@@ -257,6 +277,7 @@ pub fn lint_source(rel: &str, source: &str) -> Vec<Finding> {
     let decode_scope = NO_PANIC_DECODE_SCOPE.contains(&rel.as_str());
     let std_sync_scope = !in_scope(&rel, &STD_SYNC_EXEMPT);
     let staging_copy_scope = NO_STAGING_COPY_SCOPE.contains(&rel.as_str());
+    let one_codec_scope = !ONE_CODEC_EXEMPT.contains(&rel.as_str());
 
     let mut findings = Vec::new();
     let mut in_block_comment = false;
@@ -369,6 +390,11 @@ pub fn lint_source(rel: &str, source: &str) -> Vec<Finding> {
                 cleaned.contains("Bytes::copy_from_slice") || cleaned.contains(".to_vec()"),
                 &mut findings,
             );
+        }
+        if one_codec_scope {
+            let hit = cleaned.contains("get_u64()? as usize")
+                || (cleaned.contains("::new(") && cleaned.contains(".get_u64()?)"));
+            check(RULE_ONE_CODEC, hit, &mut findings);
         }
 
         prev_allows = allows;

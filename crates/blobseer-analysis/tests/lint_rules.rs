@@ -4,7 +4,7 @@
 
 use blobseer_analysis::{
     lint_source, lint_workspace, workspace_root, RULE_NO_PANIC_DECODE, RULE_NO_REAL_TIME,
-    RULE_NO_STAGING_COPY, RULE_NO_STD_SYNC, RULE_NO_UNWRAP, RULE_VECTORED_ONLY,
+    RULE_NO_STAGING_COPY, RULE_NO_STD_SYNC, RULE_NO_UNWRAP, RULE_ONE_CODEC, RULE_VECTORED_ONLY,
 };
 
 fn fixture(name: &str) -> String {
@@ -122,6 +122,26 @@ fn vectored_only_rule_fires_on_single_item_bodies_in_store_impls() {
     );
     // Same scope as `no-unwrap`: harness crates may decorate as they like.
     assert!(lint_source("crates/bench/src/fixture.rs", &src).is_empty());
+}
+
+#[test]
+fn one_codec_rule_fires_on_hand_decoded_lists_and_ids_outside_the_codecs() {
+    let src = fixture("one_codec_violation.rs");
+    let findings = lint_source("crates/blobseer-rpc/src/client.rs", &src);
+    assert_eq!(findings.len(), 2, "list count + id: {findings:?}");
+    assert!(findings.iter().all(|f| f.rule == RULE_ONE_CODEC));
+    assert!(findings[0].excerpt.contains("as usize"), "{findings:?}");
+    assert!(findings[1].excerpt.contains("BlobId::new("), "{findings:?}");
+    // Harness crates are in scope too: there is one codec, everywhere.
+    assert_eq!(lint_source("crates/bench/src/fixture.rs", &src).len(), 2);
+    // The two files the impls live in are where these lines belong.
+    for rel in [
+        "crates/types/src/wire.rs",
+        "crates/blobseer-core/src/meta/codec.rs",
+    ] {
+        let hits = lint_source(rel, &src);
+        assert!(hits.iter().all(|f| f.rule != RULE_ONE_CODEC), "{rel}");
+    }
 }
 
 #[test]

@@ -1,4 +1,4 @@
-//! Wire codec for replicated version-manager commands.
+//! The [`Wire`] encoding of replicated version-manager commands.
 //!
 //! A [`Command`] is the unit of replication: the leader encodes one per
 //! successful mutating call, appends it to its log and ships it to the
@@ -7,10 +7,11 @@
 //! *persisted* bytes (crash recovery) as well as freshly produced ones,
 //! so every malformed input must surface as an [`Error`] — this file is
 //! in the workspace `no-panic-decode` lint scope.
+//!
+//! [`Error`]: blobseer_types::Error
 
-use blobseer_core::meta::codec::{get_write_intent, put_write_intent};
 use blobseer_core::version_manager::WriteIntent;
-use blobseer_types::wire::{WireReader, WireWriter};
+use blobseer_types::wire::{Wire, WireReader, WireWriter};
 use blobseer_types::{BlobId, Error, Result, Version};
 
 const CMD_CREATE_BLOB: u8 = 0;
@@ -75,78 +76,56 @@ pub enum CommandKind {
     },
 }
 
-/// Encodes `cmd` onto `w`.
-pub fn put_command(w: &mut WireWriter, cmd: &Command) {
-    w.put_u64(cmd.client_id);
-    w.put_u64(cmd.seq);
-    match cmd.kind {
-        CommandKind::CreateBlob => w.put_u8(CMD_CREATE_BLOB),
-        CommandKind::Branch { parent, at } => {
-            w.put_u8(CMD_BRANCH);
-            w.put_u64(parent.raw());
-            w.put_u64(at.raw());
-        }
-        CommandKind::Assign { blob, intent } => {
-            w.put_u8(CMD_ASSIGN);
-            w.put_u64(blob.raw());
-            put_write_intent(w, intent);
-        }
-        CommandKind::Commit { blob, version } => {
-            w.put_u8(CMD_COMMIT);
-            w.put_u64(blob.raw());
-            w.put_u64(version.raw());
-        }
-        CommandKind::DeleteBlob { blob } => {
-            w.put_u8(CMD_DELETE_BLOB);
-            w.put_u64(blob.raw());
-        }
-        CommandKind::CollectBefore { blob, keep_from } => {
-            w.put_u8(CMD_COLLECT_BEFORE);
-            w.put_u64(blob.raw());
-            w.put_u64(keep_from.raw());
+/// Submitter, sequence number, then a tag and the mutation's arguments.
+/// Malformed bytes (an unknown tag, a truncated field) are
+/// [`Error::Transport`], like every decode; the replica log reports them
+/// as [`Error::Storage`] (see [`crate::replog`]).
+impl Wire for Command {
+    fn put(&self, w: &mut WireWriter) {
+        (self.client_id, self.seq).put(w);
+        match self.kind {
+            CommandKind::CreateBlob => w.put_u8(CMD_CREATE_BLOB),
+            CommandKind::Branch { parent, at } => (CMD_BRANCH, parent, at).put(w),
+            CommandKind::Assign { blob, intent } => (CMD_ASSIGN, blob, intent).put(w),
+            CommandKind::Commit { blob, version } => (CMD_COMMIT, blob, version).put(w),
+            CommandKind::DeleteBlob { blob } => (CMD_DELETE_BLOB, blob).put(w),
+            CommandKind::CollectBefore { blob, keep_from } => {
+                (CMD_COLLECT_BEFORE, blob, keep_from).put(w)
+            }
         }
     }
-}
 
-/// Decodes one [`Command`] from `r`. Malformed bytes (an unknown tag, a
-/// truncated field) surface as [`Error::Storage`] — never a panic.
-pub fn get_command(r: &mut WireReader<'_>) -> Result<Command> {
-    let client_id = r.get_u64()?;
-    let seq = r.get_u64()?;
-    let kind = match r.get_u8()? {
-        CMD_CREATE_BLOB => CommandKind::CreateBlob,
-        CMD_BRANCH => CommandKind::Branch {
-            parent: BlobId::new(r.get_u64()?),
-            at: Version::new(r.get_u64()?),
-        },
-        CMD_ASSIGN => {
-            let blob = BlobId::new(r.get_u64()?);
-            let intent =
-                get_write_intent(r).map_err(|e| Error::Storage(format!("replicated log: {e}")))?;
-            CommandKind::Assign { blob, intent }
-        }
-        CMD_COMMIT => CommandKind::Commit {
-            blob: BlobId::new(r.get_u64()?),
-            version: Version::new(r.get_u64()?),
-        },
-        CMD_DELETE_BLOB => CommandKind::DeleteBlob {
-            blob: BlobId::new(r.get_u64()?),
-        },
-        CMD_COLLECT_BEFORE => CommandKind::CollectBefore {
-            blob: BlobId::new(r.get_u64()?),
-            keep_from: Version::new(r.get_u64()?),
-        },
-        t => {
-            return Err(Error::Storage(format!(
-                "replicated log: unknown command tag {t}"
-            )))
-        }
-    };
-    Ok(Command {
-        client_id,
-        seq,
-        kind,
-    })
+    fn get(r: &mut WireReader<'_>) -> Result<Self> {
+        let (client_id, seq) = <(u64, u64)>::get(r)?;
+        let kind = match r.get_u8()? {
+            CMD_CREATE_BLOB => CommandKind::CreateBlob,
+            CMD_BRANCH => {
+                let (parent, at) = Wire::get(r)?;
+                CommandKind::Branch { parent, at }
+            }
+            CMD_ASSIGN => {
+                let (blob, intent) = Wire::get(r)?;
+                CommandKind::Assign { blob, intent }
+            }
+            CMD_COMMIT => {
+                let (blob, version) = Wire::get(r)?;
+                CommandKind::Commit { blob, version }
+            }
+            CMD_DELETE_BLOB => CommandKind::DeleteBlob {
+                blob: BlobId::get(r)?,
+            },
+            CMD_COLLECT_BEFORE => {
+                let (blob, keep_from) = Wire::get(r)?;
+                CommandKind::CollectBefore { blob, keep_from }
+            }
+            t => return Err(Error::Transport(format!("wire: unknown command tag {t}"))),
+        };
+        Ok(Command {
+            client_id,
+            seq,
+            kind,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -154,12 +133,7 @@ mod tests {
     use super::*;
 
     fn roundtrip(cmd: Command) {
-        let mut w = WireWriter::new();
-        put_command(&mut w, &cmd);
-        let bytes = w.into_vec();
-        let mut r = WireReader::new(&bytes);
-        assert_eq!(get_command(&mut r).unwrap(), cmd);
-        r.finish().unwrap();
+        assert_eq!(Command::from_bytes(&cmd.to_bytes()).unwrap(), cmd);
     }
 
     #[test]
@@ -210,7 +184,7 @@ mod tests {
         w.put_u64(1);
         w.put_u8(99);
         let bytes = w.into_vec();
-        assert!(get_command(&mut WireReader::new(&bytes)).is_err());
+        assert!(Command::from_bytes(&bytes).is_err());
 
         // Unknown intent tag.
         let mut w = WireWriter::new();
@@ -220,28 +194,24 @@ mod tests {
         w.put_u64(3);
         w.put_u8(42);
         let bytes = w.into_vec();
-        assert!(get_command(&mut WireReader::new(&bytes)).is_err());
+        assert!(Command::from_bytes(&bytes).is_err());
 
         // Every truncation of a valid encoding errors cleanly.
-        let mut w = WireWriter::new();
-        put_command(
-            &mut w,
-            &Command {
-                client_id: 8,
-                seq: 21,
-                kind: CommandKind::Assign {
-                    blob: BlobId::new(3),
-                    intent: WriteIntent::Write {
-                        offset: 70_000,
-                        size: 300,
-                    },
+        let bytes = Command {
+            client_id: 8,
+            seq: 21,
+            kind: CommandKind::Assign {
+                blob: BlobId::new(3),
+                intent: WriteIntent::Write {
+                    offset: 70_000,
+                    size: 300,
                 },
             },
-        );
-        let bytes = w.into_vec();
+        }
+        .to_bytes();
         for cut in 0..bytes.len() {
             assert!(
-                get_command(&mut WireReader::new(&bytes[..cut])).is_err(),
+                Command::from_bytes(&bytes[..cut]).is_err(),
                 "truncation at {cut} decoded"
             );
         }

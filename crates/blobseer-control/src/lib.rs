@@ -18,7 +18,7 @@
 //!   `blobseer-disk` uses everywhere else, and recovery reconciles
 //!   divergent replica logs by the election ordering.
 //! * [`codec`] — the replicated command alphabet (the six mutating calls
-//!   of the `VersionService` port) and its panic-free wire codec.
+//!   of the `VersionService` port) and its panic-free `Wire` encoding.
 //!
 //! The placement and GC halves of the control plane need no replication
 //! layer of their own — they are hosted (one shared instance behind

@@ -6,10 +6,10 @@
 //! metadata store already use, so torn tails truncate cleanly on reopen.
 //! One frame holds one [`RepEntry`]: `term | index | command`.
 
-use blobseer_types::wire::{WireReader, WireWriter};
+use blobseer_types::wire::{Wire, WireReader, WireWriter};
 use blobseer_types::{Error, Result};
 
-use crate::codec::{get_command, put_command, Command};
+use crate::codec::Command;
 
 /// One slot of the replicated log.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -24,33 +24,35 @@ pub struct RepEntry {
     pub command: Command,
 }
 
-/// Encodes `entry` as one frame payload.
-pub fn encode_entry(entry: &RepEntry) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.put_u64(entry.term);
-    w.put_u64(entry.index);
-    put_command(&mut w, &entry.command);
-    w.into_vec()
+/// `term | index | command` — one frame payload.
+impl Wire for RepEntry {
+    fn put(&self, w: &mut WireWriter) {
+        (self.term, self.index, self.command).put(w);
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<Self> {
+        let (term, index, command) = Wire::get(r)?;
+        Ok(RepEntry {
+            term,
+            index,
+            command,
+        })
+    }
 }
 
 /// Decodes one frame payload back into a [`RepEntry`], checking that its
-/// recorded index matches the slot it was read into.
+/// recorded index matches the slot it was read into. The frame's checksum
+/// held, so bytes that do not decode mean a broken writer, not a broken
+/// medium or network: every failure is [`Error::Storage`].
 pub fn decode_entry(payload: &[u8], expect_index: u64) -> Result<RepEntry> {
-    let mut r = WireReader::new(payload);
-    let term = r.get_u64()?;
-    let index = r.get_u64()?;
-    if index != expect_index {
+    let entry = RepEntry::from_bytes(payload)
+        .map_err(|e| Error::Storage(format!("replicated log: undecodable entry: {e}")))?;
+    if entry.index != expect_index {
         return Err(Error::Storage(format!(
-            "replicated log: frame {expect_index} records index {index}"
+            "replicated log: frame {expect_index} records index {}",
+            entry.index
         )));
     }
-    let command = get_command(&mut r)?;
-    r.finish()?;
-    Ok(RepEntry {
-        term,
-        index,
-        command,
-    })
+    Ok(entry)
 }
 
 #[cfg(test)]
@@ -73,21 +75,22 @@ mod tests {
     #[test]
     fn entries_roundtrip() {
         let e = entry(3, 17);
-        let bytes = encode_entry(&e);
+        let bytes = e.to_bytes();
         assert_eq!(decode_entry(&bytes, 17).unwrap(), e);
     }
 
     #[test]
     fn index_mismatch_is_rejected() {
-        let bytes = encode_entry(&entry(3, 17));
+        let bytes = entry(3, 17).to_bytes();
         let err = decode_entry(&bytes, 16).unwrap_err();
         assert!(err.to_string().contains("records index 17"), "{err}");
     }
 
     #[test]
     fn trailing_bytes_are_rejected() {
-        let mut bytes = encode_entry(&entry(1, 0));
+        let mut bytes = entry(1, 0).to_bytes();
         bytes.push(0xFF);
-        assert!(decode_entry(&bytes, 0).is_err());
+        let err = decode_entry(&bytes, 0).unwrap_err();
+        assert!(matches!(err, Error::Storage(_)), "{err}");
     }
 }

@@ -52,13 +52,14 @@
 //! group lock while holding a replica lock.
 
 use crate::codec::{Command, CommandKind};
-use crate::replog::{decode_entry, encode_entry, RepEntry};
+use crate::replog::{decode_entry, RepEntry};
 use blobseer_core::meta::key::NodeKey;
 use blobseer_core::meta::log::LogChain;
 use blobseer_core::ports::VersionService;
 use blobseer_core::version_manager::{SnapshotInfo, VersionManager, WriteIntent, WriteTicket};
 use blobseer_core::EngineStats;
 use blobseer_disk::FrameLog;
+use blobseer_types::wire::Wire;
 use blobseer_types::{BlobId, Error, Result, Version};
 use parking_lot::{Mutex, MutexGuard};
 use std::collections::{HashMap, VecDeque};
@@ -216,7 +217,7 @@ impl ReplicaState {
     /// caller never received rather than inventing one).
     fn append(&mut self, entry: RepEntry) -> Result<()> {
         if let Some(disk) = &mut self.disk {
-            disk.append(&encode_entry(&entry))?;
+            disk.append(&entry.to_bytes())?;
         }
         self.log.push(entry);
         Ok(())
@@ -251,7 +252,7 @@ impl ReplicaState {
         self.replay(block_size, entries)?;
         if let Some(disk) = &mut self.disk {
             disk.truncate_all()?;
-            let frames: Vec<Vec<u8>> = entries.iter().map(encode_entry).collect();
+            let frames: Vec<Vec<u8>> = entries.iter().map(Wire::to_bytes).collect();
             disk.append_payloads(frames.iter().map(Vec::as_slice))?;
             disk.sync()?;
         }
@@ -908,6 +909,38 @@ mod tests {
         let t = g.assign(b, WriteIntent::Append { size: 64 }).unwrap();
         g.commit(b, t.version).unwrap();
         assert_eq!(g.latest(b).unwrap(), (Version::new(2), 128));
+    }
+
+    /// A frame whose checksum holds but whose entry does not decode was
+    /// written by a broken writer: the open reports the storage fault, not
+    /// a network one.
+    #[test]
+    fn an_undecodable_checksummed_entry_fails_open_as_storage() {
+        let tmp = TempDir::new("ctl-undecodable");
+        let dir = tmp.path().join("replog");
+        {
+            let g = ReplicatedVersionService::open(&dir, 1, 64).unwrap();
+            g.create_blob().unwrap();
+            g.sync().unwrap();
+        }
+        let entry = RepEntry {
+            term: 1,
+            index: 1,
+            command: Command {
+                client_id: 0,
+                seq: 9,
+                kind: CommandKind::DeleteBlob {
+                    blob: BlobId::new(1),
+                },
+            },
+        };
+        let bytes = entry.to_bytes();
+        let mut log = FrameLog::open(dir.join("vm-replica-0.log")).unwrap();
+        log.append(&bytes[..bytes.len() - 1]).unwrap();
+        log.sync().unwrap();
+        drop(log);
+        let err = ReplicatedVersionService::open(&dir, 1, 64).unwrap_err();
+        assert!(matches!(err, Error::Storage(_)), "{err}");
     }
 
     #[test]

@@ -861,12 +861,11 @@ mod tests {
         use crate::record_log::{shard_path, DiskMetaStore};
         use crate::version_log::DurableVersionService;
         use crate::volume::DiskVolume;
-        use blobseer_core::meta::codec::{put_node_key, put_tree_node};
         use blobseer_core::meta::key::{NodeKey, Pos};
         use blobseer_core::meta::node::{BlockDescriptor, TreeNode};
         use blobseer_core::ports::{MetaStore, VersionService};
         use blobseer_core::version_manager::WriteIntent;
-        use blobseer_types::wire::WireWriter;
+        use blobseer_types::wire::{Wire, WireWriter};
         use blobseer_types::{BlobId, BlockId, NodeId, Version};
         use bytes::Bytes;
 
@@ -893,12 +892,13 @@ mod tests {
             (BlockId::new(2), Bytes::new()),
         ];
         let volume = DiskVolume::open(tmp.path().join("volume"), NodeId::new(0)).unwrap();
-        volume.put(blocks[0].0, blocks[0].1.clone()).unwrap();
+        assert!(volume.put_many(&blocks[..1]).iter().all(|r| r.is_ok()));
         assert!(volume.put_many(&blocks).iter().all(|r| r.is_ok()));
-        for (id, data) in &blocks {
-            assert_eq!(&volume.get(*id).unwrap(), data);
+        let ids: Vec<BlockId> = blocks.iter().map(|(id, _)| *id).collect();
+        for (got, (_, data)) in volume.get_many(&ids).into_iter().zip(&blocks) {
+            assert_eq!(&got.unwrap(), data);
         }
-        volume.delete(BlockId::new(1)).unwrap();
+        assert_eq!(volume.delete_many(&[BlockId::new(1)]), vec![Ok(11)]);
         volume.delete_many(&[BlockId::new(300)]);
         let put = |(id, data): &(BlockId, Bytes)| {
             record(&|w| {
@@ -945,14 +945,14 @@ mod tests {
             .map(|(key, node)| {
                 record(&|w| {
                     w.put_u8(1);
-                    put_node_key(w, key);
-                    put_tree_node(w, node);
+                    key.put(w);
+                    node.put(w);
                 })
             })
             .collect();
         records.push(record(&|w| {
             w.put_u8(2);
-            put_node_key(w, &key(2));
+            key(2).put(w);
         }));
         assert_eq!(
             std::fs::read(shard_path(&tmp.path().join("meta"), 0)).unwrap(),

@@ -42,6 +42,6 @@ pub mod version_log;
 pub mod volume;
 
 pub use frame::{Frame, FrameLog};
-pub use record_log::DiskMetaStore;
-pub use version_log::DurableVersionService;
-pub use volume::{DiskProviderSet, DiskVolume};
+pub use record_log::{DiskMetaStore, MetaRecord};
+pub use version_log::{DurableVersionService, VersionRecord};
+pub use volume::{DiskProviderSet, DiskVolume, VolumeHead};

@@ -5,9 +5,10 @@
 //! or metadata is ever modified"), so the classic LSM machinery —
 //! compaction, levels, bloom filters — buys nothing here: a shard is
 //! simply the replay of its record log, and the memtable IS the whole
-//! table. Each record is one [`FrameLog`] frame whose payload reuses the
-//! metadata wire codecs ([`blobseer_core::meta::codec`]), so the bytes a
-//! node travels the RPC wire in are the bytes it rests on disk in:
+//! table. Each record is one [`FrameLog`] frame holding a [`MetaRecord`],
+//! whose [`Wire`] encoding is built from the node key's and tree node's
+//! (`blobseer_core::meta::codec`), so the bytes a node travels the RPC
+//! wire in are the bytes it rests on disk in:
 //!
 //! ```text
 //! put:       tag 1 | node key | tree node
@@ -29,12 +30,11 @@
 //! clears its memtable — on disk, losing a shard means losing its file.
 
 use crate::frame::FrameLog;
-use blobseer_core::meta::codec::{get_node_key, get_tree_node, put_node_key, put_tree_node};
 use blobseer_core::meta::key::NodeKey;
 use blobseer_core::meta::node::TreeNode;
 use blobseer_core::ports::MetaStore;
 use blobseer_core::sharded::group_indices_by;
-use blobseer_types::wire::{WireReader, WireWriter};
+use blobseer_types::wire::{Wire, WireReader, WireWriter};
 use blobseer_types::{Error, Result};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
@@ -43,6 +43,35 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 const REC_PUT: u8 = 1;
 const REC_TOMBSTONE: u8 = 2;
+
+/// One record of a shard's log: a tag byte, the node key, and for a put
+/// the tree node.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum MetaRecord {
+    /// The node was published.
+    Put(NodeKey, TreeNode),
+    /// The node was deleted.
+    Tombstone(NodeKey),
+}
+
+impl Wire for MetaRecord {
+    fn put(&self, w: &mut WireWriter) {
+        match self {
+            MetaRecord::Put(key, node) => {
+                (REC_PUT, *key).put(w);
+                node.put(w);
+            }
+            MetaRecord::Tombstone(key) => (REC_TOMBSTONE, *key).put(w),
+        }
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<Self> {
+        Ok(match r.get_u8()? {
+            REC_PUT => MetaRecord::Put(Wire::get(r)?, Wire::get(r)?),
+            REC_TOMBSTONE => MetaRecord::Tombstone(Wire::get(r)?),
+            t => return Err(Error::Transport(format!("unknown metadata record tag {t}"))),
+        })
+    }
+}
 
 /// One metadata shard: its record log and memtable.
 struct DiskShard {
@@ -58,24 +87,10 @@ struct DiskShard {
 fn load_shard(path: &Path) -> Result<(FrameLog, HashMap<NodeKey, TreeNode>)> {
     let mut table = HashMap::new();
     let log = FrameLog::open_with(path, |_, payload| {
-        let mut r = WireReader::new(payload);
-        let tag = r.get_u8().map_err(|e| bad_record(path, &e))?;
-        let key = get_node_key(&mut r).map_err(|e| bad_record(path, &e))?;
-        match tag {
-            REC_PUT => {
-                let node = get_tree_node(&mut r).map_err(|e| bad_record(path, &e))?;
-                table.insert(key, node);
-            }
-            REC_TOMBSTONE => {
-                table.remove(&key);
-            }
-            t => {
-                return Err(Error::Storage(format!(
-                    "{}: unknown metadata record tag {t}",
-                    path.display()
-                )))
-            }
-        }
+        match MetaRecord::from_bytes(payload).map_err(|e| bad_record(path, &e))? {
+            MetaRecord::Put(key, node) => table.insert(key, node),
+            MetaRecord::Tombstone(key) => table.remove(&key),
+        };
         Ok(())
     })?;
     Ok((log, table))
@@ -86,21 +101,6 @@ fn bad_record(path: &Path, e: &Error) -> Error {
         "{}: undecodable metadata record: {e}",
         path.display()
     ))
-}
-
-fn encode_put(key: &NodeKey, node: &TreeNode) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.put_u8(REC_PUT);
-    put_node_key(&mut w, key);
-    put_tree_node(&mut w, node);
-    w.into_vec()
-}
-
-fn encode_tombstone(key: &NodeKey) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.put_u8(REC_TOMBSTONE);
-    put_node_key(&mut w, key);
-    w.into_vec()
 }
 
 impl DiskShard {
@@ -149,7 +149,7 @@ impl DiskShard {
                     Some(_) => {}
                     None => {
                         staged.insert(*key, i);
-                        fresh.push((i, encode_put(key, node)));
+                        fresh.push((i, MetaRecord::Put(*key, node.clone()).to_bytes()));
                     }
                 }
             }
@@ -194,7 +194,7 @@ impl DiskShard {
             for (i, key) in keys.iter().enumerate() {
                 if table.contains_key(key) && !pending.contains_key(key) {
                     pending.insert(*key, ());
-                    doomed.push((i, encode_tombstone(key)));
+                    doomed.push((i, MetaRecord::Tombstone(*key).to_bytes()));
                 }
             }
         }

@@ -26,13 +26,12 @@
 //! log entirely and keep the manager's native concurrency.
 
 use crate::frame::FrameLog;
-use blobseer_core::meta::codec::{get_write_intent, put_write_intent};
 use blobseer_core::meta::key::NodeKey;
 use blobseer_core::meta::log::LogChain;
 use blobseer_core::ports::VersionService;
 use blobseer_core::version_manager::{SnapshotInfo, VersionManager, WriteIntent, WriteTicket};
 use blobseer_core::EngineStats;
-use blobseer_types::wire::{WireReader, WireWriter};
+use blobseer_types::wire::{Wire, WireReader, WireWriter};
 use blobseer_types::{BlobId, Error, Result, Version};
 use parking_lot::Mutex;
 use std::path::{Path, PathBuf};
@@ -46,6 +45,119 @@ const REC_ASSIGN: u8 = 3;
 const REC_COMMIT: u8 = 4;
 const REC_DELETE: u8 = 5;
 const REC_COLLECT: u8 = 6;
+
+/// One record of the version log: the header every log starts with, or
+/// one successful mutation together with the result replay must
+/// reproduce. Encoded as a tag byte, then the fields in order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum VersionRecord {
+    /// The block size the log was written under (first record only).
+    Header {
+        /// The deployment's block size.
+        block_size: u64,
+    },
+    /// `create_blob()` handed out `blob`.
+    Create {
+        /// The new BLOB.
+        blob: BlobId,
+    },
+    /// `branch(parent, at)` handed out `blob`.
+    Branch {
+        /// The BLOB forked.
+        parent: BlobId,
+        /// The version forked at.
+        at: Version,
+        /// The new BLOB.
+        blob: BlobId,
+    },
+    /// `assign(blob, intent)` handed out `version`.
+    Assign {
+        /// The BLOB written.
+        blob: BlobId,
+        /// What the writer asked for.
+        intent: WriteIntent,
+        /// The version assigned.
+        version: Version,
+    },
+    /// `commit(blob, version)`.
+    Commit {
+        /// The BLOB written.
+        blob: BlobId,
+        /// The version committed.
+        version: Version,
+    },
+    /// `delete_blob(blob)`.
+    Delete {
+        /// The BLOB deleted.
+        blob: BlobId,
+    },
+    /// `collect_before(blob, keep_from)`.
+    Collect {
+        /// The BLOB pruned.
+        blob: BlobId,
+        /// The oldest version kept.
+        keep_from: Version,
+    },
+}
+
+impl Wire for VersionRecord {
+    fn put(&self, w: &mut WireWriter) {
+        match *self {
+            VersionRecord::Header { block_size } => (REC_HEADER, block_size).put(w),
+            VersionRecord::Create { blob } => (REC_CREATE, blob).put(w),
+            VersionRecord::Branch { parent, at, blob } => {
+                (REC_BRANCH, parent, at).put(w);
+                blob.put(w);
+            }
+            VersionRecord::Assign {
+                blob,
+                intent,
+                version,
+            } => {
+                (REC_ASSIGN, blob, intent).put(w);
+                version.put(w);
+            }
+            VersionRecord::Commit { blob, version } => (REC_COMMIT, blob, version).put(w),
+            VersionRecord::Delete { blob } => (REC_DELETE, blob).put(w),
+            VersionRecord::Collect { blob, keep_from } => (REC_COLLECT, blob, keep_from).put(w),
+        }
+    }
+
+    fn get(r: &mut WireReader<'_>) -> Result<Self> {
+        Ok(match r.get_u8()? {
+            REC_HEADER => VersionRecord::Header {
+                block_size: r.get_u64()?,
+            },
+            REC_CREATE => VersionRecord::Create {
+                blob: BlobId::get(r)?,
+            },
+            REC_BRANCH => {
+                let (parent, at, blob) = Wire::get(r)?;
+                VersionRecord::Branch { parent, at, blob }
+            }
+            REC_ASSIGN => {
+                let (blob, intent, version) = Wire::get(r)?;
+                VersionRecord::Assign {
+                    blob,
+                    intent,
+                    version,
+                }
+            }
+            REC_COMMIT => {
+                let (blob, version) = Wire::get(r)?;
+                VersionRecord::Commit { blob, version }
+            }
+            REC_DELETE => VersionRecord::Delete {
+                blob: BlobId::get(r)?,
+            },
+            REC_COLLECT => {
+                let (blob, keep_from) = Wire::get(r)?;
+                VersionRecord::Collect { blob, keep_from }
+            }
+            t => return Err(Error::Transport(format!("unknown record tag {t}"))),
+        })
+    }
+}
 
 fn replay_err(path: &Path, why: impl std::fmt::Display) -> Error {
     Error::Storage(format!("{}: version log replay: {why}", path.display()))
@@ -63,93 +175,69 @@ fn fresh_manager(block_size: u64) -> VersionManager {
     VersionManager::new(block_size, Arc::new(EngineStats::new()))
 }
 
+/// Replays one record into `vm`, verifying the result it recorded.
+fn replay(vm: &VersionManager, record: VersionRecord) -> std::result::Result<(), String> {
+    let diverged = |call: &str, got: &dyn std::fmt::Display, recorded: &dyn std::fmt::Display| {
+        Err(format!("{call} replayed to {got}, log recorded {recorded}"))
+    };
+    let e = |e: Error| e.to_string();
+    match record {
+        VersionRecord::Header { .. } => return Err("a second header record".into()),
+        VersionRecord::Create { blob } => {
+            let got = vm.create_blob();
+            if got != blob {
+                return diverged("create_blob", &got, &blob);
+            }
+        }
+        VersionRecord::Branch { parent, at, blob } => {
+            let got = vm.branch(parent, at).map_err(e)?;
+            if got != blob {
+                return diverged("branch", &got, &blob);
+            }
+        }
+        VersionRecord::Assign {
+            blob,
+            intent,
+            version,
+        } => {
+            let got = vm.assign(blob, intent).map_err(e)?.version;
+            if got != version {
+                return diverged("assign", &format!("version {got}"), &version);
+            }
+        }
+        VersionRecord::Commit { blob, version } => vm.commit(blob, version).map_err(e)?,
+        VersionRecord::Delete { blob } => drop(vm.delete_blob(blob).map_err(e)?),
+        VersionRecord::Collect { blob, keep_from } => {
+            drop(vm.collect_before(blob, keep_from).map_err(e)?)
+        }
+    }
+    Ok(())
+}
+
 fn load(path: &Path, block_size: u64) -> Result<(VersionManager, FrameLog)> {
     let vm = fresh_manager(block_size);
     let mut saw_header = false;
-    let log = FrameLog::open_with(path, |_, payload| {
-        let mut r = WireReader::new(payload);
-        let tag = r.get_u8().map_err(|e| replay_err(path, e))?;
-        if !saw_header {
-            if tag != REC_HEADER {
-                return Err(replay_err(path, "first record is not a header"));
-            }
-            let logged = r.get_u64().map_err(|e| replay_err(path, e))?;
-            if logged != block_size {
-                return Err(replay_err(
-                    path,
-                    format!(
-                        "log was written with block size {logged}, deployment wants {block_size}"
-                    ),
-                ));
-            }
-            saw_header = true;
-            return Ok(());
+    let mut log = FrameLog::open_with(path, |_, payload| {
+        let record = VersionRecord::from_bytes(payload).map_err(|e| replay_err(path, e))?;
+        if saw_header {
+            return replay(&vm, record).map_err(|why| replay_err(path, why));
         }
-        match tag {
-            REC_CREATE => {
-                let recorded = BlobId::new(r.get_u64().map_err(|e| replay_err(path, e))?);
-                let got = vm.create_blob();
-                if got != recorded {
-                    return Err(replay_err(
-                        path,
-                        format!("create_blob replayed to {got}, log recorded {recorded}"),
-                    ));
-                }
+        match record {
+            VersionRecord::Header { block_size: logged } if logged == block_size => {
+                saw_header = true;
+                Ok(())
             }
-            REC_BRANCH => {
-                let parent = BlobId::new(r.get_u64().map_err(|e| replay_err(path, e))?);
-                let at = Version::new(r.get_u64().map_err(|e| replay_err(path, e))?);
-                let recorded = BlobId::new(r.get_u64().map_err(|e| replay_err(path, e))?);
-                let got = vm.branch(parent, at).map_err(|e| replay_err(path, e))?;
-                if got != recorded {
-                    return Err(replay_err(
-                        path,
-                        format!("branch replayed to {got}, log recorded {recorded}"),
-                    ));
-                }
-            }
-            REC_ASSIGN => {
-                let blob = BlobId::new(r.get_u64().map_err(|e| replay_err(path, e))?);
-                let intent = get_write_intent(&mut r).map_err(|e| replay_err(path, e))?;
-                let recorded = Version::new(r.get_u64().map_err(|e| replay_err(path, e))?);
-                let ticket = vm.assign(blob, intent).map_err(|e| replay_err(path, e))?;
-                if ticket.version != recorded {
-                    return Err(replay_err(
-                        path,
-                        format!(
-                            "assign replayed to version {}, log recorded {recorded}",
-                            ticket.version
-                        ),
-                    ));
-                }
-            }
-            REC_COMMIT => {
-                let blob = BlobId::new(r.get_u64().map_err(|e| replay_err(path, e))?);
-                let version = Version::new(r.get_u64().map_err(|e| replay_err(path, e))?);
-                vm.commit(blob, version).map_err(|e| replay_err(path, e))?;
-            }
-            REC_DELETE => {
-                let blob = BlobId::new(r.get_u64().map_err(|e| replay_err(path, e))?);
-                vm.delete_blob(blob).map_err(|e| replay_err(path, e))?;
-            }
-            REC_COLLECT => {
-                let blob = BlobId::new(r.get_u64().map_err(|e| replay_err(path, e))?);
-                let keep_from = Version::new(r.get_u64().map_err(|e| replay_err(path, e))?);
-                vm.collect_before(blob, keep_from)
-                    .map_err(|e| replay_err(path, e))?;
-            }
-            t => return Err(replay_err(path, format!("unknown record tag {t}"))),
+            VersionRecord::Header { block_size: logged } => Err(replay_err(
+                path,
+                format!("log was written with block size {logged}, deployment wants {block_size}"),
+            )),
+            _ => Err(replay_err(path, "first record is not a header")),
         }
-        Ok(())
     })?;
-    let mut log = log;
     if !saw_header {
         // Fresh (or fully torn) log: stamp the header now so a reopened
         // deployment can validate its block size against ours.
-        let mut w = WireWriter::new();
-        w.put_u8(REC_HEADER);
-        w.put_u64(block_size);
-        log.append(&w.into_vec())?;
+        log.append(&VersionRecord::Header { block_size }.to_bytes())?;
     }
     Ok((vm, log))
 }
@@ -197,14 +285,12 @@ impl DurableVersionService {
     fn mutate<T>(
         &self,
         call: impl FnOnce(&VersionManager) -> Result<T>,
-        record: impl FnOnce(&T, &mut WireWriter),
+        record: impl FnOnce(&T) -> VersionRecord,
     ) -> Result<T> {
         let mut inner = self.inner.lock();
         let (vm, log) = &mut *inner;
         let out = call(vm)?;
-        let mut w = WireWriter::new();
-        record(&out, &mut w);
-        log.append(&w.into_vec())?;
+        log.append(&record(&out).to_bytes())?;
         Ok(out)
     }
 }
@@ -217,33 +303,24 @@ impl VersionService for DurableVersionService {
     fn create_blob(&self) -> Result<BlobId> {
         self.mutate(
             |vm| Ok(vm.create_blob()),
-            |id, w| {
-                w.put_u8(REC_CREATE);
-                w.put_u64(id.raw());
-            },
+            |&blob| VersionRecord::Create { blob },
         )
     }
 
     fn branch(&self, parent: BlobId, at: Version) -> Result<BlobId> {
         self.mutate(
             |vm| vm.branch(parent, at),
-            |id, w| {
-                w.put_u8(REC_BRANCH);
-                w.put_u64(parent.raw());
-                w.put_u64(at.raw());
-                w.put_u64(id.raw());
-            },
+            |&blob| VersionRecord::Branch { parent, at, blob },
         )
     }
 
     fn assign(&self, blob: BlobId, intent: WriteIntent) -> Result<WriteTicket> {
         self.mutate(
             |vm| vm.assign(blob, intent),
-            |ticket, w| {
-                w.put_u8(REC_ASSIGN);
-                w.put_u64(blob.raw());
-                put_write_intent(w, intent);
-                w.put_u64(ticket.version.raw());
+            |ticket| VersionRecord::Assign {
+                blob,
+                intent,
+                version: ticket.version,
             },
         )
     }
@@ -251,11 +328,7 @@ impl VersionService for DurableVersionService {
     fn commit(&self, blob: BlobId, version: Version) -> Result<()> {
         self.mutate(
             |vm| vm.commit(blob, version),
-            |_, w| {
-                w.put_u8(REC_COMMIT);
-                w.put_u64(blob.raw());
-                w.put_u64(version.raw());
-            },
+            |_| VersionRecord::Commit { blob, version },
         )
     }
 
@@ -298,21 +371,14 @@ impl VersionService for DurableVersionService {
     fn delete_blob(&self, blob: BlobId) -> Result<Vec<NodeKey>> {
         self.mutate(
             |vm| vm.delete_blob(blob),
-            |_, w| {
-                w.put_u8(REC_DELETE);
-                w.put_u64(blob.raw());
-            },
+            |_| VersionRecord::Delete { blob },
         )
     }
 
     fn collect_before(&self, blob: BlobId, keep_from: Version) -> Result<Vec<NodeKey>> {
         self.mutate(
             |vm| vm.collect_before(blob, keep_from),
-            |_, w| {
-                w.put_u8(REC_COLLECT);
-                w.put_u64(blob.raw());
-                w.put_u64(keep_from.raw());
-            },
+            |_| VersionRecord::Collect { blob, keep_from },
         )
     }
 }

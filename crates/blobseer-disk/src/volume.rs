@@ -14,10 +14,11 @@
 //! The index is *soft state*: opening a volume replays its record log
 //! (already torn-tail-truncated by [`FrameLog`]) and rebuilds the map, so
 //! a process restart recovers exactly the committed puts minus the
-//! committed tombstones. Record payloads inside each frame:
+//! committed tombstones. Each frame holds a [`VolumeHead`], and a put's
+//! block right behind it:
 //!
 //! ```text
-//! put:       tag 1 | block id varint | payload (length-prefixed)
+//! put:       tag 1 | block id varint | length varint | block
 //! tombstone: tag 2 | block id varint
 //! ```
 //!
@@ -31,8 +32,8 @@
 //! reopen (they are process-lifetime statistics, not durable state).
 
 use crate::frame::{read_exact_at, Frame, FrameLog};
-use blobseer_core::ports::{single, BlockStore};
-use blobseer_types::wire::{WireReader, WireWriter};
+use blobseer_core::ports::BlockStore;
+use blobseer_types::wire::{Wire, WireReader, WireWriter};
 use blobseer_types::{BlockId, Error, NodeId, Result};
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
@@ -44,6 +45,47 @@ use std::sync::Arc;
 
 const REC_PUT: u8 = 1;
 const REC_TOMBSTONE: u8 = 2;
+
+/// A volume record up to where a put's block starts: tag, block id and,
+/// for a put, the block's length. The block itself is never copied behind
+/// the head — it goes to the log as the frame's second part, from wherever
+/// the caller's [`Bytes`] points.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum VolumeHead {
+    /// A block of `len` bytes follows.
+    Put {
+        /// The block stored.
+        id: BlockId,
+        /// Its length in bytes.
+        len: u64,
+    },
+    /// The block was deleted.
+    Tombstone {
+        /// The block deleted.
+        id: BlockId,
+    },
+}
+
+impl Wire for VolumeHead {
+    fn put(&self, w: &mut WireWriter) {
+        match *self {
+            VolumeHead::Put { id, len } => (REC_PUT, id, len).put(w),
+            VolumeHead::Tombstone { id } => (REC_TOMBSTONE, id).put(w),
+        }
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<Self> {
+        Ok(match r.get_u8()? {
+            REC_PUT => {
+                let (id, len) = Wire::get(r)?;
+                VolumeHead::Put { id, len }
+            }
+            REC_TOMBSTONE => VolumeHead::Tombstone {
+                id: BlockId::get(r)?,
+            },
+            t => return Err(Error::Transport(format!("unknown volume record tag {t}"))),
+        })
+    }
+}
 
 /// Where a live block's payload sits in the volume file.
 #[derive(Clone, Copy, Debug)]
@@ -75,18 +117,14 @@ fn load(path: &Path) -> Result<(FrameLog, HashMap<BlockId, Extent>, u64)> {
     let mut bytes = 0u64;
     let log = FrameLog::open_with(path, |payload_off, payload| {
         let mut r = WireReader::new(payload);
-        let tag = r.get_u8().map_err(|e| bad_record(path, &e))?;
-        let id = BlockId::new(r.get_u64().map_err(|e| bad_record(path, &e))?);
-        match tag {
-            REC_PUT => {
-                let data = r.get_slice().map_err(|e| bad_record(path, &e))?;
-                // The payload sits at the end of the record; its file
-                // offset is the record's offset plus the record header
-                // (tag + id varint + length varint) it follows.
-                let data_off = payload_off + (payload.len() - r.remaining() - data.len()) as u64;
+        let head = VolumeHead::get(&mut r).map_err(|e| bad_record(path, &e))?;
+        // A put's block fills the rest of its record; a tombstone is all head.
+        let behind = r.remaining() as u64;
+        match head {
+            VolumeHead::Put { id, len } if len == behind => {
                 let ext = Extent {
-                    offset: data_off,
-                    len: data.len() as u32,
+                    offset: payload_off + (payload.len() as u64 - len),
+                    len: len as u32,
                 };
                 if let Some(prev) = index.insert(id, ext) {
                     // A put frame for a live id only happens via
@@ -97,16 +135,14 @@ fn load(path: &Path) -> Result<(FrameLog, HashMap<BlockId, Extent>, u64)> {
                 }
                 bytes += ext.len as u64;
             }
-            REC_TOMBSTONE => {
+            VolumeHead::Tombstone { id } if behind == 0 => {
                 if let Some(prev) = index.remove(&id) {
                     bytes -= prev.len as u64;
                 }
             }
-            t => {
-                return Err(Error::Storage(format!(
-                    "{}: unknown volume record tag {t}",
-                    path.display()
-                )))
+            _ => {
+                let e = Error::Transport(format!("{behind} bytes behind a {head:?}"));
+                return Err(bad_record(path, &e));
             }
         }
         Ok(())
@@ -174,25 +210,6 @@ impl DiskVolume {
         self.log.lock().sync()
     }
 
-    /// A put record up to where the block's bytes start: tag, id and
-    /// the length prefix. The block itself is never copied behind it — it
-    /// goes to the log as the frame's second part, from wherever the
-    /// caller's [`Bytes`] points.
-    fn put_head(id: BlockId, len: usize) -> Vec<u8> {
-        let mut w = WireWriter::new();
-        w.put_u8(REC_PUT);
-        w.put_u64(id.raw());
-        w.put_u64(len as u64);
-        w.into_vec()
-    }
-
-    fn encode_tombstone(id: BlockId) -> Vec<u8> {
-        let mut w = WireWriter::new();
-        w.put_u8(REC_TOMBSTONE);
-        w.put_u64(id.raw());
-        w.into_vec()
-    }
-
     /// In debug builds, verifies an attempted re-put carries the stored
     /// content — the same immutability tripwire the in-memory provider
     /// arms.
@@ -200,6 +217,7 @@ impl DiskVolume {
         if cfg!(debug_assertions) {
             let existing = self
                 .read_extent(ext)
+                // lint:allow(no-panic-decode): a debug-build immutability tripwire, not a decode of outside bytes
                 .unwrap_or_else(|e| panic!("re-put validation read failed: {e}"));
             assert_eq!(
                 &existing[..],
@@ -228,7 +246,10 @@ impl DiskVolume {
     pub fn put_many(&self, items: &[(BlockId, Bytes)]) -> Vec<Result<()>> {
         let heads: Vec<Vec<u8>> = items
             .iter()
-            .map(|(id, data)| Self::put_head(*id, data.len()))
+            .map(|(id, data)| {
+                let len = data.len() as u64;
+                VolumeHead::Put { id: *id, len }.to_bytes()
+            })
             .collect();
         let frames: Vec<Result<Frame<'_>>> = heads
             .iter()
@@ -332,7 +353,12 @@ impl DiskVolume {
                 }
                 if let Some(&ext) = index.get(id) {
                     pending.insert(*id, ());
-                    doomed.push((i, *id, Self::encode_tombstone(*id), ext.len));
+                    doomed.push((
+                        i,
+                        *id,
+                        VolumeHead::Tombstone { id: *id }.to_bytes(),
+                        ext.len,
+                    ));
                 }
             }
         }
@@ -349,21 +375,6 @@ impl DiskVolume {
             out[i] = Ok(len as u64);
         }
         out
-    }
-
-    /// Stores one block: [`Self::put_many`] of one item.
-    pub fn put(&self, id: BlockId, data: Bytes) -> Result<()> {
-        single(self.put_many(&[(id, data)]))
-    }
-
-    /// Fetches one block: [`Self::get_many`] of one id.
-    pub fn get(&self, id: BlockId) -> Result<Bytes> {
-        single(self.get_many(&[id]))
-    }
-
-    /// Deletes one block: [`Self::delete_many`] of one id.
-    pub fn delete(&self, id: BlockId) -> Result<u64> {
-        single(self.delete_many(&[id]))
     }
 
     /// Number of live blocks.

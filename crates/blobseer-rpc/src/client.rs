@@ -53,7 +53,7 @@ use blobseer_core::provider_manager::BlockAllocation;
 use blobseer_core::version_manager::{SnapshotInfo, WriteIntent, WriteTicket};
 use blobseer_core::EngineStats;
 use blobseer_types::config::DEFAULT_RPC_CLIENT_CONNECTIONS;
-use blobseer_types::wire::{WireReader, WireWriter};
+use blobseer_types::wire::{Wire, WireWriter};
 use blobseer_types::{BlobId, BlockId, Error, NodeId, Result, Version};
 use bytes::Bytes;
 use parking_lot::{Condvar, Mutex};
@@ -186,11 +186,9 @@ impl MuxConn {
     fn wait(&self, id: u64) -> Result<Vec<u8>> {
         let mut p = self.pending.lock();
         loop {
-            if matches!(p.results.get(&id), Some(Some(_))) {
-                return match p.results.remove(&id) {
-                    Some(Some(body)) => Ok(body),
-                    _ => unreachable!("checked above"),
-                };
+            if let Some(body) = p.results.get_mut(&id).and_then(Option::take) {
+                p.results.remove(&id);
+                return Ok(body);
             }
             if let Some(e) = p.closed.clone() {
                 p.results.remove(&id);
@@ -369,57 +367,52 @@ impl MuxPool {
     }
 }
 
-/// A successful response body with the payload's start offset — kept
-/// whole (no re-copy) so readers borrow it and block payloads can be
-/// wrapped zero-copy.
-struct RpcPayload {
-    body: Vec<u8>,
-    start: usize,
+/// A request frame: the method tag, then the method's arguments.
+fn request<A: Wire + ?Sized>(tag: u8, args: &A) -> WireWriter {
+    let mut req = WireWriter::new();
+    req.put_u8(tag);
+    args.put(&mut req);
+    req
 }
 
-impl RpcPayload {
-    fn reader(&self) -> WireReader<'_> {
-        WireReader::new(&self.body[self.start..])
-    }
+/// One typed exchange: the tag and arguments out, the decoded answer
+/// back — all of the response, or a transport error.
+fn call<A: Wire + ?Sized, T: Wire>(pool: &MuxPool, tag: u8, args: &A) -> Result<T> {
+    let body = pool.call(&request(tag, args))?;
+    decode_response(&body, T::get)
 }
 
-/// A `Result`-returning RPC round trip: encodes, exchanges, unwraps the
-/// response envelope.
-fn call(pool: &MuxPool, request: WireWriter) -> Result<RpcPayload> {
-    let body = pool.call(&request)?;
-    let reader = decode_response(&body)?;
-    let start = body.len() - reader.remaining();
-    Ok(RpcPayload { body, start })
+/// [`call`] for a diagnostic: a port method that returns a plain value
+/// cannot propagate a transport failure, so it answers `T::default()` —
+/// counted on `rpc_degraded_diagnostics`.
+fn diagnostic<A: Wire + ?Sized, T: Wire + Default>(
+    pool: &MuxPool,
+    stats: &EngineStats,
+    what: &str,
+    tag: u8,
+    args: &A,
+) -> T {
+    call(pool, tag, args).unwrap_or_else(|e| {
+        degraded(stats, what, &e);
+        T::default()
+    })
 }
 
-/// Decodes a vectored response: the echoed item count, then one status per
-/// item — `OK` followed by a payload read by `read_payload`, or `ERR`
-/// followed by the item's encoded [`Error`]. A count mismatch or an
-/// unexpected status byte is a framing bug and fails the whole batch.
-fn decode_batch_items<T>(
-    r: &mut WireReader<'_>,
-    expect: usize,
-    mut read_payload: impl FnMut(&mut WireReader<'_>) -> Result<T>,
-) -> Result<Vec<Result<T>>> {
-    let n = r.get_u64()? as usize;
-    if n != expect {
-        return Err(Error::Transport(format!(
-            "batched response answers {n} items, expected {expect}"
-        )));
-    }
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(match r.get_u8()? {
-            batch_status::OK => Ok(read_payload(r)?),
-            batch_status::ERR => Err(r.get_error()?),
-            s => {
-                return Err(Error::Transport(format!(
-                    "unexpected batch status byte {s}"
-                )))
-            }
-        });
-    }
-    Ok(out)
+/// The per-item results of one vectored frame's response: one per item
+/// sent. A frame whose exchange failed, or that answers a different
+/// number of items, fails every one of its `n` items.
+fn batch_results<T: Wire>(response: Result<Vec<u8>>, n: usize) -> Vec<Result<T>> {
+    let decoded = response.and_then(|body| {
+        let items: Vec<Result<T>> = decode_response(&body, Wire::get)?;
+        if items.len() != n {
+            return Err(Error::Transport(format!(
+                "batched response answers {} items, expected {n}",
+                items.len()
+            )));
+        }
+        Ok(items)
+    });
+    decoded.unwrap_or_else(|e| (0..n).map(|_| Err(e.clone())).collect())
 }
 
 /// Decodes one round of a batched block fetch. Returns the answered items
@@ -431,36 +424,37 @@ fn decode_get_many(
     body: &[u8],
     pending: &[(usize, BlockId)],
 ) -> Result<(Vec<(usize, Result<(usize, usize)>)>, Vec<(usize, BlockId)>)> {
-    let mut r = decode_response(body)?;
-    let n = r.get_u64()? as usize;
-    if n != pending.len() {
-        return Err(Error::Transport(format!(
-            "batched response answers {n} items, expected {}",
-            pending.len()
-        )));
-    }
-    let mut results = Vec::new();
-    let mut deferred = Vec::new();
-    for &(slot, id) in pending {
-        match r.get_u8()? {
-            batch_status::OK => {
-                let s = r.get_slice()?;
-                // `s` borrows from `body`, so its offset within the frame
-                // is plain pointer arithmetic on the same allocation.
-                let off = s.as_ptr() as usize - body.as_ptr() as usize;
-                results.push((slot, Ok((off, s.len()))));
-            }
-            batch_status::ERR => results.push((slot, Err(r.get_error()?))),
-            batch_status::DEFERRED => deferred.push((slot, id)),
-            s => {
-                return Err(Error::Transport(format!(
-                    "unexpected batch status byte {s}"
-                )))
+    decode_response(body, |r| {
+        let n = usize::get(r)?;
+        if n != pending.len() {
+            return Err(Error::Transport(format!(
+                "batched response answers {n} items, expected {}",
+                pending.len()
+            )));
+        }
+        let mut results = Vec::new();
+        let mut deferred = Vec::new();
+        for &(slot, id) in pending {
+            match r.get_u8()? {
+                batch_status::OK => {
+                    let s = r.get_slice()?;
+                    // `s` borrows from `body`, so its offset within the
+                    // frame is plain pointer arithmetic on the same
+                    // allocation.
+                    let off = s.as_ptr() as usize - body.as_ptr() as usize;
+                    results.push((slot, Ok((off, s.len()))));
+                }
+                batch_status::ERR => results.push((slot, Err(Error::get(r)?))),
+                batch_status::DEFERRED => deferred.push((slot, id)),
+                s => {
+                    return Err(Error::Transport(format!(
+                        "unexpected batch status byte {s}"
+                    )))
+                }
             }
         }
-    }
-    r.finish()?;
-    Ok((results, deferred))
+        Ok((results, deferred))
+    })
 }
 
 // --- block store ------------------------------------------------------------
@@ -514,16 +508,9 @@ impl RpcBlockStore {
         let mut nodes = Vec::new();
         for (ei, &addr) in addrs.iter().enumerate() {
             let pool = MuxPool::connect_with(addr, Arc::clone(&stats), budget)?;
-            let mut req = WireWriter::new();
-            req.put_u8(block_tag::DESCRIBE);
-            let payload = call(&pool, req)?;
-            let mut r = payload.reader();
-            let n = r.get_u64()?;
-            for local in 0..n {
-                nodes.push(NodeId::new(r.get_u64()?));
-                route.push((ei, local));
-            }
-            r.finish()?;
+            let hosted: Vec<NodeId> = call(&pool, block_tag::DESCRIBE, &())?;
+            route.extend((0..hosted.len() as u64).map(|local| (ei, local)));
+            nodes.extend(hosted);
             endpoints.push(BlockEndpoint { pool });
         }
         Ok(Self {
@@ -534,14 +521,29 @@ impl RpcBlockStore {
         })
     }
 
-    /// Request targeting one dense provider index, with the endpoint-local
-    /// index substituted.
-    fn provider_request(&self, tag: u8, provider: usize) -> Option<(&MuxPool, WireWriter)> {
-        let &(ei, local) = self.route.get(provider)?;
-        let mut req = WireWriter::new();
-        req.put_u8(tag);
-        req.put_u64(local);
-        Some((&self.endpoints[ei].pool, req))
+    /// The pool serving one dense provider index, and the index within
+    /// that endpoint.
+    fn endpoint(&self, provider: usize) -> Result<(&MuxPool, u64)> {
+        let &(ei, local) = self
+            .route
+            .get(provider)
+            .ok_or_else(|| Error::Internal(format!("provider index {provider} out of range")))?;
+        Ok((&self.endpoints[ei].pool, local))
+    }
+
+    /// A diagnostic about one provider (see [`diagnostic`]); an index out
+    /// of range answers the default without a round trip.
+    fn provider_diagnostic<A: Wire, T: Wire + Default>(
+        &self,
+        what: &str,
+        tag: u8,
+        provider: usize,
+        args: A,
+    ) -> T {
+        match self.endpoint(provider) {
+            Ok((pool, local)) => diagnostic(pool, &self.stats, what, tag, &(local, args)),
+            Err(_) => T::default(),
+        }
     }
 }
 
@@ -561,28 +563,17 @@ impl BlockStore for RpcBlockStore {
     /// Transport failures degrade to `false` (the port reports presence,
     /// not reachability) — counted on `rpc_degraded_diagnostics`.
     fn contains(&self, provider: usize, id: BlockId) -> bool {
-        let Some((pool, mut req)) = self.provider_request(block_tag::CONTAINS, provider) else {
-            return false;
-        };
-        req.put_u64(id.raw());
-        match call(pool, req).and_then(|payload| payload.reader().get_bool()) {
-            Ok(present) => present,
-            Err(e) => {
-                degraded(&self.stats, "BlockStore::contains", &e);
-                false
-            }
-        }
+        self.provider_diagnostic("BlockStore::contains", block_tag::CONTAINS, provider, id)
     }
 
     fn put_many(&self, provider: usize, items: &[(BlockId, Bytes)]) -> Vec<Result<()>> {
-        let Some(&(ei, local)) = self.route.get(provider) else {
-            let e = Error::Internal(format!("provider index {provider} out of range"));
-            return items.iter().map(|_| Err(e.clone())).collect();
+        let (pool, local) = match self.endpoint(provider) {
+            Ok(endpoint) => endpoint,
+            Err(e) => return items.iter().map(|_| Err(e.clone())).collect(),
         };
         self.stats
             .batched_items
             .fetch_add(items.len() as u64, Ordering::Relaxed);
-        let pool = &self.endpoints[ei].pool;
         let mut out: Vec<Result<()>> = Vec::with_capacity(items.len());
         let mut start = 0;
         while start < items.len() {
@@ -598,39 +589,28 @@ impl BlockStore for RpcBlockStore {
             let chunk = &items[start..end];
             // The one copy the payload takes on this side: sized up
             // front, so the request buffer never re-copies it growing.
-            let mut req = WireWriter::new();
-            req.reserve(bytes + (chunk.len() + 1) * wire::ITEM_HEADER_MAX);
-            req.put_u8(block_tag::PUT_MANY);
-            req.put_u64(local);
-            req.put_u64(chunk.len() as u64);
+            let mut req = request(block_tag::PUT_MANY, &(local, chunk.len()));
+            req.reserve(bytes + chunk.len() * wire::ITEM_HEADER_MAX);
             for (id, data) in chunk {
-                req.put_u64(id.raw());
+                id.put(&mut req);
                 req.put_slice(data);
             }
-            match call(pool, req).and_then(|payload| {
-                let mut r = payload.reader();
-                decode_batch_items(&mut r, chunk.len(), |_| Ok(()))
-            }) {
-                Ok(results) => out.extend(results),
-                // The whole chunk's outcome is unknown: every item fails
-                // with the transport error (one refused frame must not be
-                // mistaken for per-item success).
-                Err(e) => out.extend(chunk.iter().map(|_| Err(e.clone()))),
-            }
+            // A refused frame fails every item of its chunk: one lost
+            // frame must not be mistaken for per-item success.
+            out.extend(batch_results(pool.call(&req), chunk.len()));
             start = end;
         }
         out
     }
 
     fn get_many(&self, provider: usize, ids: &[BlockId]) -> Vec<Result<Bytes>> {
-        let Some(&(ei, local)) = self.route.get(provider) else {
-            let e = Error::Internal(format!("provider index {provider} out of range"));
-            return ids.iter().map(|_| Err(e.clone())).collect();
+        let (pool, local) = match self.endpoint(provider) {
+            Ok(endpoint) => endpoint,
+            Err(e) => return ids.iter().map(|_| Err(e.clone())).collect(),
         };
         self.stats
             .batched_items
             .fetch_add(ids.len() as u64, Ordering::Relaxed);
-        let pool = &self.endpoints[ei].pool;
         let mut out: Vec<Result<Bytes>> = ids
             .iter()
             .map(|_| Err(Error::Transport(String::new())))
@@ -641,14 +621,8 @@ impl BlockStore for RpcBlockStore {
         // progress.
         let mut pending: Vec<(usize, BlockId)> = ids.iter().copied().enumerate().collect();
         while !pending.is_empty() {
-            let mut req = WireWriter::new();
-            req.put_u8(block_tag::GET_MANY);
-            req.put_u64(local);
-            req.put_u64(pending.len() as u64);
-            for &(_, id) in &pending {
-                req.put_u64(id.raw());
-            }
-            let body = match pool.call(&req) {
+            let wanted: Vec<BlockId> = pending.iter().map(|&(_, id)| id).collect();
+            let body = match pool.call(&request(block_tag::GET_MANY, &(local, wanted))) {
                 Ok(body) => body,
                 Err(e) => {
                     for &(slot, _) in &pending {
@@ -693,76 +667,40 @@ impl BlockStore for RpcBlockStore {
     /// ("absent") — the remote outcome of a lost delete is genuinely
     /// unknown.
     fn delete_many(&self, provider: usize, ids: &[BlockId]) -> Vec<Result<u64>> {
-        let Some(&(ei, local)) = self.route.get(provider) else {
-            let e = Error::Internal(format!("provider index {provider} out of range"));
-            return ids.iter().map(|_| Err(e.clone())).collect();
+        let (pool, local) = match self.endpoint(provider) {
+            Ok(endpoint) => endpoint,
+            Err(e) => return ids.iter().map(|_| Err(e.clone())).collect(),
         };
         self.stats
             .batched_items
             .fetch_add(ids.len() as u64, Ordering::Relaxed);
-        let pool = &self.endpoints[ei].pool;
-        let mut req = WireWriter::new();
-        req.put_u8(block_tag::DELETE_MANY);
-        req.put_u64(local);
-        req.put_u64(ids.len() as u64);
-        for id in ids {
-            req.put_u64(id.raw());
-        }
-        match call(pool, req).and_then(|payload| {
-            let mut r = payload.reader();
-            decode_batch_items(&mut r, ids.len(), |r| r.get_u64())
-        }) {
-            Ok(results) => results,
-            Err(e) => ids.iter().map(|_| Err(e.clone())).collect(),
-        }
+        let mut req = request(block_tag::DELETE_MANY, &local);
+        ids.put(&mut req);
+        batch_results(pool.call(&req), ids.len())
     }
 
     /// Transport failures degrade to `0` — counted on
     /// `rpc_degraded_diagnostics`.
     fn block_count(&self, provider: usize) -> usize {
-        let Some((pool, req)) = self.provider_request(block_tag::BLOCK_COUNT, provider) else {
-            return 0;
-        };
-        match call(pool, req).and_then(|payload| payload.reader().get_u64()) {
-            Ok(n) => n as usize,
-            Err(e) => {
-                degraded(&self.stats, "BlockStore::block_count", &e);
-                0
-            }
-        }
+        self.provider_diagnostic(
+            "BlockStore::block_count",
+            block_tag::BLOCK_COUNT,
+            provider,
+            (),
+        )
     }
 
     /// Transport failures degrade to `0` — counted on
     /// `rpc_degraded_diagnostics`.
     fn bytes_stored(&self, provider: usize) -> u64 {
-        let Some((pool, req)) = self.provider_request(block_tag::BYTES_STORED, provider) else {
-            return 0;
-        };
-        match call(pool, req).and_then(|payload| payload.reader().get_u64()) {
-            Ok(n) => n,
-            Err(e) => {
-                degraded(&self.stats, "BlockStore::bytes_stored", &e);
-                0
-            }
-        }
+        let what = "BlockStore::bytes_stored";
+        self.provider_diagnostic(what, block_tag::BYTES_STORED, provider, ())
     }
 
     /// Transport failures degrade to `(0, 0)` — counted on
     /// `rpc_degraded_diagnostics`.
     fn op_counts(&self, provider: usize) -> (u64, u64) {
-        let Some((pool, req)) = self.provider_request(block_tag::OP_COUNTS, provider) else {
-            return (0, 0);
-        };
-        match call(pool, req).and_then(|payload| {
-            let mut r = payload.reader();
-            Ok((r.get_u64()?, r.get_u64()?))
-        }) {
-            Ok(counts) => counts,
-            Err(e) => {
-                degraded(&self.stats, "BlockStore::op_counts", &e);
-                (0, 0)
-            }
-        }
+        self.provider_diagnostic("BlockStore::op_counts", block_tag::OP_COUNTS, provider, ())
     }
 }
 
@@ -838,10 +776,7 @@ impl RpcMetaStore {
     /// accounting.
     pub fn connect_with(addr: SocketAddr, stats: Arc<EngineStats>, budget: usize) -> Result<Self> {
         let pool = MuxPool::connect_with(addr, Arc::clone(&stats), budget)?;
-        let mut req = WireWriter::new();
-        req.put_u8(meta_tag::SHARD_COUNT);
-        let payload = call(&pool, req)?;
-        let shard_count = payload.reader().get_u64()? as usize;
+        let shard_count = call(&pool, meta_tag::SHARD_COUNT, &())?;
         Ok(Self {
             pool,
             shard_count,
@@ -850,67 +785,26 @@ impl RpcMetaStore {
         })
     }
 
-    /// Runs one metadata batch frame per `META_BATCH_MAX`-item chunk:
-    /// encodes the chunk with `encode`, decodes per-item payloads with
-    /// `decode`. A transport failure fails that chunk's items only.
-    fn meta_batched<I, T>(
-        &self,
-        tag: u8,
-        items: &[I],
-        mut encode: impl FnMut(&mut WireWriter, &I),
-        mut decode: impl FnMut(&mut WireReader<'_>) -> Result<T>,
-    ) -> Vec<Result<T>> {
+    /// Runs one metadata batch frame per `META_BATCH_MAX`-item chunk. A
+    /// transport failure fails that chunk's items only.
+    fn meta_batched<I: Wire, T: Wire>(&self, tag: u8, items: &[I]) -> Vec<Result<T>> {
         self.stats
             .batched_items
             .fetch_add(items.len() as u64, Ordering::Relaxed);
         let mut out = Vec::with_capacity(items.len());
         for chunk in items.chunks(META_BATCH_MAX) {
-            let req = batch_request(tag, chunk, &mut encode);
             out.extend(batch_results(
-                self.pool.call(&req),
+                self.pool.call(&request(tag, chunk)),
                 chunk.len(),
-                &mut decode,
             ));
         }
         out
     }
-}
 
-/// One vectored metadata request frame: tag, item count, items.
-fn batch_request<I>(
-    tag: u8,
-    chunk: &[I],
-    mut encode: impl FnMut(&mut WireWriter, &I),
-) -> WireWriter {
-    let mut req = WireWriter::new();
-    req.put_u8(tag);
-    req.put_u64(chunk.len() as u64);
-    for item in chunk {
-        encode(&mut req, item);
+    /// [`diagnostic`] on this adapter's pool and stats.
+    fn diagnostic<T: Wire + Default>(&self, what: &str, tag: u8) -> T {
+        diagnostic(&self.pool, &self.stats, what, tag, &())
     }
-    req
-}
-
-/// The per-item results of one vectored frame's response; a frame whose
-/// exchange failed fails every one of its `n` items.
-fn batch_results<T>(
-    response: Result<Vec<u8>>,
-    n: usize,
-    decode: impl FnMut(&mut WireReader<'_>) -> Result<T>,
-) -> Vec<Result<T>> {
-    let decoded = response.and_then(|body| {
-        let mut r = decode_response(&body)?;
-        decode_batch_items(&mut r, n, decode)
-    });
-    match decoded {
-        Ok(results) => results,
-        Err(e) => (0..n).map(|_| Err(e.clone())).collect(),
-    }
-}
-
-fn put_node(w: &mut WireWriter, (key, node): &(NodeKey, TreeNode)) {
-    wire::put_node_key(w, key);
-    wire::put_tree_node(w, node);
 }
 
 impl MetaStore for RpcMetaStore {
@@ -928,7 +822,7 @@ impl MetaStore for RpcMetaStore {
     /// single round trip. Per-item failures (e.g. a metadata conflict on
     /// one node) come back as that item's own error.
     fn put_many(&self, items: &[(NodeKey, TreeNode)]) -> Vec<Result<()>> {
-        self.meta_batched(meta_tag::PUT_MANY, items, put_node, |_| Ok(()))
+        self.meta_batched(meta_tag::PUT_MANY, items)
     }
 
     /// Still one frame per level (per `META_BATCH_MAX` chunk of one), but
@@ -947,14 +841,14 @@ impl MetaStore for RpcMetaStore {
             .fetch_add(items as u64, Ordering::Relaxed);
         let requests: Vec<WireWriter> = chunks
             .iter()
-            .map(|(_, chunk)| batch_request(meta_tag::PUT_MANY, chunk, put_node))
+            .map(|(_, chunk)| request(meta_tag::PUT_MANY, *chunk))
             .collect();
         let mut out: Vec<Vec<Result<()>>> = levels
             .iter()
             .map(|level| Vec::with_capacity(level.len()))
             .collect();
         for ((level, chunk), response) in chunks.iter().zip(self.pool.call_all(&requests)) {
-            out[*level].extend(batch_results(response, chunk.len(), |_| Ok(())));
+            out[*level].extend(batch_results(response, chunk.len()));
         }
         out
     }
@@ -981,12 +875,7 @@ impl MetaStore for RpcMetaStore {
         EngineStats::add(&self.stats.cache_misses, missed.len() as u64);
         if !missed.is_empty() {
             // `meta_batched` answers every key it is given, in order.
-            let fetched = self.meta_batched(
-                meta_tag::GET_MANY,
-                &missed,
-                wire::put_node_key,
-                wire::get_tree_node,
-            );
+            let fetched: Vec<Result<TreeNode>> = self.meta_batched(meta_tag::GET_MANY, &missed);
             let mut cache = self.inner_nodes.lock();
             let keep = cache.generation(self.pool.deaths()) == generation;
             let slots = keys.iter().zip(&mut out).filter(|(_, slot)| slot.is_none());
@@ -1006,9 +895,7 @@ impl MetaStore for RpcMetaStore {
     /// One frame per batch: GC releases a whole cascade wave per round
     /// trip. Per item, transport loss is an `Err` ("outcome unknown").
     fn delete_many(&self, keys: &[NodeKey]) -> Vec<Result<bool>> {
-        let out = self.meta_batched(meta_tag::DELETE_MANY, keys, wire::put_node_key, |r| {
-            r.get_bool()
-        });
+        let out = self.meta_batched(meta_tag::DELETE_MANY, keys);
         self.inner_nodes.lock().forget(Some(keys));
         out
     }
@@ -1020,48 +907,20 @@ impl MetaStore for RpcMetaStore {
     /// Transport failures degrade to `0` — counted on
     /// `rpc_degraded_diagnostics`.
     fn node_count(&self) -> usize {
-        let mut req = WireWriter::new();
-        req.put_u8(meta_tag::NODE_COUNT);
-        match call(&self.pool, req).and_then(|payload| payload.reader().get_u64()) {
-            Ok(n) => n as usize,
-            Err(e) => {
-                degraded(&self.stats, "MetaStore::node_count", &e);
-                0
-            }
-        }
+        self.diagnostic("MetaStore::node_count", meta_tag::NODE_COUNT)
     }
 
     /// Transport failures degrade to an empty vector — counted on
     /// `rpc_degraded_diagnostics`.
     fn shard_stats(&self) -> Vec<(usize, u64, u64)> {
-        let mut req = WireWriter::new();
-        req.put_u8(meta_tag::SHARD_STATS);
-        match call(&self.pool, req).and_then(|payload| {
-            let mut r = payload.reader();
-            let n = r.get_u64()? as usize;
-            let mut out = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                out.push((r.get_u64()? as usize, r.get_u64()?, r.get_u64()?));
-            }
-            r.finish()?;
-            Ok(out)
-        }) {
-            Ok(stats) => stats,
-            Err(e) => {
-                degraded(&self.stats, "MetaStore::shard_stats", &e);
-                Vec::new()
-            }
-        }
+        self.diagnostic("MetaStore::shard_stats", meta_tag::SHARD_STATS)
     }
 
     /// Best-effort over the wire (a crash-injection hook; transport
     /// failures are ignored). The cached inner nodes all go too — keys do
     /// not reveal their shard here — so the crash is not masked.
     fn crash_shard(&self, shard: usize) {
-        let mut req = WireWriter::new();
-        req.put_u8(meta_tag::CRASH_SHARD);
-        req.put_u64(shard as u64);
-        let _ = call(&self.pool, req);
+        let _: Result<()> = call(&self.pool, meta_tag::CRASH_SHARD, &shard);
         self.inner_nodes.lock().forget(None);
     }
 }
@@ -1084,18 +943,8 @@ impl RpcVersionService {
     /// block size. `stats` receives the adapter's round-trip accounting.
     pub fn connect_with(addr: SocketAddr, stats: Arc<EngineStats>, budget: usize) -> Result<Self> {
         let pool = MuxPool::connect_with(addr, stats, budget)?;
-        let mut req = WireWriter::new();
-        req.put_u8(version_tag::BLOCK_SIZE);
-        let payload = call(&pool, req)?;
-        let block_size = payload.reader().get_u64()?;
+        let block_size = call(&pool, version_tag::BLOCK_SIZE, &())?;
         Ok(Self { pool, block_size })
-    }
-
-    fn blob_request(tag: u8, blob: BlobId) -> WireWriter {
-        let mut req = WireWriter::new();
-        req.put_u8(tag);
-        req.put_u64(blob.raw());
-        req
     }
 }
 
@@ -1105,101 +954,51 @@ impl VersionService for RpcVersionService {
     }
 
     fn create_blob(&self) -> Result<BlobId> {
-        let mut req = WireWriter::new();
-        req.put_u8(version_tag::CREATE_BLOB);
-        let payload = call(&self.pool, req)?;
-        Ok(BlobId::new(payload.reader().get_u64()?))
+        call(&self.pool, version_tag::CREATE_BLOB, &())
     }
 
     fn branch(&self, parent: BlobId, at: Version) -> Result<BlobId> {
-        let mut req = Self::blob_request(version_tag::BRANCH, parent);
-        req.put_u64(at.raw());
-        let payload = call(&self.pool, req)?;
-        Ok(BlobId::new(payload.reader().get_u64()?))
+        call(&self.pool, version_tag::BRANCH, &(parent, at))
     }
 
     fn assign(&self, blob: BlobId, intent: WriteIntent) -> Result<WriteTicket> {
-        let mut req = Self::blob_request(version_tag::ASSIGN, blob);
-        wire::put_write_intent(&mut req, intent);
-        let payload = call(&self.pool, req)?;
-        let mut r = payload.reader();
-        let ticket = wire::get_write_ticket(&mut r)?;
-        r.finish()?;
-        Ok(ticket)
+        call(&self.pool, version_tag::ASSIGN, &(blob, intent))
     }
 
     fn commit(&self, blob: BlobId, version: Version) -> Result<()> {
-        let mut req = Self::blob_request(version_tag::COMMIT, blob);
-        req.put_u64(version.raw());
-        call(&self.pool, req)?;
-        Ok(())
+        call(&self.pool, version_tag::COMMIT, &(blob, version))
     }
 
     fn latest(&self, blob: BlobId) -> Result<(Version, u64)> {
-        let req = Self::blob_request(version_tag::LATEST, blob);
-        let payload = call(&self.pool, req)?;
-        let mut r = payload.reader();
-        let out = (Version::new(r.get_u64()?), r.get_u64()?);
-        r.finish()?;
-        Ok(out)
+        call(&self.pool, version_tag::LATEST, &blob)
     }
 
     fn snapshot_info(&self, blob: BlobId, version: Version) -> Result<SnapshotInfo> {
-        let mut req = Self::blob_request(version_tag::SNAPSHOT_INFO, blob);
-        req.put_u64(version.raw());
-        let payload = call(&self.pool, req)?;
-        let mut r = payload.reader();
-        let info = wire::get_snapshot_info(&mut r)?;
-        r.finish()?;
-        Ok(info)
+        call(&self.pool, version_tag::SNAPSHOT_INFO, &(blob, version))
     }
 
     fn chain(&self, blob: BlobId) -> Result<LogChain> {
-        let req = Self::blob_request(version_tag::CHAIN, blob);
-        let payload = call(&self.pool, req)?;
-        let mut r = payload.reader();
-        let chain = wire::get_log_chain(&mut r)?;
-        r.finish()?;
-        Ok(chain)
+        call(&self.pool, version_tag::CHAIN, &blob)
     }
 
+    /// The server enforces the timeout and answers with Ok or
+    /// [`Error::Timeout`]; this call parks on its waiter slot only, so
+    /// other requests keep pipelining on the same connection.
     fn wait_revealed(&self, blob: BlobId, version: Version, timeout: Duration) -> Result<()> {
-        let mut req = Self::blob_request(version_tag::WAIT_REVEALED, blob);
-        req.put_u64(version.raw());
-        wire::put_duration(&mut req, timeout);
-        // The server enforces the timeout and answers with Ok or
-        // Error::Timeout; this call parks on its waiter slot only, so
-        // other requests keep pipelining on the same connection.
-        call(&self.pool, req)?;
-        Ok(())
+        let args = (blob, version, timeout);
+        call(&self.pool, version_tag::WAIT_REVEALED, &args)
     }
 
     fn pending_versions(&self, blob: BlobId) -> Result<Vec<Version>> {
-        let req = Self::blob_request(version_tag::PENDING_VERSIONS, blob);
-        let payload = call(&self.pool, req)?;
-        let mut r = payload.reader();
-        let versions = wire::get_versions(&mut r)?;
-        r.finish()?;
-        Ok(versions)
+        call(&self.pool, version_tag::PENDING_VERSIONS, &blob)
     }
 
     fn delete_blob(&self, blob: BlobId) -> Result<Vec<NodeKey>> {
-        let req = Self::blob_request(version_tag::DELETE_BLOB, blob);
-        let payload = call(&self.pool, req)?;
-        let mut r = payload.reader();
-        let roots = wire::get_node_keys(&mut r)?;
-        r.finish()?;
-        Ok(roots)
+        call(&self.pool, version_tag::DELETE_BLOB, &blob)
     }
 
     fn collect_before(&self, blob: BlobId, keep_from: Version) -> Result<Vec<NodeKey>> {
-        let mut req = Self::blob_request(version_tag::COLLECT_BEFORE, blob);
-        req.put_u64(keep_from.raw());
-        let payload = call(&self.pool, req)?;
-        let mut r = payload.reader();
-        let roots = wire::get_node_keys(&mut r)?;
-        r.finish()?;
-        Ok(roots)
+        call(&self.pool, version_tag::COLLECT_BEFORE, &(blob, keep_from))
     }
 }
 
@@ -1232,10 +1031,7 @@ impl RpcPlacementService {
     /// accounting on `control_round_trips`.
     pub fn connect_with(addr: SocketAddr, stats: Arc<EngineStats>, budget: usize) -> Result<Self> {
         let pool = MuxPool::connect_control(addr, stats, budget)?;
-        let mut req = WireWriter::new();
-        req.put_u8(placement_tag::PROVIDER_COUNT);
-        let payload = call(&pool, req)?;
-        let count = payload.reader().get_u64()? as usize;
+        let count = call(&pool, placement_tag::PROVIDER_COUNT, &())?;
         Ok(Self {
             pool,
             count: AtomicUsize::new(count),
@@ -1249,61 +1045,29 @@ impl PlacementService for RpcPlacementService {
     }
 
     fn allocate(&self, n_blocks: usize, replication: usize) -> Result<Vec<BlockAllocation>> {
-        let mut req = WireWriter::new();
-        req.put_u8(placement_tag::ALLOCATE);
-        req.put_u64(n_blocks as u64);
-        req.put_u64(replication as u64);
-        let payload = call(&self.pool, req)?;
-        let mut r = payload.reader();
-        let n = r.get_u64()? as usize;
-        let mut allocs = Vec::with_capacity(n.min(4096));
-        for _ in 0..n {
-            allocs.push(wire::get_block_allocation(&mut r)?);
-        }
-        r.finish()?;
-        Ok(allocs)
+        call(
+            &self.pool,
+            placement_tag::ALLOCATE,
+            &(n_blocks, replication),
+        )
     }
 
     fn release_many(&self, providers: &[usize]) -> Result<()> {
-        let mut req = WireWriter::new();
-        req.put_u8(placement_tag::RELEASE_MANY);
-        req.put_u64(providers.len() as u64);
-        for &p in providers {
-            req.put_u64(p as u64);
-        }
-        call(&self.pool, req)?;
-        Ok(())
+        call(&self.pool, placement_tag::RELEASE_MANY, providers)
     }
 
     fn load_vector(&self) -> Result<Vec<u64>> {
-        let mut req = WireWriter::new();
-        req.put_u8(placement_tag::LOAD_VECTOR);
-        let payload = call(&self.pool, req)?;
-        let mut r = payload.reader();
-        let n = r.get_u64()? as usize;
-        let mut loads = Vec::with_capacity(n.min(4096));
-        for _ in 0..n {
-            loads.push(r.get_u64()?);
-        }
-        r.finish()?;
-        Ok(loads)
+        call(&self.pool, placement_tag::LOAD_VECTOR, &())
     }
 
     fn register_provider(&self, node: NodeId) -> Result<usize> {
-        let mut req = WireWriter::new();
-        req.put_u8(placement_tag::REGISTER_PROVIDER);
-        req.put_u64(node.raw());
-        let payload = call(&self.pool, req)?;
-        let idx = payload.reader().get_u64()? as usize;
+        let idx = call(&self.pool, placement_tag::REGISTER_PROVIDER, &node)?;
         self.count.fetch_max(idx + 1, Ordering::SeqCst);
         Ok(idx)
     }
 
     fn heartbeat(&self, provider: usize) -> Result<u64> {
-        let mut req = WireWriter::new();
-        req.put_u8(placement_tag::HEARTBEAT);
-        req.put_u64(provider as u64);
-        call(&self.pool, req)?.reader().get_u64()
+        call(&self.pool, placement_tag::HEARTBEAT, &provider)
     }
 }
 
@@ -1339,21 +1103,11 @@ impl RpcGcService {
 
 impl GcService for RpcGcService {
     fn inc_nodes(&self, keys: &[NodeKey]) -> Result<()> {
-        let mut req = WireWriter::new();
-        req.put_u8(gc_tag::INC_NODES);
-        wire::put_node_keys(&mut req, keys);
-        call(&self.pool, req)?;
-        Ok(())
+        call(&self.pool, gc_tag::INC_NODES, keys)
     }
 
     fn release_roots(&self, roots: &[NodeKey]) -> Result<GcReport> {
-        let mut req = WireWriter::new();
-        req.put_u8(gc_tag::RELEASE_ROOTS);
-        wire::put_node_keys(&mut req, roots);
-        let payload = call(&self.pool, req)?;
-        let mut r = payload.reader();
-        let report = wire::get_gc_report(&mut r)?;
-        r.finish()?;
+        let report: GcReport = call(&self.pool, gc_tag::RELEASE_ROOTS, roots)?;
         // Mirror the server-side cascade into this deployment's counters,
         // so `delete_blob`/`gc_before` observability is hosting-agnostic.
         EngineStats::add(&self.stats.meta_nodes_collected, report.nodes_deleted);
@@ -1363,15 +1117,10 @@ impl GcService for RpcGcService {
     }
 
     fn node_count(&self, key: &NodeKey) -> Result<u64> {
-        let mut req = WireWriter::new();
-        req.put_u8(gc_tag::NODE_COUNT);
-        wire::put_node_key(&mut req, key);
-        call(&self.pool, req)?.reader().get_u64()
+        call(&self.pool, gc_tag::NODE_COUNT, key)
     }
 
     fn tracked_nodes(&self) -> Result<usize> {
-        let mut req = WireWriter::new();
-        req.put_u8(gc_tag::TRACKED_NODES);
-        Ok(call(&self.pool, req)?.reader().get_u64()? as usize)
+        call(&self.pool, gc_tag::TRACKED_NODES, &())
     }
 }

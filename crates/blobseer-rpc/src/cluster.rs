@@ -30,7 +30,7 @@
 use crate::client::{
     RpcBlockStore, RpcGcService, RpcMetaStore, RpcPlacementService, RpcVersionService,
 };
-use crate::server::{InFlight, RpcServer, RpcService};
+use crate::server::{InFlight, RpcServer, RpcService, ServerOptions};
 use blobseer_core::block_store::ProviderSet;
 use blobseer_core::dht::MetaDht;
 use blobseer_core::gc::GcHost;
@@ -43,7 +43,7 @@ use blobseer_core::{
 use blobseer_disk::frame::FrameLog;
 use blobseer_disk::volume::volume_path;
 use blobseer_disk::{DiskMetaStore, DiskProviderSet, DiskVolume, DurableVersionService};
-use blobseer_types::config::DEFAULT_RPC_SERVER_QUEUE_DEPTH;
+use blobseer_types::wire::Wire;
 use blobseer_types::{BlobSeerConfig, BlockId, Error, NodeId, Result};
 use bytes::Bytes;
 use std::net::SocketAddr;
@@ -166,19 +166,19 @@ impl LoopbackCluster {
     pub fn boot_seeded(cfg: BlobSeerConfig, n_providers: usize, pm_seed: u64) -> Result<Self> {
         assert!(n_providers > 0, "need at least one data provider");
         // Worker-pool shape: the deployment config's N dispatcher threads
-        // over the default bounded queue per server.
-        let workers = cfg.rpc_server_workers;
-        let queue = DEFAULT_RPC_SERVER_QUEUE_DEPTH;
-        // One tracker across all servers: its high watermark observes
-        // requests overlapping *anywhere* in the cluster, which is what
-        // client-side fan-out produces and a serial client cannot.
+        // over the default bounded queue per server. One tracker across
+        // all servers: its high watermark observes requests overlapping
+        // *anywhere* in the cluster, which is what client-side fan-out
+        // produces and a serial client cannot.
         let in_flight = Arc::new(InFlight::new());
-        let spawn = {
-            let in_flight = Arc::clone(&in_flight);
-            move |svc: RpcService| {
-                RpcServer::spawn_tracked(svc, workers, queue, Arc::clone(&in_flight))
-                    .map_err(|e| Error::Transport(format!("spawn loopback server: {e}")))
-            }
+        let opts = ServerOptions {
+            workers: cfg.rpc_server_workers,
+            in_flight: Some(Arc::clone(&in_flight)),
+            ..ServerOptions::default()
+        };
+        let spawn = move |svc: RpcService| {
+            RpcServer::spawn(svc, opts.clone())
+                .map_err(|e| Error::Transport(format!("spawn loopback server: {e}")))
         };
         let mut servers = Vec::with_capacity(n_providers + 4);
         let mut block_addrs = Vec::with_capacity(n_providers);
@@ -268,9 +268,7 @@ impl LoopbackCluster {
                 // One frame per boot, ever: the frame count is the next
                 // boot index (the payload is only for humans reading the
                 // log).
-                let mut w = blobseer_types::wire::WireWriter::new();
-                w.put_u64(past);
-                log.append(&w.into_vec())?;
+                log.append(&past.to_bytes())?;
                 past
             }
         };

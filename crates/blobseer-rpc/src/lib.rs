@@ -62,4 +62,4 @@ pub use client::{
     RpcBlockStore, RpcGcService, RpcMetaStore, RpcPlacementService, RpcVersionService,
 };
 pub use cluster::LoopbackCluster;
-pub use server::{InFlight, RpcServer, RpcService};
+pub use server::{InFlight, RpcServer, RpcService, ServerOptions};

@@ -14,8 +14,7 @@
 //! gets a reader thread that decodes frames and pushes them onto a
 //! bounded queue served by N shared workers (`BlobSeerConfig::
 //! rpc_server_workers`; the queue bound is the constant
-//! `DEFAULT_RPC_SERVER_QUEUE_DEPTH`, with [`RpcServer::spawn_with`] taking
-//! an explicit one for tests).
+//! `DEFAULT_RPC_SERVER_QUEUE_DEPTH`; [`ServerOptions`] sets either).
 //! Every response frame echoes the request id of the frame it answers and
 //! may be written out of order, so one connection can carry many in-flight
 //! requests — the muxed client depends on it. Known-parking calls
@@ -28,18 +27,25 @@
 //! the accept loop (waking it with a loopback connection), closes every
 //! open connection (unblocking reader threads), lets the workers drain
 //! the queue, and joins readers, workers and offload threads.
+//!
+//! Every handler arm decodes its whole argument tuple with one call to
+//! [`Wire::get`] — a call that also refuses trailing bytes — runs the
+//! port method and encodes the answer with [`Wire::put`]; only the block
+//! payload arms (`PUT_MANY`, `GET_MANY`) decode and encode by hand, to
+//! slice block bytes instead of copying them.
 
-use crate::wire::{self, encode_response};
+use crate::wire::{self, batch_status, encode_response};
+use blobseer_core::meta::key::NodeKey;
+use blobseer_core::meta::node::TreeNode;
 use blobseer_core::ports::{BlockStore, GcService, MetaStore, PlacementService, VersionService};
 use blobseer_types::config::{DEFAULT_RPC_SERVER_QUEUE_DEPTH, DEFAULT_RPC_SERVER_WORKERS};
-use blobseer_types::wire::{WireReader, WireWriter};
-use blobseer_types::NodeId;
-use blobseer_types::{BlobId, BlockId, Error, Result, Version};
+use blobseer_types::wire::{Wire, WireReader, WireWriter};
+use blobseer_types::{BlockId, Error, NodeId, Result};
 use bytes::Bytes;
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -188,62 +194,48 @@ struct Shared {
     panics: AtomicU64,
 }
 
-impl RpcServer {
-    /// Binds a loopback listener on an ephemeral port and starts serving
-    /// `service` on it with the default worker-pool shape.
-    pub fn spawn(service: RpcService) -> io::Result<Self> {
-        Self::spawn_with(
-            service,
-            DEFAULT_RPC_SERVER_WORKERS,
-            DEFAULT_RPC_SERVER_QUEUE_DEPTH,
-        )
-    }
-
-    /// [`Self::spawn`] with an explicit worker-pool shape: `workers`
-    /// dispatcher threads draining a queue of at most `queue_depth`
-    /// decoded requests.
-    pub fn spawn_with(service: RpcService, workers: usize, queue_depth: usize) -> io::Result<Self> {
-        let listener = TcpListener::bind(("127.0.0.1", 0))?;
-        Self::serve(listener, service, workers, queue_depth, None)
-    }
-
-    /// [`Self::spawn_with`] with a shared [`InFlight`] tracker: every
-    /// request this server decodes is counted in `tracker` until its
-    /// response is written. Boot all servers of a deployment with one
-    /// tracker and its high watermark proves (or disproves) client-side
-    /// request overlap.
-    pub fn spawn_tracked(
-        service: RpcService,
-        workers: usize,
-        queue_depth: usize,
-        tracker: Arc<InFlight>,
-    ) -> io::Result<Self> {
-        let listener = TcpListener::bind(("127.0.0.1", 0))?;
-        Self::serve(listener, service, workers, queue_depth, Some(tracker))
-    }
-
-    /// [`Self::spawn_with`] on an explicit address instead of an
-    /// ephemeral port — what lets a test restart a server on the port its
+/// How a server listens and how much work it takes on at once.
+#[derive(Clone, Debug)]
+pub struct ServerOptions {
+    /// Where to listen. The default is an ephemeral loopback port; an
+    /// explicit address lets a test restart a server on the port its
     /// clients already hold muxed connections to.
-    pub fn spawn_at(
-        addr: SocketAddr,
-        service: RpcService,
-        workers: usize,
-        queue_depth: usize,
-    ) -> io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        Self::serve(listener, service, workers, queue_depth, None)
-    }
+    pub addr: SocketAddr,
+    /// Dispatcher threads draining the request queue (at least one).
+    pub workers: usize,
+    /// Decoded requests the queue holds before readers block (at least one).
+    pub queue_depth: usize,
+    /// Counts every request this server decodes until its response is
+    /// written. Boot all servers of a deployment with one tracker and its
+    /// high watermark proves (or disproves) client-side request overlap.
+    pub in_flight: Option<Arc<InFlight>>,
+}
 
-    fn serve(
-        listener: TcpListener,
-        service: RpcService,
-        workers: usize,
-        queue_depth: usize,
-        in_flight: Option<Arc<InFlight>>,
-    ) -> io::Result<Self> {
+impl Default for ServerOptions {
+    fn default() -> Self {
+        Self {
+            addr: SocketAddr::from((Ipv4Addr::LOCALHOST, 0)),
+            workers: DEFAULT_RPC_SERVER_WORKERS,
+            queue_depth: DEFAULT_RPC_SERVER_QUEUE_DEPTH,
+            in_flight: None,
+        }
+    }
+}
+
+impl RpcServer {
+    /// Binds `opts.addr` and starts serving `service` on it with
+    /// `opts.workers` dispatcher threads over a queue of at most
+    /// `opts.queue_depth` decoded requests.
+    pub fn spawn(service: RpcService, opts: ServerOptions) -> io::Result<Self> {
+        let ServerOptions {
+            addr,
+            workers,
+            queue_depth,
+            in_flight,
+        } = opts;
         assert!(workers >= 1, "a server needs at least one worker");
         assert!(queue_depth >= 1, "the request queue needs some depth");
+        let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
             stop: AtomicBool::new(false),
@@ -520,20 +512,47 @@ fn serve_job(service: &RpcService, shared: &Shared, job: Job) {
 }
 
 fn dispatch(service: &RpcService, body: &Bytes) -> Vec<u8> {
-    let result = match service {
-        RpcService::Block(store) => handle_block(&**store, body),
-        RpcService::Meta(store) => handle_meta(&**store, body),
-        RpcService::Version(vm) => handle_version(&**vm, body),
-        RpcService::Placement(pm) => handle_placement(&**pm, body),
-        RpcService::Gc(gc) => handle_gc(&**gc, body),
-    };
+    let mut r = WireReader::new(body);
+    let result = r.get_u8().and_then(|tag| match service {
+        RpcService::Block(store) => handle_block(&**store, tag, r, body),
+        RpcService::Meta(store) => handle_meta(&**store, tag, r),
+        RpcService::Version(vm) => handle_version(&**vm, tag, r),
+        RpcService::Placement(pm) => handle_placement(&**pm, tag, r),
+        RpcService::Gc(gc) => handle_gc(&**gc, tag, r),
+    });
     encode_response(result)
+}
+
+/// Decodes a request's arguments — the rest of its body after the tag —
+/// with `decode`, which must consume all of it: trailing bytes are a
+/// framing bug on the peer.
+fn request<A>(
+    mut r: WireReader<'_>,
+    decode: impl FnOnce(&mut WireReader<'_>) -> Result<A>,
+) -> Result<A> {
+    let args = decode(&mut r)?;
+    r.finish()?;
+    Ok(args)
+}
+
+/// Serves one call: decodes its argument tuple, runs it, answers.
+fn serve<A: Wire, T: Wire>(
+    r: WireReader<'_>,
+    call: impl FnOnce(A) -> Result<T>,
+) -> Result<WireWriter> {
+    Ok(answer(&call(request(r, A::get)?)?))
+}
+
+/// `value`, encoded behind the response envelope.
+fn answer<T: Wire>(value: &T) -> WireWriter {
+    let mut w = wire::response_writer();
+    value.put(&mut w);
+    w
 }
 
 /// Validates a provider index against the hosted store — a malformed
 /// request must answer with an error, not panic the handler.
-fn check_provider(store: &dyn BlockStore, provider: u64) -> Result<usize> {
-    let p = provider as usize;
+fn check_provider(store: &dyn BlockStore, p: usize) -> Result<usize> {
     if p >= store.len() {
         return Err(Error::Internal(format!(
             "provider index {p} out of range (store has {})",
@@ -569,114 +588,82 @@ fn get_shared(r: &mut WireReader<'_>, body: &Bytes) -> Result<Bytes> {
     Ok(body.slice(end - len..end))
 }
 
-fn handle_block(store: &dyn BlockStore, body: &Bytes) -> Result<WireWriter> {
-    let mut r = WireReader::new(body);
-    let tag = r.get_u8()?;
+fn handle_block(
+    store: &dyn BlockStore,
+    tag: u8,
+    r: WireReader<'_>,
+    body: &Bytes,
+) -> Result<WireWriter> {
+    let provider = |p| check_provider(store, p);
+    match tag {
+        block_tag::DESCRIBE => serve(r, |()| {
+            Ok((0..store.len()).map(|i| store.node(i)).collect::<Vec<_>>())
+        }),
+        block_tag::CONTAINS => serve(r, |(p, id)| Ok(store.contains(provider(p)?, id))),
+        block_tag::PUT_MANY => {
+            // Items by hand: each block is a slice of the request buffer.
+            let (p, items) = request(r, |r| {
+                let (p, n) = <(usize, u64)>::get(r)?;
+                let mut items = Vec::new();
+                for _ in 0..n {
+                    items.push((BlockId::get(r)?, get_shared(r, body)?));
+                }
+                Ok((p, items))
+            })?;
+            Ok(answer(&store.put_many(provider(p)?, &items)))
+        }
+        block_tag::GET_MANY => {
+            let (p, ids): (usize, Vec<BlockId>) = request(r, Wire::get)?;
+            let results = store.get_many(provider(p)?, &ids);
+            Ok(encode_get_many(&results))
+        }
+        block_tag::DELETE_MANY => serve(r, |(p, ids): (_, Vec<BlockId>)| {
+            Ok(store.delete_many(provider(p)?, &ids))
+        }),
+        block_tag::BLOCK_COUNT => serve(r, |p| Ok(store.block_count(provider(p)?))),
+        block_tag::BYTES_STORED => serve(r, |p| Ok(store.bytes_stored(provider(p)?))),
+        block_tag::OP_COUNTS => serve(r, |p| Ok(store.op_counts(provider(p)?))),
+        t => Err(Error::Transport(format!("unknown block method tag {t}"))),
+    }
+}
+
+/// A `GET_MANY` answer, by hand: the payloads are written once, straight
+/// behind the envelope, and those past the batch budget are deferred.
+fn encode_get_many(results: &[Result<Bytes>]) -> WireWriter {
     let mut w = wire::response_writer();
     // What the envelope put in `w`; the batch budget counts payload only.
     let envelope = w.as_slice().len();
-    match tag {
-        block_tag::DESCRIBE => {
-            r.finish()?;
-            w.put_u64(store.len() as u64);
-            for i in 0..store.len() {
-                w.put_u64(store.node(i).raw());
+    w.put_u64(results.len() as u64);
+    // The payloads' one copy on this side: make room for them up front
+    // (at most a budget's worth leaves in this frame).
+    let payload: usize = results.iter().flatten().map(|d| d.len()).sum();
+    w.reserve(payload.min(wire::BATCH_BYTE_BUDGET) + wire::ITEM_HEADER_MAX * results.len());
+    // Encode items while they fit the batch budget — counting the payload
+    // *about to be appended*, or a batch of large blocks could overshoot
+    // the budget by one block and assemble a frame past MAX_FRAME_LEN that
+    // the client must reject. The tail is marked DEFERRED for the client
+    // to re-request. The first item always encodes (whatever its size), so
+    // a client loop over deferrals is guaranteed progress.
+    let mut included_any = false;
+    for result in results {
+        let projected = w.as_slice().len() - envelope + result.as_ref().map_or(0, |d| d.len());
+        if included_any && projected > wire::BATCH_BYTE_BUDGET {
+            w.put_u8(batch_status::DEFERRED);
+            continue;
+        }
+        match result {
+            Ok(data) => {
+                w.put_u8(batch_status::OK);
+                w.put_slice(data);
+            }
+            Err(e) => {
+                w.put_u8(batch_status::ERR);
+                e.put(&mut w);
             }
         }
-        block_tag::CONTAINS => {
-            let p = r.get_u64()?;
-            let id = BlockId::new(r.get_u64()?);
-            r.finish()?;
-            w.put_bool(store.contains(check_provider(store, p)?, id));
-        }
-        block_tag::PUT_MANY => {
-            let p = r.get_u64()?;
-            let n = r.get_u64()? as usize;
-            let mut items = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                let id = BlockId::new(r.get_u64()?);
-                items.push((id, get_shared(&mut r, body)?));
-            }
-            r.finish()?;
-            let results = store.put_many(check_provider(store, p)?, &items);
-            w.put_u64(results.len() as u64);
-            for result in &results {
-                wire::put_item_status(&mut w, result);
-            }
-        }
-        block_tag::GET_MANY => {
-            let p = r.get_u64()?;
-            let n = r.get_u64()? as usize;
-            let mut ids = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                ids.push(BlockId::new(r.get_u64()?));
-            }
-            r.finish()?;
-            let results = store.get_many(check_provider(store, p)?, &ids);
-            w.put_u64(results.len() as u64);
-            // The payloads' one copy on this side: make room for them up
-            // front (at most a budget's worth leaves in this frame).
-            let payload: usize = results.iter().flatten().map(|d| d.len()).sum();
-            w.reserve(payload.min(wire::BATCH_BYTE_BUDGET) + wire::ITEM_HEADER_MAX * results.len());
-            // Encode items while they fit the batch budget — counting the
-            // payload *about to be appended*, or a batch of large blocks
-            // could overshoot the budget by one block and assemble a frame
-            // past MAX_FRAME_LEN that the client must reject. The tail is
-            // marked DEFERRED for the client to re-request. The first item
-            // always encodes (whatever its size), so a client loop over
-            // deferrals is guaranteed progress.
-            let mut included_any = false;
-            for result in &results {
-                let projected =
-                    w.as_slice().len() - envelope + result.as_ref().map_or(0, |d| d.len());
-                if included_any && projected > wire::BATCH_BYTE_BUDGET {
-                    w.put_u8(wire::batch_status::DEFERRED);
-                    continue;
-                }
-                wire::put_item_status(&mut w, result);
-                if let Ok(data) = result {
-                    w.put_slice(data);
-                }
-                included_any = true;
-            }
-        }
-        block_tag::DELETE_MANY => {
-            let p = r.get_u64()?;
-            let n = r.get_u64()? as usize;
-            let mut ids = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                ids.push(BlockId::new(r.get_u64()?));
-            }
-            r.finish()?;
-            let results = store.delete_many(check_provider(store, p)?, &ids);
-            w.put_u64(results.len() as u64);
-            for result in &results {
-                wire::put_item_status(&mut w, result);
-                if let Ok(freed) = result {
-                    w.put_u64(*freed);
-                }
-            }
-        }
-        block_tag::BLOCK_COUNT => {
-            let p = r.get_u64()?;
-            r.finish()?;
-            w.put_u64(store.block_count(check_provider(store, p)?) as u64);
-        }
-        block_tag::BYTES_STORED => {
-            let p = r.get_u64()?;
-            r.finish()?;
-            w.put_u64(store.bytes_stored(check_provider(store, p)?));
-        }
-        block_tag::OP_COUNTS => {
-            let p = r.get_u64()?;
-            r.finish()?;
-            let (puts, gets) = store.op_counts(check_provider(store, p)?);
-            w.put_u64(puts);
-            w.put_u64(gets);
-        }
-        t => return Err(Error::Transport(format!("unknown block method tag {t}"))),
+        included_any = true;
     }
-    Ok(w)
+    w
 }
 
 /// Method tags of the meta service (mirrored by `client::RpcMetaStore`).
@@ -692,79 +679,17 @@ pub(crate) mod meta_tag {
     pub const DELETE_MANY: u8 = 9;
 }
 
-fn handle_meta(store: &dyn MetaStore, body: &[u8]) -> Result<WireWriter> {
-    let mut r = WireReader::new(body);
-    let tag = r.get_u8()?;
-    let mut w = wire::response_writer();
+fn handle_meta(store: &dyn MetaStore, tag: u8, r: WireReader<'_>) -> Result<WireWriter> {
     match tag {
-        meta_tag::PUT_MANY => {
-            let n = r.get_u64()? as usize;
-            let mut items = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                let key = wire::get_node_key(&mut r)?;
-                let node = wire::get_tree_node(&mut r)?;
-                items.push((key, node));
-            }
-            r.finish()?;
-            let results = store.put_many(&items);
-            w.put_u64(results.len() as u64);
-            for result in &results {
-                wire::put_item_status(&mut w, result);
-            }
-        }
-        meta_tag::GET_MANY => {
-            let n = r.get_u64()? as usize;
-            let mut keys = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                keys.push(wire::get_node_key(&mut r)?);
-            }
-            r.finish()?;
-            let results = store.get_many(&keys);
-            w.put_u64(results.len() as u64);
-            for result in &results {
-                wire::put_item_status(&mut w, result);
-                if let Ok(node) = result {
-                    wire::put_tree_node(&mut w, node);
-                }
-            }
-        }
-        meta_tag::DELETE_MANY => {
-            let n = r.get_u64()? as usize;
-            let mut keys = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                keys.push(wire::get_node_key(&mut r)?);
-            }
-            r.finish()?;
-            let results = store.delete_many(&keys);
-            w.put_u64(results.len() as u64);
-            for result in &results {
-                wire::put_item_status(&mut w, result);
-                if let Ok(existed) = result {
-                    w.put_bool(*existed);
-                }
-            }
-        }
-        meta_tag::SHARD_COUNT => {
-            r.finish()?;
-            w.put_u64(store.shard_count() as u64);
-        }
-        meta_tag::NODE_COUNT => {
-            r.finish()?;
-            w.put_u64(store.node_count() as u64);
-        }
-        meta_tag::SHARD_STATS => {
-            r.finish()?;
-            let stats = store.shard_stats();
-            w.put_u64(stats.len() as u64);
-            for (nodes, puts, gets) in stats {
-                w.put_u64(nodes as u64);
-                w.put_u64(puts);
-                w.put_u64(gets);
-            }
-        }
-        meta_tag::CRASH_SHARD => {
-            let shard = r.get_u64()? as usize;
-            r.finish()?;
+        meta_tag::PUT_MANY => serve(r, |items: Vec<(NodeKey, TreeNode)>| {
+            Ok(store.put_many(&items))
+        }),
+        meta_tag::GET_MANY => serve(r, |keys: Vec<NodeKey>| Ok(store.get_many(&keys))),
+        meta_tag::DELETE_MANY => serve(r, |keys: Vec<NodeKey>| Ok(store.delete_many(&keys))),
+        meta_tag::SHARD_COUNT => serve(r, |()| Ok(store.shard_count())),
+        meta_tag::NODE_COUNT => serve(r, |()| Ok(store.node_count())),
+        meta_tag::SHARD_STATS => serve(r, |()| Ok(store.shard_stats())),
+        meta_tag::CRASH_SHARD => serve(r, |shard: usize| {
             if shard >= store.shard_count() {
                 return Err(Error::Internal(format!(
                     "shard index {shard} out of range (dht has {})",
@@ -772,10 +697,10 @@ fn handle_meta(store: &dyn MetaStore, body: &[u8]) -> Result<WireWriter> {
                 )));
             }
             store.crash_shard(shard);
-        }
-        t => return Err(Error::Transport(format!("unknown meta method tag {t}"))),
+            Ok(())
+        }),
+        t => Err(Error::Transport(format!("unknown meta method tag {t}"))),
     }
-    Ok(w)
 }
 
 /// Method tags of the version service (mirrored by
@@ -795,91 +720,30 @@ pub(crate) mod version_tag {
     pub const COLLECT_BEFORE: u8 = 11;
 }
 
-fn handle_version(vm: &dyn VersionService, body: &[u8]) -> Result<WireWriter> {
-    let mut r = WireReader::new(body);
-    let tag = r.get_u8()?;
-    let mut w = wire::response_writer();
+fn handle_version(vm: &dyn VersionService, tag: u8, r: WireReader<'_>) -> Result<WireWriter> {
     match tag {
-        version_tag::BLOCK_SIZE => {
-            r.finish()?;
-            w.put_u64(vm.block_size());
-        }
-        version_tag::CREATE_BLOB => {
-            r.finish()?;
-            w.put_u64(vm.create_blob()?.raw());
-        }
-        version_tag::BRANCH => {
-            let parent = BlobId::new(r.get_u64()?);
-            let at = Version::new(r.get_u64()?);
-            r.finish()?;
-            w.put_u64(vm.branch(parent, at)?.raw());
-        }
-        version_tag::ASSIGN => {
-            let blob = BlobId::new(r.get_u64()?);
-            let intent = wire::get_write_intent(&mut r)?;
-            r.finish()?;
-            let ticket = vm.assign(blob, intent)?;
-            wire::put_write_ticket(&mut w, &ticket);
-        }
-        version_tag::COMMIT => {
-            let blob = BlobId::new(r.get_u64()?);
-            let version = Version::new(r.get_u64()?);
-            r.finish()?;
-            vm.commit(blob, version)?;
-        }
-        version_tag::LATEST => {
-            let blob = BlobId::new(r.get_u64()?);
-            r.finish()?;
-            let (v, size) = vm.latest(blob)?;
-            w.put_u64(v.raw());
-            w.put_u64(size);
-        }
-        version_tag::SNAPSHOT_INFO => {
-            let blob = BlobId::new(r.get_u64()?);
-            let version = Version::new(r.get_u64()?);
-            r.finish()?;
-            let info = vm.snapshot_info(blob, version)?;
-            wire::put_snapshot_info(&mut w, &info);
-        }
-        version_tag::CHAIN => {
-            let blob = BlobId::new(r.get_u64()?);
-            r.finish()?;
-            let chain = vm.chain(blob)?;
-            wire::put_log_chain(&mut w, &chain);
-        }
-        version_tag::WAIT_REVEALED => {
-            let blob = BlobId::new(r.get_u64()?);
-            let version = Version::new(r.get_u64()?);
-            let timeout = wire::get_duration(&mut r)?;
-            r.finish()?;
-            // Runs on a dedicated offload thread — the reader never
-            // queues this tag (see `parks_a_thread`), so a parked wait
-            // holds no worker slot and other requests on the same
-            // connection keep flowing.
-            vm.wait_revealed(blob, version, timeout)?;
-        }
-        version_tag::PENDING_VERSIONS => {
-            let blob = BlobId::new(r.get_u64()?);
-            r.finish()?;
-            let versions = vm.pending_versions(blob)?;
-            wire::put_versions(&mut w, &versions);
-        }
-        version_tag::DELETE_BLOB => {
-            let blob = BlobId::new(r.get_u64()?);
-            r.finish()?;
-            let roots = vm.delete_blob(blob)?;
-            wire::put_node_keys(&mut w, &roots);
-        }
+        version_tag::BLOCK_SIZE => serve(r, |()| Ok(vm.block_size())),
+        version_tag::CREATE_BLOB => serve(r, |()| vm.create_blob()),
+        version_tag::BRANCH => serve(r, |(parent, at)| vm.branch(parent, at)),
+        version_tag::ASSIGN => serve(r, |(blob, intent)| vm.assign(blob, intent)),
+        version_tag::COMMIT => serve(r, |(blob, version)| vm.commit(blob, version)),
+        version_tag::LATEST => serve(r, |blob| vm.latest(blob)),
+        version_tag::SNAPSHOT_INFO => serve(r, |(blob, version)| vm.snapshot_info(blob, version)),
+        version_tag::CHAIN => serve(r, |blob| vm.chain(blob)),
+        // Runs on a dedicated offload thread — the reader never queues
+        // this tag (see `parks_a_thread`), so a parked wait holds no
+        // worker slot and other requests on the same connection keep
+        // flowing.
+        version_tag::WAIT_REVEALED => serve(r, |(blob, version, timeout)| {
+            vm.wait_revealed(blob, version, timeout)
+        }),
+        version_tag::PENDING_VERSIONS => serve(r, |blob| vm.pending_versions(blob)),
+        version_tag::DELETE_BLOB => serve(r, |blob| vm.delete_blob(blob)),
         version_tag::COLLECT_BEFORE => {
-            let blob = BlobId::new(r.get_u64()?);
-            let keep_from = Version::new(r.get_u64()?);
-            r.finish()?;
-            let roots = vm.collect_before(blob, keep_from)?;
-            wire::put_node_keys(&mut w, &roots);
+            serve(r, |(blob, keep_from)| vm.collect_before(blob, keep_from))
         }
-        t => return Err(Error::Transport(format!("unknown version method tag {t}"))),
+        t => Err(Error::Transport(format!("unknown version method tag {t}"))),
     }
-    Ok(w)
 }
 
 /// Method tags of the placement service (mirrored by
@@ -893,59 +757,22 @@ pub(crate) mod placement_tag {
     pub const HEARTBEAT: u8 = 5;
 }
 
-fn handle_placement(pm: &dyn PlacementService, body: &[u8]) -> Result<WireWriter> {
-    let mut r = WireReader::new(body);
-    let tag = r.get_u8()?;
-    let mut w = wire::response_writer();
+fn handle_placement(pm: &dyn PlacementService, tag: u8, r: WireReader<'_>) -> Result<WireWriter> {
     match tag {
-        placement_tag::PROVIDER_COUNT => {
-            r.finish()?;
-            w.put_u64(pm.provider_count() as u64);
-        }
-        placement_tag::ALLOCATE => {
-            let n_blocks = r.get_u64()? as usize;
-            let replication = r.get_u64()? as usize;
-            r.finish()?;
-            let allocs = pm.allocate(n_blocks, replication)?;
-            w.put_u64(allocs.len() as u64);
-            for a in &allocs {
-                wire::put_block_allocation(&mut w, a);
-            }
-        }
+        placement_tag::PROVIDER_COUNT => serve(r, |()| Ok(pm.provider_count())),
+        placement_tag::ALLOCATE => serve(r, |(n_blocks, replication)| {
+            pm.allocate(n_blocks, replication)
+        }),
         placement_tag::RELEASE_MANY => {
-            let n = r.get_u64()? as usize;
-            let mut providers = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                providers.push(r.get_u64()? as usize);
-            }
-            r.finish()?;
-            pm.release_many(&providers)?;
+            serve(r, |providers: Vec<usize>| pm.release_many(&providers))
         }
-        placement_tag::LOAD_VECTOR => {
-            r.finish()?;
-            let loads = pm.load_vector()?;
-            w.put_u64(loads.len() as u64);
-            for l in loads {
-                w.put_u64(l);
-            }
-        }
-        placement_tag::REGISTER_PROVIDER => {
-            let node = NodeId::new(r.get_u64()?);
-            r.finish()?;
-            w.put_u64(pm.register_provider(node)? as u64);
-        }
-        placement_tag::HEARTBEAT => {
-            let provider = r.get_u64()? as usize;
-            r.finish()?;
-            w.put_u64(pm.heartbeat(provider)?);
-        }
-        t => {
-            return Err(Error::Transport(format!(
-                "unknown placement method tag {t}"
-            )))
-        }
+        placement_tag::LOAD_VECTOR => serve(r, |()| pm.load_vector()),
+        placement_tag::REGISTER_PROVIDER => serve(r, |node: NodeId| pm.register_provider(node)),
+        placement_tag::HEARTBEAT => serve(r, |provider| pm.heartbeat(provider)),
+        t => Err(Error::Transport(format!(
+            "unknown placement method tag {t}"
+        ))),
     }
-    Ok(w)
 }
 
 /// Method tags of the GC service (mirrored by `client::RpcGcService`).
@@ -956,32 +783,12 @@ pub(crate) mod gc_tag {
     pub const TRACKED_NODES: u8 = 3;
 }
 
-fn handle_gc(gc: &dyn GcService, body: &[u8]) -> Result<WireWriter> {
-    let mut r = WireReader::new(body);
-    let tag = r.get_u8()?;
-    let mut w = wire::response_writer();
+fn handle_gc(gc: &dyn GcService, tag: u8, r: WireReader<'_>) -> Result<WireWriter> {
     match tag {
-        gc_tag::INC_NODES => {
-            let keys = wire::get_node_keys(&mut r)?;
-            r.finish()?;
-            gc.inc_nodes(&keys)?;
-        }
-        gc_tag::RELEASE_ROOTS => {
-            let roots = wire::get_node_keys(&mut r)?;
-            r.finish()?;
-            let report = gc.release_roots(&roots)?;
-            wire::put_gc_report(&mut w, &report);
-        }
-        gc_tag::NODE_COUNT => {
-            let key = wire::get_node_key(&mut r)?;
-            r.finish()?;
-            w.put_u64(gc.node_count(&key)?);
-        }
-        gc_tag::TRACKED_NODES => {
-            r.finish()?;
-            w.put_u64(gc.tracked_nodes()? as u64);
-        }
-        t => return Err(Error::Transport(format!("unknown gc method tag {t}"))),
+        gc_tag::INC_NODES => serve(r, |keys: Vec<NodeKey>| gc.inc_nodes(&keys)),
+        gc_tag::RELEASE_ROOTS => serve(r, |roots: Vec<NodeKey>| gc.release_roots(&roots)),
+        gc_tag::NODE_COUNT => serve(r, |key| gc.node_count(&key)),
+        gc_tag::TRACKED_NODES => serve(r, |()| gc.tracked_nodes()),
+        t => Err(Error::Transport(format!("unknown gc method tag {t}"))),
     }
-    Ok(w)
 }

@@ -1,4 +1,5 @@
-//! Wire codec for the port-trait domain types and the framing layer.
+//! Framing, the response envelope and batch statuses: what the RPC layer
+//! adds around bodies encoded with [`Wire`].
 //!
 //! Messages are length-prefixed, request-correlated binary frames:
 //!
@@ -19,29 +20,25 @@
 //! in-flight requests share one TCP connection — the server may answer
 //! out of order (a parked `wait_revealed` no longer blocks the answers
 //! behind it) and the client's demux thread routes each response to the
-//! waiter that sent the matching id. Bodies are built from the primitives
-//! in [`blobseer_types::wire`] (varints, length-prefixed byte strings);
-//! this module adds codecs for every composite type that crosses a port
-//! boundary — tree nodes, node keys, write tickets (bounded: the answers
-//! to the write's border in place of the log), whole log chains, snapshot
-//! infos, block allocations — plus request framing for the services.
+//! waiter that sent the matching id.
+//!
+//! A request body is a method tag, then the method's argument tuple; a
+//! response body is the envelope ([`response_writer`], [`decode_response`])
+//! around the answer. Both are encoded with [`Wire`]
+//! (`blobseer_types::wire`; the domain types' impls live in
+//! `blobseer_core::meta::codec`). Only the two block-payload paths write
+//! their bodies by hand, so block bytes are sliced, never copied: a
+//! `PUT_MANY` request and a `GET_MANY` response, whose items may be
+//! [`batch_status::DEFERRED`].
 //!
 //! Every decode validates its input and fails with
 //! [`blobseer_types::Error::Transport`]; a malformed frame can never
 //! panic a server or client thread.
 
-use blobseer_core::gc::GcReport;
-use blobseer_core::meta::key::NodeKey;
-use blobseer_core::meta::log::{Border, LogChain, LogEntry, LogSegment, WriteLog};
-use blobseer_core::meta::node::NodeRef;
-use blobseer_core::provider_manager::BlockAllocation;
-use blobseer_core::version_manager::{SnapshotInfo, WriteTicket};
-use blobseer_types::wire::{write_all_vectored, WireReader, WireWriter};
-use blobseer_types::{BlobId, BlockId, Error, Result, Version};
-use parking_lot::RwLock;
+use blobseer_core::version_manager::WriteTicket;
+use blobseer_types::wire::{write_all_vectored, Wire, WireReader, WireWriter};
+use blobseer_types::{Error, Result};
 use std::io::{ErrorKind, IoSlice, Read, Write};
-use std::sync::Arc;
-use std::time::Duration;
 
 /// Upper bound on an accepted frame body (64 MB block + headroom). A
 /// corrupt length prefix must not make a peer attempt a huge allocation.
@@ -60,7 +57,10 @@ pub const BATCH_BYTE_BUDGET: usize = 64 * 1024 * 1024;
 /// builder adds per item when it sizes its buffer for known payloads.
 pub(crate) const ITEM_HEADER_MAX: usize = 20;
 
-/// Per-item status bytes of the vectored (`*_many`) response frames.
+/// Status bytes: the first byte of every response body (`OK`, `ERR`), and
+/// of each item of a vectored (`*_many`) response. `OK` and `ERR` are the
+/// status bytes of `Result<T>`'s [`Wire`] encoding; only a `GET_MANY`
+/// response, written by hand, also uses `DEFERRED`.
 pub mod batch_status {
     /// The item succeeded; its payload (if any) follows.
     pub const OK: u8 = 0;
@@ -70,18 +70,6 @@ pub mod batch_status {
     /// pushed the response frame past [`super::BATCH_BYTE_BUDGET`]. The
     /// client re-requests deferred items in a follow-up frame.
     pub const DEFERRED: u8 = 2;
-}
-
-/// Encodes one per-item outcome (status byte, then the error payload for
-/// failures; the caller writes any success payload itself).
-pub fn put_item_status<T>(w: &mut WireWriter, result: &Result<T>) {
-    match result {
-        Ok(_) => w.put_u8(batch_status::OK),
-        Err(e) => {
-            w.put_u8(batch_status::ERR);
-            w.put_error(e);
-        }
-    }
 }
 
 /// Maps an I/O failure into [`Error::Transport`] with context.
@@ -175,348 +163,13 @@ pub fn read_frame(stream: &mut impl Read) -> Result<Option<(u64, Vec<u8>)>> {
     Ok(Some((req_id, body)))
 }
 
-// --- composite-type codecs --------------------------------------------------
-
-// The metadata domain codecs (positions, node keys, block ranges and
-// descriptors, tree nodes, write intents) live in
-// `blobseer_core::meta::codec` because the disk-backed stores and the
-// replicated version manager persist records in the same encoding;
-// re-exported here so wire call sites keep one import surface.
-pub use blobseer_core::meta::codec::{
-    get_block_descriptor, get_block_range, get_node_key, get_opt_node_ref, get_pos, get_tree_node,
-    get_write_intent, put_block_descriptor, put_block_range, put_node_key, put_opt_node_ref,
-    put_pos, put_tree_node, put_write_intent,
-};
-
-/// Encodes a write-log entry.
-pub fn put_log_entry(w: &mut WireWriter, e: &LogEntry) {
-    w.put_u64(e.version.raw());
-    put_block_range(w, e.blocks);
-    w.put_u64(e.cap_before);
-    w.put_u64(e.cap_after);
-    w.put_u64(e.size_after);
-}
-
-/// Decodes a write-log entry, validating the tree geometry the walks of
-/// `meta::log` rely on: a non-empty block range inside a power-of-two
-/// capacity that did not shrink.
-pub fn get_log_entry(r: &mut WireReader<'_>) -> Result<LogEntry> {
-    let e = LogEntry {
-        version: Version::new(r.get_u64()?),
-        blocks: get_block_range(r)?,
-        cap_before: r.get_u64()?,
-        cap_after: r.get_u64()?,
-        size_after: r.get_u64()?,
-    };
-    let grew_from = e.cap_before == 0 || e.cap_before.is_power_of_two();
-    if e.blocks.is_empty()
-        || !e.cap_after.is_power_of_two()
-        || e.blocks.end > e.cap_after
-        || !grew_from
-        || e.cap_before > e.cap_after
-    {
-        return Err(Error::Transport(format!(
-            "wire: invalid log entry geometry {e:?}"
-        )));
-    }
-    Ok(e)
-}
-
-/// Encodes a snapshot info.
-pub fn put_snapshot_info(w: &mut WireWriter, info: &SnapshotInfo) {
-    w.put_u64(info.version.raw());
-    w.put_u64(info.size);
-    w.put_u64(info.cap);
-    w.put_u64(info.root_blob.raw());
-    w.put_bool(info.revealed);
-}
-
-/// Decodes a snapshot info.
-pub fn get_snapshot_info(r: &mut WireReader<'_>) -> Result<SnapshotInfo> {
-    Ok(SnapshotInfo {
-        version: Version::new(r.get_u64()?),
-        size: r.get_u64()?,
-        cap: r.get_u64()?,
-        root_blob: BlobId::new(r.get_u64()?),
-        revealed: r.get_bool()?,
-    })
-}
-
-/// Encodes a whole log chain as a point-in-time snapshot of its segments
-/// — the answer of the `chain` call, O(history) bytes. Tickets do not
-/// carry it ([`put_write_ticket`]); abort repair, which needs answers no
-/// ticket holds, fetches it.
-///
-/// In-process deployments share the version manager's *live* logs through
-/// `Arc`; over the wire the client receives a copy. For the repair of
-/// version `v` the copy is sufficient: weaving only consults entries
-/// *below* `v`, and those were appended under the per-BLOB mutex before
-/// `v` was assigned — they are all present at encode time. A border-only
-/// chain has no segments and encodes as an empty chain, which does not
-/// decode.
-pub fn put_log_chain(w: &mut WireWriter, chain: &LogChain) {
-    let segments = chain.segments();
-    w.put_u64(segments.len() as u64);
-    for seg in segments {
-        w.put_u64(seg.blob.raw());
-        w.put_u64(seg.vec_base.raw());
-        w.put_u64(seg.lo.raw());
-        w.put_u64(seg.hi.raw());
-        let entries = seg.entries.read();
-        w.put_u64(entries.len() as u64);
-        for e in entries.iter() {
-            put_log_entry(w, e);
-        }
-    }
-}
-
-/// Decodes a log chain (the segments own fresh logs, indexed like the
-/// version manager's).
-pub fn get_log_chain(r: &mut WireReader<'_>) -> Result<LogChain> {
-    let n = r.get_u64()? as usize;
-    if n == 0 {
-        return Err(Error::Transport("wire: empty log chain".into()));
-    }
-    let mut segments = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        let blob = BlobId::new(r.get_u64()?);
-        let vec_base = Version::new(r.get_u64()?);
-        let lo = Version::new(r.get_u64()?);
-        let hi = Version::new(r.get_u64()?);
-        let n_entries = r.get_u64()? as usize;
-        let mut entries = WriteLog::new();
-        for k in 0..n_entries as u64 {
-            let e = get_log_entry(r)?;
-            // Dense, like the version manager's own log: lookups index by
-            // version.
-            if Some(e.version.raw()) != vec_base.raw().checked_add(1 + k) {
-                return Err(Error::Transport(format!(
-                    "wire: log entry {k} after {vec_base} claims {}",
-                    e.version
-                )));
-            }
-            entries.push(e);
-        }
-        segments.push(LogSegment {
-            blob,
-            entries: Arc::new(RwLock::new(entries)),
-            vec_base,
-            lo,
-            hi,
-        });
-    }
-    Ok(LogChain::new(segments))
-}
-
-/// How one border answer of a ticket is encoded: a tag, then for the two
-/// node tags how many versions *back* from the ticket's the materializer
-/// lies (`>= 1`) — "the latest writer before `v`" is mostly a recent one,
-/// so the distance stays a short varint where the version would not.
-mod border_tag {
-    /// No earlier version materialized the position: a hole.
-    pub const HOLE: u8 = 0;
-    /// A version of the ticket's own blob; the distance follows.
-    pub const OWN: u8 = 1;
-    /// A version of an ancestor lineage; its blob id, then the distance.
-    pub const ANCESTOR: u8 = 2;
-}
-
-/// Written in place of the border-answer count when the encoder's chain
-/// could not answer the ticket's own border (a hand-built, inconsistent
-/// ticket). Decoding fails on it: a missing answer must never read as a
-/// hole.
-const BORDER_UNANSWERED: u64 = u64::MAX;
-
-/// Encodes a write ticket: offset, entry and — in place of the log — the
-/// answers to the entry's border ([`LogChain::border`]): per position the
-/// tree build of `t.entry` weaves, the latest materializer before
-/// `t.version`. Only the answers travel; the decoder re-derives the
-/// positions from the entry with the same walk. O(tree depth) bytes
-/// whatever the length of the history, and the same bytes from a live
-/// chain, a fully transferred one, or the border-only chain of a decoded
-/// ticket.
-///
-/// The lookups run here, on the encoding thread — for a hosted version
-/// manager a server worker, *outside* the per-BLOB mutex that serialized
-/// the assignment. Every entry below `t.version` is already in the log by
-/// then; later ones are clamped away.
+/// Encodes a write ticket: [`WriteTicket`]'s [`Wire`] encoding, under the
+/// name the benchmark's ticket-size probe calls.
 pub fn put_write_ticket(w: &mut WireWriter, t: &WriteTicket) {
-    w.put_u64(t.blob.raw());
-    w.put_u64(t.offset);
-    w.put_u64(t.prev_size);
-    put_log_entry(w, &t.entry);
-    let border = match t.chain.border(&t.entry) {
-        Ok(border) if t.version == t.entry.version => border,
-        _ => return w.put_u64(BORDER_UNANSWERED),
-    };
-    w.put_u64(border.answers().len() as u64);
-    for (_, answer) in border.answers() {
-        match answer {
-            None => w.put_u8(border_tag::HOLE),
-            Some(m) => {
-                if m.blob == t.blob {
-                    w.put_u8(border_tag::OWN);
-                } else {
-                    w.put_u8(border_tag::ANCESTOR);
-                    w.put_u64(m.blob.raw());
-                }
-                w.put_u64(t.version.raw() - m.version.raw());
-            }
-        }
-    }
-}
-
-/// Decodes a write ticket. Its chain is border-only: it answers the
-/// border positions of the ticket's entry, for the ticket's version, and
-/// fails with [`Error::Internal`] on anything else.
-pub fn get_write_ticket(r: &mut WireReader<'_>) -> Result<WriteTicket> {
-    let blob = BlobId::new(r.get_u64()?);
-    let offset = r.get_u64()?;
-    let prev_size = r.get_u64()?;
-    let entry = get_log_entry(r)?;
-    let version = entry.version;
-    let n = r.get_u64()?;
-    if n == BORDER_UNANSWERED {
-        return Err(Error::Transport(
-            "wire: the ticket's encoder could not answer its border".into(),
-        ));
-    }
-    // A border has at most a few positions per tree level.
-    let mut answers = Vec::with_capacity((n as usize).min(256));
-    for _ in 0..n {
-        let lineage = match r.get_u8()? {
-            border_tag::HOLE => {
-                answers.push(None);
-                continue;
-            }
-            border_tag::OWN => blob,
-            border_tag::ANCESTOR => BlobId::new(r.get_u64()?),
-            t => {
-                return Err(Error::Transport(format!(
-                    "wire: unknown border-answer tag {t}"
-                )))
-            }
-        };
-        let back = r.get_u64()?;
-        let at = version.raw().checked_sub(back).filter(|_| back > 0);
-        let at = at.ok_or_else(|| {
-            Error::Transport(format!(
-                "wire: border answer {back} versions before {version}"
-            ))
-        })?;
-        answers.push(Some(NodeRef {
-            blob: lineage,
-            version: Version::new(at),
-        }));
-    }
-    let border = Border::of(&entry, answers).ok_or_else(|| {
-        Error::Transport(format!(
-            "wire: {n} border answers do not fit the border of {entry:?}"
-        ))
-    })?;
-    Ok(WriteTicket {
-        blob,
-        version,
-        offset,
-        prev_size,
-        entry,
-        chain: LogChain::from_border(border),
-    })
-}
-
-/// Encodes a block allocation.
-pub fn put_block_allocation(w: &mut WireWriter, a: &BlockAllocation) {
-    w.put_u64(a.block_id.raw());
-    w.put_u64(a.providers.len() as u64);
-    for &p in &a.providers {
-        w.put_u64(p as u64);
-    }
-}
-
-/// Decodes a block allocation.
-pub fn get_block_allocation(r: &mut WireReader<'_>) -> Result<BlockAllocation> {
-    let block_id = BlockId::new(r.get_u64()?);
-    let n = r.get_u64()? as usize;
-    let mut providers = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        providers.push(r.get_u64()? as usize);
-    }
-    Ok(BlockAllocation {
-        block_id,
-        providers,
-    })
-}
-
-/// Encodes a duration as whole nanoseconds (saturating at ~585 years).
-pub fn put_duration(w: &mut WireWriter, d: Duration) {
-    w.put_u64(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
-}
-
-/// Decodes a duration.
-pub fn get_duration(r: &mut WireReader<'_>) -> Result<Duration> {
-    Ok(Duration::from_nanos(r.get_u64()?))
-}
-
-/// Encodes a list of versions.
-pub fn put_versions(w: &mut WireWriter, versions: &[Version]) {
-    w.put_u64(versions.len() as u64);
-    for v in versions {
-        w.put_u64(v.raw());
-    }
-}
-
-/// Decodes a list of versions.
-pub fn get_versions(r: &mut WireReader<'_>) -> Result<Vec<Version>> {
-    let n = r.get_u64()? as usize;
-    let mut out = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
-        out.push(Version::new(r.get_u64()?));
-    }
-    Ok(out)
-}
-
-/// Encodes a list of node keys.
-pub fn put_node_keys(w: &mut WireWriter, keys: &[NodeKey]) {
-    w.put_u64(keys.len() as u64);
-    for k in keys {
-        put_node_key(w, k);
-    }
-}
-
-/// Decodes a list of node keys.
-pub fn get_node_keys(r: &mut WireReader<'_>) -> Result<Vec<NodeKey>> {
-    let n = r.get_u64()? as usize;
-    let mut out = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
-        out.push(get_node_key(r)?);
-    }
-    Ok(out)
-}
-
-/// Encodes a GC report.
-pub fn put_gc_report(w: &mut WireWriter, report: &GcReport) {
-    w.put_u64(report.nodes_deleted);
-    w.put_u64(report.blocks_deleted);
-    w.put_u64(report.bytes_freed);
-    w.put_u64(report.untracked_releases);
-}
-
-/// Decodes a GC report.
-pub fn get_gc_report(r: &mut WireReader<'_>) -> Result<GcReport> {
-    Ok(GcReport {
-        nodes_deleted: r.get_u64()?,
-        blocks_deleted: r.get_u64()?,
-        bytes_freed: r.get_u64()?,
-        untracked_releases: r.get_u64()?,
-    })
+    t.put(w);
 }
 
 // --- response envelope ------------------------------------------------------
-
-/// First byte of a response body that carries a payload.
-const STATUS_OK: u8 = 0;
-/// First byte of a response body that carries an encoded [`Error`].
-const STATUS_ERR: u8 = 1;
 
 /// The writer a handler encodes its answer into: it already holds the
 /// success status byte, so what the handler appends *is* the response
@@ -524,52 +177,59 @@ const STATUS_ERR: u8 = 1;
 /// payloads are written once, straight behind the envelope.
 pub fn response_writer() -> WireWriter {
     let mut w = WireWriter::new();
-    w.put_u8(STATUS_OK);
+    w.put_u8(batch_status::OK);
     w
 }
 
 /// Wraps a handler outcome into a response body: the handler's own
 /// writer (started by [`response_writer`], status byte `0` in front of
-/// the payload), or status byte `1` followed by the encoded [`Error`].
+/// the payload), or status byte `1` followed by the encoded [`Error`] —
+/// the bytes of `Result<T>`'s [`Wire`] encoding either way.
 pub fn encode_response(result: Result<WireWriter>) -> Vec<u8> {
     match result {
         Ok(body) => {
-            debug_assert_eq!(body.as_slice().first(), Some(&STATUS_OK));
+            debug_assert_eq!(body.as_slice().first(), Some(&batch_status::OK));
             body.into_vec()
         }
-        Err(e) => {
-            let mut out = WireWriter::new();
-            out.put_u8(STATUS_ERR);
-            out.put_error(&e);
-            out.into_vec()
-        }
+        Err(e) => Err::<(), _>(e).to_bytes(),
     }
 }
 
-/// Splits a response body into its payload, surfacing an encoded service
-/// [`Error`] as itself — failures cross the wire as their real variants,
-/// never degraded into transport errors.
-pub fn decode_response(body: &[u8]) -> Result<WireReader<'_>> {
+/// Opens a response body and decodes its payload with `payload`, which
+/// must consume all of it: trailing bytes are a framing bug on the peer.
+/// An encoded service [`Error`] surfaces as itself — failures cross the
+/// wire as their real variants, never degraded into transport errors.
+pub fn decode_response<T>(
+    body: &[u8],
+    payload: impl FnOnce(&mut WireReader<'_>) -> Result<T>,
+) -> Result<T> {
     let mut r = WireReader::new(body);
-    match r.get_u8()? {
-        STATUS_OK => Ok(r),
-        STATUS_ERR => {
-            let e = r.get_error()?;
-            r.finish()?;
-            Err(e)
+    let answer = match r.get_u8()? {
+        batch_status::OK => Ok(payload(&mut r)?),
+        batch_status::ERR => Err(Error::get(&mut r)?),
+        s => {
+            return Err(Error::Transport(format!(
+                "wire: unknown response status {s}"
+            )))
         }
-        s => Err(Error::Transport(format!(
-            "wire: unknown response status {s}"
-        ))),
-    }
+    };
+    r.finish()?;
+    answer
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use blobseer_core::meta::key::{BlockRange, Pos};
+    use blobseer_core::meta::log::{LogChain, LogEntry, LogSegment, WriteLog};
     use blobseer_core::meta::node::{BlockDescriptor, NodeRef, TreeNode};
-    use blobseer_core::{EngineStats, VersionManager, WriteIntent};
+    use blobseer_core::{
+        BlockAllocation, EngineStats, GcReport, SnapshotInfo, VersionManager, WriteIntent,
+    };
+    use blobseer_types::{BlobId, BlockId, Version};
+    use parking_lot::RwLock;
+    use std::sync::Arc;
+    use std::time::Duration;
 
     #[test]
     fn frames_roundtrip_over_a_buffer() {
@@ -773,11 +433,7 @@ mod tests {
             })),
         ];
         for node in &nodes {
-            let mut w = WireWriter::new();
-            put_tree_node(&mut w, node);
-            let mut r = WireReader::new(w.as_slice());
-            assert_eq!(&get_tree_node(&mut r).unwrap(), node);
-            r.finish().unwrap();
+            assert_eq!(&TreeNode::from_bytes(&node.to_bytes()).unwrap(), node);
         }
     }
 
@@ -785,21 +441,14 @@ mod tests {
     fn invalid_pos_is_a_transport_error() {
         // len 3 is not a power of two; start 2 is not aligned to len 4.
         for (start, len) in [(0u64, 3u64), (2, 4), (0, 0)] {
-            let mut w = WireWriter::new();
-            w.put_u64(start);
-            w.put_u64(len);
-            let mut r = WireReader::new(w.as_slice());
-            assert!(matches!(get_pos(&mut r), Err(Error::Transport(_))));
+            let got = Pos::from_bytes(&(start, len).to_bytes());
+            assert!(matches!(got, Err(Error::Transport(_))), "{got:?}");
         }
     }
 
     fn roundtrip(ticket: &WriteTicket) -> (WriteTicket, usize) {
-        let mut w = WireWriter::new();
-        put_write_ticket(&mut w, ticket);
-        let mut r = WireReader::new(w.as_slice());
-        let back = get_write_ticket(&mut r).unwrap();
-        r.finish().unwrap();
-        (back, w.as_slice().len())
+        let bytes = ticket.to_bytes();
+        (WriteTicket::from_bytes(&bytes).unwrap(), bytes.len())
     }
 
     fn entry(v: u64, blocks: (u64, u64), cap_before: u64, cap_after: u64) -> LogEntry {
@@ -897,11 +546,7 @@ mod tests {
         }
         // Re-encoding the decoded ticket gives the same bytes; a ticket
         // whose chain cannot answer its own border does not decode.
-        let mut first = WireWriter::new();
-        put_write_ticket(&mut first, &ticket);
-        let mut again = WireWriter::new();
-        put_write_ticket(&mut again, &back);
-        assert_eq!(first.as_slice(), again.as_slice());
+        assert_eq!(ticket.to_bytes(), back.to_bytes());
         let mut w = WireWriter::new();
         put_write_ticket(
             &mut w,
@@ -910,7 +555,7 @@ mod tests {
                 ..back
             },
         );
-        let err = get_write_ticket(&mut WireReader::new(w.as_slice())).err();
+        let err = WriteTicket::from_bytes(w.as_slice()).err();
         assert!(matches!(err, Some(Error::Transport(_))), "{err:?}");
     }
 
@@ -955,9 +600,8 @@ mod tests {
             ((0, 1), 3, 4),
             ((0, 1), 8, 4),
         ] {
-            let mut w = WireWriter::new();
-            put_log_entry(&mut w, &entry(1, blocks, cap_before, cap_after));
-            let got = get_log_entry(&mut WireReader::new(w.as_slice()));
+            let bytes = entry(1, blocks, cap_before, cap_after).to_bytes();
+            let got = LogEntry::from_bytes(&bytes);
             assert!(matches!(got, Err(Error::Transport(_))), "{got:?}");
         }
         // A chain whose entries are not dense above their base.
@@ -968,9 +612,7 @@ mod tests {
             Version::new(5),
             Version::new(u64::MAX),
         )]);
-        let mut w = WireWriter::new();
-        put_log_chain(&mut w, &chain);
-        let got = get_log_chain(&mut WireReader::new(w.as_slice()));
+        let got = LogChain::from_bytes(&chain.to_bytes());
         assert!(matches!(got, Err(Error::Transport(_))));
     }
 
@@ -987,32 +629,32 @@ mod tests {
             root_blob: BlobId::new(2),
             revealed: true,
         };
-        let mut w = WireWriter::new();
-        put_block_allocation(&mut w, &a);
-        put_snapshot_info(&mut w, &info);
-        put_write_intent(&mut w, WriteIntent::Write { offset: 5, size: 9 });
-        put_write_intent(&mut w, WriteIntent::Append { size: 64 });
-        put_duration(&mut w, Duration::from_millis(1500));
         let report = GcReport {
             nodes_deleted: 5,
             blocks_deleted: 3,
             bytes_freed: 4096,
             untracked_releases: 1,
         };
-        put_gc_report(&mut w, &report);
+        let mut w = WireWriter::new();
+        a.put(&mut w);
+        info.put(&mut w);
+        WriteIntent::Write { offset: 5, size: 9 }.put(&mut w);
+        WriteIntent::Append { size: 64 }.put(&mut w);
+        Duration::from_millis(1500).put(&mut w);
+        report.put(&mut w);
         let mut r = WireReader::new(w.as_slice());
-        assert_eq!(get_block_allocation(&mut r).unwrap(), a);
-        assert_eq!(get_snapshot_info(&mut r).unwrap(), info);
+        assert_eq!(BlockAllocation::get(&mut r).unwrap(), a);
+        assert_eq!(SnapshotInfo::get(&mut r).unwrap(), info);
         assert_eq!(
-            get_write_intent(&mut r).unwrap(),
+            WriteIntent::get(&mut r).unwrap(),
             WriteIntent::Write { offset: 5, size: 9 }
         );
         assert_eq!(
-            get_write_intent(&mut r).unwrap(),
+            WriteIntent::get(&mut r).unwrap(),
             WriteIntent::Append { size: 64 }
         );
-        assert_eq!(get_duration(&mut r).unwrap(), Duration::from_millis(1500));
-        assert_eq!(get_gc_report(&mut r).unwrap(), report);
+        assert_eq!(Duration::get(&mut r).unwrap(), Duration::from_millis(1500));
+        assert_eq!(GcReport::get(&mut r).unwrap(), report);
         r.finish().unwrap();
     }
 
@@ -1021,12 +663,16 @@ mod tests {
         let mut payload = response_writer();
         payload.put_u64(42);
         let body = encode_response(Ok(payload));
-        let mut r = decode_response(&body).unwrap();
-        assert_eq!(r.get_u64().unwrap(), 42);
+        assert_eq!(decode_response(&body, u64::get), Ok(42));
+        assert_eq!(body, Ok::<u64, Error>(42).to_bytes(), "a Result<T>");
+        let mut long = body.clone();
+        long.push(0);
+        let got = decode_response(&long, u64::get);
+        assert!(matches!(got, Err(Error::Transport(_))), "{got:?}");
 
         for e in blobseer_types::wire::error_fixture() {
             let body = encode_response(Err(e.clone()));
-            let got = decode_response(&body).unwrap_err();
+            let got = decode_response(&body, u64::get).unwrap_err();
             assert_eq!(got, e, "error variant must survive the envelope");
         }
     }

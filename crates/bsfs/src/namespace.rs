@@ -12,6 +12,7 @@
 //! straight to BlobSeer. An operation counter backs tests asserting that
 //! reads and writes never touch the namespace.
 
+use blobseer_types::wire::{Wire, WireReader, WireWriter};
 use blobseer_types::{BlobId, Error, Result};
 use dfs::DfsPath;
 use parking_lot::RwLock;
@@ -25,6 +26,25 @@ pub enum NsEntry {
     Dir,
     /// A file backed by the given BLOB.
     File(BlobId),
+}
+
+/// A kind byte (0 directory, 1 file), then a file's blob id.
+impl Wire for NsEntry {
+    fn put(&self, w: &mut WireWriter) {
+        match self {
+            NsEntry::Dir => w.put_u8(0),
+            NsEntry::File(blob) => (1u8, *blob).put(w),
+        }
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<Self> {
+        match r.get_u8()? {
+            0 => Ok(NsEntry::Dir),
+            1 => Ok(NsEntry::File(BlobId::get(r)?)),
+            t => Err(Error::Transport(format!(
+                "wire: unknown namespace entry kind {t}"
+            ))),
+        }
+    }
 }
 
 #[derive(Default)]
@@ -273,44 +293,22 @@ impl NamespaceManager {
     /// [`Self::op_count`]: it is recovery machinery, not a namespace RPC.
     pub fn export_image(&self) -> Vec<u8> {
         let tree = self.tree.read();
-        let mut paths: Vec<&DfsPath> = tree.entries.keys().collect();
-        paths.sort_by_key(|p| p.to_string());
-        let mut w = blobseer_types::wire::WireWriter::new();
-        w.put_u64(paths.len() as u64);
-        for path in paths {
-            w.put_str(&path.to_string());
-            match tree.entries[path] {
-                NsEntry::Dir => w.put_u8(0),
-                NsEntry::File(blob) => {
-                    w.put_u8(1);
-                    w.put_u64(blob.raw());
-                }
-            }
-        }
-        w.into_vec()
+        let mut entries: Vec<(String, NsEntry)> = (tree.entries.iter())
+            .map(|(path, entry)| (path.to_string(), *entry))
+            .collect();
+        entries.sort_by(|a, b| a.0.cmp(&b.0));
+        entries.to_bytes()
     }
 
     /// Replaces the namespace contents with a previously exported image.
     /// Fails (leaving the namespace untouched) on an undecodable image.
     pub fn import_image(&self, image: &[u8]) -> Result<()> {
-        let mut r = blobseer_types::wire::WireReader::new(image);
-        let count = r.get_u64()?;
         let mut fresh = Tree::default();
-        for _ in 0..count {
-            let path = DfsPath::parse(&r.get_str()?)
+        for (path, entry) in Vec::<(String, NsEntry)>::from_bytes(image)? {
+            let path = DfsPath::parse(&path)
                 .map_err(|e| Error::InvalidPath(format!("namespace image: {e}")))?;
-            let entry = match r.get_u8()? {
-                0 => NsEntry::Dir,
-                1 => NsEntry::File(BlobId::new(r.get_u64()?)),
-                t => {
-                    return Err(Error::InvalidPath(format!(
-                        "namespace image: unknown entry kind {t}"
-                    )))
-                }
-            };
             fresh.insert(&path, entry);
         }
-        r.finish()?;
         *self.tree.write() = fresh;
         Ok(())
     }

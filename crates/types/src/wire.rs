@@ -1,20 +1,28 @@
-//! Dependency-free binary wire codec primitives.
+//! The one binary codec of the workspace: the [`Wire`] trait and the
+//! primitives it is built from.
 //!
-//! The RPC backend (`blobseer-rpc`) serializes every port call into
-//! length-prefixed frames built from three primitives: LEB128 varints,
-//! length-prefixed byte strings, and single bytes. Those primitives — and
-//! the codec for [`Error`], which must survive a wire round-trip so service
-//! failures propagate to remote clients as themselves rather than degrading
-//! into transport errors — live here, next to the types they serialize.
-//! Domain types owned by `blobseer-core` (tree nodes, tickets, log chains)
-//! get their codecs in `blobseer-rpc`, built on these primitives.
+//! Everything that leaves a process — an RPC frame body, a disk-log record,
+//! a replica-log entry — is encoded by [`Wire::put`] and decoded by
+//! [`Wire::get`]. The primitives are LEB128 varints, length-prefixed byte
+//! strings and single bytes ([`WireWriter`], [`WireReader`]). This module
+//! implements the trait once for each building block: the integers,
+//! `bool`, `String`, `Duration`, [`Error`] (so service failures cross the
+//! wire as themselves), the id newtypes, and the combinators — `Vec<T>` (a
+//! count, then the items), `Option<T>` (a bool, then the value), `Result<T>`
+//! (status byte 0 and the value, or 1 and the error) and tuples (the fields
+//! in order). Domain types implement it where they are defined (Rust's
+//! orphan rule): the metadata types in `blobseer_core::meta::codec`, the
+//! command and record types in the control and disk crates. So an id, a
+//! list or an argument tuple has one encoding, wherever it travels. The
+//! golden fixture `tests/fixtures/golden_bytes.txt` pins those bytes.
 //!
 //! Malformed input never panics: every decode returns
-//! [`Error::Transport`], so a corrupt frame surfaces as a transport
-//! failure on the connection that produced it.
+//! [`Error::Transport`]. Layers that decode *persisted* bytes map that to
+//! [`Error::Storage`] at their boundary.
 
 use crate::error::{Error, Result};
 use std::io::{ErrorKind, IoSlice, Write};
+use std::time::Duration;
 
 /// Writes every byte of `bufs`, in order: `write_all` for a list of
 /// buffers. A writer that takes all it is offered sees one
@@ -65,11 +73,6 @@ impl WireWriter {
         self.buf.push(v);
     }
 
-    /// Appends a bool as one byte (0/1).
-    pub fn put_bool(&mut self, v: bool) {
-        self.buf.push(v as u8);
-    }
-
     /// Appends an unsigned LEB128 varint (1–10 bytes).
     pub fn put_u64(&mut self, mut v: u64) {
         loop {
@@ -83,114 +86,10 @@ impl WireWriter {
         }
     }
 
-    /// Appends a `u32` (as a varint).
-    pub fn put_u32(&mut self, v: u32) {
-        self.put_u64(v as u64);
-    }
-
     /// Appends a length-prefixed byte string.
     pub fn put_slice(&mut self, s: &[u8]) {
         self.put_u64(s.len() as u64);
         self.buf.extend_from_slice(s);
-    }
-
-    /// Appends a length-prefixed UTF-8 string.
-    pub fn put_str(&mut self, s: &str) {
-        self.put_slice(s.as_bytes());
-    }
-
-    /// Appends an [`Error`], tag plus payload; [`WireReader::get_error`]
-    /// reconstructs the exact variant.
-    pub fn put_error(&mut self, e: &Error) {
-        match e {
-            Error::NoSuchBlob(b) => {
-                self.put_u8(0);
-                self.put_u64(*b);
-            }
-            Error::NoSuchVersion { blob, version } => {
-                self.put_u8(1);
-                self.put_u64(*blob);
-                self.put_u64(*version);
-            }
-            Error::VersionNotRevealed { blob, version } => {
-                self.put_u8(2);
-                self.put_u64(*blob);
-                self.put_u64(*version);
-            }
-            Error::OutOfBounds {
-                requested_end,
-                snapshot_size,
-            } => {
-                self.put_u8(3);
-                self.put_u64(*requested_end);
-                self.put_u64(*snapshot_size);
-            }
-            Error::MissingMetadata(s) => {
-                self.put_u8(4);
-                self.put_str(s);
-            }
-            Error::MetadataConflict(s) => {
-                self.put_u8(5);
-                self.put_str(s);
-            }
-            Error::MissingBlock(b) => {
-                self.put_u8(6);
-                self.put_u64(*b);
-            }
-            Error::NoProviderAvailable(s) => {
-                self.put_u8(7);
-                self.put_str(s);
-            }
-            Error::NotFound(s) => {
-                self.put_u8(8);
-                self.put_str(s);
-            }
-            Error::AlreadyExists(s) => {
-                self.put_u8(9);
-                self.put_str(s);
-            }
-            Error::NotADirectory(s) => {
-                self.put_u8(10);
-                self.put_str(s);
-            }
-            Error::DirectoryNotEmpty(s) => {
-                self.put_u8(11);
-                self.put_str(s);
-            }
-            Error::InvalidPath(s) => {
-                self.put_u8(12);
-                self.put_str(s);
-            }
-            Error::LeaseConflict(s) => {
-                self.put_u8(13);
-                self.put_str(s);
-            }
-            Error::Unsupported(s) => {
-                self.put_u8(14);
-                self.put_str(s);
-            }
-            Error::WriteAborted(s) => {
-                self.put_u8(15);
-                self.put_str(s);
-            }
-            Error::StreamClosed => self.put_u8(16),
-            Error::Timeout(s) => {
-                self.put_u8(17);
-                self.put_str(s);
-            }
-            Error::Transport(s) => {
-                self.put_u8(18);
-                self.put_str(s);
-            }
-            Error::Storage(s) => {
-                self.put_u8(20);
-                self.put_str(s);
-            }
-            Error::Internal(s) => {
-                self.put_u8(19);
-                self.put_str(s);
-            }
-        }
     }
 
     /// The encoded bytes so far.
@@ -235,15 +134,6 @@ impl<'a> WireReader<'a> {
         Ok(b)
     }
 
-    /// Reads a bool (rejecting anything but 0/1).
-    pub fn get_bool(&mut self) -> Result<bool> {
-        match self.get_u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            b => Err(Error::Transport(format!("wire: invalid bool byte {b}"))),
-        }
-    }
-
     /// Reads an unsigned LEB128 varint.
     pub fn get_u64(&mut self) -> Result<u64> {
         let mut v = 0u64;
@@ -261,12 +151,6 @@ impl<'a> WireReader<'a> {
         }
     }
 
-    /// Reads a `u32` varint, rejecting out-of-range values.
-    pub fn get_u32(&mut self) -> Result<u32> {
-        let v = self.get_u64()?;
-        u32::try_from(v).map_err(|_| Error::Transport(format!("wire: {v} overflows u32")))
-    }
-
     /// Reads a length-prefixed byte string (borrowed from the input).
     pub fn get_slice(&mut self) -> Result<&'a [u8]> {
         let len = self.get_u64()? as usize;
@@ -276,51 +160,6 @@ impl<'a> WireReader<'a> {
         let s = &self.buf[self.pos..self.pos + len];
         self.pos += len;
         Ok(s)
-    }
-
-    /// Reads a length-prefixed UTF-8 string.
-    pub fn get_str(&mut self) -> Result<String> {
-        let s = self.get_slice()?;
-        String::from_utf8(s.to_vec())
-            .map_err(|_| Error::Transport("wire: invalid UTF-8 string".into()))
-    }
-
-    /// Reads an [`Error`] encoded by [`WireWriter::put_error`].
-    pub fn get_error(&mut self) -> Result<Error> {
-        let tag = self.get_u8()?;
-        Ok(match tag {
-            0 => Error::NoSuchBlob(self.get_u64()?),
-            1 => Error::NoSuchVersion {
-                blob: self.get_u64()?,
-                version: self.get_u64()?,
-            },
-            2 => Error::VersionNotRevealed {
-                blob: self.get_u64()?,
-                version: self.get_u64()?,
-            },
-            3 => Error::OutOfBounds {
-                requested_end: self.get_u64()?,
-                snapshot_size: self.get_u64()?,
-            },
-            4 => Error::MissingMetadata(self.get_str()?),
-            5 => Error::MetadataConflict(self.get_str()?),
-            6 => Error::MissingBlock(self.get_u64()?),
-            7 => Error::NoProviderAvailable(self.get_str()?),
-            8 => Error::NotFound(self.get_str()?),
-            9 => Error::AlreadyExists(self.get_str()?),
-            10 => Error::NotADirectory(self.get_str()?),
-            11 => Error::DirectoryNotEmpty(self.get_str()?),
-            12 => Error::InvalidPath(self.get_str()?),
-            13 => Error::LeaseConflict(self.get_str()?),
-            14 => Error::Unsupported(intern_unsupported(self.get_str()?)),
-            15 => Error::WriteAborted(self.get_str()?),
-            16 => Error::StreamClosed,
-            17 => Error::Timeout(self.get_str()?),
-            18 => Error::Transport(self.get_str()?),
-            19 => Error::Internal(self.get_str()?),
-            20 => Error::Storage(self.get_str()?),
-            t => return Err(Error::Transport(format!("wire: unknown error tag {t}"))),
-        })
     }
 
     /// Asserts the whole input was consumed (trailing garbage is a framing
@@ -333,6 +172,312 @@ impl<'a> WireReader<'a> {
             )));
         }
         Ok(())
+    }
+}
+
+/// A value with one binary encoding, shared by the RPC wire and the
+/// durable logs (see the module docs).
+///
+/// `get` reads exactly what `put` wrote, and fails with
+/// [`Error::Transport`] on anything else. It never panics. It is bounded
+/// by `Self: Sized`, so slices can implement the encoding half alone: a
+/// borrowed `&[T]` encodes like the `Vec<T>` it decodes into.
+pub trait Wire {
+    /// Appends the encoding of `self`.
+    fn put(&self, w: &mut WireWriter);
+
+    /// Decodes one value from `r`.
+    fn get(r: &mut WireReader<'_>) -> Result<Self>
+    where
+        Self: Sized;
+
+    /// `self`, encoded on its own.
+    fn to_bytes(&self) -> Vec<u8> {
+        let mut w = WireWriter::new();
+        self.put(&mut w);
+        w.into_vec()
+    }
+
+    /// Decodes one value that must span all of `bytes`.
+    fn from_bytes(bytes: &[u8]) -> Result<Self>
+    where
+        Self: Sized,
+    {
+        let mut r = WireReader::new(bytes);
+        let value = Self::get(&mut r)?;
+        r.finish()?;
+        Ok(value)
+    }
+}
+
+impl Wire for u8 {
+    fn put(&self, w: &mut WireWriter) {
+        w.put_u8(*self);
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<Self> {
+        r.get_u8()
+    }
+}
+
+/// One byte, 0 or 1; any other byte is rejected.
+impl Wire for bool {
+    fn put(&self, w: &mut WireWriter) {
+        w.put_u8(*self as u8);
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<Self> {
+        match r.get_u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            b => Err(Error::Transport(format!("wire: invalid bool byte {b}"))),
+        }
+    }
+}
+
+impl Wire for u64 {
+    fn put(&self, w: &mut WireWriter) {
+        w.put_u64(*self);
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<Self> {
+        r.get_u64()
+    }
+}
+
+/// A varint; decoding rejects values past the type's range.
+impl Wire for u32 {
+    fn put(&self, w: &mut WireWriter) {
+        w.put_u64(*self as u64);
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<Self> {
+        let v = r.get_u64()?;
+        u32::try_from(v).map_err(|_| Error::Transport(format!("wire: {v} overflows u32")))
+    }
+}
+
+/// A varint; decoding rejects values past the type's range.
+impl Wire for usize {
+    fn put(&self, w: &mut WireWriter) {
+        w.put_u64(*self as u64);
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<Self> {
+        let v = r.get_u64()?;
+        usize::try_from(v).map_err(|_| Error::Transport(format!("wire: {v} overflows usize")))
+    }
+}
+
+/// A length-prefixed byte string holding UTF-8.
+impl Wire for str {
+    fn put(&self, w: &mut WireWriter) {
+        w.put_slice(self.as_bytes());
+    }
+}
+
+impl Wire for String {
+    fn put(&self, w: &mut WireWriter) {
+        self.as_str().put(w);
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<Self> {
+        String::from_utf8(r.get_slice()?.to_vec())
+            .map_err(|_| Error::Transport("wire: invalid UTF-8 string".into()))
+    }
+}
+
+/// Whole nanoseconds, saturating at ~585 years.
+impl Wire for Duration {
+    fn put(&self, w: &mut WireWriter) {
+        w.put_u64(u64::try_from(self.as_nanos()).unwrap_or(u64::MAX));
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<Self> {
+        Ok(Duration::from_nanos(r.get_u64()?))
+    }
+}
+
+macro_rules! wire_ids {
+    ($($id:ident),*) => {$(
+        /// The raw id, as a varint.
+        impl Wire for crate::ids::$id {
+            fn put(&self, w: &mut WireWriter) {
+                w.put_u64(self.raw());
+            }
+            fn get(r: &mut WireReader<'_>) -> Result<Self> {
+                Ok(Self::new(r.get_u64()?))
+            }
+        }
+    )*};
+}
+
+wire_ids!(BlobId, BlockId, NodeId, Version);
+
+/// A count, then the items.
+impl<T: Wire> Wire for [T] {
+    fn put(&self, w: &mut WireWriter) {
+        w.put_u64(self.len() as u64);
+        for item in self {
+            item.put(w);
+        }
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, w: &mut WireWriter) {
+        self.as_slice().put(w);
+    }
+    /// Every item this workspace lists takes at least one byte, so a count
+    /// larger than the input left is truncated input — refused before
+    /// anything is allocated for it.
+    fn get(r: &mut WireReader<'_>) -> Result<Self> {
+        let n = r.get_u64()?;
+        if n > r.remaining() as u64 {
+            return Err(truncated("list"));
+        }
+        let mut out = Vec::with_capacity((n as usize).min(4096));
+        for _ in 0..n {
+            out.push(T::get(r)?);
+        }
+        Ok(out)
+    }
+}
+
+/// A bool, then the value if it is `true`.
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, w: &mut WireWriter) {
+        self.is_some().put(w);
+        if let Some(v) = self {
+            v.put(w);
+        }
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<Self> {
+        Ok(match bool::get(r)? {
+            true => Some(T::get(r)?),
+            false => None,
+        })
+    }
+}
+
+/// Status byte 0 then the value, or 1 then the [`Error`]: one outcome of a
+/// batch, and the shape of every RPC response body.
+impl<T: Wire> Wire for Result<T> {
+    fn put(&self, w: &mut WireWriter) {
+        match self {
+            Ok(v) => {
+                w.put_u8(0);
+                v.put(w);
+            }
+            Err(e) => {
+                w.put_u8(1);
+                e.put(w);
+            }
+        }
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<Self> {
+        match r.get_u8()? {
+            0 => Ok(Ok(T::get(r)?)),
+            1 => Ok(Err(Error::get(r)?)),
+            s => Err(Error::Transport(format!("wire: unknown status byte {s}"))),
+        }
+    }
+}
+
+/// Nothing: the arguments of a call that takes none, the answer of one
+/// that returns none.
+impl Wire for () {
+    fn put(&self, _: &mut WireWriter) {}
+    fn get(_: &mut WireReader<'_>) -> Result<Self> {
+        Ok(())
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn put(&self, w: &mut WireWriter) {
+        self.0.put(w);
+        self.1.put(w);
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<Self> {
+        Ok((A::get(r)?, B::get(r)?))
+    }
+}
+
+impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
+    fn put(&self, w: &mut WireWriter) {
+        self.0.put(w);
+        self.1.put(w);
+        self.2.put(w);
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<Self> {
+        Ok((A::get(r)?, B::get(r)?, C::get(r)?))
+    }
+}
+
+/// A tag byte, then the variant's fields; decoding reconstructs the exact
+/// variant.
+impl Wire for Error {
+    fn put(&self, w: &mut WireWriter) {
+        let text = |w: &mut WireWriter, tag: u8, s: &str| {
+            w.put_u8(tag);
+            s.put(w);
+        };
+        match self {
+            Error::NoSuchBlob(b) => (0u8, *b).put(w),
+            Error::NoSuchVersion { blob, version } => (1u8, *blob, *version).put(w),
+            Error::VersionNotRevealed { blob, version } => (2u8, *blob, *version).put(w),
+            Error::OutOfBounds {
+                requested_end,
+                snapshot_size,
+            } => (3u8, *requested_end, *snapshot_size).put(w),
+            Error::MissingMetadata(s) => text(w, 4, s),
+            Error::MetadataConflict(s) => text(w, 5, s),
+            Error::MissingBlock(b) => (6u8, *b).put(w),
+            Error::NoProviderAvailable(s) => text(w, 7, s),
+            Error::NotFound(s) => text(w, 8, s),
+            Error::AlreadyExists(s) => text(w, 9, s),
+            Error::NotADirectory(s) => text(w, 10, s),
+            Error::DirectoryNotEmpty(s) => text(w, 11, s),
+            Error::InvalidPath(s) => text(w, 12, s),
+            Error::LeaseConflict(s) => text(w, 13, s),
+            Error::Unsupported(s) => text(w, 14, s),
+            Error::WriteAborted(s) => text(w, 15, s),
+            Error::StreamClosed => w.put_u8(16),
+            Error::Timeout(s) => text(w, 17, s),
+            Error::Transport(s) => text(w, 18, s),
+            Error::Internal(s) => text(w, 19, s),
+            Error::Storage(s) => text(w, 20, s),
+        }
+    }
+
+    fn get(r: &mut WireReader<'_>) -> Result<Self> {
+        let text = String::get;
+        Ok(match r.get_u8()? {
+            0 => Error::NoSuchBlob(r.get_u64()?),
+            1 => Error::NoSuchVersion {
+                blob: r.get_u64()?,
+                version: r.get_u64()?,
+            },
+            2 => Error::VersionNotRevealed {
+                blob: r.get_u64()?,
+                version: r.get_u64()?,
+            },
+            3 => Error::OutOfBounds {
+                requested_end: r.get_u64()?,
+                snapshot_size: r.get_u64()?,
+            },
+            4 => Error::MissingMetadata(text(r)?),
+            5 => Error::MetadataConflict(text(r)?),
+            6 => Error::MissingBlock(r.get_u64()?),
+            7 => Error::NoProviderAvailable(text(r)?),
+            8 => Error::NotFound(text(r)?),
+            9 => Error::AlreadyExists(text(r)?),
+            10 => Error::NotADirectory(text(r)?),
+            11 => Error::DirectoryNotEmpty(text(r)?),
+            12 => Error::InvalidPath(text(r)?),
+            13 => Error::LeaseConflict(text(r)?),
+            14 => Error::Unsupported(intern_unsupported(text(r)?)),
+            15 => Error::WriteAborted(text(r)?),
+            16 => Error::StreamClosed,
+            17 => Error::Timeout(text(r)?),
+            18 => Error::Transport(text(r)?),
+            19 => Error::Internal(text(r)?),
+            20 => Error::Storage(text(r)?),
+            t => return Err(Error::Transport(format!("wire: unknown error tag {t}"))),
+        })
     }
 }
 
@@ -432,27 +577,35 @@ mod tests {
     fn slices_strings_and_bools_roundtrip() {
         let mut w = WireWriter::new();
         w.put_slice(b"hello");
-        w.put_str("wörld");
-        w.put_bool(true);
-        w.put_bool(false);
-        w.put_u32(u32::MAX);
+        "wörld".put(&mut w);
+        (true, false, u32::MAX).put(&mut w);
         let mut r = WireReader::new(w.as_slice());
         assert_eq!(r.get_slice().unwrap(), b"hello");
-        assert_eq!(r.get_str().unwrap(), "wörld");
-        assert!(r.get_bool().unwrap());
-        assert!(!r.get_bool().unwrap());
-        assert_eq!(r.get_u32().unwrap(), u32::MAX);
+        assert_eq!(String::get(&mut r).unwrap(), "wörld");
+        assert_eq!(
+            <(bool, bool, u32)>::get(&mut r).unwrap(),
+            (true, false, u32::MAX)
+        );
         r.finish().unwrap();
+    }
+
+    #[test]
+    fn a_list_count_past_the_input_is_refused() {
+        let mut w = WireWriter::new();
+        w.put_u64(u64::MAX);
+        w.put_u64(7);
+        let got = Vec::<u64>::from_bytes(w.as_slice());
+        assert!(matches!(got, Err(Error::Transport(_))), "{got:?}");
+        let got = <Option<u64>>::from_bytes(&[2]);
+        assert!(matches!(got, Err(Error::Transport(_))), "{got:?}");
+        let got = <Result<u64>>::from_bytes(&[2, 0]);
+        assert!(matches!(got, Err(Error::Transport(_))), "{got:?}");
     }
 
     #[test]
     fn every_error_variant_roundtrips() {
         for e in error_fixture() {
-            let mut w = WireWriter::new();
-            w.put_error(&e);
-            let mut r = WireReader::new(w.as_slice());
-            assert_eq!(r.get_error().unwrap(), e);
-            r.finish().unwrap();
+            assert_eq!(Error::from_bytes(&e.to_bytes()), Ok(e));
         }
     }
 
@@ -462,8 +615,8 @@ mod tests {
         let decode = |msg: &str| {
             let mut w = WireWriter::new();
             w.put_u8(14);
-            w.put_str(msg);
-            match WireReader::new(w.as_slice()).get_error().unwrap() {
+            msg.put(&mut w);
+            match Error::from_bytes(w.as_slice()).unwrap() {
                 Error::Unsupported(s) => s,
                 e => panic!("wrong variant: {e}"),
             }
@@ -491,11 +644,12 @@ mod tests {
         let mut r = WireReader::new(w.as_slice());
         assert!(matches!(r.get_slice(), Err(Error::Transport(_))));
         // Unknown error tag.
-        let mut r = WireReader::new(&[200]);
-        assert!(matches!(r.get_error(), Err(Error::Transport(_))));
+        assert!(matches!(
+            Error::from_bytes(&[200]),
+            Err(Error::Transport(_))
+        ));
         // Invalid bool.
-        let mut r = WireReader::new(&[7]);
-        assert!(matches!(r.get_bool(), Err(Error::Transport(_))));
+        assert!(matches!(bool::from_bytes(&[7]), Err(Error::Transport(_))));
         // Trailing bytes.
         let r = WireReader::new(&[1, 2]);
         assert!(matches!(r.finish(), Err(Error::Transport(_))));
@@ -565,7 +719,9 @@ mod tests {
     fn u32_range_is_enforced() {
         let mut w = WireWriter::new();
         w.put_u64(u32::MAX as u64 + 1);
-        let mut r = WireReader::new(w.as_slice());
-        assert!(matches!(r.get_u32(), Err(Error::Transport(_))));
+        assert!(matches!(
+            u32::from_bytes(w.as_slice()),
+            Err(Error::Transport(_))
+        ));
     }
 }

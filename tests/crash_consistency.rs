@@ -16,7 +16,7 @@
 use blobseer_core::faults::{FaultPlan, FaultyBlockStore, FaultyMetaStore, PutFault};
 use blobseer_core::meta::key::{NodeKey, Pos};
 use blobseer_core::meta::node::{BlockDescriptor, TreeNode};
-use blobseer_core::ports::{MetaStore, VersionService};
+use blobseer_core::ports::{single, MetaStore, VersionService};
 use blobseer_core::{BlobSeer, EnginePorts, WriteIntent};
 use blobseer_disk::record_log::shard_path;
 use blobseer_disk::testutil::TempDir;
@@ -438,12 +438,12 @@ proptest! {
         for op in &ops {
             match *op {
                 DiskOp::Put(k) => {
-                    vol.put(BlockId::new(k as u64), Bytes::from(disk_content(k)))
+                    single(vol.put_many(&[(BlockId::new(k as u64), Bytes::from(disk_content(k)))]))
                         .unwrap();
                     state.insert(k as u64, disk_content(k));
                 }
                 DiskOp::Delete(k) => {
-                    vol.delete(BlockId::new(k as u64)).unwrap();
+                    single(vol.delete_many(&[BlockId::new(k as u64)])).unwrap();
                     state.remove(&(k as u64));
                 }
             }
@@ -466,7 +466,7 @@ proptest! {
             for (id, content) in expected {
                 expected_bytes += content.len() as u64;
                 prop_assert_eq!(
-                    recovered.get(BlockId::new(*id)).unwrap().as_ref(),
+                    single(recovered.get_many(&[BlockId::new(*id)])).unwrap().as_ref(),
                     &content[..],
                     "block {id}, cut at byte {cut}"
                 );
@@ -593,8 +593,7 @@ fn mid_log_corruption_truncates_history_from_that_point() {
     let live = volume_path(tmp.path(), 0);
     let vol = DiskVolume::open(&live, NodeId::new(0)).unwrap();
     for k in 0..8u8 {
-        vol.put(BlockId::new(k as u64), Bytes::from(disk_content(k)))
-            .unwrap();
+        single(vol.put_many(&[(BlockId::new(k as u64), Bytes::from(disk_content(k)))])).unwrap();
     }
     let first_frame_end = {
         // Recompute frame 0's extent: header (8) + payload.
@@ -602,8 +601,7 @@ fn mid_log_corruption_truncates_history_from_that_point() {
             let t = TempDir::new("crash-corrupt-probe");
             let p = volume_path(t.path(), 0);
             let v = DiskVolume::open(&p, NodeId::new(0)).unwrap();
-            v.put(BlockId::new(0), Bytes::from(disk_content(0)))
-                .unwrap();
+            single(v.put_many(&[(BlockId::new(0), Bytes::from(disk_content(0)))])).unwrap();
             std::fs::metadata(&p).unwrap().len()
         };
         after_one
@@ -619,18 +617,19 @@ fn mid_log_corruption_truncates_history_from_that_point() {
     let recovered = DiskVolume::open(&live, NodeId::new(0)).unwrap();
     assert_eq!(recovered.block_count(), 1, "only frame 0 survives");
     assert_eq!(
-        recovered.get(BlockId::new(0)).unwrap().as_ref(),
+        single(recovered.get_many(&[BlockId::new(0)]))
+            .unwrap()
+            .as_ref(),
         &disk_content(0)[..]
     );
     for k in 1..8u64 {
         assert!(matches!(
-            recovered.get(BlockId::new(k)),
+            single(recovered.get_many(&[BlockId::new(k)])),
             Err(Error::MissingBlock(_))
         ));
     }
     // And the truncated volume accepts fresh writes immediately.
-    recovered
-        .put(BlockId::new(99), Bytes::from_static(b"post-recovery"))
+    single(recovered.put_many(&[(BlockId::new(99), Bytes::from_static(b"post-recovery"))]))
         .unwrap();
     assert_eq!(recovered.block_count(), 2);
 }

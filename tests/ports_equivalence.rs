@@ -45,7 +45,7 @@ use blobseer_core::{BlobSeer, CachedBlockStore, EngineStats, WriteIntent};
 use blobseer_disk::testutil::TempDir;
 use blobseer_disk::{DiskMetaStore, DiskProviderSet};
 use blobseer_rpc::{LoopbackCluster, RpcMetaStore, RpcServer, RpcService};
-use blobseer_types::wire::{error_fixture, WireReader, WireWriter};
+use blobseer_types::wire::{error_fixture, Wire};
 use blobseer_types::{BlobId, BlobSeerConfig, BlockId, Error, NodeId, Version};
 use bytes::Bytes;
 use proptest::prelude::*;
@@ -408,7 +408,7 @@ proptest! {
             dht
         };
         for rpc_batched in [true, false] {
-            let server = RpcServer::spawn(RpcService::Meta(Arc::new(bare()))).unwrap();
+            let server = RpcServer::spawn(RpcService::Meta(Arc::new(bare())), Default::default()).unwrap();
             let stats = Arc::new(EngineStats::new());
             let rpc = RpcMetaStore::connect_with(server.addr(), Arc::clone(&stats), 1).unwrap();
             // Cold, then warm: the 128 inner nodes hit, the leaves miss.
@@ -781,7 +781,6 @@ proptest! {
     fn wire_codec_roundtrips_random_values(
         seeds in proptest::collection::vec((any::<u64>(), any::<u64>(), 0u8..3), 1..40)
     ) {
-        use blobseer_rpc::wire;
         for &(a, b, kind) in &seeds {
             // A valid position derived from the seed: power-of-two length,
             // aligned start.
@@ -789,11 +788,7 @@ proptest! {
             let start = (b % 1000) * len;
             let pos = Pos::new(start, len);
             let key = NodeKey::new(BlobId::new(a), Version::new(b), pos);
-            let mut w = WireWriter::new();
-            wire::put_node_key(&mut w, &key);
-            let mut r = WireReader::new(w.as_slice());
-            prop_assert_eq!(wire::get_node_key(&mut r).unwrap(), key);
-            r.finish().unwrap();
+            prop_assert_eq!(Wire::from_bytes(&key.to_bytes()), Ok(key));
 
             let node = match kind {
                 0 => TreeNode::Inner {
@@ -816,11 +811,7 @@ proptest! {
                     version: Version::new(a),
                 })),
             };
-            let mut w = WireWriter::new();
-            wire::put_tree_node(&mut w, &node);
-            let mut r = WireReader::new(w.as_slice());
-            prop_assert_eq!(wire::get_tree_node(&mut r).unwrap(), node);
-            r.finish().unwrap();
+            prop_assert_eq!(Wire::from_bytes(&node.to_bytes()), Ok(node));
 
             let info = blobseer_core::SnapshotInfo {
                 version: Version::new(a),
@@ -829,11 +820,7 @@ proptest! {
                 root_blob: BlobId::new(b),
                 revealed: a % 2 == 0,
             };
-            let mut w = WireWriter::new();
-            wire::put_snapshot_info(&mut w, &info);
-            let mut r = WireReader::new(w.as_slice());
-            prop_assert_eq!(wire::get_snapshot_info(&mut r).unwrap(), info);
-            r.finish().unwrap();
+            prop_assert_eq!(Wire::from_bytes(&info.to_bytes()), Ok(info));
         }
     }
 }
@@ -845,15 +832,15 @@ proptest! {
 #[test]
 fn every_error_variant_survives_the_wire() {
     for e in error_fixture() {
-        let mut w = WireWriter::new();
-        w.put_error(&e);
-        let mut r = WireReader::new(w.as_slice());
-        assert_eq!(r.get_error().unwrap(), e, "bare codec");
-        r.finish().unwrap();
+        assert_eq!(
+            Error::from_bytes(&e.to_bytes()),
+            Ok(e.clone()),
+            "bare codec"
+        );
 
         let body = blobseer_rpc::wire::encode_response(Err(e.clone()));
         assert_eq!(
-            blobseer_rpc::wire::decode_response(&body).unwrap_err(),
+            blobseer_rpc::wire::decode_response(&body, |_| Ok(())).unwrap_err(),
             e,
             "response envelope"
         );

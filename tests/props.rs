@@ -10,8 +10,7 @@ use blobseer_core::ports::{GcService, MetaStore};
 use blobseer_core::{
     BlobSeer, EngineStats, FanoutExecutor, VersionManager, WriteIntent, WriteTicket,
 };
-use blobseer_rpc::wire::{get_write_ticket, put_write_ticket};
-use blobseer_types::wire::{WireReader, WireWriter};
+use blobseer_types::wire::Wire;
 use blobseer_types::{BlobId, BlobSeerConfig, BlockId, ByteRange, Error, NodeId, Result, Version};
 use bsfs::BsfsCluster;
 use dfs::api::FileSystem;
@@ -412,12 +411,7 @@ impl Side {
 
 /// A ticket as `RpcVersionService::assign` hands it out.
 fn over_the_wire(ticket: &WriteTicket) -> WriteTicket {
-    let mut w = WireWriter::new();
-    put_write_ticket(&mut w, ticket);
-    let mut r = WireReader::new(w.as_slice());
-    let back = get_write_ticket(&mut r).unwrap();
-    r.finish().unwrap();
-    back
+    WriteTicket::from_bytes(&ticket.to_bytes()).unwrap()
 }
 
 /// The linear scan the per-position index replaced, as the oracle: the

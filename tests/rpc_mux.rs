@@ -15,7 +15,9 @@ use blobseer_core::meta::key::{NodeKey, Pos};
 use blobseer_core::meta::node::{NodeRef, TreeNode};
 use blobseer_core::ports::{BlockStore, MetaStore};
 use blobseer_core::{EngineStats, WriteIntent};
-use blobseer_rpc::{LoopbackCluster, RpcBlockStore, RpcMetaStore, RpcServer, RpcService};
+use blobseer_rpc::{
+    LoopbackCluster, RpcBlockStore, RpcMetaStore, RpcServer, RpcService, ServerOptions,
+};
 use blobseer_types::{BlobId, BlobSeerConfig, BlockId, Error, NodeId, Version};
 use bytes::Bytes;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -23,6 +25,15 @@ use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 const BLOCK: u64 = 256;
+
+/// Server options: `workers` dispatchers over a 16-deep queue.
+fn pool(workers: usize) -> ServerOptions {
+    ServerOptions {
+        workers,
+        queue_depth: 16,
+        ..ServerOptions::default()
+    }
+}
 
 #[test]
 fn pipelined_requests_complete_within_the_connection_budget() {
@@ -163,7 +174,7 @@ fn put_levels_overlaps_one_frame_per_level_with_per_item_results() {
 fn idle_dead_connections_redial_after_a_server_restart_on_the_same_port() {
     let provider: Arc<ProviderSet> = Arc::new(ProviderSet::new(1, |_| NodeId::new(7)));
     let mut server =
-        RpcServer::spawn_with(RpcService::Block(Arc::clone(&provider) as _), 2, 16).unwrap();
+        RpcServer::spawn(RpcService::Block(Arc::clone(&provider) as _), pool(2)).unwrap();
     let addr = server.addr();
 
     let stats = Arc::new(EngineStats::new());
@@ -184,7 +195,10 @@ fn idle_dead_connections_redial_after_a_server_restart_on_the_same_port() {
     let _server2 = loop {
         // The old listener's sockets may linger briefly (TIME_WAIT);
         // retry the bind rather than flake.
-        match RpcServer::spawn_at(addr, RpcService::Block(Arc::clone(&provider) as _), 2, 16) {
+        match RpcServer::spawn(
+            RpcService::Block(Arc::clone(&provider) as _),
+            ServerOptions { addr, ..pool(2) },
+        ) {
             Ok(s) => break s,
             Err(e) if Instant::now() < deadline => {
                 let _ = e;
@@ -219,7 +233,7 @@ fn idle_dead_connections_redial_after_a_server_restart_on_the_same_port() {
 fn diagnostics_against_a_dead_cluster_degrade_loudly_not_silently() {
     let provider: Arc<ProviderSet> = Arc::new(ProviderSet::new(1, |_| NodeId::new(0)));
     let mut server =
-        RpcServer::spawn_with(RpcService::Block(Arc::clone(&provider) as _), 2, 16).unwrap();
+        RpcServer::spawn(RpcService::Block(Arc::clone(&provider) as _), pool(2)).unwrap();
     let stats = Arc::new(EngineStats::new());
     let store = RpcBlockStore::connect_with(&[server.addr()], Arc::clone(&stats), 1).unwrap();
     assert_eq!(store.block_count(0), 0);
@@ -243,7 +257,8 @@ fn diagnostics_against_a_dead_cluster_degrade_loudly_not_silently() {
     // reads as "nothing deleted", counted like the diagnostics above (the
     // adapter's one single-item override, over its own `delete_many`).
     let dht: Arc<dyn MetaStore> = Arc::new(blobseer_core::dht::MetaDht::new(2, 1));
-    let mut server = RpcServer::spawn(RpcService::Meta(Arc::clone(&dht))).unwrap();
+    let mut server =
+        RpcServer::spawn(RpcService::Meta(Arc::clone(&dht)), ServerOptions::default()).unwrap();
     let meta = RpcMetaStore::connect_with(server.addr(), Arc::clone(&stats), 1).unwrap();
     let key = NodeKey::new(BlobId::new(1), Version::new(1), Pos::new(0, 1));
     meta.put(key, TreeNode::LeafAlias(None)).unwrap();
@@ -312,7 +327,7 @@ fn a_meta_server_restarted_over_a_fresh_store_is_not_answered_from_the_old_cache
     use blobseer_core::dht::MetaDht;
 
     let mut server =
-        RpcServer::spawn_with(RpcService::Meta(Arc::new(MetaDht::new(2, 1))), 2, 16).unwrap();
+        RpcServer::spawn(RpcService::Meta(Arc::new(MetaDht::new(2, 1))), pool(2)).unwrap();
     let addr = server.addr();
     let stats = Arc::new(EngineStats::new());
     let meta = RpcMetaStore::connect_with(addr, Arc::clone(&stats), 2).unwrap();
@@ -339,7 +354,7 @@ fn a_meta_server_restarted_over_a_fresh_store_is_not_answered_from_the_old_cache
     let deadline = Instant::now() + Duration::from_secs(10);
     let server = loop {
         let fresh = RpcService::Meta(Arc::new(MetaDht::new(2, 1)));
-        match RpcServer::spawn_at(addr, fresh, 2, 16) {
+        match RpcServer::spawn(fresh, ServerOptions { addr, ..pool(2) }) {
             Ok(s) => break s,
             Err(e) if Instant::now() < deadline => {
                 let _ = e;
@@ -421,7 +436,7 @@ fn a_panicking_handler_costs_neither_its_worker_nor_its_connection() {
         inner: blobseer_core::dht::MetaDht::new(2, 1),
         panics_left: AtomicUsize::new(WORKERS),
     });
-    let server = RpcServer::spawn_with(RpcService::Meta(spy), WORKERS, 16).unwrap();
+    let server = RpcServer::spawn(RpcService::Meta(spy), pool(WORKERS)).unwrap();
     let meta = RpcMetaStore::connect_with(server.addr(), Arc::new(EngineStats::new()), 1).unwrap();
     // A leaf: never cached, so every get reaches the handler.
     let key = NodeKey::new(BlobId::new(1), Version::new(1), Pos::new(0, 1));
@@ -500,7 +515,8 @@ fn a_put_many_frame_reaches_the_store_as_slices_of_its_own_buffer() {
         inner: Arc::new(ProviderSet::new(1, |_| NodeId::new(0))),
         put_many_items: std::sync::Mutex::new(Vec::new()),
     });
-    let server = RpcServer::spawn(RpcService::Block(spy.clone())).unwrap();
+    let server =
+        RpcServer::spawn(RpcService::Block(spy.clone()), ServerOptions::default()).unwrap();
     let remote = RpcBlockStore::connect(&[server.addr()], Arc::new(EngineStats::new())).unwrap();
     // Ids and lengths that both encode as two-byte varints.
     let items: Vec<(BlockId, Bytes)> = (0..16u64)
@@ -530,15 +546,15 @@ fn a_put_many_frame_reaches_the_store_as_slices_of_its_own_buffer() {
 /// it came on keeps serving.
 #[test]
 fn retired_single_item_tags_answer_unknown_tag_and_the_connection_lives_on() {
-    use blobseer_rpc::wire::{decode_response, read_frame, write_frame};
+    use blobseer_rpc::wire::{batch_status, decode_response, read_frame, write_frame};
     use blobseer_types::wire::WireWriter;
 
     let cluster = LoopbackCluster::boot(BlobSeerConfig::small_for_tests(), 1).unwrap();
     // (service, endpoint, its retired PUT/GET/DELETE tags, a surviving tag
     // without arguments and the number it answers first).
     let cases = [
-        ("block", cluster.block_addrs()[0], [1u8, 2, 4], 0u8, 1u64), // DESCRIBE: 1 provider
-        ("meta", cluster.meta_addr(), [0, 1, 2], 3, 4),              // SHARD_COUNT: 4 shards
+        ("block", cluster.block_addrs()[0], [1u8, 2, 4], 0u8, 1u8), // DESCRIBE: 1 provider
+        ("meta", cluster.meta_addr(), [0, 1, 2], 3, 4),             // SHARD_COUNT: 4 shards
     ];
     for (service, addr, retired, live_tag, live_answer) in cases {
         let mut stream = std::net::TcpStream::connect(addr).unwrap();
@@ -555,7 +571,7 @@ fn retired_single_item_tags_answer_unknown_tag_and_the_connection_lives_on() {
             request.put_u64(0);
             request.put_u64(7);
             let response = exchange(req_id as u64, request.as_slice());
-            let err = decode_response(&response).unwrap_err();
+            let err = decode_response(&response, |_| Ok(())).unwrap_err();
             let expected = format!("unknown {service} method tag {tag}");
             assert!(
                 matches!(&err, Error::Transport(why) if why.contains(&expected)),
@@ -563,8 +579,8 @@ fn retired_single_item_tags_answer_unknown_tag_and_the_connection_lives_on() {
             );
         }
         let response = exchange(99, &[live_tag]);
-        let mut payload = decode_response(&response).unwrap();
-        assert_eq!(payload.get_u64().unwrap(), live_answer, "{service}");
+        // The envelope's success byte, then the answer's first varint.
+        assert_eq!(response[..2], [batch_status::OK, live_answer], "{service}");
     }
 }
 
@@ -616,4 +632,53 @@ fn fail_once_fails_one_item_and_ships_the_rest_of_its_batch_as_one_frame() {
     let held: Vec<bool> = meta.get_many(&keys).iter().map(Result::is_ok).collect();
     assert_eq!(held, [false, true, true, true]);
     assert_eq!(plan.counters(), (0, 2, 0, 0));
+}
+
+/// A one-connection peer speaking the frame format: it answers each
+/// request with `answer(tag)` as the whole response body.
+fn scripted_peer(answer: fn(u8) -> Vec<u8>) -> std::net::SocketAddr {
+    use blobseer_rpc::wire::{read_frame, write_frame};
+    let listener = std::net::TcpListener::bind(("127.0.0.1", 0)).unwrap();
+    let addr = listener.local_addr().unwrap();
+    std::thread::spawn(move || {
+        let (stream, _) = listener.accept().unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = std::io::BufReader::new(stream);
+        while let Ok(Some((id, body))) = read_frame(&mut reader) {
+            if write_frame(&mut writer, id, &answer(body[0])).is_err() {
+                return;
+            }
+        }
+    });
+    addr
+}
+
+/// A response carrying one byte past its answer is a framing bug on the
+/// peer, refused by every call alike — the connect-time probes included.
+#[test]
+fn a_response_with_trailing_bytes_is_a_transport_error() {
+    use blobseer_core::ports::{PlacementService, VersionService};
+    use blobseer_rpc::{RpcPlacementService, RpcVersionService};
+    let stats = || Arc::new(EngineStats::new());
+    let transport = |got: Result<u64, Error>| {
+        assert!(matches!(got, Err(Error::Transport(_))), "{got:?}");
+    };
+
+    // Tag 0 probes (block size 64, 2 providers) answer exactly; every
+    // other tag answers `1` and one byte more.
+    let exact_probe = |tag| {
+        if tag == 0 {
+            vec![0, 64]
+        } else {
+            vec![0, 1, 0xFF]
+        }
+    };
+    let vm = RpcVersionService::connect_with(scripted_peer(exact_probe), stats(), 1).unwrap();
+    transport(vm.create_blob().map(BlobId::raw));
+    let pm = RpcPlacementService::connect_with(scripted_peer(exact_probe), stats(), 1).unwrap();
+    transport(pm.heartbeat(0));
+
+    let long_probe = |_| vec![0, 64, 0xFF];
+    let got = RpcVersionService::connect_with(scripted_peer(long_probe), stats(), 1);
+    transport(got.map(|vm| vm.block_size()));
 }
