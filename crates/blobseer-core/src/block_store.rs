@@ -9,7 +9,7 @@
 //! serialize on one global lock. [`Bytes`] payloads make reads zero-copy:
 //! readers receive a reference-counted view.
 
-use crate::sharded::{stripe_runs, ShardedMap, DEFAULT_SHARDS};
+use crate::sharded::{group_indices_by, ShardedMap, DEFAULT_SHARDS};
 use blobseer_types::{BlockId, Error, NodeId, Result};
 use bytes::Bytes;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -58,7 +58,8 @@ impl DataProvider {
     /// Within a stripe, items land in batch order, so intra-batch re-puts
     /// behave like the sequence of puts they stand for.
     pub fn put_many(&self, items: &[(BlockId, Bytes)]) {
-        for (shard, range) in stripe_runs(&self.blocks, items.iter().map(|(id, _)| id)) {
+        let ids = items.iter().map(|(id, _)| id);
+        for (shard, range) in group_indices_by(ids, |id| self.blocks.shard_index(id)) {
             let mut map = self.blocks.shard_at(shard).write();
             for &i in &range {
                 let (id, data) = &items[i];
@@ -88,7 +89,7 @@ impl DataProvider {
             .iter()
             .map(|&id| Err(Error::MissingBlock(id.raw())))
             .collect();
-        for (shard, range) in stripe_runs(&self.blocks, ids.iter()) {
+        for (shard, range) in group_indices_by(ids.iter(), |id| self.blocks.shard_index(id)) {
             let map = self.blocks.shard_at(shard).read();
             for i in range {
                 if let Some(data) = map.get(&ids[i]) {
@@ -103,7 +104,7 @@ impl DataProvider {
     /// Returns the bytes freed per block, in input order (0 if absent).
     pub fn delete_many(&self, ids: &[BlockId]) -> Vec<u64> {
         let mut out = vec![0u64; ids.len()];
-        for (shard, range) in stripe_runs(&self.blocks, ids.iter()) {
+        for (shard, range) in group_indices_by(ids.iter(), |id| self.blocks.shard_index(id)) {
             let mut map = self.blocks.shard_at(shard).write();
             for i in range {
                 if let Some(data) = map.remove(&ids[i]) {

@@ -208,12 +208,6 @@ impl BlobSeer {
         self.providers.layout_vector()
     }
 
-    /// The client-side fan-out executor dispatching per-provider batches
-    /// concurrently (bsfs uses it for read-ahead prefetches).
-    pub fn executor(&self) -> &FanoutExecutor {
-        self.exec.as_ref()
-    }
-
     pub(crate) fn tree(&self) -> TreeStore<'_> {
         TreeStore {
             dht: &self.dht,

@@ -100,7 +100,6 @@ mod read;
 mod write;
 
 pub use deploy::{BlobSeer, EnginePorts};
-pub(crate) use write::push_grouped;
 
 use crate::gc::GcReport;
 use crate::version_manager::SnapshotInfo;

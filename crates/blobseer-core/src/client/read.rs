@@ -11,7 +11,6 @@ use blobseer_types::{BlobId, BlockId, ByteRange, Error, Result, Version};
 use bytes::{Bytes, BytesMut};
 use std::sync::Arc;
 
-use super::write::push_grouped;
 use super::{BlobClient, BlockLocation};
 
 impl BlobClient {
@@ -34,55 +33,9 @@ impl BlobClient {
             return Ok(Bytes::new());
         }
         let bs = self.sys.cfg.block_size;
-        let query = BlockRange::of_bytes(offset, size, bs);
-        let located = self
-            .sys
-            .tree()
-            .locate(info.root_blob, info.version, info.cap, query)?;
+        let located = self.locate(&info, BlockRange::of_bytes(offset, size, bs))?;
         self.observe(ProtocolOp::Read, ProtocolPhase::Located);
-        // Fetch phase, vectored and fanned out: group the needed blocks by
-        // the replica provider chosen for each (deterministically by block
-        // index, to spread load) and issue one `get_many` per provider —
-        // concurrently, through the deployment's fan-out executor. Items
-        // that fail are retried in batched waves against their surviving
-        // replicas before the read surfaces an error.
-        let mut fetched: Vec<Option<Bytes>> = vec![None; located.len()];
-        let mut batches: Vec<(usize, Vec<(usize, BlockId)>)> = Vec::new();
-        for (i, loc) in located.iter().enumerate() {
-            if let Some(desc) = &loc.desc {
-                let replica = (loc.index as usize) % desc.providers.len();
-                let pidx = desc.providers[replica] as usize;
-                push_grouped(&mut batches, pidx, (i, desc.block_id));
-            }
-        }
-        let jobs: Vec<_> = batches
-            .into_iter()
-            .map(|(provider, items)| {
-                let providers = Arc::clone(&self.sys.providers);
-                move || {
-                    let ids: Vec<BlockId> = items.iter().map(|&(_, id)| id).collect();
-                    let results = providers.get_many(provider, &ids);
-                    (provider, items, results)
-                }
-            })
-            .collect();
-        // `(item, failed primary, its error)` of every miss, in item order.
-        let mut failures: Vec<(usize, usize, Error)> = Vec::new();
-        if !jobs.is_empty() {
-            self.sys.stats.record_fanout(jobs.len());
-            for (provider, items, results) in self.sys.exec.fanout(jobs) {
-                for (&(i, _), result) in items.iter().zip(results) {
-                    match result {
-                        Ok(block) => fetched[i] = Some(block),
-                        Err(e) => failures.push((i, provider, e)),
-                    }
-                }
-            }
-        }
-        if !failures.is_empty() {
-            failures.sort_by_key(|&(i, _, _)| i);
-            self.fetch_fallback_replicas(&located, failures, &mut fetched)?;
-        }
+        let fetched = self.fetch(&located)?;
         let mut out = BytesMut::with_capacity(size as usize);
         let spans = ByteRange::new(offset, size).block_spans(bs);
         for ((span, loc), block) in spans.zip(located.iter()).zip(fetched) {
@@ -110,88 +63,69 @@ impl BlobClient {
         Ok(out.freeze())
     }
 
-    /// Replica failover for the blocks whose deterministically chosen
-    /// replica refused or lost them: retry against the descriptors'
-    /// remaining replicas (the replication the paper relies on for fault
-    /// tolerance, §VI-B — `desc.providers` lists healthy replicas the read
-    /// would otherwise ignore). The retries are **batched per surviving
-    /// provider** (`get_many`, fanned out) instead of one blocking `get`
-    /// per block, and each attempt is counted in
-    /// `EngineStats::read_replica_fallbacks`. Fails with the lowest-index
-    /// unrecovered item's *last* replica error once all are exhausted.
-    fn fetch_fallback_replicas(
-        &self,
-        located: &[LocatedBlock],
-        failures: Vec<(usize, usize, Error)>,
-        fetched: &mut [Option<Bytes>],
-    ) -> Result<()> {
-        // Per failed item: remaining replica candidates, in descriptor
-        // order with the already-failed primary skipped.
-        let mut states: Vec<(usize, Vec<usize>, Error)> = failures
-            .into_iter()
-            .map(|(i, failed, err)| {
-                let desc = located[i]
-                    .desc
-                    .as_ref()
-                    .expect("fallback only runs for fetched descriptors"); // lint:allow(no-unwrap): fallback waves only enumerate fetched descriptors
-                let mut candidates: Vec<usize> = desc
+    /// Fetch phase, vectored and fanned out, in waves. Wave 0 reads each
+    /// block from the replica provider chosen deterministically by block
+    /// index (to spread load); each later wave retries the blocks still
+    /// missing against their next replica, in descriptor order (the
+    /// replication the paper relies on for fault tolerance, §VI-B). Each
+    /// wave is one `get_many` per provider, issued concurrently, and every
+    /// retry counts in `EngineStats::read_replica_fallbacks`. Holes stay
+    /// `None`. Fails with the lowest-index unrecovered block's *last*
+    /// replica error once all are exhausted.
+    fn fetch(&self, located: &[LocatedBlock]) -> Result<Vec<Option<Bytes>>> {
+        // Per block to fetch: its slot, id, the replicas still to try (the
+        // next one last) and the last error met.
+        let mut todo: Vec<(usize, BlockId, Vec<usize>, Error)> = Vec::new();
+        for (i, loc) in located.iter().enumerate() {
+            if let Some(desc) = &loc.desc {
+                let primary = desc.providers[loc.index as usize % desc.providers.len()] as usize;
+                let mut order: Vec<usize> = desc
                     .providers
                     .iter()
+                    .rev()
                     .map(|&p| p as usize)
-                    .filter(|&p| p != failed)
+                    .filter(|&p| p != primary)
                     .collect();
-                candidates.reverse(); // pop() yields descriptor order
-                (i, candidates, err)
-            })
-            .collect();
-        loop {
-            // One wave: each unresolved item tries its next candidate;
-            // attempts are grouped by provider and issued concurrently.
-            let mut wave: Vec<(usize, Vec<(usize, BlockId)>)> = Vec::new();
-            for (s, (i, candidates, _)) in states.iter_mut().enumerate() {
-                if fetched[*i].is_some() {
-                    continue;
-                }
-                if let Some(p) = candidates.pop() {
-                    let id = located[*i].desc.as_ref().expect("checked above").block_id; // lint:allow(no-unwrap): same descriptor unwrapped at wave setup
-                    push_grouped(&mut wave, p, (s, id));
-                }
+                order.push(primary);
+                let unfetched = Error::MissingBlock(desc.block_id.raw());
+                todo.push((i, desc.block_id, order, unfetched));
             }
-            if wave.is_empty() {
+        }
+        let mut fetched: Vec<Option<Bytes>> = vec![None; located.len()];
+        for wave in 0.. {
+            let tries: Vec<(usize, usize)> = todo
+                .iter_mut()
+                .enumerate()
+                .filter(|(_, (i, ..))| fetched[*i].is_none())
+                .filter_map(|(t, (_, _, order, _))| order.pop().map(|p| (t, p)))
+                .collect();
+            if tries.is_empty() {
                 break;
             }
-            let attempts: usize = wave.iter().map(|(_, items)| items.len()).sum();
-            EngineStats::add(&self.sys.stats.read_replica_fallbacks, attempts as u64);
-            self.sys.stats.record_fanout(wave.len());
-            let jobs: Vec<_> = wave
-                .into_iter()
-                .map(|(provider, items)| {
-                    let providers = Arc::clone(&self.sys.providers);
-                    move || {
-                        let ids: Vec<BlockId> = items.iter().map(|&(_, id)| id).collect();
-                        let results = providers.get_many(provider, &ids);
-                        (items, results)
-                    }
-                })
-                .collect();
-            for (items, results) in self.sys.exec.fanout(jobs) {
-                for (&(s, _), result) in items.iter().zip(results) {
-                    let (i, _, last_err) = &mut states[s];
-                    match result {
-                        Ok(block) => fetched[*i] = Some(block),
-                        Err(e) => *last_err = e,
-                    }
+            if wave > 0 {
+                EngineStats::add(&self.sys.stats.read_replica_fallbacks, tries.len() as u64);
+            }
+            let ids: Vec<BlockId> = tries.iter().map(|&(t, _)| todo[t].1).collect();
+            let providers = Arc::clone(&self.sys.providers);
+            let results = self.sys.exec.scatter_gather(
+                &self.sys.stats,
+                &ids,
+                tries.iter().map(|&(_, p)| p),
+                move |p, batch| providers.get_many(p, batch),
+            );
+            for (&(t, _), result) in tries.iter().zip(results) {
+                match result {
+                    Ok(block) => fetched[todo[t].0] = Some(block),
+                    Err(e) => todo[t].3 = e,
                 }
             }
         }
-        // `states` is in item order, so the surfaced error is the lowest
+        // `todo` is in block order, so the surfaced error is the lowest
         // unrecovered index's — deterministic, like the serial path's.
-        for (i, _, last_err) in states {
-            if fetched[i].is_none() {
-                return Err(last_err);
-            }
+        match todo.into_iter().find(|(i, ..)| fetched[*i].is_none()) {
+            Some((.., last_err)) => Err(last_err),
+            None => Ok(fetched),
         }
-        Ok(())
     }
 
     /// The data-location primitive backing Hadoop's affinity scheduling
@@ -210,11 +144,7 @@ impl BlobClient {
             return Ok(Vec::new());
         }
         let bs = self.sys.cfg.block_size;
-        let query = BlockRange::of_bytes(offset, size, bs);
-        let located = self
-            .sys
-            .tree()
-            .locate(info.root_blob, info.version, info.cap, query)?;
+        let located = self.locate(&info, BlockRange::of_bytes(offset, size, bs))?;
         let spans = ByteRange::new(offset, size).block_spans(bs);
         Ok(spans
             .zip(located)
@@ -232,6 +162,24 @@ impl BlobClient {
                     .unwrap_or_default(),
             })
             .collect())
+    }
+
+    /// Descends the snapshot's tree to the blocks of `query` and checks
+    /// each leaf once, here, before any of it is used: a descriptor that
+    /// names no provider, or one this deployment does not have, fails the
+    /// operation with [`Error::MissingBlock`] — it is never read as a hole.
+    fn locate(&self, info: &SnapshotInfo, query: BlockRange) -> Result<Vec<LocatedBlock>> {
+        let located = self
+            .sys
+            .tree()
+            .locate(info.root_blob, info.version, info.cap, query)?;
+        let n = self.sys.providers.len();
+        for desc in located.iter().filter_map(|loc| loc.desc.as_ref()) {
+            if desc.providers.is_empty() || desc.providers.iter().any(|&p| p as usize >= n) {
+                return Err(Error::MissingBlock(desc.block_id.raw()));
+            }
+        }
+        Ok(located)
     }
 
     /// Overflow-safe range check: `offset + size` saturates instead of

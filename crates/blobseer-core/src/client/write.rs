@@ -18,17 +18,6 @@ pub(crate) struct MergedPayload {
     pub(crate) payload: Bytes,
 }
 
-/// Appends `item` to the group keyed by `key`, creating the group on first
-/// sight. Groups keep first-appearance order and items keep insertion
-/// order, so batch contents are deterministic — the shared grouping step
-/// behind every per-provider vectored call on the client paths.
-pub(crate) fn push_grouped<T>(groups: &mut Vec<(usize, Vec<T>)>, key: usize, item: T) {
-    match groups.iter_mut().find(|(k, _)| *k == key) {
-        Some((_, items)) => items.push(item),
-        None => groups.push((key, vec![item])),
-    }
-}
-
 impl BlobClient {
     /// Writes `data` at `offset`, producing a new snapshot. Returns its
     /// version (revealed once all lower versions commit).
@@ -182,12 +171,15 @@ impl BlobClient {
     /// per provider touched, and those round trips overlap.
     ///
     /// A failed block put aborts the whole write ("if writing of a block
-    /// fails, then the whole write fails", §III-D). The data phase then
-    /// undoes itself: `allocate` charged provider-manager load for *every*
-    /// block of this call up front, so the blocks that did land are
-    /// deleted and every allocation is released — otherwise a refused put
-    /// would skew placement accounting forever. The version manager was
-    /// never involved, so the snapshot history is untouched.
+    /// fails, then the whole write fails", §III-D) with the first failing
+    /// replica's error, in block then replica order. Every batch settles
+    /// first; then the data phase undoes itself through
+    /// [`Self::release_stored`]: `allocate` charged provider-manager load
+    /// for *every* replica of this call up front, so every allocated block
+    /// is deleted (a no-op where it never landed) and every allocation is
+    /// released — otherwise a refused put would skew placement accounting
+    /// forever. The version manager was never involved, so the snapshot
+    /// history is untouched, and no block is counted written.
     pub(crate) fn store_blocks(
         &self,
         payload: Bytes,
@@ -197,13 +189,15 @@ impl BlobClient {
         let n_blocks = payload.len().div_ceil(bs);
         let allocs = self.sys.pm.allocate(n_blocks, self.sys.cfg.replication)?;
         let mut out = Vec::with_capacity(n_blocks);
-        let mut batches: Vec<(usize, Vec<(BlockId, Bytes)>)> = Vec::new();
+        let mut replicas: Vec<(BlockId, Bytes)> = Vec::new();
+        let mut targets: Vec<usize> = Vec::new();
         for (i, alloc) in allocs.iter().enumerate() {
             let lo = i * bs;
             let hi = ((i + 1) * bs).min(payload.len());
             let chunk = payload.slice(lo..hi);
             for &p in &alloc.providers {
-                push_grouped(&mut batches, p, (alloc.block_id, chunk.clone()));
+                replicas.push((alloc.block_id, chunk.clone()));
+                targets.push(p);
             }
             out.push((
                 first_block + i as u64,
@@ -214,90 +208,49 @@ impl BlobClient {
                 },
             ));
         }
-        let jobs: Vec<_> = batches
-            .into_iter()
-            .map(|(provider, items)| {
-                let providers = Arc::clone(&self.sys.providers);
-                move || {
-                    let results = providers.put_many(provider, &items);
-                    (items, results)
-                }
-            })
-            .collect();
-        self.sys.stats.record_fanout(jobs.len());
-        // Every batch settles before the first error is acted on, so the
-        // undo below always sees the complete (post-fan-out) state; batch
-        // and item order make the surfaced error deterministic.
-        for (items, results) in self.sys.exec.fanout(jobs) {
-            for ((_, data), result) in items.iter().zip(results) {
-                if let Err(e) = result {
-                    // Undo the whole allocation set: deleting a block that
-                    // never landed is a no-op, and each replica's load was
-                    // charged exactly once at allocate time. The load
-                    // release is one batched call — and best-effort, like
-                    // the block deletes: the write already failed.
-                    let mut undo: Vec<(usize, Vec<BlockId>)> = Vec::new();
-                    let mut released: Vec<usize> = Vec::new();
-                    for a in &allocs {
-                        for &q in &a.providers {
-                            push_grouped(&mut undo, q, a.block_id);
-                            released.push(q);
-                        }
-                    }
-                    let _ = self.sys.pm.release_many(&released);
-                    self.sys.stats.record_fanout(undo.len());
-                    let undo_jobs: Vec<_> = undo
-                        .into_iter()
-                        .map(|(q, ids)| {
-                            let providers = Arc::clone(&self.sys.providers);
-                            move || {
-                                let _ = providers.delete_many(q, &ids);
-                            }
-                        })
-                        .collect();
-                    self.sys.exec.fanout(undo_jobs);
-                    return Err(e);
-                }
-                EngineStats::add(&self.sys.stats.blocks_written, 1);
-                EngineStats::add(&self.sys.stats.bytes_written, data.len() as u64);
-            }
+        let (exec, providers) = (&self.sys.exec, Arc::clone(&self.sys.providers));
+        let results = exec.scatter_gather(&self.sys.stats, &replicas, targets, move |p, batch| {
+            providers.put_many(p, batch)
+        });
+        if let Some(e) = results.into_iter().find_map(Result::err) {
+            self.release_stored(&out);
+            return Err(e);
         }
+        let bytes: usize = replicas.iter().map(|(_, data)| data.len()).sum();
+        EngineStats::add(&self.sys.stats.blocks_written, replicas.len() as u64);
+        EngineStats::add(&self.sys.stats.bytes_written, bytes as u64);
         Ok(out)
     }
 
-    /// Undoes the data phase of a write whose later phases failed: deletes
-    /// the stored blocks (one vectored call per provider) and releases
-    /// their provider-manager load (one unit per replica). Blocks orphaned
-    /// by a failed version assignment, metadata publish or commit are
-    /// unreachable from every revealed snapshot — repair republishes
+    /// Undoes the data phase of a write that failed: deletes the stored
+    /// blocks (one vectored call per provider) and releases their
+    /// provider-manager load (one unit per replica). Blocks orphaned by a
+    /// failed data phase, version assignment, metadata publish or commit
+    /// are unreachable from every revealed snapshot — repair republishes
     /// *aliases* to the previous version, never these descriptors — so
     /// they are pure leaks until released.
     pub(crate) fn release_stored(&self, leaves: &[(u64, BlockDescriptor)]) {
-        let mut batches: Vec<(usize, Vec<BlockId>)> = Vec::new();
-        let mut released: Vec<usize> = Vec::new();
-        for (_, d) in leaves {
-            for &p in &d.providers {
-                push_grouped(&mut batches, p as usize, d.block_id);
-                released.push(p as usize);
-            }
-        }
-        if batches.is_empty() {
+        let ids: Vec<BlockId> = leaves
+            .iter()
+            .flat_map(|(_, d)| d.providers.iter().map(|_| d.block_id))
+            .collect();
+        let targets: Vec<usize> = leaves
+            .iter()
+            .flat_map(|(_, d)| d.providers.iter().map(|&p| p as usize))
+            .collect();
+        if targets.is_empty() {
             return;
         }
         // One batched, best-effort load release (the caller is already on
-        // an error path; a refused control frame must not mask its error).
-        let _ = self.sys.pm.release_many(&released);
-        self.sys.stats.record_fanout(batches.len());
-        let jobs: Vec<_> = batches
-            .into_iter()
-            .map(|(p, ids)| {
-                let providers = Arc::clone(&self.sys.providers);
-                move || {
-                    let _ = providers.delete_many(p, &ids);
-                }
-            })
-            .collect();
-        self.sys.exec.fanout(jobs);
+        // an error path; a refused control frame must not mask its error),
+        // then best-effort deletes.
+        let _ = self.sys.pm.release_many(&targets);
+        let providers = Arc::clone(&self.sys.providers);
+        self.sys
+            .exec
+            .scatter_gather(&self.sys.stats, &ids, targets, move |p, batch| {
+                providers.delete_many(p, batch)
+            });
     }
 
     /// Metadata phase + commit.

@@ -10,7 +10,7 @@
 use crate::meta::key::NodeKey;
 use crate::meta::node::TreeNode;
 use crate::ports::single;
-use crate::sharded::{stripe_runs, ShardedMap, DEFAULT_SHARDS};
+use crate::sharded::{group_indices_by, scatter_gather, ShardedMap, DEFAULT_SHARDS};
 use blobseer_types::{Error, Result};
 
 /// One metadata provider: a shard of the DHT. Internally lock-striped so
@@ -52,7 +52,8 @@ impl MetaProvider {
         self.puts
             .fetch_add(items.len() as u64, std::sync::atomic::Ordering::Relaxed);
         let mut out: Vec<Result<()>> = (0..items.len()).map(|_| Ok(())).collect();
-        for (stripe, range) in stripe_runs(&self.map, items.iter().map(|(k, _)| k)) {
+        let keys = items.iter().map(|(key, _)| key);
+        for (stripe, range) in group_indices_by(keys, |key| self.map.shard_index(key)) {
             let mut map = self.map.shard_at(stripe).write();
             for i in range {
                 let (key, node) = &items[i];
@@ -75,7 +76,7 @@ impl MetaProvider {
         self.gets
             .fetch_add(keys.len() as u64, std::sync::atomic::Ordering::Relaxed);
         let mut out: Vec<Option<TreeNode>> = vec![None; keys.len()];
-        for (stripe, range) in stripe_runs(&self.map, keys.iter()) {
+        for (stripe, range) in group_indices_by(keys.iter(), |key| self.map.shard_index(key)) {
             let map = self.map.shard_at(stripe).read();
             for i in range {
                 out[i] = map.get(&keys[i]).cloned();
@@ -88,7 +89,7 @@ impl MetaProvider {
     /// true per item if it existed.
     fn delete_many(&self, keys: &[NodeKey]) -> Vec<bool> {
         let mut out = vec![false; keys.len()];
-        for (stripe, range) in stripe_runs(&self.map, keys.iter()) {
+        for (stripe, range) in group_indices_by(keys.iter(), |key| self.map.shard_index(key)) {
             let mut map = self.map.shard_at(stripe).write();
             for i in range {
                 out[i] = map.remove(&keys[i]).is_some();
@@ -201,14 +202,10 @@ impl MetaDht {
         if self.replication > 1 {
             return items.iter().map(|item| self.put_replicated(item)).collect();
         }
-        let mut out: Vec<Result<()>> = (0..items.len()).map(|_| Ok(())).collect();
-        for (shard, range) in self.shard_groups(items.iter().map(|(k, _)| k)) {
-            let group: Vec<(NodeKey, TreeNode)> = range.iter().map(|&i| items[i].clone()).collect();
-            for (slot, result) in range.into_iter().zip(self.shards[shard].put_many(&group)) {
-                out[slot] = result;
-            }
-        }
-        out
+        let shards = items.iter().map(|(key, _)| self.shard_of(key));
+        scatter_gather(items, shards, |shard, batch| {
+            self.shards[shard].put_many(batch)
+        })
     }
 
     /// Fetches one node from the first replica (in order) that holds it —
@@ -237,16 +234,14 @@ impl MetaDht {
                 .map(|key| self.get_replicated(key).ok_or_else(|| missing(key)))
                 .collect();
         }
-        let mut out: Vec<Result<TreeNode>> = keys.iter().map(|key| Err(missing(key))).collect();
-        for (shard, range) in self.shard_groups(keys.iter()) {
-            let group: Vec<NodeKey> = range.iter().map(|&i| keys[i]).collect();
-            for (slot, found) in range.into_iter().zip(self.shards[shard].get_many(&group)) {
-                if let Some(node) = found {
-                    out[slot] = Ok(node);
-                }
-            }
-        }
-        out
+        let shards = keys.iter().map(|key| self.shard_of(key));
+        scatter_gather(keys, shards, |shard, batch| {
+            let found = self.shards[shard].get_many(batch).into_iter();
+            found
+                .zip(batch)
+                .map(|(node, key)| node.ok_or_else(|| missing(key)))
+                .collect()
+        })
     }
 
     /// Deletes a batch of nodes from all their replicas: true per item if
@@ -255,26 +250,10 @@ impl MetaDht {
         if self.replication > 1 {
             return keys.iter().map(|key| self.delete_replicated(key)).collect();
         }
-        let mut out = vec![false; keys.len()];
-        for (shard, range) in self.shard_groups(keys.iter()) {
-            let group: Vec<NodeKey> = range.iter().map(|&i| keys[i]).collect();
-            for (slot, existed) in range
-                .into_iter()
-                .zip(self.shards[shard].delete_many(&group))
-            {
-                out[slot] = existed;
-            }
-        }
-        out
-    }
-
-    /// Groups batch item indices by primary shard, preserving input order
-    /// within each group (groups in first-appearance order).
-    fn shard_groups<'a>(
-        &self,
-        keys: impl Iterator<Item = &'a NodeKey>,
-    ) -> Vec<(usize, Vec<usize>)> {
-        crate::sharded::group_indices_by(keys, |key| self.shard_of(key))
+        let shards = keys.iter().map(|key| self.shard_of(key));
+        scatter_gather(keys, shards, |shard, batch| {
+            self.shards[shard].delete_many(batch)
+        })
     }
 
     /// Simulates the crash of one shard by dropping its contents; used by

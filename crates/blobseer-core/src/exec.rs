@@ -7,27 +7,39 @@
 //! batches cheap at the wire level; [`FanoutExecutor`] is the piece that
 //! actually issues them concurrently from the protocol layer.
 //!
+//! Its one entry point is `FanoutExecutor::scatter_gather`: split a
+//! batch by provider or shard, make one vectored call per group, return
+//! the answers in input order. Every parallel phase goes through it — the
+//! data phase and its undo, the read fetch and its replica-failover waves,
+//! the GC cascade's block deletes, and the tree's per-level publish and
+//! descent. The stores' sequential form
+//! ([`crate::sharded::scatter_gather`]) shares its grouping and
+//! re-slotting.
+//!
 //! Design constraints, in order:
 //!
 //! * **Degrade to inline at 1 thread.** `client_io_threads = 1` spawns no
-//!   worker threads at all and runs every job on the caller, in order —
+//!   worker threads at all and runs every group on the caller, in order —
 //!   byte-identical behaviour and identical frame counts to the serial
 //!   client. This is also what makes the executor safe under
 //!   `simnet::SimGate`, whose cooperative virtual-time scheduling cannot
 //!   tolerate ungated OS threads (the charging adapters model the overlap
 //!   analytically instead; see `experiments::concurrent`).
-//! * **Callers help.** A thread waiting on [`FanoutExecutor::fanout`]
-//!   drains the shared queue while it waits, so nested fan-outs (a bsfs
-//!   read-ahead job whose `read()` fans out its own fetch phase) can
-//!   never deadlock the pool: every waiter is also a worker.
-//! * **Jobs are `'static`.** Call sites clone the `Arc<dyn …>` ports and
-//!   move owned batches into each job — no scoped-lifetime tricks, no
-//!   unsafe.
+//! * **Callers help.** One pool serves every client thread of a
+//!   deployment and its in-process GC host. A caller waiting for its
+//!   groups runs queued jobs (its own or another caller's) instead of
+//!   parking, so its fan-out never stalls behind a pool busy with other
+//!   callers' work, and a job that itself fans out cannot deadlock the
+//!   pool: every waiter is also a worker.
+//! * **Jobs are `'static`.** Each job owns its batch and a shared handle
+//!   to the call — no scoped-lifetime tricks, no unsafe.
 //!
-//! Results come back in job-submission order, so call sites keep their
+//! Results come back in input order, so call sites keep their
 //! deterministic first-error and accounting semantics regardless of
 //! completion order.
 
+use crate::sharded::gather;
+use crate::stats::EngineStats;
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -135,6 +147,49 @@ impl FanoutExecutor {
         self.threads
     }
 
+    /// One scatter-gather, fanned out: splits `items` by their `groups`
+    /// (one provider or shard index per item, in order), makes one
+    /// `call(group, batch)` per group and returns the answers in input
+    /// order. A batch keeps its items' input order; groups are dispatched
+    /// in first-appearance order.
+    ///
+    /// The groups run concurrently across the workers and the caller. A
+    /// single group runs inline on the caller's own slice, cloning
+    /// nothing. A call with at least one group records one fan-out of
+    /// that width on `stats`. A panicking call is re-raised on the caller
+    /// once every group has settled. `call` must answer one result per
+    /// batch item (the vectored ports' contract).
+    pub(crate) fn scatter_gather<T, R, F>(
+        &self,
+        stats: &EngineStats,
+        items: &[T],
+        groups: impl IntoIterator<Item = usize>,
+        call: F,
+    ) -> Vec<R>
+    where
+        T: Clone + Send + 'static,
+        R: Send + 'static,
+        F: Fn(usize, &[T]) -> Vec<R> + Send + Sync + 'static,
+    {
+        gather(items, groups, |batches| {
+            if !batches.is_empty() {
+                stats.record_fanout(batches.len());
+            }
+            if let [(group, batch)] = &batches[..] {
+                return vec![call(*group, batch)];
+            }
+            let call = Arc::new(call);
+            let jobs: Vec<_> = batches
+                .into_iter()
+                .map(|(group, batch)| {
+                    let (call, batch) = (Arc::clone(&call), batch.into_owned());
+                    move || call(group, &batch)
+                })
+                .collect();
+            self.fanout(jobs)
+        })
+    }
+
     /// Runs every job, returning their results in submission order.
     ///
     /// With a pool, jobs run concurrently across the workers *and* the
@@ -142,7 +197,7 @@ impl FanoutExecutor {
     /// thread — or for 0/1 jobs — everything runs inline on the caller in
     /// submission order. A panicking job is re-raised on the caller once
     /// the whole group has settled.
-    pub fn fanout<T, F>(&self, jobs: Vec<F>) -> Vec<T>
+    fn fanout<T, F>(&self, jobs: Vec<F>) -> Vec<T>
     where
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
@@ -176,34 +231,6 @@ impl FanoutExecutor {
         }
         drop(q);
         collect(&group)
-    }
-
-    /// Queues one job for asynchronous execution, returning a handle to
-    /// claim its result later ([`Pending::wait`]). At 1 thread the job
-    /// runs inline *now* — the handle is already resolved. Used by the
-    /// bsfs read-ahead path to overlap the next block's fetch with the
-    /// caller's compute.
-    pub fn spawn<T, F>(&self, job: F) -> Pending<T>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        let Some(pool) = &self.pool else {
-            return Pending(PendingState::Ready(job()));
-        };
-        let group = Arc::new(Group {
-            slots: Mutex::named(vec![None], "exec.group.slots"),
-            remaining: AtomicUsize::new(1),
-        });
-        {
-            let mut q = pool.queue.lock();
-            q.push_back(group_job(pool, &group, 0, job));
-            pool.signal.notify_one();
-        }
-        Pending(PendingState::Queued {
-            pool: Arc::clone(pool),
-            group,
-        })
     }
 }
 
@@ -249,47 +276,6 @@ impl Drop for FanoutExecutor {
         }
         for worker in self.workers.drain(..) {
             let _ = worker.join();
-        }
-    }
-}
-
-/// A handle to one [`FanoutExecutor::spawn`]ed job.
-///
-/// Outstanding handles stay valid even if the executor is dropped first:
-/// [`Pending::wait`] helps drain the shared queue, so it completes the
-/// job itself if no worker got to it.
-pub struct Pending<T>(PendingState<T>);
-
-enum PendingState<T> {
-    /// Resolved at spawn time (inline executor).
-    Ready(T),
-    /// Queued on the pool; resolved by a worker or by the waiter.
-    Queued {
-        pool: Arc<Pool>,
-        group: Arc<Group<T>>,
-    },
-}
-
-impl<T: Send + 'static> Pending<T> {
-    /// Blocks until the job's result is available, helping run queued
-    /// jobs while waiting. Re-raises the job's panic, if any.
-    pub fn wait(self) -> T {
-        match self.0 {
-            PendingState::Ready(value) => value,
-            PendingState::Queued { pool, group } => {
-                let mut q = pool.queue.lock();
-                while group.remaining.load(Ordering::Acquire) != 0 {
-                    if let Some(job) = q.pop_front() {
-                        drop(q);
-                        job();
-                        q = pool.queue.lock();
-                    } else {
-                        pool.signal.wait(&mut q);
-                    }
-                }
-                drop(q);
-                collect(&group).pop().expect("single-slot group") // lint:allow(no-unwrap): single-slot group settled by the wait above
-            }
         }
     }
 }
@@ -365,32 +351,91 @@ mod tests {
         assert_eq!(results, expected);
     }
 
-    #[test]
-    fn spawn_resolves_inline_and_pooled() {
-        let inline = FanoutExecutor::new(1);
-        assert_eq!(inline.spawn(|| 7u64).wait(), 7);
-        let pooled = FanoutExecutor::new(3);
-        let counter = Arc::new(AtomicU64::new(0));
-        let pendings: Vec<_> = (0..8u64)
-            .map(|i| {
-                let counter = Arc::clone(&counter);
-                pooled.spawn(move || {
-                    counter.fetch_add(1, Ordering::Relaxed);
-                    i
-                })
-            })
-            .collect();
-        let got: Vec<u64> = pendings.into_iter().map(Pending::wait).collect();
-        assert_eq!(got, (0..8).collect::<Vec<_>>());
-        assert_eq!(counter.load(Ordering::Relaxed), 8);
+    /// Items `0..10` over three groups, first seen in the order 2, 0, 1.
+    fn grouped_items() -> (Vec<u64>, Vec<usize>) {
+        let items: Vec<u64> = (0..10).collect();
+        let groups = items.iter().map(|&x| (x as usize + 2) % 3).collect();
+        (items, groups)
     }
 
     #[test]
-    fn pending_survives_executor_drop() {
+    fn scatter_gather_answers_in_input_order() {
+        for threads in [1, 4] {
+            let exec = FanoutExecutor::new(threads);
+            let stats = EngineStats::new();
+            let (items, groups) = grouped_items();
+            let calls = Arc::new(Mutex::new(Vec::new()));
+            let log = Arc::clone(&calls);
+            let got = exec.scatter_gather(&stats, &items, groups.clone(), move |g, batch| {
+                log.lock().push((g, batch.to_vec()));
+                batch.iter().map(|&x| (g, x)).collect()
+            });
+            let want: Vec<(usize, u64)> = groups.into_iter().zip(items).collect();
+            assert_eq!(got, want, "{threads} threads");
+            let mut calls = calls.lock().clone();
+            if threads > 1 {
+                calls.sort_by_key(|(g, _)| [2, 0, 1].iter().position(|x| x == g));
+            }
+            assert_eq!(
+                calls,
+                vec![
+                    (2, vec![0, 3, 6, 9]),
+                    (0, vec![1, 4, 7]),
+                    (1, vec![2, 5, 8])
+                ],
+                "one call per group, batches in input order, groups in first-appearance order"
+            );
+        }
+    }
+
+    #[test]
+    fn a_single_group_runs_inline_on_the_callers_slice() {
+        let exec = FanoutExecutor::new(4);
+        let stats = EngineStats::new();
+        let items: Vec<u64> = (0..6).collect();
+        let at = items.as_ptr() as usize;
+        let caller = std::thread::current().id();
+        let got = exec.scatter_gather(&stats, &items, [5; 6], move |g, batch| {
+            assert_eq!(batch.as_ptr() as usize, at, "borrowed, not cloned");
+            assert_eq!(std::thread::current().id(), caller, "no worker involved");
+            batch.iter().map(|&x| x + g as u64).collect()
+        });
+        assert_eq!(got, vec![5, 6, 7, 8, 9, 10]);
+    }
+
+    #[test]
+    fn each_scatter_gather_with_a_group_records_one_fanout() {
         let exec = FanoutExecutor::new(2);
-        let pending = exec.spawn(|| 41u64 + 1);
-        drop(exec);
-        assert_eq!(pending.wait(), 42);
+        let stats = EngineStats::new();
+        let echo = |_: usize, batch: &[u64]| batch.to_vec();
+        let none: Vec<u64> = exec.scatter_gather(&stats, &[], [], echo);
+        assert!(none.is_empty());
+        assert_eq!(stats.snapshot().fanout_batches, 0, "no group, no fan-out");
+        let (items, groups) = grouped_items();
+        assert_eq!(exec.scatter_gather(&stats, &items, groups, echo), items);
+        assert_eq!(exec.scatter_gather(&stats, &items, [0; 10], echo), items);
+        let snap = stats.snapshot();
+        assert_eq!((snap.fanout_batches, snap.fanout_max_width), (2, 3));
+    }
+
+    #[test]
+    fn a_panicking_group_is_reraised_after_every_group_settles() {
+        let exec = FanoutExecutor::new(2);
+        let stats = EngineStats::new();
+        let (items, groups) = grouped_items();
+        let settled = Arc::new(AtomicU64::new(0));
+        let s = Arc::clone(&settled);
+        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            exec.scatter_gather(&stats, &items, groups, move |g, batch| {
+                if g == 2 {
+                    panic!("boom");
+                }
+                s.fetch_add(1, Ordering::Relaxed);
+                batch.to_vec()
+            })
+        }));
+        assert!(caught.is_err());
+        assert_eq!(settled.load(Ordering::Relaxed), 2, "the other groups ran");
     }
 
     #[test]

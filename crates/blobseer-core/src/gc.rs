@@ -17,7 +17,6 @@
 //! (blocks are owned by exactly one leaf — abort repair shares leaves via
 //! aliases, never by duplicating descriptors).
 
-use crate::client::push_grouped;
 use crate::exec::FanoutExecutor;
 use crate::meta::key::NodeKey;
 use crate::meta::node::TreeNode;
@@ -162,9 +161,9 @@ impl GcTracker {
             let _ = dht.delete_many(&dead);
             report.nodes_deleted += dead.len() as u64;
             EngineStats::add(&stats.meta_nodes_collected, dead.len() as u64);
-            let mut block_dels: Vec<(usize, Vec<BlockId>)> = Vec::new();
-            let mut freed_of: HashMap<BlockId, u64> = HashMap::new();
-            let mut released: Vec<usize> = Vec::new();
+            // One entry per replica of every dead leaf's block.
+            let mut replicas: Vec<BlockId> = Vec::new();
+            let mut targets: Vec<usize> = Vec::new();
             for (key, node) in fetched {
                 match node {
                     TreeNode::Inner { left, right } => {
@@ -183,10 +182,9 @@ impl GcTracker {
                     TreeNode::Leaf(desc) => {
                         report.blocks_deleted += 1;
                         EngineStats::add(&stats.blocks_collected, 1);
-                        freed_of.insert(desc.block_id, 0);
                         for &p in &desc.providers {
-                            push_grouped(&mut block_dels, p as usize, desc.block_id);
-                            released.push(p as usize);
+                            replicas.push(desc.block_id);
+                            targets.push(p as usize);
                         }
                     }
                 }
@@ -194,30 +192,19 @@ impl GcTracker {
             // One batched load release per wave — a single control frame
             // against a hosted placement service instead of one frame per
             // replica of every dead block.
-            if !released.is_empty() {
-                pm.release_many(&released)?;
+            if !targets.is_empty() {
+                pm.release_many(&targets)?;
             }
-            if !block_dels.is_empty() {
-                stats.record_fanout(block_dels.len());
-            }
-            let jobs: Vec<_> = block_dels
-                .into_iter()
-                .map(|(provider, ids)| {
-                    let providers = Arc::clone(providers);
-                    move || {
-                        let results = providers.delete_many(provider, &ids);
-                        (ids, results)
-                    }
-                })
-                .collect();
-            for (ids, results) in exec.fanout(jobs) {
-                for (&id, result) in ids.iter().zip(results) {
-                    // Bytes are counted once per block (primary copies):
-                    // take the max over replicas, treating an unreachable
-                    // replica as 0 freed.
-                    let n = result.unwrap_or(0);
-                    freed_of.entry(id).and_modify(|m| *m = (*m).max(n));
-                }
+            let providers = Arc::clone(providers);
+            let deleted = exec.scatter_gather(stats, &replicas, targets, move |p, ids| {
+                providers.delete_many(p, ids)
+            });
+            // Bytes are counted once per block (primary copies): take the
+            // max over replicas, treating an unreachable replica as 0 freed.
+            let mut freed_of: HashMap<BlockId, u64> = HashMap::new();
+            for (id, result) in replicas.into_iter().zip(deleted) {
+                let n = freed_of.entry(id).or_insert(0);
+                *n = (*n).max(result.unwrap_or(0));
             }
             report.bytes_freed += freed_of.values().sum::<u64>();
             if let Some(e) = first_err {

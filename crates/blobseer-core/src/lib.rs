@@ -60,7 +60,7 @@ pub mod version_manager;
 
 pub use cache::CachedBlockStore;
 pub use client::{BlobClient, BlobSeer, BlockLocation, EnginePorts};
-pub use exec::{FanoutExecutor, Pending};
+pub use exec::FanoutExecutor;
 pub use faults::{FaultPlan, FaultyBlockStore, FaultyMetaStore, PutFault};
 pub use gc::{GcHost, GcReport, GcTracker};
 pub use placement::{manhattan_unbalance, Placer};

@@ -28,7 +28,6 @@ use super::log::{Border, LogChain, LogEntry};
 use super::node::{BlockDescriptor, NodeRef, TreeNode};
 use crate::exec::FanoutExecutor;
 use crate::ports::{GcService, MetaStore};
-use crate::sharded::group_indices_by;
 use crate::stats::EngineStats;
 use blobseer_types::{BlobId, Error, Result, Version};
 use std::collections::HashMap;
@@ -86,59 +85,25 @@ impl<'a> TreeStore<'a> {
     /// single-endpoint backends keep exactly one `put_many` per level).
     /// Results come back in input order.
     fn put_level(&self, level: &[(NodeKey, TreeNode)]) -> Vec<Result<()>> {
-        let groups = group_indices_by(level.iter().map(|(key, _)| *key), |key| {
-            self.dht.fanout_shard(key)
-        });
-        self.stats.record_fanout(groups.len());
-        if groups.len() <= 1 {
-            return self.dht.put_many(level);
-        }
-        let jobs: Vec<_> = groups
-            .iter()
-            .map(|(_, indices)| {
-                let dht = Arc::clone(self.dht);
-                let items: Vec<(NodeKey, TreeNode)> =
-                    indices.iter().map(|&i| level[i].clone()).collect();
-                move || dht.put_many(&items)
+        let dht = Arc::clone(self.dht);
+        let shards = level.iter().map(|(key, _)| self.dht.fanout_shard(key));
+        self.exec
+            .scatter_gather(self.stats, level, shards, move |_, batch| {
+                dht.put_many(batch)
             })
-            .collect();
-        let mut out: Vec<Option<Result<()>>> = (0..level.len()).map(|_| None).collect();
-        for ((_, indices), results) in groups.iter().zip(self.exec.fanout(jobs)) {
-            for (&i, result) in indices.iter().zip(results) {
-                out[i] = Some(result);
-            }
-        }
-        out.into_iter()
-            .map(|slot| slot.expect("every level item grouped exactly once")) // lint:allow(no-unwrap): grouping assigns each item to exactly one slot
-            .collect()
     }
 
     /// One level's vectored fetch, fanned out across DHT shards like
     /// [`Self::put_level`]. Results come back in input order.
     fn get_level(&self, keys: &[NodeKey]) -> Vec<Result<TreeNode>> {
-        let groups = group_indices_by(keys.iter().copied(), |key| self.dht.fanout_shard(key));
-        self.stats.record_fanout(groups.len());
-        if groups.len() <= 1 {
-            return self.dht.get_many(keys);
-        }
-        let jobs: Vec<_> = groups
-            .iter()
-            .map(|(_, indices)| {
-                let dht = Arc::clone(self.dht);
-                let subset: Vec<NodeKey> = indices.iter().map(|&i| keys[i]).collect();
-                move || dht.get_many(&subset)
+        let dht = Arc::clone(self.dht);
+        let shards = keys.iter().map(|key| self.dht.fanout_shard(key));
+        self.exec
+            .scatter_gather(self.stats, keys, shards, move |_, batch| {
+                dht.get_many(batch)
             })
-            .collect();
-        let mut out: Vec<Option<Result<TreeNode>>> = (0..keys.len()).map(|_| None).collect();
-        for ((_, indices), results) in groups.iter().zip(self.exec.fanout(jobs)) {
-            for (&i, result) in indices.iter().zip(results) {
-                out[i] = Some(result);
-            }
-        }
-        out.into_iter()
-            .map(|slot| slot.expect("every frontier key grouped exactly once")) // lint:allow(no-unwrap): grouping assigns each key to exactly one slot
-            .collect()
     }
+
     /// Publishes the metadata of a normal write. `leaves` maps each block
     /// index in `entry.blocks` to its descriptor. Returns the new root key.
     ///

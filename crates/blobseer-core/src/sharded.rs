@@ -15,6 +15,7 @@
 //! tests compare against.
 
 use parking_lot::RwLock;
+use std::borrow::Cow;
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash};
@@ -50,7 +51,7 @@ impl<K: Hash + Eq, V> ShardedMap<K, V> {
     /// `i` becomes rank `i` of the `name` family, so under
     /// `BLOBSEER_LOCK_CHECK=1` any caller nesting stripes must take them
     /// in ascending index order (the batched paths instead take them one
-    /// at a time; see [`stripe_runs`]).
+    /// at a time, grouped by [`group_indices_by`]).
     pub fn named(n_shards: usize, name: &'static str) -> Self {
         assert!(n_shards > 0, "need at least one shard");
         Self {
@@ -141,8 +142,8 @@ impl<K: Hash + Eq, V> ShardedMap<K, V> {
 
 /// Groups batch item indices by `index_of(key)`, preserving batch order
 /// within each group. Returns `(index, item_indices)` groups in
-/// first-appearance order — the shared grouping step behind every batched
-/// store operation (stripe locks taken once per batch, DHT shards
+/// first-appearance order — the one grouping step behind every batched
+/// operation (stripe locks taken once per batch, providers and DHT shards
 /// addressed once per batch).
 pub fn group_indices_by<K>(
     keys: impl Iterator<Item = K>,
@@ -161,12 +162,57 @@ pub fn group_indices_by<K>(
     groups
 }
 
-/// [`group_indices_by`] keyed on the stripe holding each key of `map`.
-pub fn stripe_runs<'a, K: Hash + Eq + 'a, V>(
-    map: &ShardedMap<K, V>,
-    keys: impl Iterator<Item = &'a K>,
-) -> Vec<(usize, Vec<usize>)> {
-    group_indices_by(keys, |key| map.shard_index(key))
+/// One scatter-gather, sequentially: splits `items` by their `groups`
+/// (one group index per item, in order), makes one `call(group, batch)`
+/// per group in first-appearance order, and returns the answers in input
+/// order. A batch keeps its items' input order. A single-group batch is
+/// the caller's slice itself — nothing is cloned.
+///
+/// `call` must answer one result per batch item (the vectored ports'
+/// contract). The fan-out form is `FanoutExecutor::scatter_gather`.
+pub fn scatter_gather<T: Clone, R>(
+    items: &[T],
+    groups: impl IntoIterator<Item = usize>,
+    mut call: impl FnMut(usize, &[T]) -> Vec<R>,
+) -> Vec<R> {
+    gather(items, groups, |batches| {
+        batches
+            .into_iter()
+            .map(|(group, batch)| call(group, &batch))
+            .collect()
+    })
+}
+
+/// The core both scatter-gather forms share: groups `items`, hands `run`
+/// one batch per group (the borrowed slice when there is one group),
+/// and re-slots the per-batch answers `run` returns, in batch order, into
+/// input order.
+pub(crate) fn gather<'a, T: Clone, R>(
+    items: &'a [T],
+    groups: impl IntoIterator<Item = usize>,
+    run: impl FnOnce(Vec<(usize, Cow<'a, [T]>)>) -> Vec<Vec<R>>,
+) -> Vec<R> {
+    let groups = group_indices_by(groups.into_iter(), |&group| group);
+    if let [(group, _)] = groups[..] {
+        let answers = run(vec![(group, Cow::Borrowed(items))]);
+        return answers.into_iter().next().unwrap_or_default();
+    }
+    let batches = groups
+        .iter()
+        .map(|(group, indices)| {
+            let batch: Vec<T> = indices.iter().map(|&i| items[i].clone()).collect();
+            (*group, Cow::Owned(batch))
+        })
+        .collect();
+    let mut out: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
+    for ((_, indices), answers) in groups.iter().zip(run(batches)) {
+        for (&i, answer) in indices.iter().zip(answers) {
+            out[i] = Some(answer);
+        }
+    }
+    out.into_iter()
+        .map(|slot| slot.expect("every batch answers each of its items")) // lint:allow(no-unwrap): the vectored ports answer one result per item
+        .collect()
 }
 
 #[cfg(test)]
@@ -245,6 +291,36 @@ mod tests {
         }
         m.clear();
         assert!(m.is_empty());
+    }
+
+    #[test]
+    fn scatter_gather_answers_in_input_order_one_call_per_group() {
+        let items: Vec<u64> = (0..7).collect();
+        let groups = [1, 0, 1, 2, 0, 1, 2];
+        let mut calls = Vec::new();
+        let got = scatter_gather(&items, groups, |g, batch| {
+            calls.push((g, batch.to_vec()));
+            batch.iter().map(|&x| x * 10 + g as u64).collect()
+        });
+        assert_eq!(got, vec![1, 10, 21, 32, 40, 51, 62]);
+        assert_eq!(
+            calls,
+            vec![(1, vec![0, 2, 5]), (0, vec![1, 4]), (2, vec![3, 6])],
+            "groups in first-appearance order, batches in input order"
+        );
+        let none: Vec<u64> = scatter_gather(&[], [], |_, _: &[u64]| unreachable!());
+        assert!(none.is_empty(), "no items, no call");
+    }
+
+    #[test]
+    fn scatter_gather_passes_a_single_group_the_callers_slice() {
+        let items: Vec<u64> = (0..5).collect();
+        let got = scatter_gather(&items, [3; 5], |g, batch| {
+            assert_eq!(g, 3);
+            assert_eq!(batch.as_ptr(), items.as_ptr(), "borrowed, not cloned");
+            batch.to_vec()
+        });
+        assert_eq!(got, items);
     }
 
     #[test]

@@ -33,7 +33,7 @@ use crate::frame::FrameLog;
 use blobseer_core::meta::key::NodeKey;
 use blobseer_core::meta::node::TreeNode;
 use blobseer_core::ports::MetaStore;
-use blobseer_core::sharded::group_indices_by;
+use blobseer_core::sharded::scatter_gather;
 use blobseer_types::wire::{Wire, WireReader, WireWriter};
 use blobseer_types::{Error, Result};
 use parking_lot::{Mutex, RwLock};
@@ -283,42 +283,24 @@ impl DiskMetaStore {
 
 impl MetaStore for DiskMetaStore {
     fn put_many(&self, items: &[(NodeKey, TreeNode)]) -> Vec<Result<()>> {
-        let mut out: Vec<Result<()>> = (0..items.len()).map(|_| Ok(())).collect();
-        for (shard, range) in group_indices_by(items.iter().map(|(k, _)| k), |k| self.shard_of(k)) {
-            let group: Vec<(NodeKey, TreeNode)> = range.iter().map(|&i| items[i].clone()).collect();
-            for (slot, result) in range.into_iter().zip(self.shards[shard].put_many(&group)) {
-                out[slot] = result;
-            }
-        }
-        out
+        let shards = items.iter().map(|(key, _)| self.shard_of(key));
+        scatter_gather(items, shards, |shard, batch| {
+            self.shards[shard].put_many(batch)
+        })
     }
 
     fn get_many(&self, keys: &[NodeKey]) -> Vec<Result<TreeNode>> {
-        let mut out: Vec<Result<TreeNode>> = keys
-            .iter()
-            .map(|key| Err(Error::MissingMetadata(format!("{key:?}"))))
-            .collect();
-        for (shard, range) in group_indices_by(keys.iter(), |k| self.shard_of(k)) {
-            let group: Vec<NodeKey> = range.iter().map(|&i| keys[i]).collect();
-            for (slot, found) in range.into_iter().zip(self.shards[shard].get_many(&group)) {
-                out[slot] = found;
-            }
-        }
-        out
+        let shards = keys.iter().map(|key| self.shard_of(key));
+        scatter_gather(keys, shards, |shard, batch| {
+            self.shards[shard].get_many(batch)
+        })
     }
 
     fn delete_many(&self, keys: &[NodeKey]) -> Vec<Result<bool>> {
-        let mut out: Vec<Result<bool>> = vec![Ok(false); keys.len()];
-        for (shard, range) in group_indices_by(keys.iter(), |k| self.shard_of(k)) {
-            let group: Vec<NodeKey> = range.iter().map(|&i| keys[i]).collect();
-            for (slot, result) in range
-                .into_iter()
-                .zip(self.shards[shard].delete_many(&group))
-            {
-                out[slot] = result;
-            }
-        }
-        out
+        let shards = keys.iter().map(|key| self.shard_of(key));
+        scatter_gather(keys, shards, |shard, batch| {
+            self.shards[shard].delete_many(batch)
+        })
     }
 
     fn fanout_shard(&self, key: &NodeKey) -> usize {

@@ -7,9 +7,11 @@
 //! been filled in the cache."
 //!
 //! The read stream pins the snapshot version at open time: readers enjoy
-//! BlobSeer's snapshot isolation and never observe concurrent writers.
+//! BlobSeer's snapshot isolation and never observe concurrent writers. It
+//! caches exactly one block and fetches the next only on a miss, so a
+//! sequential reader costs one fetch per block.
 
-use blobseer_core::{BlobClient, Pending};
+use blobseer_core::BlobClient;
 use blobseer_types::{BlobId, Error, Result, Version};
 use bytes::{Bytes, BytesMut};
 use dfs::api::{DfsInput, DfsOutput};
@@ -23,30 +25,18 @@ use std::time::Duration;
 /// an unbounded drop-wait would hang the whole simulation.
 const DROP_REVEAL_BOUND: Duration = Duration::from_millis(100);
 
-/// A buffered, seekable reader over one file snapshot.
-///
-/// With `BlobSeerConfig::readahead_bytes > 0` the stream also issues a
-/// sequential read-ahead: after each cache fill it prefetches the next
-/// `readahead_bytes` (whole blocks) through the deployment's fan-out
-/// executor, so sequential consumers overlap decompression/compute with the
-/// next fetch. The prefetch reads the *pinned* snapshot version, so the
-/// delivered bytes are identical to a non-read-ahead stream even under
-/// concurrent appends.
+/// A buffered, seekable reader over one file snapshot: it fetches one
+/// whole block per cache miss, always from the snapshot pinned at open.
 pub struct BsfsInput {
     client: BlobClient,
     blob: BlobId,
     version: Version,
     size: u64,
     pos: u64,
-    /// Cached run of whole blocks: (first block index, payload). One block
-    /// long without read-ahead; up to `readahead` blocks long with it.
+    /// The cached block: (block index, payload).
     cache: Option<(u64, Bytes)>,
     block_size: u64,
-    /// Read-ahead window in blocks (0 = off).
-    readahead: u64,
-    /// In-flight prefetch: (first block index, requested bytes, handle).
-    pending: Option<(u64, u64, Pending<Result<Bytes>>)>,
-    /// Fetch requests issued, prefetches included (effectiveness metric).
+    /// Block fetches issued (cache effectiveness metric).
     fetches: u64,
 }
 
@@ -59,9 +49,7 @@ impl BsfsInput {
 
     /// Opens a pinned snapshot (version-aware readers, §VI-A).
     pub fn open_version(client: BlobClient, blob: BlobId, version: Version, size: u64) -> Self {
-        let cfg = client.system().config();
-        let block_size = cfg.block_size;
-        let readahead = cfg.readahead_blocks();
+        let block_size = client.system().config().block_size;
         Self {
             client,
             blob,
@@ -70,8 +58,6 @@ impl BsfsInput {
             pos: 0,
             cache: None,
             block_size,
-            readahead,
-            pending: None,
             fetches: 0,
         }
     }
@@ -86,11 +72,11 @@ impl BsfsInput {
         self.fetches
     }
 
-    /// Whether the cached run covers the absolute byte position.
+    /// Whether the cached block covers the absolute byte position.
     fn covers(&self, pos: u64) -> bool {
         match &self.cache {
-            Some((first, data)) => {
-                let start = first * self.block_size;
+            Some((block, data)) => {
+                let start = block * self.block_size;
                 pos >= start && pos < start + data.len() as u64
             }
             None => false,
@@ -98,17 +84,6 @@ impl BsfsInput {
     }
 
     fn fill_cache(&mut self, block: u64) -> Result<()> {
-        // Consume the in-flight prefetch when it covers the needed block;
-        // discard it otherwise (a seek jumped away from the sequence).
-        if let Some((first, len, pending)) = self.pending.take() {
-            let blocks = len.div_ceil(self.block_size);
-            if block >= first && block < first + blocks {
-                let data = pending.wait()?;
-                self.cache = Some((first, data));
-                self.maybe_prefetch();
-                return Ok(());
-            }
-        }
         let start = block * self.block_size;
         let len = self.block_size.min(self.size - start);
         let data = self
@@ -116,34 +91,7 @@ impl BsfsInput {
             .read(self.blob, Some(self.version), start, len)?;
         self.fetches += 1;
         self.cache = Some((block, data));
-        self.maybe_prefetch();
         Ok(())
-    }
-
-    /// Issues the sequential read-ahead for the blocks after the cached
-    /// run, if enabled and none is already in flight.
-    fn maybe_prefetch(&mut self) {
-        if self.readahead == 0 || self.pending.is_some() {
-            return;
-        }
-        let Some((first, data)) = &self.cache else {
-            return;
-        };
-        let next = first + (data.len() as u64).div_ceil(self.block_size);
-        let start = next * self.block_size;
-        if start >= self.size {
-            return;
-        }
-        let len = (self.readahead * self.block_size).min(self.size - start);
-        let client = self.client.clone();
-        let (blob, version) = (self.blob, self.version);
-        let handle = self
-            .client
-            .system()
-            .executor()
-            .spawn(move || client.read(blob, Some(version), start, len));
-        self.fetches += 1;
-        self.pending = Some((next, len, handle));
     }
 }
 
@@ -155,8 +103,8 @@ impl DfsInput for BsfsInput {
         if !self.covers(self.pos) {
             self.fill_cache(self.pos / self.block_size)?;
         }
-        let (first, data) = self.cache.as_ref().expect("just filled"); // lint:allow(no-unwrap): fill_cache populated the cache one line up
-        let off = (self.pos - first * self.block_size) as usize;
+        let (block, data) = self.cache.as_ref().expect("just filled"); // lint:allow(no-unwrap): fill_cache populated the cache one line up
+        let off = (self.pos - block * self.block_size) as usize;
         let n = buf.len().min(data.len() - off);
         buf[..n].copy_from_slice(&data[off..off + n]);
         self.pos += n as u64;
@@ -456,47 +404,19 @@ mod tests {
     }
 
     #[test]
-    fn readahead_stream_delivers_identical_bytes_with_fewer_fetches() {
-        let cfg = BlobSeerConfig::small_for_tests()
-            .with_block_size(256)
-            .with_readahead_bytes(512);
-        let sys = BlobSeer::deploy(cfg, 4);
-        let c = sys.client(NodeId::new(0));
-        let blob = c.create();
-        let payload: Vec<u8> = (0..4096u32).map(|i| (i % 251) as u8).collect();
-        c.write(blob, 0, &payload).unwrap();
-        let mut input = BsfsInput::open(c, blob).unwrap();
-        let mut got = vec![0u8; 4096];
-        // Odd-sized reads to exercise run-boundary crossings.
-        for chunk in got.chunks_mut(100) {
-            input.read_exact(chunk).unwrap();
-        }
-        assert_eq!(got, payload, "read-ahead must not change delivered bytes");
-        // 16 blocks: 1 demand fetch + 2-block prefetch runs, far fewer than
-        // the 16 demand fetches of the non-read-ahead stream.
-        assert!(
-            input.fetch_count() < 16,
-            "prefetch runs must coalesce fetches: {}",
-            input.fetch_count()
-        );
-    }
-
-    #[test]
     fn seek_away_from_prefetch_sequence_stays_correct() {
-        let cfg = BlobSeerConfig::small_for_tests()
-            .with_block_size(256)
-            .with_readahead_bytes(256);
-        let sys = BlobSeer::deploy(cfg, 4);
+        let sys = system();
         let c = sys.client(NodeId::new(0));
         let blob = c.create();
         let payload: Vec<u8> = (0..2048u32).map(|i| i as u8).collect();
         c.write(blob, 0, &payload).unwrap();
         let mut input = BsfsInput::open(c, blob).unwrap();
         let mut buf = [0u8; 16];
-        input.read_exact(&mut buf).unwrap(); // block 0 + prefetch of block 1
-        input.seek(6 * 256).unwrap(); // jump away: prefetch discarded
+        input.read_exact(&mut buf).unwrap(); // prefetches block 0
+        input.seek(6 * 256).unwrap(); // jump away from the sequence
         input.read_exact(&mut buf).unwrap();
         assert_eq!(&buf[..], &payload[6 * 256..6 * 256 + 16]);
+        assert_eq!(input.fetch_count(), 2);
     }
 
     #[test]

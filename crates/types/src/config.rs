@@ -120,13 +120,6 @@ pub struct BlobSeerConfig {
     /// under `dir`, so a stopped cluster can be re-booted on the same
     /// directory with all BLOBs, versions and metadata intact.
     pub data_dir: Option<PathBuf>,
-    /// Read-ahead window of a BSFS input stream in bytes. While a caller
-    /// consumes block *b*, the stream prefetches up to this many bytes
-    /// ahead through the fan-out executor. `0` (the default) disables
-    /// read-ahead. Values are interpreted as whole blocks (rounded up to a
-    /// multiple of `block_size`); the builder warns when the value is not
-    /// already a multiple.
-    pub readahead_bytes: u64,
     /// Number of version-manager replicas a hosted cluster boots. `1`
     /// (the default, and the figure-reproduction setting) hosts the
     /// single version manager of the paper; values above 1 host a
@@ -150,7 +143,6 @@ impl Default for BlobSeerConfig {
             read_cache_bytes: 0,
             data_dir: None,
             client_io_threads: None,
-            readahead_bytes: 0,
             version_replicas: 1,
         }
     }
@@ -244,24 +236,6 @@ impl BlobSeerConfig {
         self
     }
 
-    /// Builder-style override of the BSFS read-ahead window (`0`
-    /// disables). Warns on stderr when the window is not a multiple of
-    /// the *currently configured* block size — set the block size first
-    /// when chaining, or expect the effective window to round up to
-    /// whole blocks.
-    #[must_use]
-    pub fn with_readahead_bytes(mut self, bytes: u64) -> Self {
-        if !bytes.is_multiple_of(self.block_size) {
-            eprintln!(
-                "warning: readahead_bytes = {bytes} is not a multiple of block_size = {}; \
-                 the effective window rounds up to whole blocks",
-                self.block_size
-            );
-        }
-        self.readahead_bytes = bytes;
-        self
-    }
-
     /// Builder-style override of the version-manager replica count a
     /// hosted cluster boots. Must be at least 1; `1` keeps the paper's
     /// single version manager.
@@ -270,11 +244,6 @@ impl BlobSeerConfig {
         assert!(replicas >= 1, "a deployment needs at least one replica");
         self.version_replicas = replicas;
         self
-    }
-
-    /// The read-ahead window in whole blocks (rounded up). `0` = off.
-    pub fn readahead_blocks(&self) -> u64 {
-        self.readahead_bytes.div_ceil(self.block_size)
     }
 }
 
@@ -358,7 +327,6 @@ mod tests {
         assert_eq!(c.read_cache_bytes, 0, "figure runs are cache-cold");
         assert_eq!(c.data_dir, None, "RAM-backed unless opted in");
         assert_eq!(c.client_io_threads, None, "auto: min(8, providers)");
-        assert_eq!(c.readahead_bytes, 0, "read-ahead is opt-in");
         assert_eq!(c.version_replicas, 1, "the paper runs one version manager");
 
         let h = HdfsConfig::default();
@@ -378,7 +346,6 @@ mod tests {
             .with_read_cache_bytes(1 << 20)
             .with_data_dir("/tmp/blobseer-data")
             .with_client_io_threads(4)
-            .with_readahead_bytes(4096)
             .with_version_replicas(3);
         assert_eq!(c.unaligned_append_timeout, Duration::from_millis(50));
         assert_eq!(c.close_reveal_timeout, Duration::from_millis(80));
@@ -389,8 +356,6 @@ mod tests {
         assert_eq!(c.read_cache_bytes, 1 << 20);
         assert_eq!(c.data_dir, Some(PathBuf::from("/tmp/blobseer-data")));
         assert_eq!(c.client_io_threads, Some(4));
-        assert_eq!(c.readahead_bytes, 4096);
-        assert_eq!(c.readahead_blocks(), 4, "1024-byte blocks, 4 KB window");
         assert_eq!(c.version_replicas, 3);
 
         let h = HdfsConfig::small_for_tests()
@@ -416,13 +381,5 @@ mod tests {
     #[should_panic(expected = "need at least one client I/O thread")]
     fn zero_io_threads_rejected() {
         let _ = BlobSeerConfig::default().with_client_io_threads(0);
-    }
-
-    #[test]
-    fn unaligned_readahead_rounds_up_to_whole_blocks() {
-        let c = BlobSeerConfig::small_for_tests().with_readahead_bytes(4096 + 1);
-        assert_eq!(c.readahead_blocks(), 2);
-        let off = BlobSeerConfig::small_for_tests();
-        assert_eq!(off.readahead_blocks(), 0);
     }
 }
