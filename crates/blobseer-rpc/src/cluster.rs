@@ -165,14 +165,11 @@ impl LoopbackCluster {
     /// client deployments.
     pub fn boot_seeded(cfg: BlobSeerConfig, n_providers: usize, pm_seed: u64) -> Result<Self> {
         assert!(n_providers > 0, "need at least one data provider");
-        // Worker-pool shape: the deployment config's N dispatcher threads
-        // over the default bounded queue per server. One tracker across
-        // all servers: its high watermark observes requests overlapping
-        // *anywhere* in the cluster, which is what client-side fan-out
-        // produces and a serial client cannot.
+        // One tracker across all servers: its high watermark observes
+        // requests overlapping *anywhere* in the cluster, which is what
+        // client-side fan-out produces and a serial client cannot.
         let in_flight = Arc::new(InFlight::new());
         let opts = ServerOptions {
-            workers: cfg.rpc_server_workers,
             in_flight: Some(Arc::clone(&in_flight)),
             ..ServerOptions::default()
         };

@@ -17,10 +17,10 @@
 //!   [`blobseer_types::Error`] variants (service failures arrive at the
 //!   remote caller as themselves, not as opaque transport errors);
 //! * [`server`] — a TCP server hosting any port adapter behind its own
-//!   listener: per-connection reader threads feed a bounded queue drained
-//!   by a fixed worker pool, slow `wait_revealed` calls are offloaded so
-//!   they never occupy a worker, and shutdown stays graceful and
-//!   deterministic;
+//!   listener: one thread per connection decodes, dispatches and answers
+//!   each request in turn, slow `wait_revealed` calls are offloaded so
+//!   they never hold up their connection, and shutdown stays graceful
+//!   and deterministic;
 //! * [`client`] — multiplexed client adapters implementing the five
 //!   traits over a small fixed budget of shared connections (any number
 //!   of in-flight requests per connection, correlated by request id; dead

@@ -9,24 +9,28 @@
 //! separate thread groups), mirroring the paper's process decomposition
 //! (§III-B).
 //!
-//! Concurrency model: per-connection *readers* feeding a bounded worker
-//! pool. The accept loop runs on its own thread; each accepted connection
-//! gets a reader thread that decodes frames and pushes them onto a
-//! bounded queue served by N shared workers (`BlobSeerConfig::
-//! rpc_server_workers`; the queue bound is the constant
-//! `DEFAULT_RPC_SERVER_QUEUE_DEPTH`; [`ServerOptions`] sets either).
-//! Every response frame echoes the request id of the frame it answers and
-//! may be written out of order, so one connection can carry many in-flight
-//! requests — the muxed client depends on it. Known-parking calls
-//! (`wait_revealed`) never enter the queue: the reader offloads them to a
-//! dedicated thread, so a request that deliberately blocks for its whole
-//! timeout cannot starve the worker pool. A full queue blocks only the
-//! reader that hit it (per-connection backpressure), never a worker.
+//! Concurrency model: run to completion, one thread per connection. The
+//! accept loop runs on its own thread; each accepted connection gets one
+//! thread that decodes a frame, dispatches it and writes its response
+//! before it reads the next frame — no hand-off, no queue, no wake-up
+//! between decode and dispatch. Connections are served in parallel (a
+//! slow handler delays later requests on its own connection only), and
+//! their number is bounded by the clients' connection budgets
+//! (`rpc_client_connections` per endpoint). Backpressure is TCP flow
+//! control on the one connection: a thread busy with a request reads no
+//! further frames. Every response frame echoes the request id of the
+//! frame it answers, so one connection can carry many in-flight requests
+//! — the muxed client depends on it. Known-parking calls
+//! (`wait_revealed`) are not served in line: the connection thread
+//! offloads them to a dedicated thread, so a request that deliberately
+//! blocks for its whole timeout does not hold up the requests behind it:
+//! their answers overtake its own.
 //!
 //! Shutdown is graceful and deterministic: [`RpcServer::shutdown`] stops
 //! the accept loop (waking it with a loopback connection), closes every
-//! open connection (unblocking reader threads), lets the workers drain
-//! the queue, and joins readers, workers and offload threads.
+//! open connection (a connection thread finishes the request it is
+//! serving, then its next read fails), and joins the accept thread, the
+//! connection threads and the offload threads.
 //!
 //! Every handler arm decodes its whole argument tuple with one call to
 //! [`Wire::get`] — a call that also refuses trailing bytes — runs the
@@ -38,12 +42,11 @@ use crate::wire::{self, batch_status, encode_response};
 use blobseer_core::meta::key::NodeKey;
 use blobseer_core::meta::node::TreeNode;
 use blobseer_core::ports::{BlockStore, GcService, MetaStore, PlacementService, VersionService};
-use blobseer_types::config::{DEFAULT_RPC_SERVER_QUEUE_DEPTH, DEFAULT_RPC_SERVER_WORKERS};
 use blobseer_types::wire::{Wire, WireReader, WireWriter};
 use blobseer_types::{BlockId, Error, NodeId, Result};
 use bytes::Bytes;
-use parking_lot::{Condvar, Mutex};
-use std::collections::{HashMap, VecDeque};
+use parking_lot::Mutex;
+use std::collections::HashMap;
 use std::io;
 use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -80,12 +83,11 @@ impl RpcService {
     }
 }
 
-/// A running RPC server: one listener, one hosted service, one bounded
-/// worker pool.
+/// A running RPC server: one listener, one hosted service, one thread
+/// per open connection.
 pub struct RpcServer {
     addr: SocketAddr,
     accept_thread: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
     shared: Arc<Shared>,
 }
 
@@ -93,16 +95,15 @@ pub struct RpcServer {
 /// deployment: counts the requests currently between frame decode and
 /// response write, and remembers the highest count ever seen. The high
 /// watermark is the *structural* proof of client-side overlap — it rises
-/// above 1 only where one client has several frames outstanding at once.
-/// Two things produce that. The fan-out executor (`client_io_threads >
-/// 1`) overlaps the per-provider batches of a data phase or a fetch wave.
-/// And the metadata phase of a write is pipelined whatever the thread
-/// count: every tree level's `put_many` frame is written before the first
-/// response is awaited (`MetaStore::put_levels`), so a write publishing
-/// `d` levels can raise the watermark to `d` — and no higher. Everything
-/// else a one-thread client does waits for each response before it sends
-/// the next frame: its data phase, its descent and its fetches keep the
-/// watermark at 1.
+/// above 1 only where requests are served at the same time, which takes
+/// frames outstanding on more than one connection. A connection's frames
+/// are served one after another, so a run pipelined on one connection
+/// (`MetaStore::put_levels` writes every tree level's frame before it
+/// awaits the first answer) still counts one request at a time. For a
+/// single client, only the fan-out executor (`client_io_threads > 1`)
+/// overlaps requests, across the per-provider batches of a data phase or
+/// a fetch wave; everything a one-thread client does keeps the watermark
+/// at 1.
 #[derive(Debug, Default)]
 pub struct InFlight {
     cur: AtomicU64,
@@ -143,10 +144,10 @@ impl Drop for InFlightGuard {
     }
 }
 
-/// One decoded request waiting for a worker: where to write the answer
-/// (the connection's shared write half), which request id to echo, and
-/// the request body — the buffer the socket read filled, shareable so a
-/// block store can keep slices of it instead of copies.
+/// One decoded request: where to write the answer (the connection's
+/// shared write half), which request id to echo, and the request body —
+/// the buffer the socket read filled, shareable so a block store can keep
+/// slices of it instead of copies.
 struct Job {
     writer: Arc<Mutex<TcpStream>>,
     req_id: u64,
@@ -157,29 +158,25 @@ struct Job {
     _track: Option<InFlightGuard>,
 }
 
-/// State shared between the accept loop, the readers, the workers and
-/// `shutdown()`.
+/// State shared between the accept loop, the connection threads, the
+/// offload threads and `shutdown()`.
 ///
 /// The registries are bounded by the number of *live* connections and
-/// in-flight offloads, not by the totals ever seen: a reader removes its
-/// own stream clone when its peer disconnects, and finished thread
-/// handles are reaped on every accept / offload spawn — a long-running
-/// server does not accumulate fds or join handles from churn.
+/// in-flight offloads, not by the totals ever seen: a connection thread
+/// removes its own stream clone when its peer disconnects, and finished
+/// thread handles are reaped on every accept / offload spawn — a
+/// long-running server does not accumulate fds or join handles from
+/// churn.
 struct Shared {
-    /// Set once by `shutdown()`; every loop re-checks it after waking.
+    /// Set once by `shutdown()`; the accept loop re-checks it after waking.
     stop: AtomicBool,
     /// Clones of the currently open streams (keyed by connection id), so
-    /// shutdown can unblock reader threads by closing the sockets under
-    /// them.
+    /// shutdown can unblock connection threads by closing the sockets
+    /// under them.
     conns: Mutex<HashMap<u64, TcpStream>>,
     handlers: Mutex<Vec<JoinHandle<()>>>,
     /// Dedicated threads for known-parking requests (`wait_revealed`).
     offloads: Mutex<Vec<JoinHandle<()>>>,
-    /// The bounded request queue between readers and workers.
-    queue: Mutex<VecDeque<Job>>,
-    not_empty: Condvar,
-    not_full: Condvar,
-    queue_cap: usize,
     /// Deployment-wide in-flight tracker, if the booter wants the
     /// overlap watermark observed.
     in_flight: Option<Arc<InFlight>>,
@@ -194,17 +191,13 @@ struct Shared {
     panics: AtomicU64,
 }
 
-/// How a server listens and how much work it takes on at once.
+/// Where a server listens and what it reports to.
 #[derive(Clone, Debug)]
 pub struct ServerOptions {
     /// Where to listen. The default is an ephemeral loopback port; an
     /// explicit address lets a test restart a server on the port its
     /// clients already hold muxed connections to.
     pub addr: SocketAddr,
-    /// Dispatcher threads draining the request queue (at least one).
-    pub workers: usize,
-    /// Decoded requests the queue holds before readers block (at least one).
-    pub queue_depth: usize,
     /// Counts every request this server decodes until its response is
     /// written. Boot all servers of a deployment with one tracker and its
     /// high watermark proves (or disproves) client-side request overlap.
@@ -215,26 +208,16 @@ impl Default for ServerOptions {
     fn default() -> Self {
         Self {
             addr: SocketAddr::from((Ipv4Addr::LOCALHOST, 0)),
-            workers: DEFAULT_RPC_SERVER_WORKERS,
-            queue_depth: DEFAULT_RPC_SERVER_QUEUE_DEPTH,
             in_flight: None,
         }
     }
 }
 
 impl RpcServer {
-    /// Binds `opts.addr` and starts serving `service` on it with
-    /// `opts.workers` dispatcher threads over a queue of at most
-    /// `opts.queue_depth` decoded requests.
+    /// Binds `opts.addr` and starts serving `service` on it: an accept
+    /// thread now, and one thread per connection as clients dial in.
     pub fn spawn(service: RpcService, opts: ServerOptions) -> io::Result<Self> {
-        let ServerOptions {
-            addr,
-            workers,
-            queue_depth,
-            in_flight,
-        } = opts;
-        assert!(workers >= 1, "a server needs at least one worker");
-        assert!(queue_depth >= 1, "the request queue needs some depth");
+        let ServerOptions { addr, in_flight } = opts;
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
@@ -242,25 +225,11 @@ impl RpcServer {
             conns: Mutex::named(HashMap::new(), "rpc.server.conns"),
             handlers: Mutex::named(Vec::new(), "rpc.server.handlers"),
             offloads: Mutex::named(Vec::new(), "rpc.server.offloads"),
-            queue: Mutex::named(VecDeque::new(), "rpc.server.queue"),
-            not_empty: Condvar::named("rpc.server.not_empty"),
-            not_full: Condvar::named("rpc.server.not_full"),
-            queue_cap: queue_depth,
             in_flight,
             frames: AtomicU64::new(0),
             accepted: AtomicU64::new(0),
             panics: AtomicU64::new(0),
         });
-        let mut worker_threads = Vec::with_capacity(workers);
-        for i in 0..workers {
-            let service = service.clone();
-            let shared = Arc::clone(&shared);
-            worker_threads.push(
-                std::thread::Builder::new()
-                    .name(format!("rpc-worker-{i}"))
-                    .spawn(move || worker_loop(service, shared))?,
-            );
-        }
         let accept_thread = {
             let shared = Arc::clone(&shared);
             let name = format!("rpc-{}-{}", service.name(), addr.port());
@@ -271,7 +240,6 @@ impl RpcServer {
         Ok(Self {
             addr,
             accept_thread: Some(accept_thread),
-            workers: worker_threads,
             shared,
         })
     }
@@ -297,13 +265,15 @@ impl RpcServer {
     }
 
     /// Requests whose handler panicked. Each was answered with
-    /// [`Error::Internal`] and cost neither its worker nor its connection.
+    /// [`Error::Internal`] and cost neither its connection nor the thread
+    /// serving it.
     pub fn handler_panics(&self) -> u64 {
         self.shared.panics.load(Ordering::Relaxed)
     }
 
-    /// Stops accepting, closes every open connection, drains the queue,
-    /// and joins all threads. Idempotent; also runs on drop.
+    /// Stops accepting, closes every open connection, and joins the
+    /// accept, connection and offload threads — each connection thread
+    /// after the request it is serving. Idempotent; also runs on drop.
     pub fn shutdown(&mut self) {
         if self.shared.stop.swap(true, Ordering::SeqCst) {
             return;
@@ -314,24 +284,13 @@ impl RpcServer {
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
-        // Unblock reader reads by closing the sockets under them.
+        // Unblock connection reads by closing the sockets under them.
         for (_, conn) in self.shared.conns.lock().drain() {
             let _ = conn.shutdown(std::net::Shutdown::Both);
-        }
-        // Wake queue waiters *while holding the queue lock*: any thread
-        // not yet waiting still has the stop re-check ahead of it, so no
-        // wake-up can be lost.
-        {
-            let _q = self.shared.queue.lock();
-            self.shared.not_empty.notify_all();
-            self.shared.not_full.notify_all();
         }
         let handlers: Vec<_> = self.shared.handlers.lock().drain(..).collect();
         for h in handlers {
             let _ = h.join();
-        }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
         }
         let offloads: Vec<_> = self.shared.offloads.lock().drain(..).collect();
         for h in offloads {
@@ -362,13 +321,13 @@ fn accept_loop(listener: TcpListener, service: RpcService, shared: Arc<Shared>) 
             return; // the wake-up connection, or a late client
         }
         shared.accepted.fetch_add(1, Ordering::Relaxed);
-        // Reap reader threads whose connections already ended (dropping
-        // a finished JoinHandle just releases it).
+        // Reap connection threads whose connections already ended
+        // (dropping a finished JoinHandle just releases it).
         shared.handlers.lock().retain(|h| !h.is_finished());
         let _ = stream.set_nodelay(true);
-        // The reader keeps the stream; workers answer through a cloned
-        // write half behind a mutex (responses can interleave across
-        // workers, never within a frame).
+        // The connection thread reads the stream and answers through a
+        // cloned write half behind a mutex, which it shares with its
+        // offload threads (responses interleave, never within a frame).
         let writer = match stream.try_clone() {
             Ok(w) => Arc::new(Mutex::named(w, "rpc.server.writer")),
             Err(_) => continue,
@@ -379,14 +338,14 @@ fn accept_loop(listener: TcpListener, service: RpcService, shared: Arc<Shared>) 
             shared.conns.lock().insert(conn_id, clone);
         }
         let service = service.clone();
-        let reader_shared = Arc::clone(&shared);
+        let conn_shared = Arc::clone(&shared);
         if let Ok(handle) = std::thread::Builder::new()
             .name("rpc-conn".into())
             .spawn(move || {
-                connection_loop(stream, writer, service, &reader_shared);
+                connection_loop(stream, writer, service, &conn_shared);
                 // Deregister on the way out so the fd closes with the
                 // peer, not at server shutdown.
-                reader_shared.conns.lock().remove(&conn_id);
+                conn_shared.conns.lock().remove(&conn_id);
             })
         {
             shared.handlers.lock().push(handle);
@@ -394,10 +353,11 @@ fn accept_loop(listener: TcpListener, service: RpcService, shared: Arc<Shared>) 
     }
 }
 
-/// Reads one connection's frames until EOF or a transport error, routing
-/// each request to the worker queue — or to a dedicated offload thread
-/// for known-parking calls. Service errors are *answers* (encoded in the
-/// response envelope), never reasons to drop the connection.
+/// Serves one connection's frames until EOF or a transport error: each
+/// request is dispatched and answered here, in arrival order, except the
+/// known-parking calls, which go to a dedicated offload thread. Service
+/// errors are *answers* (encoded in the response envelope), never reasons
+/// to drop the connection.
 fn connection_loop(
     stream: TcpStream,
     writer: Arc<Mutex<TcpStream>>,
@@ -419,26 +379,15 @@ fn connection_loop(
         };
         if parks_a_thread(&service, &job.body) {
             offload(&service, shared, job);
-            continue;
+        } else {
+            serve_job(&service, shared, job);
         }
-        // Enqueue with backpressure: a full queue parks this reader (and
-        // only this reader) until a worker frees a slot.
-        let mut q = shared.queue.lock();
-        while q.len() >= shared.queue_cap {
-            if shared.stop.load(Ordering::SeqCst) {
-                return;
-            }
-            shared.not_full.wait(&mut q);
-        }
-        q.push_back(job);
-        drop(q);
-        shared.not_empty.notify_one();
     }
 }
 
 /// Whether a request is one that deliberately blocks server-side for up
 /// to its whole timeout (`wait_revealed`). Such requests must never
-/// occupy a pool worker.
+/// hold up the connection they arrived on.
 fn parks_a_thread(service: &RpcService, body: &[u8]) -> bool {
     matches!(service, RpcService::Version(_)) && body.first() == Some(&version_tag::WAIT_REVEALED)
 }
@@ -449,44 +398,19 @@ fn parks_a_thread(service: &RpcService, body: &[u8]) -> bool {
 fn offload(service: &RpcService, shared: &Arc<Shared>, job: Job) {
     shared.offloads.lock().retain(|h| !h.is_finished());
     let service = service.clone();
-    let worker_shared = Arc::clone(shared);
+    let offload_shared = Arc::clone(shared);
     if let Ok(handle) = std::thread::Builder::new()
         .name("rpc-wait".into())
-        .spawn(move || serve_job(&service, &worker_shared, job))
+        .spawn(move || serve_job(&service, &offload_shared, job))
     {
         shared.offloads.lock().push(handle);
     }
 }
 
-/// A worker: drains the queue until shutdown, then exits once it is empty
-/// (queued requests are served even during shutdown — their responses
-/// simply fail to write if the connection is already gone).
-fn worker_loop(service: RpcService, shared: Arc<Shared>) {
-    loop {
-        let job = {
-            let mut q = shared.queue.lock();
-            loop {
-                if let Some(job) = q.pop_front() {
-                    shared.not_full.notify_one();
-                    break Some(job);
-                }
-                if shared.stop.load(Ordering::SeqCst) {
-                    break None;
-                }
-                shared.not_empty.wait(&mut q);
-            }
-        };
-        match job {
-            Some(job) => serve_job(&service, &shared, job),
-            None => return,
-        }
-    }
-}
-
 /// Dispatches one request and writes its response frame, echoing the
 /// request id so the client's demux can route it. A handler that panics
-/// is answered [`Error::Internal`] and counted: the worker and the
-/// connection both serve the next request.
+/// is answered [`Error::Internal`] and counted: the connection and its
+/// thread both serve the next request.
 fn serve_job(service: &RpcService, shared: &Shared, job: Job) {
     let Job {
         writer,
@@ -730,10 +654,9 @@ fn handle_version(vm: &dyn VersionService, tag: u8, r: WireReader<'_>) -> Result
         version_tag::LATEST => serve(r, |blob| vm.latest(blob)),
         version_tag::SNAPSHOT_INFO => serve(r, |(blob, version)| vm.snapshot_info(blob, version)),
         version_tag::CHAIN => serve(r, |blob| vm.chain(blob)),
-        // Runs on a dedicated offload thread — the reader never queues
-        // this tag (see `parks_a_thread`), so a parked wait holds no
-        // worker slot and other requests on the same connection keep
-        // flowing.
+        // Runs on a dedicated offload thread (see `parks_a_thread`), so
+        // a parked wait leaves its connection thread free and other
+        // requests on the same connection keep flowing.
         version_tag::WAIT_REVEALED => serve(r, |(blob, version, timeout)| {
             vm.wait_revealed(blob, version, timeout)
         }),

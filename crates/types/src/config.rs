@@ -24,17 +24,6 @@ pub const DEFAULT_CLOSE_REVEAL_TIMEOUT: Duration = Duration::from_secs(30);
 /// further concurrent requests onto the existing ones.
 pub const DEFAULT_RPC_CLIENT_CONNECTIONS: usize = 4;
 
-/// Default worker threads per RPC server: how many requests one service
-/// listener executes concurrently (readers only parse frames; the workers
-/// run the port calls).
-pub const DEFAULT_RPC_SERVER_WORKERS: usize = 4;
-
-/// Bound of an RPC server's request queue (`RpcServer::spawn`, every
-/// `LoopbackCluster` server). A full queue makes connection readers stop
-/// pulling frames off their sockets (TCP backpressure) instead of
-/// buffering without limit.
-pub const DEFAULT_RPC_SERVER_QUEUE_DEPTH: usize = 128;
-
 /// Cap on the auto-sized client fan-out pool: with
 /// `client_io_threads = None` a deployment uses `min(8, providers)` I/O
 /// threads (one per provider until the pool saturates at 8, the paper's
@@ -96,8 +85,9 @@ pub struct BlobSeerConfig {
     /// service endpoint. Concurrent requests beyond the budget pipeline
     /// onto the shared connections instead of opening new sockets.
     pub rpc_client_connections: usize,
-    /// Worker threads per RPC server listener — the degree of request
-    /// parallelism one service process offers.
+    /// Inert: nothing reads it. RPC servers serve each connection on its
+    /// own thread and have no worker pool to size. The field stays only
+    /// because the benchmark prints it into its provenance record.
     pub rpc_server_workers: usize,
     /// Byte budget of the client-side hot-read block cache of an RPC
     /// deployment. `0` disables it — the default, and what the figure
@@ -139,7 +129,7 @@ impl Default for BlobSeerConfig {
             unaligned_append_timeout: DEFAULT_UNALIGNED_APPEND_TIMEOUT,
             close_reveal_timeout: DEFAULT_CLOSE_REVEAL_TIMEOUT,
             rpc_client_connections: DEFAULT_RPC_CLIENT_CONNECTIONS,
-            rpc_server_workers: DEFAULT_RPC_SERVER_WORKERS,
+            rpc_server_workers: 4,
             read_cache_bytes: 0,
             data_dir: None,
             client_io_threads: None,
@@ -323,7 +313,7 @@ mod tests {
         assert_eq!(c.unaligned_append_timeout, Duration::from_secs(30));
         assert_eq!(c.close_reveal_timeout, Duration::from_secs(30));
         assert_eq!(c.rpc_client_connections, 4);
-        assert_eq!(c.rpc_server_workers, 4);
+        assert_eq!(c.rpc_server_workers, 4, "inert, kept at its old value");
         assert_eq!(c.read_cache_bytes, 0, "figure runs are cache-cold");
         assert_eq!(c.data_dir, None, "RAM-backed unless opted in");
         assert_eq!(c.client_io_threads, None, "auto: min(8, providers)");

@@ -1,7 +1,8 @@
 //! The multiplexed transport: many in-flight requests per connection, a
 //! bounded socket budget, transparent redial after a server restart,
-//! workers that survive a panicking handler, and the read caches (the
-//! opt-in block LRU and the metadata adapter's inner-node cache).
+//! connections served independently of each other and surviving a
+//! panicking handler, a pipelined metadata publish, and the read caches
+//! (the opt-in block LRU and the metadata adapter's inner-node cache).
 //!
 //! The old transport model spent one TCP connection per in-flight request
 //! (a parked `wait_revealed` pinned a whole socket). These tests pin down
@@ -25,15 +26,6 @@ use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 const BLOCK: u64 = 256;
-
-/// Server options: `workers` dispatchers over a 16-deep queue.
-fn pool(workers: usize) -> ServerOptions {
-    ServerOptions {
-        workers,
-        queue_depth: 16,
-        ..ServerOptions::default()
-    }
-}
 
 #[test]
 fn pipelined_requests_complete_within_the_connection_budget() {
@@ -114,9 +106,10 @@ fn pipelined_requests_complete_within_the_connection_budget() {
     );
 }
 
-/// `put_levels` over the wire: one frame per level, all of them written
-/// before the first response is awaited; every level is attempted, results
-/// stay per item, and each frame is one metered round trip.
+/// `put_levels` over the wire: one frame per level; every level is
+/// attempted, results stay per item, and each frame is one metered round
+/// trip. (That the frames are all written before the first response is
+/// awaited is the next test's.)
 #[test]
 fn put_levels_overlaps_one_frame_per_level_with_per_item_results() {
     let cluster =
@@ -170,11 +163,73 @@ fn put_levels_overlaps_one_frame_per_level_with_per_item_results() {
     );
 }
 
+/// `put_levels` puts every level's frame on the wire before it awaits the
+/// first answer. The peer here reads all of them before it answers any; a
+/// client that waited between frames would leave it waiting, so the peer
+/// gives up after a timeout and hangs up instead of deadlocking the test.
+#[test]
+fn put_levels_writes_every_level_before_awaiting_the_first_answer() {
+    use blobseer_rpc::wire::{read_frame, write_frame};
+    use blobseer_types::wire::{Wire, WireReader};
+    const LEVELS: usize = 7;
+    const SHARD_COUNT: u8 = 3;
+    const PUT_MANY: u8 = 7;
+
+    let listener = std::net::TcpListener::bind(("127.0.0.1", 0)).unwrap();
+    let addr = listener.local_addr().unwrap();
+    let peer = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().unwrap();
+        drop(listener); // a redial is refused, not left unanswered
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = std::io::BufReader::new(stream);
+        // The adapter's connect-time probe, answered at once.
+        let (id, body) = read_frame(&mut reader).unwrap().unwrap();
+        assert_eq!(body, [SHARD_COUNT]);
+        write_frame(&mut writer, id, &Ok::<usize, Error>(4).to_bytes()).unwrap();
+        // Each level's frame: its id and item count, held unanswered.
+        let mut held = Vec::new();
+        while held.len() < LEVELS {
+            let Ok(Some((id, body))) = read_frame(&mut reader) else {
+                return held.len(); // timed out: the client awaits an answer
+            };
+            assert_eq!(body[0], PUT_MANY);
+            held.push((id, u64::get(&mut WireReader::new(&body[1..])).unwrap()));
+        }
+        for (id, items) in &held {
+            let answer: Vec<Result<(), Error>> = (0..*items).map(|_| Ok(())).collect();
+            write_frame(&mut writer, *id, &Ok::<_, Error>(answer).to_bytes()).unwrap();
+        }
+        held.len()
+    });
+
+    let meta = RpcMetaStore::connect_with(addr, Arc::new(EngineStats::new()), 1).unwrap();
+    let levels: Vec<Vec<(NodeKey, TreeNode)>> = (0..LEVELS as u32)
+        .map(|level| {
+            let pos = Pos::new(0, 1 << level);
+            let key = NodeKey::new(BlobId::new(1), Version::new(1), pos);
+            vec![(key, TreeNode::LeafAlias(None))]
+        })
+        .collect();
+    let results = meta.put_levels(&levels);
+    let seen = peer.join().unwrap();
+    assert_eq!(
+        seen, LEVELS,
+        "the client awaited an answer after {seen} frames"
+    );
+    assert!(results.iter().flatten().all(Result::is_ok), "{results:?}");
+}
+
 #[test]
 fn idle_dead_connections_redial_after_a_server_restart_on_the_same_port() {
     let provider: Arc<ProviderSet> = Arc::new(ProviderSet::new(1, |_| NodeId::new(7)));
-    let mut server =
-        RpcServer::spawn(RpcService::Block(Arc::clone(&provider) as _), pool(2)).unwrap();
+    let mut server = RpcServer::spawn(
+        RpcService::Block(Arc::clone(&provider) as _),
+        ServerOptions::default(),
+    )
+    .unwrap();
     let addr = server.addr();
 
     let stats = Arc::new(EngineStats::new());
@@ -197,7 +252,10 @@ fn idle_dead_connections_redial_after_a_server_restart_on_the_same_port() {
         // retry the bind rather than flake.
         match RpcServer::spawn(
             RpcService::Block(Arc::clone(&provider) as _),
-            ServerOptions { addr, ..pool(2) },
+            ServerOptions {
+                addr,
+                ..ServerOptions::default()
+            },
         ) {
             Ok(s) => break s,
             Err(e) if Instant::now() < deadline => {
@@ -232,8 +290,11 @@ fn idle_dead_connections_redial_after_a_server_restart_on_the_same_port() {
 #[test]
 fn diagnostics_against_a_dead_cluster_degrade_loudly_not_silently() {
     let provider: Arc<ProviderSet> = Arc::new(ProviderSet::new(1, |_| NodeId::new(0)));
-    let mut server =
-        RpcServer::spawn(RpcService::Block(Arc::clone(&provider) as _), pool(2)).unwrap();
+    let mut server = RpcServer::spawn(
+        RpcService::Block(Arc::clone(&provider) as _),
+        ServerOptions::default(),
+    )
+    .unwrap();
     let stats = Arc::new(EngineStats::new());
     let store = RpcBlockStore::connect_with(&[server.addr()], Arc::clone(&stats), 1).unwrap();
     assert_eq!(store.block_count(0), 0);
@@ -326,8 +387,11 @@ fn read_cache_serves_hot_snapshots_and_reports_hits() {
 fn a_meta_server_restarted_over_a_fresh_store_is_not_answered_from_the_old_cache() {
     use blobseer_core::dht::MetaDht;
 
-    let mut server =
-        RpcServer::spawn(RpcService::Meta(Arc::new(MetaDht::new(2, 1))), pool(2)).unwrap();
+    let mut server = RpcServer::spawn(
+        RpcService::Meta(Arc::new(MetaDht::new(2, 1))),
+        ServerOptions::default(),
+    )
+    .unwrap();
     let addr = server.addr();
     let stats = Arc::new(EngineStats::new());
     let meta = RpcMetaStore::connect_with(addr, Arc::clone(&stats), 2).unwrap();
@@ -354,7 +418,13 @@ fn a_meta_server_restarted_over_a_fresh_store_is_not_answered_from_the_old_cache
     let deadline = Instant::now() + Duration::from_secs(10);
     let server = loop {
         let fresh = RpcService::Meta(Arc::new(MetaDht::new(2, 1)));
-        match RpcServer::spawn(fresh, ServerOptions { addr, ..pool(2) }) {
+        match RpcServer::spawn(
+            fresh,
+            ServerOptions {
+                addr,
+                ..ServerOptions::default()
+            },
+        ) {
             Ok(s) => break s,
             Err(e) if Instant::now() < deadline => {
                 let _ = e;
@@ -387,25 +457,28 @@ fn a_meta_server_restarted_over_a_fresh_store_is_not_answered_from_the_old_cache
     assert_eq!(server.frames_served(), 3);
 }
 
-/// A metadata store whose `get_many` panics while `panics_left` lasts.
-struct PanickyMeta {
+/// A metadata store that runs `on_get` on every `get_many` batch before
+/// it answers the batch.
+struct HookedMeta<F> {
     inner: blobseer_core::dht::MetaDht,
-    panics_left: AtomicUsize,
+    on_get: F,
 }
 
-impl MetaStore for PanickyMeta {
+/// A [`HookedMeta`] over a fresh two-shard DHT, hosted by a new server.
+fn hooked_meta_server(on_get: impl Fn(&[NodeKey]) + Send + Sync + 'static) -> RpcServer {
+    let store = HookedMeta {
+        inner: blobseer_core::dht::MetaDht::new(2, 1),
+        on_get,
+    };
+    RpcServer::spawn(RpcService::Meta(Arc::new(store)), ServerOptions::default()).unwrap()
+}
+
+impl<F: Fn(&[NodeKey]) + Send + Sync> MetaStore for HookedMeta<F> {
     fn put_many(&self, items: &[(NodeKey, TreeNode)]) -> Vec<Result<(), Error>> {
         MetaStore::put_many(&self.inner, items)
     }
     fn get_many(&self, keys: &[NodeKey]) -> Vec<Result<TreeNode, Error>> {
-        let take = |n: usize| n.checked_sub(1);
-        if self
-            .panics_left
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, take)
-            .is_ok()
-        {
-            panic!("seeded handler panic");
-        }
+        (self.on_get)(keys);
         MetaStore::get_many(&self.inner, keys)
     }
     fn delete_many(&self, keys: &[NodeKey]) -> Vec<Result<bool, Error>> {
@@ -426,35 +499,81 @@ impl MetaStore for PanickyMeta {
 }
 
 /// A handler panic is an answer, not a lost thread. Without the unwind
-/// guard each of these panics killed the worker that ran it — the client
-/// waited forever for the reply, and the fourth left the server with no
-/// worker at all.
+/// guard the first of these panics killed the thread serving the
+/// connection: the client waited forever for the reply, and every later
+/// request on that connection with it.
 #[test]
-fn a_panicking_handler_costs_neither_its_worker_nor_its_connection() {
-    const WORKERS: usize = 4;
-    let spy = Arc::new(PanickyMeta {
-        inner: blobseer_core::dht::MetaDht::new(2, 1),
-        panics_left: AtomicUsize::new(WORKERS),
+fn a_panicking_handler_costs_neither_its_thread_nor_its_connection() {
+    const PANICS: usize = 4;
+    let panics_left = AtomicUsize::new(PANICS);
+    let server = hooked_meta_server(move |_| {
+        let take = |n: usize| n.checked_sub(1);
+        if panics_left
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, take)
+            .is_ok()
+        {
+            panic!("seeded handler panic");
+        }
     });
-    let server = RpcServer::spawn(RpcService::Meta(spy), pool(WORKERS)).unwrap();
     let meta = RpcMetaStore::connect_with(server.addr(), Arc::new(EngineStats::new()), 1).unwrap();
     // A leaf: never cached, so every get reaches the handler.
     let key = NodeKey::new(BlobId::new(1), Version::new(1), Pos::new(0, 1));
     meta.put(key, TreeNode::LeafAlias(None)).unwrap();
-    for _ in 0..WORKERS {
+    for _ in 0..PANICS {
         let err = meta.get(&key).unwrap_err();
         assert!(
             matches!(&err, Error::Internal(why) if why.contains("seeded handler panic")),
             "{err}"
         );
     }
-    assert_eq!(server.handler_panics(), WORKERS as u64);
-    // Every worker still serves, on the same connection.
-    for _ in 0..2 * WORKERS {
+    assert_eq!(server.handler_panics(), PANICS as u64);
+    // The connection's thread still serves it: no redial was needed.
+    for _ in 0..2 * PANICS {
         assert_eq!(meta.get(&key).unwrap(), TreeNode::LeafAlias(None));
     }
     assert_eq!(server.connections_accepted(), 1);
-    assert_eq!(server.handler_panics(), WORKERS as u64);
+    assert_eq!(server.handler_panics(), PANICS as u64);
+}
+
+/// Each connection is served by its own thread: a handler held on
+/// connection A does not delay a request on connection B of the same
+/// server.
+#[test]
+fn a_blocked_handler_delays_only_its_own_connection() {
+    use std::sync::mpsc::channel;
+    let held = NodeKey::new(BlobId::new(1), Version::new(1), Pos::new(0, 1));
+    let free = NodeKey::new(BlobId::new(1), Version::new(2), Pos::new(0, 1));
+    let (entered_tx, entered) = channel();
+    let (release, released) = channel::<()>();
+    let released = std::sync::Mutex::new(released);
+    let server = hooked_meta_server(move |keys| {
+        if keys.contains(&held) {
+            entered_tx.send(()).unwrap();
+            released.lock().unwrap().recv().unwrap();
+        }
+    });
+    let connect =
+        || RpcMetaStore::connect_with(server.addr(), Arc::new(EngineStats::new()), 1).unwrap();
+    let (a, b) = (connect(), connect());
+    assert_eq!(server.connections_accepted(), 2);
+    for key in [held, free] {
+        b.put(key, TreeNode::LeafAlias(None)).unwrap();
+    }
+
+    std::thread::scope(|s| {
+        let blocked = s.spawn(|| a.get(&held));
+        entered
+            .recv_timeout(Duration::from_secs(10))
+            .expect("connection A's request never reached its handler");
+        let (done, served) = channel();
+        s.spawn(move || done.send(b.get(&free)).unwrap());
+        // Released whatever B's outcome, so a failure cannot hang the test.
+        let on_b = served.recv_timeout(Duration::from_secs(10));
+        release.send(()).unwrap();
+        assert_eq!(blocked.join().unwrap().unwrap(), TreeNode::LeafAlias(None));
+        let on_b = on_b.expect("connection B waited for connection A's handler");
+        assert_eq!(on_b.unwrap(), TreeNode::LeafAlias(None));
+    });
 }
 
 /// A block store that notes where in memory each item it is handed lies.
