@@ -1,4 +1,6 @@
-//! Ablation sweeps over the design choices DESIGN.md calls out. Each
+//! Ablation sweeps over the influential constants and design choices
+//! docs/REPRODUCING.md names (placement, §III's metadata decentralization,
+//! the version manager's service, §V-F's writes vs appends). Each
 //! "benchmark" runs the figure model at several settings of one knob and
 //! prints the resulting series, so the sensitivity of the reproduced
 //! curves is itself a recorded artifact.

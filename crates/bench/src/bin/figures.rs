@@ -1,5 +1,6 @@
 //! Regenerates every figure of the paper's evaluation section in one run —
-//! the data behind EXPERIMENTS.md.
+//! the data behind docs/REPRODUCING.md. `tests/fixtures/figures.txt` pins
+//! its full-grid output byte for byte.
 
 use experiments::{fig3a, fig3b, fig4, fig5, fig6, Constants};
 

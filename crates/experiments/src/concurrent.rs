@@ -38,9 +38,11 @@
 //! the client.
 //!
 //! [`BaselineWorld`] provides the same primitives without an engine for
-//! the HDFS comparison legs: HDFS has no `BlobClient`, so its curves are
-//! cost models by necessity — but they are composed from gate primitives,
-//! not bespoke event-handler worlds.
+//! every HDFS comparison leg (Figs. 3(a), 4, 6(a) and 6(b)): HDFS has no
+//! `BlobClient`, so its curves are cost models by necessity — but they run
+//! as tasks on the same gate and charge through the same disks, namenode
+//! queue and streaming rule, not through an event-handler world of their
+//! own.
 
 use crate::constants::Constants;
 use blobseer_core::block_store::ProviderSet;
@@ -105,9 +107,10 @@ fn client_node() -> NodeId {
 /// is no network leg — and `overhead` tops the transfer off. Blocks the
 /// calling simulated thread until everything finished.
 ///
-/// Both the real-protocol fabric and the HDFS baseline charge through
-/// this one function, so the disk/flow/overhead composition rule cannot
-/// drift between the system under test and its comparison model.
+/// Every HDFS baseline block write and fetch charges through this one
+/// function, and the real-protocol fabric's batch charging applies the same
+/// disk/flow/overhead rule per block, so it cannot drift between the system
+/// under test and its comparison model.
 fn stream_and_wait(
     gate: &SimGate,
     src: NodeId,
@@ -738,8 +741,7 @@ impl ConcurrentDeployment {
 /// Gate-backed primitives for the HDFS comparison legs: HDFS is not the
 /// system under test and has no `BlobClient`, so its curves remain cost
 /// models — but composed from the same simulated-time primitives as the
-/// real-protocol runs (shared namenode queue, FIFO disks, max-min flows),
-/// not from bespoke event-handler worlds.
+/// real-protocol runs (shared namenode queue, FIFO disks, max-min flows).
 pub struct BaselineWorld {
     /// The virtual-time gate the model tasks run on.
     pub gate: SimGate,
@@ -802,11 +804,31 @@ impl BaselineWorld {
         );
     }
 
-    /// Writes one modeled 64 MB block to the local disk of `node`; blocks
-    /// until the disk drained it.
-    pub fn write_block_local(&self, node: usize) {
-        let done = self.aux.lock().write_disks[node].submit(self.gate.now(), self.c.block_bytes);
-        self.gate.sleep_until(done);
+    /// The namenode's allocation of chunk `k` (0-based) of a file being
+    /// written: 0.20's OP_ADD rewrites the file's whole block list into the
+    /// synchronously-fsynced edit log, so the service time grows with `k`.
+    /// Blocks until the response.
+    pub fn allocate_chunk(&self, k: u64) {
+        let c = &self.c;
+        let blocklist = SimDuration::from_nanos(c.nn_blocklist_per_chunk.as_nanos() * k);
+        self.central_call(c.nn_svc + c.nn_editlog_fsync + blocklist);
+    }
+
+    /// Writes one modeled 64 MB block from node `src` to the disk of node
+    /// `host`: the host's disk absorbs it while the flow (if remote)
+    /// streams, then `overhead` tops it off — the same `stream_and_wait`
+    /// composition as [`Self::fetch_block`].
+    pub fn write_block(&self, src: NodeId, host: usize, overhead: SimDuration) {
+        let disk_done =
+            self.aux.lock().write_disks[host].submit(self.gate.now(), self.c.block_bytes);
+        stream_and_wait(
+            &self.gate,
+            src,
+            NodeId::new(host as u64),
+            self.c.block_bytes,
+            disk_done,
+            overhead,
+        );
     }
 }
 
@@ -983,6 +1005,67 @@ mod tests {
             0,
             "nested merge reads must not pollute the Read aggregates"
         );
+    }
+
+    /// Runs `body` once per task on a fresh two-node baseline world and
+    /// returns each task's finishing instant in nanoseconds.
+    fn baseline_ends(tasks: usize, body: impl Fn(&BaselineWorld) + Sync) -> Vec<u64> {
+        let w = BaselineWorld::new(&Constants::default(), 2);
+        let ends = Mutex::new(vec![0; tasks]);
+        let run: Vec<SimTask<'_>> = (0..tasks)
+            .map(|i| {
+                let (w, ends, body) = (&w, &ends, &body);
+                Box::new(move || {
+                    body(w);
+                    ends.lock()[i] = w.gate.now().as_nanos();
+                }) as SimTask<'_>
+            })
+            .collect();
+        w.gate.run(run);
+        ends.into_inner()
+    }
+
+    #[test]
+    fn baseline_central_call_serializes() {
+        // Two callers at the same instant: the second queues behind the
+        // first, so it pays one extra service time.
+        let lat = Constants::default().latency.as_nanos();
+        let ends = baseline_ends(2, |w| w.central_call(SimDuration::from_millis(2)));
+        assert_eq!(ends[0], lat + 2_000_000 + lat);
+        assert_eq!(ends[1], ends[0] + 2_000_000);
+    }
+
+    #[test]
+    fn baseline_allocation_grows_with_the_block_list() {
+        let c = Constants::default();
+        let ends = baseline_ends(1, |w| w.allocate_chunk(0));
+        let later = baseline_ends(1, |w| w.allocate_chunk(10));
+        assert_eq!(
+            later[0] - ends[0],
+            10 * c.nn_blocklist_per_chunk.as_nanos(),
+            "each chunk already in the file adds one block-list entry"
+        );
+    }
+
+    #[test]
+    fn baseline_write_block_streams_only_when_remote() {
+        // Co-located: the disk alone. Remote: the disk drains while the
+        // flow streams, so the slower of the two sets the pace.
+        let c = Constants::default();
+        let local = baseline_ends(1, |w| {
+            w.write_block(NodeId::new(0), 0, SimDuration::ZERO);
+            assert_eq!(w.gate.flow_stats(), (0, 0), "no network leg");
+        });
+        let remote = baseline_ends(1, |w| {
+            w.write_block(NodeId::new(1), 0, SimDuration::ZERO);
+            assert_eq!(w.gate.flow_stats(), (1, 1));
+        });
+        let secs = |bps: f64| c.block_bytes as f64 / bps;
+        let disk = local[0] as f64 / 1e9;
+        assert!((disk - secs(c.disk_write_bps)).abs() < 1e-6, "{disk}");
+        let both = remote[0] as f64 / 1e9;
+        let floor = secs(c.disk_write_bps).max(secs(c.nic_bps));
+        assert!((both - floor).abs() < 1e-6, "{both} vs {floor}");
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //!   block size, cluster sizes. These are not tunable knobs.
 //! * **Calibrated**: hardware rates of the 2009-era testbed and software
 //!   path costs of Hadoop 0.20 / BlobSeer that the paper does not state.
-//!   Each is documented with its physical justification; EXPERIMENTS.md
-//!   discusses sensitivity, and `bench/benches/ablations.rs` sweeps the
-//!   influential ones. The *shapes* of the reproduced figures come from
+//!   Each is documented with its physical justification; docs/REPRODUCING.md
+//!   gives each figure's expected band, and `bench/benches/ablations.rs`
+//!   sweeps the influential ones. The *shapes* of the reproduced figures come from
 //!   the modeled mechanisms (placement policies, disk queueing, max-min
 //!   NIC sharing, centralized-service serialization); the constants set
 //!   absolute levels.
@@ -78,8 +78,8 @@ pub struct Constants {
     /// allocation — O(chunks) namenode work per chunk, the mechanism
     /// behind HDFS's declining single-writer curve (Fig. 3(a)).
     pub nn_blocklist_per_chunk: SimDuration,
-    /// HDFS placement session affinity for remote writers, in percent
-    /// (DESIGN.md §3.4).
+    /// HDFS placement session affinity for remote writers, in percent (the
+    /// cause of Fig. 3(b)'s load imbalance, §V-D; see docs/REPRODUCING.md).
     pub hdfs_stickiness: u8,
 
     // --- Map/Reduce job model (Fig. 6) -----------------------------------

@@ -11,23 +11,24 @@
 //!   service, parallel tree-node puts to the metadata DHT, commit
 //!   round-trip. Every provider sees at most a couple of blocks, so disks
 //!   never queue: the curve is flat.
-//! * **HDFS** — per 64 MB chunk on the discrete-event world: pipeline
-//!   overhead → namenode allocation, whose cost *grows with the file's
+//! * **HDFS** — one writer task on [`BaselineWorld`], per 64 MB chunk:
+//!   pipeline overhead → namenode allocation
+//!   ([`BaselineWorld::allocate_chunk`]), whose cost *grows with the file's
 //!   chunk count* (0.20's OP_ADD rewrote the file's entire block list into
 //!   the synchronously-fsynced edit log on every allocation) → bulk flow to
-//!   the sticky-random datanode → finalize. The O(chunks) namenode term
-//!   bends the curve downward as the file grows — the decline the paper
-//!   attributes to HDFS's weaker write path.
+//!   the sticky-random datanode, acknowledged once its disk absorbed the
+//!   chunk. The O(chunks) namenode term bends the curve downward as the
+//!   file grows — the decline the paper attributes to HDFS's weaker write
+//!   path.
 
-use crate::concurrent::{self, ClientTask};
+use crate::concurrent::{self, BaselineWorld, ClientTask};
 use crate::constants::Constants;
 use crate::fig3b::policy_for;
 use crate::report::{Figure, Series};
-use crate::topology::{Backend, Services};
+use crate::topology::Backend;
 use blobseer_core::placement::Placer;
 use blobseer_core::BlobClient;
 use blobseer_types::NodeId;
-use simnet::{start_flow, FlowNet, NetWorld, NicSpec, Scheduler, Sim, SimDuration, SimTime};
 
 /// Real engine block size behind each modeled 64 MB block of the BSFS leg:
 /// big enough to hold real content, small enough that a modeled 16 GB file
@@ -48,7 +49,7 @@ fn bsfs_throughput_via_ports(c: &Constants, n_blocks: usize, seed: u64) -> f64 {
         seed,
         BSFS_REAL_BLOCK,
     );
-    let writer_node = blobseer_types::NodeId::new(providers as u64);
+    let writer_node = NodeId::new(providers as u64);
     let blob = dep.sys.client(writer_node).create();
     dep.set_charging(true);
     let clients: Vec<ClientTask<'_>> = vec![(
@@ -72,123 +73,32 @@ fn bsfs_throughput_via_ports(c: &Constants, n_blocks: usize, seed: u64) -> f64 {
     bytes / (1024.0 * 1024.0) / dep.now().as_secs_f64()
 }
 
-// --- the HDFS discrete-event world ------------------------------------------
-
-#[derive(Clone, Copy)]
-struct Tok {
-    started: SimTime,
-    provider: usize,
-}
-
-struct World {
-    net: FlowNet<Tok>,
-    disks: Vec<simnet::Disk>,
-    c: Constants,
-    services: Services,
-    targets: Vec<usize>,
-    n_blocks: usize,
-    next_block: usize,
-    client_node: NodeId,
-    finished: Option<SimTime>,
-}
-
-impl NetWorld for World {
-    type Token = Tok;
-    fn net_mut(&mut self) -> &mut FlowNet<Tok> {
-        &mut self.net
-    }
-    fn on_flow_complete(&mut self, sched: &mut Scheduler<Self>, tok: Tok) {
-        // Stream hit the datanode: its disk has been absorbing it since the
-        // flow started; the ack returns when both network and disk are done.
-        let disk_done = self.disks[tok.provider].submit(tok.started, self.c.block_bytes);
-        let ack = disk_done.max(sched.now()) + self.c.provider_svc;
-        sched.schedule_at(ack, |w: &mut World, s| w.after_data(s));
-    }
-}
-
-impl World {
-    fn new(c: Constants, n_blocks: usize, seed: u64) -> Self {
-        let providers = Backend::Hdfs.microbench_storage_nodes();
-        // Nodes: 0..P datanodes, node P = the (dedicated, non-colocated)
-        // client (§V-D: "we chose to always deploy clients on nodes where
-        // no datanode has previously been deployed").
-        let net = FlowNet::new(providers + 1, NicSpec::symmetric(c.nic_bps));
-        let disks = (0..providers)
-            .map(|_| simnet::Disk::new(c.disk_write_bps))
-            .collect();
-        let mut placer = Placer::new(policy_for(&c, Backend::Hdfs), seed);
-        let loads = vec![0u64; providers];
-        let targets = (0..n_blocks).map(|_| placer.pick(&loads, &[])).collect();
-        let services = Services::new(&c, Backend::Hdfs, 0);
-        Self {
-            net,
-            disks,
-            c,
-            services,
-            targets,
-            n_blocks,
-            next_block: 0,
-            client_node: NodeId::new(providers as u64),
-            finished: None,
+/// The HDFS leg: one writer task on the dedicated non-colocated node past
+/// the datanodes (§V-D), streaming each chunk to its sticky-random
+/// datanode.
+fn hdfs_throughput(c: &Constants, n_blocks: usize, seed: u64) -> f64 {
+    let datanodes = Backend::Hdfs.microbench_storage_nodes();
+    let mut placer = Placer::new(policy_for(c, Backend::Hdfs), seed);
+    let loads = vec![0u64; datanodes];
+    let targets: Vec<usize> = (0..n_blocks).map(|_| placer.pick(&loads, &[])).collect();
+    let w = BaselineWorld::new(c, datanodes + 1);
+    let writer = NodeId::new(datanodes as u64);
+    w.gate.run(vec![Box::new(|| {
+        for (k, &datanode) in targets.iter().enumerate() {
+            w.gate.sleep(c.hdfs_chunk_overhead);
+            w.allocate_chunk(k as u64);
+            w.write_block(writer, datanode, c.provider_svc);
         }
-    }
-
-    /// Starts the next chunk's cycle: pipeline overhead + namenode
-    /// allocation, then the bulk transfer.
-    fn start_block(&mut self, sched: &mut Scheduler<Self>) {
-        if self.next_block == self.n_blocks {
-            self.finished = Some(sched.now());
-            return;
-        }
-        let now = sched.now();
-        let k = self.next_block as u64;
-        // Pipeline overhead, then the namenode block allocation:
-        // base + edit-log fsync + O(chunk-count) block-list rewrite.
-        let svc = self.c.nn_svc
-            + self.c.nn_editlog_fsync
-            + SimDuration::from_nanos(self.c.nn_blocklist_per_chunk.as_nanos() * k);
-        let t = now + self.c.hdfs_chunk_overhead;
-        let flow_at = self.services.central_call(t, svc, self.c.latency);
-        sched.schedule_at(flow_at, |w: &mut World, s| {
-            let provider = w.targets[w.next_block];
-            let tok = Tok {
-                started: s.now(),
-                provider,
-            };
-            start_flow(
-                w,
-                s,
-                w.client_node,
-                NodeId::new(provider as u64),
-                w.c.block_bytes,
-                tok,
-            );
-        });
-    }
-
-    /// Data phase done; the chunk is finished (the namenode was charged up
-    /// front).
-    fn after_data(&mut self, sched: &mut Scheduler<Self>) {
-        self.next_block += 1;
-        let now = sched.now();
-        sched.schedule_at(now, |w: &mut World, s| w.start_block(s));
-    }
-}
-
-fn hdfs_throughput_des(c: &Constants, n_blocks: usize, seed: u64) -> f64 {
-    let mut sim = Sim::new(World::new(c.clone(), n_blocks, seed));
-    sim.schedule_in(SimDuration::ZERO, |w: &mut World, s| w.start_block(s));
-    let end = sim.run_until_idle();
-    assert!(sim.world.finished.is_some(), "writer did not finish");
+    })]);
     let bytes = n_blocks as f64 * c.block_bytes as f64;
-    bytes / (1024.0 * 1024.0) / end.as_secs_f64()
+    bytes / (1024.0 * 1024.0) / w.gate.now().as_secs_f64()
 }
 
 /// Simulates one single-writer run; returns throughput in MB/s.
 pub fn throughput_mbps(c: &Constants, backend: Backend, n_blocks: usize, seed: u64) -> f64 {
     match backend {
         Backend::Bsfs => bsfs_throughput_via_ports(c, n_blocks, seed),
-        Backend::Hdfs => hdfs_throughput_des(c, n_blocks, seed),
+        Backend::Hdfs => hdfs_throughput(c, n_blocks, seed),
     }
 }
 

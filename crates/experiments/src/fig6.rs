@@ -117,12 +117,9 @@ pub fn rtw_job_secs(c: &Constants, backend: Backend, mappers: usize, total_bytes
                             // datanode. The namenode allocation — shared by
                             // every mapper — fsyncs an edit-log record
                             // containing the file's whole block list.
-                            let svc = c.nn_svc
-                                + c.nn_editlog_fsync
-                                + SimDuration::from_nanos(c.nn_blocklist_per_chunk.as_nanos() * k);
-                            w.central_call(svc);
+                            w.allocate_chunk(k);
                             w.gate.sleep(c.hdfs_chunk_overhead_local);
-                            w.write_block_local(m);
+                            w.write_block(NodeId::new(m as u64), m, SimDuration::ZERO);
                         }
                         done.lock()[m] = Some(w.gate.now());
                     }) as SimTask<'_>

@@ -20,7 +20,9 @@
 //! arithmetic cannot drift between figures.
 //!
 //! HDFS comparison legs remain cost models (HDFS is the baseline, not the
-//! system under test) composed from the same simulated-time primitives.
+//! system under test), each run as tasks on
+//! [`concurrent::BaselineWorld`] — the same gate, disks and streaming rule,
+//! and one namenode queue.
 //! Calibrated constants live in [`constants`]; `docs/REPRODUCING.md` maps
 //! every figure to its driver, expected band, and real-vs-modeled layers.
 #![forbid(unsafe_code)]

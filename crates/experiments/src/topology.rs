@@ -1,8 +1,4 @@
-//! Deployment topologies of the paper's experiments (§V) and shared
-//! service plumbing for the discrete-event worlds.
-
-use crate::constants::Constants;
-use simnet::{FifoServer, SimDuration, SimTime};
+//! Deployment topologies of the paper's experiments (§V).
 
 /// The microbenchmark deployment (§V-C): 270 machines per cluster.
 pub const MICROBENCH_MACHINES: usize = 270;
@@ -41,79 +37,6 @@ impl Backend {
     }
 }
 
-/// The centralized and distributed metadata services of a deployment,
-/// modeled as queueing servers (messages are small: latency + service, no
-/// bandwidth component).
-pub struct Services {
-    /// BSFS's version manager or HDFS's namenode — the serialization point.
-    pub central: FifoServer,
-    /// BlobSeer's metadata providers (empty for HDFS).
-    pub meta: Vec<FifoServer>,
-    meta_rr: usize,
-}
-
-impl Services {
-    /// Services for a backend under the given constants.
-    pub fn new(c: &Constants, backend: Backend, meta_shards: usize) -> Self {
-        let central_svc = match backend {
-            Backend::Bsfs => c.vm_assign_svc,
-            Backend::Hdfs => c.nn_svc,
-        };
-        Self {
-            central: FifoServer::new(central_svc),
-            meta: (0..meta_shards)
-                .map(|_| FifoServer::new(c.meta_svc))
-                .collect(),
-            meta_rr: 0,
-        }
-    }
-
-    /// One small RPC to the central service: request latency, queued
-    /// service of `svc`, response latency. Returns the completion instant.
-    pub fn central_call(
-        &mut self,
-        now: SimTime,
-        svc: SimDuration,
-        latency: SimDuration,
-    ) -> SimTime {
-        self.central.submit_with(now + latency, svc) + latency
-    }
-
-    /// Publishes (or fetches) `n_nodes` tree nodes, spread round-robin over
-    /// the metadata shards, all issued at `start` in parallel. Returns the
-    /// instant the last response arrives.
-    pub fn meta_parallel(&mut self, start: SimTime, n_nodes: u64, latency: SimDuration) -> SimTime {
-        debug_assert!(!self.meta.is_empty(), "BSFS paths need metadata shards");
-        let mut done = start;
-        for _ in 0..n_nodes {
-            let shard = self.meta_rr % self.meta.len();
-            self.meta_rr += 1;
-            let t = self.meta[shard].submit(start + latency) + latency;
-            if t > done {
-                done = t;
-            }
-        }
-        done
-    }
-
-    /// Fetches `n_nodes` tree nodes *sequentially* (a root-to-leaf descent
-    /// must follow child references one hop at a time).
-    pub fn meta_sequential(
-        &mut self,
-        start: SimTime,
-        n_nodes: u64,
-        latency: SimDuration,
-    ) -> SimTime {
-        let mut t = start;
-        for _ in 0..n_nodes {
-            let shard = self.meta_rr % self.meta.len();
-            self.meta_rr += 1;
-            t = self.meta[shard].submit(t + latency) + latency;
-        }
-        t
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -125,33 +48,5 @@ mod tests {
         assert_eq!(BSFS_PROVIDERS, 247);
         assert_eq!(Backend::Bsfs.microbench_storage_nodes(), 247);
         assert_eq!(Backend::Hdfs.microbench_storage_nodes(), 269);
-    }
-
-    #[test]
-    fn central_call_serializes() {
-        let c = Constants::default();
-        let mut s = Services::new(&c, Backend::Bsfs, 4);
-        let lat = SimDuration::from_micros(100);
-        let a = s.central_call(SimTime::ZERO, SimDuration::from_millis(2), lat);
-        let b = s.central_call(SimTime::ZERO, SimDuration::from_millis(2), lat);
-        // Second caller queues behind the first.
-        assert_eq!(a.as_nanos(), 100_000 + 2_000_000 + 100_000);
-        assert_eq!(b.as_nanos(), a.as_nanos() + 2_000_000);
-    }
-
-    #[test]
-    fn meta_parallel_beats_sequential() {
-        let c = Constants::default();
-        let lat = SimDuration::from_micros(100);
-        let mut s1 = Services::new(&c, Backend::Bsfs, 20);
-        let mut s2 = Services::new(&c, Backend::Bsfs, 20);
-        let par = s1.meta_parallel(SimTime::ZERO, 9, lat);
-        let seq = s2.meta_sequential(SimTime::ZERO, 9, lat);
-        assert!(
-            par < seq,
-            "parallel puts {par} must beat sequential descent {seq}"
-        );
-        // Sequential: 9 hops of (2×latency + service).
-        assert_eq!(seq.as_nanos(), 9 * (200_000 + 150_000));
     }
 }

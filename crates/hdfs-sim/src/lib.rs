@@ -15,7 +15,7 @@
 //!   commit whole chunks.
 //! * **Local-first placement**: a writer co-located with a datanode stores
 //!   its chunks locally (§V-D); remote writers get sticky-random placement
-//!   (DESIGN.md §3.4) — the root of the load imbalance of Fig. 3(b).
+//!   — the root of the load imbalance of Fig. 3(b) (docs/REPRODUCING.md).
 //!
 //! ```
 //! use blobseer_types::{HdfsConfig, NodeId};

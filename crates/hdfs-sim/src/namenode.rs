@@ -6,7 +6,7 @@
 //! tree, the per-file chunk lists, the single-writer leases, and the
 //! placement decisions ("writing locally whenever a write is initiated on a
 //! datanode", §V-D; random with pipeline-session affinity otherwise, see
-//! DESIGN.md §3.4).
+//! docs/REPRODUCING.md, Fig. 3(b)).
 
 use crate::datanode::ChunkId;
 use blobseer_core::placement::Placer;

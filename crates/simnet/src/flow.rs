@@ -9,15 +9,13 @@
 //! datanode each get `1/N` of that node's egress (Fig. 4).
 //!
 //! The model assumes a non-blocking switch fabric between NICs, which matches
-//! the single-cluster Grid'5000 deployments of §V-A; an optional aggregate
-//! backbone capacity can be set to model oversubscription.
+//! the single-cluster Grid'5000 deployments of §V-A.
 //!
-//! Integration with the event kernel goes through the [`NetWorld`] trait and
-//! the [`start_flow`] helper: whenever the flow set changes, rates are
-//! recomputed and a single "next completion" wake-up is scheduled; stale
-//! wake-ups are discarded through an epoch counter.
+//! Rates are recomputed whenever a flow starts or finishes. The network has
+//! no clock of its own: [`crate::gate::SimGate`] drives it, asking for the
+//! [`FlowNet::next_completion`], [`FlowNet::advance`]-ing there and
+//! collecting the finished flows with [`FlowNet::take_completed`].
 
-use crate::kernel::{EventId, Scheduler};
 use crate::time::{SimDuration, SimTime};
 use blobseer_types::NodeId;
 
@@ -43,11 +41,6 @@ impl NicSpec {
             ingress_bps: bps,
         }
     }
-
-    /// The paper's measured 1 Gbit/s TCP rate: 117.5 MB/s (§V-A).
-    pub fn grid5000() -> Self {
-        Self::symmetric(117.5 * 1024.0 * 1024.0)
-    }
 }
 
 struct FlowState<T> {
@@ -59,23 +52,15 @@ struct FlowState<T> {
 }
 
 /// The set of active flows plus NIC capacities.
-///
-/// All mutating operations advance an internal epoch so that completion
-/// wake-ups scheduled against an older state can be recognised and dropped.
 pub struct FlowNet<T> {
     nics: Vec<NicSpec>,
-    backbone_bps: Option<f64>,
     slots: Vec<Option<FlowState<T>>>,
     free: Vec<usize>,
     active: usize,
     last_advance: SimTime,
-    epoch: u64,
     flows_started: u64,
     flows_completed: u64,
     bytes_transferred: f64,
-    /// The armed completion wake-up, canceled and replaced on every state
-    /// change so no stale event ever advances the kernel clock.
-    pending_pump: Option<EventId>,
 }
 
 /// A flow is considered complete when fewer than this many bytes remain;
@@ -83,36 +68,19 @@ pub struct FlowNet<T> {
 const COMPLETION_EPS: f64 = 1e-3;
 
 impl<T> FlowNet<T> {
-    /// A network of `n_nodes` identical NICs.
+    /// A network of `n_nodes` identical NICs. Node `i` is `NodeId(i)`.
     pub fn new(n_nodes: usize, nic: NicSpec) -> Self {
-        Self::with_nics(vec![nic; n_nodes])
-    }
-
-    /// A network with per-node NIC capacities. Node `i` is `NodeId(i)`.
-    pub fn with_nics(nics: Vec<NicSpec>) -> Self {
-        assert!(!nics.is_empty(), "network needs at least one node");
+        assert!(n_nodes > 0, "network needs at least one node");
         Self {
-            nics,
-            backbone_bps: None,
+            nics: vec![nic; n_nodes],
             slots: Vec::new(),
             free: Vec::new(),
             active: 0,
             last_advance: SimTime::ZERO,
-            epoch: 0,
             flows_started: 0,
             flows_completed: 0,
             bytes_transferred: 0.0,
-            pending_pump: None,
         }
-    }
-
-    /// Caps the aggregate rate of all flows (models an oversubscribed core).
-    pub fn set_backbone(&mut self, bps: Option<f64>) {
-        if let Some(b) = bps {
-            assert!(b > 0.0, "backbone capacity must be positive");
-        }
-        self.backbone_bps = bps;
-        self.recompute();
     }
 
     /// Number of nodes in the network.
@@ -135,14 +103,9 @@ impl<T> FlowNet<T> {
         self.bytes_transferred
     }
 
-    /// Epoch counter; bumped on every state change.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
     /// Starts a flow of `bytes` from `src` to `dst` at time `now`.
     ///
-    /// Zero-byte flows are legal and complete at the next pump.
+    /// Zero-byte flows are legal and complete at the current instant.
     ///
     /// # Panics
     /// Panics if either node id is out of range or if `now` precedes the last
@@ -231,7 +194,7 @@ impl<T> FlowNet<T> {
         let mut best: Option<f64> = None;
         for f in self.slots.iter().flatten() {
             if f.remaining <= COMPLETION_EPS {
-                return Some(self.last_advance); // already done, pump now
+                return Some(self.last_advance); // already done: complete now
             }
             debug_assert!(f.rate > 0.0, "active flow starved of bandwidth");
             if f.rate <= 0.0 {
@@ -246,20 +209,6 @@ impl<T> FlowNet<T> {
         best.map(|secs| self.last_advance + SimDuration::from_secs_f64(secs))
     }
 
-    /// Runs the network forward to the next flow completion *without* the
-    /// event kernel: advances the clock to the earliest completion instant
-    /// and removes the finished flows. Returns `(instant, tokens)`, or
-    /// `None` when no flow is active.
-    ///
-    /// For strictly sequential simulations that charge one transfer at a
-    /// time from synchronous code; concurrent worlds use the kernel pump
-    /// ([`start_flow`]) or the [`crate::gate::SimGate`] instead.
-    pub fn run_to_next_completion(&mut self) -> Option<(SimTime, Vec<T>)> {
-        let at = self.next_completion()?;
-        self.advance(at);
-        Some((at, self.take_completed()))
-    }
-
     /// Current rate of a flow in bytes/s (0 if completed/unknown).
     pub fn flow_rate(&self, id: FlowId) -> f64 {
         self.slots
@@ -270,26 +219,23 @@ impl<T> FlowNet<T> {
     }
 
     /// Recomputes max-min fair rates for all active flows (progressive
-    /// filling) and bumps the epoch.
+    /// filling).
     ///
-    /// Resources: each node's egress, each node's ingress, plus the optional
-    /// backbone. Every flow crosses `src.egress`, `dst.ingress` (and the
-    /// backbone when configured).
-    pub fn recompute(&mut self) {
-        self.epoch += 1;
+    /// Resources: each node's egress and each node's ingress. Every flow
+    /// crosses `src.egress` and `dst.ingress`.
+    fn recompute(&mut self) {
         if self.active == 0 {
             return;
         }
         let n = self.nics.len();
-        // Resource layout: [0, n) egress, [n, 2n) ingress, [2n] backbone.
-        let n_res = 2 * n + 1;
+        // Resource layout: [0, n) egress, [n, 2n) ingress.
+        let n_res = 2 * n;
         let mut cap = vec![0.0f64; n_res];
         let mut load = vec![0u32; n_res]; // unfrozen flows per resource
         for (i, nic) in self.nics.iter().enumerate() {
             cap[i] = nic.egress_bps;
             cap[n + i] = nic.ingress_bps;
         }
-        cap[2 * n] = self.backbone_bps.unwrap_or(f64::INFINITY);
 
         let active_ids: Vec<usize> = (0..self.slots.len())
             .filter(|&i| self.slots[i].is_some())
@@ -298,7 +244,6 @@ impl<T> FlowNet<T> {
             let f = self.slots[i].as_ref().expect("active");
             load[f.src] += 1;
             load[n + f.dst] += 1;
-            load[2 * n] += 1;
         }
 
         let mut frozen = vec![false; self.slots.len()];
@@ -329,8 +274,7 @@ impl<T> FlowNet<T> {
                     let f = self.slots[i].as_ref().expect("active");
                     (f.src, f.dst)
                 };
-                let crosses = src == best_res || n + dst == best_res || best_res == 2 * n;
-                if !crosses {
+                if src != best_res && n + dst != best_res {
                     continue;
                 }
                 frozen[i] = true;
@@ -338,7 +282,7 @@ impl<T> FlowNet<T> {
                 let f = self.slots[i].as_mut().expect("active");
                 f.rate = best_share;
                 // Consume capacity on the flow's other resources.
-                for r in [src, n + dst, 2 * n] {
+                for r in [src, n + dst] {
                     load[r] -= 1;
                     if r != best_res {
                         cap[r] = (cap[r] - best_share).max(0.0);
@@ -353,78 +297,11 @@ impl<T> FlowNet<T> {
     }
 }
 
-/// Worlds that embed a [`FlowNet`] and want kernel-driven completion
-/// callbacks.
-pub trait NetWorld: Sized + 'static {
-    /// Token attached to each flow, handed back on completion.
-    type Token: Copy + 'static;
-
-    /// The embedded network.
-    fn net_mut(&mut self) -> &mut FlowNet<Self::Token>;
-
-    /// Called by the pump when a flow finishes.
-    fn on_flow_complete(&mut self, sched: &mut Scheduler<Self>, token: Self::Token);
-}
-
-/// Starts a flow and (re)arms the completion wake-up.
-pub fn start_flow<W: NetWorld>(
-    world: &mut W,
-    sched: &mut Scheduler<W>,
-    src: NodeId,
-    dst: NodeId,
-    bytes: u64,
-    token: W::Token,
-) -> FlowId {
-    let now = sched.now();
-    let id = world.net_mut().start(now, src, dst, bytes, token);
-    arm_pump(world, sched);
-    id
-}
-
-/// Schedules the next pump at the earliest completion time, canceling the
-/// previously armed wake-up (its completion estimate is stale once rates
-/// changed). The epoch tag stays as a second line of defense for callers
-/// that mutate the net without going through [`start_flow`].
-fn arm_pump<W: NetWorld>(world: &mut W, sched: &mut Scheduler<W>) {
-    if let Some(old) = world.net_mut().pending_pump.take() {
-        sched.cancel(old);
-    }
-    let net = world.net_mut();
-    let epoch = net.epoch();
-    let Some(mut at) = net.next_completion() else {
-        return;
-    };
-    if at < sched.now() {
-        at = sched.now();
-    }
-    let id = sched.schedule_at(at, move |w: &mut W, s| {
-        w.net_mut().pending_pump = None;
-        if w.net_mut().epoch() != epoch {
-            return; // state changed since this wake-up was armed
-        }
-        pump(w, s);
-    });
-    world.net_mut().pending_pump = Some(id);
-}
-
-/// Advances flows to now, dispatches completions, re-arms the wake-up.
-fn pump<W: NetWorld>(world: &mut W, sched: &mut Scheduler<W>) {
-    let now = sched.now();
-    let completed = {
-        let net = world.net_mut();
-        net.advance(now);
-        net.take_completed()
-    };
-    for token in completed {
-        world.on_flow_complete(sched, token);
-    }
-    arm_pump(world, sched);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::Sim;
+    use crate::gate::{SimGate, SimTask};
+    use std::sync::Mutex;
 
     const MB: f64 = 1024.0 * 1024.0;
 
@@ -525,17 +402,6 @@ mod tests {
     }
 
     #[test]
-    fn backbone_caps_aggregate() {
-        let mut net: FlowNet<u32> = FlowNet::new(4, NicSpec::symmetric(100.0));
-        net.set_backbone(Some(120.0));
-        let a = net.start(SimTime::ZERO, NodeId::new(0), NodeId::new(1), 1000, 0);
-        let b = net.start(SimTime::ZERO, NodeId::new(2), NodeId::new(3), 1000, 1);
-        // Disjoint NIC pairs, but the 120 B/s backbone splits 60/60.
-        assert!(close(net.flow_rate(a), 60.0, 1e-9));
-        assert!(close(net.flow_rate(b), 60.0, 1e-9));
-    }
-
-    #[test]
     fn zero_byte_flow_completes_immediately() {
         let mut net: FlowNet<u32> = FlowNet::new(2, NicSpec::symmetric(100.0));
         net.start(SimTime::ZERO, NodeId::new(0), NodeId::new(1), 0, 9);
@@ -559,112 +425,74 @@ mod tests {
         assert_eq!((started, completed), (2, 1));
     }
 
-    #[test]
-    fn run_to_next_completion_drains_sequentially() {
-        let mut net: FlowNet<u32> = FlowNet::new(2, NicSpec::symmetric(100.0));
-        assert!(net.run_to_next_completion().is_none(), "idle net");
-        net.start(SimTime::ZERO, NodeId::new(0), NodeId::new(1), 100, 5);
-        let (at, done) = net.run_to_next_completion().unwrap();
-        assert!(close(at.as_secs_f64(), 1.0, 1e-6));
-        assert_eq!(done, vec![5]);
-        // A follow-up flow started at the returned instant chains cleanly.
-        net.start(at, NodeId::new(0), NodeId::new(1), 200, 6);
-        let (at2, done2) = net.run_to_next_completion().unwrap();
-        assert!(close((at2 - at).as_secs_f64(), 2.0, 1e-6));
-        assert_eq!(done2, vec![6]);
-    }
+    // --- driven by the gate -------------------------------------------------
 
-    // --- kernel integration -------------------------------------------------
-
-    struct NetW {
-        net: FlowNet<usize>,
-        completions: Vec<(usize, SimTime)>,
-        chained: bool,
-    }
-
-    impl NetWorld for NetW {
-        type Token = usize;
-        fn net_mut(&mut self) -> &mut FlowNet<usize> {
-            &mut self.net
-        }
-        fn on_flow_complete(&mut self, sched: &mut Scheduler<Self>, token: usize) {
-            let now = sched.now();
-            self.completions.push((token, now));
-            if token == 0 && !self.chained {
-                self.chained = true;
-                // Start a follow-up flow from within the callback.
-                start_flow(self, sched, NodeId::new(0), NodeId::new(1), 100, 99);
-            }
-        }
+    fn gate(n_nodes: usize, bps: f64) -> SimGate {
+        SimGate::new(FlowNet::new(n_nodes, NicSpec::symmetric(bps)))
     }
 
     #[test]
     fn pump_dispatches_and_chains() {
-        let world = NetW {
-            net: FlowNet::new(2, NicSpec::symmetric(100.0)),
-            completions: vec![],
-            chained: false,
-        };
-        let mut sim = Sim::new(world);
-        // Kick off the first flow from a scheduled event.
-        sim.schedule_in(SimDuration::ZERO, |w: &mut NetW, s| {
-            start_flow(w, s, NodeId::new(0), NodeId::new(1), 100, 0);
-        });
-        let end = sim.run_until_idle();
-        assert_eq!(sim.world.completions.len(), 2);
-        assert_eq!(sim.world.completions[0].0, 0);
-        assert_eq!(sim.world.completions[1].0, 99);
+        // The gate hands each completion to the task blocked on it, which
+        // chains a follow-up transfer from that instant at the full rate.
+        let g = gate(2, 100.0);
+        let completions = Mutex::new(Vec::new());
+        g.run(vec![Box::new(|| {
+            for token in [0, 99] {
+                let t = g.transfer(NodeId::new(0), NodeId::new(1), 100);
+                completions.lock().unwrap().push((token, t.as_secs_f64()));
+            }
+        })]);
+        let completions = completions.into_inner().unwrap();
+        assert_eq!(completions.len(), 2);
+        assert_eq!(completions[0].0, 0);
+        assert_eq!(completions[1].0, 99);
+        assert!(close(completions[0].1, 1.0, 1e-6), "{completions:?}");
+        assert!(close(completions[1].1, 2.0, 1e-6), "{completions:?}");
+        let end = g.now();
         assert!(
             close(end.as_secs_f64(), 2.0, 1e-6),
             "two sequential 1 s transfers: {end}"
         );
+        assert_eq!(g.flow_stats(), (2, 2));
     }
 
     #[test]
     fn concurrent_flows_complete_together_under_sharing() {
-        let world = NetW {
-            net: FlowNet::new(3, NicSpec::symmetric(100.0)),
-            completions: vec![],
-            chained: true, // suppress chaining
-        };
-        let mut sim = Sim::new(world);
-        sim.schedule_in(SimDuration::ZERO, |w: &mut NetW, s| {
-            start_flow(w, s, NodeId::new(0), NodeId::new(2), 100, 1);
-            start_flow(w, s, NodeId::new(1), NodeId::new(2), 100, 2);
-        });
-        let end = sim.run_until_idle();
+        let g = gate(3, 100.0);
+        let completions = Mutex::new(Vec::new());
+        g.run(vec![
+            Box::new(|| {
+                let t = g.transfer(NodeId::new(0), NodeId::new(2), 100);
+                completions.lock().unwrap().push((1, t));
+            }),
+            Box::new(|| {
+                let t = g.transfer(NodeId::new(1), NodeId::new(2), 100);
+                completions.lock().unwrap().push((2, t));
+            }),
+        ]);
         // Both share the sink's 100 B/s: 200 B total takes 2 s.
+        let end = g.now();
         assert!(close(end.as_secs_f64(), 2.0, 1e-6), "{end}");
-        assert_eq!(sim.world.completions.len(), 2);
+        assert_eq!(completions.into_inner().unwrap().len(), 2);
     }
 
     #[test]
     fn determinism_same_seeded_run_twice() {
         let run = || {
-            let world = NetW {
-                net: FlowNet::new(4, NicSpec::symmetric(117.5)),
-                completions: vec![],
-                chained: true,
-            };
-            let mut sim = Sim::new(world);
-            sim.schedule_in(SimDuration::ZERO, |w: &mut NetW, s| {
-                for i in 0..3u64 {
-                    start_flow(
-                        w,
-                        s,
-                        NodeId::new(i),
-                        NodeId::new(3),
-                        1000 + 7 * i,
-                        i as usize,
-                    );
-                }
-            });
-            sim.run_until_idle();
-            sim.world
-                .completions
-                .iter()
-                .map(|(t, at)| (*t, at.as_nanos()))
-                .collect::<Vec<_>>()
+            let g = gate(4, 117.5);
+            let completions = Mutex::new(Vec::new());
+            let tasks: Vec<SimTask<'_>> = (0..3u64)
+                .map(|i| {
+                    let (g, completions) = (&g, &completions);
+                    Box::new(move || {
+                        let at = g.transfer(NodeId::new(i), NodeId::new(3), 1000 + 7 * i);
+                        completions.lock().unwrap().push((i, at.as_nanos()));
+                    }) as SimTask<'_>
+                })
+                .collect();
+            g.run(tasks);
+            completions.into_inner().unwrap()
         };
         assert_eq!(run(), run());
     }

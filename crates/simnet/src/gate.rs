@@ -1,13 +1,13 @@
 //! Virtual-time coordination for *real threads*: many blocked client tasks
 //! on one discrete-event clock.
 //!
-//! The single-client figure drivers charge simulated time from synchronous
-//! code by just bumping a counter. Concurrent-client scenarios (Figs. 4–6
-//! of the paper) cannot: N clients must *interleave* — a flow started by
-//! client 3 changes the bandwidth share, and therefore the completion time,
-//! of a flow client 7 is blocked on. The classic answer is to rewrite every
-//! client as an event-handler state machine, but then the protocol under
-//! test is a re-implementation, not the real code.
+//! This is simnet's one engine: every figure leg runs on it, from the
+//! single writer of Fig. 3 to the 250 clients of Figs. 4–6, and so does
+//! every HDFS cost model. Concurrent clients must *interleave* — a flow
+//! started by client 3 changes the bandwidth share, and therefore the
+//! completion time, of a flow client 7 is blocked on. The classic answer is
+//! to rewrite every client as an event-handler state machine, but then the
+//! protocol under test is a re-implementation, not the real code.
 //!
 //! [`SimGate`] takes the other path: each simulated client runs the **real,
 //! synchronous code** on its own OS thread, and the gate serializes those

@@ -4,9 +4,6 @@
 //!
 //! The simulator is split into orthogonal pieces:
 //!
-//! * [`kernel`] — the event loop: a simulated clock, an ordered event queue
-//!   and `FnOnce` handlers parameterised over a user "world" type. Events at
-//!   equal timestamps fire in scheduling order, so runs are deterministic.
 //! * [`flow`] — a flow-level network model. Transfers are *flows* that share
 //!   NIC capacity max-min fairly; rates are recomputed whenever a flow starts
 //!   or finishes (progressive filling). This is the standard way to capture
@@ -18,42 +15,48 @@
 //!   used for the centralized entities: HDFS's namenode and BlobSeer's
 //!   version manager ("the only step … where concurrent requests are
 //!   serialized", §III-A.4).
-//! * [`gate`] — virtual-time coordination for many *real* blocked client
-//!   threads: synchronous code (the genuine client protocol) runs one
-//!   thread per simulated client, interleaved deterministically on the
-//!   simulated clock, with flow completions as dynamic wake-ups. This is
-//!   what lets the concurrent-client figures (4–6) drive the real
-//!   `BlobClient` instead of bespoke event-handler re-implementations.
+//! * [`gate`] — the one engine: the simulated clock and its event queue,
+//!   driving *real* blocked threads. Synchronous code (the genuine client
+//!   protocol, or a cost model's task) runs one thread per simulated task,
+//!   interleaved deterministically on the simulated clock, with fixed
+//!   wake-ups and flow completions as its events. This is what lets every
+//!   figure drive the real `BlobClient` instead of bespoke event-handler
+//!   re-implementations.
 //!
 //! # Example
 //!
 //! ```
-//! use simnet::{Sim, SimDuration};
+//! use blobseer_types::NodeId;
+//! use simnet::{FlowNet, NicSpec, SimDuration, SimGate, SimTask};
 //!
-//! struct World { ticks: u32 }
-//! let mut sim = Sim::new(World { ticks: 0 });
-//! sim.schedule_in(SimDuration::from_millis(5), |w: &mut World, sched| {
-//!     w.ticks += 1;
-//!     sched.schedule_in(SimDuration::from_millis(5), |w: &mut World, _| {
-//!         w.ticks += 1;
-//!     });
-//! });
-//! sim.run_until_idle();
-//! assert_eq!(sim.world.ticks, 2);
-//! assert_eq!(sim.now().as_millis(), 10);
+//! // Three nodes with 100 B/s NICs. One task sleeps 5 ms, then sends 100
+//! // bytes to node 2; the other sends node 2 100 bytes at once. The
+//! // shared sink halves both rates while the flows overlap.
+//! let gate = SimGate::new(FlowNet::new(3, NicSpec::symmetric(100.0)));
+//! let tasks: Vec<SimTask<'_>> = vec![
+//!     Box::new(|| {
+//!         gate.sleep(SimDuration::from_millis(5));
+//!         gate.transfer(NodeId::new(0), NodeId::new(2), 100);
+//!     }),
+//!     Box::new(|| {
+//!         gate.transfer(NodeId::new(1), NodeId::new(2), 100);
+//!     }),
+//! ];
+//! gate.run(tasks);
+//! assert_eq!(gate.flow_stats(), (2, 2));
+//! // The sink stays busy throughout: 200 bytes at 100 B/s take 2 s.
+//! assert!((gate.now().as_secs_f64() - 2.0).abs() < 1e-6);
 //! ```
 #![forbid(unsafe_code)]
 
 pub mod disk;
 pub mod flow;
 pub mod gate;
-pub mod kernel;
 pub mod server;
 pub mod time;
 
 pub use disk::Disk;
-pub use flow::{start_flow, FlowId, FlowNet, NetWorld, NicSpec};
+pub use flow::{FlowId, FlowNet, NicSpec};
 pub use gate::{SimGate, SimTask};
-pub use kernel::{Scheduler, Sim};
 pub use server::FifoServer;
 pub use time::{SimDuration, SimTime};

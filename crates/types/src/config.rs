@@ -48,7 +48,7 @@ pub enum PlacementPolicy {
     /// Random with session affinity: with probability `stickiness`
     /// (in percent, 0–100) the next block stays on the previous provider.
     /// Models HDFS 0.20 pipeline-session behaviour for remote writers; see
-    /// DESIGN.md §3.4.
+    /// docs/REPRODUCING.md, Fig. 3(b) (§V-D).
     StickyRandom {
         /// Probability in percent (0–100) of re-using the previous target.
         stickiness: u8,
@@ -249,7 +249,7 @@ pub struct HdfsConfig {
     /// (§V-F); flipping this models later Hadoop versions.
     pub append_supported: bool,
     /// Placement affinity in percent for remote writers (see
-    /// `PlacementPolicy::StickyRandom` and DESIGN.md §3.4). 0 = pure random.
+    /// `PlacementPolicy::StickyRandom` and Fig. 3(b), §V-D). 0 = pure random.
     pub placement_stickiness: u8,
 }
 

@@ -2,8 +2,8 @@
 //!
 //! Re-exports every workspace crate so the examples in `examples/` and the
 //! integration tests in `tests/` can reach the whole stack through one
-//! dependency. See the README for the architecture map and DESIGN.md /
-//! EXPERIMENTS.md for the reproduction methodology.
+//! dependency. See docs/ARCHITECTURE.md for the architecture map and
+//! docs/REPRODUCING.md for the reproduction methodology.
 #![forbid(unsafe_code)]
 
 pub use blobseer_control;

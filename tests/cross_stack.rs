@@ -18,8 +18,9 @@ use std::sync::Arc;
 const BLOCK: u64 = 4096;
 
 /// The shape arithmetic the figure-scale simulator uses must match the
-/// exact number of metadata nodes the live engine writes — the "shared
-/// protocol logic" guarantee of DESIGN.md §3.1.
+/// exact number of metadata nodes the live engine writes — the no-drift
+/// guarantee `blobseer_core::meta::shape` documents for the segment trees
+/// of §III-A.3.
 #[test]
 fn shape_math_matches_live_engine_node_counts() {
     let sys = BlobSeer::deploy(BlobSeerConfig::small_for_tests().with_block_size(BLOCK), 8);

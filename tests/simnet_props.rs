@@ -3,9 +3,8 @@
 
 use blobseer_types::NodeId;
 use proptest::prelude::*;
-use simnet::{
-    start_flow, Disk, FifoServer, FlowNet, NetWorld, NicSpec, Scheduler, Sim, SimDuration, SimTime,
-};
+use simnet::{Disk, FifoServer, FlowNet, NicSpec, SimDuration, SimGate, SimTask, SimTime};
+use std::sync::Mutex;
 
 #[derive(Clone, Debug)]
 struct FlowSpec {
@@ -24,19 +23,33 @@ fn flow_strategy(nodes: u8) -> impl Strategy<Value = FlowSpec> {
     })
 }
 
-struct W {
-    net: FlowNet<usize>,
-    completions: Vec<(usize, SimTime)>,
-}
-
-impl NetWorld for W {
-    type Token = usize;
-    fn net_mut(&mut self) -> &mut FlowNet<usize> {
-        &mut self.net
-    }
-    fn on_flow_complete(&mut self, sched: &mut Scheduler<Self>, token: usize) {
-        self.completions.push((token, sched.now()));
-    }
+/// Runs each flow as one task on a fresh gate over `nodes` NICs: sleep
+/// until its start, then transfer. Returns each flow's completion instant
+/// (by spec index) and the instant the run ended.
+fn run_flows(nodes: usize, specs: &[FlowSpec]) -> (Vec<SimTime>, SimTime) {
+    let gate = SimGate::new(FlowNet::new(nodes, NicSpec::symmetric(CAP)));
+    let done = Mutex::new(vec![None; specs.len()]);
+    let tasks: Vec<SimTask<'_>> = specs
+        .iter()
+        .enumerate()
+        .map(|(i, s)| {
+            let (gate, done) = (&gate, &done);
+            Box::new(move || {
+                gate.sleep(SimDuration::from_millis(s.start_ms as u64));
+                let (src, dst) = (NodeId::new(s.src as u64), NodeId::new(s.dst as u64));
+                let at = gate.transfer(src, dst, s.kib as u64 * 1024);
+                assert!(done.lock().unwrap()[i].replace(at).is_none());
+            }) as SimTask<'_>
+        })
+        .collect();
+    gate.run(tasks);
+    let done = done.into_inner().unwrap();
+    (
+        done.into_iter()
+            .map(|t| t.expect("every flow completes"))
+            .collect(),
+        gate.now(),
+    )
 }
 
 const NODES: u8 = 6;
@@ -52,20 +65,10 @@ proptest! {
     fn flows_complete_within_physical_bounds(specs in proptest::collection::vec(flow_strategy(NODES), 1..20)) {
         let specs: Vec<FlowSpec> = specs.into_iter().filter(|s| s.src != s.dst).collect();
         prop_assume!(!specs.is_empty());
-        let world = W { net: FlowNet::new(NODES as usize, NicSpec::symmetric(CAP)), completions: vec![] };
-        let mut sim = Sim::new(world);
-        for (i, s) in specs.iter().enumerate() {
-            let (src, dst, bytes) = (s.src, s.dst, s.kib as u64 * 1024);
-            sim.schedule_in(SimDuration::from_millis(s.start_ms as u64), move |w: &mut W, sch| {
-                start_flow(w, sch, NodeId::new(src as u64), NodeId::new(dst as u64), bytes, i);
-            });
-        }
-        let end = sim.run_until_idle();
-        prop_assert_eq!(sim.world.completions.len(), specs.len(), "every flow completes once");
-        let mut seen = std::collections::HashSet::new();
+        let (completions, end) = run_flows(NODES as usize, &specs);
+        prop_assert_eq!(completions.len(), specs.len(), "every flow completes once");
         let n = specs.len() as f64;
-        for &(token, at) in &sim.world.completions {
-            prop_assert!(seen.insert(token), "duplicate completion {}", token);
+        for (token, &at) in completions.iter().enumerate() {
             let s = &specs[token];
             let started = s.start_ms as f64 / 1000.0;
             let min_secs = s.kib as f64 * 1024.0 / CAP;
@@ -75,13 +78,49 @@ proptest! {
             // for its whole life.
             prop_assert!(dur <= min_secs * n + 1.0, "flow {} too slow: {} vs {}", token, dur, min_secs * n);
         }
-        // Total bytes conserved.
-        let expected: f64 = specs.iter().map(|s| s.kib as f64 * 1024.0).sum();
-        let moved = sim.world.net.bytes_transferred();
-        prop_assert!((moved - expected).abs() < 1.0, "bytes lost: {} vs {}", moved, expected);
         // Simulation ends exactly at the last completion.
-        let last = sim.world.completions.iter().map(|&(_, t)| t).max().unwrap();
+        let last = completions.iter().copied().max().unwrap();
         prop_assert_eq!(end, last);
+    }
+
+    /// Bytes are conserved: driven the way the gate drives it (next
+    /// completion, advance there, take the finished flows), the bare
+    /// network moves exactly the bytes its flows carried and completes
+    /// each flow exactly once.
+    #[test]
+    fn flows_conserve_bytes(specs in proptest::collection::vec(flow_strategy(NODES), 1..20)) {
+        let specs: Vec<FlowSpec> = specs.into_iter().filter(|s| s.src != s.dst).collect();
+        prop_assume!(!specs.is_empty());
+        let mut net = FlowNet::new(NODES as usize, NicSpec::symmetric(CAP));
+        let mut order: Vec<usize> = (0..specs.len()).collect();
+        order.sort_by_key(|&i| specs[i].start_ms);
+        let mut pending = order.into_iter().peekable();
+        let mut seen = std::collections::HashSet::new();
+        loop {
+            let next_start = pending
+                .peek()
+                .map(|&i| SimTime::ZERO + SimDuration::from_millis(specs[i].start_ms as u64));
+            let next_done = net.next_completion();
+            match next_start {
+                // Starts win ties, as the gate's fixed wake-ups do.
+                Some(t) if next_done.is_none_or(|d| t <= d) => {
+                    let i = pending.next().expect("peeked");
+                    let (src, dst) = (NodeId::new(specs[i].src as u64), NodeId::new(specs[i].dst as u64));
+                    net.start(t, src, dst, specs[i].kib as u64 * 1024, i);
+                }
+                _ => {
+                    let Some(done) = next_done else { break };
+                    net.advance(done);
+                    for token in net.take_completed() {
+                        prop_assert!(seen.insert(token), "duplicate completion {}", token);
+                    }
+                }
+            }
+        }
+        prop_assert_eq!(seen.len(), specs.len(), "every flow completes once");
+        let expected: f64 = specs.iter().map(|s| s.kib as f64 * 1024.0).sum();
+        let moved = net.bytes_transferred();
+        prop_assert!((moved - expected).abs() < 1.0, "bytes lost: {} vs {}", moved, expected);
     }
 
     /// The flow model conserves work: aggregate throughput at any recompute
@@ -91,15 +130,7 @@ proptest! {
     fn makespan_respects_aggregate_capacity(specs in proptest::collection::vec(flow_strategy(NODES), 1..24)) {
         let specs: Vec<FlowSpec> = specs.into_iter().filter(|s| s.src != s.dst).map(|mut s| { s.start_ms = 0; s }).collect();
         prop_assume!(!specs.is_empty());
-        let world = W { net: FlowNet::new(NODES as usize, NicSpec::symmetric(CAP)), completions: vec![] };
-        let mut sim = Sim::new(world);
-        for (i, s) in specs.iter().enumerate() {
-            let (src, dst, bytes) = (s.src, s.dst, s.kib as u64 * 1024);
-            sim.schedule_in(SimDuration::ZERO, move |w: &mut W, sch| {
-                start_flow(w, sch, NodeId::new(src as u64), NodeId::new(dst as u64), bytes, i);
-            });
-        }
-        let end = sim.run_until_idle().as_secs_f64();
+        let end = run_flows(NODES as usize, &specs).1.as_secs_f64();
         let total_bytes: f64 = specs.iter().map(|s| s.kib as f64 * 1024.0).sum();
         // Egress is the binding aggregate limit.
         let min_time = total_bytes / (NODES as f64 * CAP);
@@ -147,35 +178,18 @@ proptest! {
 /// byte-identical completion schedules for identical inputs.
 #[test]
 fn identical_runs_produce_identical_schedules() {
+    let specs: Vec<FlowSpec> = (0..12u16)
+        .map(|i| FlowSpec {
+            src: (i % 4) as u8,
+            dst: 4,
+            kib: 97 + i,
+            start_ms: i * 7,
+        })
+        .collect();
     let run = || {
-        let world = W {
-            net: FlowNet::new(5, NicSpec::symmetric(CAP)),
-            completions: vec![],
-        };
-        let mut sim = Sim::new(world);
-        for i in 0..12usize {
-            let src = (i % 4) as u64;
-            let dst = 4u64;
-            sim.schedule_in(
-                SimDuration::from_millis(i as u64 * 7),
-                move |w: &mut W, s| {
-                    start_flow(
-                        w,
-                        s,
-                        NodeId::new(src),
-                        NodeId::new(dst),
-                        100_000 + i as u64 * 13,
-                        i,
-                    );
-                },
-            );
-        }
-        sim.run_until_idle();
-        sim.world
-            .completions
-            .iter()
-            .map(|&(t, at)| (t, at.as_nanos()))
-            .collect::<Vec<_>>()
+        let (completions, end) = run_flows(5, &specs);
+        let at: Vec<u64> = completions.iter().map(|t| t.as_nanos()).collect();
+        (at, end.as_nanos())
     };
     assert_eq!(run(), run());
 }
