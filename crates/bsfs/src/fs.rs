@@ -3,7 +3,7 @@
 //! storage backend through a file system interface").
 
 use crate::namespace::{NamespaceManager, NsEntry};
-use crate::stream::{BsfsInput, BsfsOutput};
+use crate::stream::{append_stream, BsfsInput};
 use blobseer_core::{BlobClient, BlobSeer};
 use blobseer_types::{Error, NodeId, Result, Version};
 use dfs::api::{DfsInput, DfsOutput, FileStatus, FileSystem, FsBlockLocation};
@@ -102,19 +102,26 @@ impl FileSystem for Bsfs {
     fn create(&self, path: &str, overwrite: bool) -> Result<Box<dyn DfsOutput + '_>> {
         let path = DfsPath::parse(path)?;
         let blob = self.client.create();
-        let evicted = self.cluster.ns.create_file(&path, blob, overwrite)?;
+        let evicted = self
+            .cluster
+            .ns
+            .create_file(&path, blob, overwrite)
+            .inspect_err(|_| {
+                // A refused path must not strand the fresh BLOB.
+                let _ = self.client.delete_blob(blob);
+            })?;
         if let Some(old) = evicted {
             // Free the replaced file's storage (all of its versions).
             let _ = self.client.delete_blob(old);
         }
-        Ok(Box::new(BsfsOutput::new(self.client.clone(), blob)))
+        Ok(Box::new(append_stream(self.client.clone(), blob)))
     }
 
     fn append(&self, path: &str) -> Result<Box<dyn DfsOutput + '_>> {
         // BSFS supports appends natively (§V-F) — including concurrent
         // appends from many clients to the same file.
         let blob = self.file_blob(path)?;
-        Ok(Box::new(BsfsOutput::new(self.client.clone(), blob)))
+        Ok(Box::new(append_stream(self.client.clone(), blob)))
     }
 
     fn open(&self, path: &str) -> Result<Box<dyn DfsInput + '_>> {
@@ -142,7 +149,7 @@ impl FileSystem for Bsfs {
             .ns
             .list(&path)?
             .into_iter()
-            .map(|(name, entry)| self.status_of(&path.join(&name)?, entry))
+            .map(|(child, entry)| self.status_of(&child, entry))
             .collect()
     }
 
@@ -320,6 +327,26 @@ mod tests {
             .map(|i| cl.system().providers().bytes_stored(i))
             .sum();
         assert_eq!(stored_after, 0, "deleting the file frees provider storage");
+    }
+
+    #[test]
+    fn refused_create_frees_its_fresh_blob() {
+        let cl = cluster();
+        let fs = cl.mount(NodeId::new(0));
+        write_file(&fs, "/f", b"kept").unwrap();
+        fs.mkdirs("/dir").unwrap();
+        let c = fs.blob_client();
+        for (path, overwrite) in [("/f", false), ("/dir", true), ("/f/sub", true)] {
+            // Blob ids are sequential: the refused create's is the one
+            // between these two.
+            let before = c.create();
+            assert!(fs.create(path, overwrite).is_err(), "{path}");
+            let after = c.create();
+            assert_eq!(after.raw(), before.raw() + 2);
+            let refused = blobseer_types::BlobId::new(before.raw() + 1);
+            assert!(c.latest(refused).is_err(), "{path}: BLOB leaked");
+        }
+        assert_eq!(read_fully(&fs, "/f").unwrap(), b"kept");
     }
 
     #[test]

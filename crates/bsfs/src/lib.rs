@@ -13,6 +13,12 @@
 //!   including the block-location call that lets the jobtracker place
 //!   computation next to data.
 //!
+//! The path tree and the caching streams are `dfs`'s ([`dfs::Namespace`],
+//! [`dfs::BlockReader`], [`dfs::BlockWriter`]), shared with the HDFS
+//! baseline so the two cannot drift apart. BSFS supplies what is its own:
+//! BLOB ids as file payloads, reads of a pinned snapshot as the block
+//! fetch, and BLOB appends with a reveal wait as the block sink.
+//!
 //! Beyond the Hadoop API, BSFS exposes BlobSeer's extras (§V-F, §VI-A):
 //! concurrent appends to one file from many clients, and opening pinned
 //! past versions of a file.
@@ -39,4 +45,4 @@ pub mod stream;
 
 pub use fs::{Bsfs, BsfsCluster};
 pub use namespace::{NamespaceManager, NsEntry};
-pub use stream::{BsfsInput, BsfsOutput};
+pub use stream::{append_stream, BsfsInput, BsfsOutput};

@@ -10,13 +10,14 @@
 //! As in the paper, interaction with this manager is minimized: it is
 //! consulted for open/create/delete/rename/list only; all data traffic goes
 //! straight to BlobSeer. An operation counter backs tests asserting that
-//! reads and writes never touch the namespace.
+//! reads and writes never touch the namespace. The path tree itself is
+//! [`dfs::Namespace`], the one the HDFS baseline's namenode keeps too; what
+//! is BSFS's own here is the lock, the counter and the [`NsEntry`] image.
 
 use blobseer_types::wire::{Wire, WireReader, WireWriter};
 use blobseer_types::{BlobId, Error, Result};
-use dfs::DfsPath;
+use dfs::{DfsPath, Inode, Namespace};
 use parking_lot::RwLock;
-use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// What a path resolves to.
@@ -47,54 +48,25 @@ impl Wire for NsEntry {
     }
 }
 
-#[derive(Default)]
-struct Tree {
-    /// Every existing path → entry. The root is implicit.
-    entries: HashMap<DfsPath, NsEntry>,
-    /// Directory children by name (root included under "/").
-    children: HashMap<DfsPath, BTreeMap<String, NsEntry>>,
-}
-
-impl Tree {
-    fn entry(&self, path: &DfsPath) -> Option<NsEntry> {
-        if path.is_root() {
-            Some(NsEntry::Dir)
-        } else {
-            self.entries.get(path).copied()
-        }
-    }
-
-    fn insert(&mut self, path: &DfsPath, entry: NsEntry) {
-        debug_assert!(!path.is_root());
-        self.entries.insert(path.clone(), entry);
-        let parent = path.parent().expect("non-root"); // lint:allow(no-unwrap): callers guard against root paths
-        self.children
-            .entry(parent)
-            .or_default()
-            .insert(path.name().to_string(), entry);
-    }
-
-    fn remove(&mut self, path: &DfsPath) {
-        self.entries.remove(path);
-        if let Some(parent) = path.parent() {
-            if let Some(ch) = self.children.get_mut(&parent) {
-                ch.remove(path.name());
-            }
-        }
-        self.children.remove(path);
+/// The image entry of a namespace node.
+fn entry(node: &Inode<BlobId>) -> NsEntry {
+    match node {
+        Inode::Dir(_) => NsEntry::Dir,
+        Inode::File(blob) => NsEntry::File(*blob),
     }
 }
 
-/// The centralized namespace service.
+/// The centralized namespace service: [`dfs::Namespace`] behind one lock,
+/// with BLOB ids as file payloads.
 pub struct NamespaceManager {
-    tree: RwLock<Tree>,
+    tree: RwLock<Namespace<BlobId>>,
     ops: AtomicU64,
 }
 
 impl Default for NamespaceManager {
     fn default() -> Self {
         Self {
-            tree: RwLock::named(Tree::default(), "bsfs.namespace.tree"),
+            tree: RwLock::named(Namespace::new(), "bsfs.namespace.tree"),
             ops: AtomicU64::new(0),
         }
     }
@@ -119,34 +91,19 @@ impl NamespaceManager {
     /// Resolves a path.
     pub fn lookup(&self, path: &DfsPath) -> Option<NsEntry> {
         self.bump();
-        self.tree.read().entry(path)
+        self.tree.read().get(path).map(entry)
     }
 
     /// Resolves a path that must be a file; returns its BLOB.
     pub fn lookup_file(&self, path: &DfsPath) -> Result<BlobId> {
-        match self.lookup(path) {
-            Some(NsEntry::File(b)) => Ok(b),
-            Some(NsEntry::Dir) => Err(Error::NotADirectory(format!("{path} is a directory"))),
-            None => Err(Error::NotFound(path.to_string())),
-        }
+        self.bump();
+        self.tree.read().file(path).copied()
     }
 
     /// Creates `path` (and missing ancestors) as directories.
     pub fn mkdirs(&self, path: &DfsPath) -> Result<()> {
         self.bump();
-        let mut tree = self.tree.write();
-        let mut cur = DfsPath::root();
-        for comp in path.components() {
-            cur = cur.join(comp).expect("validated components"); // lint:allow(no-unwrap): components come from a parsed DfsPath
-            match tree.entry(&cur) {
-                None => tree.insert(&cur, NsEntry::Dir),
-                Some(NsEntry::Dir) => {}
-                Some(NsEntry::File(_)) => {
-                    return Err(Error::NotADirectory(cur.to_string()));
-                }
-            }
-        }
-        Ok(())
+        self.tree.write().mkdirs(path)
     }
 
     /// Binds `path` to a fresh file BLOB, creating missing parent
@@ -158,128 +115,30 @@ impl NamespaceManager {
         blob: BlobId,
         overwrite: bool,
     ) -> Result<Option<BlobId>> {
-        if path.is_root() {
-            return Err(Error::AlreadyExists("/".into()));
-        }
-        let parent = path.parent().expect("non-root"); // lint:allow(no-unwrap): callers guard against root paths
-        self.mkdirs(&parent)?;
-        self.bump();
-        let mut tree = self.tree.write();
-        match tree.entry(path) {
-            Some(NsEntry::Dir) => Err(Error::AlreadyExists(format!("{path} is a directory"))),
-            Some(NsEntry::File(old)) if overwrite => {
-                tree.insert(path, NsEntry::File(blob));
-                Ok(Some(old))
-            }
-            Some(NsEntry::File(_)) => Err(Error::AlreadyExists(path.to_string())),
-            None => {
-                tree.insert(path, NsEntry::File(blob));
-                Ok(None)
-            }
-        }
+        let created = self.tree.write().create(path, blob, overwrite);
+        // Two calls, the parent `mkdirs` and the bind; the root is refused
+        // before either, a parent that is a file after the first.
+        let calls = match &created {
+            _ if path.is_root() => 0,
+            Err(Error::NotADirectory(_)) => 1,
+            _ => 2,
+        };
+        self.ops.fetch_add(calls, Ordering::Relaxed);
+        created
     }
 
     /// Deletes a file or directory. Non-recursive deletion of a non-empty
     /// directory fails. Returns the BLOBs of all removed files for cleanup.
     pub fn delete(&self, path: &DfsPath, recursive: bool) -> Result<Vec<BlobId>> {
         self.bump();
-        if path.is_root() {
-            return Err(Error::InvalidPath("cannot delete the root".into()));
-        }
-        let mut tree = self.tree.write();
-        match tree.entry(path) {
-            None => Err(Error::NotFound(path.to_string())),
-            Some(NsEntry::File(b)) => {
-                tree.remove(path);
-                Ok(vec![b])
-            }
-            Some(NsEntry::Dir) => {
-                let has_children = tree
-                    .children
-                    .get(path)
-                    .map(|c| !c.is_empty())
-                    .unwrap_or(false);
-                if has_children && !recursive {
-                    return Err(Error::DirectoryNotEmpty(path.to_string()));
-                }
-                let mut blobs = Vec::new();
-                let mut stack = vec![path.clone()];
-                let mut to_remove = Vec::new();
-                while let Some(p) = stack.pop() {
-                    if let Some(children) = tree.children.get(&p) {
-                        for (name, entry) in children {
-                            let child = p.join(name).expect("validated"); // lint:allow(no-unwrap): name comes from an existing child entry
-                            match entry {
-                                NsEntry::File(b) => {
-                                    blobs.push(*b);
-                                    to_remove.push(child);
-                                }
-                                NsEntry::Dir => stack.push(child),
-                            }
-                        }
-                    }
-                    to_remove.push(p);
-                }
-                for p in to_remove {
-                    tree.remove(&p);
-                }
-                Ok(blobs)
-            }
-        }
+        self.tree.write().delete(path, recursive)
     }
 
     /// Renames a file or directory subtree. The destination must not exist
     /// and its parent must be an existing directory.
     pub fn rename(&self, src: &DfsPath, dst: &DfsPath) -> Result<()> {
         self.bump();
-        if src.is_root() {
-            return Err(Error::InvalidPath("cannot rename the root".into()));
-        }
-        if dst.starts_with(src) {
-            return Err(Error::InvalidPath(format!(
-                "cannot rename {src} into its own subtree {dst}"
-            )));
-        }
-        let mut tree = self.tree.write();
-        let src_entry = tree
-            .entry(src)
-            .ok_or_else(|| Error::NotFound(src.to_string()))?;
-        if tree.entry(dst).is_some() {
-            return Err(Error::AlreadyExists(dst.to_string()));
-        }
-        let dst_parent = dst
-            .parent()
-            .ok_or_else(|| Error::AlreadyExists("/".into()))?;
-        match tree.entry(&dst_parent) {
-            Some(NsEntry::Dir) => {}
-            Some(NsEntry::File(_)) => return Err(Error::NotADirectory(dst_parent.to_string())),
-            None => return Err(Error::NotFound(dst_parent.to_string())),
-        }
-        // Collect the subtree, then re-insert under the new prefix.
-        let mut moves: Vec<(DfsPath, DfsPath, NsEntry)> = Vec::new();
-        let mut stack = vec![(src.clone(), dst.clone(), src_entry)];
-        while let Some((from, to, entry)) = stack.pop() {
-            if entry == NsEntry::Dir {
-                if let Some(children) = tree.children.get(&from) {
-                    for (name, child_entry) in children.clone() {
-                        stack.push((
-                            from.join(&name).expect("validated"), // lint:allow(no-unwrap): rename iterates validated child names
-                            to.join(&name).expect("validated"), // lint:allow(no-unwrap): rename iterates validated child names
-                            child_entry,
-                        ));
-                    }
-                }
-            }
-            moves.push((from, to, entry));
-        }
-        // Remove deepest-first, insert afterwards.
-        for (from, _, _) in &moves {
-            tree.remove(from);
-        }
-        for (_, to, entry) in &moves {
-            tree.insert(to, *entry);
-        }
-        Ok(())
+        self.tree.write().rename(src, dst)
     }
 
     /// Serializes the whole namespace into a self-contained byte image —
@@ -293,8 +152,8 @@ impl NamespaceManager {
     /// [`Self::op_count`]: it is recovery machinery, not a namespace RPC.
     pub fn export_image(&self) -> Vec<u8> {
         let tree = self.tree.read();
-        let mut entries: Vec<(String, NsEntry)> = (tree.entries.iter())
-            .map(|(path, entry)| (path.to_string(), *entry))
+        let mut entries: Vec<(String, NsEntry)> = (tree.entries())
+            .map(|(path, node)| (path.to_string(), entry(node)))
             .collect();
         entries.sort_by(|a, b| a.0.cmp(&b.0));
         entries.to_bytes()
@@ -303,29 +162,30 @@ impl NamespaceManager {
     /// Replaces the namespace contents with a previously exported image.
     /// Fails (leaving the namespace untouched) on an undecodable image.
     pub fn import_image(&self, image: &[u8]) -> Result<()> {
-        let mut fresh = Tree::default();
+        let mut fresh = Namespace::new();
         for (path, entry) in Vec::<(String, NsEntry)>::from_bytes(image)? {
             let path = DfsPath::parse(&path)
                 .map_err(|e| Error::InvalidPath(format!("namespace image: {e}")))?;
-            fresh.insert(&path, entry);
+            match entry {
+                NsEntry::Dir => fresh.mkdirs(&path)?,
+                NsEntry::File(blob) => {
+                    fresh.create(&path, blob, false)?;
+                }
+            }
         }
         *self.tree.write() = fresh;
         Ok(())
     }
 
-    /// Lists a directory's children as `(name, entry)` pairs in name order.
-    pub fn list(&self, path: &DfsPath) -> Result<Vec<(String, NsEntry)>> {
+    /// Lists a directory's children as `(path, entry)` pairs in name order.
+    pub fn list(&self, path: &DfsPath) -> Result<Vec<(DfsPath, NsEntry)>> {
         self.bump();
         let tree = self.tree.read();
-        match tree.entry(path) {
-            None => Err(Error::NotFound(path.to_string())),
-            Some(NsEntry::File(_)) => Err(Error::NotADirectory(path.to_string())),
-            Some(NsEntry::Dir) => Ok(tree
-                .children
-                .get(path)
-                .map(|c| c.iter().map(|(n, e)| (n.clone(), *e)).collect())
-                .unwrap_or_default()),
-        }
+        let children = tree.list(path)?;
+        Ok(children
+            .into_iter()
+            .map(|(p, node)| (p, entry(node)))
+            .collect())
     }
 }
 
@@ -434,7 +294,7 @@ mod tests {
             .list(&p("/dir"))
             .unwrap()
             .into_iter()
-            .map(|(n, _)| n)
+            .map(|(path, _)| path.name().to_string())
             .collect();
         assert_eq!(names, vec!["a", "b", "z"]);
         assert!(ns.list(&p("/dir/a")).is_err());

@@ -6,15 +6,17 @@
 //! already cached, and delays committing writes until a whole block has
 //! been filled in the cache."
 //!
-//! The read stream pins the snapshot version at open time: readers enjoy
-//! BlobSeer's snapshot isolation and never observe concurrent writers. It
-//! caches exactly one block and fetches the next only on a miss, so a
-//! sequential reader costs one fetch per block.
+//! The caching itself is `dfs`'s [`BlockReader`] / [`BlockWriter`] pair,
+//! the one HDFS uses too. BSFS supplies the block fetch, a read of the
+//! snapshot pinned at open (readers enjoy BlobSeer's snapshot isolation
+//! and never observe concurrent writers), and the sink, one BLOB append
+//! per block and a reveal wait at close.
 
 use blobseer_core::BlobClient;
-use blobseer_types::{BlobId, Error, Result, Version};
-use bytes::{Bytes, BytesMut};
-use dfs::api::{DfsInput, DfsOutput};
+use blobseer_types::{BlobId, Result, Version};
+use bytes::Bytes;
+use dfs::api::DfsInput;
+use dfs::{BlockReader, BlockSink, BlockWriter};
 use std::time::Duration;
 
 /// Upper bound on the reveal wait performed by `Drop` (an abandoned
@@ -28,16 +30,8 @@ const DROP_REVEAL_BOUND: Duration = Duration::from_millis(100);
 /// A buffered, seekable reader over one file snapshot: it fetches one
 /// whole block per cache miss, always from the snapshot pinned at open.
 pub struct BsfsInput {
-    client: BlobClient,
-    blob: BlobId,
     version: Version,
-    size: u64,
-    pos: u64,
-    /// The cached block: (block index, payload).
-    cache: Option<(u64, Bytes)>,
-    block_size: u64,
-    /// Block fetches issued (cache effectiveness metric).
-    fetches: u64,
+    reader: BlockReader,
 }
 
 impl BsfsInput {
@@ -50,193 +44,88 @@ impl BsfsInput {
     /// Opens a pinned snapshot (version-aware readers, §VI-A).
     pub fn open_version(client: BlobClient, blob: BlobId, version: Version, size: u64) -> Self {
         let block_size = client.system().config().block_size;
-        Self {
-            client,
-            blob,
-            version,
-            size,
-            pos: 0,
-            cache: None,
-            block_size,
-            fetches: 0,
-        }
+        let reader = BlockReader::new(size, block_size, move |block| {
+            let start = block * block_size;
+            client.read(blob, Some(version), start, block_size.min(size - start))
+        });
+        Self { version, reader }
     }
 
     /// The snapshot version this stream reads.
     pub fn version(&self) -> Version {
         self.version
     }
-
-    /// Whole-block fetches issued so far.
-    pub fn fetch_count(&self) -> u64 {
-        self.fetches
-    }
-
-    /// Whether the cached block covers the absolute byte position.
-    fn covers(&self, pos: u64) -> bool {
-        match &self.cache {
-            Some((block, data)) => {
-                let start = block * self.block_size;
-                pos >= start && pos < start + data.len() as u64
-            }
-            None => false,
-        }
-    }
-
-    fn fill_cache(&mut self, block: u64) -> Result<()> {
-        let start = block * self.block_size;
-        let len = self.block_size.min(self.size - start);
-        let data = self
-            .client
-            .read(self.blob, Some(self.version), start, len)?;
-        self.fetches += 1;
-        self.cache = Some((block, data));
-        Ok(())
-    }
 }
 
 impl DfsInput for BsfsInput {
     fn read(&mut self, buf: &mut [u8]) -> Result<usize> {
-        if self.pos >= self.size || buf.is_empty() {
-            return Ok(0);
-        }
-        if !self.covers(self.pos) {
-            self.fill_cache(self.pos / self.block_size)?;
-        }
-        let (block, data) = self.cache.as_ref().expect("just filled"); // lint:allow(no-unwrap): fill_cache populated the cache one line up
-        let off = (self.pos - block * self.block_size) as usize;
-        let n = buf.len().min(data.len() - off);
-        buf[..n].copy_from_slice(&data[off..off + n]);
-        self.pos += n as u64;
-        Ok(n)
+        self.reader.read(buf)
     }
 
     fn seek(&mut self, pos: u64) -> Result<()> {
-        if pos > self.size {
-            return Err(Error::OutOfBounds {
-                requested_end: pos,
-                snapshot_size: self.size,
-            });
-        }
-        self.pos = pos;
-        Ok(())
+        self.reader.seek(pos)
     }
 
     fn pos(&self) -> u64 {
-        self.pos
+        self.reader.pos()
     }
 
     fn len(&self) -> u64 {
-        self.size
+        self.reader.len()
     }
 }
 
-/// A buffered writer that appends whole blocks to the file's BLOB.
-pub struct BsfsOutput {
-    client: BlobClient,
-    blob: BlobId,
-    buf: BytesMut,
-    block_size: usize,
-    written: u64,
-    last_version: Option<Version>,
-    closed: bool,
-    /// Patience of `close()`'s reveal wait, from
-    /// `BlobSeerConfig::close_reveal_timeout`.
-    close_patience: Duration,
-    /// Appends issued to BlobSeer (write-behind effectiveness metric).
-    flushes: u64,
-}
+/// A write-behind stream appending whole blocks to the file's BLOB.
+pub type BsfsOutput = BlockWriter<BlobAppender>;
 
-impl BsfsOutput {
-    /// Opens a write-behind stream appending to `blob`.
-    pub fn new(client: BlobClient, blob: BlobId) -> Self {
-        let cfg = client.system().config();
-        let block_size = cfg.block_size as usize;
-        let close_patience = cfg.close_reveal_timeout;
-        Self {
+/// Opens a write-behind stream appending to `blob`.
+pub fn append_stream(client: BlobClient, blob: BlobId) -> BsfsOutput {
+    let cfg = client.system().config();
+    let block_size = cfg.block_size as usize;
+    let patience = cfg.close_reveal_timeout;
+    BlockWriter::new(
+        block_size,
+        BlobAppender {
             client,
             blob,
-            buf: BytesMut::with_capacity(block_size),
-            block_size,
-            written: 0,
             last_version: None,
-            closed: false,
-            close_patience,
-            flushes: 0,
-        }
-    }
+            patience,
+        },
+    )
+}
 
-    /// Appends issued so far.
-    pub fn flush_count(&self) -> u64 {
-        self.flushes
-    }
+/// The BSFS [`BlockSink`]: each block is one BLOB append; finishing waits
+/// for the last append's reveal.
+pub struct BlobAppender {
+    client: BlobClient,
+    blob: BlobId,
+    last_version: Option<Version>,
+    /// Patience of `close()`'s reveal wait, from
+    /// `BlobSeerConfig::close_reveal_timeout`.
+    patience: Duration,
+}
 
-    fn flush_buf(&mut self) -> Result<()> {
-        if self.buf.is_empty() {
-            return Ok(());
-        }
-        // The frozen buffer *is* the block the providers store: no copy.
-        let chunk = self.buf.split().freeze();
-        let (_, v) = self.client.append_bytes(self.blob, chunk)?;
-        self.flushes += 1;
+impl BlockSink for BlobAppender {
+    fn commit(&mut self, block: Bytes) -> Result<()> {
+        let (_, v) = self.client.append_bytes(self.blob, block)?;
         self.last_version = Some(v);
         Ok(())
     }
 
-    /// Flushes the tail and waits up to `patience` for the final append's
-    /// reveal. Shared by `close()` (full configured patience) and `Drop`
-    /// (bounded best-effort).
-    fn close_with_patience(&mut self, patience: Duration) -> Result<()> {
-        if self.closed {
-            return Ok(());
-        }
-        self.flush_buf()?;
-        self.closed = true;
+    fn finish(&mut self, dropped: bool) -> Result<()> {
         // Close-to-open visibility: wait until our last append is revealed,
-        // so a reader opening after close() sees everything we wrote.
-        if let Some(v) = self.last_version {
-            self.client.wait_revealed(self.blob, v, patience)?;
+        // so a reader opening after close() sees everything we wrote. An
+        // abandoned stream waits at most its bound, whatever the
+        // configured patience.
+        let patience = if dropped {
+            self.patience.min(DROP_REVEAL_BOUND)
+        } else {
+            self.patience
+        };
+        match self.last_version {
+            Some(v) => self.client.wait_revealed(self.blob, v, patience),
+            None => Ok(()),
         }
-        Ok(())
-    }
-}
-
-impl DfsOutput for BsfsOutput {
-    fn write(&mut self, mut data: &[u8]) -> Result<()> {
-        if self.closed {
-            return Err(Error::StreamClosed);
-        }
-        self.written += data.len() as u64;
-        // Fill the block buffer; flush every time it reaches a full block
-        // ("delays committing writes until a whole block has been filled").
-        while !data.is_empty() {
-            let room = self.block_size - self.buf.len();
-            let take = room.min(data.len());
-            self.buf.extend_from_slice(&data[..take]);
-            data = &data[take..];
-            if self.buf.len() == self.block_size {
-                self.flush_buf()?;
-            }
-        }
-        Ok(())
-    }
-
-    fn pos(&self) -> u64 {
-        self.written
-    }
-
-    fn close(&mut self) -> Result<()> {
-        self.close_with_patience(self.close_patience)
-    }
-}
-
-impl Drop for BsfsOutput {
-    fn drop(&mut self) {
-        // Best-effort flush on drop; errors surface only via explicit
-        // close. The reveal wait is bounded regardless of configuration —
-        // an abandoned stream must never stall its thread for the full
-        // close patience.
-        let _ = self.close_with_patience(self.close_patience.min(DROP_REVEAL_BOUND));
     }
 }
 
@@ -244,7 +133,8 @@ impl Drop for BsfsOutput {
 mod tests {
     use super::*;
     use blobseer_core::BlobSeer;
-    use blobseer_types::{BlobSeerConfig, NodeId};
+    use blobseer_types::{BlobSeerConfig, Error, NodeId};
+    use dfs::api::DfsOutput;
     use std::sync::Arc;
 
     fn system() -> Arc<BlobSeer> {
@@ -256,18 +146,18 @@ mod tests {
         let sys = system();
         let c = sys.client(NodeId::new(0));
         let blob = c.create();
-        let mut out = BsfsOutput::new(c.clone(), blob);
+        let mut out = append_stream(c.clone(), blob);
         // 100 writes of 10 bytes = 1000 bytes = 3 full blocks + 232 tail.
         for i in 0..100u8 {
             out.write(&[i; 10]).unwrap();
         }
         assert_eq!(
-            out.flush_count(),
+            out.commit_count(),
             3,
             "only full blocks flushed during writes"
         );
         out.close().unwrap();
-        assert_eq!(out.flush_count(), 4, "tail flushed at close");
+        assert_eq!(out.commit_count(), 4, "tail flushed at close");
         let (v, size) = c.latest(blob).unwrap();
         assert_eq!(size, 1000);
         assert_eq!(v.raw(), 4);
@@ -275,43 +165,6 @@ mod tests {
         for i in 0..100usize {
             assert!(data[i * 10..(i + 1) * 10].iter().all(|&b| b == i as u8));
         }
-    }
-
-    #[test]
-    fn reader_prefetches_whole_blocks() {
-        let sys = system();
-        let c = sys.client(NodeId::new(0));
-        let blob = c.create();
-        let payload: Vec<u8> = (0..512u32).map(|i| i as u8).collect();
-        c.write(blob, 0, &payload).unwrap();
-        let mut input = BsfsInput::open(c, blob).unwrap();
-        // 64 reads of 4 bytes from block 0: exactly one fetch.
-        let mut buf = [0u8; 4];
-        for i in 0..64usize {
-            input.read_exact(&mut buf).unwrap();
-            assert_eq!(&buf[..], &payload[i * 4..i * 4 + 4]);
-        }
-        assert_eq!(input.fetch_count(), 1, "4 KB-style reads served from cache");
-        // Crossing into block 1 triggers the second fetch.
-        input.read_exact(&mut buf).unwrap();
-        assert_eq!(input.fetch_count(), 2);
-    }
-
-    #[test]
-    fn seek_within_cached_block_keeps_cache() {
-        let sys = system();
-        let c = sys.client(NodeId::new(0));
-        let blob = c.create();
-        c.write(blob, 0, &vec![9u8; 512]).unwrap();
-        let mut input = BsfsInput::open(c, blob).unwrap();
-        let mut buf = [0u8; 8];
-        input.read_exact(&mut buf).unwrap();
-        input.seek(100).unwrap();
-        input.read_exact(&mut buf).unwrap();
-        assert_eq!(input.fetch_count(), 1, "seek within block 0 is a cache hit");
-        input.seek(300).unwrap();
-        input.read_exact(&mut buf).unwrap();
-        assert_eq!(input.fetch_count(), 2);
     }
 
     #[test]
@@ -341,12 +194,12 @@ mod tests {
         let c = sys.client(NodeId::new(0));
         let blob = c.create();
         {
-            let mut out = BsfsOutput::new(c.clone(), blob);
+            let mut out = append_stream(c.clone(), blob);
             out.write(b"dropped but flushed").unwrap();
             // No explicit close: Drop must flush.
         }
         assert_eq!(c.latest(blob).unwrap().1, 19);
-        let mut out = BsfsOutput::new(c, blob);
+        let mut out = append_stream(c, blob);
         out.close().unwrap();
         assert!(matches!(out.write(b"x"), Err(Error::StreamClosed)));
     }
@@ -370,7 +223,7 @@ mod tests {
             .assign(blob, WriteIntent::Append { size: 256 })
             .unwrap();
 
-        let mut out = BsfsOutput::new(c.clone(), blob);
+        let mut out = append_stream(c.clone(), blob);
         out.write(&[1u8; 256]).unwrap(); // full block: flushed as v2
         let t0 = Instant::now();
         let err = out.close().unwrap_err();
@@ -392,7 +245,7 @@ mod tests {
             .unwrap();
         let t0 = Instant::now();
         {
-            let mut out = BsfsOutput::new(c, blob);
+            let mut out = append_stream(c, blob);
             out.write(&[2u8; 256]).unwrap();
             // No close: Drop flushes and waits at most its bound.
         }
@@ -401,22 +254,6 @@ mod tests {
             "drop must not wait the full close patience: {:?}",
             t0.elapsed()
         );
-    }
-
-    #[test]
-    fn seek_away_from_prefetch_sequence_stays_correct() {
-        let sys = system();
-        let c = sys.client(NodeId::new(0));
-        let blob = c.create();
-        let payload: Vec<u8> = (0..2048u32).map(|i| i as u8).collect();
-        c.write(blob, 0, &payload).unwrap();
-        let mut input = BsfsInput::open(c, blob).unwrap();
-        let mut buf = [0u8; 16];
-        input.read_exact(&mut buf).unwrap(); // prefetches block 0
-        input.seek(6 * 256).unwrap(); // jump away from the sequence
-        input.read_exact(&mut buf).unwrap();
-        assert_eq!(&buf[..], &payload[6 * 256..6 * 256 + 16]);
-        assert_eq!(input.fetch_count(), 2);
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub struct FsBlockLocation {
 /// Implementations buffer internally (HDFS "prefetches data on reading",
 /// §II-B; BSFS implements "a similar caching mechanism", §IV-B), so callers
 /// may issue small reads — Hadoop reads 4 KB at a time — without paying a
-/// per-call protocol round trip.
+/// per-call protocol round trip. Both backends use [`crate::BlockReader`].
 pub trait DfsInput: Send {
     /// Reads up to `buf.len()` bytes at the current position; returns the
     /// number of bytes read (0 at end of file).
@@ -96,6 +96,7 @@ impl<T: DfsInput + ?Sized> DfsInput for Box<T> {
 /// committing data after the buffer has reached at least a full chunk
 /// size", §II-B), so the underlying storage only ever sees block-aligned
 /// traffic. Data is durable and visible to new readers after [`close`].
+/// Both backends use [`crate::BlockWriter`].
 ///
 /// [`close`]: DfsOutput::close
 pub trait DfsOutput: Send {
@@ -115,8 +116,9 @@ pub trait FileSystem: Send + Sync {
     /// existing *file* at the path is replaced; otherwise creation fails.
     fn create(&self, path: &str, overwrite: bool) -> Result<Box<dyn DfsOutput + '_>>;
 
-    /// Opens an existing file for appending. HDFS 0.20 returns
-    /// `Error::Unsupported` here (§V-F: "we could not perform the same
+    /// Opens an existing file for appending. BSFS supports it, concurrent
+    /// appenders included; the HDFS baseline models HDFS 0.20 and always
+    /// returns `Error::Unsupported` (§V-F: "we could not perform the same
     /// experiment for HDFS, since it does not implement the append
     /// operation").
     fn append(&self, path: &str) -> Result<Box<dyn DfsOutput + '_>>;

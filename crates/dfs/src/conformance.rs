@@ -3,10 +3,14 @@
 //! BSFS and the HDFS baseline must expose *identical* namespace and I/O
 //! semantics — the paper's comparison is only meaningful because "Hadoop
 //! Map/Reduce applications run out-of-the-box … just like in the original,
-//! unmodified environment" (§V-B). Each backend's test module calls these
-//! functions; a panic pinpoints the divergence. Only `append` semantics may
-//! differ (HDFS 0.20 lacks it), so append behaviour is exercised in
-//! backend-specific tests instead.
+//! unmodified environment" (§V-B). Both keep their tree in
+//! [`crate::Namespace`] and stream through [`crate::BlockReader`] /
+//! [`crate::BlockWriter`]; these checks hold each backend's wiring of them
+//! to the same answers, edge cases included (the root, self-nesting
+//! renames, a file used as a directory and the reverse). Each backend's
+//! test module calls these functions; a panic pinpoints the divergence.
+//! Only `append` differs (HDFS 0.20 always refuses it), so append
+//! behaviour is exercised in backend-specific tests instead.
 
 use crate::api::FileSystem;
 use crate::util::{read_fully, write_file};
@@ -23,6 +27,7 @@ pub fn run_all(fs: &dyn FileSystem) {
     seek_and_partial_reads(fs);
     block_locations(fs);
     status_and_list(fs);
+    edge_cases(fs);
 }
 
 /// mkdirs creates chains; files and dirs are distinguished.
@@ -199,4 +204,37 @@ pub fn status_and_list(fs: &dyn FileSystem) {
         fs.status("/conf/ls/nope"),
         Err(Error::NotFound(_))
     ));
+}
+
+/// The root, self-nesting renames, bad rename destinations, and using a
+/// file as a directory or a directory as a file answer the same errors.
+pub fn edge_cases(fs: &dyn FileSystem) {
+    write_file(fs, "/conf/edge/d/f", b"x").unwrap();
+    assert!(matches!(fs.delete("/", true), Err(Error::InvalidPath(_))));
+    assert!(matches!(
+        fs.rename("/", "/conf/edge/root"),
+        Err(Error::InvalidPath(_))
+    ));
+    assert!(matches!(
+        fs.rename("/conf/edge/d", "/conf/edge/d/inner"),
+        Err(Error::InvalidPath(_))
+    ));
+    assert!(matches!(
+        fs.rename("/conf/edge/d/f", "/conf/edge/missing/f"),
+        Err(Error::NotFound(_))
+    ));
+    write_file(fs, "/conf/edge/g", b"y").unwrap();
+    assert!(matches!(
+        fs.rename("/conf/edge/d/f", "/conf/edge/g/f"),
+        Err(Error::NotADirectory(_))
+    ));
+    assert!(matches!(fs.create("/", true), Err(Error::AlreadyExists(_))));
+    assert!(matches!(
+        fs.list("/conf/edge/g"),
+        Err(Error::NotADirectory(_))
+    ));
+    assert!(fs.open("/conf/edge/d").is_err());
+    // Every refusal left the tree as it was.
+    assert_eq!(read_fully(fs, "/conf/edge/d/f").unwrap(), b"x");
+    assert_eq!(fs.list("/conf/edge").unwrap().len(), 2);
 }

@@ -1,9 +1,8 @@
 //! Datanodes: the chunk servers of HDFS (§II-B).
 //!
-//! Chunks are mutable while a file is under construction (the writer
-//! streams into them and appends may fill a partial tail chunk) and frozen
-//! once the namenode marks the file complete — "once written, data cannot
-//! be altered" (§II-B). The freeze is enforced here with a sealed flag.
+//! Chunks are write-once: a writer commits each one whole, `put` refuses a
+//! chunk id it already holds, and nothing rewrites or extends a stored
+//! chunk — "once written, data cannot be altered" (§II-B).
 
 use blobseer_types::{Error, NodeId, Result};
 use bytes::Bytes;
@@ -15,15 +14,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub struct ChunkId(pub u64);
 
-struct Chunk {
-    data: Vec<u8>,
-    sealed: bool,
-}
-
 /// One datanode process.
 pub struct DataNode {
     node: NodeId,
-    chunks: RwLock<HashMap<ChunkId, Chunk>>,
+    chunks: RwLock<HashMap<ChunkId, Bytes>>,
     bytes_stored: AtomicU64,
 }
 
@@ -42,68 +36,32 @@ impl DataNode {
         self.node
     }
 
-    /// Stores a new chunk (under construction).
-    pub fn put(&self, id: ChunkId, data: Vec<u8>) -> Result<()> {
+    /// Stores a committed chunk; a chunk id is stored at most once.
+    pub fn put(&self, id: ChunkId, data: Bytes) -> Result<()> {
         let mut chunks = self.chunks.write();
         if chunks.contains_key(&id) {
             return Err(Error::Internal(format!("chunk {id:?} already exists")));
         }
         self.bytes_stored
             .fetch_add(data.len() as u64, Ordering::Relaxed);
-        chunks.insert(
-            id,
-            Chunk {
-                data,
-                sealed: false,
-            },
-        );
+        chunks.insert(id, data);
         Ok(())
     }
 
-    /// Appends bytes to an unsealed chunk (fills a partial tail chunk).
-    pub fn extend(&self, id: ChunkId, data: &[u8]) -> Result<()> {
-        let mut chunks = self.chunks.write();
-        let chunk = chunks.get_mut(&id).ok_or(Error::MissingBlock(id.0))?;
-        if chunk.sealed {
-            return Err(Error::Internal(format!(
-                "chunk {id:?} is sealed — completed HDFS data is immutable"
-            )));
-        }
-        chunk.data.extend_from_slice(data);
-        self.bytes_stored
-            .fetch_add(data.len() as u64, Ordering::Relaxed);
-        Ok(())
-    }
-
-    /// Seals a chunk when its file completes.
-    pub fn seal(&self, id: ChunkId) {
-        if let Some(c) = self.chunks.write().get_mut(&id) {
-            c.sealed = true;
-        }
-    }
-
-    /// Reopens a sealed tail chunk for appending (the block-recovery step
-    /// an HDFS append performs when the feature is enabled).
-    pub fn unseal(&self, id: ChunkId) {
-        if let Some(c) = self.chunks.write().get_mut(&id) {
-            c.sealed = false;
-        }
-    }
-
-    /// Reads a whole chunk (copies — HDFS readers stream chunks over TCP).
+    /// Reads a whole chunk.
     pub fn get(&self, id: ChunkId) -> Result<Bytes> {
         self.chunks
             .read()
             .get(&id)
-            .map(|c| Bytes::copy_from_slice(&c.data))
+            .cloned()
             .ok_or(Error::MissingBlock(id.0))
     }
 
     /// Deletes a chunk; returns bytes freed.
     pub fn delete(&self, id: ChunkId) -> u64 {
         match self.chunks.write().remove(&id) {
-            Some(c) => {
-                let n = c.data.len() as u64;
+            Some(data) => {
+                let n = data.len() as u64;
                 self.bytes_stored.fetch_sub(n, Ordering::Relaxed);
                 n
             }
@@ -127,35 +85,30 @@ mod tests {
     use super::*;
 
     #[test]
-    fn put_get_extend_roundtrip() {
+    fn put_get_roundtrip() {
         let dn = DataNode::new(NodeId::new(1));
-        dn.put(ChunkId(1), b"abc".to_vec()).unwrap();
-        dn.extend(ChunkId(1), b"def").unwrap();
+        dn.put(ChunkId(1), Bytes::from_static(b"abcdef")).unwrap();
         assert_eq!(&dn.get(ChunkId(1)).unwrap()[..], b"abcdef");
         assert_eq!(dn.bytes_stored(), 6);
         assert_eq!(dn.chunk_count(), 1);
     }
 
     #[test]
-    fn sealed_chunks_are_immutable() {
-        let dn = DataNode::new(NodeId::new(1));
-        dn.put(ChunkId(1), b"abc".to_vec()).unwrap();
-        dn.seal(ChunkId(1));
-        assert!(dn.extend(ChunkId(1), b"x").is_err());
-        assert_eq!(&dn.get(ChunkId(1)).unwrap()[..], b"abc");
-    }
-
-    #[test]
     fn duplicate_put_rejected() {
         let dn = DataNode::new(NodeId::new(1));
-        dn.put(ChunkId(1), b"a".to_vec()).unwrap();
-        assert!(dn.put(ChunkId(1), b"b".to_vec()).is_err());
+        dn.put(ChunkId(1), Bytes::from_static(b"a")).unwrap();
+        assert!(dn.put(ChunkId(1), Bytes::from_static(b"b")).is_err());
+        assert_eq!(
+            &dn.get(ChunkId(1)).unwrap()[..],
+            b"a",
+            "chunks are write-once"
+        );
     }
 
     #[test]
     fn delete_frees_space() {
         let dn = DataNode::new(NodeId::new(1));
-        dn.put(ChunkId(1), vec![0; 100]).unwrap();
+        dn.put(ChunkId(1), Bytes::from(vec![0; 100])).unwrap();
         assert_eq!(dn.delete(ChunkId(1)), 100);
         assert_eq!(dn.delete(ChunkId(1)), 0);
         assert_eq!(dn.bytes_stored(), 0);

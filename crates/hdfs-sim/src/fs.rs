@@ -3,14 +3,16 @@
 //! Client-side buffering mirrors §II-B: "HDFS employs a client side
 //! buffering mechanism … It prefetches data on reading. On writing, it
 //! postpones committing data after the buffer has reached at least a full
-//! chunk size."
+//! chunk size." The buffering is `dfs`'s [`BlockReader`] / [`BlockWriter`]
+//! pair, the one BSFS uses too; HDFS supplies the chunk fetch and a sink
+//! that allocates, stores and completes chunks under the writer lease.
 
 use crate::datanode::DataNode;
-use crate::namenode::{ChunkMeta, FileSnapshot, LeaseId, NameNode};
-use blobseer_types::{Error, HdfsConfig, NodeId, Result};
+use crate::namenode::{ChunkMeta, LeaseId, NameNode};
+use blobseer_types::{HdfsConfig, NodeId, Result};
 use bytes::Bytes;
 use dfs::api::{DfsInput, DfsOutput, FileStatus, FileSystem, FsBlockLocation};
-use dfs::DfsPath;
+use dfs::{BlockReader, BlockSink, BlockWriter, DfsPath};
 use std::sync::Arc;
 
 /// The cluster-wide HDFS state: one namenode plus the datanodes.
@@ -87,57 +89,39 @@ impl Hdfs {
 impl FileSystem for Hdfs {
     fn create(&self, path: &str, overwrite: bool) -> Result<Box<dyn DfsOutput + '_>> {
         let path = DfsPath::parse(path)?;
-        let (lease, old_chunks) = self
-            .cluster
-            .namenode
-            .create(&path, overwrite, self.local_dn)?;
+        let (lease, old_chunks) = self.cluster.namenode.create(&path, overwrite)?;
         self.cluster.reclaim(&old_chunks);
-        Ok(Box::new(HdfsOutput::new(
-            Arc::clone(&self.cluster),
+        let sink = ChunkSink {
+            cluster: Arc::clone(&self.cluster),
             path,
             lease,
-            self.local_dn,
-            0,
-            0,
-        )))
+            local_dn: self.local_dn,
+        };
+        Ok(Box::new(BlockWriter::new(self.block_size() as usize, sink)))
     }
 
     fn append(&self, path: &str) -> Result<Box<dyn DfsOutput + '_>> {
-        let path = DfsPath::parse(path)?;
-        // Refused on stock 0.20 (§V-F); supported when configured like
-        // later Hadoop releases.
-        let (lease, snap) = self.cluster.namenode.append(&path, self.local_dn)?;
-        let tail = snap
-            .chunks
-            .last()
-            .map(|c| c.len as u64 % self.cluster.namenode.config().chunk_size)
-            .unwrap_or(0);
-        if tail > 0 {
-            // Reopen the partial tail chunk for writing (block recovery).
-            let meta = snap.chunks.last().expect("tail implies a chunk");
-            for &dn in &meta.datanodes {
-                self.cluster.datanodes[dn].unseal(meta.id);
-            }
-        }
-        Ok(Box::new(HdfsOutput::new(
-            Arc::clone(&self.cluster),
-            path,
-            lease,
-            self.local_dn,
-            snap.len,
-            tail,
-        )))
+        DfsPath::parse(path)?;
+        // Refused: HDFS 0.20 has no append (§V-F).
+        Err(self.cluster.namenode.append())
     }
 
     fn open(&self, path: &str) -> Result<Box<dyn DfsInput + '_>> {
         let path = DfsPath::parse(path)?;
         let snap = self.cluster.namenode.file_snapshot(&path)?;
-        Ok(Box::new(HdfsInput {
-            cluster: Arc::clone(&self.cluster),
-            snap,
-            pos: 0,
-            cache: None,
-        }))
+        let cluster = Arc::clone(&self.cluster);
+        let chunks = snap.chunks;
+        // Chunk `i` holds bytes from `i * chunk_size`: only the last one is
+        // short. Each is prefetched whole from one of its replicas.
+        Ok(Box::new(BlockReader::new(
+            snap.len,
+            self.block_size(),
+            move |i| {
+                let meta = &chunks[i as usize];
+                let replica = meta.datanodes[i as usize % meta.datanodes.len()];
+                cluster.datanodes[replica].get(meta.id)
+            },
+        )))
     }
 
     fn exists(&self, path: &str) -> Result<bool> {
@@ -161,9 +145,9 @@ impl FileSystem for Hdfs {
             .namenode
             .list(&path)?
             .into_iter()
-            .map(|(name, is_dir, len)| {
+            .map(|(child, is_dir, len)| {
                 Ok(FileStatus {
-                    path: path.join(&name)?.to_string(),
+                    path: child.to_string(),
                     is_dir,
                     len,
                     block_size: self.block_size(),
@@ -224,210 +208,41 @@ impl FileSystem for Hdfs {
     }
 }
 
-/// Buffered chunk-prefetching reader.
-struct HdfsInput {
-    cluster: Arc<HdfsCluster>,
-    snap: FileSnapshot,
-    pos: u64,
-    /// (chunk index in snapshot, payload).
-    cache: Option<(usize, Bytes)>,
-}
-
-impl HdfsInput {
-    /// Chunk index and in-chunk offset for a file position.
-    fn locate(&self, pos: u64) -> Option<(usize, u64)> {
-        let mut start = 0u64;
-        for (i, c) in self.snap.chunks.iter().enumerate() {
-            let end = start + c.len as u64;
-            if pos < end {
-                return Some((i, pos - start));
-            }
-            start = end;
-        }
-        None
-    }
-}
-
-impl DfsInput for HdfsInput {
-    fn read(&mut self, buf: &mut [u8]) -> Result<usize> {
-        if self.pos >= self.snap.len || buf.is_empty() {
-            return Ok(0);
-        }
-        let (idx, in_chunk) = self.locate(self.pos).expect("pos < len");
-        let hit = matches!(self.cache, Some((i, _)) if i == idx);
-        if !hit {
-            // Prefetch the whole chunk from one of its replicas.
-            let meta = &self.snap.chunks[idx];
-            let replica = meta.datanodes[idx % meta.datanodes.len()];
-            let data = self.cluster.datanodes[replica].get(meta.id)?;
-            self.cache = Some((idx, data));
-        }
-        let (_, data) = self.cache.as_ref().expect("filled");
-        let in_chunk = in_chunk as usize;
-        let n = buf.len().min(data.len() - in_chunk);
-        buf[..n].copy_from_slice(&data[in_chunk..in_chunk + n]);
-        self.pos += n as u64;
-        Ok(n)
-    }
-
-    fn seek(&mut self, pos: u64) -> Result<()> {
-        if pos > self.snap.len {
-            return Err(Error::OutOfBounds {
-                requested_end: pos,
-                snapshot_size: self.snap.len,
-            });
-        }
-        self.pos = pos;
-        Ok(())
-    }
-
-    fn pos(&self) -> u64 {
-        self.pos
-    }
-
-    fn len(&self) -> u64 {
-        self.snap.len
-    }
-}
-
-/// Buffered chunk-committing writer holding the single-writer lease.
-struct HdfsOutput {
+/// The HDFS [`BlockSink`] under the file's single-writer lease: each
+/// block is a fresh chunk from the namenode, stored on every replica;
+/// finishing completes the file and releases the lease.
+struct ChunkSink {
     cluster: Arc<HdfsCluster>,
     path: DfsPath,
     lease: LeaseId,
     local_dn: Option<usize>,
-    buf: Vec<u8>,
-    chunk_size: usize,
-    written: u64,
-    /// Bytes of room left in the file's (unsealed) tail chunk, for appends.
-    tail_room_used: u64,
-    closed: bool,
 }
 
-impl HdfsOutput {
-    fn new(
-        cluster: Arc<HdfsCluster>,
-        path: DfsPath,
-        lease: LeaseId,
-        local_dn: Option<usize>,
-        existing_len: u64,
-        tail_fill: u64,
-    ) -> Self {
-        let chunk_size = cluster.namenode.config().chunk_size as usize;
-        Self {
-            cluster,
-            path,
-            lease,
-            local_dn,
-            buf: Vec::with_capacity(chunk_size),
-            chunk_size,
-            written: existing_len,
-            tail_room_used: tail_fill,
-            closed: false,
-        }
-    }
-
-    /// Room left before the next chunk boundary.
-    fn room(&self) -> usize {
-        if self.tail_room_used > 0 {
-            self.chunk_size - self.tail_room_used as usize - self.buf.len()
-        } else {
-            self.chunk_size - self.buf.len()
-        }
-    }
-
-    fn flush_buf(&mut self) -> Result<()> {
-        if self.buf.is_empty() {
-            return Ok(());
-        }
-        let data = std::mem::take(&mut self.buf);
-        if self.tail_room_used > 0 {
-            // Appending into the existing partial tail chunk.
-            let (id, dns) = self.cluster.namenode.extend_last_chunk(
-                &self.path,
-                self.lease,
-                data.len() as u32,
-            )?;
-            for &dn in &dns {
-                self.cluster.datanodes[dn].extend(id, &data)?;
-            }
-            self.tail_room_used += data.len() as u64;
-            if self.tail_room_used as usize >= self.chunk_size {
-                self.tail_room_used = 0;
-            }
-        } else {
-            let (id, dns) = self.cluster.namenode.add_chunk(
-                &self.path,
-                self.lease,
-                data.len() as u32,
-                self.local_dn,
-            )?;
-            let mut first = true;
-            for &dn in &dns {
-                // The write pipeline: the client sends once; datanodes
-                // forward to the next replica.
-                if first {
-                    self.cluster.datanodes[dn].put(id, data.clone())?;
-                    first = false;
-                } else {
-                    self.cluster.datanodes[dn].put(id, data.clone())?;
-                }
-            }
-            if data.len() < self.chunk_size {
-                self.tail_room_used = data.len() as u64;
-            }
-        }
-        Ok(())
-    }
-}
-
-impl DfsOutput for HdfsOutput {
-    fn write(&mut self, mut data: &[u8]) -> Result<()> {
-        if self.closed {
-            return Err(Error::StreamClosed);
-        }
-        self.written += data.len() as u64;
-        while !data.is_empty() {
-            let take = self.room().min(data.len());
-            self.buf.extend_from_slice(&data[..take]);
-            data = &data[take..];
-            if self.room() == 0 {
-                self.flush_buf()?;
-            }
+impl BlockSink for ChunkSink {
+    fn commit(&mut self, chunk: Bytes) -> Result<()> {
+        let (id, dns) = self.cluster.namenode.add_chunk(
+            &self.path,
+            self.lease,
+            chunk.len() as u32,
+            self.local_dn,
+        )?;
+        // The write pipeline: the client sends once; datanodes forward to
+        // the next replica.
+        for dn in dns {
+            self.cluster.datanodes[dn].put(id, chunk.clone())?;
         }
         Ok(())
     }
 
-    fn pos(&self) -> u64 {
-        self.written
-    }
-
-    fn close(&mut self) -> Result<()> {
-        if self.closed {
-            return Ok(());
-        }
-        self.flush_buf()?;
-        self.closed = true;
-        let chunks = self.cluster.namenode.complete(&self.path, self.lease)?;
-        // Data becomes immutable once the file completes.
-        for c in &chunks {
-            for &dn in &c.datanodes {
-                self.cluster.datanodes[dn].seal(c.id);
-            }
-        }
-        Ok(())
-    }
-}
-
-impl Drop for HdfsOutput {
-    fn drop(&mut self) {
-        let _ = self.close();
+    fn finish(&mut self, _dropped: bool) -> Result<()> {
+        self.cluster.namenode.complete(&self.path, self.lease)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use blobseer_types::Error;
     use dfs::util::{read_fully, write_file};
 
     fn cluster() -> Arc<HdfsCluster> {
@@ -451,27 +266,8 @@ mod tests {
         let fs = cluster().mount(NodeId::new(0));
         write_file(&fs, "/f", b"abc").unwrap();
         assert!(matches!(fs.append("/f"), Err(Error::Unsupported(_))));
-    }
-
-    #[test]
-    fn append_works_when_enabled() {
-        let cfg = HdfsConfig::small_for_tests()
-            .with_chunk_size(256)
-            .with_append(true);
-        let cl = HdfsCluster::new(cfg, 4);
-        let fs = cl.mount(NodeId::new(0));
-        write_file(&fs, "/f", &vec![1u8; 300]).unwrap(); // 1 full + 44-byte tail
-        let mut out = fs.append("/f").unwrap();
-        out.write(&vec![2u8; 300]).unwrap(); // fills tail (212) + new chunk (88)
-        out.close().unwrap();
-        let data = read_fully(&fs, "/f").unwrap();
-        assert_eq!(data.len(), 600);
-        assert!(data[..300].iter().all(|&b| b == 1));
-        assert!(data[300..].iter().all(|&b| b == 2));
-        // Concurrent append is still single-writer.
-        let out1 = fs.append("/f").unwrap();
-        assert!(matches!(fs.append("/f"), Err(Error::LeaseConflict(_))));
-        drop(out1);
+        assert!(matches!(fs.append("/none"), Err(Error::Unsupported(_))));
+        assert_eq!(read_fully(&fs, "/f").unwrap(), b"abc");
     }
 
     #[test]

@@ -9,10 +9,16 @@
 //! * **64 MB chunks** on [`datanode::DataNode`]s; reads and writes stream
 //!   directly between clients and datanodes.
 //! * **Single writer, immutable data**: one lease per file; "once written,
-//!   data cannot be altered, neither by overwriting nor by appending";
-//!   `append` returns `Unsupported` unless configured like later releases.
+//!   data cannot be altered, neither by overwriting nor by appending".
+//!   This is HDFS 0.20 only: `append` always returns `Unsupported` (§V-F).
 //! * **Client-side buffering**: readers prefetch whole chunks, writers
 //!   commit whole chunks.
+//!
+//! The namespace tree and the buffering streams are `dfs`'s
+//! ([`dfs::Namespace`], [`dfs::BlockReader`], [`dfs::BlockWriter`]), the
+//! same ones BSFS uses; this crate keeps only what is HDFS's own: leases,
+//! chunk lists, placement and load accounting in the namenode, write-once
+//! chunk storage in the datanodes.
 //! * **Local-first placement**: a writer co-located with a datanode stores
 //!   its chunks locally (§V-D); remote writers get sticky-random placement
 //!   — the root of the load imbalance of Fig. 3(b) (docs/REPRODUCING.md).

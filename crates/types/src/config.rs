@@ -237,7 +237,8 @@ impl BlobSeerConfig {
     }
 }
 
-/// Configuration of the HDFS baseline.
+/// Configuration of the HDFS baseline: Hadoop 0.20, the paper's version,
+/// which has no append (§V-F).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HdfsConfig {
     /// Chunk ("block" in HDFS terms) size; 64 MB in the paper.
@@ -245,9 +246,6 @@ pub struct HdfsConfig {
     /// Replication level. The paper's throughput experiments behave like
     /// replication 1; HDFS defaults to 3 in production.
     pub replication: usize,
-    /// Whether `append` is supported. Hadoop 0.20 does not implement it
-    /// (§V-F); flipping this models later Hadoop versions.
-    pub append_supported: bool,
     /// Placement affinity in percent for remote writers (see
     /// `PlacementPolicy::StickyRandom` and Fig. 3(b), §V-D). 0 = pure random.
     pub placement_stickiness: u8,
@@ -258,7 +256,6 @@ impl Default for HdfsConfig {
         Self {
             chunk_size: super::PAPER_BLOCK_SIZE,
             replication: 1,
-            append_supported: false,
             placement_stickiness: 40,
         }
     }
@@ -270,7 +267,6 @@ impl HdfsConfig {
         Self {
             chunk_size: 4 * 1024,
             replication: 1,
-            append_supported: false,
             placement_stickiness: 40,
         }
     }
@@ -288,13 +284,6 @@ impl HdfsConfig {
     pub fn with_replication(mut self, replication: usize) -> Self {
         assert!(replication >= 1, "replication level must be at least 1");
         self.replication = replication;
-        self
-    }
-
-    /// Builder-style toggle for append support.
-    #[must_use]
-    pub fn with_append(mut self, yes: bool) -> Self {
-        self.append_supported = yes;
         self
     }
 }
@@ -321,7 +310,6 @@ mod tests {
 
         let h = HdfsConfig::default();
         assert_eq!(h.chunk_size, 64 * 1024 * 1024);
-        assert!(!h.append_supported, "Hadoop 0.20 has no append (§V-F)");
     }
 
     #[test]
@@ -350,9 +338,9 @@ mod tests {
 
         let h = HdfsConfig::small_for_tests()
             .with_chunk_size(512)
-            .with_append(true);
+            .with_replication(2);
         assert_eq!(h.chunk_size, 512);
-        assert!(h.append_supported);
+        assert_eq!(h.replication, 2);
     }
 
     #[test]
