@@ -364,7 +364,7 @@ impl FrameLog {
             let parts = frame.parts.iter().filter(|part| !part.is_empty());
             slices.extend(parts.map(|part| IoSlice::new(part)));
         }
-        if let Err(e) = write_all_vectored(&mut wrap(&self.file), &mut slices) {
+        if let Err((_, e)) = write_all_vectored(&mut wrap(&self.file), &mut slices) {
             let restored = self
                 .file
                 .set_len(self.tail)

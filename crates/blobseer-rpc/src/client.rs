@@ -11,19 +11,24 @@
 //! Many client threads therefore pipeline on a few sockets, responses may
 //! arrive out of order, and a blocking call (`wait_revealed`) parks only
 //! its own waiter — never the connection. One caller can pipeline too:
-//! `MuxPool::call_all` writes a run of frames before it awaits the first
-//! response, which is how a version's tree levels are published in
-//! overlapping round trips ([`MetaStore::put_levels`]).
+//! `MuxPool::call_all` writes a whole run of frames in one vectored write
+//! before it awaits the first response, which is how a version's tree
+//! levels are published in overlapping round trips
+//! ([`MetaStore::put_levels`]). The demux thread wakes waiters once per
+//! burst of responses it finds buffered together, not once per response,
+//! so the server's one-write answer to such a run wakes its caller once.
 //!
 //! A connection that dies *idle* (server restart) is redialed
 //! transparently on next use: the demux thread observes EOF immediately
 //! and marks the connection dead, so the next call dials afresh instead
-//! of surfacing a stale [`Error::Transport`]. A call whose request frame
-//! *failed to write* also retries once on a fresh connection — the kernel
-//! never accepted the frame, so the server cannot have dispatched it and
-//! the retry is safe even for non-idempotent calls like `assign`. A call
-//! whose frame was sent but never answered fails with
-//! [`Error::Transport`]: its remote outcome is genuinely unknown.
+//! of surfacing a stale [`Error::Transport`]. A request frame that *failed
+//! to write* whole also retries once on a fresh connection — the kernel
+//! never accepted all of it, so the server cannot have dispatched it and
+//! the retry is safe even for non-idempotent calls like `assign`; in a run,
+//! that is exactly the frames behind the last one the write took whole,
+//! and they retry together. A frame that was sent but never answered
+//! fails with [`Error::Transport`]: its remote outcome is genuinely
+//! unknown, and it is never sent again.
 //!
 //! Service failures arrive as their real [`Error`] variants (decoded from
 //! the response envelope); only genuine connectivity problems — refused
@@ -58,7 +63,7 @@ use blobseer_types::{BlobId, BlockId, Error, NodeId, Result, Version};
 use bytes::Bytes;
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
-use std::io::BufReader;
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -103,7 +108,7 @@ struct Pending {
 /// request id.
 struct MuxConn {
     addr: SocketAddr,
-    writer: Mutex<TcpStream>,
+    writer: Mutex<Box<dyn Write + Send>>,
     pending: Mutex<Pending>,
     ready: Condvar,
     next_id: AtomicU64,
@@ -117,6 +122,15 @@ struct MuxConn {
 impl MuxConn {
     /// Dials the endpoint and starts its demux thread.
     fn dial(addr: SocketAddr, deaths: Arc<AtomicU64>) -> Result<Arc<Self>> {
+        Self::dial_with(addr, deaths, |stream| Box::new(stream))
+    }
+
+    /// [`Self::dial`], writing through what `writer` makes of the stream.
+    fn dial_with(
+        addr: SocketAddr,
+        deaths: Arc<AtomicU64>,
+        writer: impl FnOnce(TcpStream) -> Box<dyn Write + Send>,
+    ) -> Result<Arc<Self>> {
         let stream = TcpStream::connect(addr)
             .map_err(|e| wire::transport(&format!("connect to {addr}"), e))?;
         let _ = stream.set_nodelay(true);
@@ -125,7 +139,7 @@ impl MuxConn {
             .map_err(|e| wire::transport("clone mux stream", e))?;
         let conn = Arc::new(Self {
             addr,
-            writer: Mutex::named(stream, "rpc.mux.writer"),
+            writer: Mutex::named(writer(stream), "rpc.mux.writer"),
             pending: Mutex::named(
                 Pending {
                     results: HashMap::new(),
@@ -156,29 +170,41 @@ impl MuxConn {
         }
     }
 
-    /// Registers a waiter and writes one request frame. On any failure the
-    /// frame is guaranteed undelivered (the connection is marked dead and
-    /// the waiter withdrawn), so the caller may safely retry on a fresh
-    /// connection.
-    fn send(&self, request: &WireWriter) -> Result<u64> {
+    /// Registers a waiter per request, then writes the requests as one run
+    /// of frames under one writer-lock hold. Returns the ids of the frames
+    /// the connection took whole — a prefix of the run — and the write's
+    /// outcome. On a failure the frames past that prefix are guaranteed
+    /// undelivered (the connection is marked dead and their waiters
+    /// withdrawn), so the caller may safely retry them on a fresh
+    /// connection; the prefix was sent, and its outcome is what its
+    /// waiters learn.
+    fn send(&self, requests: &[WireWriter]) -> (Vec<u64>, Result<()>) {
         if self.is_dead() {
-            return Err(Error::Transport(format!(
-                "{} died before the request was sent",
-                self.addr
-            )));
+            let e = Error::Transport(format!("{} died before the request was sent", self.addr));
+            return (Vec::new(), Err(e));
         }
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.pending.lock().results.insert(id, None);
-        let mut writer = self.writer.lock();
-        match wire::write_frame(&mut *writer, id, request.as_slice()) {
-            Ok(()) => Ok(id),
-            Err(e) => {
-                drop(writer);
-                self.mark_dead();
-                self.pending.lock().results.remove(&id);
-                Err(e)
-            }
+        let n = requests.len() as u64;
+        let first = self.next_id.fetch_add(n, Ordering::Relaxed);
+        let mut ids: Vec<u64> = (first..first + n).collect();
+        self.pending
+            .lock()
+            .results
+            .extend(ids.iter().map(|&id| (id, None)));
+        let frames: Vec<(u64, &[u8])> = ids
+            .iter()
+            .copied()
+            .zip(requests.iter().map(WireWriter::as_slice))
+            .collect();
+        let written = wire::write_frames(&mut *self.writer.lock(), &frames);
+        let Err((sent, e)) = written else {
+            return (ids, Ok(()));
+        };
+        self.mark_dead();
+        let mut p = self.pending.lock();
+        for id in ids.drain(sent..) {
+            p.results.remove(&id);
         }
+        (ids, Err(e))
     }
 
     /// Parks until the demux thread delivers the response for `id`, or
@@ -200,38 +226,27 @@ impl MuxConn {
 }
 
 /// The demux thread: reads response frames and routes each to its waiter.
-/// Exits on EOF or a transport error — marking the connection dead first,
-/// so idle death (a server restart) is already known the next time the
-/// pool considers this connection.
+/// It wakes the waiters once per burst — when its buffer holds no complete
+/// next frame, before it could block reading — so a caller awaiting a run
+/// of answers that arrived together wakes once, not once per answer; each
+/// woken waiter re-checks its own slot. Exits on EOF or a transport error
+/// — marking the connection dead first, so idle death (a server restart)
+/// is already known the next time the pool considers this connection.
 fn demux_loop(stream: TcpStream, conn: &MuxConn) {
     let mut stream = BufReader::new(stream);
-    loop {
-        match wire::read_frame(&mut stream) {
-            Ok(Some((id, body))) => {
-                let mut p = conn.pending.lock();
-                if let Some(slot) = p.results.get_mut(&id) {
-                    *slot = Some(body);
-                }
-                drop(p);
-                self_notify(conn);
-            }
-            Ok(None) | Err(_) => {
-                conn.mark_dead();
-                let mut p = conn.pending.lock();
-                p.closed = Some(Error::Transport(format!(
-                    "{} closed the connection with requests in flight",
-                    conn.addr
-                )));
-                drop(p);
-                self_notify(conn);
-                return;
-            }
+    while let Ok(Some((id, body))) = wire::read_frame(&mut stream) {
+        if let Some(slot) = conn.pending.lock().results.get_mut(&id) {
+            *slot = Some(body);
+        }
+        if !wire::complete_frame_buffered(stream.buffer()) {
+            conn.ready.notify_all();
         }
     }
-}
-
-/// Wakes every waiter on the connection; each re-checks its own slot.
-fn self_notify(conn: &MuxConn) {
+    conn.mark_dead();
+    conn.pending.lock().closed = Some(Error::Transport(format!(
+        "{} closed the connection with requests in flight",
+        conn.addr
+    )));
     conn.ready.notify_all();
 }
 
@@ -318,50 +333,54 @@ impl MuxPool {
         Ok(conn)
     }
 
-    /// Meters and writes one request frame on the slot's connection,
-    /// returning where its response will arrive. If the frame could not be
-    /// *written*, it is retried once on a fresh connection — safe for any
-    /// operation, because an unwritten frame was never dispatched.
-    fn send_on(&self, slot: usize, request: &WireWriter) -> Result<(Arc<MuxConn>, u64)> {
-        if self.control {
-            self.stats
-                .control_round_trips
-                .fetch_add(1, Ordering::Relaxed);
+    /// Meters and writes a run of request frames on the slot's connection
+    /// in one write, returning where each response will arrive. Frames the
+    /// connection did not take whole are retried once, as one run, on a
+    /// fresh connection — safe for any operation, because an unwritten
+    /// frame was never dispatched. A frame that was taken is never sent
+    /// again.
+    fn send_on(&self, slot: usize, requests: &[WireWriter]) -> Vec<Result<(Arc<MuxConn>, u64)>> {
+        let meter = if self.control {
+            &self.stats.control_round_trips
         } else {
-            self.stats.port_round_trips.fetch_add(1, Ordering::Relaxed);
-        }
-        let conn = self.conn_at(slot)?;
-        match conn.send(request) {
-            Ok(id) => Ok((conn, id)),
-            Err(_) => {
-                let conn = self.conn_at(slot)?;
-                let id = conn.send(request)?;
-                Ok((conn, id))
+            &self.stats.port_round_trips
+        };
+        meter.fetch_add(requests.len() as u64, Ordering::Relaxed);
+        let mut sent = Vec::with_capacity(requests.len());
+        let mut retries = 1;
+        let failure = loop {
+            let conn = match self.conn_at(slot) {
+                Ok(conn) => conn,
+                Err(e) => break e,
+            };
+            let (ids, written) = conn.send(&requests[sent.len()..]);
+            sent.extend(ids.into_iter().map(|id| Ok((Arc::clone(&conn), id))));
+            match written {
+                Ok(()) => return sent,
+                Err(e) if retries == 0 => break e,
+                Err(_) => retries -= 1,
             }
-        }
+        };
+        sent.resize_with(requests.len(), || Err(failure.clone()));
+        sent
     }
 
     /// One request/response exchange, multiplexed: requests from many
     /// threads pipeline on the slot connections, matched back by request
     /// id.
     pub(crate) fn call(&self, request: &WireWriter) -> Result<Vec<u8>> {
-        let slot = self.next.fetch_add(1, Ordering::Relaxed) % self.slots.len();
-        let (conn, id) = self.send_on(slot, request)?;
-        conn.wait(id)
+        single(self.call_all(std::slice::from_ref(request)))
     }
 
-    /// [`Self::call`] for a run of independent requests: every frame is
-    /// written (on one connection, in order) before the first response is
-    /// awaited, so the round trips overlap. One frame, one meter tick and
-    /// one result per request, each frame under the same
-    /// unwritten-retries-once rule.
+    /// [`Self::call`] for a run of independent requests: every waiter is
+    /// registered, then the whole run leaves in one vectored write on one
+    /// connection, in order, before the first response is awaited — so the
+    /// round trips overlap, and the answers a server sends back together
+    /// wake the caller once. One frame, one meter tick and one result per
+    /// request; frames the write did not take whole retry once, together.
     pub(crate) fn call_all(&self, requests: &[WireWriter]) -> Vec<Result<Vec<u8>>> {
         let slot = self.next.fetch_add(1, Ordering::Relaxed) % self.slots.len();
-        let sent: Vec<_> = requests
-            .iter()
-            .map(|request| self.send_on(slot, request))
-            .collect();
-        sent.into_iter()
+        (self.send_on(slot, requests).into_iter())
             .map(|sent| sent.and_then(|(conn, id)| conn.wait(id)))
             .collect()
     }
@@ -1122,5 +1141,102 @@ impl GcService for RpcGcService {
 
     fn tracked_nodes(&self) -> Result<usize> {
         call(&self.pool, gc_tag::TRACKED_NODES, &())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{RpcServer, RpcService, ServerOptions};
+    use blobseer_core::VersionManager;
+
+    /// A socket writer that passes on the first `left` bytes it is given,
+    /// then fails as a reset connection would.
+    struct FailAfter {
+        inner: TcpStream,
+        left: usize,
+    }
+
+    impl Write for FailAfter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            match buf.len().min(self.left) {
+                0 => Err(std::io::ErrorKind::ConnectionReset.into()),
+                n => {
+                    let n = self.inner.write(&buf[..n])?;
+                    self.left -= n;
+                    Ok(n)
+                }
+            }
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.inner.flush()
+        }
+    }
+
+    /// A run of `assign`s — the non-idempotent call — whose write fails
+    /// after `k` bytes: the frames taken whole are served once, on the
+    /// connection they left on; the rest retry once, on a fresh one.
+    #[test]
+    fn a_failed_run_resends_exactly_the_frames_not_taken_whole() {
+        const RUN: u64 = 6;
+        let vm = Arc::new(VersionManager::new(64, Arc::new(EngineStats::new())));
+        let blob = vm.create_blob();
+        let requests: Vec<WireWriter> = (0..RUN)
+            .map(|_| {
+                request(
+                    version_tag::ASSIGN,
+                    &(blob, WriteIntent::Append { size: 64 }),
+                )
+            })
+            .collect();
+        // Where each frame of the run ends when it is the failing
+        // connection's first: its ids start at 0.
+        let frames: Vec<(u64, &[u8])> = (0..RUN)
+            .zip(requests.iter().map(WireWriter::as_slice))
+            .collect();
+        let mut ends = Vec::new();
+        let mut wire = Vec::new();
+        for frame in &frames {
+            wire::write_frames(&mut wire, std::slice::from_ref(frame)).unwrap();
+            ends.push(wire.len());
+        }
+        let cuts = [
+            0,
+            1,
+            ends[0],
+            ends[2] - 1,
+            ends[2],
+            ends[4] + 3,
+            wire.len() - 1,
+        ];
+        let mut assigned = 0;
+        for k in cuts {
+            let server = RpcServer::spawn(
+                RpcService::Version(Arc::clone(&vm) as _),
+                ServerOptions::default(),
+            )
+            .unwrap();
+            let stats = Arc::new(EngineStats::new());
+            let pool = MuxPool::connect_with(server.addr(), Arc::clone(&stats), 1).unwrap();
+            let failing = MuxConn::dial_with(server.addr(), Arc::clone(&pool.deaths), |inner| {
+                Box::new(FailAfter { inner, left: k })
+            })
+            .unwrap();
+            *pool.slots[0].lock() = Some(failing);
+
+            let mut versions: Vec<u64> = (pool.call_all(&requests).into_iter())
+                .map(|body| decode_response(&body.unwrap(), WriteTicket::get).unwrap())
+                .map(|ticket| ticket.version.raw())
+                .collect();
+            // Every assign answered and served exactly once. The two
+            // connections are served side by side, so in either order.
+            versions.sort_unstable();
+            let expect: Vec<u64> = (assigned + 1..=assigned + RUN).collect();
+            assert_eq!(versions, expect, "cut at byte {k}");
+            assigned += RUN;
+            assert_eq!(server.frames_served(), RUN, "cut at byte {k}");
+            assert_eq!(stats.snapshot().port_round_trips, RUN, "one tick per frame");
+            assert_eq!(pool.deaths(), 1, "only the failing connection died");
+        }
     }
 }

@@ -11,11 +11,10 @@
 //!
 //! Concurrency model: run to completion, one thread per connection. The
 //! accept loop runs on its own thread; each accepted connection gets one
-//! thread that decodes a frame, dispatches it and writes its response
-//! before it reads the next frame — no hand-off, no queue, no wake-up
-//! between decode and dispatch. Connections are served in parallel (a
-//! slow handler delays later requests on its own connection only), and
-//! their number is bounded by the clients' connection budgets
+//! thread that decodes a frame and dispatches it — no hand-off, no queue,
+//! no wake-up between decode and dispatch. Connections are served in
+//! parallel (a slow handler delays later requests on its own connection
+//! only), and their number is bounded by the clients' connection budgets
 //! (`rpc_client_connections` per endpoint). Backpressure is TCP flow
 //! control on the one connection: a thread busy with a request reads no
 //! further frames. Every response frame echoes the request id of the
@@ -24,7 +23,18 @@
 //! (`wait_revealed`) are not served in line: the connection thread
 //! offloads them to a dedicated thread, so a request that deliberately
 //! blocks for its whole timeout does not hold up the requests behind it:
-//! their answers overtake its own.
+//! their answers overtake its own, which its thread writes the moment it
+//! is ready.
+//!
+//! Answers to a burst leave in one write. A pipelining client (a tree
+//! publish writes one frame per level in one go) puts many requests into
+//! the connection's read buffer at once; the connection thread holds the
+//! answers of the requests it served and writes them as one run of frames
+//! as soon as the buffer holds no complete next request — before it could
+//! block reading the network — or once they pass 64 KiB. An answer thus
+//! waits at most for the dispatch of the requests already in memory
+//! behind it, never for the network, and a large answer (a block fetch)
+//! is never held at all.
 //!
 //! Shutdown is graceful and deterministic: [`RpcServer::shutdown`] stops
 //! the accept loop (waking it with a loopback connection), closes every
@@ -47,7 +57,7 @@ use blobseer_types::{BlockId, Error, NodeId, Result};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::io;
+use std::io::{self, Read, Write};
 use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -134,8 +144,8 @@ impl InFlight {
 }
 
 /// RAII span of one tracked request; decrements on drop (after the
-/// request was handled, just before its response frame is written — the
-/// guard travels inside the [`Job`]).
+/// request was handled, before its response frame is held or written —
+/// see [`respond`]).
 struct InFlightGuard(Arc<InFlight>);
 
 impl Drop for InFlightGuard {
@@ -144,19 +154,10 @@ impl Drop for InFlightGuard {
     }
 }
 
-/// One decoded request: where to write the answer (the connection's
-/// shared write half), which request id to echo, and the request body —
-/// the buffer the socket read filled, shareable so a block store can keep
-/// slices of it instead of copies.
-struct Job {
-    writer: Arc<Mutex<TcpStream>>,
-    req_id: u64,
-    body: Bytes,
-    /// Holds the request in the deployment's [`InFlight`] tracker from
-    /// frame decode until it has been handled (response about to be
-    /// written).
-    _track: Option<InFlightGuard>,
-}
+/// Bytes of held answers at which a connection thread writes them instead
+/// of serving the next buffered request first: a burst of small answers
+/// leaves in one write, a large one is never held back.
+const HOLD_BYTES_MAX: usize = 64 * 1024;
 
 /// State shared between the accept loop, the connection threads, the
 /// offload threads and `shutdown()`.
@@ -354,35 +355,62 @@ fn accept_loop(listener: TcpListener, service: RpcService, shared: Arc<Shared>) 
 }
 
 /// Serves one connection's frames until EOF or a transport error: each
-/// request is dispatched and answered here, in arrival order, except the
-/// known-parking calls, which go to a dedicated offload thread. Service
-/// errors are *answers* (encoded in the response envelope), never reasons
-/// to drop the connection.
+/// request is dispatched here, in arrival order, except the known-parking
+/// calls, which go to a dedicated offload thread. Service errors are
+/// *answers* (encoded in the response envelope), never reasons to drop
+/// the connection.
 fn connection_loop(
     stream: TcpStream,
     writer: Arc<Mutex<TcpStream>>,
     service: RpcService,
     shared: &Arc<Shared>,
 ) {
-    let mut stream = io::BufReader::new(stream);
-    loop {
-        let (req_id, body) = match wire::read_frame(&mut stream) {
-            Ok(Some(frame)) => frame,
-            Ok(None) | Err(_) => return, // peer gone or socket closed
-        };
+    let mut reader = io::BufReader::new(stream);
+    serve_frames(&mut reader, &writer, |req_id, body| {
         shared.frames.fetch_add(1, Ordering::Relaxed);
-        let job = Job {
-            writer: Arc::clone(&writer),
-            req_id,
-            body: Bytes::from(body),
-            _track: shared.in_flight.as_ref().map(|t| t.enter()),
-        };
-        if parks_a_thread(&service, &job.body) {
-            offload(&service, shared, job);
-        } else {
-            serve_job(&service, shared, job);
+        let track = shared.in_flight.as_ref().map(|t| t.enter());
+        if parks_a_thread(&service, &body) {
+            offload(&service, shared, Arc::clone(&writer), req_id, body, track);
+            return None;
+        }
+        Some(respond(&service, shared, &body, track))
+    });
+}
+
+/// Reads request frames until EOF or a transport error and writes the
+/// answers `answer` gives (`None`: the request is answered elsewhere).
+/// Answers are held while `reader`'s buffer holds a complete next request
+/// and written as one run of frames, in arrival order, when it holds none
+/// or when they reach [`HOLD_BYTES_MAX`] — so an answer never waits on the
+/// network. The request body is the buffer the read filled, shareable so
+/// a block store can keep slices of it instead of copies.
+fn serve_frames<R: Read, W: Write>(
+    reader: &mut io::BufReader<R>,
+    writer: &Mutex<W>,
+    mut answer: impl FnMut(u64, Bytes) -> Option<Vec<u8>>,
+) {
+    let mut held: Vec<(u64, Vec<u8>)> = Vec::new();
+    let mut held_bytes = 0;
+    let write_held = |held: &mut Vec<(u64, Vec<u8>)>| {
+        if !held.is_empty() {
+            // A failed write surfaces as the next read's failure.
+            let _ = wire::write_frames(&mut *writer.lock(), held);
+            held.clear();
+        }
+    };
+    // Ends at EOF or on a transport error: the peer is gone or the socket
+    // was closed under us.
+    while let Ok(Some((req_id, body))) = wire::read_frame(reader) {
+        if let Some(response) = answer(req_id, Bytes::from(body)) {
+            held_bytes += response.len();
+            held.push((req_id, response));
+        }
+        if held_bytes >= HOLD_BYTES_MAX || !wire::complete_frame_buffered(reader.buffer()) {
+            write_held(&mut held);
+            held_bytes = 0;
         }
     }
+    write_held(&mut held);
 }
 
 /// Whether a request is one that deliberately blocks server-side for up
@@ -392,34 +420,44 @@ fn parks_a_thread(service: &RpcService, body: &[u8]) -> bool {
     matches!(service, RpcService::Version(_)) && body.first() == Some(&version_tag::WAIT_REVEALED)
 }
 
-/// Serves a known-parking request on its own thread. If the thread cannot
-/// be spawned (resource exhaustion) the request is dropped; its client
-/// sees the outcome when the connection eventually closes.
-fn offload(service: &RpcService, shared: &Arc<Shared>, job: Job) {
+/// Serves a known-parking request on its own thread, which writes the
+/// answer (echoing `req_id`) the moment it is ready, under the
+/// connection's writer lock. If the thread cannot be spawned (resource
+/// exhaustion) the request is dropped; its client sees the outcome when
+/// the connection eventually closes.
+fn offload(
+    service: &RpcService,
+    shared: &Arc<Shared>,
+    writer: Arc<Mutex<TcpStream>>,
+    req_id: u64,
+    body: Bytes,
+    track: Option<InFlightGuard>,
+) {
     shared.offloads.lock().retain(|h| !h.is_finished());
     let service = service.clone();
     let offload_shared = Arc::clone(shared);
     if let Ok(handle) = std::thread::Builder::new()
         .name("rpc-wait".into())
-        .spawn(move || serve_job(&service, &offload_shared, job))
+        .spawn(move || {
+            let response = respond(&service, &offload_shared, &body, track);
+            let _ = wire::write_frame(&mut *writer.lock(), req_id, &response);
+        })
     {
         shared.offloads.lock().push(handle);
     }
 }
 
-/// Dispatches one request and writes its response frame, echoing the
-/// request id so the client's demux can route it. A handler that panics
-/// is answered [`Error::Internal`] and counted: the connection and its
-/// thread both serve the next request.
-fn serve_job(service: &RpcService, shared: &Shared, job: Job) {
-    let Job {
-        writer,
-        req_id,
-        body,
-        _track: track,
-    } = job;
+/// Dispatches one request and returns its response body. A handler that
+/// panics is answered [`Error::Internal`] and counted: the connection and
+/// its thread both serve the next request.
+fn respond(
+    service: &RpcService,
+    shared: &Shared,
+    body: &Bytes,
+    track: Option<InFlightGuard>,
+) -> Vec<u8> {
     let response =
-        catch_unwind(AssertUnwindSafe(|| dispatch(service, &body))).unwrap_or_else(|panic| {
+        catch_unwind(AssertUnwindSafe(|| dispatch(service, body))).unwrap_or_else(|panic| {
             shared.panics.fetch_add(1, Ordering::Relaxed);
             let why = (panic.downcast_ref::<&str>().copied())
                 .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
@@ -427,12 +465,12 @@ fn serve_job(service: &RpcService, shared: &Shared, job: Job) {
             let e = Error::Internal(format!("{} handler panicked: {why}", service.name()));
             encode_response(Err(e))
         });
-    // End the tracked span before the response leaves: once the frame is
-    // on the wire the client may already be issuing its next request to
-    // another server, and a serial client overlapping with our own
-    // write-back would read as fan-out in the watermark.
+    // End the tracked span before the response is held or leaves: once
+    // the frame is on the wire the client may already be issuing its next
+    // request to another server, and a serial client overlapping with our
+    // own write-back would read as fan-out in the watermark.
     drop(track);
-    let _ = wire::write_frame(&mut *writer.lock(), req_id, &response);
+    response
 }
 
 fn dispatch(service: &RpcService, body: &Bytes) -> Vec<u8> {
@@ -713,5 +751,138 @@ fn handle_gc(gc: &dyn GcService, tag: u8, r: WireReader<'_>) -> Result<WireWrite
         gc_tag::NODE_COUNT => serve(r, |key| gc.node_count(&key)),
         gc_tag::TRACKED_NODES => serve(r, |()| gc.tracked_nodes()),
         t => Err(Error::Transport(format!("unknown gc method tag {t}"))),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::VecDeque;
+    use std::io::{BufReader, IoSlice};
+
+    /// A writer that keeps the bytes of each call apart.
+    #[derive(Default)]
+    struct Writes(Vec<Vec<u8>>);
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.0
+                .push(bufs.iter().flat_map(|b| b.iter().copied()).collect());
+            Ok(self.0.last().map_or(0, Vec::len))
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl Writes {
+        /// The `(id, body)` frames of each write.
+        fn frames(&self) -> Vec<Vec<(u64, Vec<u8>)>> {
+            let frames = |mut bytes: &[u8]| {
+                std::iter::from_fn(move || wire::read_frame(&mut bytes).unwrap()).collect()
+            };
+            self.0.iter().map(|write| frames(write)).collect()
+        }
+    }
+
+    /// A reader that hands out one scripted chunk per call and notes, at
+    /// each call, how many writes `out` had seen.
+    struct Script<'a> {
+        chunks: VecDeque<Vec<u8>>,
+        out: &'a Mutex<Writes>,
+        writes_at_read: Vec<usize>,
+    }
+
+    impl Read for Script<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.writes_at_read.push(self.out.lock().0.len());
+            let Some(chunk) = self.chunks.pop_front() else {
+                return Ok(0);
+            };
+            assert!(chunk.len() <= buf.len(), "a chunk fits the read buffer");
+            buf[..chunk.len()].copy_from_slice(&chunk);
+            Ok(chunk.len())
+        }
+    }
+
+    fn requests(ids: std::ops::Range<u64>) -> Vec<u8> {
+        let mut wire = Vec::new();
+        for id in ids {
+            wire::write_frame(&mut wire, id, &id.to_le_bytes()).unwrap();
+        }
+        wire
+    }
+
+    /// Serves `chunks` with `answer`; returns what was written and the
+    /// write counts seen at each read.
+    fn serve_script(
+        chunks: Vec<Vec<u8>>,
+        answer: impl FnMut(u64, Bytes) -> Option<Vec<u8>>,
+    ) -> (Writes, Vec<usize>) {
+        let out = Mutex::new(Writes::default());
+        let script = Script {
+            chunks: chunks.into(),
+            out: &out,
+            writes_at_read: Vec::new(),
+        };
+        let mut reader = BufReader::new(script);
+        serve_frames(&mut reader, &out, answer);
+        let writes_at_read = reader.into_inner().writes_at_read;
+        (out.into_inner(), writes_at_read)
+    }
+
+    #[test]
+    fn a_buffered_burst_is_answered_in_one_write_in_arrival_order() {
+        let (out, reads) = serve_script(vec![requests(0..10)], |_, body| Some(body.to_vec()));
+        let expect: Vec<(u64, Vec<u8>)> = (0..10u64)
+            .map(|id| (id, id.to_le_bytes().to_vec()))
+            .collect();
+        assert_eq!(out.frames(), [expect]);
+        assert_eq!(reads, [0, 1], "written before the read that found EOF");
+    }
+
+    #[test]
+    fn held_answers_leave_before_a_read_could_wait_on_the_network() {
+        // Request 0 whole and half of request 1, then the rest of it.
+        let wire = requests(0..2);
+        let half = wire.len() * 3 / 4;
+        let chunks = vec![wire[..half].to_vec(), wire[half..].to_vec()];
+        let (out, reads) = serve_script(chunks, |_, body| Some(body.to_vec()));
+        assert_eq!(
+            out.frames(),
+            [
+                vec![(0, vec![0; 8])],
+                vec![(1, 1u64.to_le_bytes().to_vec())]
+            ]
+        );
+        assert_eq!(reads, [0, 1, 2], "each answer out before the next read");
+        // An offloaded request (no answer here) holds nothing back.
+        let (out, _) = serve_script(vec![requests(0..3)], |id, body| {
+            (id != 1).then(|| body.to_vec())
+        });
+        let ids: Vec<Vec<u64>> = (out.frames().iter())
+            .map(|write| write.iter().map(|(id, _)| *id).collect())
+            .collect();
+        assert_eq!(ids, [vec![0, 2]]);
+    }
+
+    #[test]
+    fn held_answers_are_written_once_they_reach_the_cap() {
+        // 20 000-byte answers: the fourth takes the held bytes past the cap.
+        let (out, _) = serve_script(vec![requests(0..8)], |_, _| Some(vec![7; 20_000]));
+        let sizes: Vec<usize> = out.frames().iter().map(Vec::len).collect();
+        assert_eq!(sizes, [4, 4]);
+        // One answer at the cap leaves at once, with what was held.
+        let mut sizes = vec![10, 10, HOLD_BYTES_MAX, 10, 10].into_iter();
+        let (out, _) = serve_script(vec![requests(0..5)], |_, _| {
+            Some(vec![1; sizes.next().unwrap()])
+        });
+        let ids: Vec<Vec<u64>> = (out.frames().iter())
+            .map(|write| write.iter().map(|(id, _)| *id).collect())
+            .collect();
+        assert_eq!(ids, [vec![0, 1, 2], vec![3, 4]]);
     }
 }

@@ -8,19 +8,25 @@
 //! ```
 //!
 //! The length covers the request id and the body, so a peer can skip a
-//! whole frame knowing only the prefix. **One frame is one write**: the
-//! two varints are built as one small header and leave together with the
-//! body in a single vectored write ([`write_frame`]) — on a `TCP_NODELAY`
-//! socket every separate write is a syscall and, for small frames, a
-//! packet of its own. The reading side reads through a buffer (the
-//! connection loops wrap their sockets in a `BufReader`), so the varints
-//! cost no syscall each, while a large body still lands directly in its
-//! destination vector. The request id is chosen by the
-//! client and echoed verbatim on the response frame; it is what lets many
-//! in-flight requests share one TCP connection — the server may answer
-//! out of order (a parked `wait_revealed` no longer blocks the answers
-//! behind it) and the client's demux thread routes each response to the
-//! waiter that sent the matching id.
+//! whole frame knowing only the prefix. **One run of frames is one
+//! write**: the varints are built as small headers and leave together with
+//! the bodies in a single vectored write ([`write_frames`]; [`write_frame`]
+//! is its one-frame case) — on a `TCP_NODELAY` socket every separate write
+//! is a syscall and, for small frames, a packet of its own. A client
+//! publishing a version's tree levels sends them as one run, and a server
+//! answers the requests it found together in its read buffer as one run.
+//! The reading side reads through a buffer (the connection loops wrap
+//! their sockets in a `BufReader`), so the varints cost no syscall each,
+//! while a large body still lands directly in its destination vector; what
+//! the buffer already holds tells a reader whether its next frame can be
+//! read without waiting for the network ([`complete_frame_buffered`]).
+//!
+//! The request id is chosen by the client and echoed verbatim on the
+//! response frame; it is what lets many in-flight requests share one TCP
+//! connection — the server may answer out of order (a parked
+//! `wait_revealed` no longer blocks the answers behind it) and the
+//! client's demux thread routes each response to the waiter that sent the
+//! matching id.
 //!
 //! A request body is a method tag, then the method's argument tuple; a
 //! response body is the envelope ([`response_writer`], [`decode_response`])
@@ -77,22 +83,69 @@ pub(crate) fn transport(context: &str, e: std::io::Error) -> Error {
     Error::Transport(format!("{context}: {e}"))
 }
 
-/// Writes one length-prefixed frame tagged with `req_id`. The id varint
-/// is part of the prefixed length, and a response frame must echo the id
-/// of the request it answers.
-///
-/// Header (length + id) and body go out in one vectored write; only a
-/// writer that takes less than it was offered sees a second call.
+/// Writes one length-prefixed frame tagged with `req_id`: the one-frame
+/// case of [`write_frames`]. The id varint is part of the prefixed length,
+/// and a response frame must echo the id of the request it answers.
 pub fn write_frame(stream: &mut impl Write, req_id: u64, body: &[u8]) -> Result<()> {
-    // A varint carries 7 bits per byte.
-    let id_len = (64 - (req_id | 1).leading_zeros() as usize).div_ceil(7);
-    let mut header = WireWriter::new();
-    header.put_u64((id_len + body.len()) as u64);
-    header.put_u64(req_id);
-    let mut parts = [IoSlice::new(header.as_slice()), IoSlice::new(body)];
-    write_all_vectored(stream, &mut parts)
-        .and_then(|()| stream.flush())
-        .map_err(|e| transport("write frame", e))
+    write_frames(stream, &[(req_id, body)]).map_err(|(_, e)| e)
+}
+
+/// Writes a run of length-prefixed frames, `(request id, body)` each, in
+/// order: every header and every body in one vectored write, then one
+/// flush. Only a writer that takes less than it was offered sees a second
+/// call. The bytes are exactly those of one [`write_frame`] per frame.
+///
+/// On failure, the error comes with the number of leading frames the
+/// writer took whole; the rest never left complete, so no peer can have
+/// read them. A failed flush counts every frame as taken: its bytes may
+/// have left.
+pub fn write_frames<B: AsRef<[u8]>>(
+    stream: &mut impl Write,
+    frames: &[(u64, B)],
+) -> std::result::Result<(), (usize, Error)> {
+    // Every header in one buffer; frame i's header ends at `ends[i]` in it.
+    let mut headers = WireWriter::new();
+    let mut ends = Vec::with_capacity(frames.len());
+    for (req_id, body) in frames {
+        // A varint carries 7 bits per byte.
+        let id_len = (64 - (req_id | 1).leading_zeros() as usize).div_ceil(7);
+        headers.put_u64((id_len + body.as_ref().len()) as u64);
+        headers.put_u64(*req_id);
+        ends.push(headers.as_slice().len());
+    }
+    let mut parts = Vec::with_capacity(2 * frames.len());
+    let mut start = 0;
+    for ((_, body), &end) in frames.iter().zip(&ends) {
+        parts.push(IoSlice::new(&headers.as_slice()[start..end]));
+        parts.push(IoSlice::new(body.as_ref()));
+        start = end;
+    }
+    if let Err((written, e)) = write_all_vectored(stream, &mut parts) {
+        // Frame i ends `ends[i]` header bytes plus its body and those
+        // before it into the run.
+        let mut bodies = 0;
+        let whole = frames
+            .iter()
+            .zip(&ends)
+            .take_while(|((_, body), &end)| {
+                bodies += body.as_ref().len();
+                end + bodies <= written
+            })
+            .count();
+        return Err((whole, transport("write frames", e)));
+    }
+    stream
+        .flush()
+        .map_err(|e| (frames.len(), transport("flush frames", e)))
+}
+
+/// Whether `buf` — what a reader holds unread — starts with a whole frame:
+/// its length prefix and every byte the prefix counts. A buffered reader
+/// can read such a frame without waiting for the network. Says `false` on
+/// a length prefix that is cut short or does not decode.
+pub fn complete_frame_buffered(buf: &[u8]) -> bool {
+    let mut r = WireReader::new(buf);
+    r.get_u64().is_ok_and(|len| len <= r.remaining() as u64)
 }
 
 /// Reads one varint of a frame header byte by byte (through the caller's
@@ -301,6 +354,101 @@ mod tests {
         };
         let err = write_frame(&mut dead, 1, b"x").unwrap_err();
         assert!(matches!(err, Error::Transport(_)), "{err}");
+    }
+
+    /// A run of frames with bodies of assorted sizes, ids spanning one to
+    /// three varint bytes.
+    fn run() -> Vec<(u64, Vec<u8>)> {
+        [(0u64, 0usize), (5, 3), (300, 200), (70_000, 1), (6, 20_000)]
+            .into_iter()
+            .map(|(id, len)| (id, (0..len).map(|i| (i + id as usize) as u8).collect()))
+            .collect()
+    }
+
+    #[test]
+    fn a_run_of_frames_is_one_write_and_the_bytes_of_one_frame_each() {
+        let frames = run();
+        let mut expect = Vec::new();
+        for (id, body) in &frames {
+            write_frame(&mut expect, *id, body).unwrap();
+        }
+        for take in [usize::MAX, 1] {
+            let mut w = Throttled {
+                take,
+                calls: 0,
+                got: Vec::new(),
+            };
+            write_frames(&mut w, &frames).unwrap();
+            assert_eq!(w.got, expect, "{take} bytes per call");
+            if take == usize::MAX {
+                assert_eq!(w.calls, 1, "one call for {} frames", frames.len());
+            }
+        }
+        let mut reader = &expect[..];
+        for (id, body) in &frames {
+            assert_eq!(
+                read_frame(&mut reader).unwrap().as_ref(),
+                Some(&(*id, body.clone()))
+            );
+        }
+    }
+
+    /// A writer that takes what it is offered until `left` bytes are gone,
+    /// then fails.
+    struct FailAfter {
+        left: usize,
+    }
+
+    impl Write for FailAfter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            match buf.len().min(self.left) {
+                0 => Err(ErrorKind::ConnectionReset.into()),
+                n => {
+                    self.left -= n;
+                    Ok(n)
+                }
+            }
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_failed_run_reports_the_frames_taken_whole() {
+        let frames = run();
+        let mut ends = Vec::new();
+        let mut wire = Vec::new();
+        for (id, body) in &frames {
+            write_frame(&mut wire, *id, body).unwrap();
+            ends.push(wire.len());
+        }
+        for k in 0..wire.len() {
+            let (whole, err) = write_frames(&mut FailAfter { left: k }, &frames).unwrap_err();
+            assert!(matches!(err, Error::Transport(_)), "{err}");
+            assert_eq!(whole, ends.iter().filter(|&&end| end <= k).count(), "{k}");
+        }
+        write_frames(&mut FailAfter { left: wire.len() }, &frames).unwrap();
+    }
+
+    #[test]
+    fn a_complete_frame_is_told_from_every_partial_one() {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, 300, &[7u8; 200]).unwrap();
+        // The length (201 + 2 id bytes) is a two-byte varint: split at 1.
+        assert!(!complete_frame_buffered(&[]), "empty");
+        assert!(!complete_frame_buffered(&wire[..1]), "split length varint");
+        for cut in [2, 3, 4, wire.len() - 1] {
+            assert!(!complete_frame_buffered(&wire[..cut]), "partial at {cut}");
+        }
+        assert!(complete_frame_buffered(&wire), "exact frame");
+        let mut more = wire.clone();
+        more.extend_from_slice(&wire[..3]);
+        assert!(
+            complete_frame_buffered(&more),
+            "a frame and part of the next"
+        );
+        assert!(!complete_frame_buffered(&[0xFF; 11]), "no varint decodes");
     }
 
     /// A reader that counts the calls reaching it.

@@ -147,8 +147,12 @@ impl<S: BlockSink> BlockWriter<S> {
         if self.buf.is_empty() {
             return Ok(());
         }
-        // The frozen buffer *is* the block the sink stores: no copy.
-        self.sink.commit(self.buf.split().freeze())?;
+        // The frozen buffer *is* the block the sink stores: no copy. The
+        // next block starts in a buffer of its own full size, so it never
+        // regrows (and re-copies) on the way there.
+        let fresh = BytesMut::with_capacity(self.block_size);
+        self.sink
+            .commit(std::mem::replace(&mut self.buf, fresh).freeze())?;
         self.commits += 1;
         Ok(())
     }
@@ -266,6 +270,19 @@ mod tests {
             assert!(data[i * 10..(i + 1) * 10].iter().all(|&b| b == i as u8));
         }
         assert_eq!(seen.finished, vec![false], "finished once, by close");
+    }
+
+    #[test]
+    fn every_block_starts_in_a_buffer_of_full_block_size() {
+        let (mut out, seen) = writer();
+        for block in 0..3u64 {
+            assert!(out.buf.capacity() >= BLOCK as usize, "block {block}");
+            let at = out.buf.as_ptr();
+            out.write(&[block as u8; BLOCK as usize - 1]).unwrap();
+            assert_eq!(out.buf.as_ptr(), at, "block {block} regrew");
+            out.write(&[block as u8]).unwrap();
+        }
+        assert_eq!(seen.lock().unwrap().blocks.len(), 3);
     }
 
     #[test]

@@ -29,21 +29,30 @@ use std::time::Duration;
 /// `write_vectored` call (one syscall on a socket or a file); one that
 /// takes less is offered the rest again, [`ErrorKind::Interrupted`] is
 /// retried, and a writer that takes nothing fails with
-/// [`ErrorKind::WriteZero`]. On an error an unknown prefix of the bytes
-/// has been written. `bufs` is consumed: its slices are advanced in place.
+/// [`ErrorKind::WriteZero`]. An error comes with the number of leading
+/// bytes the writer did take: a caller that wrote several records in one
+/// call can tell which of them left whole. `bufs` is consumed: its slices
+/// are advanced in place.
 ///
 /// Both frame formats — the RPC wire's and the disk logs' — put a small
 /// header in front of a payload they do not own; this is how the two leave
 /// together without being copied into one buffer first.
-pub fn write_all_vectored(w: &mut impl Write, mut bufs: &mut [IoSlice<'_>]) -> std::io::Result<()> {
+pub fn write_all_vectored(
+    w: &mut impl Write,
+    mut bufs: &mut [IoSlice<'_>],
+) -> std::result::Result<(), (usize, std::io::Error)> {
     // Drops leading empty slices, so an all-empty list writes nothing.
     IoSlice::advance_slices(&mut bufs, 0);
+    let mut written = 0;
     while !bufs.is_empty() {
         match w.write_vectored(bufs) {
-            Ok(0) => return Err(ErrorKind::WriteZero.into()),
-            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Ok(0) => return Err((written, ErrorKind::WriteZero.into())),
+            Ok(n) => {
+                written += n;
+                IoSlice::advance_slices(&mut bufs, n);
+            }
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
+            Err(e) => return Err((written, e)),
         }
     }
     Ok(())
@@ -711,8 +720,37 @@ mod tests {
         write_all_vectored(&mut idle, &mut [IoSlice::new(b""), IoSlice::new(b"")]).unwrap();
         assert_eq!(idle.calls, 0);
         // A writer that takes nothing is an error, not a spin.
-        let err = write_all_vectored(&mut idle, &mut [IoSlice::new(b"x")]).unwrap_err();
-        assert_eq!(err.kind(), ErrorKind::WriteZero);
+        let (written, err) = write_all_vectored(&mut idle, &mut [IoSlice::new(b"x")]).unwrap_err();
+        assert_eq!((written, err.kind()), (0, ErrorKind::WriteZero));
+    }
+
+    /// Takes what it is offered until `left` bytes are gone, then fails.
+    struct Failing {
+        left: usize,
+    }
+
+    impl Write for Failing {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            match buf.len().min(self.left) {
+                0 => Err(ErrorKind::BrokenPipe.into()),
+                n => {
+                    self.left -= n;
+                    Ok(n)
+                }
+            }
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_failed_vectored_write_reports_the_bytes_taken_before_it() {
+        for left in [0, 3, 6, 11] {
+            let mut bufs = [b"header".as_slice(), b"payload"].map(IoSlice::new);
+            let (written, err) = write_all_vectored(&mut Failing { left }, &mut bufs).unwrap_err();
+            assert_eq!((written, err.kind()), (left, ErrorKind::BrokenPipe));
+        }
     }
 
     #[test]

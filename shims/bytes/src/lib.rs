@@ -180,6 +180,11 @@ impl BytesMut {
         self.buf.is_empty()
     }
 
+    /// Bytes the buffer holds room for without reallocating.
+    pub fn capacity(&self) -> usize {
+        self.buf.capacity()
+    }
+
     pub fn extend_from_slice(&mut self, extend: &[u8]) {
         self.buf.extend_from_slice(extend);
     }
@@ -264,6 +269,15 @@ mod tests {
         let taken = m.split().freeze();
         assert_eq!(&taken[..], b"chunk");
         assert!(m.is_empty());
+    }
+
+    #[test]
+    fn capacity_is_the_room_reserved() {
+        let mut m = BytesMut::with_capacity(64);
+        assert!(m.capacity() >= 64);
+        m.extend_from_slice(&[1; 64]);
+        assert!(m.capacity() >= 64);
+        assert_eq!(BytesMut::new().capacity(), 0);
     }
 
     #[test]

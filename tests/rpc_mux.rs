@@ -801,3 +801,125 @@ fn a_response_with_trailing_bytes_is_a_transport_error() {
     let got = RpcVersionService::connect_with(scripted_peer(long_probe), stats(), 1);
     transport(got.map(|vm| vm.block_size()));
 }
+
+/// Method tags of the version service the raw-TCP tests below speak.
+const BLOCK_SIZE: u8 = 0;
+const WAIT_REVEALED: u8 = 8;
+
+/// A version-manager server and a raw TCP connection to it, on which the
+/// caller writes frames by hand — in whatever segments it likes.
+fn raw_version_server() -> (
+    Arc<blobseer_core::VersionManager>,
+    RpcServer,
+    std::net::TcpStream,
+) {
+    let vm = Arc::new(blobseer_core::VersionManager::new(
+        BLOCK,
+        Arc::new(EngineStats::new()),
+    ));
+    let server = RpcServer::spawn(
+        RpcService::Version(Arc::clone(&vm) as _),
+        ServerOptions::default(),
+    )
+    .unwrap();
+    let stream = std::net::TcpStream::connect(server.addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    (vm, server, stream)
+}
+
+/// The bytes of one request frame.
+fn request_frame(id: u64, body: &[u8]) -> Vec<u8> {
+    let mut wire = Vec::new();
+    blobseer_rpc::wire::write_frame(&mut wire, id, body).unwrap();
+    wire
+}
+
+/// The next response on `reader`: its id and the block size it answers.
+fn block_size_answer(reader: &mut impl std::io::Read) -> (u64, u64) {
+    use blobseer_types::wire::Wire;
+    let (id, body) = blobseer_rpc::wire::read_frame(reader)
+        .expect("an answer within the read timeout")
+        .expect("an answer, not EOF");
+    (
+        id,
+        blobseer_rpc::wire::decode_response(&body, u64::get).unwrap(),
+    )
+}
+
+/// The server holds answers only while a whole next request is already in
+/// its buffer: behind request A comes half of request B, and A's answer
+/// arrives while B is still incomplete — it never waits for the network.
+#[test]
+fn a_held_answer_never_waits_for_the_rest_of_a_partial_frame() {
+    use std::io::Write;
+    let (_vm, _server, mut stream) = raw_version_server();
+    let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
+    let a = request_frame(1, &[BLOCK_SIZE]);
+    // B carries padding after its tag, so half of it is a real fragment.
+    let mut b_body = vec![BLOCK_SIZE];
+    b_body.extend_from_slice(&[0; 64]);
+    let b = request_frame(2, &b_body);
+    let (b_head, b_tail) = b.split_at(b.len() / 2);
+    stream.write_all(&[a, b_head.to_vec()].concat()).unwrap();
+    assert_eq!(block_size_answer(&mut reader), (1, BLOCK));
+    // B, completed now, is answered too (its trailing bytes are an error
+    // answer, not a lost connection).
+    stream.write_all(b_tail).unwrap();
+    let (id, body) = blobseer_rpc::wire::read_frame(&mut reader)
+        .unwrap()
+        .unwrap();
+    assert_eq!(id, 2);
+    let got = blobseer_rpc::wire::decode_response(&body, |_| Ok(()));
+    assert!(matches!(got, Err(Error::Transport(_))), "{got:?}");
+}
+
+/// A pipelined run that reaches the server in one segment is answered
+/// whole, every id echoed, in arrival order.
+#[test]
+fn a_pipelined_run_in_one_segment_is_answered_whole() {
+    use std::io::Write;
+    let (_vm, server, mut stream) = raw_version_server();
+    let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
+    let ids = 100..164u64;
+    let run: Vec<u8> = ids
+        .clone()
+        .flat_map(|id| request_frame(id, &[BLOCK_SIZE]))
+        .collect();
+    stream.write_all(&run).unwrap();
+    let answers: Vec<(u64, u64)> = ids
+        .clone()
+        .map(|_| block_size_answer(&mut reader))
+        .collect();
+    let expect: Vec<(u64, u64)> = ids.map(|id| (id, BLOCK)).collect();
+    assert_eq!(answers, expect);
+    assert_eq!(server.frames_served(), 64);
+}
+
+/// A parked `wait_revealed` holds nothing back: the request written right
+/// behind it, in the same segment, is answered first, and the wait is
+/// answered the moment its version is revealed.
+#[test]
+fn a_parked_wait_is_overtaken_by_the_answers_behind_it() {
+    use blobseer_types::wire::Wire;
+    use std::io::Write;
+    let (vm, _server, mut stream) = raw_version_server();
+    let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
+    let blob = vm.create_blob();
+    let ticket = vm
+        .assign(blob, WriteIntent::Append { size: BLOCK })
+        .unwrap();
+    let mut wait = vec![WAIT_REVEALED];
+    wait.extend_from_slice(&(blob, ticket.version, Duration::from_secs(30)).to_bytes());
+    let run = [request_frame(1, &wait), request_frame(2, &[BLOCK_SIZE])].concat();
+    stream.write_all(&run).unwrap();
+    assert_eq!(block_size_answer(&mut reader), (2, BLOCK), "overtaken");
+    vm.commit(blob, ticket.version).unwrap();
+    let (id, body) = blobseer_rpc::wire::read_frame(&mut reader)
+        .unwrap()
+        .unwrap();
+    assert_eq!(id, 1);
+    blobseer_rpc::wire::decode_response(&body, <()>::get).unwrap();
+}
