@@ -59,9 +59,10 @@ pub const RULE_NO_PANIC_DECODE: &str = "no-panic-decode";
 pub const RULE_NO_STAGING_COPY: &str = "no-staging-copy";
 pub const RULE_VECTORED_ONLY: &str = "vectored-only";
 pub const RULE_ONE_CODEC: &str = "one-codec";
+pub const RULE_NO_UNSAFE: &str = "no-unsafe";
 
 /// Every rule the lint knows, in reporting order.
-pub const ALL_RULES: [&str; 7] = [
+pub const ALL_RULES: [&str; 8] = [
     RULE_NO_UNWRAP,
     RULE_NO_STD_SYNC,
     RULE_NO_REAL_TIME,
@@ -69,6 +70,7 @@ pub const ALL_RULES: [&str; 7] = [
     RULE_NO_STAGING_COPY,
     RULE_VECTORED_ONLY,
     RULE_ONE_CODEC,
+    RULE_NO_UNSAFE,
 ];
 
 /// One lint violation.
@@ -150,6 +152,10 @@ const NO_STAGING_COPY_SCOPE: [&str; 4] = [
 /// recurse into the checker it underpins).
 const STD_SYNC_EXEMPT: [&str; 2] = ["shims/parking_lot/", "crates/simnet/src/gate.rs"];
 
+/// Everything built from this workspace. `perf/` is outside: the benchmark
+/// is its own package and keeps its own rules.
+const NO_UNSAFE_SCOPE: [&str; 3] = ["crates/", "shims/", "src/"];
+
 fn in_scope(rel: &str, prefixes: &[&str]) -> bool {
     prefixes.iter().any(|p| rel.starts_with(p))
 }
@@ -166,6 +172,16 @@ fn is_test_path(rel: &str) -> bool {
 // ---------------------------------------------------------------------------
 // Line-level scanning.
 // ---------------------------------------------------------------------------
+
+/// Whether `word` occurs in `line` as a whole identifier — `unsafe`, but
+/// not `unsafe_code`.
+fn has_word(line: &str, word: &str) -> bool {
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    line.match_indices(word).any(|(at, _)| {
+        !line[..at].chars().next_back().is_some_and(ident)
+            && !line[at + word.len()..].chars().next().is_some_and(ident)
+    })
+}
 
 /// Strips line comments, block comments and (naively) string literals,
 /// tracking block-comment state across lines. Good enough for pattern
@@ -278,6 +294,7 @@ pub fn lint_source(rel: &str, source: &str) -> Vec<Finding> {
     let std_sync_scope = !in_scope(&rel, &STD_SYNC_EXEMPT);
     let staging_copy_scope = NO_STAGING_COPY_SCOPE.contains(&rel.as_str());
     let one_codec_scope = !ONE_CODEC_EXEMPT.contains(&rel.as_str());
+    let unsafe_scope = in_scope(&rel, &NO_UNSAFE_SCOPE);
 
     let mut findings = Vec::new();
     let mut in_block_comment = false;
@@ -395,6 +412,9 @@ pub fn lint_source(rel: &str, source: &str) -> Vec<Finding> {
             let hit = cleaned.contains("get_u64()? as usize")
                 || (cleaned.contains("::new(") && cleaned.contains(".get_u64()?)"));
             check(RULE_ONE_CODEC, hit, &mut findings);
+        }
+        if unsafe_scope {
+            check(RULE_NO_UNSAFE, has_word(&cleaned, "unsafe"), &mut findings);
         }
 
         prev_allows = allows;

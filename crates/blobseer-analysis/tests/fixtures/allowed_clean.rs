@@ -10,6 +10,11 @@ pub fn same_line(v: &[u32]) -> u32 {
     *v.first().expect("non-empty") // lint:allow(no-unwrap): fixture same-line allow
 }
 
+pub fn sanctioned(p: &u8) -> u8 {
+    // lint:allow(no-unsafe): fixture exception with a documented reason
+    unsafe { *(p as *const u8) }
+}
+
 pub fn quoted() -> &'static str {
     // The pattern below lives in a string literal, not code.
     "call .unwrap() and std::sync::Mutex and Instant::now() here"

@@ -4,7 +4,8 @@
 
 use blobseer_analysis::{
     lint_source, lint_workspace, workspace_root, RULE_NO_PANIC_DECODE, RULE_NO_REAL_TIME,
-    RULE_NO_STAGING_COPY, RULE_NO_STD_SYNC, RULE_NO_UNWRAP, RULE_ONE_CODEC, RULE_VECTORED_ONLY,
+    RULE_NO_STAGING_COPY, RULE_NO_STD_SYNC, RULE_NO_UNSAFE, RULE_NO_UNWRAP, RULE_ONE_CODEC,
+    RULE_VECTORED_ONLY,
 };
 
 fn fixture(name: &str) -> String {
@@ -142,6 +143,22 @@ fn one_codec_rule_fires_on_hand_decoded_lists_and_ids_outside_the_codecs() {
         let hits = lint_source(rel, &src);
         assert!(hits.iter().all(|f| f.rule != RULE_ONE_CODEC), "{rel}");
     }
+}
+
+#[test]
+fn unsafe_rule_fires_on_the_keyword_in_workspace_code_only() {
+    let src = fixture("unsafe_violation.rs");
+    for rel in [
+        "crates/blobseer-core/src/fixture.rs",
+        "shims/parking_lot/src/fixture.rs",
+        "src/fixture.rs",
+    ] {
+        let findings = lint_source(rel, &src);
+        assert_eq!(findings.len(), 2, "{rel}: block + fn: {findings:?}");
+        assert!(findings.iter().all(|f| f.rule == RULE_NO_UNSAFE), "{rel}");
+    }
+    // The benchmark package is out of scope.
+    assert!(lint_source("perf/src/fixture.rs", &src).is_empty());
 }
 
 #[test]

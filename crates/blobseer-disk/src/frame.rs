@@ -8,9 +8,10 @@
 //! └────────────┴────────────┴───────────────────┘
 //! ```
 //!
-//! `crc` is the CRC-32 (IEEE) of the payload alone; the 8-byte header is
-//! protected indirectly — a corrupt `len` either points past the end of
-//! the file or frames a byte range whose checksum cannot match.
+//! `crc` is the CRC-32 (IEEE, computed by `crc32fast`) of the payload
+//! alone; the 8-byte header is protected indirectly — a corrupt `len`
+//! either points past the end of the file or frames a byte range whose
+//! checksum cannot match.
 //!
 //! # Recovery rule
 //!
@@ -61,104 +62,6 @@ pub const FRAME_HEADER_LEN: u64 = 8;
 /// make recovery attempt a huge allocation.
 pub const MAX_FRAME_PAYLOAD: u32 = 80 * 1024 * 1024;
 
-// CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320), slicing-by-16:
-// `CRC32_TABLES[0]` is the classic byte-at-a-time table, and
-// `CRC32_TABLES[k][b]` is the register after byte `b` followed by `k` zero
-// bytes — so sixteen input bytes fold into the register with sixteen
-// independent lookups instead of sixteen dependent ones. Same values as
-// the bytewise form (the tests hold the two against each other), several
-// times its speed. Hand-rolled, in safe Rust and built at compile time,
-// because the sandboxed build has no crates.io.
-const fn crc32_tables() -> [[u32; 256]; 16] {
-    let mut tables = [[0u32; 256]; 16];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            bit += 1;
-        }
-        tables[0][i] = c;
-        i += 1;
-    }
-    let mut k = 1;
-    while k < 16 {
-        let mut i = 0;
-        while i < 256 {
-            let prev = tables[k - 1][i];
-            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
-            i += 1;
-        }
-        k += 1;
-    }
-    tables
-}
-
-static CRC32_TABLES: [[u32; 256]; 16] = crc32_tables();
-
-/// A running CRC-32 (IEEE): feed it a payload in as many pieces as it
-/// lies in, in order; the result is the checksum of their concatenation,
-/// wherever the cuts fall.
-#[derive(Clone, Copy, Debug)]
-pub struct Crc32 {
-    state: u32,
-}
-
-impl Default for Crc32 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Crc32 {
-    /// The checksum of no bytes yet.
-    pub fn new() -> Self {
-        Self { state: !0 }
-    }
-
-    /// Folds `data` in.
-    pub fn update(&mut self, data: &[u8]) {
-        let t = &CRC32_TABLES;
-        let word = |b: &[u8]| u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
-        // Table `k` takes the byte with `k` more bytes of the chunk behind it.
-        let fold = |w: u32, behind: usize| {
-            t[behind + 3][w as u8 as usize]
-                ^ t[behind + 2][(w >> 8) as u8 as usize]
-                ^ t[behind + 1][(w >> 16) as u8 as usize]
-                ^ t[behind][(w >> 24) as usize]
-        };
-        let mut c = self.state;
-        let mut chunks = data.chunks_exact(16);
-        for chunk in &mut chunks {
-            c = fold(word(&chunk[0..4]) ^ c, 12)
-                ^ fold(word(&chunk[4..8]), 8)
-                ^ fold(word(&chunk[8..12]), 4)
-                ^ fold(word(&chunk[12..16]), 0);
-        }
-        for &b in chunks.remainder() {
-            c = t[0][(c as u8 ^ b) as usize] ^ (c >> 8);
-        }
-        self.state = c;
-    }
-
-    /// The checksum of everything fed in.
-    pub fn finish(self) -> u32 {
-        !self.state
-    }
-}
-
-/// CRC-32 (IEEE) of `data`.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = Crc32::new();
-    crc.update(data);
-    crc.finish()
-}
-
 /// Maps an I/O failure on `path` into [`Error::Storage`] with context.
 pub fn storage_err(path: &Path, context: &str, e: std::io::Error) -> Error {
     Error::Storage(format!("{}: {context}: {e}", path.display()))
@@ -197,12 +100,12 @@ impl<'a> Frame<'a> {
                     "frame payload of {total} bytes exceeds the {MAX_FRAME_PAYLOAD}-byte frame cap"
                 ))
             })?;
-        let mut crc = Crc32::new();
+        let mut crc = crc32fast::Hasher::new();
         crc.update(head);
         crc.update(body);
         let mut header = [0u8; FRAME_HEADER_LEN as usize];
         header[..4].copy_from_slice(&len.to_le_bytes());
-        header[4..].copy_from_slice(&crc.finish().to_le_bytes());
+        header[4..].copy_from_slice(&crc.finalize().to_le_bytes());
         Ok(Self {
             header,
             parts: [head, body],
@@ -279,7 +182,7 @@ impl FrameLog {
             reader
                 .read_exact(&mut payload)
                 .map_err(|e| storage_err(&path, "read frame payload", e))?;
-            if crc32(&payload) != crc {
+            if crc32fast::hash(&payload) != crc {
                 break; // torn or corrupt payload
             }
             visit(offset + FRAME_HEADER_LEN, &payload)?;
@@ -433,53 +336,12 @@ mod tests {
     use super::*;
     use crate::testutil::TempDir;
 
-    /// The parent format's encoder, kept verbatim as what the new write path
-    /// is held against: the bytewise table-driven CRC-32 and a frame staged as
-    /// header + payload in one buffer.
-    mod oracle {
-        const fn crc32_table() -> [u32; 256] {
-            let mut table = [0u32; 256];
-            let mut i = 0;
-            while i < 256 {
-                let mut c = i as u32;
-                let mut bit = 0;
-                while bit < 8 {
-                    c = if c & 1 != 0 {
-                        0xEDB8_8320 ^ (c >> 1)
-                    } else {
-                        c >> 1
-                    };
-                    bit += 1;
-                }
-                table[i] = c;
-                i += 1;
-            }
-            table
-        }
-
-        static CRC32_TABLE: [u32; 256] = crc32_table();
-
-        pub fn crc32(data: &[u8]) -> u32 {
-            let mut c = !0u32;
-            for &b in data {
-                c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-            }
-            !c
-        }
-
-        pub fn encode_frame_into(out: &mut Vec<u8>, payload: &[u8]) {
-            out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            out.extend_from_slice(&crc32(payload).to_le_bytes());
-            out.extend_from_slice(payload);
-        }
-    }
-
-    #[test]
-    fn crc32_known_answer() {
-        // The standard CRC-32/IEEE check value.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(oracle::crc32(b"123456789"), 0xCBF4_3926);
+    /// The parent format's encoder, kept as what the vectored write path is
+    /// held against: a frame staged as header + payload in one buffer.
+    fn encode_frame_into(out: &mut Vec<u8>, payload: &[u8]) {
+        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        out.extend_from_slice(&crc32fast::hash(payload).to_le_bytes());
+        out.extend_from_slice(payload);
     }
 
     /// SplitMix64: the deterministic randomness of the tests below.
@@ -494,52 +356,8 @@ mod tests {
             z ^ (z >> 31)
         }
 
-        fn below(&mut self, n: usize) -> usize {
-            (self.next() % n as u64) as usize
-        }
-
         fn bytes(&mut self, n: usize) -> Vec<u8> {
             (0..n).map(|_| self.next() as u8).collect()
-        }
-    }
-
-    /// The sliced, streaming checksum against the bytewise oracle: every
-    /// short length at every alignment, then random lengths cut at random
-    /// points into `update` calls.
-    #[test]
-    fn sliced_streaming_crc_equals_the_bytewise_oracle() {
-        let mut rng = Rng(18);
-        let buf = rng.bytes(64 + 16);
-        for len in 0..=64 {
-            for align in 0..16 {
-                let data = &buf[align..align + len];
-                assert_eq!(crc32(data), oracle::crc32(data), "len {len} at +{align}");
-            }
-        }
-        for case in 0..300 {
-            let len = match case % 3 {
-                0 => rng.below(100),
-                1 => rng.below(5_000),
-                _ => rng.below(200_000),
-            };
-            let align = rng.below(16);
-            let buf = rng.bytes(align + len);
-            let data = &buf[align..];
-            let want = oracle::crc32(data);
-            assert_eq!(crc32(data), want, "case {case}: {len} bytes at +{align}");
-            // The same bytes in up to six pieces, empty ones included.
-            let mut cuts: Vec<usize> = (0..rng.below(6)).map(|_| rng.below(len + 1)).collect();
-            cuts.extend([0, len]);
-            cuts.sort_unstable();
-            let mut crc = Crc32::new();
-            for piece in cuts.windows(2) {
-                crc.update(&data[piece[0]..piece[1]]);
-            }
-            assert_eq!(
-                crc.finish(),
-                want,
-                "case {case}: {len} bytes cut at {cuts:?}"
-            );
         }
     }
 
@@ -632,6 +450,40 @@ mod tests {
         .unwrap();
         assert_eq!(payloads, vec![b"keep".to_vec()]);
         assert_eq!(log.committed_len(), keep_end);
+    }
+
+    /// A corrupt byte anywhere in a frame's whole 64-byte blocks — the part
+    /// the folding checksum kernel covers, where the CPU has it — cuts the
+    /// log at that frame.
+    #[test]
+    fn a_flipped_byte_in_a_bulk_block_cuts_the_log_at_its_frame() {
+        let tmp = TempDir::new("frame-bulk-flip");
+        let mut log = FrameLog::open(tmp.path().join("pristine")).unwrap();
+        log.append(b"keep").unwrap();
+        let keep_end = log.committed_len();
+        let body = Rng(38).bytes(300);
+        let batch = [
+            Frame::of_parts(b"head-", &body).unwrap(),
+            Frame::new(b"casualty").unwrap(),
+        ];
+        let payload_at = log.append_many(&batch).unwrap()[0] as usize;
+        let pristine = std::fs::read(log.path()).unwrap();
+        drop(log);
+
+        let path = tmp.path().join("damaged");
+        for i in 0..(5 + body.len()) / 64 * 64 {
+            let mut bytes = pristine.clone();
+            bytes[payload_at + i] ^= 0xFF;
+            std::fs::write(&path, &bytes).unwrap();
+            let mut payloads = Vec::new();
+            let log = FrameLog::open_with(&path, |_, p| {
+                payloads.push(p.to_vec());
+                Ok(())
+            })
+            .unwrap();
+            assert_eq!(payloads, vec![b"keep".to_vec()], "payload byte {i}");
+            assert_eq!(log.committed_len(), keep_end, "payload byte {i}");
+        }
     }
 
     #[test]
@@ -872,7 +724,7 @@ mod tests {
         let golden = |records: &[WireWriter]| {
             let mut file = Vec::new();
             for record in records {
-                oracle::encode_frame_into(&mut file, record.as_slice());
+                encode_frame_into(&mut file, record.as_slice());
             }
             file
         };

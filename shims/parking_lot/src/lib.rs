@@ -24,7 +24,8 @@
 //!   process-wide counter and a max-wait-time gauge, surfaced by the
 //!   engine's `EngineStats`.
 //!
-//! This crate is the only one in the workspace allowed `unsafe`: the
+//! This crate is one of the two in the workspace allowed `unsafe` (the
+//! other is `shims/crc32fast`, for its CPU-specific checksum kernel); its
 //! single exception is `take_guard`, which bridges std's by-value
 //! condvar-guard API to parking_lot's `&mut guard` API.
 
@@ -434,7 +435,7 @@ impl std::fmt::Debug for Condvar {
 ///
 /// std's condvar consumes the guard by value while parking_lot takes
 /// `&mut guard`; bridging the two requires a brief move out of the slot.
-/// This is the workspace's single `unsafe` exception (see ANALYSIS.md).
+/// This is one of the workspace's two `unsafe` exceptions (see ANALYSIS.md).
 #[allow(unsafe_code)]
 fn take_guard<'a, T>(
     slot: &mut std::sync::MutexGuard<'a, T>,
@@ -451,6 +452,7 @@ fn take_guard<'a, T>(
             std::process::abort();
         }
     }
+    // lint:allow(no-unsafe): the condvar guard bridge, see SAFETY above
     unsafe {
         let bomb = AbortOnUnwind;
         let owned = std::ptr::read(slot);

@@ -377,12 +377,10 @@ fn unaligned_append_timeout_is_configurable_and_repairs() {
 // Disk backend: kill-at-any-write-offset recovery (blobseer-disk)
 // ---------------------------------------------------------------------------
 
-/// Copies `src` to `dst` truncated at `cut` bytes — the on-disk image a
-/// crash at exactly that write offset would leave behind.
-fn crash_image(src: &Path, dst: &Path, cut: u64) {
-    std::fs::copy(src, dst).unwrap();
-    let f = std::fs::OpenOptions::new().write(true).open(dst).unwrap();
-    f.set_len(cut).unwrap();
+/// Writes the first `cut` bytes of the file `image` to `dst` — the on-disk
+/// image a crash at exactly that write offset would leave behind.
+fn crash_image(image: &[u8], dst: &Path, cut: u64) {
+    std::fs::write(dst, &image[..cut as usize]).unwrap();
 }
 
 /// One step of a disk-store workload. The key space is tiny on purpose so
@@ -401,9 +399,16 @@ fn disk_ops() -> impl Strategy<Value = Vec<DiskOp>> {
     proptest::collection::vec(op, 1..12)
 }
 
-/// Deterministic per-key content, so re-puts are always idempotent.
+/// Deterministic per-key content, so re-puts are always idempotent. Keys
+/// 0–2 are a few bytes; keys 3–5 are 64–130 bytes, so their frames hold
+/// whole 64-byte blocks and the checksum's folding kernel runs on them,
+/// at write and at every replay.
 fn disk_content(key: u8) -> Vec<u8> {
-    vec![key.wrapping_mul(17) ^ 0x5A; 1 + (key % 5) as usize]
+    let len = match key % 6 {
+        k @ 0..=2 => 1 + k as usize,
+        k => 64 + (k as usize - 3) * 33,
+    };
+    vec![key.wrapping_mul(17) ^ 0x5A; len]
 }
 
 fn meta_key(v: u8) -> NodeKey {
@@ -453,8 +458,9 @@ proptest! {
 
         let final_len = snapshots.last().unwrap().0;
         let scratch = tmp.path().join("scratch.vol");
+        let image = std::fs::read(&live).unwrap();
         for cut in 0..=final_len {
-            crash_image(&live, &scratch, cut);
+            crash_image(&image, &scratch, cut);
             let recovered = DiskVolume::open(&scratch, NodeId::new(0)).unwrap();
             let expected = &snapshots.iter().rev().find(|(len, _)| *len <= cut).unwrap().1;
             prop_assert_eq!(
@@ -503,8 +509,9 @@ proptest! {
         let final_len = snapshots.last().unwrap().0;
         let scratch_dir = TempDir::new("crash-meta-scratch");
         let scratch = shard_path(scratch_dir.path(), 0);
+        let image = std::fs::read(&live).unwrap();
         for cut in 0..=final_len {
-            crash_image(&live, &scratch, cut);
+            crash_image(&image, &scratch, cut);
             let recovered = DiskMetaStore::open(scratch_dir.path(), 1).unwrap();
             let expected = &snapshots.iter().rev().find(|(len, _)| *len <= cut).unwrap().1;
             prop_assert_eq!(
@@ -561,8 +568,9 @@ fn version_log_recovers_committed_prefix_at_every_offset() {
 
     let final_len = snapshots.last().unwrap().0;
     let scratch = tmp.path().join("scratch.log");
+    let image = std::fs::read(&live).unwrap();
     for cut in 0..=final_len {
-        crash_image(&live, &scratch, cut);
+        crash_image(&image, &scratch, cut);
         let recovered = DurableVersionService::open(&scratch, 64).unwrap();
         let expected = &snapshots
             .iter()
