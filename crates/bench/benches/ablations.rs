@@ -6,13 +6,15 @@
 //! curves is itself a recorded artifact.
 //!
 //! * placement policy × {round-robin, least-loaded, random, sticky};
-//! * HDFS placement stickiness (Fig. 3(b)'s magnitude driver);
+//! * HDFS placement stickiness (Fig. 3(b)'s magnitude driver), on the
+//!   `hdfs-sim` namenode the figure plots;
 //! * metadata-provider count (the decentralization claim of §III-A.3);
 //! * version-manager service time (Fig. 5's knee);
 //! * append vs random-offset writes (§V-F's closing claim).
 
 use blobseer_core::placement::manhattan_unbalance;
 use blobseer_types::config::PlacementPolicy;
+use blobseer_types::HdfsConfig;
 use criterion::{criterion_group, criterion_main, Criterion};
 use experiments::{fig3b, fig5, Constants};
 use simnet::SimDuration;
@@ -31,7 +33,7 @@ fn ablate_policies(c: &mut Criterion) {
     ];
     println!("# ablation: placement policy → unbalance (256 blocks / 269 nodes)");
     for (name, policy) in policies {
-        let u = fig3b::mean_unbalance(policy, 256, 269);
+        let u = fig3b::mean_unbalance(|s| fig3b::unbalance_of(policy, 256, 269, s));
         println!("{name:>14}: {u:8.1}");
     }
     let mut g = c.benchmark_group("ablations/policy_unbalance");
@@ -39,18 +41,27 @@ fn ablate_policies(c: &mut Criterion) {
     g.bench_function("all_policies", |b| {
         b.iter(|| {
             for (_, policy) in policies {
-                black_box(fig3b::mean_unbalance(policy, 256, 269));
+                black_box(fig3b::mean_unbalance(|s| {
+                    fig3b::unbalance_of(policy, 256, 269, s)
+                }));
             }
         })
     });
     g.finish();
 }
 
-/// Fig. 3(b) magnitude vs the stickiness constant.
+/// Fig. 3(b) magnitude vs `HdfsConfig::placement_stickiness`.
 fn ablate_stickiness(c: &mut Criterion) {
+    let unbalance = |stickiness| {
+        let cfg = HdfsConfig {
+            placement_stickiness: stickiness,
+            ..HdfsConfig::default()
+        };
+        fig3b::mean_unbalance(|s| fig3b::hdfs_unbalance_of(cfg.clone(), 256, 269, s))
+    };
     println!("# ablation: HDFS stickiness → unbalance at 16 GB");
     for stickiness in [0u8, 20, 40, 55, 65, 80] {
-        let u = fig3b::mean_unbalance(PlacementPolicy::StickyRandom { stickiness }, 256, 269);
+        let u = unbalance(stickiness);
         println!("stickiness {stickiness:>3}%: {u:8.1}");
     }
     let mut g = c.benchmark_group("ablations/stickiness");
@@ -58,11 +69,7 @@ fn ablate_stickiness(c: &mut Criterion) {
     g.bench_function("sweep", |b| {
         b.iter(|| {
             for s in [0u8, 40, 80] {
-                black_box(fig3b::mean_unbalance(
-                    PlacementPolicy::StickyRandom { stickiness: s },
-                    256,
-                    269,
-                ));
+                black_box(unbalance(s));
             }
         })
     });

@@ -175,7 +175,8 @@ impl FileSystem for Bsfs {
         // Mapped directly onto BlobSeer's locality primitive (§IV-C).
         let blob = self.file_blob(path)?;
         let (_, size) = self.client.latest(blob)?;
-        let end = (offset + len).min(size);
+        // `len = u64::MAX` is Hadoop's "every block from `offset` on".
+        let end = offset.saturating_add(len).min(size);
         if offset >= end {
             return Ok(Vec::new());
         }

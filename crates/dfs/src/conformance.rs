@@ -179,6 +179,10 @@ pub fn block_locations(fs: &dyn FileSystem) {
     let locs = fs.block_locations("/conf/locs", bs, 1).unwrap();
     assert_eq!(locs.len(), 1);
     assert_eq!(locs[0].offset, bs);
+    // `len = u64::MAX` is Hadoop's "every block from `offset` on".
+    let locs = fs.block_locations("/conf/locs", 1, u64::MAX).unwrap();
+    assert_eq!(locs.len(), 4);
+    assert_eq!(locs[3].offset, 3 * bs);
 }
 
 /// status()/list() agree with what was created.

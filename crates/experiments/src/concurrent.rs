@@ -37,12 +37,14 @@
 //! version-assignment wait that is Fig. 5's knee) without instrumenting
 //! the client.
 //!
-//! [`BaselineWorld`] provides the same primitives without an engine for
-//! every HDFS comparison leg (Figs. 3(a), 4, 6(a) and 6(b)): HDFS has no
-//! `BlobClient`, so its curves are cost models by necessity — but they run
-//! as tasks on the same gate and charge through the same disks, namenode
-//! queue and streaming rule, not through an event-handler world of their
-//! own.
+//! [`HdfsDeployment`] puts `hdfs-sim`'s real namenode and datanodes on the
+//! same fabric for every HDFS comparison leg (Figs. 3–6). HDFS has no
+//! `BlobClient`, so the legs call the namenode and datanodes themselves
+//! from gate tasks, and the deployment charges each call by one of the
+//! fabric's HDFS rules (`ConcFabric::central_call`,
+//! `ConcFabric::allocate_chunk`, `ConcFabric::write_block`,
+//! `ConcFabric::fetch_block`) through the same disks, central queue and
+//! streaming rule the BSFS legs pay.
 
 use crate::constants::Constants;
 use blobseer_core::block_store::ProviderSet;
@@ -57,8 +59,10 @@ use blobseer_core::{
     SnapshotInfo, VersionManager, WriteIntent, WriteTicket,
 };
 use blobseer_types::config::PlacementPolicy;
-use blobseer_types::{BlobId, BlobSeerConfig, BlockId, NodeId, Result, Version};
+use blobseer_types::{BlobId, BlobSeerConfig, BlockId, HdfsConfig, NodeId, Result, Version};
 use bytes::Bytes;
+use dfs::DfsPath;
+use hdfs_sim::{ChunkMeta, FileSnapshot, HdfsCluster};
 use parking_lot::Mutex;
 use simnet::{Disk, FifoServer, FlowNet, NicSpec, SimDuration, SimGate, SimTask, SimTime};
 use std::cell::Cell;
@@ -101,46 +105,10 @@ fn client_node() -> NodeId {
         .expect("charged port call outside a simulated client thread")
 }
 
-/// The shared streaming-transfer composition: a disk (already submitted,
-/// draining until `disk_done`) feeds a bulk flow from `src` to `dst`
-/// started now — unless the endpoints are co-located, in which case there
-/// is no network leg — and `overhead` tops the transfer off. Blocks the
-/// calling simulated thread until everything finished.
-///
-/// Every HDFS baseline block write and fetch charges through this one
-/// function, and the real-protocol fabric's batch charging applies the same
-/// disk/flow/overhead rule per block, so it cannot drift between the system
-/// under test and its comparison model.
-fn stream_and_wait(
-    gate: &SimGate,
-    src: NodeId,
-    dst: NodeId,
-    bytes: u64,
-    disk_done: SimTime,
-    overhead: SimDuration,
-) {
-    let end = if src == dst {
-        disk_done
-    } else {
-        disk_done.max(gate.transfer(src, dst, bytes))
-    };
-    gate.sleep_until(end + overhead);
-}
-
-/// One small queued RPC: request latency, FIFO-queued service, response
-/// latency. Returns the completion instant (the caller sleeps until it —
-/// kept separate so callers can submit under their own state lock).
-fn rpc_done(
-    server: &mut FifoServer,
-    now: SimTime,
-    latency: SimDuration,
-    svc: SimDuration,
-) -> SimTime {
-    server.submit_with(now + latency, svc) + latency
-}
-
 /// Shared cost-model state of a concurrent deployment: the gate plus the
-/// queueing servers every adapter charges into.
+/// disks and queueing servers every adapter charges into. For an HDFS
+/// deployment the disks are the datanodes' and the central queue is the
+/// namenode's.
 pub struct ConcFabric {
     gate: SimGate,
     c: Constants,
@@ -152,7 +120,7 @@ struct Aux {
     write_disks: Vec<Disk>,
     read_disks: Vec<Disk>,
     /// The version manager's RPC queue — the protocol's serialization
-    /// point (§III-A.4).
+    /// point (§III-A.4) — or HDFS's namenode queue.
     central: FifoServer,
     /// The metadata providers' RPC queues.
     meta: Vec<FifoServer>,
@@ -185,6 +153,20 @@ impl ConcFabric {
     /// The virtual-time gate (for sleeps from figure-driver task bodies).
     pub fn gate(&self) -> &SimGate {
         &self.gate
+    }
+
+    /// The shared streaming rule: a disk (already submitted, draining until
+    /// `disk_done`) feeds a bulk flow of one block from `src` to `dst`
+    /// started now, unless the endpoints are co-located and there is no
+    /// network leg. Returns when both finished. Every BSFS and HDFS block
+    /// transfer charges through it, so the rule cannot drift between the
+    /// system under test and its baseline.
+    fn stream_end(&self, src: NodeId, dst: NodeId, disk_done: SimTime) -> SimTime {
+        if src == dst {
+            disk_done
+        } else {
+            disk_done.max(self.gate.transfer(src, dst, self.c.block_bytes))
+        }
     }
 
     /// True when the calling port call must be charged: charging is on
@@ -238,12 +220,7 @@ impl ConcFabric {
         for _ in 0..n {
             let disk_done =
                 self.aux.lock().write_disks[provider].submit(self.gate.now(), self.c.block_bytes);
-            let end = if node == pnode {
-                disk_done
-            } else {
-                disk_done.max(self.gate.transfer(node, pnode, self.c.block_bytes))
-            };
-            pending = pending.max(end + self.c.provider_svc);
+            pending = pending.max(self.stream_end(node, pnode, disk_done) + self.c.provider_svc);
         }
         OVERLAP.set(Some((anchor, pending)));
     }
@@ -264,12 +241,8 @@ impl ConcFabric {
         for _ in 0..n {
             let disk_done =
                 self.aux.lock().read_disks[provider].submit(self.gate.now(), self.c.block_bytes);
-            let end = if node == pnode {
-                disk_done
-            } else {
-                disk_done.max(self.gate.transfer(pnode, node, self.c.block_bytes))
-            };
-            pending = pending.max(end + self.c.bsfs_read_overhead);
+            pending =
+                pending.max(self.stream_end(pnode, node, disk_done) + self.c.bsfs_read_overhead);
         }
         OVERLAP.set(Some((anchor, pending)));
     }
@@ -279,27 +252,14 @@ impl ConcFabric {
     /// is the knee of Fig. 5. Opens the caller's metadata phase.
     fn charge_assign(&self) {
         self.settle_overlap();
-        let done = rpc_done(
-            &mut self.aux.lock().central,
-            self.gate.now(),
-            self.c.latency,
-            self.c.vm_assign_svc,
-        );
-        self.gate.sleep_until(done);
-        META_PHASE_START.set(done);
+        META_PHASE_START.set(self.central_call(self.c.vm_assign_svc));
     }
 
     /// A read-side version-manager lookup (`latest`): same queue, cheaper
     /// service.
     fn charge_lookup(&self) {
         self.settle_overlap();
-        let done = rpc_done(
-            &mut self.aux.lock().central,
-            self.gate.now(),
-            self.c.latency,
-            self.c.vm_lookup_svc,
-        );
-        self.gate.sleep_until(done);
+        self.central_call(self.c.vm_lookup_svc);
     }
 
     /// A batch of `n` tree-node puts, all charged as issued at the
@@ -311,7 +271,23 @@ impl ConcFabric {
     /// completion.
     fn charge_meta_put(&self, n: usize) {
         self.settle_overlap();
-        let start = META_PHASE_START.get().max(SimTime::ZERO);
+        self.meta_batch(META_PHASE_START.get().max(SimTime::ZERO), n);
+    }
+
+    /// A batch of `n` tree-node gets — one level of a root-to-leaf
+    /// descent. Hops between levels stay sequential (a child reference is
+    /// only known once its parent arrived), but the siblings of one level
+    /// are fetched concurrently: one request hop, per-item queued service,
+    /// the caller resumes at the latest completion. This is where the
+    /// vectored API flattens metadata latency under fan-out.
+    fn charge_meta_get(&self, n: usize) {
+        self.settle_overlap();
+        self.meta_batch(self.gate.now(), n);
+    }
+
+    /// `n` tree-node requests issued at `start`, round-robin over the
+    /// metadata providers; blocks until the latest response.
+    fn meta_batch(&self, start: SimTime, n: usize) {
         let mut latest = start;
         {
             let mut aux = self.aux.lock();
@@ -325,32 +301,51 @@ impl ConcFabric {
         self.gate.sleep_until(latest);
     }
 
-    /// A batch of `n` tree-node gets — one level of a root-to-leaf
-    /// descent. Hops between levels stay sequential (a child reference is
-    /// only known once its parent arrived), but the siblings of one level
-    /// are fetched concurrently: one request hop, per-item queued service,
-    /// the caller resumes at the latest completion. This is where the
-    /// vectored API flattens metadata latency under fan-out.
-    fn charge_meta_get(&self, n: usize) {
-        self.settle_overlap();
-        let now = self.gate.now();
-        let mut latest = now;
-        {
-            let mut aux = self.aux.lock();
-            for _ in 0..n {
-                let shard = aux.meta_rr % aux.meta.len();
-                aux.meta_rr += 1;
-                let done = aux.meta[shard].submit(now + self.c.latency) + self.c.latency;
-                latest = latest.max(done);
-            }
-        }
-        self.gate.sleep_until(latest);
-    }
-
     /// Commit notification to the version manager.
     fn charge_commit(&self) {
         self.settle_overlap();
         self.gate.sleep(self.c.rtt());
+    }
+
+    // The HDFS rules below charge unconditionally: [`HdfsDeployment`]
+    // calls them from the HDFS legs' own gate tasks, around the calls they
+    // measure.
+
+    /// One small RPC to the central service: request latency, queued
+    /// service of `svc`, response latency; blocks until the response and
+    /// returns its instant.
+    fn central_call(&self, svc: SimDuration) -> SimTime {
+        let at = self.gate.now() + self.c.latency;
+        let done = self.aux.lock().central.submit_with(at, svc);
+        self.gate.sleep_until(done + self.c.latency)
+    }
+
+    /// The namenode's allocation of chunk `k` (0-based) of a file being
+    /// written: 0.20's OP_ADD rewrites the file's whole block list into the
+    /// synchronously-fsynced edit log, so the service time grows with `k`.
+    /// Blocks until the response.
+    fn allocate_chunk(&self, k: u64) {
+        let c = &self.c;
+        let blocklist = SimDuration::from_nanos(c.nn_blocklist_per_chunk.as_nanos() * k);
+        self.central_call(c.nn_svc + c.nn_editlog_fsync + blocklist);
+    }
+
+    /// Writes one modeled 64 MB block from node `src` to the disk of node
+    /// `host` by the streaming rule, then `overhead` tops it off.
+    fn write_block(&self, src: NodeId, host: usize, overhead: SimDuration) {
+        let disk_done =
+            self.aux.lock().write_disks[host].submit(self.gate.now(), self.c.block_bytes);
+        let end = self.stream_end(src, NodeId::new(host as u64), disk_done);
+        self.gate.sleep_until(end + overhead);
+    }
+
+    /// Fetches one modeled 64 MB block stored on node `host` to node `me`
+    /// by the streaming rule, then `overhead` tops it off.
+    fn fetch_block(&self, host: usize, me: NodeId, overhead: SimDuration) {
+        let disk_done =
+            self.aux.lock().read_disks[host].submit(self.gate.now(), self.c.block_bytes);
+        let end = self.stream_end(NodeId::new(host as u64), me, disk_done);
+        self.gate.sleep_until(end + overhead);
     }
 }
 
@@ -736,99 +731,95 @@ impl ConcurrentDeployment {
     }
 }
 
-// --- the modeled baseline ----------------------------------------------------
+// --- the HDFS baseline -------------------------------------------------------
 
-/// Gate-backed primitives for the HDFS comparison legs: HDFS is not the
-/// system under test and has no `BlobClient`, so its curves remain cost
-/// models — but composed from the same simulated-time primitives as the
-/// real-protocol runs (shared namenode queue, FIFO disks, max-min flows).
-pub struct BaselineWorld {
-    /// The virtual-time gate the model tasks run on.
-    pub gate: SimGate,
-    c: Constants,
-    aux: Mutex<BaselineAux>,
+/// `hdfs-sim`'s real namenode and datanodes, charged through a
+/// [`ConcFabric`]: every HDFS comparison leg. The cluster stores real
+/// chunks of a few hundred bytes; the fabric charges each as the paper's
+/// 64 MB.
+pub struct HdfsDeployment {
+    /// The cluster; datanode `i` runs on node `i`.
+    pub cluster: Arc<HdfsCluster>,
+    /// The shared cost-model state.
+    pub fabric: Arc<ConcFabric>,
+    /// The first node past the datanodes: where boot writes come from.
+    remote: NodeId,
 }
 
-struct BaselineAux {
-    write_disks: Vec<Disk>,
-    read_disks: Vec<Disk>,
-    central: FifoServer,
+/// Deploys `hdfs-sim` with datanodes on nodes `0..n_datanodes` of an
+/// `n_nodes`-node fabric, its namenode placing from `seed`.
+/// `cfg.chunk_size` is the real chunk size.
+pub fn deploy_hdfs(
+    c: &Constants,
+    cfg: HdfsConfig,
+    n_datanodes: usize,
+    n_nodes: usize,
+    seed: u64,
+) -> HdfsDeployment {
+    HdfsDeployment {
+        cluster: HdfsCluster::new_seeded(cfg, n_datanodes, seed),
+        fabric: Arc::new(ConcFabric::new(c.clone(), n_datanodes, n_nodes)),
+        remote: NodeId::new(n_datanodes as u64),
+    }
 }
 
-impl BaselineWorld {
-    /// A world of `n_nodes` nodes, each with a disk, sharing one central
-    /// service (the namenode).
-    pub fn new(c: &Constants, n_nodes: usize) -> Self {
-        Self {
-            gate: SimGate::new(FlowNet::new(n_nodes.max(1), NicSpec::symmetric(c.nic_bps))),
-            aux: Mutex::new(BaselineAux {
-                write_disks: (0..n_nodes).map(|_| Disk::new(c.disk_write_bps)).collect(),
-                read_disks: (0..n_nodes).map(|_| Disk::new(c.disk_read_bps)).collect(),
-                central: FifoServer::new(c.nn_svc),
-            }),
-            c: c.clone(),
+impl HdfsDeployment {
+    /// Writes `data` to `path` through the real client on a node with no
+    /// datanode, uncharged (a figure's boot input), and returns the file's
+    /// layout as the namenode placed it.
+    pub fn boot(&self, path: &str, data: &[u8]) -> FileSnapshot {
+        let fs = self.cluster.mount(self.remote);
+        dfs::util::write_file(&fs, path, data).expect("boot write");
+        self.layout(path)
+    }
+
+    /// A writer on node `src` creates `path` and writes `n` chunks to it,
+    /// each after `work` of its own (pipeline setup, text generation). Per
+    /// chunk, the namenode's `add_chunk` (local-first when `src` hosts a
+    /// datanode) is charged as `ConcFabric::allocate_chunk` of the chunks
+    /// already in the file, and the target datanode's `put` as
+    /// `ConcFabric::write_block` topped off by `overhead`. `create` and
+    /// `complete` are uncharged, like BSFS's `create_blob`.
+    pub fn write(&self, path: &str, src: NodeId, n: u64, work: SimDuration, overhead: SimDuration) {
+        let nn = self.cluster.namenode();
+        let path = DfsPath::parse(path).expect("figure paths are absolute");
+        let (lease, _) = nn.create(&path, false).expect("one writer per path");
+        let local = (src < self.remote).then_some(src.raw() as usize);
+        let chunk = Bytes::from(vec![0; nn.config().chunk_size as usize]);
+        let len = chunk.len() as u32;
+        for k in 0..n {
+            self.fabric.gate.sleep(work);
+            let (id, dns) = nn.add_chunk(&path, lease, len, local).expect("lease held");
+            self.fabric.allocate_chunk(k);
+            let dn = self.cluster.datanode(dns[0]);
+            dn.put(id, chunk.clone()).expect("fresh chunk id");
+            self.fabric.write_block(src, dns[0], overhead);
         }
+        nn.complete(&path, lease).expect("lease held");
     }
 
-    /// The model constants this world charges with.
-    pub fn constants(&self) -> &Constants {
-        &self.c
+    /// The namenode's layout of `path`, uncharged.
+    fn layout(&self, path: &str) -> FileSnapshot {
+        let path = DfsPath::parse(path).expect("figure paths are absolute");
+        let nn = self.cluster.namenode();
+        nn.file_snapshot(&path).expect("a written file")
     }
 
-    /// One small RPC to the central service: request latency, queued
-    /// service of `svc`, response latency; blocks until the response.
-    pub fn central_call(&self, svc: SimDuration) {
-        let done = rpc_done(
-            &mut self.aux.lock().central,
-            self.gate.now(),
-            self.c.latency,
-            svc,
-        );
-        self.gate.sleep_until(done);
+    /// The namenode's layout of `path`, charged as one
+    /// `ConcFabric::central_call`.
+    pub fn snapshot(&self, path: &str) -> FileSnapshot {
+        let snap = self.layout(path);
+        self.fabric.central_call(self.fabric.c.nn_svc);
+        snap
     }
 
-    /// Fetches one modeled 64 MB block stored on node `host` to the task's
-    /// node `me`: the host's disk serves queued reads while the flow (if
-    /// remote) streams, then `overhead` tops it off — the same
-    /// `stream_and_wait` composition the real-protocol fabric charges.
-    pub fn fetch_block(&self, host: usize, me: NodeId, overhead: SimDuration) {
-        let disk_done =
-            self.aux.lock().read_disks[host].submit(self.gate.now(), self.c.block_bytes);
-        stream_and_wait(
-            &self.gate,
-            NodeId::new(host as u64),
-            me,
-            self.c.block_bytes,
-            disk_done,
-            overhead,
-        );
-    }
-
-    /// The namenode's allocation of chunk `k` (0-based) of a file being
-    /// written: 0.20's OP_ADD rewrites the file's whole block list into the
-    /// synchronously-fsynced edit log, so the service time grows with `k`.
-    /// Blocks until the response.
-    pub fn allocate_chunk(&self, k: u64) {
-        let c = &self.c;
-        let blocklist = SimDuration::from_nanos(c.nn_blocklist_per_chunk.as_nanos() * k);
-        self.central_call(c.nn_svc + c.nn_editlog_fsync + blocklist);
-    }
-
-    /// Writes one modeled 64 MB block from node `src` to the disk of node
-    /// `host`: the host's disk absorbs it while the flow (if remote)
-    /// streams, then `overhead` tops it off — the same `stream_and_wait`
-    /// composition as [`Self::fetch_block`].
-    pub fn write_block(&self, src: NodeId, host: usize, overhead: SimDuration) {
-        let disk_done =
-            self.aux.lock().write_disks[host].submit(self.gate.now(), self.c.block_bytes);
-        stream_and_wait(
-            &self.gate,
-            src,
-            NodeId::new(host as u64),
-            self.c.block_bytes,
-            disk_done,
-            overhead,
-        );
+    /// Reads `chunk` from its datanode to node `me`, charged as
+    /// `ConcFabric::fetch_block`.
+    pub fn fetch(&self, chunk: &ChunkMeta, me: NodeId, overhead: SimDuration) -> Bytes {
+        let host = chunk.datanodes[0];
+        let data = self.cluster.datanode(host).get(chunk.id);
+        self.fabric.fetch_block(host, me, overhead);
+        data.expect("a stored chunk")
     }
 }
 
@@ -1007,10 +998,10 @@ mod tests {
         );
     }
 
-    /// Runs `body` once per task on a fresh two-node baseline world and
-    /// returns each task's finishing instant in nanoseconds.
-    fn baseline_ends(tasks: usize, body: impl Fn(&BaselineWorld) + Sync) -> Vec<u64> {
-        let w = BaselineWorld::new(&Constants::default(), 2);
+    /// Runs `body` once per task on a fresh two-node fabric and returns
+    /// each task's finishing instant in nanoseconds.
+    fn baseline_ends(tasks: usize, body: impl Fn(&ConcFabric) + Sync) -> Vec<u64> {
+        let w = ConcFabric::new(Constants::default(), 2, 2);
         let ends = Mutex::new(vec![0; tasks]);
         let run: Vec<SimTask<'_>> = (0..tasks)
             .map(|i| {
@@ -1030,7 +1021,9 @@ mod tests {
         // Two callers at the same instant: the second queues behind the
         // first, so it pays one extra service time.
         let lat = Constants::default().latency.as_nanos();
-        let ends = baseline_ends(2, |w| w.central_call(SimDuration::from_millis(2)));
+        let ends = baseline_ends(2, |w| {
+            w.central_call(SimDuration::from_millis(2));
+        });
         assert_eq!(ends[0], lat + 2_000_000 + lat);
         assert_eq!(ends[1], ends[0] + 2_000_000);
     }
@@ -1066,6 +1059,46 @@ mod tests {
         let both = remote[0] as f64 / 1e9;
         let floor = secs(c.disk_write_bps).max(secs(c.nic_bps));
         assert!((both - floor).abs() < 1e-6, "{both} vs {floor}");
+    }
+
+    #[test]
+    fn hdfs_legs_keep_their_pinned_points() {
+        // `f64::to_bits` of one small point per HDFS leg, as the legs
+        // produced it when they still placed chunks and composed costs in
+        // the figure code: running on hdfs-sim moves no bit.
+        use crate::topology::Backend::Hdfs;
+        use crate::{fig3a, fig3b, fig4, fig6};
+        let c = Constants::default();
+        let legs = [
+            (
+                "3a",
+                fig3a::throughput_mbps(&c, Hdfs, 16, 1),
+                0x4045_55b5_5ef0_07e2,
+            ),
+            (
+                "3b",
+                fig3b::hdfs_unbalance_of(HdfsConfig::default(), 16, 269, 1),
+                0x403f_67bb_7ac4_0b2e,
+            ),
+            (
+                "4",
+                fig4::avg_client_mbps(&c, Hdfs, 25, 1),
+                0x4036_4188_619a_75a3,
+            ),
+            (
+                "6a",
+                fig6::rtw_job_secs(&c, Hdfs, 5, 10 * c.block_bytes),
+                0x4037_ac2b_1560_1720,
+            ),
+            (
+                "6b",
+                fig6::grep_job(&c, Hdfs, 20, 1).secs,
+                0x403f_e6b5_0b0f_27bb,
+            ),
+        ];
+        for (fig, got, bits) in legs {
+            assert_eq!(got.to_bits(), bits, "fig {fig}: {got}");
+        }
     }
 
     #[test]

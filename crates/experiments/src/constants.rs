@@ -78,9 +78,6 @@ pub struct Constants {
     /// allocation — O(chunks) namenode work per chunk, the mechanism
     /// behind HDFS's declining single-writer curve (Fig. 3(a)).
     pub nn_blocklist_per_chunk: SimDuration,
-    /// HDFS placement session affinity for remote writers, in percent (the
-    /// cause of Fig. 3(b)'s load imbalance, §V-D; see docs/REPRODUCING.md).
-    pub hdfs_stickiness: u8,
 
     // --- Map/Reduce job model (Fig. 6) -----------------------------------
     /// Fixed job overhead: job setup/cleanup tasks and jobtracker
@@ -126,7 +123,6 @@ impl Default for Constants {
             nn_svc: SimDuration::from_millis(1),
             nn_editlog_fsync: SimDuration::from_millis(60),
             nn_blocklist_per_chunk: SimDuration::from_micros(1200),
-            hdfs_stickiness: 65,
 
             job_overhead: SimDuration::from_secs(15),
             heartbeat: SimDuration::from_secs(3),

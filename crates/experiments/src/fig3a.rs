@@ -11,43 +11,45 @@
 //!   service, parallel tree-node puts to the metadata DHT, commit
 //!   round-trip. Every provider sees at most a couple of blocks, so disks
 //!   never queue: the curve is flat.
-//! * **HDFS** — one writer task on [`BaselineWorld`], per 64 MB chunk:
-//!   pipeline overhead → namenode allocation
-//!   ([`BaselineWorld::allocate_chunk`]), whose cost *grows with the file's
-//!   chunk count* (0.20's OP_ADD rewrote the file's entire block list into
-//!   the synchronously-fsynced edit log on every allocation) → bulk flow to
-//!   the sticky-random datanode, acknowledged once its disk absorbed the
-//!   chunk. The O(chunks) namenode term bends the curve downward as the
-//!   file grows — the decline the paper attributes to HDFS's weaker write
-//!   path.
+//! * **HDFS** — one writer task on `hdfs-sim`'s real namenode and
+//!   datanodes ([`concurrent::HdfsDeployment`]), per 64 MB chunk: pipeline
+//!   overhead → the namenode's `add_chunk`, whose charged cost *grows with
+//!   the file's chunk count* (0.20's OP_ADD rewrote the file's entire block
+//!   list into the synchronously-fsynced edit log on every allocation) →
+//!   the chunk's `put` on the sticky-random datanode the namenode chose,
+//!   acknowledged once its disk absorbed the chunk. The O(chunks) namenode
+//!   term bends the curve downward as the file grows — the decline the
+//!   paper attributes to HDFS's weaker write path.
 
-use crate::concurrent::{self, BaselineWorld, ClientTask};
+use crate::concurrent::{self, ClientTask, HdfsDeployment};
 use crate::constants::Constants;
-use crate::fig3b::policy_for;
 use crate::report::{Figure, Series};
 use crate::topology::Backend;
-use blobseer_core::placement::Placer;
 use blobseer_core::BlobClient;
-use blobseer_types::NodeId;
+use blobseer_types::config::PlacementPolicy;
+use blobseer_types::{HdfsConfig, NodeId};
 
-/// Real engine block size behind each modeled 64 MB block of the BSFS leg:
+/// Real block and chunk size behind each modeled 64 MB block of both legs:
 /// big enough to hold real content, small enough that a modeled 16 GB file
 /// costs only 256 KB of actual memory.
-const BSFS_REAL_BLOCK: u64 = 1024;
+const REAL_BLOCK: u64 = 1024;
+
+/// The file the HDFS leg writes.
+const HDFS_FILE: &str = "/fig3a";
 
 /// The BSFS leg: the real client driving the harness-backed deployment
 /// (one writer on the dedicated non-colocated node past the providers,
 /// §V-D: "we chose to always deploy clients on nodes where no datanode
-/// has previously been deployed").
-fn bsfs_throughput_via_ports(c: &Constants, n_blocks: usize, seed: u64) -> f64 {
+/// has previously been deployed"). Returns the simulated seconds taken.
+fn bsfs_write_secs(c: &Constants, n_blocks: usize, seed: u64) -> f64 {
     let providers = Backend::Bsfs.microbench_storage_nodes();
     let dep = concurrent::deploy(
         c,
         providers,
         providers + 1,
-        policy_for(c, Backend::Bsfs),
+        PlacementPolicy::RoundRobin,
         seed,
-        BSFS_REAL_BLOCK,
+        REAL_BLOCK,
     );
     let writer_node = NodeId::new(providers as u64);
     let blob = dep.sys.client(writer_node).create();
@@ -55,7 +57,7 @@ fn bsfs_throughput_via_ports(c: &Constants, n_blocks: usize, seed: u64) -> f64 {
     let clients: Vec<ClientTask<'_>> = vec![(
         writer_node,
         Box::new(move |cl: BlobClient| {
-            let payload = vec![0u8; BSFS_REAL_BLOCK as usize];
+            let payload = vec![0u8; REAL_BLOCK as usize];
             for _ in 0..n_blocks {
                 // Block-aligned appends: the paper's workload, and the
                 // fast path that never waits on a predecessor's reveal.
@@ -69,37 +71,37 @@ fn bsfs_throughput_via_ports(c: &Constants, n_blocks: usize, seed: u64) -> f64 {
         n_blocks,
         "every modeled block must be really stored"
     );
-    let bytes = n_blocks as f64 * c.block_bytes as f64;
-    bytes / (1024.0 * 1024.0) / dep.now().as_secs_f64()
+    dep.now().as_secs_f64()
 }
 
 /// The HDFS leg: one writer task on the dedicated non-colocated node past
-/// the datanodes (§V-D), streaming each chunk to its sticky-random
-/// datanode.
-fn hdfs_throughput(c: &Constants, n_blocks: usize, seed: u64) -> f64 {
+/// the datanodes (§V-D), streaming each chunk to the datanode the
+/// namenode's sticky-random session picked. Returns the deployment after
+/// the write.
+fn hdfs_write(c: &Constants, n_blocks: usize, seed: u64) -> HdfsDeployment {
     let datanodes = Backend::Hdfs.microbench_storage_nodes();
-    let mut placer = Placer::new(policy_for(c, Backend::Hdfs), seed);
-    let loads = vec![0u64; datanodes];
-    let targets: Vec<usize> = (0..n_blocks).map(|_| placer.pick(&loads, &[])).collect();
-    let w = BaselineWorld::new(c, datanodes + 1);
+    let cfg = HdfsConfig::default().with_chunk_size(REAL_BLOCK);
+    let dep = concurrent::deploy_hdfs(c, cfg, datanodes, datanodes + 1, seed);
     let writer = NodeId::new(datanodes as u64);
-    w.gate.run(vec![Box::new(|| {
-        for (k, &datanode) in targets.iter().enumerate() {
-            w.gate.sleep(c.hdfs_chunk_overhead);
-            w.allocate_chunk(k as u64);
-            w.write_block(writer, datanode, c.provider_svc);
-        }
+    dep.fabric.gate().run(vec![Box::new(|| {
+        let (work, overhead) = (c.hdfs_chunk_overhead, c.provider_svc);
+        dep.write(HDFS_FILE, writer, n_blocks as u64, work, overhead);
     })]);
-    let bytes = n_blocks as f64 * c.block_bytes as f64;
-    bytes / (1024.0 * 1024.0) / w.gate.now().as_secs_f64()
+    dep
 }
 
 /// Simulates one single-writer run; returns throughput in MB/s.
 pub fn throughput_mbps(c: &Constants, backend: Backend, n_blocks: usize, seed: u64) -> f64 {
-    match backend {
-        Backend::Bsfs => bsfs_throughput_via_ports(c, n_blocks, seed),
-        Backend::Hdfs => hdfs_throughput(c, n_blocks, seed),
-    }
+    let secs = match backend {
+        Backend::Bsfs => bsfs_write_secs(c, n_blocks, seed),
+        Backend::Hdfs => hdfs_write(c, n_blocks, seed)
+            .fabric
+            .gate()
+            .now()
+            .as_secs_f64(),
+    };
+    let bytes = n_blocks as f64 * c.block_bytes as f64;
+    bytes / (1024.0 * 1024.0) / secs
 }
 
 /// Reproduces Fig. 3(a): write throughput vs file size (GB), averaged over
@@ -135,7 +137,6 @@ pub fn paper_sizes() -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use blobseer_types::config::PlacementPolicy;
 
     #[test]
     fn bsfs_is_faster_and_flat() {
@@ -179,6 +180,15 @@ mod tests {
         let a = throughput_mbps(&c, Backend::Bsfs, 32, 9);
         let b = throughput_mbps(&c, Backend::Bsfs, 32, 9);
         assert_eq!(a, b, "ports-backed BSFS leg is deterministic too");
+    }
+
+    #[test]
+    fn hdfs_leg_leaves_the_file_on_the_real_namenode() {
+        let dep = hdfs_write(&Constants::default(), 16, 1);
+        let path = dfs::DfsPath::parse(HDFS_FILE).unwrap();
+        let snap = dep.cluster.namenode().file_snapshot(&path).unwrap();
+        assert_eq!(snap.chunks.len(), 16);
+        assert_eq!(dep.cluster.layout_vector().iter().sum::<u64>(), 16);
     }
 
     #[test]

@@ -2,16 +2,16 @@
 //! the Manhattan distance between the data-layout vector and a perfectly
 //! balanced layout (§V-D).
 //!
-//! The figure is produced by the **real engine**: each run deploys the
-//! client over the harness adapters ([`crate::concurrent`], cost charging
-//! left off — only the layout matters here) with
-//! the backend's placement policy, appends the file block by block through
-//! `BlobClient::append` — so the layout comes from the live provider
-//! manager's allocation stream, not a detached policy loop — and measures
-//! the resulting provider layout vector, at the paper's scale: 1→16 GB
-//! files striped in 64 MB blocks over 247 providers (BSFS) or 269
-//! datanodes (HDFS, whose sticky-random session policy runs on the same
-//! placement code). Averages 5 repetitions like the paper.
+//! Both series come from **real placement code**: each run writes the file
+//! block by block from a remote client and measures the resulting layout
+//! vector, at the paper's scale: 1→16 GB files striped in 64 MB blocks.
+//! The BSFS series appends through `BlobClient::append` on the harness
+//! deployment ([`crate::concurrent`], cost charging left off — only the
+//! layout matters here), so the layout is the live provider manager's
+//! round-robin allocation stream over 247 providers. The HDFS series
+//! writes through `hdfs-sim`'s client, so the layout is its namenode's
+//! sticky-random session placement over 269 datanodes. Averages 5
+//! repetitions like the paper.
 
 use crate::concurrent;
 use crate::constants::Constants;
@@ -19,6 +19,7 @@ use crate::report::{Figure, Series};
 use crate::topology::Backend;
 use blobseer_core::placement::manhattan_unbalance;
 use blobseer_types::config::PlacementPolicy;
+use blobseer_types::HdfsConfig;
 
 /// Repetitions per point ("these steps are repeated 5 times", §V-C).
 pub const REPETITIONS: u64 = 5;
@@ -47,22 +48,21 @@ pub fn unbalance_of(policy: PlacementPolicy, n_blocks: u64, n_providers: usize, 
     manhattan_unbalance(&dep.sys.layout_vector())
 }
 
-/// Mean unbalance over the standard repetitions.
-pub fn mean_unbalance(policy: PlacementPolicy, n_blocks: u64, n_providers: usize) -> f64 {
-    (0..REPETITIONS)
-        .map(|rep| unbalance_of(policy, n_blocks, n_providers, 0xF163B + rep))
-        .sum::<f64>()
-        / REPETITIONS as f64
+/// Unbalance of one HDFS run under `cfg` (its chunk size aside), measured
+/// off the namenode's layout vector after a remote client wrote the file.
+pub fn hdfs_unbalance_of(cfg: HdfsConfig, n_blocks: u64, n_datanodes: usize, seed: u64) -> f64 {
+    let cfg = cfg.with_chunk_size(REAL_BLOCK);
+    let dep = concurrent::deploy_hdfs(&Constants::default(), cfg, n_datanodes, n_datanodes, seed);
+    dep.boot("/fig3b", &vec![0u8; (n_blocks * REAL_BLOCK) as usize]);
+    manhattan_unbalance(&dep.cluster.layout_vector())
 }
 
-/// The policy each backend uses for a remote writer.
-pub fn policy_for(c: &Constants, backend: Backend) -> PlacementPolicy {
-    match backend {
-        Backend::Bsfs => PlacementPolicy::RoundRobin,
-        Backend::Hdfs => PlacementPolicy::StickyRandom {
-            stickiness: c.hdfs_stickiness,
-        },
-    }
+/// Mean of `unbalance(seed)` over the standard repetitions.
+pub fn mean_unbalance(unbalance: impl Fn(u64) -> f64) -> f64 {
+    (0..REPETITIONS)
+        .map(|rep| unbalance(0xF163B + rep))
+        .sum::<f64>()
+        / REPETITIONS as f64
 }
 
 /// Reproduces Fig. 3(b): unbalance vs file size (GB).
@@ -78,10 +78,15 @@ pub fn run(c: &Constants, sizes_gb: &[f64]) -> Figure {
         let mut series = Series::new(backend.label());
         for &gb in sizes_gb {
             let n_blocks = ((gb * 1024.0 * 1024.0 * 1024.0) / c.block_bytes as f64).round() as u64;
-            series.push(
-                gb,
-                mean_unbalance(policy_for(c, backend), n_blocks, providers),
-            );
+            let unbalance = |seed| match backend {
+                Backend::Bsfs => {
+                    unbalance_of(PlacementPolicy::RoundRobin, n_blocks, providers, seed)
+                }
+                Backend::Hdfs => {
+                    hdfs_unbalance_of(HdfsConfig::default(), n_blocks, providers, seed)
+                }
+            };
+            series.push(gb, mean_unbalance(unbalance));
         }
         fig.series.push(series);
     }
@@ -119,10 +124,9 @@ mod tests {
 
     #[test]
     fn bsfs_round_robin_is_nearly_ideal() {
-        let c = Constants::default();
         // 16 GB = 256 blocks over 247 providers: 9 providers hold 2 blocks,
         // the rest 1 → tiny fractional unbalance only.
-        let u = mean_unbalance(policy_for(&c, Backend::Bsfs), 256, 247);
+        let u = mean_unbalance(|s| unbalance_of(PlacementPolicy::RoundRobin, 256, 247, s));
         let ideal = 256.0 / 247.0;
         let expected = 9.0 * (2.0 - ideal) + 238.0 * (ideal - 1.0);
         assert!((u - expected).abs() < 1e-6, "u={u} expected={expected}");

@@ -12,22 +12,23 @@
 //! reader its own provider disk, and co-located readers (the paper places
 //! readers on storage machines) skip the network entirely.
 //!
-//! **HDFS** is the comparison baseline — it has no `BlobClient`, so its
-//! leg stays a cost model, composed from the same gate primitives
-//! ([`crate::concurrent::BaselineWorld`]): one namenode query, a
-//! sticky-random layout that lands several readers' chunks on the same
-//! datanode — whose disk queue and egress NIC then serialize them under
-//! max-min sharing — plus the 0.20 read path's per-block CRC verification.
-//! Average throughput falls as N grows.
+//! **HDFS** is the comparison baseline, run on `hdfs-sim`'s real namenode
+//! and datanodes ([`crate::concurrent::HdfsDeployment`]): a remote boot
+//! client writes the file through the namenode's sticky-random placement,
+//! which lands several readers' chunks on the same datanode; each reader
+//! then takes one charged `file_snapshot` and fetches its chunk from the
+//! real datanode, whose disk queue and egress NIC serialize the readers
+//! under max-min sharing, plus the 0.20 read path's per-block CRC
+//! verification. Average throughput falls as N grows.
 
-use crate::concurrent::{self, BaselineWorld, ClientTask};
+use crate::concurrent::{self, ClientTask};
 use crate::constants::Constants;
-use crate::fig3b::policy_for;
 use crate::report::{Figure, Series};
 use crate::topology::Backend;
-use blobseer_core::placement::Placer;
 use blobseer_core::BlobClient;
-use blobseer_types::NodeId;
+use blobseer_types::config::PlacementPolicy;
+use blobseer_types::{HdfsConfig, NodeId};
+use bytes::Bytes;
 use parking_lot::Mutex;
 use simnet::SimDuration;
 
@@ -42,15 +43,16 @@ fn chunk_of(i: usize, n: usize) -> usize {
     (i + 13) % n
 }
 
-/// The BSFS leg: N concurrent readers driving the real read path.
-fn bsfs_avg_mbps(c: &Constants, n_clients: usize, seed: u64) -> f64 {
+/// The BSFS leg: N concurrent readers driving the real read path. Returns
+/// each reader's duration.
+fn bsfs_reads(c: &Constants, n_clients: usize, seed: u64) -> Vec<Option<SimDuration>> {
     let providers = Backend::Bsfs.microbench_storage_nodes();
     let n_nodes = providers.max(n_clients);
     let dep = concurrent::deploy(
         c,
         providers,
         n_nodes,
-        policy_for(c, Backend::Bsfs),
+        PlacementPolicy::RoundRobin,
         seed,
         REAL_CHUNK,
     );
@@ -81,51 +83,49 @@ fn bsfs_avg_mbps(c: &Constants, n_clients: usize, seed: u64) -> f64 {
         })
         .collect();
     dep.run_clients(clients);
-    let rates = concurrent::client_mbps(c.block_bytes, &durations.into_inner());
-    rates.iter().sum::<f64>() / n_clients as f64
+    durations.into_inner()
 }
 
-/// The HDFS baseline leg: the same workload against the modeled 0.20 read
-/// path over a sticky-random layout.
-fn hdfs_avg_mbps(c: &Constants, n_clients: usize, seed: u64) -> f64 {
+/// The HDFS baseline leg: the same workload against the 0.20 read path
+/// over a sticky-random layout. Returns each reader's duration and the
+/// bytes it read; chunk `i` was booted as `i as u8` repeated.
+fn hdfs_reads(c: &Constants, n: usize, seed: u64) -> (Vec<Option<SimDuration>>, Vec<Bytes>) {
     let datanodes = Backend::Hdfs.microbench_storage_nodes();
-    let n_nodes = datanodes.max(n_clients);
-    // Boot-up layout: the file was written sticky-randomly (the "fair"
-    // second experiment of §V-E, where HDFS also spreads the file).
-    let mut placer = Placer::new(policy_for(c, Backend::Hdfs), seed);
-    let loads = vec![0u64; datanodes];
-    let layout: Vec<usize> = (0..n_clients).map(|_| placer.pick(&loads, &[])).collect();
-    let w = BaselineWorld::new(c, n_nodes);
-    let durations: Mutex<Vec<Option<SimDuration>>> = Mutex::new(vec![None; n_clients]);
-    let tasks: Vec<simnet::SimTask<'_>> = (0..n_clients)
+    let cfg = HdfsConfig::default().with_chunk_size(REAL_CHUNK);
+    let dep = concurrent::deploy_hdfs(c, cfg, datanodes, datanodes.max(n), seed);
+    // Boot-up (uncharged): a remote client writes the file, so HDFS spreads
+    // it sticky-randomly (the "fair" second experiment of §V-E).
+    let data: Vec<u8> = (0..n)
+        .flat_map(|i| [i as u8; REAL_CHUNK as usize])
+        .collect();
+    dep.boot("/fig4", &data);
+    let reads = Mutex::new(vec![(None, Bytes::new()); n]);
+    let tasks: Vec<simnet::SimTask<'_>> = (0..n)
         .map(|i| {
-            let (w, durations, layout) = (&w, &durations, &layout);
+            let (dep, reads) = (&dep, &reads);
             Box::new(move || {
-                let t0 = w.gate.now();
+                let t0 = dep.fabric.gate().now();
                 // Namenode block-location query, then the block fetch with
                 // the 0.20 CRC-verification overhead.
-                w.central_call(w.constants().nn_svc);
-                w.fetch_block(
-                    layout[i],
-                    NodeId::new(i as u64),
-                    w.constants().hdfs_read_overhead,
-                );
-                durations.lock()[i] = Some(w.gate.now() - t0);
+                let chunk = &dep.snapshot("/fig4").chunks[i];
+                let got = dep.fetch(chunk, NodeId::new(i as u64), c.hdfs_read_overhead);
+                reads.lock()[i] = (Some(dep.fabric.gate().now() - t0), got);
             }) as simnet::SimTask<'_>
         })
         .collect();
-    w.gate.run(tasks);
-    let rates = concurrent::client_mbps(c.block_bytes, &durations.into_inner());
-    rates.iter().sum::<f64>() / n_clients as f64
+    dep.fabric.gate().run(tasks);
+    reads.into_inner().into_iter().unzip()
 }
 
 /// Simulates N concurrent readers; returns the average per-client
 /// throughput in MB/s.
 pub fn avg_client_mbps(c: &Constants, backend: Backend, n_clients: usize, seed: u64) -> f64 {
-    match backend {
-        Backend::Bsfs => bsfs_avg_mbps(c, n_clients, seed),
-        Backend::Hdfs => hdfs_avg_mbps(c, n_clients, seed),
-    }
+    let durations = match backend {
+        Backend::Bsfs => bsfs_reads(c, n_clients, seed),
+        Backend::Hdfs => hdfs_reads(c, n_clients, seed).0,
+    };
+    let rates = concurrent::client_mbps(c.block_bytes, &durations);
+    rates.iter().sum::<f64>() / n_clients as f64
 }
 
 /// Reproduces Fig. 4: average read throughput per client vs client count.
@@ -218,7 +218,7 @@ mod tests {
             &c,
             providers,
             providers,
-            policy_for(&c, Backend::Bsfs),
+            PlacementPolicy::RoundRobin,
             1,
             REAL_CHUNK,
         );
@@ -245,5 +245,14 @@ mod tests {
             .collect();
         dep.run_clients(clients);
         assert_eq!(hits.into_inner(), 8);
+    }
+
+    #[test]
+    fn hdfs_readers_get_the_booted_bytes_from_the_datanodes() {
+        let (durations, got) = hdfs_reads(&Constants::default(), 8, 1);
+        assert!(durations.iter().all(Option::is_some));
+        for (i, data) in got.iter().enumerate() {
+            assert_eq!(&data[..], &[i as u8; REAL_CHUNK as usize][..], "reader {i}");
+        }
     }
 }

@@ -7,11 +7,12 @@
 //!   64 MB cache flushes are genuine `BlobClient::append` calls — provider
 //!   allocation, version assignment and segment-tree publish all run live,
 //!   with the shared version manager's O(1) work per append emerging from
-//!   the code. HDFS writes locally (its co-located policy) but pays the
-//!   0.20 chunk pipeline and the namenode's synchronously-fsynced,
-//!   O(block-list) edit log — which *all mappers share*; that leg stays a
-//!   cost model over [`crate::concurrent::BaselineWorld`] (HDFS has no
-//!   `BlobClient`).
+//!   the code. The **HDFS leg runs `hdfs-sim`'s real namenode and
+//!   datanodes** ([`crate::concurrent::HdfsDeployment`]): each mapper's
+//!   `add_chunk` lands local-first on its own datanode, and each
+//!   allocation pays the 0.20 chunk pipeline and the namenode's
+//!   synchronously-fsynced, O(block-list) edit log — which *all mappers
+//!   share*.
 //! * **Fig. 6(b) — distributed grep**: a shared input file of 6.4→12.8 GB
 //!   (100→200 chunks) is scanned by one mapper per chunk on 150
 //!   co-deployed nodes. Tasktracker slots are simulated threads sharing
@@ -20,21 +21,22 @@
 //!   BSFS leg's chunk locations come from the real
 //!   `BlobClient::locations` and its chunk reads are real
 //!   `BlobClient::read` calls, so locality and fetch costs emerge from the
-//!   live layout; HDFS's sticky layout concentrates chunks on hot
-//!   datanodes whose disks and NICs become stragglers served remotely.
+//!   live layout. The HDFS leg boots the input through `hdfs-sim`'s
+//!   client, so its namenode's sticky layout concentrates chunks on hot
+//!   datanodes whose disks and NICs become stragglers served remotely;
+//!   every map takes a charged `file_snapshot` and fetches its chunk from
+//!   the real datanode.
 //!
 //! Completion time = storage/compute makespan + fixed job overhead (setup
 //! and cleanup tasks) + (grep only) the small reduce phase.
 
-use crate::concurrent::{self, BaselineWorld, ClientTask};
+use crate::concurrent::{self, ClientTask};
 use crate::constants::Constants;
-use crate::fig3b::policy_for;
 use crate::report::{Figure, Series};
 use crate::topology::Backend;
-use blobseer_core::placement::Placer;
 use blobseer_core::BlobClient;
 use blobseer_types::config::PlacementPolicy;
-use blobseer_types::NodeId;
+use blobseer_types::{HdfsConfig, NodeId};
 use parking_lot::Mutex;
 use simnet::{SimDuration, SimGate, SimTask, SimTime};
 
@@ -104,28 +106,26 @@ pub fn rtw_job_secs(c: &Constants, backend: Backend, mappers: usize, total_bytes
             dep.run_clients(clients);
         }
         Backend::Hdfs => {
-            let w = BaselineWorld::new(c, RTW_NODES);
+            let cfg = HdfsConfig::default().with_chunk_size(REAL_CHUNK);
+            let dep = concurrent::deploy_hdfs(c, cfg, RTW_NODES, RTW_NODES, 0xF166A);
             let tasks: Vec<SimTask<'_>> = (0..mappers)
                 .map(|m| {
-                    let (w, done) = (&w, &done);
+                    let (dep, done) = (&dep, &done);
                     Box::new(move || {
-                        let c = w.constants();
-                        w.gate.sleep(stagger(m, c.heartbeat) + c.task_overhead);
-                        for k in 0..chunks as u64 {
-                            w.gate.sleep(gen);
-                            // Local-first placement: the mapper's own
-                            // datanode. The namenode allocation — shared by
-                            // every mapper — fsyncs an edit-log record
-                            // containing the file's whole block list.
-                            w.allocate_chunk(k);
-                            w.gate.sleep(c.hdfs_chunk_overhead_local);
-                            w.write_block(NodeId::new(m as u64), m, SimDuration::ZERO);
-                        }
-                        done.lock()[m] = Some(w.gate.now());
+                        let gate = dep.fabric.gate();
+                        gate.sleep(stagger(m, c.heartbeat) + c.task_overhead);
+                        // Local-first placement: the mapper's own
+                        // datanode. Each namenode allocation — shared by
+                        // every mapper — fsyncs an edit-log record
+                        // containing the file's whole block list.
+                        let (path, node) = (format!("/rtw/{m}"), NodeId::new(m as u64));
+                        let overhead = c.hdfs_chunk_overhead_local;
+                        dep.write(&path, node, chunks as u64, gen, overhead);
+                        done.lock()[m] = Some(gate.now());
                     }) as SimTask<'_>
                 })
                 .collect();
-            w.gate.run(tasks);
+            dep.fabric.gate().run(tasks);
         }
     }
     let makespan = done
@@ -302,7 +302,7 @@ pub fn grep_job(c: &Constants, backend: Backend, n_chunks: usize, seed: u64) -> 
                 c,
                 GREP_NODES,
                 GREP_NODES,
-                policy_for(c, Backend::Bsfs),
+                PlacementPolicy::RoundRobin,
                 seed,
                 REAL_CHUNK,
             );
@@ -322,11 +322,10 @@ pub fn grep_job(c: &Constants, backend: Backend, n_chunks: usize, seed: u64) -> 
                 .collect();
             let job = GrepJob::new(task_host);
             dep.set_charging(true);
-            let mut clients: Vec<ClientTask<'_>> = Vec::with_capacity(GREP_NODES * SLOTS);
-            for tracker in 0..GREP_NODES {
-                for _slot in 0..SLOTS {
-                    let (job, fabric) = (&job, &dep.fabric);
-                    clients.push((
+            let clients: Vec<ClientTask<'_>> = (0..GREP_NODES * SLOTS)
+                .map(|slot| {
+                    let (tracker, job, fabric) = (slot / SLOTS, &job, &dep.fabric);
+                    (
                         NodeId::new(tracker as u64),
                         Box::new(move |cl: BlobClient| {
                             grep_slot_loop(fabric.gate(), c, job, tracker, |task| {
@@ -338,42 +337,35 @@ pub fn grep_job(c: &Constants, backend: Backend, n_chunks: usize, seed: u64) -> 
                                 fabric.gate().sleep(scan);
                             });
                         }) as Box<dyn FnOnce(BlobClient) + Send>,
-                    ));
-                }
-            }
+                    )
+                })
+                .collect();
             dep.run_clients(clients);
             job.outcome(c, n_chunks)
         }
         Backend::Hdfs => {
+            let cfg = HdfsConfig::default().with_chunk_size(REAL_CHUNK);
+            let dep = concurrent::deploy_hdfs(c, cfg, GREP_NODES, GREP_NODES, seed);
             // Input layout: the boot file was written from a non-colocated
-            // client (§V-G), so HDFS spreads it sticky-randomly.
-            let mut placer = Placer::new(policy_for(c, Backend::Hdfs), seed);
-            let loads = vec![0u64; GREP_NODES];
-            let task_host: Vec<usize> = (0..n_chunks).map(|_| placer.pick(&loads, &[])).collect();
-            let job = GrepJob::new(task_host.clone());
-            let w = BaselineWorld::new(c, GREP_NODES);
-            let mut tasks: Vec<SimTask<'_>> = Vec::with_capacity(GREP_NODES * SLOTS);
-            for tracker in 0..GREP_NODES {
-                for _slot in 0..SLOTS {
-                    let (w, job, task_host) = (&w, &job, &task_host);
-                    tasks.push(Box::new(move || {
-                        grep_slot_loop(&w.gate, c, job, tracker, |task| {
-                            // Namenode locations query, then the chunk
-                            // fetch (remote over the network when the
-                            // sticky layout put it elsewhere), then the
-                            // scan.
-                            w.central_call(c.nn_svc);
-                            w.fetch_block(
-                                task_host[task],
-                                NodeId::new(tracker as u64),
-                                SimDuration::ZERO,
-                            );
-                            w.gate.sleep(scan);
+            // client (§V-G), so the namenode spreads it sticky-randomly.
+            let boot = dep.boot("/grep", &vec![3u8; n_chunks * REAL_CHUNK as usize]);
+            let job = GrepJob::new(boot.chunks.iter().map(|ch| ch.datanodes[0]).collect());
+            let tasks: Vec<SimTask<'_>> = (0..GREP_NODES * SLOTS)
+                .map(|slot| {
+                    let (tracker, dep, job) = (slot / SLOTS, &dep, &job);
+                    Box::new(move || {
+                        grep_slot_loop(dep.fabric.gate(), c, job, tracker, |task| {
+                            // Namenode locations query, then the chunk fetch
+                            // (remote over the network when the sticky
+                            // layout put it elsewhere), then the scan.
+                            let chunk = &dep.snapshot("/grep").chunks[task];
+                            dep.fetch(chunk, NodeId::new(tracker as u64), SimDuration::ZERO);
+                            dep.fabric.gate().sleep(scan);
                         });
-                    }) as SimTask<'_>);
-                }
-            }
-            w.gate.run(tasks);
+                    }) as SimTask<'_>
+                })
+                .collect();
+            dep.fabric.gate().run(tasks);
             job.outcome(c, n_chunks)
         }
     }

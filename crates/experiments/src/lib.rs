@@ -19,10 +19,11 @@
 //! model instead of being hand-computed per figure, and the cost
 //! arithmetic cannot drift between figures.
 //!
-//! HDFS comparison legs remain cost models (HDFS is the baseline, not the
-//! system under test), each run as tasks on
-//! [`concurrent::BaselineWorld`] — the same gate, disks and streaming rule,
-//! and one namenode queue.
+//! Every HDFS comparison leg runs `hdfs-sim`'s real namenode and
+//! datanodes ([`concurrent::HdfsDeployment`]): placement, leases, chunk
+//! lists and chunk storage are HDFS's own code, and this crate keeps only
+//! their costs, charged on the same fabric — gate, disks, streaming rule
+//! and central queue — the BSFS legs pay.
 //! Calibrated constants live in [`constants`]; `docs/REPRODUCING.md` maps
 //! every figure to its driver, expected band, and real-vs-modeled layers.
 #![forbid(unsafe_code)]

@@ -24,15 +24,17 @@ pub struct HdfsCluster {
 impl HdfsCluster {
     /// Deploys HDFS with datanodes on nodes `0..n`.
     pub fn new(cfg: HdfsConfig, n_datanodes: usize) -> Arc<Self> {
-        Self::new_on(cfg, (0..n_datanodes as u64).map(NodeId::new).collect())
+        Self::new_seeded(cfg, n_datanodes, NameNode::DEFAULT_SEED)
     }
 
-    /// Deploys HDFS with one datanode per given node.
-    pub fn new_on(cfg: HdfsConfig, datanode_nodes: Vec<NodeId>) -> Arc<Self> {
-        assert!(!datanode_nodes.is_empty());
+    /// Like [`Self::new`], with the namenode placing the first lease's
+    /// chunks from `seed` (see [`NameNode::new_seeded`]).
+    pub fn new_seeded(cfg: HdfsConfig, n_datanodes: usize, seed: u64) -> Arc<Self> {
         Arc::new(Self {
-            namenode: NameNode::new(cfg, datanode_nodes.len()),
-            datanodes: datanode_nodes.into_iter().map(DataNode::new).collect(),
+            namenode: NameNode::new_seeded(cfg, n_datanodes, seed),
+            datanodes: (0..n_datanodes as u64)
+                .map(|i| DataNode::new(NodeId::new(i)))
+                .collect(),
         })
     }
 
@@ -178,7 +180,8 @@ impl FileSystem for Hdfs {
     fn block_locations(&self, path: &str, offset: u64, len: u64) -> Result<Vec<FsBlockLocation>> {
         let path = DfsPath::parse(path)?;
         let snap = self.cluster.namenode.file_snapshot(&path)?;
-        let end = (offset + len).min(snap.len);
+        // `len = u64::MAX` is Hadoop's "every block from `offset` on".
+        let end = offset.saturating_add(len).min(snap.len);
         let mut out = Vec::new();
         let mut chunk_start = 0u64;
         for c in &snap.chunks {

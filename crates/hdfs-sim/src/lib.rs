@@ -1,5 +1,7 @@
 //! `hdfs-sim` — the HDFS 0.20 baseline the paper compares against (§II-B),
-//! behind the same [`dfs::FileSystem`] API as BSFS.
+//! behind the same [`dfs::FileSystem`] API as BSFS. It is also the HDFS
+//! side of every figure: `experiments` drives this namenode and these
+//! datanodes, and keeps only their costs.
 //!
 //! Faithful to the semantics the paper leans on:
 //!
@@ -11,17 +13,15 @@
 //! * **Single writer, immutable data**: one lease per file; "once written,
 //!   data cannot be altered, neither by overwriting nor by appending".
 //!   This is HDFS 0.20 only: `append` always returns `Unsupported` (§V-F).
-//! * **Client-side buffering**: readers prefetch whole chunks, writers
-//!   commit whole chunks.
+//! * **Local-first placement**: a writer co-located with a datanode stores
+//!   its chunks locally (§V-D); remote writers get sticky-random placement
+//!   — the root of the load imbalance of Fig. 3(b) (docs/REPRODUCING.md).
 //!
-//! The namespace tree and the buffering streams are `dfs`'s
+//! The namespace tree and the client-side buffering streams are `dfs`'s
 //! ([`dfs::Namespace`], [`dfs::BlockReader`], [`dfs::BlockWriter`]), the
 //! same ones BSFS uses; this crate keeps only what is HDFS's own: leases,
 //! chunk lists, placement and load accounting in the namenode, write-once
 //! chunk storage in the datanodes.
-//! * **Local-first placement**: a writer co-located with a datanode stores
-//!   its chunks locally (§V-D); remote writers get sticky-random placement
-//!   — the root of the load imbalance of Fig. 3(b) (docs/REPRODUCING.md).
 //!
 //! ```
 //! use blobseer_types::{HdfsConfig, NodeId};

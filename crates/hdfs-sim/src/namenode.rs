@@ -79,8 +79,17 @@ pub struct NameNode {
 }
 
 impl NameNode {
+    /// The placement seed of [`Self::new`].
+    pub const DEFAULT_SEED: u64 = 0xD1CE;
+
     /// A namenode managing `n_datanodes` datanodes.
     pub fn new(cfg: HdfsConfig, n_datanodes: usize) -> Self {
+        Self::new_seeded(cfg, n_datanodes, Self::DEFAULT_SEED)
+    }
+
+    /// Like [`Self::new`], with the first lease placing from `seed` (each
+    /// later lease from the next seed up).
+    pub fn new_seeded(cfg: HdfsConfig, n_datanodes: usize, seed: u64) -> Self {
         assert!(n_datanodes > 0, "need at least one datanode");
         assert!(
             cfg.replication <= n_datanodes,
@@ -96,7 +105,7 @@ impl NameNode {
             inner: Mutex::named(inner, "hdfs.namenode.inner"),
             next_chunk: AtomicU64::new(1),
             next_lease: AtomicU64::new(1),
-            placement_seed: AtomicU64::new(0xD1CE),
+            placement_seed: AtomicU64::new(seed),
             ops: AtomicU64::new(0),
         }
     }

@@ -248,6 +248,9 @@ pub struct HdfsConfig {
     pub replication: usize,
     /// Placement affinity in percent for remote writers (see
     /// `PlacementPolicy::StickyRandom` and Fig. 3(b), §V-D). 0 = pure random.
+    /// The default, 65, is Fig. 3(b)'s calibration: the value at which the
+    /// reproduced HDFS unbalance lands in the paper's band
+    /// (docs/REPRODUCING.md).
     pub placement_stickiness: u8,
 }
 
@@ -256,7 +259,7 @@ impl Default for HdfsConfig {
         Self {
             chunk_size: super::PAPER_BLOCK_SIZE,
             replication: 1,
-            placement_stickiness: 40,
+            placement_stickiness: 65,
         }
     }
 }
@@ -267,7 +270,7 @@ impl HdfsConfig {
         Self {
             chunk_size: 4 * 1024,
             replication: 1,
-            placement_stickiness: 40,
+            placement_stickiness: 65,
         }
     }
 
