@@ -17,6 +17,9 @@
 //! ([`MetaStore::put_levels`]). The demux thread wakes waiters once per
 //! burst of responses it finds buffered together, not once per response,
 //! so the server's one-write answer to such a run wakes its caller once.
+//! A `PUT_MANY` request carries its blocks by reference
+//! ([`wire::Body::put_bytes`]): that write takes each block from the
+//! caller's own [`Bytes`], so no block is copied into a request buffer.
 //!
 //! A connection that dies *idle* (server restart) is redialed
 //! transparently on next use: the demux thread observes EOF immediately
@@ -26,9 +29,15 @@
 //! never accepted all of it, so the server cannot have dispatched it and
 //! the retry is safe even for non-idempotent calls like `assign`; in a run,
 //! that is exactly the frames behind the last one the write took whole,
-//! and they retry together. A frame that was sent but never answered
-//! fails with [`Error::Transport`]: its remote outcome is genuinely
-//! unknown, and it is never sent again.
+//! and they retry together. A frame that was sent but never answered —
+//! its connection closed with it in flight — is resent once, on a freshly
+//! dialed connection, if its call is read-only (its tag is in the
+//! service's `READ_ONLY` list: block and metadata fetches, counts and
+//! diagnostics, and the version manager's queries). That covers a call
+//! that left on an idle connection the server had already closed, before
+//! the demux thread read the EOF. Any other call fails with
+//! [`Error::Transport`]: its remote outcome is genuinely unknown, and it
+//! is never sent again.
 //!
 //! Service failures arrive as their real [`Error`] variants (decoded from
 //! the response envelope); only genuine connectivity problems — refused
@@ -46,7 +55,7 @@
 //! stay local (as do the tree's inner nodes once read, see [`RpcMetaStore`]).
 
 use crate::server::{block_tag, gc_tag, meta_tag, placement_tag, version_tag};
-use crate::wire::{self, batch_status, decode_response};
+use crate::wire::{self, batch_status, decode_response, Body};
 use blobseer_core::gc::GcReport;
 use blobseer_core::meta::key::NodeKey;
 use blobseer_core::meta::log::LogChain;
@@ -58,7 +67,7 @@ use blobseer_core::provider_manager::BlockAllocation;
 use blobseer_core::version_manager::{SnapshotInfo, WriteIntent, WriteTicket};
 use blobseer_core::EngineStats;
 use blobseer_types::config::DEFAULT_RPC_CLIENT_CONNECTIONS;
-use blobseer_types::wire::{Wire, WireWriter};
+use blobseer_types::wire::Wire;
 use blobseer_types::{BlobId, BlockId, Error, NodeId, Result, Version};
 use bytes::Bytes;
 use parking_lot::{Condvar, Mutex};
@@ -178,7 +187,7 @@ impl MuxConn {
     /// withdrawn), so the caller may safely retry them on a fresh
     /// connection; the prefix was sent, and its outcome is what its
     /// waiters learn.
-    fn send(&self, requests: &[WireWriter]) -> (Vec<u64>, Result<()>) {
+    fn send(&self, requests: &[Body]) -> (Vec<u64>, Result<()>) {
         if self.is_dead() {
             let e = Error::Transport(format!("{} died before the request was sent", self.addr));
             return (Vec::new(), Err(e));
@@ -190,11 +199,7 @@ impl MuxConn {
             .lock()
             .results
             .extend(ids.iter().map(|&id| (id, None)));
-        let frames: Vec<(u64, &[u8])> = ids
-            .iter()
-            .copied()
-            .zip(requests.iter().map(WireWriter::as_slice))
-            .collect();
+        let frames: Vec<(u64, &Body)> = ids.iter().copied().zip(requests).collect();
         let written = wire::write_frames(&mut *self.writer.lock(), &frames);
         let Err((sent, e)) = written else {
             return (ids, Ok(()));
@@ -267,18 +272,24 @@ pub(crate) struct MuxPool {
     control: bool,
     /// Connections of this pool that have died, ever (see [`Self::deaths`]).
     deaths: Arc<AtomicU64>,
+    /// Method tags of the calls that change nothing on the server: the
+    /// ones resent when their connection closes before answering.
+    read_only: &'static [u8],
 }
 
 impl MuxPool {
     /// Creates a pool of `budget` connection slots and eagerly dials one,
     /// so an unreachable endpoint fails at adapter construction, not
-    /// mid-write.
+    /// mid-write. Calls whose tag is in `read_only` change nothing on the
+    /// server, so they are resent when their connection closes before
+    /// answering them.
     pub(crate) fn connect_with(
         addr: SocketAddr,
         stats: Arc<EngineStats>,
         budget: usize,
+        read_only: &'static [u8],
     ) -> Result<Self> {
-        Self::connect_metered(addr, stats, budget, false)
+        Self::connect_metered(addr, stats, budget, false, read_only)
     }
 
     /// [`Self::connect_with`] for control-plane adapters: round trips land
@@ -289,7 +300,7 @@ impl MuxPool {
         stats: Arc<EngineStats>,
         budget: usize,
     ) -> Result<Self> {
-        Self::connect_metered(addr, stats, budget, true)
+        Self::connect_metered(addr, stats, budget, true, &[])
     }
 
     fn connect_metered(
@@ -297,6 +308,7 @@ impl MuxPool {
         stats: Arc<EngineStats>,
         budget: usize,
         control: bool,
+        read_only: &'static [u8],
     ) -> Result<Self> {
         assert!(budget >= 1, "a pool needs at least one connection");
         let pool = Self {
@@ -308,6 +320,7 @@ impl MuxPool {
             stats,
             control,
             deaths: Arc::new(AtomicU64::new(0)),
+            read_only,
         };
         pool.conn_at(0)?;
         Ok(pool)
@@ -339,7 +352,7 @@ impl MuxPool {
     /// fresh connection — safe for any operation, because an unwritten
     /// frame was never dispatched. A frame that was taken is never sent
     /// again.
-    fn send_on(&self, slot: usize, requests: &[WireWriter]) -> Vec<Result<(Arc<MuxConn>, u64)>> {
+    fn send_on(&self, slot: usize, requests: &[Body]) -> Vec<Result<(Arc<MuxConn>, u64)>> {
         let meter = if self.control {
             &self.stats.control_round_trips
         } else {
@@ -365,10 +378,15 @@ impl MuxPool {
         sent
     }
 
+    /// Whether `request`'s call changes nothing on the server.
+    fn read_only(&self, request: &Body) -> bool {
+        (request.as_slice().first()).is_some_and(|tag| self.read_only.contains(tag))
+    }
+
     /// One request/response exchange, multiplexed: requests from many
     /// threads pipeline on the slot connections, matched back by request
     /// id.
-    pub(crate) fn call(&self, request: &WireWriter) -> Result<Vec<u8>> {
+    pub(crate) fn call(&self, request: &Body) -> Result<Vec<u8>> {
         single(self.call_all(std::slice::from_ref(request)))
     }
 
@@ -378,17 +396,29 @@ impl MuxPool {
     /// round trips overlap, and the answers a server sends back together
     /// wake the caller once. One frame, one meter tick and one result per
     /// request; frames the write did not take whole retry once, together.
-    pub(crate) fn call_all(&self, requests: &[WireWriter]) -> Vec<Result<Vec<u8>>> {
+    /// A read-only request whose connection closed before answering it is
+    /// resent once, alone, on a freshly dialed connection (the demux
+    /// thread marked the old one dead before it failed the waiter).
+    pub(crate) fn call_all(&self, requests: &[Body]) -> Vec<Result<Vec<u8>>> {
         let slot = self.next.fetch_add(1, Ordering::Relaxed) % self.slots.len();
-        (self.send_on(slot, requests).into_iter())
-            .map(|sent| sent.and_then(|(conn, id)| conn.wait(id)))
+        (requests.iter().zip(self.send_on(slot, requests)))
+            .map(|(request, sent)| {
+                let (conn, id) = sent?;
+                match conn.wait(id) {
+                    Err(_) if self.read_only(request) => {
+                        let (conn, id) = single(self.send_on(slot, std::slice::from_ref(request)))?;
+                        conn.wait(id)
+                    }
+                    answer => answer,
+                }
+            })
             .collect()
     }
 }
 
 /// A request frame: the method tag, then the method's arguments.
-fn request<A: Wire + ?Sized>(tag: u8, args: &A) -> WireWriter {
-    let mut req = WireWriter::new();
+fn request<A: Wire + ?Sized>(tag: u8, args: &A) -> Body {
+    let mut req = Body::default();
     req.put_u8(tag);
     args.put(&mut req);
     req
@@ -526,7 +556,8 @@ impl RpcBlockStore {
         let mut route = Vec::new();
         let mut nodes = Vec::new();
         for (ei, &addr) in addrs.iter().enumerate() {
-            let pool = MuxPool::connect_with(addr, Arc::clone(&stats), budget)?;
+            let pool =
+                MuxPool::connect_with(addr, Arc::clone(&stats), budget, block_tag::READ_ONLY)?;
             let hosted: Vec<NodeId> = call(&pool, block_tag::DESCRIBE, &())?;
             route.extend((0..hosted.len() as u64).map(|local| (ei, local)));
             nodes.extend(hosted);
@@ -606,13 +637,11 @@ impl BlockStore for RpcBlockStore {
                 end += 1;
             }
             let chunk = &items[start..end];
-            // The one copy the payload takes on this side: sized up
-            // front, so the request buffer never re-copies it growing.
+            // Each block rides the frame by reference, never copied.
             let mut req = request(block_tag::PUT_MANY, &(local, chunk.len()));
-            req.reserve(bytes + chunk.len() * wire::ITEM_HEADER_MAX);
             for (id, data) in chunk {
                 id.put(&mut req);
-                req.put_slice(data);
+                req.put_bytes(data);
             }
             // A refused frame fails every item of its chunk: one lost
             // frame must not be mistaken for per-item success.
@@ -794,7 +823,7 @@ impl RpcMetaStore {
     /// shard count. `stats` receives the adapter's round-trip/batch
     /// accounting.
     pub fn connect_with(addr: SocketAddr, stats: Arc<EngineStats>, budget: usize) -> Result<Self> {
-        let pool = MuxPool::connect_with(addr, Arc::clone(&stats), budget)?;
+        let pool = MuxPool::connect_with(addr, Arc::clone(&stats), budget, meta_tag::READ_ONLY)?;
         let shard_count = call(&pool, meta_tag::SHARD_COUNT, &())?;
         Ok(Self {
             pool,
@@ -858,7 +887,7 @@ impl MetaStore for RpcMetaStore {
         self.stats
             .batched_items
             .fetch_add(items as u64, Ordering::Relaxed);
-        let requests: Vec<WireWriter> = chunks
+        let requests: Vec<Body> = chunks
             .iter()
             .map(|(_, chunk)| request(meta_tag::PUT_MANY, *chunk))
             .collect();
@@ -961,7 +990,7 @@ impl RpcVersionService {
     /// Connects (`budget` multiplexed connections) and caches the fixed
     /// block size. `stats` receives the adapter's round-trip accounting.
     pub fn connect_with(addr: SocketAddr, stats: Arc<EngineStats>, budget: usize) -> Result<Self> {
-        let pool = MuxPool::connect_with(addr, stats, budget)?;
+        let pool = MuxPool::connect_with(addr, stats, budget, version_tag::READ_ONLY)?;
         let block_size = call(&pool, version_tag::BLOCK_SIZE, &())?;
         Ok(Self { pool, block_size })
     }
@@ -1148,7 +1177,9 @@ impl GcService for RpcGcService {
 mod tests {
     use super::*;
     use crate::{RpcServer, RpcService, ServerOptions};
+    use blobseer_core::block_store::ProviderSet;
     use blobseer_core::VersionManager;
+    use std::io::IoSlice;
 
     /// A socket writer that passes on the first `left` bytes it is given,
     /// then fails as a reset connection would.
@@ -1181,7 +1212,7 @@ mod tests {
         const RUN: u64 = 6;
         let vm = Arc::new(VersionManager::new(64, Arc::new(EngineStats::new())));
         let blob = vm.create_blob();
-        let requests: Vec<WireWriter> = (0..RUN)
+        let requests: Vec<Body> = (0..RUN)
             .map(|_| {
                 request(
                     version_tag::ASSIGN,
@@ -1191,13 +1222,10 @@ mod tests {
             .collect();
         // Where each frame of the run ends when it is the failing
         // connection's first: its ids start at 0.
-        let frames: Vec<(u64, &[u8])> = (0..RUN)
-            .zip(requests.iter().map(WireWriter::as_slice))
-            .collect();
         let mut ends = Vec::new();
         let mut wire = Vec::new();
-        for frame in &frames {
-            wire::write_frames(&mut wire, std::slice::from_ref(frame)).unwrap();
+        for (id, request) in (0..RUN).zip(&requests) {
+            wire::write_frames(&mut wire, &[(id, request)]).unwrap();
             ends.push(wire.len());
         }
         let cuts = [
@@ -1217,7 +1245,7 @@ mod tests {
             )
             .unwrap();
             let stats = Arc::new(EngineStats::new());
-            let pool = MuxPool::connect_with(server.addr(), Arc::clone(&stats), 1).unwrap();
+            let pool = MuxPool::connect_with(server.addr(), Arc::clone(&stats), 1, &[]).unwrap();
             let failing = MuxConn::dial_with(server.addr(), Arc::clone(&pool.deaths), |inner| {
                 Box::new(FailAfter { inner, left: k })
             })
@@ -1237,6 +1265,72 @@ mod tests {
             assert_eq!(server.frames_served(), RUN, "cut at byte {k}");
             assert_eq!(stats.snapshot().port_round_trips, RUN, "one tick per frame");
             assert_eq!(pool.deaths(), 1, "only the failing connection died");
+        }
+    }
+
+    /// A socket writer that notes where every slice it is offered lies.
+    struct Recording {
+        inner: TcpStream,
+        offered: Arc<Mutex<Vec<(usize, usize)>>>,
+    }
+
+    impl Write for Recording {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            (self.offered.lock()).extend(bufs.iter().map(|b| (b.as_ptr() as usize, b.len())));
+            self.inner.write_vectored(bufs)
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.inner.flush()
+        }
+    }
+
+    /// 600 one-byte blocks make a frame of more than `IOV_MAX` (1024)
+    /// pieces, so the socket takes each run in several `writev`s: the
+    /// `PUT_MANY` request and the `GET_MANY` answer still cross whole, one
+    /// frame each way, and the request offers every block from its own
+    /// buffer.
+    #[test]
+    fn six_hundred_one_byte_blocks_cross_by_reference_in_one_frame_each_way() {
+        let server = RpcServer::spawn(
+            RpcService::Block(Arc::new(ProviderSet::new(1, |_| NodeId::new(0)))),
+            ServerOptions::default(),
+        )
+        .unwrap();
+        let stats = Arc::new(EngineStats::new());
+        let store = RpcBlockStore::connect_with(&[server.addr()], Arc::clone(&stats), 1).unwrap();
+        let offered = Arc::new(Mutex::new(Vec::new()));
+        let pool = &store.endpoints[0].pool;
+        let recording = Arc::clone(&offered);
+        let conn = MuxConn::dial_with(server.addr(), Arc::clone(&pool.deaths), |inner| {
+            Box::new(Recording {
+                inner,
+                offered: recording,
+            })
+        })
+        .unwrap();
+        *pool.slots[0].lock() = Some(conn);
+
+        let items: Vec<(BlockId, Bytes)> = (0..600u64)
+            .map(|k| (BlockId::new(k), Bytes::from(vec![k as u8])))
+            .collect();
+        let frames = || stats.snapshot().port_round_trips;
+        let before = frames();
+        assert!(store.put_many(0, &items).iter().all(Result::is_ok));
+        assert_eq!(frames() - before, 1, "one PUT_MANY frame");
+        let offered = offered.lock().clone();
+        for (id, data) in &items {
+            let own = (data.as_ptr() as usize, 1);
+            assert!(offered.contains(&own), "block {id:?} was copied");
+        }
+        let ids: Vec<BlockId> = items.iter().map(|(id, _)| *id).collect();
+        let before = frames();
+        let got = store.get_many(0, &ids);
+        assert_eq!(frames() - before, 1, "one GET_MANY frame");
+        for (got, (_, want)) in got.into_iter().zip(&items) {
+            assert_eq!(&got.unwrap(), want);
         }
     }
 }

@@ -45,14 +45,17 @@
 //! Every handler arm decodes its whole argument tuple with one call to
 //! [`Wire::get`] — a call that also refuses trailing bytes — runs the
 //! port method and encodes the answer with [`Wire::put`]; only the block
-//! payload arms (`PUT_MANY`, `GET_MANY`) decode and encode by hand, to
-//! slice block bytes instead of copying them.
+//! payload arms (`PUT_MANY`, `GET_MANY`) decode and encode by hand: a
+//! `PUT_MANY`'s blocks are slices of the buffer the request was read
+//! into, and a `GET_MANY` answer splices each fetched block into its frame
+//! by reference ([`wire::Body::put_bytes`]), so the socket write takes it
+//! from where the store keeps it.
 
-use crate::wire::{self, batch_status, encode_response};
+use crate::wire::{self, batch_status, Body, FrameBody};
 use blobseer_core::meta::key::NodeKey;
 use blobseer_core::meta::node::TreeNode;
 use blobseer_core::ports::{BlockStore, GcService, MetaStore, PlacementService, VersionService};
-use blobseer_types::wire::{Wire, WireReader, WireWriter};
+use blobseer_types::wire::{Wire, WireReader};
 use blobseer_types::{BlockId, Error, NodeId, Result};
 use bytes::Bytes;
 use parking_lot::Mutex;
@@ -384,17 +387,18 @@ fn connection_loop(
 /// or when they reach [`HOLD_BYTES_MAX`] — so an answer never waits on the
 /// network. The request body is the buffer the read filled, shareable so
 /// a block store can keep slices of it instead of copies.
-fn serve_frames<R: Read, W: Write>(
+fn serve_frames<R: Read, W: Write, B: FrameBody>(
     reader: &mut io::BufReader<R>,
     writer: &Mutex<W>,
-    mut answer: impl FnMut(u64, Bytes) -> Option<Vec<u8>>,
+    mut answer: impl FnMut(u64, Bytes) -> Option<B>,
 ) {
-    let mut held: Vec<(u64, Vec<u8>)> = Vec::new();
+    let mut held: Vec<(u64, B)> = Vec::new();
     let mut held_bytes = 0;
-    let write_held = |held: &mut Vec<(u64, Vec<u8>)>| {
+    let write_held = |held: &mut Vec<(u64, B)>| {
         if !held.is_empty() {
+            let frames: Vec<(u64, &B)> = held.iter().map(|(id, body)| (*id, body)).collect();
             // A failed write surfaces as the next read's failure.
-            let _ = wire::write_frames(&mut *writer.lock(), held);
+            let _ = wire::write_frames(&mut *writer.lock(), &frames);
             held.clear();
         }
     };
@@ -402,7 +406,7 @@ fn serve_frames<R: Read, W: Write>(
     // was closed under us.
     while let Ok(Some((req_id, body))) = wire::read_frame(reader) {
         if let Some(response) = answer(req_id, Bytes::from(body)) {
-            held_bytes += response.len();
+            held_bytes += response.wire_len();
             held.push((req_id, response));
         }
         if held_bytes >= HOLD_BYTES_MAX || !wire::complete_frame_buffered(reader.buffer()) {
@@ -440,7 +444,7 @@ fn offload(
         .name("rpc-wait".into())
         .spawn(move || {
             let response = respond(&service, &offload_shared, &body, track);
-            let _ = wire::write_frame(&mut *writer.lock(), req_id, &response);
+            let _ = wire::write_frames(&mut *writer.lock(), &[(req_id, &response)]);
         })
     {
         shared.offloads.lock().push(handle);
@@ -455,7 +459,7 @@ fn respond(
     shared: &Shared,
     body: &Bytes,
     track: Option<InFlightGuard>,
-) -> Vec<u8> {
+) -> Body {
     let response =
         catch_unwind(AssertUnwindSafe(|| dispatch(service, body))).unwrap_or_else(|panic| {
             shared.panics.fetch_add(1, Ordering::Relaxed);
@@ -463,7 +467,7 @@ fn respond(
                 .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
                 .unwrap_or("non-string payload");
             let e = Error::Internal(format!("{} handler panicked: {why}", service.name()));
-            encode_response(Err(e))
+            wire::response(Err(e))
         });
     // End the tracked span before the response is held or leaves: once
     // the frame is on the wire the client may already be issuing its next
@@ -473,7 +477,7 @@ fn respond(
     response
 }
 
-fn dispatch(service: &RpcService, body: &Bytes) -> Vec<u8> {
+fn dispatch(service: &RpcService, body: &Bytes) -> Body {
     let mut r = WireReader::new(body);
     let result = r.get_u8().and_then(|tag| match service {
         RpcService::Block(store) => handle_block(&**store, tag, r, body),
@@ -482,7 +486,7 @@ fn dispatch(service: &RpcService, body: &Bytes) -> Vec<u8> {
         RpcService::Placement(pm) => handle_placement(&**pm, tag, r),
         RpcService::Gc(gc) => handle_gc(&**gc, tag, r),
     });
-    encode_response(result)
+    wire::response(result)
 }
 
 /// Decodes a request's arguments — the rest of its body after the tag —
@@ -498,15 +502,12 @@ fn request<A>(
 }
 
 /// Serves one call: decodes its argument tuple, runs it, answers.
-fn serve<A: Wire, T: Wire>(
-    r: WireReader<'_>,
-    call: impl FnOnce(A) -> Result<T>,
-) -> Result<WireWriter> {
+fn serve<A: Wire, T: Wire>(r: WireReader<'_>, call: impl FnOnce(A) -> Result<T>) -> Result<Body> {
     Ok(answer(&call(request(r, A::get)?)?))
 }
 
 /// `value`, encoded behind the response envelope.
-fn answer<T: Wire>(value: &T) -> WireWriter {
+fn answer<T: Wire>(value: &T) -> Body {
     let mut w = wire::response_writer();
     value.put(&mut w);
     w
@@ -539,6 +540,16 @@ pub(crate) mod block_tag {
     pub const PUT_MANY: u8 = 8;
     pub const GET_MANY: u8 = 9;
     pub const DELETE_MANY: u8 = 10;
+    /// The calls that change nothing on the server: a client may resend
+    /// one whose connection closed before it was answered.
+    pub const READ_ONLY: &[u8] = &[
+        DESCRIBE,
+        CONTAINS,
+        BLOCK_COUNT,
+        BYTES_STORED,
+        OP_COUNTS,
+        GET_MANY,
+    ];
 }
 
 /// Reads the next length-prefixed byte string as a zero-copy slice of
@@ -550,12 +561,7 @@ fn get_shared(r: &mut WireReader<'_>, body: &Bytes) -> Result<Bytes> {
     Ok(body.slice(end - len..end))
 }
 
-fn handle_block(
-    store: &dyn BlockStore,
-    tag: u8,
-    r: WireReader<'_>,
-    body: &Bytes,
-) -> Result<WireWriter> {
+fn handle_block(store: &dyn BlockStore, tag: u8, r: WireReader<'_>, body: &Bytes) -> Result<Body> {
     let provider = |p| check_provider(store, p);
     match tag {
         block_tag::DESCRIBE => serve(r, |()| {
@@ -589,17 +595,15 @@ fn handle_block(
     }
 }
 
-/// A `GET_MANY` answer, by hand: the payloads are written once, straight
-/// behind the envelope, and those past the batch budget are deferred.
-fn encode_get_many(results: &[Result<Bytes>]) -> WireWriter {
+/// A `GET_MANY` answer, by hand: each payload is spliced behind its status
+/// byte by reference — a RAM store's own slice, a volume's read buffer —
+/// and those past the batch budget are deferred.
+fn encode_get_many(results: &[Result<Bytes>]) -> Body {
     let mut w = wire::response_writer();
-    // What the envelope put in `w`; the batch budget counts payload only.
-    let envelope = w.as_slice().len();
+    // What the envelope put in `w`; the batch budget counts the rest,
+    // spliced payloads included.
+    let envelope = w.wire_len();
     w.put_u64(results.len() as u64);
-    // The payloads' one copy on this side: make room for them up front
-    // (at most a budget's worth leaves in this frame).
-    let payload: usize = results.iter().flatten().map(|d| d.len()).sum();
-    w.reserve(payload.min(wire::BATCH_BYTE_BUDGET) + wire::ITEM_HEADER_MAX * results.len());
     // Encode items while they fit the batch budget — counting the payload
     // *about to be appended*, or a batch of large blocks could overshoot
     // the budget by one block and assemble a frame past MAX_FRAME_LEN that
@@ -608,7 +612,7 @@ fn encode_get_many(results: &[Result<Bytes>]) -> WireWriter {
     // a client loop over deferrals is guaranteed progress.
     let mut included_any = false;
     for result in results {
-        let projected = w.as_slice().len() - envelope + result.as_ref().map_or(0, |d| d.len());
+        let projected = w.wire_len() - envelope + result.as_ref().map_or(0, |d| d.len());
         if included_any && projected > wire::BATCH_BYTE_BUDGET {
             w.put_u8(batch_status::DEFERRED);
             continue;
@@ -616,7 +620,7 @@ fn encode_get_many(results: &[Result<Bytes>]) -> WireWriter {
         match result {
             Ok(data) => {
                 w.put_u8(batch_status::OK);
-                w.put_slice(data);
+                w.put_bytes(data);
             }
             Err(e) => {
                 w.put_u8(batch_status::ERR);
@@ -639,9 +643,12 @@ pub(crate) mod meta_tag {
     pub const PUT_MANY: u8 = 7;
     pub const GET_MANY: u8 = 8;
     pub const DELETE_MANY: u8 = 9;
+    /// The calls that change nothing on the server (see
+    /// [`super::block_tag::READ_ONLY`]).
+    pub const READ_ONLY: &[u8] = &[SHARD_COUNT, NODE_COUNT, SHARD_STATS, GET_MANY];
 }
 
-fn handle_meta(store: &dyn MetaStore, tag: u8, r: WireReader<'_>) -> Result<WireWriter> {
+fn handle_meta(store: &dyn MetaStore, tag: u8, r: WireReader<'_>) -> Result<Body> {
     match tag {
         meta_tag::PUT_MANY => serve(r, |items: Vec<(NodeKey, TreeNode)>| {
             Ok(store.put_many(&items))
@@ -680,9 +687,19 @@ pub(crate) mod version_tag {
     pub const PENDING_VERSIONS: u8 = 9;
     pub const DELETE_BLOB: u8 = 10;
     pub const COLLECT_BEFORE: u8 = 11;
+    /// The calls that change nothing on the server (see
+    /// [`super::block_tag::READ_ONLY`]).
+    pub const READ_ONLY: &[u8] = &[
+        BLOCK_SIZE,
+        LATEST,
+        SNAPSHOT_INFO,
+        CHAIN,
+        WAIT_REVEALED,
+        PENDING_VERSIONS,
+    ];
 }
 
-fn handle_version(vm: &dyn VersionService, tag: u8, r: WireReader<'_>) -> Result<WireWriter> {
+fn handle_version(vm: &dyn VersionService, tag: u8, r: WireReader<'_>) -> Result<Body> {
     match tag {
         version_tag::BLOCK_SIZE => serve(r, |()| Ok(vm.block_size())),
         version_tag::CREATE_BLOB => serve(r, |()| vm.create_blob()),
@@ -718,7 +735,7 @@ pub(crate) mod placement_tag {
     pub const HEARTBEAT: u8 = 5;
 }
 
-fn handle_placement(pm: &dyn PlacementService, tag: u8, r: WireReader<'_>) -> Result<WireWriter> {
+fn handle_placement(pm: &dyn PlacementService, tag: u8, r: WireReader<'_>) -> Result<Body> {
     match tag {
         placement_tag::PROVIDER_COUNT => serve(r, |()| Ok(pm.provider_count())),
         placement_tag::ALLOCATE => serve(r, |(n_blocks, replication)| {
@@ -744,7 +761,7 @@ pub(crate) mod gc_tag {
     pub const TRACKED_NODES: u8 = 3;
 }
 
-fn handle_gc(gc: &dyn GcService, tag: u8, r: WireReader<'_>) -> Result<WireWriter> {
+fn handle_gc(gc: &dyn GcService, tag: u8, r: WireReader<'_>) -> Result<Body> {
     match tag {
         gc_tag::INC_NODES => serve(r, |keys: Vec<NodeKey>| gc.inc_nodes(&keys)),
         gc_tag::RELEASE_ROOTS => serve(r, |roots: Vec<NodeKey>| gc.release_roots(&roots)),
@@ -884,5 +901,54 @@ mod tests {
             .map(|write| write.iter().map(|(id, _)| *id).collect())
             .collect();
         assert_eq!(ids, [vec![0, 1, 2], vec![3, 4]]);
+    }
+
+    /// A `GET_MANY` answer splices each block it carries — the store's own
+    /// bytes, not a copy — and defers a block that would take it past the
+    /// batch budget: here the third of three budget-thirds, while an error
+    /// and a small block still fit.
+    #[test]
+    fn a_get_many_answer_splices_its_blocks_and_defers_past_the_budget() {
+        use blobseer_types::wire::WireReader;
+        let third = Bytes::from(vec![7u8; wire::BATCH_BYTE_BUDGET / 3]);
+        let small = Bytes::from_static(b"tail");
+        let missing = Error::Internal("no such block".into());
+        let results = [
+            Ok(third.clone()),
+            Err(missing.clone()),
+            Ok(third.clone()),
+            Ok(third.clone()),
+            Ok(small.clone()),
+        ];
+        let body = encode_get_many(&results);
+        let mut pieces = Vec::new();
+        body.pieces(&mut pieces);
+        let spliced = |data: &Bytes| {
+            (pieces.iter())
+                .filter(|p| p.as_ptr() == data.as_ptr() && p.len() == data.len())
+                .count()
+        };
+        assert_eq!((spliced(&third), spliced(&small)), (2, 1));
+        assert!(body.wire_len() <= wire::BATCH_BYTE_BUDGET + 64);
+
+        let bytes = body.to_vec();
+        let mut r = WireReader::new(&bytes);
+        assert_eq!(r.get_u8().unwrap(), batch_status::OK);
+        assert_eq!(u64::get(&mut r).unwrap(), results.len() as u64);
+        let mut statuses = Vec::new();
+        for result in &results {
+            let status = r.get_u8().unwrap();
+            match status {
+                batch_status::OK => {
+                    assert_eq!(r.get_slice().unwrap(), &result.as_ref().unwrap()[..])
+                }
+                batch_status::ERR => assert_eq!(Error::get(&mut r).unwrap(), missing),
+                _ => {}
+            }
+            statuses.push(status);
+        }
+        r.finish().unwrap();
+        use batch_status::{DEFERRED, ERR, OK};
+        assert_eq!(statuses, [OK, ERR, OK, DEFERRED, OK]);
     }
 }

@@ -32,10 +32,15 @@
 //! response body is the envelope ([`response_writer`], [`decode_response`])
 //! around the answer. Both are encoded with [`Wire`]
 //! (`blobseer_types::wire`; the domain types' impls live in
-//! `blobseer_core::meta::codec`). Only the two block-payload paths write
-//! their bodies by hand, so block bytes are sliced, never copied: a
-//! `PUT_MANY` request and a `GET_MANY` response, whose items may be
-//! [`batch_status::DEFERRED`].
+//! `blobseer_core::meta::codec`) into a [`Body`]. Only the two
+//! block-payload paths write their bodies by hand: a `PUT_MANY` request
+//! and a `GET_MANY` response, whose items may be
+//! [`batch_status::DEFERRED`]. Their block payloads ride the frame **by
+//! reference** ([`Body::put_bytes`]): the encoded bytes around them are
+//! built in one buffer, each payload stays in its own [`Bytes`], and
+//! [`write_frames`] hands it to the socket as an iovec of its own. On the
+//! wire that is byte for byte the contiguous encoding; in memory, no
+//! payload byte is copied into a frame buffer on either side.
 //!
 //! Every decode validates its input and fails with
 //! [`blobseer_types::Error::Transport`]; a malformed frame can never
@@ -44,7 +49,9 @@
 use blobseer_core::version_manager::WriteTicket;
 use blobseer_types::wire::{write_all_vectored, Wire, WireReader, WireWriter};
 use blobseer_types::{Error, Result};
+use bytes::Bytes;
 use std::io::{ErrorKind, IoSlice, Read, Write};
+use std::ops::{Deref, DerefMut};
 
 /// Upper bound on an accepted frame body (64 MB block + headroom). A
 /// corrupt length prefix must not make a peer attempt a huge allocation.
@@ -57,11 +64,6 @@ pub const MAX_FRAME_LEN: u64 = 80 * 1024 * 1024;
 /// client to re-request — either way a batch of 64 MB blocks can never
 /// assemble an over-cap frame.
 pub const BATCH_BYTE_BUDGET: usize = 64 * 1024 * 1024;
-
-/// Upper bound on what one block item adds to a frame besides its payload
-/// (an id varint or a status byte, then a length varint) — what a frame
-/// builder adds per item when it sizes its buffer for known payloads.
-pub(crate) const ITEM_HEADER_MAX: usize = 20;
 
 /// Status bytes: the first byte of every response body (`OK`, `ERR`), and
 /// of each item of a vectored (`*_many`) response. `OK` and `ERR` are the
@@ -83,6 +85,96 @@ pub(crate) fn transport(context: &str, e: std::io::Error) -> Error {
     Error::Transport(format!("{context}: {e}"))
 }
 
+/// A frame body under construction: [`Wire`] encodings go into its
+/// writer (it derefs to a [`WireWriter`]), and block payloads are
+/// *spliced* in by reference with [`Self::put_bytes`]. The writer holds
+/// every byte of the body but the spliced payloads, which stay in their
+/// own [`Bytes`], each recorded at the offset into the writer where its
+/// bytes belong. [`write_frames`] sends the writer's runs and the payloads
+/// interleaved, in one vectored write; [`Self::to_vec`] gives the same
+/// bytes in one buffer.
+#[derive(Debug, Default)]
+pub struct Body {
+    head: WireWriter,
+    /// `(offset into head, payload)`, offsets in order.
+    spliced: Vec<(usize, Bytes)>,
+    /// The spliced payloads' total length.
+    spliced_len: usize,
+}
+
+impl Body {
+    /// Appends `data` as a length-prefixed byte string — the bytes
+    /// [`WireWriter::put_slice`] writes — without copying it: the length
+    /// varint goes into the writer, the payload is kept by reference.
+    pub fn put_bytes(&mut self, data: &Bytes) {
+        self.head.put_u64(data.len() as u64);
+        self.spliced
+            .push((self.head.as_slice().len(), data.clone()));
+        self.spliced_len += data.len();
+    }
+
+    /// The body's bytes in one buffer: what a peer reads as this frame's
+    /// body.
+    pub fn to_vec(&self) -> Vec<u8> {
+        let mut pieces = Vec::new();
+        self.pieces(&mut pieces);
+        let mut out = Vec::with_capacity(self.wire_len());
+        pieces.iter().for_each(|piece| out.extend_from_slice(piece));
+        out
+    }
+}
+
+/// The writer the body's encoded (non-spliced) bytes go into. Its
+/// `as_slice` shows those bytes only; the whole body is
+/// [`Body::to_vec`].
+impl Deref for Body {
+    type Target = WireWriter;
+    fn deref(&self) -> &WireWriter {
+        &self.head
+    }
+}
+
+impl DerefMut for Body {
+    fn deref_mut(&mut self) -> &mut WireWriter {
+        &mut self.head
+    }
+}
+
+/// What [`write_frames`] sends as a frame body: a byte slice, or a
+/// [`Body`] with its spliced payloads.
+pub trait FrameBody {
+    /// The body's length on the wire.
+    fn wire_len(&self) -> usize;
+    /// Appends the body's bytes to `out`, in order, as slices of the
+    /// buffers they lie in.
+    fn pieces<'a>(&'a self, out: &mut Vec<IoSlice<'a>>);
+}
+
+impl<T: AsRef<[u8]> + ?Sized> FrameBody for T {
+    fn wire_len(&self) -> usize {
+        self.as_ref().len()
+    }
+    fn pieces<'a>(&'a self, out: &mut Vec<IoSlice<'a>>) {
+        out.push(IoSlice::new(self.as_ref()));
+    }
+}
+
+impl FrameBody for Body {
+    fn wire_len(&self) -> usize {
+        self.head.as_slice().len() + self.spliced_len
+    }
+    fn pieces<'a>(&'a self, out: &mut Vec<IoSlice<'a>>) {
+        let head = self.head.as_slice();
+        let mut at = 0;
+        for (offset, data) in &self.spliced {
+            out.push(IoSlice::new(&head[at..*offset]));
+            out.push(IoSlice::new(data));
+            at = *offset;
+        }
+        out.push(IoSlice::new(&head[at..]));
+    }
+}
+
 /// Writes one length-prefixed frame tagged with `req_id`: the one-frame
 /// case of [`write_frames`]. The id varint is part of the prefixed length,
 /// and a response frame must echo the id of the request it answers.
@@ -91,47 +183,45 @@ pub fn write_frame(stream: &mut impl Write, req_id: u64, body: &[u8]) -> Result<
 }
 
 /// Writes a run of length-prefixed frames, `(request id, body)` each, in
-/// order: every header and every body in one vectored write, then one
-/// flush. Only a writer that takes less than it was offered sees a second
-/// call. The bytes are exactly those of one [`write_frame`] per frame.
+/// order: every header and every piece of every body in one vectored
+/// write, then one flush. Only a writer that takes less than it was
+/// offered sees a second call (as does a run of more pieces than one
+/// `writev` takes, `IOV_MAX`). The bytes are exactly those of one
+/// [`write_frame`] per frame, of each body's contiguous bytes.
 ///
 /// On failure, the error comes with the number of leading frames the
 /// writer took whole; the rest never left complete, so no peer can have
 /// read them. A failed flush counts every frame as taken: its bytes may
 /// have left.
-pub fn write_frames<B: AsRef<[u8]>>(
+pub fn write_frames<B: FrameBody + ?Sized>(
     stream: &mut impl Write,
-    frames: &[(u64, B)],
+    frames: &[(u64, &B)],
 ) -> std::result::Result<(), (usize, Error)> {
-    // Every header in one buffer; frame i's header ends at `ends[i]` in it.
+    // Every header in one buffer; frame i's header ends at `header_ends[i]`
+    // in it, and the frame itself `ends[i]` bytes into the run.
     let mut headers = WireWriter::new();
+    let mut header_ends = Vec::with_capacity(frames.len());
     let mut ends = Vec::with_capacity(frames.len());
+    let mut run = 0;
     for (req_id, body) in frames {
         // A varint carries 7 bits per byte.
         let id_len = (64 - (req_id | 1).leading_zeros() as usize).div_ceil(7);
-        headers.put_u64((id_len + body.as_ref().len()) as u64);
+        let start = headers.as_slice().len();
+        headers.put_u64((id_len + body.wire_len()) as u64);
         headers.put_u64(*req_id);
-        ends.push(headers.as_slice().len());
+        header_ends.push(headers.as_slice().len());
+        run += headers.as_slice().len() - start + body.wire_len();
+        ends.push(run);
     }
     let mut parts = Vec::with_capacity(2 * frames.len());
     let mut start = 0;
-    for ((_, body), &end) in frames.iter().zip(&ends) {
+    for ((_, body), &end) in frames.iter().zip(&header_ends) {
         parts.push(IoSlice::new(&headers.as_slice()[start..end]));
-        parts.push(IoSlice::new(body.as_ref()));
+        body.pieces(&mut parts);
         start = end;
     }
     if let Err((written, e)) = write_all_vectored(stream, &mut parts) {
-        // Frame i ends `ends[i]` header bytes plus its body and those
-        // before it into the run.
-        let mut bodies = 0;
-        let whole = frames
-            .iter()
-            .zip(&ends)
-            .take_while(|((_, body), &end)| {
-                bodies += body.as_ref().len();
-                end + bodies <= written
-            })
-            .count();
+        let whole = ends.iter().take_while(|&&end| end <= written).count();
         return Err((whole, transport("write frames", e)));
     }
     stream
@@ -224,28 +314,33 @@ pub fn put_write_ticket(w: &mut WireWriter, t: &WriteTicket) {
 
 // --- response envelope ------------------------------------------------------
 
-/// The writer a handler encodes its answer into: it already holds the
+/// The body a handler encodes its answer into: it already holds the
 /// success status byte, so what the handler appends *is* the response
-/// body and [`encode_response`] has nothing to copy — a batched get's
-/// payloads are written once, straight behind the envelope.
-pub fn response_writer() -> WireWriter {
-    let mut w = WireWriter::new();
+/// body and wrapping it in the envelope copies nothing — a batched get's
+/// payloads are spliced straight behind the status byte.
+pub fn response_writer() -> Body {
+    let mut w = Body::default();
     w.put_u8(batch_status::OK);
     w
 }
 
-/// Wraps a handler outcome into a response body: the handler's own
-/// writer (started by [`response_writer`], status byte `0` in front of
-/// the payload), or status byte `1` followed by the encoded [`Error`] —
-/// the bytes of `Result<T>`'s [`Wire`] encoding either way.
-pub fn encode_response(result: Result<WireWriter>) -> Vec<u8> {
-    match result {
-        Ok(body) => {
-            debug_assert_eq!(body.as_slice().first(), Some(&batch_status::OK));
-            body.into_vec()
-        }
-        Err(e) => Err::<(), _>(e).to_bytes(),
-    }
+/// Wraps a handler outcome into a response body: the handler's own body
+/// (started by [`response_writer`], status byte `0` in front of the
+/// payload), or status byte `1` followed by the encoded [`Error`] — the
+/// bytes of `Result<T>`'s [`Wire`] encoding either way.
+pub(crate) fn response(result: Result<Body>) -> Body {
+    result.unwrap_or_else(|e| {
+        let mut w = Body::default();
+        Err::<(), _>(e).put(&mut w);
+        w
+    })
+}
+
+/// The response body for a handler outcome (the server's own encoder,
+/// `Body` in, `Body` out), in one buffer: what a peer reads as the
+/// response frame's body.
+pub fn encode_response(result: Result<Body>) -> Vec<u8> {
+    response(result).to_vec()
 }
 
 /// Opens a response body and decodes its payload with `payload`, which
@@ -356,21 +451,48 @@ mod tests {
         assert!(matches!(err, Error::Transport(_)), "{err}");
     }
 
-    /// A run of frames with bodies of assorted sizes, ids spanning one to
-    /// three varint bytes.
-    fn run() -> Vec<(u64, Vec<u8>)> {
-        [(0u64, 0usize), (5, 3), (300, 200), (70_000, 1), (6, 20_000)]
-            .into_iter()
-            .map(|(id, len)| (id, (0..len).map(|i| (i + id as usize) as u8).collect()))
+    /// A run of frames with ids spanning one to three varint bytes and
+    /// bodies of assorted sizes: the first empty, each other a tag byte and
+    /// spliced payloads of the given lengths (an empty one too). Beside
+    /// each body, its bytes encoded contiguously with `put_slice`.
+    fn run() -> Vec<(u64, Body, Vec<u8>)> {
+        let lens: [(u64, &[usize]); 5] = [
+            (0, &[]),
+            (5, &[3]),
+            (300, &[200, 0, 7]),
+            (70_000, &[1]),
+            (6, &[20_000, 130]),
+        ];
+        lens.into_iter()
+            .map(|(id, lens)| {
+                let mut body = Body::default();
+                let mut flat = WireWriter::new();
+                if id != 0 {
+                    body.put_u8(id as u8);
+                    flat.put_u8(id as u8);
+                }
+                for (k, &len) in lens.iter().enumerate() {
+                    let data: Vec<u8> = (0..len).map(|i| (i + k + id as usize) as u8).collect();
+                    body.put_bytes(&Bytes::from(data.clone()));
+                    flat.put_slice(&data);
+                }
+                (id, body, flat.into_vec())
+            })
             .collect()
+    }
+
+    /// The frames of a [`run`], by reference, for [`write_frames`].
+    fn frames(run: &[(u64, Body, Vec<u8>)]) -> Vec<(u64, &Body)> {
+        run.iter().map(|(id, body, _)| (*id, body)).collect()
     }
 
     #[test]
     fn a_run_of_frames_is_one_write_and_the_bytes_of_one_frame_each() {
-        let frames = run();
+        let run = run();
         let mut expect = Vec::new();
-        for (id, body) in &frames {
-            write_frame(&mut expect, *id, body).unwrap();
+        for (id, body, flat) in &run {
+            assert_eq!(&body.to_vec(), flat, "frame {id}");
+            write_frame(&mut expect, *id, flat).unwrap();
         }
         for take in [usize::MAX, 1] {
             let mut w = Throttled {
@@ -378,19 +500,72 @@ mod tests {
                 calls: 0,
                 got: Vec::new(),
             };
-            write_frames(&mut w, &frames).unwrap();
+            write_frames(&mut w, &frames(&run)).unwrap();
             assert_eq!(w.got, expect, "{take} bytes per call");
             if take == usize::MAX {
-                assert_eq!(w.calls, 1, "one call for {} frames", frames.len());
+                assert_eq!(w.calls, 1, "one call for {} frames", run.len());
             }
         }
         let mut reader = &expect[..];
-        for (id, body) in &frames {
+        for (id, _, flat) in &run {
             assert_eq!(
                 read_frame(&mut reader).unwrap().as_ref(),
-                Some(&(*id, body.clone()))
+                Some(&(*id, flat.clone()))
             );
         }
+    }
+
+    /// A writer that takes everything and records, per call, where each
+    /// slice it was offered lies.
+    #[derive(Default)]
+    struct Recording {
+        calls: Vec<Vec<(*const u8, usize)>>,
+    }
+
+    impl Write for Recording {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            self.calls
+                .push(bufs.iter().map(|b| (b.as_ptr(), b.len())).collect());
+            Ok(bufs.iter().map(|b| b.len()).sum())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn spliced_payloads_leave_from_their_own_buffers() {
+        let payloads: Vec<Bytes> = (0..3u8)
+            .map(|k| Bytes::from(vec![k; 4096 + k as usize]))
+            .collect();
+        let mut body = Body::default();
+        body.put_u8(8);
+        for data in &payloads {
+            body.put_u64(7);
+            body.put_bytes(data);
+        }
+        let mut w = Recording::default();
+        write_frames(&mut w, &[(1, &body), (2, &body)]).unwrap();
+        let [call] = &w.calls[..] else {
+            panic!("{} calls", w.calls.len());
+        };
+        for data in &payloads {
+            let own = (data.as_ptr(), data.len());
+            let offered = call.iter().filter(|&&slice| slice == own).count();
+            assert_eq!(offered, 2, "each frame offers the block's own bytes");
+        }
+        // The rest of the write is headers and item prefixes: a few bytes
+        // per item, never a copy of a payload.
+        let own: Vec<_> = payloads.iter().map(|d| (d.as_ptr(), d.len())).collect();
+        let rest: usize = (call.iter())
+            .filter(|slice| !own.contains(slice))
+            .map(|&(_, len)| len)
+            .sum();
+        assert!(rest < 64, "{rest} bytes besides the payloads");
+        assert_eq!(body.to_vec().len(), body.wire_len());
     }
 
     /// A writer that takes what it is offered until `left` bytes are gone,
@@ -416,11 +591,12 @@ mod tests {
 
     #[test]
     fn a_failed_run_reports_the_frames_taken_whole() {
-        let frames = run();
+        let run = run();
+        let frames = frames(&run);
         let mut ends = Vec::new();
         let mut wire = Vec::new();
-        for (id, body) in &frames {
-            write_frame(&mut wire, *id, body).unwrap();
+        for (id, _, flat) in &run {
+            write_frame(&mut wire, *id, flat).unwrap();
             ends.push(wire.len());
         }
         for k in 0..wire.len() {

@@ -1,5 +1,6 @@
 //! The multiplexed transport: many in-flight requests per connection, a
-//! bounded socket budget, transparent redial after a server restart,
+//! bounded socket budget, transparent redial after a server restart (a
+//! read-only call cut off by a closing connection is resent once),
 //! connections served independently of each other and surviving a
 //! panicking handler, a pipelined metadata publish, and the read caches
 //! (the opt-in block LRU and the metadata adapter's inner-node cache).
@@ -805,6 +806,69 @@ fn a_response_with_trailing_bytes_is_a_transport_error() {
 /// Method tags of the version service the raw-TCP tests below speak.
 const BLOCK_SIZE: u8 = 0;
 const WAIT_REVEALED: u8 = 8;
+
+/// A peer that closes a connection with a request in flight — the state
+/// an idle connection is in when its server closed it before the client's
+/// demux thread read the EOF. A read-only call (`latest`) cut off so is
+/// resent once, on a freshly dialed connection, and answered there; a
+/// mutating one (`assign`) fails with its outcome unknown and never
+/// reaches the peer again.
+#[test]
+fn a_read_only_call_cut_off_by_a_closing_peer_is_resent_and_a_mutating_one_is_not() {
+    use blobseer_core::ports::VersionService;
+    use blobseer_rpc::wire::{read_frame, write_frame};
+    use blobseer_rpc::RpcVersionService;
+    use blobseer_types::wire::Wire;
+    const ASSIGN: u8 = 3;
+    const LATEST: u8 = 5;
+    let latest = (Version::new(3), 3 * BLOCK);
+
+    let listener = std::net::TcpListener::bind(("127.0.0.1", 0)).unwrap();
+    let addr = listener.local_addr().unwrap();
+    // Serves connections one after another, counting the requests of each
+    // tag. It answers the connect-time block-size probe and a `latest` it
+    // has hung up on once; on anything else it hangs up. A connection on
+    // which nothing arrives ends it.
+    let peer = std::thread::spawn(move || {
+        let mut seen = [0usize; 256];
+        for stream in listener.incoming() {
+            let stream = stream.unwrap();
+            let mut writer = stream.try_clone().unwrap();
+            let mut reader = std::io::BufReader::new(stream);
+            let mut requests = 0;
+            while let Ok(Some((id, body))) = read_frame(&mut reader) {
+                requests += 1;
+                seen[body[0] as usize] += 1;
+                let answer = match body[0] {
+                    BLOCK_SIZE => Ok::<_, Error>(BLOCK).to_bytes(),
+                    LATEST if seen[LATEST as usize] > 1 => Ok::<_, Error>(latest).to_bytes(),
+                    _ => break, // closes the connection, the request unanswered
+                };
+                write_frame(&mut writer, id, &answer).unwrap();
+            }
+            if requests == 0 {
+                return seen;
+            }
+        }
+        unreachable!("incoming() never ends");
+    });
+
+    let stats = Arc::new(EngineStats::new());
+    let vm = RpcVersionService::connect_with(addr, Arc::clone(&stats), 1).unwrap();
+    assert_eq!(vm.latest(BlobId::new(1)), Ok(latest), "resent and answered");
+    let got = vm.assign(BlobId::new(1), WriteIntent::Append { size: BLOCK });
+    assert!(matches!(got, Err(Error::Transport(_))), "{:?}", got.err());
+    // Had the assign been resent, its connection would precede this one.
+    drop(std::net::TcpStream::connect(addr).unwrap());
+    let seen = peer.join().unwrap();
+    assert_eq!(
+        (seen[LATEST as usize], seen[ASSIGN as usize]),
+        (2, 1),
+        "latest sent twice, assign once"
+    );
+    // The probe, both latests and the assign: a resend is a frame.
+    assert_eq!(stats.snapshot().port_round_trips, 4);
+}
 
 /// A version-manager server and a raw TCP connection to it, on which the
 /// caller writes frames by hand — in whatever segments it likes.
