@@ -9,7 +9,7 @@
 //! serialize on one global lock. [`Bytes`] payloads make reads zero-copy:
 //! readers receive a reference-counted view.
 
-use crate::sharded::{group_indices_by, ShardedMap, DEFAULT_SHARDS};
+use crate::sharded::{for_each_group, ShardedMap, DEFAULT_SHARDS};
 use blobseer_types::{BlockId, Error, NodeId, Result};
 use bytes::Bytes;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -58,26 +58,29 @@ impl DataProvider {
     /// Within a stripe, items land in batch order, so intra-batch re-puts
     /// behave like the sequence of puts they stand for.
     pub fn put_many(&self, items: &[(BlockId, Bytes)]) {
-        let ids = items.iter().map(|(id, _)| id);
-        for (shard, range) in group_indices_by(ids, |id| self.blocks.shard_index(id)) {
-            let mut map = self.blocks.shard_at(shard).write();
-            for &i in &range {
-                let (id, data) = &items[i];
-                match map.get(id) {
-                    Some(existing) => {
-                        debug_assert_eq!(
-                            existing, data,
-                            "block {id} rewritten with different content — blocks are immutable"
-                        );
-                    }
-                    None => {
-                        self.bytes_stored
-                            .fetch_add(data.len() as u64, Ordering::Relaxed);
-                        map.insert(*id, data.clone());
+        for_each_group(
+            items,
+            |(id, _)| self.blocks.shard_index(id),
+            |shard, indices| {
+                let mut map = self.blocks.shard_at(shard).write();
+                for i in indices {
+                    let (id, data) = &items[i];
+                    match map.get(id) {
+                        Some(existing) => {
+                            debug_assert_eq!(
+                                existing, data,
+                                "block {id} rewritten with different content — blocks are immutable"
+                            );
+                        }
+                        None => {
+                            self.bytes_stored
+                                .fetch_add(data.len() as u64, Ordering::Relaxed);
+                            map.insert(*id, data.clone());
+                        }
                     }
                 }
-            }
-        }
+            },
+        );
         self.puts.fetch_add(items.len() as u64, Ordering::Relaxed);
     }
 
@@ -89,14 +92,18 @@ impl DataProvider {
             .iter()
             .map(|&id| Err(Error::MissingBlock(id.raw())))
             .collect();
-        for (shard, range) in group_indices_by(ids.iter(), |id| self.blocks.shard_index(id)) {
-            let map = self.blocks.shard_at(shard).read();
-            for i in range {
-                if let Some(data) = map.get(&ids[i]) {
-                    out[i] = Ok(data.clone());
+        for_each_group(
+            ids,
+            |id| self.blocks.shard_index(id),
+            |shard, indices| {
+                let map = self.blocks.shard_at(shard).read();
+                for i in indices {
+                    if let Some(data) = map.get(&ids[i]) {
+                        out[i] = Ok(data.clone());
+                    }
                 }
-            }
-        }
+            },
+        );
         out
     }
 
@@ -104,16 +111,20 @@ impl DataProvider {
     /// Returns the bytes freed per block, in input order (0 if absent).
     pub fn delete_many(&self, ids: &[BlockId]) -> Vec<u64> {
         let mut out = vec![0u64; ids.len()];
-        for (shard, range) in group_indices_by(ids.iter(), |id| self.blocks.shard_index(id)) {
-            let mut map = self.blocks.shard_at(shard).write();
-            for i in range {
-                if let Some(data) = map.remove(&ids[i]) {
-                    let n = data.len() as u64;
-                    self.bytes_stored.fetch_sub(n, Ordering::Relaxed);
-                    out[i] = n;
+        for_each_group(
+            ids,
+            |id| self.blocks.shard_index(id),
+            |shard, indices| {
+                let mut map = self.blocks.shard_at(shard).write();
+                for i in indices {
+                    if let Some(data) = map.remove(&ids[i]) {
+                        let n = data.len() as u64;
+                        self.bytes_stored.fetch_sub(n, Ordering::Relaxed);
+                        out[i] = n;
+                    }
                 }
-            }
-        }
+            },
+        );
         out
     }
 

@@ -10,7 +10,7 @@
 use crate::meta::key::NodeKey;
 use crate::meta::node::TreeNode;
 use crate::ports::single;
-use crate::sharded::{group_indices_by, scatter_gather, ShardedMap, DEFAULT_SHARDS};
+use crate::sharded::{for_each_group, scatter_gather, ShardedMap, DEFAULT_SHARDS};
 use blobseer_types::{Error, Result};
 
 /// One metadata provider: a shard of the DHT. Internally lock-striped so
@@ -52,36 +52,52 @@ impl MetaProvider {
         self.puts
             .fetch_add(items.len() as u64, std::sync::atomic::Ordering::Relaxed);
         let mut out: Vec<Result<()>> = (0..items.len()).map(|_| Ok(())).collect();
-        let keys = items.iter().map(|(key, _)| key);
-        for (stripe, range) in group_indices_by(keys, |key| self.map.shard_index(key)) {
-            let mut map = self.map.shard_at(stripe).write();
-            for i in range {
-                let (key, node) = &items[i];
-                match map.get(key) {
-                    Some(existing) if existing != node => {
-                        out[i] = Err(Error::MetadataConflict(format!("{key:?}")));
-                    }
-                    Some(_) => {}
-                    None => {
-                        map.insert(*key, node.clone());
+        for_each_group(
+            items,
+            |(key, _)| self.map.shard_index(key),
+            |stripe, indices| {
+                let mut map = self.map.shard_at(stripe).write();
+                for i in indices {
+                    let (key, node) = &items[i];
+                    match map.get(key) {
+                        Some(existing) if existing != node => {
+                            out[i] = Err(Error::MetadataConflict(format!("{key:?}")));
+                        }
+                        Some(_) => {}
+                        None => {
+                            map.insert(*key, node.clone());
+                        }
                     }
                 }
-            }
-        }
+            },
+        );
         out
     }
 
-    /// Fetches a batch of nodes, one read-lock acquisition per stripe.
-    fn get_many(&self, keys: &[NodeKey]) -> Vec<Option<TreeNode>> {
+    /// Fetches a batch of nodes, one read-lock acquisition per stripe;
+    /// [`Error::MissingMetadata`] per absent key.
+    fn get_many(&self, keys: &[NodeKey]) -> Vec<Result<TreeNode>> {
         self.gets
             .fetch_add(keys.len() as u64, std::sync::atomic::Ordering::Relaxed);
-        let mut out: Vec<Option<TreeNode>> = vec![None; keys.len()];
-        for (stripe, range) in group_indices_by(keys.iter(), |key| self.map.shard_index(key)) {
-            let map = self.map.shard_at(stripe).read();
-            for i in range {
-                out[i] = map.get(&keys[i]).cloned();
-            }
-        }
+        // Every slot is overwritten below; the placeholder allocates nothing.
+        let mut out: Vec<Result<TreeNode>> = keys
+            .iter()
+            .map(|_| Err(Error::Internal(String::new())))
+            .collect();
+        for_each_group(
+            keys,
+            |key| self.map.shard_index(key),
+            |stripe, indices| {
+                let map = self.map.shard_at(stripe).read();
+                for i in indices {
+                    let key = &keys[i];
+                    out[i] = map
+                        .get(key)
+                        .cloned()
+                        .ok_or_else(|| Error::MissingMetadata(format!("{key:?}")));
+                }
+            },
+        );
         out
     }
 
@@ -89,12 +105,16 @@ impl MetaProvider {
     /// true per item if it existed.
     fn delete_many(&self, keys: &[NodeKey]) -> Vec<bool> {
         let mut out = vec![false; keys.len()];
-        for (stripe, range) in group_indices_by(keys.iter(), |key| self.map.shard_index(key)) {
-            let mut map = self.map.shard_at(stripe).write();
-            for i in range {
-                out[i] = map.remove(&keys[i]).is_some();
-            }
-        }
+        for_each_group(
+            keys,
+            |key| self.map.shard_index(key),
+            |stripe, indices| {
+                let mut map = self.map.shard_at(stripe).write();
+                for i in indices {
+                    out[i] = map.remove(&keys[i]).is_some();
+                }
+            },
+        );
         out
     }
 
@@ -213,7 +233,7 @@ impl MetaDht {
     fn get_replicated(&self, key: &NodeKey) -> Option<TreeNode> {
         let one = std::slice::from_ref(key);
         self.replicas(key)
-            .find_map(|r| r.get_many(one).pop().flatten())
+            .find_map(|r| r.get_many(one).pop().and_then(Result::ok))
     }
 
     /// Deletes one node from all its replicas; true if any held it.
@@ -227,20 +247,18 @@ impl MetaDht {
     /// Single replica: grouped by home shard, one lock acquisition per
     /// stripe. Replicated: each key tries its replicas in order.
     pub fn get_many(&self, keys: &[NodeKey]) -> Vec<Result<TreeNode>> {
-        let missing = |key: &NodeKey| Error::MissingMetadata(format!("{key:?}"));
         if self.replication > 1 {
             return keys
                 .iter()
-                .map(|key| self.get_replicated(key).ok_or_else(|| missing(key)))
+                .map(|key| {
+                    self.get_replicated(key)
+                        .ok_or_else(|| Error::MissingMetadata(format!("{key:?}")))
+                })
                 .collect();
         }
         let shards = keys.iter().map(|key| self.shard_of(key));
         scatter_gather(keys, shards, |shard, batch| {
-            let found = self.shards[shard].get_many(batch).into_iter();
-            found
-                .zip(batch)
-                .map(|(node, key)| node.ok_or_else(|| missing(key)))
-                .collect()
+            self.shards[shard].get_many(batch)
         })
     }
 

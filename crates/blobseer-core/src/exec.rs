@@ -38,7 +38,7 @@
 //! deterministic first-error and accounting semantics regardless of
 //! completion order.
 
-use crate::sharded::gather;
+use crate::sharded::{gather, Split};
 use crate::stats::EngineStats;
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
@@ -154,11 +154,11 @@ impl FanoutExecutor {
     /// in first-appearance order.
     ///
     /// The groups run concurrently across the workers and the caller. A
-    /// single group runs inline on the caller's own slice, cloning
-    /// nothing. A call with at least one group records one fan-out of
-    /// that width on `stats`. A panicking call is re-raised on the caller
-    /// once every group has settled. `call` must answer one result per
-    /// batch item (the vectored ports' contract).
+    /// single group runs inline on the caller's own slice, cloning and
+    /// allocating nothing. A call with at least one group records one
+    /// fan-out of that width on `stats`. A panicking call is re-raised on
+    /// the caller once every group has settled. `call` must answer one
+    /// result per batch item (the vectored ports' contract).
     pub(crate) fn scatter_gather<T, R, F>(
         &self,
         stats: &EngineStats,
@@ -171,23 +171,25 @@ impl FanoutExecutor {
         R: Send + 'static,
         F: Fn(usize, &[T]) -> Vec<R> + Send + Sync + 'static,
     {
-        gather(items, groups, |batches| {
-            if !batches.is_empty() {
+        match Split::of(groups) {
+            Split::Empty => Vec::new(),
+            Split::One(group) => {
+                stats.record_fanout(1);
+                call(group, items)
+            }
+            Split::Many(groups) => gather(items, &groups, |batches| {
                 stats.record_fanout(batches.len());
-            }
-            if let [(group, batch)] = &batches[..] {
-                return vec![call(*group, batch)];
-            }
-            let call = Arc::new(call);
-            let jobs: Vec<_> = batches
-                .into_iter()
-                .map(|(group, batch)| {
-                    let (call, batch) = (Arc::clone(&call), batch.into_owned());
-                    move || call(group, &batch)
-                })
-                .collect();
-            self.fanout(jobs)
-        })
+                let call = Arc::new(call);
+                let jobs: Vec<_> = batches
+                    .into_iter()
+                    .map(|(group, batch)| {
+                        let call = Arc::clone(&call);
+                        move || call(group, &batch)
+                    })
+                    .collect();
+                self.fanout(jobs)
+            }),
+        }
     }
 
     /// Runs every job, returning their results in submission order.

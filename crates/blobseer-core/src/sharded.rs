@@ -13,9 +13,15 @@
 //! in parallel. `N = 1` degenerates to the seed's single global lock — the
 //! baseline the `store_contention` bench and the ports-equivalence property
 //! tests compare against.
+//!
+//! The module also holds the one grouping step behind every batched call
+//! ([`group_indices_by`], `for_each_group`, [`scatter_gather`]): a batch
+//! splits by stripe, shard or provider, in first-appearance order. Most
+//! batches on the hot paths — a descent level, a one-block fetch — fall in
+//! one group, and grouping such a batch allocates nothing: the one group
+//! is recognised in a single pass and gets the caller's own slice.
 
 use parking_lot::RwLock;
-use std::borrow::Cow;
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash};
@@ -51,7 +57,7 @@ impl<K: Hash + Eq, V> ShardedMap<K, V> {
     /// `i` becomes rank `i` of the `name` family, so under
     /// `BLOBSEER_LOCK_CHECK=1` any caller nesting stripes must take them
     /// in ascending index order (the batched paths instead take them one
-    /// at a time, grouped by [`group_indices_by`]).
+    /// at a time, grouped by `for_each_group`).
     pub fn named(n_shards: usize, name: &'static str) -> Self {
         assert!(n_shards > 0, "need at least one shard");
         Self {
@@ -144,22 +150,69 @@ impl<K: Hash + Eq, V> ShardedMap<K, V> {
 /// within each group. Returns `(index, item_indices)` groups in
 /// first-appearance order — the one grouping step behind every batched
 /// operation (stripe locks taken once per batch, providers and DHT shards
-/// addressed once per batch).
+/// addressed once per batch). A batch meets at most a few dozen stripes,
+/// shards or providers, so each key's group is found by a linear scan.
 pub fn group_indices_by<K>(
     keys: impl Iterator<Item = K>,
     mut index_of: impl FnMut(&K) -> usize,
 ) -> Vec<(usize, Vec<usize>)> {
     let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
-    let mut slot_of: HashMap<usize, usize> = HashMap::new();
     for (i, key) in keys.enumerate() {
         let index = index_of(&key);
-        let slot = *slot_of.entry(index).or_insert_with(|| {
-            groups.push((index, Vec::new()));
-            groups.len() - 1
-        });
-        groups[slot].1.push(i);
+        match groups.iter_mut().find(|(group, _)| *group == index) {
+            Some((_, members)) => members.push(i),
+            None => groups.push((index, vec![i])),
+        }
     }
     groups
+}
+
+/// How one scatter-gather's items split over their groups.
+pub(crate) enum Split {
+    /// No items: no group, no call.
+    Empty,
+    /// Every item is in this one group: its batch is the caller's slice.
+    One(usize),
+    /// Two or more groups, as [`group_indices_by`] returns them.
+    Many(Vec<(usize, Vec<usize>)>),
+}
+
+impl Split {
+    /// Splits a batch by its items' groups (one per item, in order). The
+    /// common one-group batch is recognised without allocating.
+    pub(crate) fn of(groups: impl IntoIterator<Item = usize>) -> Self {
+        let mut groups = groups.into_iter();
+        let Some(first) = groups.next() else {
+            return Split::Empty;
+        };
+        for (same, group) in (1..).zip(groups.by_ref()) {
+            if group != first {
+                let seen = std::iter::repeat_n(first, same).chain([group]);
+                return Split::Many(group_indices_by(seen.chain(groups), |&g| g));
+            }
+        }
+        Split::One(first)
+    }
+}
+
+/// Calls `f(group, item_indices)` once per group of `items` by
+/// `index_of`: groups in first-appearance order, each group's indices
+/// ascending. The batched store operations take each lock stripe once
+/// this way; a batch in one stripe allocates nothing.
+pub(crate) fn for_each_group<T>(
+    items: &[T],
+    index_of: impl FnMut(&T) -> usize,
+    mut f: impl FnMut(usize, &mut dyn Iterator<Item = usize>),
+) {
+    match Split::of(items.iter().map(index_of)) {
+        Split::Empty => {}
+        Split::One(group) => f(group, &mut (0..items.len())),
+        Split::Many(groups) => {
+            for (group, indices) in groups {
+                f(group, &mut indices.into_iter());
+            }
+        }
+    }
 }
 
 /// One scatter-gather, sequentially: splits `items` by their `groups`
@@ -175,34 +228,29 @@ pub fn scatter_gather<T: Clone, R>(
     groups: impl IntoIterator<Item = usize>,
     mut call: impl FnMut(usize, &[T]) -> Vec<R>,
 ) -> Vec<R> {
-    gather(items, groups, |batches| {
-        batches
-            .into_iter()
-            .map(|(group, batch)| call(group, &batch))
-            .collect()
-    })
+    match Split::of(groups) {
+        Split::Empty => Vec::new(),
+        Split::One(group) => call(group, items),
+        Split::Many(groups) => gather(items, &groups, |batches| {
+            batches
+                .into_iter()
+                .map(|(group, batch)| call(group, &batch))
+                .collect()
+        }),
+    }
 }
 
-/// The core both scatter-gather forms share: groups `items`, hands `run`
-/// one batch per group (the borrowed slice when there is one group),
-/// and re-slots the per-batch answers `run` returns, in batch order, into
-/// input order.
-pub(crate) fn gather<'a, T: Clone, R>(
-    items: &'a [T],
-    groups: impl IntoIterator<Item = usize>,
-    run: impl FnOnce(Vec<(usize, Cow<'a, [T]>)>) -> Vec<Vec<R>>,
+/// The multi-group core both scatter-gather forms share: hands `run` one
+/// owned batch per group of `groups` (from [`Split::Many`]), and re-slots
+/// the per-batch answers `run` returns, in batch order, into input order.
+pub(crate) fn gather<T: Clone, R>(
+    items: &[T],
+    groups: &[(usize, Vec<usize>)],
+    run: impl FnOnce(Vec<(usize, Vec<T>)>) -> Vec<Vec<R>>,
 ) -> Vec<R> {
-    let groups = group_indices_by(groups.into_iter(), |&group| group);
-    if let [(group, _)] = groups[..] {
-        let answers = run(vec![(group, Cow::Borrowed(items))]);
-        return answers.into_iter().next().unwrap_or_default();
-    }
     let batches = groups
         .iter()
-        .map(|(group, indices)| {
-            let batch: Vec<T> = indices.iter().map(|&i| items[i].clone()).collect();
-            (*group, Cow::Owned(batch))
-        })
+        .map(|(group, indices)| (*group, indices.iter().map(|&i| items[i].clone()).collect()))
         .collect();
     let mut out: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
     for ((_, indices), answers) in groups.iter().zip(run(batches)) {
@@ -218,6 +266,12 @@ pub(crate) fn gather<'a, T: Clone, R>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::FanoutExecutor;
+    use crate::stats::EngineStats;
+    use parking_lot::Mutex;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::BTreeMap;
     use std::sync::Arc;
 
     #[test]
@@ -321,6 +375,82 @@ mod tests {
             batch.to_vec()
         });
         assert_eq!(got, items);
+    }
+
+    /// First-appearance grouping the obvious way: a `BTreeMap` from group
+    /// to its first index and members, sorted by first index.
+    fn first_appearance(groups: &[usize]) -> Vec<(usize, Vec<usize>)> {
+        let mut by_group: BTreeMap<usize, (usize, Vec<usize>)> = BTreeMap::new();
+        for (i, &group) in groups.iter().enumerate() {
+            by_group.entry(group).or_insert((i, Vec::new())).1.push(i);
+        }
+        let mut out: Vec<_> = by_group.into_iter().collect();
+        out.sort_by_key(|(_, (first, _))| *first);
+        out.into_iter()
+            .map(|(group, (_, members))| (group, members))
+            .collect()
+    }
+
+    #[test]
+    fn grouping_matches_a_first_appearance_reference() {
+        let mut rng = StdRng::seed_from_u64(0x05EE_D6E0);
+        let mut cases: Vec<Vec<usize>> = vec![
+            vec![],
+            vec![5; 9],
+            (0..40).collect(),
+            vec![usize::MAX; 3],
+            vec![usize::MAX, 0, usize::MAX, 1],
+        ];
+        for _ in 0..500 {
+            let (len, spread) = (rng.gen_range(0usize..64), rng.gen_range(1usize..40));
+            let ids = (0..len).map(|_| match rng.gen_range(0u8..8) {
+                0 => usize::MAX,
+                _ => rng.gen_range(0..spread),
+            });
+            cases.push(ids.collect());
+        }
+        let exec = FanoutExecutor::new(1);
+        let stats = EngineStats::new();
+        for groups in &cases {
+            let want = first_appearance(groups);
+            assert_eq!(group_indices_by(groups.iter(), |&&g| g), want, "{groups:?}");
+            let mut visits = Vec::new();
+            for_each_group(
+                groups,
+                |&g| g,
+                |g, indices| visits.push((g, indices.collect())),
+            );
+            assert_eq!(visits, want, "for_each_group {groups:?}");
+
+            // Both scatter-gathers: one call per group in that order, each
+            // batch its items in input order, the caller's own slice when
+            // there is one group, and the answers back in input order.
+            let items: Arc<Vec<u64>> = Arc::new((0..groups.len() as u64).map(|i| i * 7).collect());
+            let want_calls: Vec<(usize, Vec<u64>)> = want
+                .iter()
+                .map(|(g, members)| (*g, members.iter().map(|&i| items[i]).collect()))
+                .collect();
+            let want_answers: Vec<(usize, u64)> =
+                groups.iter().copied().zip(items.iter().copied()).collect();
+            let one_group = want.len() == 1;
+            let calls = Arc::new(Mutex::new(Vec::new()));
+            let call = {
+                let (calls, items) = (Arc::clone(&calls), Arc::clone(&items));
+                move |g: usize, batch: &[u64]| {
+                    if one_group {
+                        assert_eq!(batch.as_ptr(), items.as_ptr(), "borrowed, not cloned");
+                    }
+                    calls.lock().push((g, batch.to_vec()));
+                    batch.iter().map(|&x| (g, x)).collect::<Vec<_>>()
+                }
+            };
+            let got = scatter_gather(&items, groups.iter().copied(), &call);
+            assert_eq!(got, want_answers, "scatter_gather {groups:?}");
+            assert_eq!(std::mem::take(&mut *calls.lock()), want_calls);
+            let fanned = exec.scatter_gather(&stats, &items, groups.iter().copied(), call);
+            assert_eq!(fanned, want_answers, "FanoutExecutor {groups:?}");
+            assert_eq!(std::mem::take(&mut *calls.lock()), want_calls);
+        }
     }
 
     #[test]

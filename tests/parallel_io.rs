@@ -10,6 +10,7 @@
 //!   across connections: the fan-out executor;
 //! * a BSFS stream delivers its pinned snapshot byte-for-byte even while
 //!   a writer appends concurrently;
+//! * one-block reads over RPC return exactly the range asked for;
 //! * replica failover retries are batched and counted;
 //! * SimGate runs stay deterministic under the overlap charging model.
 
@@ -187,6 +188,32 @@ fn rpc_in_flight_watermark_exceeds_one_only_under_fanout() {
         1,
         "a one-thread client's appends never overlap on the servers"
     );
+}
+
+/// A read inside one block is the `GET_MANY` answer's own bytes, sliced
+/// rather than copied: over loopback RPC it must still return exactly the
+/// range asked for — a whole block, an interior range, and the short last
+/// block at the BLOB's end — while reads across blocks are assembled.
+#[test]
+fn one_block_reads_over_loopback_return_the_right_bytes() {
+    let cluster = LoopbackCluster::boot(cfg_with_threads(2), 4).unwrap();
+    let client = cluster.deploy().unwrap().client(NodeId::new(100));
+    let blob = client.create();
+    let payload: Vec<u8> = (0..4 * BLOCK + 20).map(|i| (i % 253) as u8).collect();
+    client.write(blob, 0, &payload).unwrap();
+    let ranges = [
+        (0, BLOCK),
+        (BLOCK + 3, 50),
+        (4 * BLOCK, 20),
+        (4 * BLOCK + 5, 15),
+        (BLOCK - 4, 8),
+        (0, 4 * BLOCK + 20),
+    ];
+    for (offset, size) in ranges {
+        let got = client.read(blob, None, offset, size).unwrap();
+        let want = &payload[offset as usize..(offset + size) as usize];
+        assert_eq!(&got[..], want, "{size} bytes at {offset}");
+    }
 }
 
 /// A BSFS stream reads a *pinned* snapshot: even with a writer appending
