@@ -118,12 +118,10 @@ const NO_REAL_TIME_SCOPE: [&str; 3] = ["crates/simnet/", "crates/experiments/", 
 
 /// The files holding `Wire` impls and the RPC response envelope, where
 /// malformed bytes — a peer's frame, a persisted record — must never panic.
-const NO_PANIC_DECODE_SCOPE: [&str; 9] = [
+const NO_PANIC_DECODE_SCOPE: [&str; 7] = [
     "crates/types/src/wire.rs",
     "crates/blobseer-core/src/meta/codec.rs",
     "crates/blobseer-rpc/src/wire.rs",
-    "crates/blobseer-control/src/codec.rs",
-    "crates/blobseer-control/src/replog.rs",
     "crates/blobseer-disk/src/version_log.rs",
     "crates/blobseer-disk/src/record_log.rs",
     "crates/blobseer-disk/src/volume.rs",

@@ -10,15 +10,13 @@
 //! closes that gap for the reproduction:
 //!
 //! * [`ReplicatedVersionService`] — the version manager as a leader-based
-//!   replica group: a small replicated log (term + index entries,
-//!   [`replog`]), acknowledgement by every live replica under a majority
-//!   quorum, a countdown leader lease for reads, deterministic
-//!   re-election, and exactly-once retries across leader crashes. Each
-//!   replica can persist its log in the same checksummed frame format
-//!   `blobseer-disk` uses everywhere else, and recovery reconciles
-//!   divergent replica logs by the election ordering.
-//! * [`codec`] — the replicated command alphabet (the six mutating calls
-//!   of the `VersionService` port) and its panic-free `Wire` encoding.
+//!   replica group: N `blobseer_disk::VersionReplica`s (the one persisted
+//!   form of the version manager — entry format, replay and result
+//!   checks live there), acknowledgement by every live replica under a
+//!   majority quorum, a countdown leader lease for reads, deterministic
+//!   re-election, and exactly-once retries across leader crashes. A
+//!   durable group keeps one replica log per member, and recovery
+//!   reconciles divergent logs by the election ordering.
 //!
 //! The placement and GC halves of the control plane need no replication
 //! layer of their own — they are hosted (one shared instance behind
@@ -33,10 +31,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod codec;
-pub mod replog;
 pub mod service;
 
-pub use codec::{Command, CommandKind};
-pub use replog::RepEntry;
 pub use service::{CrashPoint, ReplicatedVersionService};

@@ -10,17 +10,22 @@
 //! command alphabet (the six mutating calls of the port, [`CommandKind`]):
 //! its state is a pure function of the sequence of successful mutations,
 //! and ids/versions are handed out sequentially, so replaying one log
-//! against a fresh manager reproduces the *identical* state — the same
-//! property `blobseer-disk`'s durable wrapper exploits for persistence is
-//! what makes replicas byte-for-byte equivalent.
+//! against a fresh manager reproduces the *identical* state. That is how
+//! `blobseer-disk` persists the version manager, and a member of this
+//! group is exactly that persisted form, a [`VersionReplica`]: its entry
+//! format, replay, result check and dedup memo are the disk crate's. This
+//! module adds only what a group needs — election, the lease, crash
+//! injection and reconciliation on open.
 //!
 //! ## Protocol
 //!
 //! One mutation = one **round**: the leader deduplicates the submission
 //! (seq → memoized reply), applies the command to its own state machine
 //! (a precondition failure is returned to the caller and never logged),
-//! appends a term/index-stamped [`RepEntry`] to its log, then replicates
-//! the entry to every live follower, which appends and applies it too.
+//! appends a term/index-stamped [`RepEntry`](blobseer_disk::RepEntry)
+//! recording the result to its log, then replicates the entry to every
+//! live follower, which applies it, checks it hands out the recorded
+//! result, and appends it too.
 //! The round runs with every live replica locked, so an acknowledged
 //! mutation is on **all** live replicas — a superset of the majority the
 //! quorum check guarantees — and any survivor can lead without data loss.
@@ -51,18 +56,13 @@
 //! replicas it needs in ascending index order; nothing ever takes the
 //! group lock while holding a replica lock.
 
-use crate::codec::{Command, CommandKind};
-use crate::replog::{decode_entry, RepEntry};
 use blobseer_core::meta::key::NodeKey;
 use blobseer_core::meta::log::LogChain;
 use blobseer_core::ports::VersionService;
 use blobseer_core::version_manager::{SnapshotInfo, VersionManager, WriteIntent, WriteTicket};
-use blobseer_core::EngineStats;
-use blobseer_disk::FrameLog;
-use blobseer_types::wire::Wire;
+use blobseer_disk::{Command, CommandKind, Reply, VersionReplica};
 use blobseer_types::{BlobId, Error, Result, Version};
 use parking_lot::{Mutex, MutexGuard};
-use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
@@ -76,16 +76,9 @@ const MAX_ROUNDS: usize = 8;
 /// the live set.
 const LEASE_READS: u32 = 64;
 
-/// Memoized replies kept per replica for retry deduplication (FIFO).
-const DEDUP_CAP: usize = 1024;
-
 /// Reveal-wait poll slice: how long a waiter parks on one leader's
 /// condvar before re-resolving leadership.
 const WAIT_SLICE: Duration = Duration::from_millis(10);
-
-/// The stable client id this service stamps on its commands. The log
-/// format is multi-client; one hosted service instance is one client.
-const CLIENT_ID: u64 = 1;
 
 const CRASH_NONE: u8 = 0;
 const CRASH_BEFORE: u8 = 1;
@@ -105,164 +98,9 @@ pub enum CrashPoint {
     AfterReplicate,
 }
 
-/// The memoized result of one applied command. Followers regenerate the
-/// same reply by applying the same command to the same state, which is
-/// what lets any of them answer a retry after the leader dies.
-#[derive(Clone)]
-enum Reply {
-    Blob(BlobId),
-    Ticket(WriteTicket),
-    Unit,
-    Roots(Vec<NodeKey>),
-}
-
-fn shape_err(want: &str) -> Error {
-    Error::Internal(format!("replicated reply is not a {want}"))
-}
-
-impl Reply {
-    fn blob(self) -> Result<BlobId> {
-        match self {
-            Reply::Blob(b) => Ok(b),
-            _ => Err(shape_err("blob id")),
-        }
-    }
-
-    fn ticket(self) -> Result<WriteTicket> {
-        match self {
-            Reply::Ticket(t) => Ok(t),
-            _ => Err(shape_err("write ticket")),
-        }
-    }
-
-    fn unit(self) -> Result<()> {
-        match self {
-            Reply::Unit => Ok(()),
-            _ => Err(shape_err("unit")),
-        }
-    }
-
-    fn roots(self) -> Result<Vec<NodeKey>> {
-        match self {
-            Reply::Roots(r) => Ok(r),
-            _ => Err(shape_err("root-key list")),
-        }
-    }
-}
-
-/// Applies one command to a replica's state machine. The manager is
-/// deterministic, so every replica applying the same log computes the
-/// same replies and the same state.
-fn apply(vm: &VersionManager, kind: CommandKind) -> Result<Reply> {
-    match kind {
-        CommandKind::CreateBlob => Ok(Reply::Blob(vm.create_blob())),
-        CommandKind::Branch { parent, at } => vm.branch(parent, at).map(Reply::Blob),
-        CommandKind::Assign { blob, intent } => vm.assign(blob, intent).map(Reply::Ticket),
-        CommandKind::Commit { blob, version } => vm.commit(blob, version).map(|()| Reply::Unit),
-        CommandKind::DeleteBlob { blob } => vm.delete_blob(blob).map(Reply::Roots),
-        CommandKind::CollectBefore { blob, keep_from } => {
-            vm.collect_before(blob, keep_from).map(Reply::Roots)
-        }
-    }
-}
-
-/// One replica's guarded state: the state machine, the log it replays,
-/// and the dedup memo.
-struct ReplicaState {
-    /// The state machine. `Arc` so readers can use it with no `ctl.*`
-    /// lock held (reveal waits park on the manager's own condvar).
-    vm: Arc<VersionManager>,
-    /// The replicated log this state machine is the replay of.
-    log: Vec<RepEntry>,
-    /// Durable form of `log` (durable deployments only), in the same
-    /// checksummed frame format as every other `blobseer-disk` log.
-    disk: Option<FrameLog>,
-    /// seq → reply memo for exactly-once retries.
-    dedup: HashMap<u64, Reply>,
-    /// Insertion order of `dedup` keys, for FIFO eviction at [`DEDUP_CAP`].
-    dedup_order: VecDeque<u64>,
-}
-
-impl ReplicaState {
-    fn fresh(block_size: u64) -> Self {
-        Self {
-            vm: Arc::new(VersionManager::new(
-                block_size,
-                Arc::new(EngineStats::new()),
-            )),
-            log: Vec::new(),
-            disk: None,
-            dedup: HashMap::new(),
-            dedup_order: VecDeque::new(),
-        }
-    }
-
-    fn last_term(&self) -> u64 {
-        self.log.last().map_or(0, |e| e.term)
-    }
-
-    fn remember(&mut self, seq: u64, reply: Reply) {
-        if self.dedup.insert(seq, reply).is_none() {
-            self.dedup_order.push_back(seq);
-            if self.dedup_order.len() > DEDUP_CAP {
-                if let Some(evicted) = self.dedup_order.pop_front() {
-                    self.dedup.remove(&evicted);
-                }
-            }
-        }
-    }
-
-    /// Appends `entry` to the in-memory log and, when durable, the disk
-    /// log (disk first, so a crash between the two loses an ack the
-    /// caller never received rather than inventing one).
-    fn append(&mut self, entry: RepEntry) -> Result<()> {
-        if let Some(disk) = &mut self.disk {
-            disk.append(&entry.to_bytes())?;
-        }
-        self.log.push(entry);
-        Ok(())
-    }
-
-    /// Replays `entries` into a fresh state machine, regenerating the
-    /// dedup memo. The disk handle is kept but not rewritten.
-    fn replay(&mut self, block_size: u64, entries: &[RepEntry]) -> Result<()> {
-        self.vm = Arc::new(VersionManager::new(
-            block_size,
-            Arc::new(EngineStats::new()),
-        ));
-        self.log = Vec::new();
-        self.dedup.clear();
-        self.dedup_order.clear();
-        for e in entries {
-            let reply = apply(&self.vm, e.command.kind).map_err(|err| {
-                Error::Internal(format!(
-                    "replicated log replay diverged at index {}: {err}",
-                    e.index
-                ))
-            })?;
-            self.remember(e.command.seq, reply);
-            self.log.push(*e);
-        }
-        Ok(())
-    }
-
-    /// [`ReplicaState::replay`] plus rewriting the durable log to match —
-    /// how a divergent or stale replica adopts the reference history.
-    fn rebuild(&mut self, block_size: u64, entries: &[RepEntry]) -> Result<()> {
-        self.replay(block_size, entries)?;
-        if let Some(disk) = &mut self.disk {
-            disk.truncate_all()?;
-            let frames: Vec<Vec<u8>> = entries.iter().map(Wire::to_bytes).collect();
-            disk.append_payloads(frames.iter().map(Vec::as_slice))?;
-            disk.sync()?;
-        }
-        Ok(())
-    }
-}
-
 struct Replica {
     /// Rank = replica index: multi-replica operations lock ascending.
-    state: Mutex<ReplicaState>,
+    state: Mutex<VersionReplica>,
     /// Flipped by [`ReplicatedVersionService::kill`]/`revive` (and the
     /// crash points); always written under the group lock, so rounds are
     /// serialized against kills.
@@ -284,9 +122,9 @@ struct Group {
 /// re-election, and exactly-once retries across leader crashes.
 ///
 /// With `n = 1` the group degenerates to a slightly indirected single
-/// version manager — the figure-reproduction setting. Durable groups
-/// ([`ReplicatedVersionService::open`]) persist one checksummed frame log
-/// per replica and reconcile divergent logs on reopen.
+/// version manager. Durable groups ([`ReplicatedVersionService::open`])
+/// persist one replica log per member and reconcile divergent logs on
+/// reopen.
 pub struct ReplicatedVersionService {
     block_size: u64,
     replicas: Vec<Replica>,
@@ -311,82 +149,52 @@ fn quorum_err(alive: usize, total: usize, need: usize) -> Error {
     ))
 }
 
+/// The election ordering: highest `(last log term, log length, id)` wins.
+fn rank(i: usize, replica: &VersionReplica) -> (u64, usize, usize) {
+    (replica.last_term(), replica.entries().len(), i)
+}
+
 impl ReplicatedVersionService {
     /// A RAM-backed group of `replicas` state machines for BLOBs striped
     /// into `block_size`-byte blocks.
     pub fn new(replicas: usize, block_size: u64) -> Arc<Self> {
         assert!(replicas >= 1, "a group needs at least one replica");
-        Arc::new(Self {
-            block_size,
-            replicas: (0..replicas)
-                .map(|i| Replica {
-                    state: Mutex::ranked(ReplicaState::fresh(block_size), "ctl.replica", i as u32),
-                    alive: AtomicBool::new(true),
-                })
-                .collect(),
-            group: Mutex::named(
-                Group {
-                    term: 0,
-                    leader: None,
-                    lease_left: 0,
-                },
-                "ctl.group",
-            ),
-            next_seq: AtomicU64::new(1),
-            crash_point: AtomicU8::new(CRASH_NONE),
-        })
+        let members = (0..replicas).map(|_| VersionReplica::new(block_size));
+        Self::from_members(members.collect(), block_size)
     }
 
-    /// Opens (or creates) a durable group persisting one frame log per
-    /// replica under `dir` (`vm-replica-{i}.log`).
+    /// Opens (or creates) a durable group persisting one replica log per
+    /// member under `dir` (`vm-replica-{i}.log`).
     ///
-    /// Recovery picks the **reference** log by the election ordering —
-    /// highest `(last term, length, id)` — and rebuilds every replica
-    /// whose log differs (a leader that crashed before replicating an
-    /// entry reopens with that unacknowledged entry discarded, because
-    /// the survivors' re-executed history carries a higher term).
+    /// Recovery picks the **reference** log by the election ordering and
+    /// rebuilds every replica whose log differs (a leader that crashed
+    /// before replicating an entry reopens with that unacknowledged entry
+    /// discarded, because the survivors' re-executed history carries a
+    /// higher term).
     pub fn open(dir: impl Into<PathBuf>, replicas: usize, block_size: u64) -> Result<Arc<Self>> {
         assert!(replicas >= 1, "a group needs at least one replica");
         let dir = dir.into();
-        std::fs::create_dir_all(&dir).map_err(|e| {
-            Error::Storage(format!("{}: create replica-log dir: {e}", dir.display()))
-        })?;
-        let mut loaded = Vec::with_capacity(replicas);
-        for i in 0..replicas {
-            let path = dir.join(format!("vm-replica-{i}.log"));
-            let mut entries: Vec<RepEntry> = Vec::new();
-            let log = FrameLog::open_with(&path, |_, payload| {
-                let e = decode_entry(payload, entries.len() as u64)?;
-                entries.push(e);
-                Ok(())
-            })?;
-            loaded.push((entries, log));
-        }
-        let reference = (0..loaded.len())
-            .max_by_key(|&i| {
-                let entries = &loaded[i].0;
-                (entries.last().map_or(0, |e| e.term), entries.len(), i)
-            })
-            .ok_or_else(|| Error::Internal("empty replica group".into()))?;
-        let ref_entries = loaded[reference].0.clone();
-        let term = ref_entries.last().map_or(0, |e| e.term);
-        let next_seq = ref_entries.iter().map(|e| e.command.seq).max().unwrap_or(0) + 1;
-        let mut built = Vec::with_capacity(replicas);
-        for (entries, log) in loaded {
-            let mut state = ReplicaState::fresh(block_size);
-            state.disk = Some(log);
-            if entries == ref_entries {
-                state.replay(block_size, &ref_entries)?;
-            } else {
-                state.rebuild(block_size, &ref_entries)?;
+        let mut members = (0..replicas)
+            .map(|i| VersionReplica::open(&dir.join(format!("vm-replica-{i}.log")), block_size))
+            .collect::<Result<Vec<_>>>()?;
+        let history = (members.iter().enumerate())
+            .max_by_key(|&(i, m)| rank(i, m))
+            .map(|(_, m)| m.entries().to_vec())
+            .unwrap_or_default();
+        for member in &mut members {
+            if member.entries() != history {
+                member.rebuild(&history)?;
             }
-            built.push(state);
         }
-        Ok(Arc::new(Self {
+        Ok(Self::from_members(members, block_size))
+    }
+
+    /// A group of `members` that all hold the same log.
+    fn from_members(members: Vec<VersionReplica>, block_size: u64) -> Arc<Self> {
+        let (term, next_seq) = (members[0].last_term(), members[0].next_seq());
+        Arc::new(Self {
             block_size,
-            replicas: built
-                .into_iter()
-                .enumerate()
+            replicas: (members.into_iter().enumerate())
                 .map(|(i, state)| Replica {
                     state: Mutex::ranked(state, "ctl.replica", i as u32),
                     alive: AtomicBool::new(true),
@@ -402,7 +210,7 @@ impl ReplicatedVersionService {
             ),
             next_seq: AtomicU64::new(next_seq),
             crash_point: AtomicU8::new(CRASH_NONE),
-        }))
+        })
     }
 
     /// Number of replicas in the group (alive or not).
@@ -442,7 +250,7 @@ impl ReplicatedVersionService {
 
     /// Length of replica `i`'s log (tests assert group convergence).
     pub fn log_len(&self, i: usize) -> usize {
-        self.replicas[i].state.lock().log.len()
+        self.replicas[i].state.lock().entries().len()
     }
 
     /// Arms the one-shot leader crash for the next submission.
@@ -491,7 +299,7 @@ impl ReplicatedVersionService {
         }
         // Lock *all* replicas ascending — dead ones included — so the
         // `ctl.replica` rank discipline holds no matter where `i` sits.
-        let mut guards: Vec<MutexGuard<'_, ReplicaState>> =
+        let mut guards: Vec<MutexGuard<'_, VersionReplica>> =
             self.replicas.iter().map(|r| r.state.lock()).collect();
         let leader = match group.leader {
             Some(l) => l,
@@ -500,7 +308,7 @@ impl ReplicatedVersionService {
                     .iter()
                     .enumerate()
                     .filter(|&(j, _)| j != i && self.replicas[j].alive.load(Ordering::SeqCst))
-                    .max_by_key(|&(j, g)| (g.last_term(), g.log.len(), j))
+                    .max_by_key(|&(j, g)| rank(j, g))
                     .map(|(j, _)| j)
                     .ok_or_else(|| Error::Transport("no live replica to revive from".into()))?;
                 group.term += 1;
@@ -509,8 +317,8 @@ impl ReplicatedVersionService {
                 winner
             }
         };
-        let entries = guards[leader].log.clone();
-        guards[i].rebuild(self.block_size, &entries)?;
+        let entries = guards[leader].entries().to_vec();
+        guards[i].rebuild(&entries)?;
         self.replicas[i].alive.store(true, Ordering::SeqCst);
         Ok(())
     }
@@ -520,9 +328,7 @@ impl ReplicatedVersionService {
         let _group = self.group.lock();
         for r in &self.replicas {
             if r.alive.load(Ordering::SeqCst) {
-                if let Some(disk) = &r.state.lock().disk {
-                    disk.sync()?;
-                }
+                r.state.lock().sync()?;
             }
         }
         Ok(())
@@ -530,7 +336,7 @@ impl ReplicatedVersionService {
 
     /// Locks every live replica in ascending index order. Caller holds
     /// the group lock.
-    fn lock_alive(&self) -> Vec<(usize, MutexGuard<'_, ReplicaState>)> {
+    fn lock_alive(&self) -> Vec<(usize, MutexGuard<'_, VersionReplica>)> {
         self.replicas
             .iter()
             .enumerate()
@@ -545,7 +351,7 @@ impl ReplicatedVersionService {
     fn leader_pos(
         &self,
         group: &mut Group,
-        guards: &[(usize, MutexGuard<'_, ReplicaState>)],
+        guards: &[(usize, MutexGuard<'_, VersionReplica>)],
     ) -> Result<usize> {
         let pos_of = |l: usize| guards.iter().position(|&(i, _)| i == l);
         if let Some(l) = group.leader {
@@ -555,7 +361,7 @@ impl ReplicatedVersionService {
         }
         let winner = guards
             .iter()
-            .max_by_key(|&&(i, ref g)| (g.last_term(), g.log.len(), i))
+            .max_by_key(|&&(i, ref g)| rank(i, g))
             .map(|&(i, _)| i)
             .ok_or_else(|| quorum_err(0, self.replicas.len(), self.quorum()))?;
         group.term += 1;
@@ -582,42 +388,26 @@ impl ReplicatedVersionService {
         }
         let leader_pos = self.leader_pos(&mut group, &guards)?;
         let leader_idx = guards[leader_pos].0;
-        // Exactly-once: a retried seq returns its memoized reply.
-        if let Some(reply) = guards[leader_pos].1.dedup.get(&command.seq) {
-            let reply = reply.clone();
+        // Exactly-once: a retried seq returns its memoized reply. A
+        // precondition failure is returned to the caller and never logged
+        // or replicated, so replay stays valid.
+        let (reply, entry) = guards[leader_pos].1.submit(group.term, command)?;
+        let Some(entry) = entry else {
             group.lease_left = LEASE_READS;
             return Ok(Some(reply));
-        }
-        // Apply on the leader. A precondition failure is returned to the
-        // caller and never logged or replicated, so replay stays valid.
-        let reply = apply(&guards[leader_pos].1.vm, command.kind)?;
-        let entry = RepEntry {
-            term: group.term,
-            index: guards[leader_pos].1.log.len() as u64,
-            command,
         };
-        guards[leader_pos].1.append(entry)?;
-        guards[leader_pos].1.remember(command.seq, reply.clone());
         if self.take_crash(CRASH_BEFORE) {
             drop(guards);
             self.crash(&mut group, leader_idx);
             return Ok(None);
         }
-        // Replicate: every live follower appends and applies. All of them
-        // are locked, so an acknowledged entry is on a superset of the
-        // quorum majority.
-        for (pos, (idx, state)) in guards.iter_mut().enumerate() {
-            if pos == leader_pos {
-                continue;
+        // Replicate: every live follower applies, checks and appends. All
+        // of them are locked, so an acknowledged entry is on a superset of
+        // the quorum majority.
+        for (pos, (_, state)) in guards.iter_mut().enumerate() {
+            if pos != leader_pos {
+                state.follow(entry)?;
             }
-            state.append(entry)?;
-            let follower_reply = apply(&state.vm, command.kind).map_err(|e| {
-                Error::Internal(format!(
-                    "replica {idx} diverged applying replicated index {}: {e}",
-                    entry.index
-                ))
-            })?;
-            state.remember(command.seq, follower_reply);
         }
         if self.take_crash(CRASH_AFTER) {
             drop(guards);
@@ -632,7 +422,6 @@ impl ReplicatedVersionService {
     /// fixed once, so retries deduplicate.
     fn submit(&self, kind: CommandKind) -> Result<Reply> {
         let command = Command {
-            client_id: CLIENT_ID,
             seq: self.next_seq.fetch_add(1, Ordering::Relaxed),
             kind,
         };
@@ -660,7 +449,7 @@ impl ReplicatedVersionService {
                 && self.live_count() >= self.quorum()
             {
                 group.lease_left -= 1;
-                return Ok(Arc::clone(&self.replicas[l].state.lock().vm));
+                return Ok(Arc::clone(self.replicas[l].state.lock().vm()));
             }
         }
         let guards = self.lock_alive();
@@ -669,7 +458,7 @@ impl ReplicatedVersionService {
         }
         let pos = self.leader_pos(&mut group, &guards)?;
         group.lease_left = LEASE_READS;
-        Ok(Arc::clone(&guards[pos].1.vm))
+        Ok(Arc::clone(guards[pos].1.vm()))
     }
 }
 
@@ -740,6 +529,9 @@ impl VersionService for ReplicatedVersionService {
 mod tests {
     use super::*;
     use blobseer_disk::testutil::TempDir;
+    use blobseer_disk::version_log::DEDUP_CAP;
+    use blobseer_disk::{FrameLog, RepEntry};
+    use blobseer_types::wire::Wire;
 
     fn group3() -> Arc<ReplicatedVersionService> {
         ReplicatedVersionService::new(3, 64)
@@ -875,8 +667,7 @@ mod tests {
             g.commit(b, t.version).unwrap();
         }
         let state = g.replicas[0].state.lock();
-        assert!(state.dedup.len() <= DEDUP_CAP);
-        assert_eq!(state.dedup.len(), state.dedup_order.len());
+        assert!(state.memo_len() <= DEDUP_CAP);
     }
 
     #[test]
@@ -927,17 +718,53 @@ mod tests {
             term: 1,
             index: 1,
             command: Command {
-                client_id: 0,
                 seq: 9,
                 kind: CommandKind::DeleteBlob {
                     blob: BlobId::new(1),
                 },
             },
+            result: 0,
         };
         let bytes = entry.to_bytes();
         let mut log = FrameLog::open(dir.join("vm-replica-0.log")).unwrap();
         log.append(&bytes[..bytes.len() - 1]).unwrap();
         log.sync().unwrap();
+        drop(log);
+        let err = ReplicatedVersionService::open(&dir, 1, 64).unwrap_err();
+        assert!(matches!(err, Error::Storage(_)), "{err}");
+    }
+
+    #[test]
+    fn group_logs_pin_their_block_size() {
+        let tmp = TempDir::new("ctl-blocksize");
+        let dir = tmp.path().join("replog");
+        {
+            let g = ReplicatedVersionService::open(&dir, 3, 64).unwrap();
+            g.create_blob().unwrap();
+        }
+        let err = ReplicatedVersionService::open(&dir, 3, 128).unwrap_err();
+        assert!(matches!(err, Error::Storage(_)), "{err}");
+    }
+
+    /// A log whose entry records a result its replay does not hand out
+    /// is from another history: the open refuses it instead of serving
+    /// diverged ids.
+    #[test]
+    fn a_log_recording_another_result_fails_open_as_storage() {
+        let tmp = TempDir::new("ctl-result");
+        let dir = tmp.path().join("replog");
+        let entry = RepEntry {
+            term: 1,
+            index: 0,
+            command: Command {
+                seq: 1,
+                kind: CommandKind::CreateBlob,
+            },
+            result: 2,
+        };
+        let mut log = FrameLog::open(dir.join("vm-replica-0.log")).unwrap();
+        log.append_payloads([&64u64.to_bytes()[..], &entry.to_bytes()[..]])
+            .unwrap();
         drop(log);
         let err = ReplicatedVersionService::open(&dir, 1, 64).unwrap_err();
         assert!(matches!(err, Error::Storage(_)), "{err}");

@@ -811,34 +811,46 @@ mod tests {
             golden(&records)
         );
 
-        // Version log: header, create, assign, commit.
+        // Version log: header, create, assign, commit — each entry
+        // `term | index | seq | tag | args | result`.
         let vm = DurableVersionService::open(tmp.path().join("versions"), 4096).unwrap();
         let blob = vm.create_blob().unwrap();
         let ticket = vm.assign(blob, WriteIntent::Append { size: 100 }).unwrap();
         vm.commit(blob, ticket.version).unwrap();
+        let entry = |index: u64, tag: u8, args: &dyn Fn(&mut WireWriter), result: u64| {
+            record(&|w| {
+                w.put_u64(0);
+                w.put_u64(index);
+                w.put_u64(index + 1);
+                w.put_u8(tag);
+                args(w);
+                w.put_u64(result);
+            })
+        };
         assert_eq!(
             std::fs::read(vm.path()).unwrap(),
             golden(&[
-                record(&|w| {
-                    w.put_u8(0);
-                    w.put_u64(4096);
-                }),
-                record(&|w| {
-                    w.put_u8(1);
-                    w.put_u64(blob.raw());
-                }),
-                record(&|w| {
-                    w.put_u8(3);
-                    w.put_u64(blob.raw());
-                    w.put_u8(1);
-                    w.put_u64(100);
-                    w.put_u64(ticket.version.raw());
-                }),
-                record(&|w| {
-                    w.put_u8(4);
-                    w.put_u64(blob.raw());
-                    w.put_u64(ticket.version.raw());
-                }),
+                record(&|w| w.put_u64(4096)),
+                entry(0, 0, &|_| {}, blob.raw()),
+                entry(
+                    1,
+                    2,
+                    &|w| {
+                        w.put_u64(blob.raw());
+                        w.put_u8(1);
+                        w.put_u64(100);
+                    },
+                    ticket.version.raw(),
+                ),
+                entry(
+                    2,
+                    3,
+                    &|w| {
+                        w.put_u64(blob.raw());
+                        w.put_u64(ticket.version.raw());
+                    },
+                    0,
+                ),
             ])
         );
     }

@@ -13,10 +13,12 @@
 //!   same encoding they travel the RPC wire in
 //!   ([`blobseer_core::meta::codec`]), with the same `hash64 % shards`
 //!   placement as the in-memory DHT.
-//! * [`version_log::DurableVersionService`] — a
-//!   [`blobseer_core::ports::VersionService`] that logs every successful
-//!   mutation and rebuilds by deterministic replay, verifying the
-//!   replayed ids/versions against what the log recorded.
+//! * [`version_log::VersionReplica`] — the one persisted form of the
+//!   version manager: a state machine plus the command log it is the
+//!   replay of, each entry recording the call and its result, verified
+//!   on replay. [`version_log::DurableVersionService`] serves one replica
+//!   alone as a [`blobseer_core::ports::VersionService`];
+//!   `blobseer-control` runs a replica group of them.
 //!
 //! All three stand on one primitive, [`frame::FrameLog`]: length-prefixed,
 //! CRC-32-checksummed frames on an append-only file, where opening scans
@@ -43,5 +45,7 @@ pub mod volume;
 
 pub use frame::{Frame, FrameLog};
 pub use record_log::{DiskMetaStore, MetaRecord};
-pub use version_log::{DurableVersionService, VersionRecord};
+pub use version_log::{
+    Command, CommandKind, DurableVersionService, RepEntry, Reply, VersionReplica,
+};
 pub use volume::{DiskProviderSet, DiskVolume, VolumeHead};

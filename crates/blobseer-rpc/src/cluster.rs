@@ -31,10 +31,13 @@ use crate::client::{
     RpcBlockStore, RpcGcService, RpcMetaStore, RpcPlacementService, RpcVersionService,
 };
 use crate::server::{InFlight, RpcServer, RpcService, ServerOptions};
+use blobseer_control::ReplicatedVersionService;
 use blobseer_core::block_store::ProviderSet;
 use blobseer_core::dht::MetaDht;
 use blobseer_core::gc::GcHost;
-use blobseer_core::ports::{BlockStore, GcService, MetaStore, PlacementService, ProtocolObserver};
+use blobseer_core::ports::{
+    BlockStore, GcService, MetaStore, PlacementService, ProtocolObserver, VersionService,
+};
 use blobseer_core::provider_manager::ProviderManager;
 use blobseer_core::version_manager::VersionManager;
 use blobseer_core::{
@@ -66,7 +69,7 @@ pub struct LoopbackCluster {
     in_flight: Arc<InFlight>,
     /// The replicated version-manager group, when the cluster was booted
     /// with `version_replicas > 1` (RAM or disk backend); `None` otherwise.
-    replicated_vm: Option<Arc<blobseer_control::ReplicatedVersionService>>,
+    replicated_vm: Option<Arc<ReplicatedVersionService>>,
 }
 
 /// Block-id range width reserved per cluster *boot*: ~10^12 blocks each,
@@ -216,34 +219,26 @@ impl LoopbackCluster {
         let meta_server = spawn(RpcService::Meta(Arc::clone(&dht)))?;
         let meta_addr = meta_server.addr();
         servers.push(meta_server);
-        // The version manager: a single VM (RAM or durable), or — with
-        // `version_replicas > 1` — a leader-based replica group that
-        // survives mid-storm leader kills (see `blobseer_control`).
-        let mut replicated_vm = None;
-        let vm: Arc<dyn blobseer_core::ports::VersionService> = if cfg.version_replicas > 1 {
-            let group = match &cfg.data_dir {
-                None => blobseer_control::ReplicatedVersionService::new(
-                    cfg.version_replicas,
-                    cfg.block_size,
-                ),
-                Some(dir) => blobseer_control::ReplicatedVersionService::open(
-                    dir.join("vm-replog"),
-                    cfg.version_replicas,
-                    cfg.block_size,
-                )?,
-            };
-            replicated_vm = Some(Arc::clone(&group));
-            group
-        } else {
-            match &cfg.data_dir {
-                None => Arc::new(VersionManager::new(
-                    cfg.block_size,
-                    Arc::clone(&server_stats),
-                )),
-                Some(dir) => Arc::new(DurableVersionService::open(
-                    dir.join("version.log"),
-                    cfg.block_size,
-                )?),
+        // The version manager: the bare in-memory VM, one durable replica
+        // served alone, or — with `version_replicas > 1` — a leader-based
+        // replica group that survives mid-storm leader kills (see
+        // `blobseer_control`). Every durable form writes the one replica-log
+        // format of `blobseer_disk::version_log`.
+        let (replicas, bs) = (cfg.version_replicas, cfg.block_size);
+        let replicated_vm = match &cfg.data_dir {
+            _ if replicas <= 1 => None,
+            None => Some(ReplicatedVersionService::new(replicas, bs)),
+            Some(dir) => Some(ReplicatedVersionService::open(
+                dir.join("vm-replog"),
+                replicas,
+                bs,
+            )?),
+        };
+        let vm: Arc<dyn VersionService> = match (&replicated_vm, &cfg.data_dir) {
+            (Some(group), _) => Arc::clone(group) as Arc<dyn VersionService>,
+            (None, None) => Arc::new(VersionManager::new(bs, Arc::clone(&server_stats))),
+            (None, Some(dir)) => {
+                Arc::new(DurableVersionService::open(dir.join("version.log"), bs)?)
             }
         };
         let vm_server = spawn(RpcService::Version(vm))?;
@@ -442,7 +437,7 @@ impl LoopbackCluster {
     /// The hosted replicated version-manager group, when the cluster was
     /// booted with `version_replicas > 1` — fault-injection tests use it
     /// to kill and revive replicas mid-storm.
-    pub fn replicated_vm(&self) -> Option<&Arc<blobseer_control::ReplicatedVersionService>> {
+    pub fn replicated_vm(&self) -> Option<&Arc<ReplicatedVersionService>> {
         self.replicated_vm.as_ref()
     }
 

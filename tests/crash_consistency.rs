@@ -11,8 +11,12 @@
 //! disk backend** (`blobseer-disk`): a volume or record log truncated at
 //! *every possible byte offset* — the image a kill at that exact write
 //! offset leaves behind — must reopen to exactly the prefix of fully
-//! committed frames, never a panic, never a garbage read.
+//! committed frames, never a panic, never a garbage read. The version
+//! manager's replica log gets the same battery alone and as a 3-replica
+//! group, where one replica's cut log must also be reconciled back to the
+//! group's full history.
 
+use blobseer_control::ReplicatedVersionService;
 use blobseer_core::faults::{FaultPlan, FaultyBlockStore, FaultyMetaStore, PutFault};
 use blobseer_core::meta::key::{NodeKey, Pos};
 use blobseer_core::meta::node::{BlockDescriptor, TreeNode};
@@ -530,6 +534,31 @@ proptest! {
     }
 }
 
+/// A log length and, per blob, the `latest` it recovers to.
+type VmSnapshot = (u64, Vec<(BlobId, Option<(Version, u64)>)>);
+
+/// A small deterministic version-manager history touching every op kind;
+/// `after_op` sees the blobs created so far after every mutation.
+fn version_history(vm: &dyn VersionService, mut after_op: impl FnMut(&[BlobId])) {
+    let mut blobs: Vec<BlobId> = Vec::new();
+    for round in 0..3u64 {
+        let blob = vm.create_blob().unwrap();
+        blobs.push(blob);
+        after_op(&blobs);
+        for _ in 0..=round {
+            let t = vm.assign(blob, WriteIntent::Append { size: 64 }).unwrap();
+            after_op(&blobs);
+            vm.commit(blob, t.version).unwrap();
+            after_op(&blobs);
+        }
+    }
+    let fork = vm.branch(blobs[2], Version::new(1)).unwrap();
+    blobs.push(fork);
+    after_op(&blobs);
+    vm.delete_blob(blobs[0]).unwrap();
+    after_op(&blobs);
+}
+
 /// Kill-at-any-offset, version-manager operation log: a truncated copy
 /// replays to the committed prefix's observables (latest version and size
 /// per blob), and the blob-id sequence resumes without collisions.
@@ -538,32 +567,14 @@ fn version_log_recovers_committed_prefix_at_every_offset() {
     let tmp = TempDir::new("crash-vm");
     let live = tmp.path().join("version.log");
     let vm = DurableVersionService::open(&live, 64).unwrap();
-    type Snapshot = (u64, Vec<(BlobId, Option<(Version, u64)>)>);
-    let mut blobs: Vec<BlobId> = Vec::new();
-    let mut snapshots: Vec<Snapshot> = vec![(0, Vec::new())];
+    let mut snapshots: Vec<VmSnapshot> = vec![(0, Vec::new())];
     let snap = |vm: &DurableVersionService, blobs: &[BlobId]| {
         (
             std::fs::metadata(&live).unwrap().len(),
             blobs.iter().map(|&b| (b, vm.latest(b).ok())).collect(),
         )
     };
-    // A small deterministic history touching every op kind.
-    for round in 0..3u64 {
-        let blob = vm.create_blob().unwrap();
-        blobs.push(blob);
-        snapshots.push(snap(&vm, &blobs));
-        for _ in 0..=round {
-            let t = vm.assign(blob, WriteIntent::Append { size: 64 }).unwrap();
-            snapshots.push(snap(&vm, &blobs));
-            vm.commit(blob, t.version).unwrap();
-            snapshots.push(snap(&vm, &blobs));
-        }
-    }
-    let fork = vm.branch(blobs[2], Version::new(1)).unwrap();
-    blobs.push(fork);
-    snapshots.push(snap(&vm, &blobs));
-    vm.delete_blob(blobs[0]).unwrap();
-    snapshots.push(snap(&vm, &blobs));
+    version_history(&vm, |blobs| snapshots.push(snap(&vm, blobs)));
     drop(vm);
 
     let final_len = snapshots.last().unwrap().0;
@@ -588,6 +599,91 @@ fn version_log_recovers_committed_prefix_at_every_offset() {
         // New ids never collide with ids the committed prefix handed out.
         let next = recovered.create_blob().unwrap();
         assert_eq!(next.raw(), expected.len() as u64 + 1, "cut at byte {cut}");
+    }
+}
+
+/// Kill-at-any-offset, durable 3-replica version-manager group. The three
+/// replica logs are byte-identical, so (a) cutting all three at the same
+/// offset — a whole-group crash — recovers the committed prefix, and (b)
+/// cutting only replica 0's log anywhere is undone by reconciliation on
+/// open: every replica ends with the full history.
+#[test]
+fn replica_group_recovers_at_every_offset() {
+    let tmp = TempDir::new("crash-group");
+    let log = |dir: &Path, i: usize| dir.join(format!("vm-replica-{i}.log"));
+    let live = tmp.path().join("live");
+    let group = ReplicatedVersionService::open(&live, 3, 64).unwrap();
+    let mut snapshots: Vec<VmSnapshot> = vec![(0, Vec::new())];
+    version_history(&*group, |blobs| {
+        snapshots.push((
+            std::fs::metadata(log(&live, 0)).unwrap().len(),
+            blobs.iter().map(|&b| (b, group.latest(b).ok())).collect(),
+        ))
+    });
+    let entries = group.log_len(0);
+    drop(group);
+
+    let images: Vec<Vec<u8>> = (0..3)
+        .map(|i| std::fs::read(log(&live, i)).unwrap())
+        .collect();
+    assert!(images.iter().all(|image| *image == images[0]));
+    let final_len = images[0].len() as u64;
+    let scratch = tmp.path().join("scratch");
+    std::fs::create_dir_all(&scratch).unwrap();
+
+    // (a) The whole group crashes at one offset.
+    for cut in 0..=final_len {
+        for (i, image) in images.iter().enumerate() {
+            crash_image(image, &log(&scratch, i), cut);
+        }
+        let recovered = ReplicatedVersionService::open(&scratch, 3, 64).unwrap();
+        let expected = &snapshots
+            .iter()
+            .rev()
+            .find(|(len, _)| *len <= cut)
+            .unwrap()
+            .1;
+        for (blob, latest) in expected {
+            assert_eq!(
+                recovered.latest(*blob).ok(),
+                *latest,
+                "blob {blob}, cut at byte {cut} of {final_len}"
+            );
+        }
+        let next = recovered.create_blob().unwrap();
+        assert_eq!(next.raw(), expected.len() as u64 + 1, "cut at byte {cut}");
+    }
+
+    // (b) Only replica 0 crashes; its peers hold the full history.
+    let full = &snapshots.last().unwrap().1;
+    for cut in 0..=final_len {
+        for (i, image) in images.iter().enumerate() {
+            crash_image(
+                image,
+                &log(&scratch, i),
+                if i == 0 { cut } else { final_len },
+            );
+        }
+        let recovered = ReplicatedVersionService::open(&scratch, 3, 64).unwrap();
+        for i in 0..3 {
+            assert_eq!(
+                recovered.log_len(i),
+                entries,
+                "replica {i}, cut at byte {cut}"
+            );
+        }
+        assert_eq!(
+            std::fs::read(log(&scratch, 0)).unwrap(),
+            images[0],
+            "replica 0's log rewritten, cut at byte {cut}"
+        );
+        for (blob, latest) in full {
+            assert_eq!(
+                recovered.latest(*blob).ok(),
+                *latest,
+                "blob {blob}, cut at byte {cut}"
+            );
+        }
     }
 }
 

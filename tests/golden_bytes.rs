@@ -8,7 +8,7 @@
 //! recorded by a proxy between real clients and servers; disk samples are
 //! the frame payloads a scripted run leaves in each log.
 
-use blobseer_control::{Command, CommandKind, RepEntry, ReplicatedVersionService};
+use blobseer_control::ReplicatedVersionService;
 use blobseer_core::block_store::ProviderSet;
 use blobseer_core::dht::MetaDht;
 use blobseer_core::gc::{GcHost, GcReport};
@@ -21,8 +21,7 @@ use blobseer_core::version_manager::{SnapshotInfo, VersionManager, WriteIntent, 
 use blobseer_core::{EngineStats, FanoutExecutor};
 use blobseer_disk::testutil::TempDir;
 use blobseer_disk::{
-    DiskMetaStore, DiskVolume, DurableVersionService, FrameLog, MetaRecord, VersionRecord,
-    VolumeHead,
+    Command, CommandKind, DiskMetaStore, DiskVolume, FrameLog, MetaRecord, RepEntry, VolumeHead,
 };
 use blobseer_rpc::wire::{read_frame, write_frame};
 use blobseer_rpc::{
@@ -148,7 +147,6 @@ fn sample_commands() -> Vec<(&'static str, Command)> {
         .zip(kinds)
         .map(|(i, (name, kind))| {
             let cmd = Command {
-                client_id: i,
                 seq: 1_000 + i,
                 kind,
             };
@@ -266,6 +264,7 @@ fn type_samples() -> Vec<Sample> {
         term: 3,
         index: 17,
         command: sample_commands()[2].1,
+        result: 5,
     };
     s.push(sample("type.rep_entry", &rep));
     s
@@ -521,7 +520,9 @@ fn volume_frame(bytes: &[u8]) -> Result<Vec<u8>> {
     Ok([head.to_bytes(), block.to_vec()].concat())
 }
 
-fn frames(prefix: &str, path: &Path, reencode: Reencode, out: &mut Vec<Sample>) {
+/// One sample per frame of the log at `path`; frame `i` decodes with
+/// `reencode(i)`.
+fn frames(prefix: &str, path: &Path, reencode: fn(usize) -> Reencode, out: &mut Vec<Sample>) {
     let mut payloads = Vec::new();
     FrameLog::open_with(path, |_, payload| {
         payloads.push(payload.to_vec());
@@ -532,31 +533,13 @@ fn frames(prefix: &str, path: &Path, reencode: Reencode, out: &mut Vec<Sample>) 
         out.push(Sample {
             name: format!("{prefix}.{i}"),
             bytes,
-            reencode,
+            reencode: reencode(i),
         });
     }
 }
 
 fn disk_samples(dir: &Path) -> Vec<Sample> {
     let mut s = Vec::new();
-    let write = WriteIntent::Write {
-        offset: 0,
-        size: 128,
-    };
-
-    let path = dir.join("version.log");
-    {
-        let vm = DurableVersionService::open(&path, 64).unwrap();
-        let blob = vm.create_blob().unwrap();
-        let t = vm.assign(blob, write).unwrap();
-        vm.commit(blob, t.version).unwrap();
-        vm.assign(blob, WriteIntent::Append { size: 64 }).unwrap();
-        let fork = vm.branch(blob, t.version).unwrap();
-        vm.collect_before(blob, t.version).unwrap();
-        vm.delete_blob(fork).unwrap();
-    }
-    frames("disk.version_log", &path, reencode::<VersionRecord>, &mut s);
-
     let meta = dir.join("meta");
     {
         let store = DiskMetaStore::open(&meta, 1).unwrap();
@@ -570,7 +553,12 @@ fn disk_samples(dir: &Path) -> Vec<Sample> {
         assert_eq!(store.delete_many(&[k]), vec![Ok(true)]);
     }
     let shard = blobseer_disk::record_log::shard_path(&meta, 0);
-    frames("disk.record_log", &shard, reencode::<MetaRecord>, &mut s);
+    frames(
+        "disk.record_log",
+        &shard,
+        |_| reencode::<MetaRecord>,
+        &mut s,
+    );
 
     let vol = dir.join("volume");
     {
@@ -579,7 +567,7 @@ fn disk_samples(dir: &Path) -> Vec<Sample> {
         assert!(volume.put_many(&items).iter().all(|r| r.is_ok()));
         assert_eq!(volume.delete_many(&[BlockId::new(300)]), vec![Ok(7)]);
     }
-    frames("disk.volume", &vol, volume_frame, &mut s);
+    frames("disk.volume", &vol, |_| volume_frame, &mut s);
 
     let rep = dir.join("replog");
     {
@@ -599,7 +587,12 @@ fn disk_samples(dir: &Path) -> Vec<Sample> {
         group.delete_blob(fork).unwrap();
     }
     let log = rep.join("vm-replica-0.log");
-    frames("control.replog", &log, reencode::<RepEntry>, &mut s);
+    // Frame 0 is the block-size header, every later frame one entry.
+    let replica_frame = |i| match i {
+        0 => reencode::<u64>,
+        _ => reencode::<RepEntry>,
+    };
+    frames("control.replog", &log, replica_frame, &mut s);
     s
 }
 
