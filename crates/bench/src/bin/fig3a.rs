@@ -4,8 +4,9 @@
 use experiments::{fig3a, Constants};
 
 fn main() {
+    let [quick] = bench::flags(["--quick"]);
     let c = Constants::default();
-    let sizes = if bench::quick_mode() {
+    let sizes = if quick {
         vec![1.0, 8.0, 16.0]
     } else {
         fig3a::paper_sizes()

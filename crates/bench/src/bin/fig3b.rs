@@ -4,8 +4,9 @@
 use experiments::{fig3b, Constants};
 
 fn main() {
+    let [quick] = bench::flags(["--quick"]);
     let c = Constants::default();
-    let sizes = if bench::quick_mode() {
+    let sizes = if quick {
         vec![2.0, 8.0, 16.0]
     } else {
         fig3b::paper_sizes()

@@ -4,14 +4,15 @@
 use experiments::{fig4, Constants};
 
 fn main() {
+    let [quick, verbose] = bench::flags(["--quick", "--verbose"]);
     let c = Constants::default();
-    let counts = if bench::quick_mode() {
+    let counts = if quick {
         vec![1, 100, 250]
     } else {
         fig4::paper_counts()
     };
     bench::print_figure(&fig4::run(&c, &counts));
-    if bench::verbose_mode() {
+    if verbose {
         println!("--- diagnostics ---");
         println!("{}", experiments::lock_stats_line());
     }

@@ -11,13 +11,14 @@
 use experiments::{fig5, Constants};
 
 fn main() {
+    let [quick, writes] = bench::flags(["--quick", "--writes"]);
     let c = Constants::default();
-    let counts = if bench::quick_mode() {
+    let counts = if quick {
         vec![1, 100, 250]
     } else {
         fig5::paper_counts()
     };
-    let fig = if std::env::args().any(|a| a == "--writes") {
+    let fig = if writes {
         fig5::run_writes(&c, &counts)
     } else {
         fig5::run(&c, &counts)

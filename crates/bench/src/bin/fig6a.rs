@@ -4,8 +4,9 @@
 use experiments::{fig6, Constants};
 
 fn main() {
+    let [quick] = bench::flags(["--quick"]);
     let c = Constants::default();
-    let mappers = if bench::quick_mode() {
+    let mappers = if quick {
         vec![50, 5, 1]
     } else {
         fig6::rtw_paper_mappers()

@@ -4,8 +4,9 @@
 use experiments::{fig6, Constants};
 
 fn main() {
+    let [quick] = bench::flags(["--quick"]);
     let c = Constants::default();
-    let sizes = if bench::quick_mode() {
+    let sizes = if quick {
         vec![6.4, 12.8]
     } else {
         fig6::grep_paper_sizes()

@@ -5,8 +5,8 @@
 use experiments::{fig3a, fig3b, fig4, fig5, fig6, Constants};
 
 fn main() {
+    let [quick] = bench::flags(["--quick"]);
     let c = Constants::default();
-    let quick = bench::quick_mode();
 
     let fig = if quick {
         fig3a::run(&c, &[1.0, 8.0, 16.0])

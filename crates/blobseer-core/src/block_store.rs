@@ -32,9 +32,8 @@ impl DataProvider {
     }
 
     /// Creates a provider with an explicit lock-stripe count. `1` reproduces
-    /// the seed's single global `RwLock<HashMap>` — the contention baseline
-    /// of `bench/benches/store_contention.rs` and the equivalence oracle of
-    /// `tests/ports_equivalence.rs`.
+    /// the seed's single global `RwLock<HashMap>` — the equivalence oracle
+    /// of `tests/ports_equivalence.rs` (global ≡ striped).
     pub fn with_shards(node: NodeId, n_shards: usize) -> Self {
         Self {
             node,

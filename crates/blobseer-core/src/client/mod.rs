@@ -475,6 +475,23 @@ mod tests {
     }
 
     #[test]
+    fn replication_zero_refuses_the_write() {
+        // No replica means no readable block: the write must fail rather
+        // than publish a version whose read is `MissingBlock`.
+        // (The builder refuses 0; a literal config is how it gets in.)
+        let cfg = BlobSeerConfig {
+            replication: 0,
+            ..BlobSeerConfig::small_for_tests().with_block_size(64)
+        };
+        let sys = BlobSeer::deploy(cfg, 4);
+        let c = client(&sys);
+        let blob = c.create();
+        let err = c.write(blob, 0, &[1u8; 64]).unwrap_err();
+        assert!(matches!(err, Error::NoProviderAvailable(_)), "{err}");
+        assert_eq!(c.latest(blob).unwrap().0, Version::new(0));
+    }
+
+    #[test]
     fn replicated_reads_survive_provider_data_loss() {
         let cfg = BlobSeerConfig::small_for_tests()
             .with_block_size(64)

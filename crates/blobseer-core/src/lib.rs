@@ -27,7 +27,7 @@
 //! use blobseer_types::{BlobSeerConfig, NodeId};
 //!
 //! // 8 data providers, 4 KB blocks (tests use small blocks; the paper and
-//! // the benches use 64 MB, Hadoop's chunk size).
+//! // the figure models use 64 MB, Hadoop's chunk size).
 //! let system = BlobSeer::deploy(BlobSeerConfig::small_for_tests(), 8);
 //! let client = system.client(NodeId::new(0));
 //!

@@ -35,19 +35,11 @@ impl Placer {
         }
     }
 
-    /// The policy this placer implements.
-    pub fn policy(&self) -> PlacementPolicy {
-        self.policy
-    }
-
-    /// Picks a provider index for the next block.
+    /// Picks a provider index in `0..n` for the next block.
     ///
-    /// * `loads` — current per-provider block counts (used by
-    ///   `LeastLoaded`; its length defines the provider count).
     /// * `exclude` — indices that must not be chosen (already-placed
     ///   replicas of the same block). Must leave at least one candidate.
-    pub fn pick(&mut self, loads: &[u64], exclude: &[usize]) -> usize {
-        let n = loads.len();
+    pub fn pick(&mut self, n: usize, exclude: &[usize]) -> usize {
         assert!(n > 0, "no providers to place on");
         assert!(exclude.len() < n, "exclusion list leaves no candidate");
         match self.policy {
@@ -58,18 +50,6 @@ impl Placer {
                     return i;
                 }
             },
-            PlacementPolicy::LeastLoaded => {
-                let mut best = usize::MAX;
-                let mut best_load = u64::MAX;
-                for (i, &l) in loads.iter().enumerate() {
-                    if !exclude.contains(&i) && l < best_load {
-                        best = i;
-                        best_load = l;
-                    }
-                }
-                best
-            }
-            PlacementPolicy::Random => self.pick_random(n, exclude),
             PlacementPolicy::StickyRandom { stickiness } => {
                 if let Some(last) = self.last {
                     let stick = self.rng.gen_range(0u8..100) < stickiness;
@@ -94,17 +74,16 @@ impl Placer {
         }
     }
 
-    /// Places one block with `replication` replicas on distinct providers.
-    pub fn pick_replicas(&mut self, loads: &[u64], replication: usize) -> Vec<usize> {
+    /// Places one block with `replication` replicas on distinct providers
+    /// among `n`.
+    pub fn pick_replicas(&mut self, n: usize, replication: usize) -> Vec<usize> {
         assert!(
-            replication <= loads.len(),
-            "replication {} exceeds provider count {}",
-            replication,
-            loads.len()
+            replication <= n,
+            "replication {replication} exceeds provider count {n}"
         );
         let mut chosen = Vec::with_capacity(replication);
         for _ in 0..replication {
-            let i = self.pick(loads, &chosen);
+            let i = self.pick(n, &chosen);
             chosen.push(i);
         }
         chosen
@@ -136,7 +115,7 @@ mod tests {
         let mut placer = Placer::new(policy, seed);
         let mut loads = vec![0u64; n_providers];
         for _ in 0..n_blocks {
-            let i = placer.pick(&loads, &[]);
+            let i = placer.pick(n_providers, &[]);
             loads[i] += 1;
         }
         loads
@@ -154,32 +133,25 @@ mod tests {
     #[test]
     fn round_robin_skips_excluded() {
         let mut p = Placer::new(PlacementPolicy::RoundRobin, 0);
-        let loads = vec![0; 3];
-        assert_eq!(p.pick(&loads, &[0]), 1);
-        assert_eq!(p.pick(&loads, &[2]), 0);
+        assert_eq!(p.pick(3, &[0]), 1);
+        assert_eq!(p.pick(3, &[2]), 0);
     }
 
     #[test]
-    fn least_loaded_fills_valleys() {
-        let mut p = Placer::new(PlacementPolicy::LeastLoaded, 0);
-        let loads = vec![5, 1, 3];
-        assert_eq!(p.pick(&loads, &[]), 1);
-        assert_eq!(p.pick(&loads, &[1]), 2);
-    }
-
-    #[test]
-    fn random_is_reproducible_per_seed() {
-        let a = place_n(PlacementPolicy::Random, 100, 10, 42);
-        let b = place_n(PlacementPolicy::Random, 100, 10, 42);
+    fn sticky_random_is_reproducible_per_seed() {
+        let policy = PlacementPolicy::StickyRandom { stickiness: 65 };
+        let a = place_n(policy, 100, 10, 42);
+        let b = place_n(policy, 100, 10, 42);
         assert_eq!(a, b);
-        let c = place_n(PlacementPolicy::Random, 100, 10, 43);
+        let c = place_n(policy, 100, 10, 43);
         assert_ne!(a, c, "different seed, different stream (overwhelmingly)");
     }
 
     #[test]
     fn sticky_random_clusters_more_than_random() {
         // With heavy stickiness, consecutive blocks pile onto few providers;
-        // unbalance must exceed plain random placement for the same seed set.
+        // unbalance must exceed stickiness 0 (plain random placement) for
+        // the same seed set.
         let mut sticky_unbalance = 0.0;
         let mut random_unbalance = 0.0;
         for seed in 0..20 {
@@ -189,7 +161,12 @@ mod tests {
                 50,
                 seed,
             );
-            let r = place_n(PlacementPolicy::Random, 200, 50, seed);
+            let r = place_n(
+                PlacementPolicy::StickyRandom { stickiness: 0 },
+                200,
+                50,
+                seed,
+            );
             sticky_unbalance += manhattan_unbalance(&s);
             random_unbalance += manhattan_unbalance(&r);
         }
@@ -200,29 +177,13 @@ mod tests {
     }
 
     #[test]
-    fn zero_stickiness_behaves_like_random() {
-        let s = place_n(PlacementPolicy::StickyRandom { stickiness: 0 }, 500, 20, 7);
-        let r = place_n(PlacementPolicy::Random, 500, 20, 7);
-        // Not necessarily identical streams (different rng call patterns),
-        // but statistically indistinguishable unbalance.
-        let (su, ru) = (manhattan_unbalance(&s), manhattan_unbalance(&r));
-        assert!(
-            (su - ru).abs() < ru * 0.75 + 20.0,
-            "sticky0={su} random={ru}"
-        );
-    }
-
-    #[test]
     fn replicas_are_distinct() {
         for policy in [
             PlacementPolicy::RoundRobin,
-            PlacementPolicy::LeastLoaded,
-            PlacementPolicy::Random,
             PlacementPolicy::StickyRandom { stickiness: 90 },
         ] {
             let mut p = Placer::new(policy, 1);
-            let loads = vec![0u64; 5];
-            let reps = p.pick_replicas(&loads, 3);
+            let reps = p.pick_replicas(5, 3);
             assert_eq!(reps.len(), 3);
             let mut sorted = reps.clone();
             sorted.sort_unstable();
@@ -235,7 +196,7 @@ mod tests {
     #[should_panic(expected = "replication 4 exceeds provider count 3")]
     fn too_much_replication_panics() {
         let mut p = Placer::new(PlacementPolicy::RoundRobin, 0);
-        p.pick_replicas(&[0, 0, 0], 4);
+        p.pick_replicas(3, 4);
     }
 
     #[test]

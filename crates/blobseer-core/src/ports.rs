@@ -608,7 +608,7 @@ impl GcService for crate::gc::GcTracker {
     }
     /// A bare tracker holds refcounts but no storage ports, so it cannot
     /// cascade — deployments wire a [`crate::gc::GcHost`] for that. This
-    /// impl exists so refcount-only contexts (tree benches, unit fixtures)
+    /// impl exists so refcount-only contexts (unit fixtures)
     /// can stand in for the full service.
     fn release_roots(&self, _roots: &[NodeKey]) -> Result<GcReport> {
         Err(Error::Internal(

@@ -112,20 +112,27 @@ impl ProviderManager {
 
     /// Allocates ids and replica targets for `n_blocks` new blocks.
     ///
-    /// Fails when the replication level exceeds the provider count —
-    /// "no data provider available" in the paper's terms.
+    /// Fails when the replication level is 0 (a block with no replica
+    /// could never be read back) or exceeds the provider count — "no data
+    /// provider available" in the paper's terms. A refused call draws no
+    /// id and moves no load.
     pub fn allocate(&self, n_blocks: usize, replication: usize) -> Result<Vec<BlockAllocation>> {
         let mut placer = self.placer.lock();
         let mut loads = self.loads.lock();
-        if replication > loads.len() {
+        let n = loads.len();
+        if replication == 0 {
+            return Err(Error::NoProviderAvailable(
+                "replication 0 stores no replica".into(),
+            ));
+        }
+        if replication > n {
             return Err(Error::NoProviderAvailable(format!(
-                "replication {replication} exceeds provider count {}",
-                loads.len()
+                "replication {replication} exceeds provider count {n}"
             )));
         }
         let mut out = Vec::with_capacity(n_blocks);
         for _ in 0..n_blocks {
-            let providers = placer.pick_replicas(&loads, replication);
+            let providers = placer.pick_replicas(n, replication);
             for &p in &providers {
                 loads[p] += 1;
             }
@@ -193,8 +200,13 @@ mod tests {
     #[test]
     fn over_replication_is_an_error() {
         let pm = ProviderManager::new(2, PlacementPolicy::RoundRobin, 0);
-        let err = pm.allocate(1, 3).unwrap_err();
-        assert!(matches!(err, Error::NoProviderAvailable(_)), "{err}");
+        for replication in [3, 0] {
+            let err = pm.allocate(1, replication).unwrap_err();
+            assert!(matches!(err, Error::NoProviderAvailable(_)), "{err}");
+            assert_eq!(pm.load_vector(), vec![0, 0], "a refusal moves no load");
+        }
+        // Nor does it draw an id: the first accepted block is still id 1.
+        assert_eq!(pm.allocate(1, 1).unwrap()[0].block_id, BlockId::new(1));
     }
 
     #[test]

@@ -27,7 +27,7 @@ use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash};
 
 /// Default stripe count for the in-memory adapters. Chosen comfortably above
-/// the thread counts the tests and benches drive (16) while keeping the
+/// the thread counts the tests drive (16) while keeping the
 /// per-map footprint trivial.
 pub const DEFAULT_SHARDS: usize = 32;
 

@@ -4,8 +4,8 @@
 //! The sandboxed build environment has no crates.io, so the usual
 //! `tempfile` crate is unavailable; this is the minimal subset the disk
 //! tests need. It lives in the library (not `#[cfg(test)]`) so both this
-//! crate's unit tests and the workspace-level `tests/` suites and benches
-//! can reach it.
+//! crate's unit tests and the workspace-level `tests/` suites can reach
+//! it.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};

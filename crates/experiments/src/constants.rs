@@ -7,11 +7,12 @@
 //! * **Calibrated**: hardware rates of the 2009-era testbed and software
 //!   path costs of Hadoop 0.20 / BlobSeer that the paper does not state.
 //!   Each is documented with its physical justification; docs/REPRODUCING.md
-//!   gives each figure's expected band, and `bench/benches/ablations.rs`
-//!   sweeps the influential ones. The *shapes* of the reproduced figures come from
-//!   the modeled mechanisms (placement policies, disk queueing, max-min
-//!   NIC sharing, centralized-service serialization); the constants set
-//!   absolute levels.
+//!   gives each figure's expected band, and the `ablations` figure driver
+//!   (`crates/bench/src/bin/ablations.rs`) sweeps the influential ones.
+//!   The *shapes* of the reproduced figures come from the modeled
+//!   mechanisms (placement policies, disk queueing, max-min NIC sharing,
+//!   centralized-service serialization); the constants set absolute
+//!   levels.
 
 use simnet::SimDuration;
 

@@ -28,14 +28,15 @@ pub const REPETITIONS: u64 = 5;
 /// metric only depends on the placement stream, so the payloads stay tiny.
 const REAL_BLOCK: u64 = 64;
 
-/// Unbalance of one placement run, measured off the real deployment's
-/// layout vector after writing the file through the client.
-pub fn unbalance_of(policy: PlacementPolicy, n_blocks: u64, n_providers: usize, seed: u64) -> f64 {
+/// Unbalance of one BSFS run (the provider manager's round-robin stream),
+/// measured off the real deployment's layout vector after writing the file
+/// through the client.
+pub fn unbalance_of(n_blocks: u64, n_providers: usize, seed: u64) -> f64 {
     let dep = concurrent::deploy(
         &Constants::default(),
         n_providers,
         n_providers,
-        policy,
+        PlacementPolicy::RoundRobin,
         seed,
         REAL_BLOCK,
     );
@@ -79,9 +80,7 @@ pub fn run(c: &Constants, sizes_gb: &[f64]) -> Figure {
         for &gb in sizes_gb {
             let n_blocks = ((gb * 1024.0 * 1024.0 * 1024.0) / c.block_bytes as f64).round() as u64;
             let unbalance = |seed| match backend {
-                Backend::Bsfs => {
-                    unbalance_of(PlacementPolicy::RoundRobin, n_blocks, providers, seed)
-                }
+                Backend::Bsfs => unbalance_of(n_blocks, providers, seed),
                 Backend::Hdfs => {
                     hdfs_unbalance_of(HdfsConfig::default(), n_blocks, providers, seed)
                 }
@@ -126,7 +125,7 @@ mod tests {
     fn bsfs_round_robin_is_nearly_ideal() {
         // 16 GB = 256 blocks over 247 providers: 9 providers hold 2 blocks,
         // the rest 1 → tiny fractional unbalance only.
-        let u = mean_unbalance(|s| unbalance_of(PlacementPolicy::RoundRobin, 256, 247, s));
+        let u = mean_unbalance(|s| unbalance_of(256, 247, s));
         let ideal = 256.0 / 247.0;
         let expected = 9.0 * (2.0 - ideal) + 238.0 * (ideal - 1.0);
         assert!((u - expected).abs() < 1e-6, "u={u} expected={expected}");

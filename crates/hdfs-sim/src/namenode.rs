@@ -192,12 +192,8 @@ impl NameNode {
     fn new_lease(&self) -> LeaseState {
         // Pipeline-session placement state: sticky random for remote
         // clients; purely local-first handled in `add_chunk`.
-        let policy = if self.cfg.placement_stickiness == 0 {
-            PlacementPolicy::Random
-        } else {
-            PlacementPolicy::StickyRandom {
-                stickiness: self.cfg.placement_stickiness,
-            }
+        let policy = PlacementPolicy::StickyRandom {
+            stickiness: self.cfg.placement_stickiness,
         };
         LeaseState {
             id: LeaseId(self.next_lease.fetch_add(1, Ordering::Relaxed)),
@@ -275,7 +271,7 @@ impl NameNode {
             }
             let lease_state = meta.lease.as_mut().expect("checked");
             while targets.len() < replication {
-                targets.push(lease_state.placer.pick(loads, &targets));
+                targets.push(lease_state.placer.pick(loads.len(), &targets));
             }
             for &dn in &targets {
                 loads[dn] += 1;

@@ -2,7 +2,7 @@
 //!
 //! Defaults mirror the paper's deployment (§V): 64 MB blocks, replication 1
 //! (the throughput experiments compare unreplicated transfers), round-robin
-//! placement for BlobSeer. Tests and benches shrink the block size so that
+//! placement for BlobSeer. Tests shrink the block size so that
 //! realistic multi-block files fit in memory.
 
 use std::path::PathBuf;
@@ -39,15 +39,10 @@ pub enum PlacementPolicy {
     /// fashion (§V-D).
     #[default]
     RoundRobin,
-    /// Pick the provider currently storing the fewest blocks; ties broken by
-    /// lowest node id. A natural "even distribution" alternative used in
-    /// ablations.
-    LeastLoaded,
-    /// Uniform random placement (the balls-in-bins baseline).
-    Random,
-    /// Random with session affinity: with probability `stickiness`
-    /// (in percent, 0–100) the next block stays on the previous provider.
-    /// Models HDFS 0.20 pipeline-session behaviour for remote writers; see
+    /// Uniform random with session affinity: with probability `stickiness`
+    /// (in percent, 0–100) the next block stays on the previous provider;
+    /// 0 is plain uniform random placement. Models HDFS 0.20
+    /// pipeline-session behaviour for remote writers; see
     /// docs/REPRODUCING.md, Fig. 3(b) (§V-D).
     StickyRandom {
         /// Probability in percent (0–100) of re-using the previous target.
@@ -320,7 +315,7 @@ mod tests {
         let c = BlobSeerConfig::small_for_tests()
             .with_block_size(1024)
             .with_replication(3)
-            .with_placement(PlacementPolicy::LeastLoaded)
+            .with_placement(PlacementPolicy::StickyRandom { stickiness: 40 })
             .with_metadata_providers(2)
             .with_unaligned_append_timeout(Duration::from_millis(50))
             .with_close_reveal_timeout(Duration::from_millis(80))
@@ -332,7 +327,10 @@ mod tests {
         assert_eq!(c.close_reveal_timeout, Duration::from_millis(80));
         assert_eq!(c.block_size, 1024);
         assert_eq!(c.replication, 3);
-        assert_eq!(c.placement, PlacementPolicy::LeastLoaded);
+        assert_eq!(
+            c.placement,
+            PlacementPolicy::StickyRandom { stickiness: 40 }
+        );
         assert_eq!(c.metadata_providers, 2);
         assert_eq!(c.read_cache_bytes, 1 << 20);
         assert_eq!(c.data_dir, Some(PathBuf::from("/tmp/blobseer-data")));

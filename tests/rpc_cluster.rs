@@ -338,6 +338,13 @@ fn service_errors_cross_the_wire_as_themselves() {
             .assign(blob, blobseer_core::WriteIntent::Append { size: 0 }),
         Err(Error::WriteAborted(_))
     ));
+    // Replication 0 is refused by the hosted provider manager with the
+    // in-memory variant, before any load moves.
+    let pm = sys.provider_manager();
+    let loads = pm.load_vector().unwrap();
+    let err = pm.allocate(1, 0).unwrap_err();
+    assert!(matches!(err, Error::NoProviderAvailable(_)), "{err}");
+    assert_eq!(pm.load_vector().unwrap(), loads);
     // An assigned-but-uncommitted version is VersionNotRevealed, and the
     // remote wait_revealed surfaces the server-enforced timeout.
     let stuck = sys
