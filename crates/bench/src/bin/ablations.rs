@@ -13,8 +13,8 @@
 //! (`tests/fixtures/figures.txt`). §V-F's append-vs-write ablation is
 //! `fig5 --writes`.
 
-use blobseer_types::HdfsConfig;
 use experiments::{fig3b, fig5, Backend, Constants, Figure, Series};
+use hdfs_sim::HdfsConfig;
 use simnet::SimDuration;
 
 /// Fig. 5's largest client count.

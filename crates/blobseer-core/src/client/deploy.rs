@@ -50,7 +50,10 @@ impl EnginePorts {
     /// The standard in-memory adapters: lock-striped [`crate::block_store::
     /// ProviderSet`]/[`crate::dht::MetaDht`] plus a [`VersionManager`], with
     /// one data provider per entry of `provider_nodes`.
-    pub fn in_memory(cfg: &BlobSeerConfig, provider_nodes: Vec<NodeId>, pm_seed: u64) -> Self {
+    ///
+    /// `_pm_seed` is ignored: round-robin placement draws no random
+    /// numbers. The parameter stays only for existing callers.
+    pub fn in_memory(cfg: &BlobSeerConfig, provider_nodes: Vec<NodeId>, _pm_seed: u64) -> Self {
         assert!(
             !provider_nodes.is_empty(),
             "need at least one data provider"
@@ -66,11 +69,7 @@ impl EnginePorts {
                 cfg.metadata_replication,
             )),
             vm: Arc::new(VersionManager::new(cfg.block_size, Arc::clone(&stats))),
-            pm: Arc::new(ProviderManager::new(
-                provider_nodes.len(),
-                cfg.placement,
-                pm_seed,
-            )),
+            pm: Arc::new(ProviderManager::new(provider_nodes.len())),
             gc: None,
             stats,
             observer: Arc::new(NoopObserver),
@@ -92,10 +91,6 @@ pub struct BlobSeer {
     pub(crate) exec: Arc<FanoutExecutor>,
 }
 
-/// Default provider-manager seed of the in-memory deployments (experiments
-/// pass their own seeds through [`EnginePorts::in_memory`]).
-const DEFAULT_PM_SEED: u64 = 0x5EED_0001;
-
 impl BlobSeer {
     /// Deploys the system with `n_data_providers` in-memory data providers
     /// hosted on nodes `0..n`.
@@ -105,7 +100,7 @@ impl BlobSeer {
 
     /// Deploys with one in-memory data provider per given node.
     pub fn deploy_on(cfg: BlobSeerConfig, provider_nodes: Vec<NodeId>) -> Arc<Self> {
-        let ports = EnginePorts::in_memory(&cfg, provider_nodes, DEFAULT_PM_SEED);
+        let ports = EnginePorts::in_memory(&cfg, provider_nodes, 0);
         Self::deploy_ports(cfg, ports)
     }
 
@@ -233,11 +228,7 @@ mod tests {
             providers: Arc::new(ProviderSet::new(2, |i| NodeId::new(10 + i as u64))),
             dht: Arc::new(MetaDht::new(4, 1)),
             vm: Arc::new(VersionManager::new(64, Arc::clone(&stats))),
-            pm: Arc::new(ProviderManager::new(
-                2,
-                blobseer_types::config::PlacementPolicy::RoundRobin,
-                7,
-            )),
+            pm: Arc::new(ProviderManager::new(2)),
             gc: None,
             stats,
             observer: Arc::new(NoopObserver),
@@ -256,11 +247,7 @@ mod tests {
     fn mismatched_pm_is_rejected() {
         let cfg = BlobSeerConfig::small_for_tests();
         let mut ports = EnginePorts::in_memory(&cfg, vec![NodeId::new(0), NodeId::new(1)], 0);
-        ports.pm = Arc::new(ProviderManager::new(
-            5,
-            blobseer_types::config::PlacementPolicy::RoundRobin,
-            0,
-        ));
+        ports.pm = Arc::new(ProviderManager::new(5));
         let _ = BlobSeer::deploy_ports(cfg, ports);
     }
 }

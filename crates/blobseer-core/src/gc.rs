@@ -299,7 +299,6 @@ mod tests {
     use crate::meta::key::Pos;
     use crate::meta::node::{BlockDescriptor, NodeRef};
     use crate::provider_manager::ProviderManager;
-    use blobseer_types::config::PlacementPolicy;
     use blobseer_types::{BlobId, BlockId, NodeId, Version};
     use bytes::Bytes;
 
@@ -316,7 +315,7 @@ mod tests {
         Fixture {
             dht: MetaDht::new(4, 1),
             providers: Arc::new(ProviderSet::new(2, |i| NodeId::new(i as u64))),
-            pm: ProviderManager::new(2, PlacementPolicy::RoundRobin, 0),
+            pm: ProviderManager::new(2),
             stats: EngineStats::new(),
             gc: GcTracker::new(),
             exec: FanoutExecutor::new(2),
@@ -456,7 +455,7 @@ mod tests {
         // GcService port of a GcHost (the shape a hosted deployment uses).
         let dht = Arc::new(MetaDht::new(4, 1));
         let providers = Arc::new(ProviderSet::new(2, |i| NodeId::new(i as u64)));
-        let pm = Arc::new(ProviderManager::new(2, PlacementPolicy::RoundRobin, 0));
+        let pm = Arc::new(ProviderManager::new(2));
         let stats = Arc::new(EngineStats::new());
         let host = GcHost::new(
             Arc::clone(&dht) as Arc<dyn MetaStore>,

@@ -7,8 +7,8 @@
 //! under heavy concurrency. The design combines four techniques (§III-A):
 //!
 //! 1. **Data striping** — BLOBs split into fixed-size blocks spread over
-//!    data providers by a load-balancing placement policy
-//!    ([`provider_manager`], [`placement`], [`block_store`]).
+//!    data providers, allocated round-robin by the provider manager
+//!    ([`provider_manager`], [`block_store`]).
 //! 2. **Distributed metadata** — per-version segment trees whose nodes live
 //!    in a DHT over metadata providers, with subtree sharing across versions
 //!    ([`meta`], [`dht`]).
@@ -51,7 +51,6 @@ pub mod exec;
 pub mod faults;
 pub mod gc;
 pub mod meta;
-pub mod placement;
 pub mod ports;
 pub mod provider_manager;
 pub mod sharded;
@@ -63,7 +62,6 @@ pub use client::{BlobClient, BlobSeer, BlockLocation, EnginePorts};
 pub use exec::FanoutExecutor;
 pub use faults::{FaultPlan, FaultyBlockStore, FaultyMetaStore, PutFault};
 pub use gc::{GcHost, GcReport, GcTracker};
-pub use placement::{manhattan_unbalance, Placer};
 pub use ports::{
     BlockStore, GcService, MetaStore, NoopObserver, PlacementService, ProtocolObserver, ProtocolOp,
     ProtocolPhase, VersionService,

@@ -409,8 +409,10 @@ pub trait PlacementService: Send + Sync {
     /// Copy of the current load vector (blocks allocated per provider).
     fn load_vector(&self) -> Result<Vec<u64>>;
 
-    /// Registers a new provider hosted on `node`; returns its dense index.
-    /// Subsequent allocations may target it.
+    /// Asks to add a provider hosted on `node`. Refused with
+    /// [`Error::Unsupported`]: data providers are fixed at
+    /// boot, and every block store is sized to that set, so a provider
+    /// added later would be placed on but served by no store.
     fn register_provider(&self, node: NodeId) -> Result<usize>;
 
     /// Liveness ping for provider `i`; returns its current allocated load.
@@ -589,9 +591,9 @@ impl PlacementService for crate::provider_manager::ProviderManager {
     fn load_vector(&self) -> Result<Vec<u64>> {
         Ok(crate::provider_manager::ProviderManager::load_vector(self))
     }
-    fn register_provider(&self, node: NodeId) -> Result<usize> {
-        Ok(crate::provider_manager::ProviderManager::register_provider(
-            self, node,
+    fn register_provider(&self, _node: NodeId) -> Result<usize> {
+        Err(Error::Unsupported(
+            "register_provider: data providers are fixed at boot",
         ))
     }
     fn heartbeat(&self, provider: usize) -> Result<u64> {

@@ -2,14 +2,13 @@
 //! space and schedules the placement of newly generated blocks" (§III-B).
 //!
 //! It tracks per-provider load and hands out `(BlockId, [provider indices])`
-//! allocations. Block ids are drawn from a global atomic counter, which
-//! makes them unique without coordination — exactly the property the
-//! two-phase write protocol needs (data can be written before the version
-//! number exists, §III-D).
+//! allocations, placing blocks "in a round-robin fashion" over the fixed
+//! provider set of the deployment (§V-D). Block ids are drawn from a global
+//! atomic counter, which makes them unique without coordination — exactly
+//! the property the two-phase write protocol needs (data can be written
+//! before the version number exists, §III-D).
 
-use crate::placement::Placer;
-use blobseer_types::config::PlacementPolicy;
-use blobseer_types::{BlockId, Error, NodeId, Result};
+use blobseer_types::{BlockId, Error, Result};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -29,21 +28,40 @@ pub struct BlockAllocation {
 /// RPC server so N client processes share one load-accounting authority).
 #[derive(Debug)]
 pub struct ProviderManager {
-    placer: Mutex<Placer>,
-    /// Blocks allocated (not necessarily yet stored) per provider; the load
-    /// signal for placement decisions. Its length is the authoritative
-    /// provider count ([`Self::register_provider`] grows it).
-    loads: Mutex<Vec<u64>>,
+    loads: Mutex<LoadTable>,
     next_block: AtomicU64,
-    /// Nodes hosting dynamically registered providers, parallel to the
-    /// tail of `loads` past the initially configured count.
-    registered: Mutex<Vec<NodeId>>,
+}
+
+/// The load vector and the round-robin cursor, kept under one lock so an
+/// allocation reads and advances both in one step.
+#[derive(Debug)]
+struct LoadTable {
+    /// Blocks allocated (not necessarily yet stored) per provider. Its
+    /// length is the provider count, fixed at boot.
+    blocks: Vec<u64>,
+    /// The provider the next replica's round-robin scan starts at.
+    cursor: usize,
+}
+
+impl LoadTable {
+    /// The next provider in round-robin order that is not in `chosen` (the
+    /// replicas already placed for the same block). `chosen` must leave at
+    /// least one candidate.
+    fn pick(&mut self, chosen: &[usize]) -> usize {
+        loop {
+            let i = self.cursor;
+            self.cursor = (i + 1) % self.blocks.len();
+            if !chosen.contains(&i) {
+                return i;
+            }
+        }
+    }
 }
 
 impl ProviderManager {
-    /// Creates a manager over `n_providers` providers with the given policy.
-    pub fn new(n_providers: usize, policy: PlacementPolicy, seed: u64) -> Self {
-        Self::with_block_base(n_providers, policy, seed, 1)
+    /// Creates a manager over `n_providers` providers.
+    pub fn new(n_providers: usize) -> Self {
+        Self::with_block_base(n_providers, 1)
     }
 
     /// Like [`Self::new`], but drawing block ids from `first_block` upward.
@@ -56,47 +74,22 @@ impl ProviderManager {
     /// spaces them 2^40 apart). Colliding ids would make the providers'
     /// immutable-put check reject — or in release builds silently drop —
     /// one client's blocks.
-    pub fn with_block_base(
-        n_providers: usize,
-        policy: PlacementPolicy,
-        seed: u64,
-        first_block: u64,
-    ) -> Self {
+    pub fn with_block_base(n_providers: usize, first_block: u64) -> Self {
         assert!(n_providers > 0, "need at least one data provider");
         assert!(first_block >= 1, "block ids start at 1");
+        let loads = LoadTable {
+            blocks: vec![0; n_providers],
+            cursor: 0,
+        };
         Self {
-            placer: Mutex::named(Placer::new(policy, seed), "pm.placer"),
-            loads: Mutex::named(vec![0; n_providers], "pm.loads"),
+            loads: Mutex::named(loads, "pm.loads"),
             next_block: AtomicU64::new(first_block),
-            registered: Mutex::named(Vec::new(), "pm.registered"),
         }
     }
 
-    /// Number of providers under management (initial count plus any
-    /// dynamically registered since).
+    /// Number of providers under management, fixed at boot.
     pub fn provider_count(&self) -> usize {
-        self.loads.lock().len()
-    }
-
-    /// Registers a new provider hosted on `node`, growing the placement
-    /// and load-accounting state; returns the provider's dense index.
-    pub fn register_provider(&self, node: NodeId) -> usize {
-        // Lock order placer → loads, same as `allocate`, so a concurrent
-        // allocation observes either the old or the new provider count
-        // consistently in both structures.
-        let placer = self.placer.lock();
-        let mut loads = self.loads.lock();
-        let index = loads.len();
-        loads.push(0);
-        drop(placer);
-        self.registered.lock().push(node);
-        index
-    }
-
-    /// Nodes of providers added through [`Self::register_provider`], in
-    /// registration order.
-    pub fn registered_nodes(&self) -> Vec<NodeId> {
-        self.registered.lock().clone()
+        self.loads.lock().blocks.len()
     }
 
     /// Liveness ping: returns provider `i`'s currently allocated load, or
@@ -105,6 +98,7 @@ impl ProviderManager {
     pub fn heartbeat(&self, provider: usize) -> Result<u64> {
         self.loads
             .lock()
+            .blocks
             .get(provider)
             .copied()
             .ok_or_else(|| Error::NoProviderAvailable(format!("heartbeat: no provider {provider}")))
@@ -117,9 +111,8 @@ impl ProviderManager {
     /// provider available" in the paper's terms. A refused call draws no
     /// id and moves no load.
     pub fn allocate(&self, n_blocks: usize, replication: usize) -> Result<Vec<BlockAllocation>> {
-        let mut placer = self.placer.lock();
         let mut loads = self.loads.lock();
-        let n = loads.len();
+        let n = loads.blocks.len();
         if replication == 0 {
             return Err(Error::NoProviderAvailable(
                 "replication 0 stores no replica".into(),
@@ -132,9 +125,11 @@ impl ProviderManager {
         }
         let mut out = Vec::with_capacity(n_blocks);
         for _ in 0..n_blocks {
-            let providers = placer.pick_replicas(n, replication);
-            for &p in &providers {
-                loads[p] += 1;
+            let mut providers = Vec::with_capacity(replication);
+            for _ in 0..replication {
+                let p = loads.pick(&providers);
+                loads.blocks[p] += 1;
+                providers.push(p);
             }
             let block_id = BlockId::new(self.next_block.fetch_add(1, Ordering::Relaxed));
             out.push(BlockAllocation {
@@ -148,7 +143,7 @@ impl ProviderManager {
     /// Releases load accounting for collected blocks (one unit per replica).
     pub fn release(&self, provider: usize) {
         let mut loads = self.loads.lock();
-        if let Some(l) = loads.get_mut(provider) {
+        if let Some(l) = loads.blocks.get_mut(provider) {
             *l = l.saturating_sub(1);
         }
     }
@@ -160,7 +155,7 @@ impl ProviderManager {
     pub fn release_many(&self, providers: &[usize]) {
         let mut loads = self.loads.lock();
         for &p in providers {
-            if let Some(l) = loads.get_mut(p) {
+            if let Some(l) = loads.blocks.get_mut(p) {
                 *l = l.saturating_sub(1);
             }
         }
@@ -168,17 +163,18 @@ impl ProviderManager {
 
     /// Copy of the current load vector (blocks allocated per provider).
     pub fn load_vector(&self) -> Vec<u64> {
-        self.loads.lock().clone()
+        self.loads.lock().blocks.clone()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use blobseer_types::NodeId;
 
     #[test]
     fn allocations_are_unique_and_balanced() {
-        let pm = ProviderManager::new(4, PlacementPolicy::RoundRobin, 0);
+        let pm = ProviderManager::new(4);
         let allocs = pm.allocate(8, 1).unwrap();
         assert_eq!(allocs.len(), 8);
         let mut ids: Vec<u64> = allocs.iter().map(|a| a.block_id.raw()).collect();
@@ -190,7 +186,7 @@ mod tests {
 
     #[test]
     fn replication_fans_out() {
-        let pm = ProviderManager::new(5, PlacementPolicy::RoundRobin, 0);
+        let pm = ProviderManager::new(5);
         let allocs = pm.allocate(1, 3).unwrap();
         assert_eq!(allocs[0].providers.len(), 3);
         let total: u64 = pm.load_vector().iter().sum();
@@ -199,7 +195,11 @@ mod tests {
 
     #[test]
     fn over_replication_is_an_error() {
-        let pm = ProviderManager::new(2, PlacementPolicy::RoundRobin, 0);
+        let pm = ProviderManager::new(2);
+        assert_eq!(
+            pm.allocate(1, 3).unwrap_err(),
+            Error::NoProviderAvailable("replication 3 exceeds provider count 2".into())
+        );
         for replication in [3, 0] {
             let err = pm.allocate(1, replication).unwrap_err();
             assert!(matches!(err, Error::NoProviderAvailable(_)), "{err}");
@@ -211,7 +211,7 @@ mod tests {
 
     #[test]
     fn release_decrements_load() {
-        let pm = ProviderManager::new(2, PlacementPolicy::RoundRobin, 0);
+        let pm = ProviderManager::new(2);
         pm.allocate(4, 1).unwrap();
         pm.release(0);
         assert_eq!(pm.load_vector(), vec![1, 2]);
@@ -222,7 +222,7 @@ mod tests {
 
     #[test]
     fn release_many_decrements_in_one_pass() {
-        let pm = ProviderManager::new(3, PlacementPolicy::RoundRobin, 0);
+        let pm = ProviderManager::new(3);
         pm.allocate(6, 1).unwrap();
         assert_eq!(pm.load_vector(), vec![2, 2, 2]);
         // Entries repeat per replica; out-of-range indices are ignored.
@@ -231,23 +231,61 @@ mod tests {
     }
 
     #[test]
-    fn registration_grows_the_provider_pool() {
-        let pm = ProviderManager::new(2, PlacementPolicy::RoundRobin, 0);
+    fn registration_is_refused() {
+        use crate::ports::PlacementService;
+        let pm = ProviderManager::new(2);
+        pm.allocate(1, 1).unwrap();
+        let err = PlacementService::register_provider(&pm, NodeId::new(9)).unwrap_err();
+        assert!(
+            matches!(err, Error::Unsupported(m) if m.contains("fixed at boot")),
+            "{err}"
+        );
         assert_eq!(pm.provider_count(), 2);
-        let idx = pm.register_provider(NodeId::new(9));
-        assert_eq!(idx, 2);
-        assert_eq!(pm.provider_count(), 3);
-        assert_eq!(pm.registered_nodes(), vec![NodeId::new(9)]);
-        // The new provider participates in placement and load accounting:
-        // replication 3 now succeeds and lands one replica on it.
-        let allocs = pm.allocate(1, 3).unwrap();
-        assert!(allocs[0].providers.contains(&2));
-        assert_eq!(pm.load_vector(), vec![1, 1, 1]);
+        assert_eq!(pm.load_vector(), vec![1, 0], "a refusal moves no load");
+        // Nor does it draw an id or move the cursor.
+        let next = BlockAllocation {
+            block_id: BlockId::new(2),
+            providers: vec![1],
+        };
+        assert_eq!(pm.allocate(1, 1).unwrap(), vec![next]);
+    }
+
+    #[test]
+    fn round_robin_is_perfectly_even() {
+        let pm = ProviderManager::new(8);
+        pm.allocate(40, 1).unwrap();
+        assert_eq!(pm.load_vector(), vec![5; 8]);
+        // Uneven totals differ by at most one block.
+        let pm = ProviderManager::new(8);
+        pm.allocate(42, 1).unwrap();
+        let loads = pm.load_vector();
+        assert!(loads.iter().all(|&l| l == 5 || l == 6), "{loads:?}");
+    }
+
+    #[test]
+    fn round_robin_skips_excluded() {
+        let mut t = LoadTable {
+            blocks: vec![0; 3],
+            cursor: 0,
+        };
+        assert_eq!(t.pick(&[0]), 1);
+        assert_eq!(t.pick(&[2]), 0);
+    }
+
+    #[test]
+    fn replicas_are_distinct() {
+        let pm = ProviderManager::new(5);
+        for a in pm.allocate(4, 3).unwrap() {
+            let mut sorted = a.providers.clone();
+            sorted.sort_unstable();
+            sorted.dedup();
+            assert_eq!(sorted.len(), 3, "replicas must be distinct: {a:?}");
+        }
     }
 
     #[test]
     fn heartbeat_reports_load_or_unknown_provider() {
-        let pm = ProviderManager::new(2, PlacementPolicy::RoundRobin, 0);
+        let pm = ProviderManager::new(2);
         pm.allocate(2, 1).unwrap();
         assert_eq!(pm.heartbeat(0).unwrap(), 1);
         let err = pm.heartbeat(5).unwrap_err();
@@ -258,7 +296,7 @@ mod tests {
     fn concurrent_allocation_stays_unique() {
         use std::collections::HashSet;
         use std::sync::Arc;
-        let pm = Arc::new(ProviderManager::new(8, PlacementPolicy::RoundRobin, 0));
+        let pm = Arc::new(ProviderManager::new(8));
         let handles: Vec<_> = (0..8)
             .map(|_| {
                 let pm = Arc::clone(&pm);

@@ -1062,10 +1062,10 @@ impl VersionService for RpcVersionService {
 /// `port_round_trips` invariants are unaffected.
 pub struct RpcPlacementService {
     pool: MuxPool,
-    /// Connect-time provider count, advanced locally when a registration
-    /// through this adapter grows the pool — `provider_count` is a plain
-    /// (non-`Result`) shape accessor and must not fail on transport loss.
-    count: AtomicUsize,
+    /// Connect-time provider count: the provider set is fixed at boot, and
+    /// `provider_count` is a plain (non-`Result`) shape accessor that must
+    /// not fail on transport loss.
+    count: usize,
 }
 
 impl RpcPlacementService {
@@ -1080,16 +1080,13 @@ impl RpcPlacementService {
     pub fn connect_with(addr: SocketAddr, stats: Arc<EngineStats>, budget: usize) -> Result<Self> {
         let pool = MuxPool::connect_control(addr, stats, budget)?;
         let count = call(&pool, placement_tag::PROVIDER_COUNT, &())?;
-        Ok(Self {
-            pool,
-            count: AtomicUsize::new(count),
-        })
+        Ok(Self { pool, count })
     }
 }
 
 impl PlacementService for RpcPlacementService {
     fn provider_count(&self) -> usize {
-        self.count.load(Ordering::SeqCst)
+        self.count
     }
 
     fn allocate(&self, n_blocks: usize, replication: usize) -> Result<Vec<BlockAllocation>> {
@@ -1109,9 +1106,7 @@ impl PlacementService for RpcPlacementService {
     }
 
     fn register_provider(&self, node: NodeId) -> Result<usize> {
-        let idx = call(&self.pool, placement_tag::REGISTER_PROVIDER, &node)?;
-        self.count.fetch_max(idx + 1, Ordering::SeqCst);
-        Ok(idx)
+        call(&self.pool, placement_tag::REGISTER_PROVIDER, &node)
     }
 
     fn heartbeat(&self, provider: usize) -> Result<u64> {

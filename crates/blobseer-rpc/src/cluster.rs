@@ -161,12 +161,6 @@ impl LoopbackCluster {
     /// server, one placement (provider-manager) server and one GC server,
     /// all on loopback ephemeral ports.
     pub fn boot(cfg: BlobSeerConfig, n_providers: usize) -> Result<Self> {
-        Self::boot_seeded(cfg, n_providers, 0x5EED_0001)
-    }
-
-    /// [`Self::boot`] with an explicit provider-manager seed for the
-    /// client deployments.
-    pub fn boot_seeded(cfg: BlobSeerConfig, n_providers: usize, pm_seed: u64) -> Result<Self> {
         assert!(n_providers > 0, "need at least one data provider");
         // One tracker across all servers: its high watermark observes
         // requests overlapping *anywhere* in the cluster, which is what
@@ -270,8 +264,6 @@ impl LoopbackCluster {
         // in-process, next to the stores it deletes from.
         let pm = Arc::new(ProviderManager::with_block_base(
             n_providers,
-            cfg.placement,
-            pm_seed,
             1 + boots * BLOCK_ID_RANGE,
         ));
         let placement_server = spawn(RpcService::Placement(

@@ -58,11 +58,10 @@ use blobseer_core::{
     BlobClient, BlobSeer, EnginePorts, EngineStats, ProtocolObserver, ProtocolOp, ProtocolPhase,
     SnapshotInfo, VersionManager, WriteIntent, WriteTicket,
 };
-use blobseer_types::config::PlacementPolicy;
-use blobseer_types::{BlobId, BlobSeerConfig, BlockId, HdfsConfig, NodeId, Result, Version};
+use blobseer_types::{BlobId, BlobSeerConfig, BlockId, NodeId, Result, Version};
 use bytes::Bytes;
 use dfs::DfsPath;
-use hdfs_sim::{ChunkMeta, FileSnapshot, HdfsCluster};
+use hdfs_sim::{ChunkMeta, FileSnapshot, HdfsCluster, HdfsConfig};
 use parking_lot::Mutex;
 use simnet::{Disk, FifoServer, FlowNet, NicSpec, SimDuration, SimGate, SimTask, SimTime};
 use std::cell::Cell;
@@ -617,8 +616,6 @@ pub fn deploy(
     c: &Constants,
     n_providers: usize,
     n_nodes: usize,
-    policy: PlacementPolicy,
-    seed: u64,
     real_block_size: u64,
 ) -> ConcurrentDeployment {
     let fabric = Arc::new(ConcFabric::new(c.clone(), n_providers, n_nodes));
@@ -629,7 +626,6 @@ pub fn deploy(
     let cfg = BlobSeerConfig {
         block_size: real_block_size,
         replication: 1,
-        placement: policy,
         metadata_providers: c.meta_shards.max(1),
         metadata_replication: 1,
         // The unaligned-append slow path and a closing BSFS stream both
@@ -662,7 +658,7 @@ pub fn deploy(
             inner: VersionManager::new(real_block_size, Arc::clone(&stats)),
             fabric: Arc::clone(&fabric),
         }),
-        pm: Arc::new(ProviderManager::new(n_providers, policy, seed)),
+        pm: Arc::new(ProviderManager::new(n_providers)),
         gc: None,
         stats,
         observer: Arc::clone(&phases) as Arc<dyn ProtocolObserver>,
@@ -832,8 +828,6 @@ mod tests {
             &Constants::default(),
             n_providers,
             n_providers.max(n_clients),
-            PlacementPolicy::RoundRobin,
-            1,
             block,
         )
     }

@@ -26,8 +26,8 @@ use crate::constants::Constants;
 use crate::report::{Figure, Series};
 use crate::topology::Backend;
 use blobseer_core::BlobClient;
-use blobseer_types::config::PlacementPolicy;
-use blobseer_types::{HdfsConfig, NodeId};
+use blobseer_types::NodeId;
+use hdfs_sim::HdfsConfig;
 
 /// Real block and chunk size behind each modeled 64 MB block of both legs:
 /// big enough to hold real content, small enough that a modeled 16 GB file
@@ -41,16 +41,9 @@ const HDFS_FILE: &str = "/fig3a";
 /// (one writer on the dedicated non-colocated node past the providers,
 /// §V-D: "we chose to always deploy clients on nodes where no datanode
 /// has previously been deployed"). Returns the simulated seconds taken.
-fn bsfs_write_secs(c: &Constants, n_blocks: usize, seed: u64) -> f64 {
+fn bsfs_write_secs(c: &Constants, n_blocks: usize) -> f64 {
     let providers = Backend::Bsfs.microbench_storage_nodes();
-    let dep = concurrent::deploy(
-        c,
-        providers,
-        providers + 1,
-        PlacementPolicy::RoundRobin,
-        seed,
-        REAL_BLOCK,
-    );
+    let dep = concurrent::deploy(c, providers, providers + 1, REAL_BLOCK);
     let writer_node = NodeId::new(providers as u64);
     let blob = dep.sys.client(writer_node).create();
     dep.set_charging(true);
@@ -93,7 +86,7 @@ fn hdfs_write(c: &Constants, n_blocks: usize, seed: u64) -> HdfsDeployment {
 /// Simulates one single-writer run; returns throughput in MB/s.
 pub fn throughput_mbps(c: &Constants, backend: Backend, n_blocks: usize, seed: u64) -> f64 {
     let secs = match backend {
-        Backend::Bsfs => bsfs_write_secs(c, n_blocks, seed),
+        Backend::Bsfs => bsfs_write_secs(c, n_blocks),
         Backend::Hdfs => hdfs_write(c, n_blocks, seed)
             .fabric
             .gate()
@@ -197,7 +190,7 @@ mod tests {
         // trees in the DHT and a readable BLOB history — proof the trait
         // calls went through the real client, not bespoke glue.
         let c = Constants::default();
-        let dep = concurrent::deploy(&c, 16, 17, PlacementPolicy::RoundRobin, 3, 256);
+        let dep = concurrent::deploy(&c, 16, 17, 256);
         let client = dep.sys.client(blobseer_types::NodeId::new(16));
         let blob = client.create();
         for _ in 0..8 {

@@ -17,9 +17,7 @@ use crate::concurrent;
 use crate::constants::Constants;
 use crate::report::{Figure, Series};
 use crate::topology::Backend;
-use blobseer_core::placement::manhattan_unbalance;
-use blobseer_types::config::PlacementPolicy;
-use blobseer_types::HdfsConfig;
+use hdfs_sim::HdfsConfig;
 
 /// Repetitions per point ("these steps are repeated 5 times", §V-C).
 pub const REPETITIONS: u64 = 5;
@@ -28,18 +26,23 @@ pub const REPETITIONS: u64 = 5;
 /// metric only depends on the placement stream, so the payloads stay tiny.
 const REAL_BLOCK: u64 = 64;
 
+/// The paper's load-balance metric (§V-D): the Manhattan distance between a
+/// layout vector and the perfectly balanced layout (every provider stores
+/// `total/n` blocks, fractional).
+pub fn manhattan_unbalance(layout: &[u64]) -> f64 {
+    if layout.is_empty() {
+        return 0.0;
+    }
+    let total: u64 = layout.iter().sum();
+    let ideal = total as f64 / layout.len() as f64;
+    layout.iter().map(|&c| (c as f64 - ideal).abs()).sum()
+}
+
 /// Unbalance of one BSFS run (the provider manager's round-robin stream),
 /// measured off the real deployment's layout vector after writing the file
 /// through the client.
-pub fn unbalance_of(n_blocks: u64, n_providers: usize, seed: u64) -> f64 {
-    let dep = concurrent::deploy(
-        &Constants::default(),
-        n_providers,
-        n_providers,
-        PlacementPolicy::RoundRobin,
-        seed,
-        REAL_BLOCK,
-    );
+pub fn unbalance_of(n_blocks: u64, n_providers: usize) -> f64 {
+    let dep = concurrent::deploy(&Constants::default(), n_providers, n_providers, REAL_BLOCK);
     let client = dep.sys.client(blobseer_types::NodeId::new(0));
     let blob = client.create();
     let payload = vec![0u8; REAL_BLOCK as usize];
@@ -80,7 +83,7 @@ pub fn run(c: &Constants, sizes_gb: &[f64]) -> Figure {
         for &gb in sizes_gb {
             let n_blocks = ((gb * 1024.0 * 1024.0 * 1024.0) / c.block_bytes as f64).round() as u64;
             let unbalance = |seed| match backend {
-                Backend::Bsfs => unbalance_of(n_blocks, providers, seed),
+                Backend::Bsfs => unbalance_of(n_blocks, providers),
                 Backend::Hdfs => {
                     hdfs_unbalance_of(HdfsConfig::default(), n_blocks, providers, seed)
                 }
@@ -125,7 +128,7 @@ mod tests {
     fn bsfs_round_robin_is_nearly_ideal() {
         // 16 GB = 256 blocks over 247 providers: 9 providers hold 2 blocks,
         // the rest 1 → tiny fractional unbalance only.
-        let u = mean_unbalance(|s| unbalance_of(256, 247, s));
+        let u = mean_unbalance(|_| unbalance_of(256, 247));
         let ideal = 256.0 / 247.0;
         let expected = 9.0 * (2.0 - ideal) + 238.0 * (ideal - 1.0);
         assert!((u - expected).abs() < 1e-6, "u={u} expected={expected}");
@@ -140,6 +143,17 @@ mod tests {
         let bsfs = fig.series[1].y_at(16.0).unwrap();
         assert!((300.0..600.0).contains(&hdfs), "HDFS at 16 GB: {hdfs}");
         assert!(bsfs < 60.0, "BSFS at 16 GB: {bsfs}");
+    }
+
+    #[test]
+    fn unbalance_metric() {
+        assert_eq!(manhattan_unbalance(&[]), 0.0);
+        assert_eq!(manhattan_unbalance(&[3, 3, 3]), 0.0);
+        // [4,2] vs ideal [3,3] → |4-3|+|2-3| = 2.
+        assert_eq!(manhattan_unbalance(&[4, 2]), 2.0);
+        // Fractional ideal: 3 blocks on 2 nodes → ideal 1.5 each.
+        assert_eq!(manhattan_unbalance(&[3, 0]), 3.0);
+        assert_eq!(manhattan_unbalance(&[2, 1]), 1.0);
     }
 
     #[test]

@@ -26,9 +26,9 @@ use crate::constants::Constants;
 use crate::report::{Figure, Series};
 use crate::topology::Backend;
 use blobseer_core::BlobClient;
-use blobseer_types::config::PlacementPolicy;
-use blobseer_types::{HdfsConfig, NodeId};
+use blobseer_types::NodeId;
 use bytes::Bytes;
+use hdfs_sim::HdfsConfig;
 use parking_lot::Mutex;
 use simnet::SimDuration;
 
@@ -45,17 +45,10 @@ fn chunk_of(i: usize, n: usize) -> usize {
 
 /// The BSFS leg: N concurrent readers driving the real read path. Returns
 /// each reader's duration.
-fn bsfs_reads(c: &Constants, n_clients: usize, seed: u64) -> Vec<Option<SimDuration>> {
+fn bsfs_reads(c: &Constants, n_clients: usize) -> Vec<Option<SimDuration>> {
     let providers = Backend::Bsfs.microbench_storage_nodes();
     let n_nodes = providers.max(n_clients);
-    let dep = concurrent::deploy(
-        c,
-        providers,
-        n_nodes,
-        PlacementPolicy::RoundRobin,
-        seed,
-        REAL_CHUNK,
-    );
+    let dep = concurrent::deploy(c, providers, n_nodes, REAL_CHUNK);
     // Boot-up phase (uncharged): a dedicated client writes the N×64 MB
     // file; the layout comes from the live provider manager.
     let boot = dep.sys.client(NodeId::new(0));
@@ -121,7 +114,7 @@ fn hdfs_reads(c: &Constants, n: usize, seed: u64) -> (Vec<Option<SimDuration>>, 
 /// throughput in MB/s.
 pub fn avg_client_mbps(c: &Constants, backend: Backend, n_clients: usize, seed: u64) -> f64 {
     let durations = match backend {
-        Backend::Bsfs => bsfs_reads(c, n_clients, seed),
+        Backend::Bsfs => bsfs_reads(c, n_clients),
         Backend::Hdfs => hdfs_reads(c, n_clients, seed).0,
     };
     let rates = concurrent::client_mbps(c.block_bytes, &durations);
@@ -214,14 +207,7 @@ mod tests {
         // from modeled hop counts.
         let c = Constants::default();
         let providers = Backend::Bsfs.microbench_storage_nodes();
-        let dep = concurrent::deploy(
-            &c,
-            providers,
-            providers,
-            PlacementPolicy::RoundRobin,
-            1,
-            REAL_CHUNK,
-        );
+        let dep = concurrent::deploy(&c, providers, providers, REAL_CHUNK);
         let boot = dep.sys.client(NodeId::new(0));
         let blob = boot.create();
         for i in 0..8u8 {

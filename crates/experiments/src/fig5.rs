@@ -31,7 +31,6 @@ use crate::constants::Constants;
 use crate::report::{Figure, Series};
 use crate::topology::Backend;
 use blobseer_core::BlobClient;
-use blobseer_types::config::PlacementPolicy;
 use blobseer_types::NodeId;
 use parking_lot::Mutex;
 use simnet::SimDuration;
@@ -63,14 +62,7 @@ pub struct RunOutcome {
 pub fn simulate(c: &Constants, mode: OpMode, n_clients: usize) -> RunOutcome {
     let providers = Backend::Bsfs.microbench_storage_nodes();
     let n_nodes = providers.max(n_clients);
-    let dep = concurrent::deploy(
-        c,
-        providers,
-        n_nodes,
-        PlacementPolicy::RoundRobin,
-        0xF165,
-        REAL_BLOCK,
-    );
+    let dep = concurrent::deploy(c, providers, n_nodes, REAL_BLOCK);
     let boot = dep.sys.client(NodeId::new(0));
     let blob = boot.create();
     if mode == OpMode::RandomWrite {
@@ -248,14 +240,7 @@ mod tests {
         // behind — N consecutive versions, N distinct block contents.
         let c = Constants::default();
         let providers = Backend::Bsfs.microbench_storage_nodes();
-        let dep = concurrent::deploy(
-            &c,
-            providers,
-            providers,
-            PlacementPolicy::RoundRobin,
-            7,
-            REAL_BLOCK,
-        );
+        let dep = concurrent::deploy(&c, providers, providers, REAL_BLOCK);
         let boot = dep.sys.client(NodeId::new(0));
         let blob = boot.create();
         dep.set_charging(true);

@@ -35,8 +35,8 @@ use crate::constants::Constants;
 use crate::report::{Figure, Series};
 use crate::topology::Backend;
 use blobseer_core::BlobClient;
-use blobseer_types::config::PlacementPolicy;
-use blobseer_types::{HdfsConfig, NodeId};
+use blobseer_types::NodeId;
+use hdfs_sim::HdfsConfig;
 use parking_lot::Mutex;
 use simnet::{SimDuration, SimGate, SimTask, SimTime};
 
@@ -73,14 +73,7 @@ pub fn rtw_job_secs(c: &Constants, backend: Backend, mappers: usize, total_bytes
             // §V-G deploys 10 metadata providers for this benchmark.
             let mut cb = c.clone();
             cb.meta_shards = RTW_META_SHARDS;
-            let dep = concurrent::deploy(
-                &cb,
-                RTW_NODES,
-                RTW_NODES,
-                PlacementPolicy::RoundRobin,
-                0xF166A,
-                REAL_CHUNK,
-            );
+            let dep = concurrent::deploy(&cb, RTW_NODES, RTW_NODES, REAL_CHUNK);
             dep.set_charging(true);
             let clients: Vec<ClientTask<'_>> = (0..mappers)
                 .map(|m| {
@@ -298,14 +291,7 @@ pub fn grep_job(c: &Constants, backend: Backend, n_chunks: usize, seed: u64) -> 
     let scan = SimDuration::from_secs_f64(c.block_bytes as f64 / c.grep_scan_bps);
     match backend {
         Backend::Bsfs => {
-            let dep = concurrent::deploy(
-                c,
-                GREP_NODES,
-                GREP_NODES,
-                PlacementPolicy::RoundRobin,
-                seed,
-                REAL_CHUNK,
-            );
+            let dep = concurrent::deploy(c, GREP_NODES, GREP_NODES, REAL_CHUNK);
             // Boot the shared input file (uncharged); its layout — and
             // therefore task locality — comes from the live engine.
             let boot = dep.sys.client(NodeId::new(0));

@@ -8,8 +8,8 @@
 //! that allocates, stores and completes chunks under the writer lease.
 
 use crate::datanode::DataNode;
-use crate::namenode::{ChunkMeta, LeaseId, NameNode};
-use blobseer_types::{HdfsConfig, NodeId, Result};
+use crate::namenode::{ChunkMeta, HdfsConfig, LeaseId, NameNode};
+use blobseer_types::{NodeId, Result};
 use bytes::Bytes;
 use dfs::api::{DfsInput, DfsOutput, FileStatus, FileSystem, FsBlockLocation};
 use dfs::{BlockReader, BlockSink, BlockWriter, DfsPath};

@@ -16,6 +16,9 @@
 //! * **Local-first placement**: a writer co-located with a datanode stores
 //!   its chunks locally (§V-D); remote writers get sticky-random placement
 //!   — the root of the load imbalance of Fig. 3(b) (docs/REPRODUCING.md).
+//!   The placer and the [`HdfsConfig`] that tunes its stickiness live in
+//!   the namenode; BlobSeer's round-robin provider manager shares no code
+//!   with it.
 //!
 //! The namespace tree and the client-side buffering streams are `dfs`'s
 //! ([`dfs::Namespace`], [`dfs::BlockReader`], [`dfs::BlockWriter`]), the
@@ -24,9 +27,9 @@
 //! chunk storage in the datanodes.
 //!
 //! ```
-//! use blobseer_types::{HdfsConfig, NodeId};
+//! use blobseer_types::NodeId;
 //! use dfs::{FileSystem, util};
-//! use hdfs_sim::HdfsCluster;
+//! use hdfs_sim::{HdfsCluster, HdfsConfig};
 //!
 //! let cluster = HdfsCluster::new(HdfsConfig::small_for_tests(), 4);
 //! let fs = cluster.mount(NodeId::new(0));
@@ -42,4 +45,4 @@ pub mod namenode;
 
 pub use datanode::{ChunkId, DataNode};
 pub use fs::{Hdfs, HdfsCluster};
-pub use namenode::{ChunkMeta, FileSnapshot, NameNode};
+pub use namenode::{ChunkMeta, FileSnapshot, HdfsConfig, NameNode};

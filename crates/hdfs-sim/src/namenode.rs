@@ -9,12 +9,108 @@
 //! pipeline-session affinity otherwise, see docs/REPRODUCING.md, Fig. 3(b)).
 
 use crate::datanode::ChunkId;
-use blobseer_core::placement::Placer;
-use blobseer_types::config::PlacementPolicy;
-use blobseer_types::{Error, HdfsConfig, Result};
+use blobseer_types::{Error, Result, PAPER_BLOCK_SIZE};
 use dfs::{DfsPath, Inode, Namespace};
 use parking_lot::Mutex;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Configuration of the HDFS baseline: Hadoop 0.20, the paper's version,
+/// which has no append (§V-F).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct HdfsConfig {
+    /// Chunk ("block" in HDFS terms) size; 64 MB in the paper.
+    pub chunk_size: u64,
+    /// Replication level. The paper's throughput experiments behave like
+    /// replication 1; HDFS defaults to 3 in production.
+    pub replication: usize,
+    /// Placement affinity in percent for remote writers: the chance that a
+    /// write session's next chunk stays on its previous datanode (Fig. 3(b),
+    /// §V-D). 0 = plain uniform random.
+    /// The default, 65, is Fig. 3(b)'s calibration: the value at which the
+    /// reproduced HDFS unbalance lands in the paper's band
+    /// (docs/REPRODUCING.md).
+    pub placement_stickiness: u8,
+}
+
+impl Default for HdfsConfig {
+    fn default() -> Self {
+        Self {
+            chunk_size: PAPER_BLOCK_SIZE,
+            replication: 1,
+            placement_stickiness: 65,
+        }
+    }
+}
+
+impl HdfsConfig {
+    /// Small-chunk configuration for tests.
+    pub fn small_for_tests() -> Self {
+        Self {
+            chunk_size: 4 * 1024,
+            replication: 1,
+            placement_stickiness: 65,
+        }
+    }
+
+    /// Builder-style override of the chunk size.
+    #[must_use]
+    pub fn with_chunk_size(mut self, chunk_size: u64) -> Self {
+        assert!(chunk_size > 0, "chunk size must be positive");
+        self.chunk_size = chunk_size;
+        self
+    }
+
+    /// Builder-style override of the replication level.
+    #[must_use]
+    pub fn with_replication(mut self, replication: usize) -> Self {
+        assert!(replication >= 1, "replication level must be at least 1");
+        self.replication = replication;
+        self
+    }
+}
+
+/// A write session's remote placement: uniform random with session
+/// affinity. With probability `stickiness` percent the next chunk stays on
+/// the previous datanode, the HDFS 0.20 pipeline-session behaviour behind
+/// Fig. 3(b)'s drift (docs/REPRODUCING.md). Every pick after the first
+/// draws the stickiness coin, at stickiness 0 too (where it never sticks):
+/// the calibrated figure points depend on this exact draw order.
+struct StickyPlacer {
+    stickiness: u8,
+    last: Option<usize>,
+    rng: StdRng,
+}
+
+impl StickyPlacer {
+    fn new(stickiness: u8, seed: u64) -> Self {
+        Self {
+            stickiness,
+            last: None,
+            rng: StdRng::seed_from_u64(seed),
+        }
+    }
+
+    /// Picks a datanode in `0..n` outside `exclude` (the chunk's replicas
+    /// placed so far), which must leave at least one candidate.
+    fn pick(&mut self, n: usize, exclude: &[usize]) -> usize {
+        if let Some(last) = self.last {
+            let stick = self.rng.gen_range(0u8..100) < self.stickiness;
+            if stick && !exclude.contains(&last) {
+                return last;
+            }
+        }
+        let i = loop {
+            let i = self.rng.gen_range(0..n);
+            if !exclude.contains(&i) {
+                break i;
+            }
+        };
+        self.last = Some(i);
+        i
+    }
+}
 
 /// A writer lease token.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -37,7 +133,7 @@ pub struct FileSnapshot {
 
 struct LeaseState {
     id: LeaseId,
-    placer: Placer,
+    placer: StickyPlacer,
 }
 
 /// What a file carries in the namespace.
@@ -192,12 +288,10 @@ impl NameNode {
     fn new_lease(&self) -> LeaseState {
         // Pipeline-session placement state: sticky random for remote
         // clients; purely local-first handled in `add_chunk`.
-        let policy = PlacementPolicy::StickyRandom {
-            stickiness: self.cfg.placement_stickiness,
-        };
+        let seed = self.placement_seed.fetch_add(1, Ordering::Relaxed);
         LeaseState {
             id: LeaseId(self.next_lease.fetch_add(1, Ordering::Relaxed)),
-            placer: Placer::new(policy, self.placement_seed.fetch_add(1, Ordering::Relaxed)),
+            placer: StickyPlacer::new(self.cfg.placement_stickiness, seed),
         }
     }
 
@@ -314,6 +408,74 @@ mod tests {
 
     fn nn() -> NameNode {
         NameNode::new(HdfsConfig::small_for_tests(), 4)
+    }
+
+    /// `count` remote picks over `n` datanodes from one session placer.
+    fn picks(stickiness: u8, seed: u64, count: usize, n: usize) -> Vec<usize> {
+        let mut placer = StickyPlacer::new(stickiness, seed);
+        (0..count).map(|_| placer.pick(n, &[])).collect()
+    }
+
+    #[test]
+    fn config_defaults_and_builders() {
+        let h = HdfsConfig::default();
+        assert_eq!(h.chunk_size, 64 * 1024 * 1024);
+        assert_eq!(h.placement_stickiness, 65, "Fig. 3(b)'s calibration");
+        let h = HdfsConfig::small_for_tests()
+            .with_chunk_size(512)
+            .with_replication(2);
+        assert_eq!(h.chunk_size, 512);
+        assert_eq!(h.replication, 2);
+    }
+
+    #[test]
+    fn sticky_random_is_reproducible_per_seed() {
+        let a = picks(65, 42, 100, 10);
+        assert_eq!(a, picks(65, 42, 100, 10));
+        let c = picks(65, 43, 100, 10);
+        assert_ne!(a, c, "different seed, different stream (overwhelmingly)");
+    }
+
+    #[test]
+    fn stickiness_80_repeats_more_than_stickiness_0() {
+        // A repeat is a pick landing on the previous pick's datanode: at
+        // stickiness 0 only chance (1 in 50) repeats, at 80 the session
+        // affinity does, most of the time.
+        let repeats = |stickiness| -> usize {
+            (0..20)
+                .map(|seed| {
+                    let p = picks(stickiness, seed, 200, 50);
+                    p.windows(2).filter(|w| w[0] == w[1]).count()
+                })
+                .sum()
+        };
+        let (sticky, random) = (repeats(80), repeats(0));
+        assert!(
+            sticky > 10 * random,
+            "stickiness 80 repeated {sticky} times, stickiness 0 {random}"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "replication exceeds datanode count")]
+    fn too_much_replication_panics() {
+        NameNode::new(HdfsConfig::small_for_tests().with_replication(4), 3);
+    }
+
+    #[test]
+    fn replicas_are_distinct_at_stickiness_90() {
+        let cfg = HdfsConfig {
+            placement_stickiness: 90,
+            ..HdfsConfig::small_for_tests().with_replication(3)
+        };
+        let nn = NameNode::new(cfg, 5);
+        let (lease, _) = nn.create(&p("/f"), false).unwrap();
+        for _ in 0..20 {
+            let (_, mut dns) = nn.add_chunk(&p("/f"), lease, 64, None).unwrap();
+            dns.sort_unstable();
+            dns.dedup();
+            assert_eq!(dns.len(), 3, "replicas must be distinct");
+        }
     }
 
     #[test]

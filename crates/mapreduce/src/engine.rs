@@ -78,11 +78,6 @@ impl JobTracker {
         Self { trackers }
     }
 
-    /// Number of tasktrackers.
-    pub fn tracker_count(&self) -> usize {
-        self.trackers.len()
-    }
-
     /// Runs a map-only job.
     pub fn run_map_only(&self, job: &JobSpec, mapper: &dyn Mapper) -> Result<JobReport> {
         assert_eq!(job.reducers, 0, "map-only jobs take 0 reducers");

@@ -2,11 +2,11 @@
 //! counterpart of the paper's §V-G experiments.
 
 use blobseer_core::BlobSeer;
-use blobseer_types::{BlobSeerConfig, HdfsConfig, NodeId};
+use blobseer_types::{BlobSeerConfig, NodeId};
 use bsfs::BsfsCluster;
 use dfs::api::FileSystem;
 use dfs::util::{read_fully, write_file};
-use hdfs_sim::HdfsCluster;
+use hdfs_sim::{HdfsCluster, HdfsConfig};
 use mapreduce::apps::{DistributedGrep, RandomTextWriter, WordCount};
 use mapreduce::{JobTracker, TaskTracker, TextGen};
 

@@ -88,11 +88,6 @@ impl<T> FlowNet<T> {
         self.nics.len()
     }
 
-    /// Number of currently active flows.
-    pub fn active_flows(&self) -> usize {
-        self.active
-    }
-
     /// Total flows started / completed since construction.
     pub fn flow_stats(&self) -> (u64, u64) {
         (self.flows_started, self.flows_completed)

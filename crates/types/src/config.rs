@@ -1,9 +1,11 @@
-//! Configuration for the two storage engines.
+//! Configuration of a BlobSeer deployment.
 //!
-//! Defaults mirror the paper's deployment (§V): 64 MB blocks, replication 1
-//! (the throughput experiments compare unreplicated transfers), round-robin
-//! placement for BlobSeer. Tests shrink the block size so that
-//! realistic multi-block files fit in memory.
+//! Defaults mirror the paper's deployment (§V): 64 MB blocks and
+//! replication 1 (the throughput experiments compare unreplicated
+//! transfers). Tests shrink the block size so that realistic multi-block
+//! files fit in memory. Placement is not configurable: the provider
+//! manager allocates round-robin (§V-D). The HDFS baseline's configuration
+//! lives beside its placer, in `hdfs_sim::HdfsConfig`.
 
 use std::path::PathBuf;
 use std::time::Duration;
@@ -30,26 +32,6 @@ pub const DEFAULT_RPC_CLIENT_CONNECTIONS: usize = 4;
 /// per-client striping width in §V).
 pub const DEFAULT_CLIENT_IO_THREADS_CAP: usize = 8;
 
-/// Placement policy used by the provider manager (§III-B: "a load balancing
-/// strategy that aims at evenly distributing the blocks across data
-/// providers").
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum PlacementPolicy {
-    /// BlobSeer's default: allocate blocks on providers in a round-robin
-    /// fashion (§V-D).
-    #[default]
-    RoundRobin,
-    /// Uniform random with session affinity: with probability `stickiness`
-    /// (in percent, 0–100) the next block stays on the previous provider;
-    /// 0 is plain uniform random placement. Models HDFS 0.20
-    /// pipeline-session behaviour for remote writers; see
-    /// docs/REPRODUCING.md, Fig. 3(b) (§V-D).
-    StickyRandom {
-        /// Probability in percent (0–100) of re-using the previous target.
-        stickiness: u8,
-    },
-}
-
 /// Configuration of a BlobSeer deployment.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BlobSeerConfig {
@@ -58,8 +40,6 @@ pub struct BlobSeerConfig {
     pub block_size: u64,
     /// Number of replicas stored for each block (§VI-B). 1 = no replication.
     pub replication: usize,
-    /// Placement policy used by the provider manager.
-    pub placement: PlacementPolicy,
     /// Number of metadata providers forming the DHT (the paper deploys 10–20).
     pub metadata_providers: usize,
     /// Replication level of metadata tree nodes within the DHT (§VI-B:
@@ -118,7 +98,6 @@ impl Default for BlobSeerConfig {
         Self {
             block_size: super::PAPER_BLOCK_SIZE,
             replication: 1,
-            placement: PlacementPolicy::RoundRobin,
             metadata_providers: 20,
             metadata_replication: 1,
             unaligned_append_timeout: DEFAULT_UNALIGNED_APPEND_TIMEOUT,
@@ -163,13 +142,6 @@ impl BlobSeerConfig {
     pub fn with_replication(mut self, replication: usize) -> Self {
         assert!(replication >= 1, "replication level must be at least 1");
         self.replication = replication;
-        self
-    }
-
-    /// Builder-style override of the placement policy.
-    #[must_use]
-    pub fn with_placement(mut self, placement: PlacementPolicy) -> Self {
-        self.placement = placement;
         self
     }
 
@@ -232,60 +204,6 @@ impl BlobSeerConfig {
     }
 }
 
-/// Configuration of the HDFS baseline: Hadoop 0.20, the paper's version,
-/// which has no append (§V-F).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct HdfsConfig {
-    /// Chunk ("block" in HDFS terms) size; 64 MB in the paper.
-    pub chunk_size: u64,
-    /// Replication level. The paper's throughput experiments behave like
-    /// replication 1; HDFS defaults to 3 in production.
-    pub replication: usize,
-    /// Placement affinity in percent for remote writers (see
-    /// `PlacementPolicy::StickyRandom` and Fig. 3(b), §V-D). 0 = pure random.
-    /// The default, 65, is Fig. 3(b)'s calibration: the value at which the
-    /// reproduced HDFS unbalance lands in the paper's band
-    /// (docs/REPRODUCING.md).
-    pub placement_stickiness: u8,
-}
-
-impl Default for HdfsConfig {
-    fn default() -> Self {
-        Self {
-            chunk_size: super::PAPER_BLOCK_SIZE,
-            replication: 1,
-            placement_stickiness: 65,
-        }
-    }
-}
-
-impl HdfsConfig {
-    /// Small-chunk configuration for tests.
-    pub fn small_for_tests() -> Self {
-        Self {
-            chunk_size: 4 * 1024,
-            replication: 1,
-            placement_stickiness: 65,
-        }
-    }
-
-    /// Builder-style override of the chunk size.
-    #[must_use]
-    pub fn with_chunk_size(mut self, chunk_size: u64) -> Self {
-        assert!(chunk_size > 0, "chunk size must be positive");
-        self.chunk_size = chunk_size;
-        self
-    }
-
-    /// Builder-style override of the replication level.
-    #[must_use]
-    pub fn with_replication(mut self, replication: usize) -> Self {
-        assert!(replication >= 1, "replication level must be at least 1");
-        self.replication = replication;
-        self
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -295,7 +213,6 @@ mod tests {
         let c = BlobSeerConfig::default();
         assert_eq!(c.block_size, 64 * 1024 * 1024);
         assert_eq!(c.replication, 1);
-        assert_eq!(c.placement, PlacementPolicy::RoundRobin);
         assert_eq!(c.metadata_providers, 20);
         assert_eq!(c.unaligned_append_timeout, Duration::from_secs(30));
         assert_eq!(c.close_reveal_timeout, Duration::from_secs(30));
@@ -305,9 +222,6 @@ mod tests {
         assert_eq!(c.data_dir, None, "RAM-backed unless opted in");
         assert_eq!(c.client_io_threads, None, "auto: min(8, providers)");
         assert_eq!(c.version_replicas, 1, "the paper runs one version manager");
-
-        let h = HdfsConfig::default();
-        assert_eq!(h.chunk_size, 64 * 1024 * 1024);
     }
 
     #[test]
@@ -315,7 +229,6 @@ mod tests {
         let c = BlobSeerConfig::small_for_tests()
             .with_block_size(1024)
             .with_replication(3)
-            .with_placement(PlacementPolicy::StickyRandom { stickiness: 40 })
             .with_metadata_providers(2)
             .with_unaligned_append_timeout(Duration::from_millis(50))
             .with_close_reveal_timeout(Duration::from_millis(80))
@@ -327,21 +240,11 @@ mod tests {
         assert_eq!(c.close_reveal_timeout, Duration::from_millis(80));
         assert_eq!(c.block_size, 1024);
         assert_eq!(c.replication, 3);
-        assert_eq!(
-            c.placement,
-            PlacementPolicy::StickyRandom { stickiness: 40 }
-        );
         assert_eq!(c.metadata_providers, 2);
         assert_eq!(c.read_cache_bytes, 1 << 20);
         assert_eq!(c.data_dir, Some(PathBuf::from("/tmp/blobseer-data")));
         assert_eq!(c.client_io_threads, Some(4));
         assert_eq!(c.version_replicas, 3);
-
-        let h = HdfsConfig::small_for_tests()
-            .with_chunk_size(512)
-            .with_replication(2);
-        assert_eq!(h.chunk_size, 512);
-        assert_eq!(h.replication, 2);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Shared identifiers, byte ranges, errors and configuration used across the
-//! BlobSeer reproduction workspace.
+//! Shared identifiers, byte ranges, errors and the BlobSeer deployment
+//! configuration used across the BlobSeer reproduction workspace.
 //!
 //! Everything here is intentionally tiny and dependency-free: these types are
 //! the vocabulary that the storage engine ([`blobseer-core`]), the file-system
@@ -17,7 +17,7 @@ pub mod ids;
 pub mod range;
 pub mod wire;
 
-pub use config::{BlobSeerConfig, HdfsConfig};
+pub use config::BlobSeerConfig;
 pub use error::{Error, Result};
 pub use ids::{BlobId, BlockId, ClientId, NodeId, Version};
 pub use range::{BlockSpan, ByteRange};
@@ -26,10 +26,6 @@ pub use range::{BlockSpan, ByteRange};
 ///
 /// Both HDFS chunks and BlobSeer blocks are configured to this size in the
 /// paper (§III-A.2). Library code never hard-codes it — it always comes from
-/// a [`config::BlobSeerConfig`] / [`config::HdfsConfig`] — but the experiment
+/// a [`config::BlobSeerConfig`] or `hdfs_sim::HdfsConfig` — but the experiment
 /// drivers and examples use this constant to mirror the paper.
 pub const PAPER_BLOCK_SIZE: u64 = 64 * 1024 * 1024;
-
-/// The fine-grain record-level access size that Hadoop clients issue (§IV-B,
-/// §V-E): 4 KB.
-pub const PAPER_IO_SIZE: u64 = 4 * 1024;

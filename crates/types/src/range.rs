@@ -24,9 +24,6 @@ impl ByteRange {
         Self { offset, size }
     }
 
-    /// The empty range at offset 0.
-    pub const EMPTY: ByteRange = ByteRange::new(0, 0);
-
     /// One byte past the end of the range.
     #[inline]
     pub const fn end(&self) -> u64 {

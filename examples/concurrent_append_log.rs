@@ -8,11 +8,11 @@
 //! ```
 
 use blobseer_core::BlobSeer;
-use blobseer_types::{BlobSeerConfig, Error, HdfsConfig, NodeId};
+use blobseer_types::{BlobSeerConfig, Error, NodeId};
 use bsfs::BsfsCluster;
 use dfs::api::FileSystem;
 use dfs::util::read_fully;
-use hdfs_sim::HdfsCluster;
+use hdfs_sim::{HdfsCluster, HdfsConfig};
 
 const WRITERS: usize = 8;
 const RECORDS_PER_WRITER: usize = 25;

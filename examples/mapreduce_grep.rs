@@ -7,11 +7,11 @@
 //! ```
 
 use blobseer_core::BlobSeer;
-use blobseer_types::{BlobSeerConfig, HdfsConfig, NodeId};
+use blobseer_types::{BlobSeerConfig, NodeId};
 use bsfs::BsfsCluster;
 use dfs::api::FileSystem;
 use dfs::util::read_fully;
-use hdfs_sim::HdfsCluster;
+use hdfs_sim::{HdfsCluster, HdfsConfig};
 use mapreduce::apps::{DistributedGrep, RandomTextWriter};
 use mapreduce::{JobTracker, TaskTracker};
 

@@ -4,7 +4,6 @@
 //! the live engine under real threads.
 
 use blobseer_core::BlobClient;
-use blobseer_types::config::PlacementPolicy;
 use blobseer_types::NodeId;
 use experiments::concurrent::{self, ClientTask, ConcurrentDeployment};
 use experiments::Constants;
@@ -12,20 +11,18 @@ use std::sync::Mutex;
 
 const BLOCK: u64 = 256;
 
-fn deploy(n_providers: usize, n_clients: usize, seed: u64) -> ConcurrentDeployment {
+fn deploy(n_providers: usize, n_clients: usize) -> ConcurrentDeployment {
     concurrent::deploy(
         &Constants::default(),
         n_providers,
         n_providers.max(n_clients),
-        PlacementPolicy::RoundRobin,
-        seed,
         BLOCK,
     )
 }
 
 #[test]
 fn sixteen_appenders_produce_sixteen_consecutive_versions() {
-    let dep = deploy(8, 16, 1);
+    let dep = deploy(8, 16);
     let boot = dep.sys.client(NodeId::new(0));
     let blob = boot.create();
     dep.set_charging(true);
@@ -68,7 +65,7 @@ fn sixteen_appenders_produce_sixteen_consecutive_versions() {
 
 #[test]
 fn sixteen_readers_observe_one_consistent_snapshot() {
-    let dep = deploy(8, 16, 2);
+    let dep = deploy(8, 16);
     let boot = dep.sys.client(NodeId::new(0));
     let blob = boot.create();
     for i in 0..16u8 {
@@ -104,8 +101,8 @@ fn sixteen_readers_observe_one_consistent_snapshot() {
 
 #[test]
 fn runs_are_deterministic_per_seed() {
-    let run = |seed: u64| {
-        let dep = deploy(8, 16, seed);
+    let run = || {
+        let dep = deploy(8, 16);
         let boot = dep.sys.client(NodeId::new(0));
         let blob = boot.create();
         dep.set_charging(true);
@@ -131,5 +128,5 @@ fn runs_are_deterministic_per_seed() {
             dep.sys.layout_vector(),
         )
     };
-    assert_eq!(run(7), run(7), "same seed, same interleaving, same clocks");
+    assert_eq!(run(), run(), "same interleaving, same clocks");
 }

@@ -6,11 +6,11 @@ use blobseer_core::meta::key::BlockRange;
 use blobseer_core::meta::log::LogEntry;
 use blobseer_core::meta::shape;
 use blobseer_core::BlobSeer;
-use blobseer_types::{BlobSeerConfig, HdfsConfig, NodeId, Version};
+use blobseer_types::{BlobSeerConfig, NodeId, Version};
 use bsfs::BsfsCluster;
 use dfs::api::FileSystem;
 use dfs::util::{read_fully, write_file};
-use hdfs_sim::HdfsCluster;
+use hdfs_sim::{HdfsCluster, HdfsConfig};
 use mapreduce::apps::WordCount;
 use mapreduce::{JobTracker, TaskTracker, TextGen};
 use std::sync::Arc;

@@ -28,7 +28,6 @@ use blobseer_rpc::{
     RpcBlockStore, RpcGcService, RpcMetaStore, RpcPlacementService, RpcServer, RpcService,
     RpcVersionService,
 };
-use blobseer_types::config::PlacementPolicy;
 use blobseer_types::wire::{error_fixture, Wire, WireReader};
 use blobseer_types::{BlobId, BlockId, Error, NodeId, Result, Version};
 use bytes::Bytes;
@@ -339,7 +338,7 @@ fn rpc_samples() -> Vec<Sample> {
     let blocks: Arc<dyn BlockStore> = Arc::new(ProviderSet::new(2, |i| NodeId::new(10 + i as u64)));
     let dht: Arc<dyn MetaStore> = Arc::new(MetaDht::new(2, 1));
     let vm: Arc<dyn VersionService> = Arc::new(VersionManager::new(64, Arc::clone(&stats)));
-    let pm = Arc::new(ProviderManager::new(2, PlacementPolicy::RoundRobin, 7));
+    let pm = Arc::new(ProviderManager::new(2));
     let gc: Arc<dyn GcService> = Arc::new(GcHost::new(
         Arc::clone(&dht),
         Arc::clone(&blocks),
@@ -479,7 +478,10 @@ fn rpc_samples() -> Vec<Sample> {
     rec.take::<Vec<usize>, ()>("placement.RELEASE_MANY");
     assert_eq!(p.load_vector().unwrap().len(), 2);
     rec.take::<(), Vec<u64>>("placement.LOAD_VECTOR");
-    assert_eq!(p.register_provider(NodeId::new(42)).unwrap(), 2);
+    assert!(matches!(
+        p.register_provider(NodeId::new(42)),
+        Err(Error::Unsupported(_))
+    ));
     rec.take::<NodeId, usize>("placement.REGISTER_PROVIDER");
     p.heartbeat(0).unwrap();
     rec.take::<usize, u64>("placement.HEARTBEAT");

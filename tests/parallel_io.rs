@@ -19,7 +19,6 @@ use blobseer_core::ports::BlockStore;
 use blobseer_core::{BlobClient, BlobSeer, EnginePorts};
 use blobseer_disk::testutil::TempDir;
 use blobseer_rpc::LoopbackCluster;
-use blobseer_types::config::PlacementPolicy;
 use blobseer_types::{BlobSeerConfig, BlockId, Error, NodeId, Result};
 use bsfs::BsfsInput;
 use bytes::Bytes;
@@ -343,21 +342,14 @@ fn replica_fallback_is_batched_and_counted() {
     );
 }
 
-/// Same seed, same interleaving, same clocks — the overlap charging model
+/// Same interleaving, same clocks — the overlap charging model
 /// (per-phase `overhead + max(batch times)`) must keep SimGate runs fully
 /// deterministic.
 #[test]
 fn simgate_runs_stay_deterministic_under_overlap_charging() {
     const SIM_BLOCK: u64 = 256;
-    let run = |seed: u64| {
-        let dep = concurrent::deploy(
-            &Constants::default(),
-            8,
-            8,
-            PlacementPolicy::RoundRobin,
-            seed,
-            SIM_BLOCK,
-        );
+    let run = || {
+        let dep = concurrent::deploy(&Constants::default(), 8, 8, SIM_BLOCK);
         let boot = dep.sys.client(NodeId::new(0));
         let blob = boot.create();
         dep.set_charging(true);
@@ -383,6 +375,6 @@ fn simgate_runs_stay_deterministic_under_overlap_charging() {
         ends.sort_unstable();
         (ends, dep.now().as_nanos())
     };
-    assert_eq!(run(11), run(11), "overlap charging broke determinism");
-    assert_ne!(run(11).1, 0, "charging actually advanced the clock");
+    assert_eq!(run(), run(), "overlap charging broke determinism");
+    assert_ne!(run().1, 0, "charging actually advanced the clock");
 }

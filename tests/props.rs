@@ -232,7 +232,7 @@ proptest! {
         let bsfs = BsfsCluster::new(sys);
         let bfs = bsfs.mount(NodeId::new(0));
         let hdfs = hdfs_sim::HdfsCluster::new(
-            blobseer_types::HdfsConfig::small_for_tests().with_chunk_size(256),
+            hdfs_sim::HdfsConfig::small_for_tests().with_chunk_size(256),
             2,
         );
         let hfs = hdfs.mount(NodeId::new(0));

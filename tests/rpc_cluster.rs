@@ -388,6 +388,34 @@ fn service_errors_cross_the_wire_as_themselves() {
 /// carries the border answers only. The alias targets of the repair (the
 /// previous writers of the leaves inside the failed range) come from the
 /// version manager's `chain` call instead.
+/// The provider set is fixed at boot. A registration must be refused
+/// rather than grow the placement pool past the block stores: the next
+/// write would land on a provider no store serves, and the next deploy
+/// would find the placement and block-store counts disagreeing.
+#[test]
+fn registering_a_provider_is_refused_and_writes_go_on() {
+    let payload: Vec<u8> = (0..6 * BLOCK).map(|i| i as u8).collect();
+    let register_then_write = |sys: &Arc<BlobSeer>| {
+        let registered = sys.provider_manager().register_provider(NodeId::new(9));
+        let c = sys.client(NodeId::new(100));
+        let blob = c.create();
+        c.write(blob, 0, &payload).unwrap();
+        let back = c.read(blob, None, 0, payload.len() as u64).unwrap();
+        assert_eq!(&back[..], &payload[..]);
+        assert!(
+            matches!(registered, Err(Error::Unsupported(m)) if m.contains("fixed at boot")),
+            "{registered:?}"
+        );
+    };
+    let in_memory = BlobSeer::deploy(BlobSeerConfig::small_for_tests().with_block_size(BLOCK), 2);
+    register_then_write(&in_memory);
+    assert_eq!(in_memory.layout_vector(), vec![3, 3]);
+
+    let cluster = cluster_with_block(BLOCK, 2);
+    register_then_write(&cluster.deploy().unwrap());
+    register_then_write(&cluster.deploy().unwrap());
+}
+
 #[test]
 fn self_repair_from_a_wire_ticket_reveals_the_previous_bytes() {
     let cluster = cluster_with_block(BLOCK, 4);
@@ -514,8 +542,8 @@ fn run_wordcount(sys: Arc<BlobSeer>, input: &[u8], nodes: usize) -> Vec<u8> {
 fn wordcount_over_sockets_is_byte_identical_to_in_memory() {
     // The acceptance scenario: a BSFS-backed Map-Reduce job, end to end
     // over the TCP loopback cluster, producing byte-identical output to
-    // the in-memory backend. Same config, same PM seed, same input — so
-    // even the placement decisions agree.
+    // the in-memory backend. Same config, same input and the same
+    // round-robin placement — so even the placement decisions agree.
     let nodes = 4usize;
     let cfg = BlobSeerConfig::small_for_tests().with_block_size(4096);
     let input = TextGen::new(42).text(4 * 4096);
