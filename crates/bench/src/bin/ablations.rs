@@ -60,7 +60,7 @@ fn stickiness(c: &Constants) -> Figure {
             placement_stickiness: stickiness,
             ..HdfsConfig::default()
         };
-        let u = fig3b::mean_unbalance(|seed| {
+        let u = Backend::Hdfs.point(fig3b::SEED, |seed| {
             fig3b::hdfs_unbalance_of(cfg.clone(), n_blocks, datanodes, seed)
         });
         series.push(stickiness as f64, u);

@@ -115,6 +115,11 @@ pub trait BlockSink: Send {
 
 /// A write-behind stream: it fills one block in memory and hands the sink
 /// each full block, then the tail and the finish at close (or drop).
+///
+/// A failed commit loses its block, so the failure sticks: every later
+/// `write` and `close` returns the first commit error, and no later block
+/// reaches the sink. `close` still finishes the sink, so the file's lease
+/// or reveal wait is released.
 pub struct BlockWriter<S: BlockSink> {
     sink: S,
     buf: BytesMut,
@@ -122,6 +127,8 @@ pub struct BlockWriter<S: BlockSink> {
     written: u64,
     commits: u64,
     closed: bool,
+    /// The first commit error, if a block was lost.
+    failed: Option<Error>,
 }
 
 impl<S: BlockSink> BlockWriter<S> {
@@ -135,6 +142,7 @@ impl<S: BlockSink> BlockWriter<S> {
             written: 0,
             commits: 0,
             closed: false,
+            failed: None,
         }
     }
 
@@ -143,7 +151,13 @@ impl<S: BlockSink> BlockWriter<S> {
         self.commits
     }
 
+    /// The first commit error, once a block is lost.
+    fn check(&self) -> Result<()> {
+        self.failed.clone().map_or(Ok(()), Err)
+    }
+
     fn commit(&mut self) -> Result<()> {
+        self.check()?;
         if self.buf.is_empty() {
             return Ok(());
         }
@@ -151,19 +165,23 @@ impl<S: BlockSink> BlockWriter<S> {
         // next block starts in a buffer of its own full size, so it never
         // regrows (and re-copies) on the way there.
         let fresh = BytesMut::with_capacity(self.block_size);
-        self.sink
-            .commit(std::mem::replace(&mut self.buf, fresh).freeze())?;
+        let block = std::mem::replace(&mut self.buf, fresh).freeze();
+        if let Err(e) = self.sink.commit(block) {
+            self.failed = Some(e.clone());
+            return Err(e);
+        }
         self.commits += 1;
         Ok(())
     }
 
     fn close_as(&mut self, dropped: bool) -> Result<()> {
         if self.closed {
-            return Ok(());
+            return self.check();
         }
-        self.commit()?;
+        let committed = self.commit();
         self.closed = true;
-        self.sink.finish(dropped)
+        let finished = self.sink.finish(dropped);
+        committed.and(finished)
     }
 }
 
@@ -172,6 +190,7 @@ impl<S: BlockSink> DfsOutput for BlockWriter<S> {
         if self.closed {
             return Err(Error::StreamClosed);
         }
+        self.check()?;
         self.written += data.len() as u64;
         while !data.is_empty() {
             let take = (self.block_size - self.buf.len()).min(data.len());
@@ -195,7 +214,9 @@ impl<S: BlockSink> DfsOutput for BlockWriter<S> {
 
 impl<S: BlockSink> Drop for BlockWriter<S> {
     fn drop(&mut self) {
-        // Best effort; errors surface only through an explicit close.
+        // Best effort: a dropped stream still finishes its sink, and its
+        // errors, a lost block's included, surface only through an
+        // explicit close.
         let _ = self.close_as(true);
     }
 }
@@ -303,6 +324,47 @@ mod tests {
         let seen = seen.lock().unwrap();
         assert!(seen.blocks.is_empty(), "an empty file commits no block");
         assert_eq!(seen.finished, vec![false], "close is idempotent");
+    }
+
+    /// A [`MemSink`] that fails its `fail_at`-th commit (from 0) and
+    /// accepts every other.
+    struct FailingSink {
+        inner: MemSink,
+        commits: usize,
+        fail_at: usize,
+    }
+
+    impl BlockSink for FailingSink {
+        fn commit(&mut self, block: Bytes) -> Result<()> {
+            self.commits += 1;
+            if self.commits == self.fail_at + 1 {
+                return Err(Error::WriteAborted("disk full".into()));
+            }
+            self.inner.commit(block)
+        }
+        fn finish(&mut self, dropped: bool) -> Result<()> {
+            self.inner.finish(dropped)
+        }
+    }
+
+    #[test]
+    fn a_failed_commit_fails_every_later_write_and_close() {
+        let seen = Arc::new(Mutex::new(Seen::default()));
+        let sink = FailingSink {
+            inner: MemSink(Arc::clone(&seen)),
+            commits: 0,
+            fail_at: 1,
+        };
+        let mut out = BlockWriter::new(4, sink);
+        out.write(b"aaaa").unwrap();
+        let lost = out.write(b"bbbb").unwrap_err();
+        assert_eq!(out.write(b"cc"), Err(lost.clone()), "the loss sticks");
+        assert_eq!(out.close(), Err(lost.clone()));
+        assert_eq!(out.close(), Err(lost), "and outlives close");
+        let seen = seen.lock().unwrap();
+        let blocks: Vec<&[u8]> = seen.blocks.iter().map(|b| &b[..]).collect();
+        assert_eq!(blocks, [b"aaaa"], "no block after the lost one lands");
+        assert_eq!(seen.finished, vec![false], "close still finishes the sink");
     }
 
     #[test]

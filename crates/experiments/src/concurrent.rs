@@ -63,7 +63,7 @@ use bytes::Bytes;
 use dfs::DfsPath;
 use hdfs_sim::{ChunkMeta, FileSnapshot, HdfsCluster, HdfsConfig};
 use parking_lot::Mutex;
-use simnet::{Disk, FifoServer, FlowNet, NicSpec, SimDuration, SimGate, SimTask, SimTime};
+use simnet::{FifoServer, FlowNet, NicSpec, SimDuration, SimGate, SimTask, SimTime};
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -116,8 +116,9 @@ pub struct ConcFabric {
 
 struct Aux {
     charging: bool,
-    write_disks: Vec<Disk>,
-    read_disks: Vec<Disk>,
+    /// Each provider's disk: a FIFO queue serving one block per request.
+    write_disks: Vec<FifoServer>,
+    read_disks: Vec<FifoServer>,
     /// The version manager's RPC queue — the protocol's serialization
     /// point (§III-A.4) — or HDFS's namenode queue.
     central: FifoServer,
@@ -129,16 +130,16 @@ struct Aux {
 impl ConcFabric {
     fn new(c: Constants, n_providers: usize, n_nodes: usize) -> Self {
         let nodes = n_nodes.max(n_providers).max(1);
+        let disks = |bps: f64| {
+            let block = FifoServer::new(SimDuration::from_secs_f64(c.block_bytes as f64 / bps));
+            vec![block; n_providers]
+        };
         Self {
             gate: SimGate::new(FlowNet::new(nodes, NicSpec::symmetric(c.nic_bps))),
             aux: Mutex::new(Aux {
                 charging: false,
-                write_disks: (0..n_providers)
-                    .map(|_| Disk::new(c.disk_write_bps))
-                    .collect(),
-                read_disks: (0..n_providers)
-                    .map(|_| Disk::new(c.disk_read_bps))
-                    .collect(),
+                write_disks: disks(c.disk_write_bps),
+                read_disks: disks(c.disk_read_bps),
                 central: FifoServer::new(c.vm_assign_svc),
                 meta: (0..c.meta_shards.max(1))
                     .map(|_| FifoServer::new(c.meta_svc))
@@ -217,8 +218,7 @@ impl ConcFabric {
         let t0 = anchor + self.c.bsfs_block_overhead + self.c.rtt();
         self.gate.sleep_until(t0); // a no-op once the clock passed it
         for _ in 0..n {
-            let disk_done =
-                self.aux.lock().write_disks[provider].submit(self.gate.now(), self.c.block_bytes);
+            let disk_done = self.aux.lock().write_disks[provider].submit(self.gate.now());
             pending = pending.max(self.stream_end(node, pnode, disk_done) + self.c.provider_svc);
         }
         OVERLAP.set(Some((anchor, pending)));
@@ -238,8 +238,7 @@ impl ConcFabric {
         let pnode = NodeId::new(provider as u64);
         let (anchor, mut pending) = self.overlap_open();
         for _ in 0..n {
-            let disk_done =
-                self.aux.lock().read_disks[provider].submit(self.gate.now(), self.c.block_bytes);
+            let disk_done = self.aux.lock().read_disks[provider].submit(self.gate.now());
             pending =
                 pending.max(self.stream_end(pnode, node, disk_done) + self.c.bsfs_read_overhead);
         }
@@ -332,8 +331,7 @@ impl ConcFabric {
     /// Writes one modeled 64 MB block from node `src` to the disk of node
     /// `host` by the streaming rule, then `overhead` tops it off.
     fn write_block(&self, src: NodeId, host: usize, overhead: SimDuration) {
-        let disk_done =
-            self.aux.lock().write_disks[host].submit(self.gate.now(), self.c.block_bytes);
+        let disk_done = self.aux.lock().write_disks[host].submit(self.gate.now());
         let end = self.stream_end(src, NodeId::new(host as u64), disk_done);
         self.gate.sleep_until(end + overhead);
     }
@@ -341,8 +339,7 @@ impl ConcFabric {
     /// Fetches one modeled 64 MB block stored on node `host` to node `me`
     /// by the streaming rule, then `overhead` tops it off.
     fn fetch_block(&self, host: usize, me: NodeId, overhead: SimDuration) {
-        let disk_done =
-            self.aux.lock().read_disks[host].submit(self.gate.now(), self.c.block_bytes);
+        let disk_done = self.aux.lock().read_disks[host].submit(self.gate.now());
         let end = self.stream_end(NodeId::new(host as u64), me, disk_done);
         self.gate.sleep_until(end + overhead);
     }

@@ -97,8 +97,8 @@ pub fn throughput_mbps(c: &Constants, backend: Backend, n_blocks: usize, seed: u
     bytes / (1024.0 * 1024.0) / secs
 }
 
-/// Reproduces Fig. 3(a): write throughput vs file size (GB), averaged over
-/// the paper's 5 repetitions.
+/// Reproduces Fig. 3(a): write throughput vs file size (GB); each HDFS
+/// point averages the paper's 5 repetitions ([`Backend::point`]).
 pub fn run(c: &Constants, sizes_gb: &[f64]) -> Figure {
     let mut fig = Figure::new(
         "Fig. 3(a)",
@@ -111,11 +111,8 @@ pub fn run(c: &Constants, sizes_gb: &[f64]) -> Figure {
         for &gb in sizes_gb {
             let n_blocks =
                 ((gb * 1024.0 * 1024.0 * 1024.0) / c.block_bytes as f64).round() as usize;
-            let mean = (0..crate::fig3b::REPETITIONS)
-                .map(|rep| throughput_mbps(c, backend, n_blocks, 0xF163A + rep))
-                .sum::<f64>()
-                / crate::fig3b::REPETITIONS as f64;
-            series.push(gb, mean);
+            let point = backend.point(0xF163A, |seed| throughput_mbps(c, backend, n_blocks, seed));
+            series.push(gb, point);
         }
         fig.series.push(series);
     }

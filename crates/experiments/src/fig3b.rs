@@ -10,17 +10,15 @@
 //! layout matters here), so the layout is the live provider manager's
 //! round-robin allocation stream over 247 providers. The HDFS series
 //! writes through `hdfs-sim`'s client, so the layout is its namenode's
-//! sticky-random session placement over 269 datanodes. Averages 5
-//! repetitions like the paper.
+//! sticky-random session placement over 269 datanodes. The HDFS points
+//! average 5 seeded repetitions like the paper; the round-robin BSFS
+//! layout is the same every run, so each BSFS point is one run.
 
 use crate::concurrent;
 use crate::constants::Constants;
 use crate::report::{Figure, Series};
 use crate::topology::Backend;
 use hdfs_sim::HdfsConfig;
-
-/// Repetitions per point ("these steps are repeated 5 times", §V-C).
-pub const REPETITIONS: u64 = 5;
 
 /// Real engine block size behind each modeled 64 MB block: the unbalance
 /// metric only depends on the placement stream, so the payloads stay tiny.
@@ -61,13 +59,8 @@ pub fn hdfs_unbalance_of(cfg: HdfsConfig, n_blocks: u64, n_datanodes: usize, see
     manhattan_unbalance(&dep.cluster.layout_vector())
 }
 
-/// Mean of `unbalance(seed)` over the standard repetitions.
-pub fn mean_unbalance(unbalance: impl Fn(u64) -> f64) -> f64 {
-    (0..REPETITIONS)
-        .map(|rep| unbalance(0xF163B + rep))
-        .sum::<f64>()
-        / REPETITIONS as f64
-}
+/// Base seed of the figure's HDFS runs.
+pub const SEED: u64 = 0xF163B;
 
 /// Reproduces Fig. 3(b): unbalance vs file size (GB).
 pub fn run(c: &Constants, sizes_gb: &[f64]) -> Figure {
@@ -88,7 +81,7 @@ pub fn run(c: &Constants, sizes_gb: &[f64]) -> Figure {
                     hdfs_unbalance_of(HdfsConfig::default(), n_blocks, providers, seed)
                 }
             };
-            series.push(gb, mean_unbalance(unbalance));
+            series.push(gb, backend.point(SEED, unbalance));
         }
         fig.series.push(series);
     }
@@ -128,7 +121,7 @@ mod tests {
     fn bsfs_round_robin_is_nearly_ideal() {
         // 16 GB = 256 blocks over 247 providers: 9 providers hold 2 blocks,
         // the rest 1 → tiny fractional unbalance only.
-        let u = mean_unbalance(|_| unbalance_of(256, 247));
+        let u = unbalance_of(256, 247);
         let ideal = 256.0 / 247.0;
         let expected = 9.0 * (2.0 - ideal) + 238.0 * (ideal - 1.0);
         assert!((u - expected).abs() < 1e-6, "u={u} expected={expected}");

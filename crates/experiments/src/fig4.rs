@@ -132,11 +132,8 @@ pub fn run(c: &Constants, client_counts: &[usize]) -> Figure {
     for backend in [Backend::Hdfs, Backend::Bsfs] {
         let mut series = Series::new(backend.label());
         for &n in client_counts {
-            let mean = (0..crate::fig3b::REPETITIONS)
-                .map(|rep| avg_client_mbps(c, backend, n, 0xF164 + rep))
-                .sum::<f64>()
-                / crate::fig3b::REPETITIONS as f64;
-            series.push(n as f64, mean);
+            let point = backend.point(0xF164, |seed| avg_client_mbps(c, backend, n, seed));
+            series.push(n as f64, point);
         }
         fig.series.push(series);
     }

@@ -15,9 +15,11 @@
 //!   share*.
 //! * **Fig. 6(b) — distributed grep**: a shared input file of 6.4→12.8 GB
 //!   (100→200 chunks) is scanned by one mapper per chunk on 150
-//!   co-deployed nodes. Tasktracker slots are simulated threads sharing
-//!   one scheduling loop (at most one new task per tracker per 3-second
-//!   heartbeat, data-local tasks preferred — 0.20's greedy scheduler); the
+//!   co-deployed nodes. Tasktracker slots are simulated threads that claim
+//!   tasks through `mapreduce`'s assignment rule, the one `JobTracker`
+//!   uses ([`mapreduce::schedule::TaskBoard`]: data-local first). The model
+//!   adds only 0.20's heartbeat: at most one new task per tracker per
+//!   3-second beat, and greedy stealing when no local task is left. The
 //!   BSFS leg's chunk locations come from the real
 //!   `BlobClient::locations` and its chunk reads are real
 //!   `BlobClient::read` calls, so locality and fetch costs emerge from the
@@ -37,6 +39,7 @@ use crate::topology::Backend;
 use blobseer_core::BlobClient;
 use blobseer_types::NodeId;
 use hdfs_sim::HdfsConfig;
+use mapreduce::schedule::TaskBoard;
 use parking_lot::Mutex;
 use simnet::{SimDuration, SimGate, SimTask, SimTime};
 
@@ -165,23 +168,15 @@ pub fn rtw_paper_mappers() -> Vec<usize> {
 // Fig. 6(b): distributed grep
 // ---------------------------------------------------------------------------
 
-/// Shared job state of one grep run: the task board every tasktracker
-/// slot claims from.
+/// One grep run's map phase: the shared task board plus what 0.20's
+/// heartbeat adds to it.
 struct GrepJob {
-    state: Mutex<GrepState>,
-}
-
-struct GrepState {
-    /// Input-chunk host (storage-node index) per task.
-    task_host: Vec<usize>,
-    /// Tasks not yet assigned to a tracker.
-    pending: Vec<bool>,
-    unassigned: usize,
+    /// The map tasks, claimed by `mapreduce`'s assignment rule.
+    board: TaskBoard,
     /// Nominal beat instant of each tracker's last assignment: 0.20 hands
     /// out at most one new task per tracker per heartbeat.
     last_claim: Vec<Option<SimTime>>,
     remaining: usize,
-    local_maps: usize,
     maps_done_at: Option<SimTime>,
 }
 
@@ -197,10 +192,10 @@ fn grep_phase(tracker: usize, c: &Constants) -> SimDuration {
 /// One tasktracker slot: wakes at its tracker's heartbeats, claims at most
 /// one pending task per tracker per beat (data-local preferred, greedy —
 /// no delay scheduling), runs it via `io`, repeats until no task is left.
-fn grep_slot_loop(
+fn heartbeat_slot(
     gate: &SimGate,
     c: &Constants,
-    job: &GrepJob,
+    job: &Mutex<GrepJob>,
     tracker: usize,
     mut io: impl FnMut(usize),
 ) {
@@ -210,37 +205,27 @@ fn grep_slot_loop(
     loop {
         gate.sleep_until(next_beat);
         let claimed = {
-            let mut st = job.state.lock();
-            if st.unassigned == 0 {
+            let mut job = job.lock();
+            if job.board.pending() == 0 {
                 break;
             }
-            if st.last_claim[tracker] == Some(next_beat) {
+            if job.last_claim[tracker] == Some(next_beat) {
                 None // the sibling slot already took this beat's task
             } else {
-                let local =
-                    (0..st.pending.len()).find(|&t| st.pending[t] && st.task_host[t] == tracker);
-                let pick = local.or_else(|| (0..st.pending.len()).find(|&t| st.pending[t]));
-                if let Some(task) = pick {
-                    st.pending[task] = false;
-                    st.unassigned -= 1;
-                    st.last_claim[tracker] = Some(next_beat);
-                    if local.is_some() {
-                        st.local_maps += 1;
-                    }
-                    Some(task)
-                } else {
-                    None
-                }
+                // 0.20's greedy rule: any pending task when none is local.
+                job.last_claim[tracker] = Some(next_beat);
+                let claim = job.board.claim(NodeId::new(tracker as u64), true);
+                claim.map(|(task, _)| task)
             }
         };
         if let Some(task) = claimed {
             // JVM spawn + task init, then the task's open/fetch/scan.
             gate.sleep(c.task_overhead);
             io(task);
-            let mut st = job.state.lock();
-            st.remaining -= 1;
-            if st.remaining == 0 {
-                st.maps_done_at = Some(gate.now());
+            let mut job = job.lock();
+            job.remaining -= 1;
+            if job.remaining == 0 {
+                job.maps_done_at = Some(gate.now());
             }
         }
         // Next nominal beat strictly after now.
@@ -251,28 +236,28 @@ fn grep_slot_loop(
 }
 
 impl GrepJob {
-    fn new(task_host: Vec<usize>) -> Self {
-        let n = task_host.len();
+    /// A job over one task per chunk, each hosted on `hosts[task]`; the
+    /// trackers are nodes `0..GREP_NODES`.
+    fn new(hosts: impl Iterator<Item = usize>) -> Self {
+        let node = |n: usize| NodeId::new(n as u64);
+        let board = TaskBoard::new(
+            hosts.map(|h| vec![node(h)]).collect(),
+            (0..GREP_NODES).map(node).collect(),
+        );
         Self {
-            state: Mutex::new(GrepState {
-                task_host,
-                pending: vec![true; n],
-                unassigned: n,
-                last_claim: vec![None; GREP_NODES],
-                remaining: n,
-                local_maps: 0,
-                maps_done_at: None,
-            }),
+            remaining: board.pending(),
+            board,
+            last_claim: vec![None; GREP_NODES],
+            maps_done_at: None,
         }
     }
 
     fn outcome(self, c: &Constants, n_chunks: usize) -> GrepOutcome {
-        let st = self.state.into_inner();
-        let maps_done = st.maps_done_at.expect("all maps finished");
+        let maps_done = self.maps_done_at.expect("all maps finished");
         let total = maps_done + c.reduce_phase + c.job_overhead;
         GrepOutcome {
             secs: total.as_secs_f64(),
-            locality: st.local_maps as f64 / n_chunks as f64,
+            locality: self.board.local_claims() as f64 / n_chunks as f64,
         }
     }
 }
@@ -300,13 +285,12 @@ pub fn grep_job(c: &Constants, backend: Backend, n_chunks: usize, seed: u64) -> 
             for _ in 0..n_chunks {
                 boot.append(blob, &payload).unwrap();
             }
-            let task_host: Vec<usize> = boot
+            let layout = boot
                 .locations(blob, None, 0, n_chunks as u64 * REAL_CHUNK)
-                .unwrap()
-                .iter()
-                .map(|l| l.nodes[0].raw() as usize)
-                .collect();
-            let job = GrepJob::new(task_host);
+                .unwrap();
+            let job = Mutex::new(GrepJob::new(
+                layout.iter().map(|l| l.nodes[0].raw() as usize),
+            ));
             dep.set_charging(true);
             let clients: Vec<ClientTask<'_>> = (0..GREP_NODES * SLOTS)
                 .map(|slot| {
@@ -314,7 +298,7 @@ pub fn grep_job(c: &Constants, backend: Backend, n_chunks: usize, seed: u64) -> 
                     (
                         NodeId::new(tracker as u64),
                         Box::new(move |cl: BlobClient| {
-                            grep_slot_loop(fabric.gate(), c, job, tracker, |task| {
+                            heartbeat_slot(fabric.gate(), c, job, tracker, |task| {
                                 // Open + descent + fetch: the real read
                                 // path (local when the chunk lives on this
                                 // tracker's node), then the regex scan.
@@ -327,7 +311,7 @@ pub fn grep_job(c: &Constants, backend: Backend, n_chunks: usize, seed: u64) -> 
                 })
                 .collect();
             dep.run_clients(clients);
-            job.outcome(c, n_chunks)
+            job.into_inner().outcome(c, n_chunks)
         }
         Backend::Hdfs => {
             let cfg = HdfsConfig::default().with_chunk_size(REAL_CHUNK);
@@ -335,12 +319,12 @@ pub fn grep_job(c: &Constants, backend: Backend, n_chunks: usize, seed: u64) -> 
             // Input layout: the boot file was written from a non-colocated
             // client (§V-G), so the namenode spreads it sticky-randomly.
             let boot = dep.boot("/grep", &vec![3u8; n_chunks * REAL_CHUNK as usize]);
-            let job = GrepJob::new(boot.chunks.iter().map(|ch| ch.datanodes[0]).collect());
+            let job = Mutex::new(GrepJob::new(boot.chunks.iter().map(|ch| ch.datanodes[0])));
             let tasks: Vec<SimTask<'_>> = (0..GREP_NODES * SLOTS)
                 .map(|slot| {
                     let (tracker, dep, job) = (slot / SLOTS, &dep, &job);
                     Box::new(move || {
-                        grep_slot_loop(dep.fabric.gate(), c, job, tracker, |task| {
+                        heartbeat_slot(dep.fabric.gate(), c, job, tracker, |task| {
                             // Namenode locations query, then the chunk fetch
                             // (remote over the network when the sticky
                             // layout put it elsewhere), then the scan.
@@ -352,7 +336,7 @@ pub fn grep_job(c: &Constants, backend: Backend, n_chunks: usize, seed: u64) -> 
                 })
                 .collect();
             dep.fabric.gate().run(tasks);
-            job.outcome(c, n_chunks)
+            job.into_inner().outcome(c, n_chunks)
         }
     }
 }
@@ -370,11 +354,8 @@ pub fn run_grep(c: &Constants, sizes_gb: &[f64]) -> Figure {
         for &gb in sizes_gb {
             let n_chunks =
                 ((gb * 1024.0 * 1024.0 * 1024.0) / c.block_bytes as f64).round() as usize;
-            let mean = (0..crate::fig3b::REPETITIONS)
-                .map(|rep| grep_job(c, backend, n_chunks, 0xF166B + rep).secs)
-                .sum::<f64>()
-                / crate::fig3b::REPETITIONS as f64;
-            series.push(gb, mean);
+            let point = backend.point(0xF166B, |seed| grep_job(c, backend, n_chunks, seed).secs);
+            series.push(gb, point);
         }
         fig.series.push(series);
     }
@@ -456,5 +437,15 @@ mod tests {
             "skewed layout loses locality: {:.2}",
             h.locality
         );
+    }
+
+    #[test]
+    fn grep_locality_is_pinned() {
+        // The data-local maps of the 150-chunk job: all of BSFS's
+        // round-robin chunks and 22 of HDFS's sticky ones. Pinned, so a
+        // change to the shared assignment rule cannot move them silently.
+        let c = Constants::default();
+        assert_eq!(grep_job(&c, Backend::Bsfs, 150, 2).locality, 1.0);
+        assert_eq!(grep_job(&c, Backend::Hdfs, 150, 2).locality, 22.0 / 150.0);
     }
 }

@@ -24,6 +24,10 @@
 //! lists and chunk storage are HDFS's own code, and this crate keeps only
 //! their costs, charged on the same fabric — gate, disks, streaming rule
 //! and central queue — the BSFS legs pay.
+//! Fig. 6(b)'s tasktracker slots claim map tasks through `mapreduce`'s
+//! one assignment rule, the rule its `JobTracker` runs. Each HDFS point
+//! averages 5 seeded runs; the BSFS legs take no seed, so each BSFS point
+//! is one run ([`Backend::point`]).
 //! Calibrated constants live in [`constants`]; `docs/REPRODUCING.md` maps
 //! every figure to its driver, expected band, and real-vs-modeled layers.
 #![forbid(unsafe_code)]

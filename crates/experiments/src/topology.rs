@@ -12,6 +12,10 @@ pub const HDFS_DATANODES: usize = MICROBENCH_MACHINES - 1;
 /// providers; the rest are data providers (§V-C).
 pub const BSFS_PROVIDERS: usize = MICROBENCH_MACHINES - 3 - 20;
 
+/// Seeded runs averaged per HDFS figure point ("these steps are repeated
+/// 5 times", §V-C).
+pub const REPETITIONS: u64 = 5;
+
 /// Which storage stack a model run exercises.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Backend {
@@ -25,6 +29,19 @@ impl Backend {
         match self {
             Backend::Bsfs => "BSFS",
             Backend::Hdfs => "HDFS",
+        }
+    }
+
+    /// One figure point: `run(seed)` once for BSFS, whose leg takes no
+    /// seed and is deterministic, and the mean over [`REPETITIONS`] seeds
+    /// from `base_seed` for HDFS, whose namenode places sticky-randomly.
+    pub fn point(self, base_seed: u64, run: impl Fn(u64) -> f64) -> f64 {
+        match self {
+            Backend::Bsfs => run(base_seed),
+            Backend::Hdfs => {
+                let seeds = base_seed..base_seed + REPETITIONS;
+                seeds.map(run).sum::<f64>() / REPETITIONS as f64
+            }
         }
     }
 

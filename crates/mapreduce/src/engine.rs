@@ -6,12 +6,14 @@
 //!
 //! The scheduler is locality-aware (§V-E): a free tasktracker slot prefers
 //! a map task whose input block lives on its own node (a *local map*);
-//! otherwise it takes any pending task (a *remote map*). The distinction —
-//! driven entirely by the storage layer's block-location call — is what
-//! couples job completion time to the placement quality of the underlying
-//! file system, the effect measured in Fig. 6(b).
+//! otherwise it takes any pending task (a *remote map*). The rule is
+//! [`crate::schedule::TaskBoard::claim`], which Fig. 6(b)'s model shares.
+//! The distinction — driven entirely by the storage layer's block-location
+//! call — is what couples job completion time to the placement quality of
+//! the underlying file system, the effect measured in Fig. 6(b).
 
 use crate::job::{InputSpec, InputSplit, JobReport, JobSpec, Mapper, Reducer};
+use crate::schedule::TaskBoard;
 
 /// One reducer's shuffle bucket: intermediate `(key, value)` records.
 type ShuffleBucket = Vec<(Vec<u8>, Vec<u8>)>;
@@ -45,24 +47,17 @@ pub struct JobTracker {
     trackers: Vec<TaskTracker>,
 }
 
-struct MapTask {
-    split: InputSplit,
-    taken: bool,
-}
-
 /// Work shared by all tasktracker threads during the map phase.
 struct MapPhase<'j> {
     job: &'j JobSpec,
     mapper: &'j dyn Mapper,
     /// Optional map-side combiner applied to each task's buckets.
     combiner: Option<&'j dyn Reducer>,
-    /// Nodes that host a tasktracker (for delay scheduling).
-    tracker_nodes: Vec<NodeId>,
-    tasks: Mutex<Vec<MapTask>>,
+    splits: Vec<InputSplit>,
+    /// Which splits are taken: the shared assignment rule.
+    tasks: Mutex<TaskBoard>,
     /// Intermediate data: per-reducer buckets of (key, value).
     shuffle: Vec<Mutex<ShuffleBucket>>,
-    local_maps: AtomicUsize,
-    remote_maps: AtomicUsize,
     input_records: AtomicU64,
     output_records: AtomicU64,
     /// Records that actually entered the shuffle (== map outputs unless a
@@ -81,7 +76,7 @@ impl JobTracker {
     /// Runs a map-only job.
     pub fn run_map_only(&self, job: &JobSpec, mapper: &dyn Mapper) -> Result<JobReport> {
         assert_eq!(job.reducers, 0, "map-only jobs take 0 reducers");
-        self.run(job, mapper, None)
+        self.run_with(job, mapper, None, None)
     }
 
     /// Runs a full map/reduce job.
@@ -117,15 +112,6 @@ impl JobTracker {
         self.run_with(job, mapper, Some(reducer), Some(combiner))
     }
 
-    fn run(
-        &self,
-        job: &JobSpec,
-        mapper: &dyn Mapper,
-        reducer: Option<&dyn Reducer>,
-    ) -> Result<JobReport> {
-        self.run_with(job, mapper, reducer, None)
-    }
-
     fn run_with(
         &self,
         job: &JobSpec,
@@ -138,27 +124,20 @@ impl JobTracker {
         driver_fs.mkdirs(&job.output_dir)?;
         let splits = self.compute_splits(job, driver_fs)?;
         let map_tasks = splits.len();
+        let board = TaskBoard::new(
+            splits.iter().map(|s| s.hosts.clone()).collect(),
+            self.trackers.iter().map(|t| t.node).collect(),
+        );
 
         let phase = MapPhase {
             job,
             mapper,
             combiner,
-            tracker_nodes: self.trackers.iter().map(|t| t.node).collect(),
-            tasks: Mutex::named(
-                splits
-                    .into_iter()
-                    .map(|split| MapTask {
-                        split,
-                        taken: false,
-                    })
-                    .collect(),
-                "mr.tasks",
-            ),
+            splits,
+            tasks: Mutex::named(board, "mr.tasks"),
             shuffle: (0..job.reducers.max(1))
                 .map(|i| Mutex::ranked(Vec::new(), "mr.shuffle", i as u32))
                 .collect(),
-            local_maps: AtomicUsize::new(0),
-            remote_maps: AtomicUsize::new(0),
             input_records: AtomicU64::new(0),
             output_records: AtomicU64::new(0),
             shuffle_records: AtomicU64::new(0),
@@ -168,9 +147,9 @@ impl JobTracker {
         // --- map phase: every slot of every tracker pulls tasks ---------
         std::thread::scope(|s| {
             for tracker in &self.trackers {
-                for slot in 0..tracker.slots {
+                for _ in 0..tracker.slots {
                     let phase = &phase;
-                    s.spawn(move || map_worker(tracker, slot, phase, reducer.is_some()));
+                    s.spawn(move || map_worker(tracker, phase, reducer.is_some()));
                 }
             }
         });
@@ -222,12 +201,16 @@ impl JobTracker {
             );
         }
 
+        // Only file splits count as local or remote; generated splits have
+        // no hosts, so they are never local.
+        let local_maps = phase.tasks.lock().local_claims();
+        let file_maps = phase.splits.iter().filter(|s| s.file.is_some()).count();
         Ok(JobReport {
             name: job.name.clone(),
             backend: driver_fs.backend_name().to_string(),
             map_tasks,
-            local_maps: phase.local_maps.load(Ordering::Relaxed),
-            remote_maps: phase.remote_maps.load(Ordering::Relaxed),
+            local_maps,
+            remote_maps: file_maps - local_maps,
             reduce_tasks: job.reducers,
             map_input_records: phase.input_records.load(Ordering::Relaxed),
             map_output_records: phase.output_records.load(Ordering::Relaxed),
@@ -286,70 +269,26 @@ fn part_path(dir: &str, prefix: &str, i: usize) -> String {
 const STEAL_DELAY_ROUNDS: u32 = 40;
 const STEAL_DELAY_STEP: std::time::Duration = std::time::Duration::from_micros(250);
 
-/// A tasktracker slot's map loop: prefer node-local tasks, then tasks local
-/// to nobody, and only after a bounded delay steal another node's local
-/// work.
-fn map_worker(tracker: &TaskTracker, slot: usize, phase: &MapPhase<'_>, has_reduce: bool) {
+/// A tasktracker slot's map loop: claim through the shared rule, stealing
+/// another node's local task only once the delay budget is spent.
+fn map_worker(tracker: &TaskTracker, phase: &MapPhase<'_>, has_reduce: bool) {
     let mut patience = STEAL_DELAY_ROUNDS;
     loop {
-        enum Pick {
-            Run(InputSplit, bool),
-            Wait,
-            Done,
-        }
-        let picked = {
+        let claimed = {
             let mut tasks = phase.tasks.lock();
-            // 1. A task whose block lives on this node.
-            let local = tasks
-                .iter()
-                .position(|t| !t.taken && t.split.hosts.contains(&tracker.node));
-            // 2. A task that is local to no tracker (nothing is lost).
-            let unclaimed = local.or_else(|| {
-                tasks.iter().position(|t| {
-                    !t.taken
-                        && !t
-                            .split
-                            .hosts
-                            .iter()
-                            .any(|h| phase.tracker_nodes.contains(h))
-                })
-            });
-            // 3. Steal another node's local task, after the delay budget.
-            let any = tasks.iter().position(|t| !t.taken);
-            match (unclaimed, any) {
-                (Some(i), _) => {
-                    tasks[i].taken = true;
-                    Pick::Run(tasks[i].split.clone(), local.is_some())
-                }
-                (None, Some(i)) if patience == 0 => {
-                    tasks[i].taken = true;
-                    Pick::Run(tasks[i].split.clone(), false)
-                }
-                (None, Some(_)) => Pick::Wait,
-                (None, None) => Pick::Done,
+            match tasks.claim(tracker.node, patience == 0) {
+                Some((task, _)) => Some(task),
+                None if tasks.pending() == 0 => return,
+                None => None,
             }
         };
-        let (split, is_local) = match picked {
-            Pick::Done => return,
-            Pick::Wait => {
-                patience -= 1;
-                std::thread::sleep(STEAL_DELAY_STEP);
-                continue;
-            }
-            Pick::Run(split, is_local) => {
-                patience = STEAL_DELAY_ROUNDS;
-                (split, is_local)
-            }
+        let Some(task) = claimed else {
+            patience -= 1;
+            std::thread::sleep(STEAL_DELAY_STEP);
+            continue;
         };
-        if split.file.is_some() {
-            if is_local {
-                phase.local_maps.fetch_add(1, Ordering::Relaxed);
-            } else {
-                phase.remote_maps.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        let _ = slot;
-        if let Err(e) = run_map(tracker, phase, &split, has_reduce) {
+        patience = STEAL_DELAY_ROUNDS;
+        if let Err(e) = run_map(tracker, phase, &phase.splits[task], has_reduce) {
             phase.errors.lock().push(e);
             return;
         }
@@ -477,15 +416,24 @@ fn run_reduce(
     let path = part_path(&job.output_dir, "part-r", r);
     let mut out = tracker.fs.create(&path, true)?;
     let mut written = 0u64;
+    let mut failed = None;
     {
+        // A lost block fails every later write, so the first error is the
+        // one to report.
         let mut emit = |k: &[u8], v: &[u8]| {
-            written += 1;
-            // Buffered into the DfsOutput; errors surface at close.
-            let _ = write_record(&mut *out, k, v);
+            if failed.is_none() {
+                match write_record(&mut *out, k, v) {
+                    Ok(()) => written += 1,
+                    Err(e) => failed = Some(e),
+                }
+            }
         };
         for (k, vs) in &grouped {
             reducer.reduce(k, vs, &mut emit);
         }
+    }
+    if let Some(e) = failed {
+        return Err(e);
     }
     out.close()?;
     output_records.fetch_add(written, Ordering::Relaxed);

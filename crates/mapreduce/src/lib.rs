@@ -7,6 +7,9 @@
 //! nodes, §V-G). Scheduling is locality-aware: map tasks prefer the node
 //! holding their input block, and the engine reports local vs remote map
 //! counts — the quantity the storage layer's placement quality controls.
+//! The rule that picks a slot's next map task is [`schedule::TaskBoard`],
+//! clock-free so that the Fig. 6(b) model's heartbeat loop claims through
+//! it too.
 //!
 //! Because the engine only sees `dyn FileSystem`, the same job binaries run
 //! on BSFS and on the HDFS baseline, reproducing the paper's methodology
@@ -20,6 +23,7 @@
 pub mod apps;
 pub mod engine;
 pub mod job;
+pub mod schedule;
 pub mod textgen;
 
 pub use engine::{JobTracker, TaskTracker};

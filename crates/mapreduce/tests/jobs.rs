@@ -1,14 +1,15 @@
 //! End-to-end Map/Reduce jobs on both storage backends — the live-scale
 //! counterpart of the paper's §V-G experiments.
 
-use blobseer_core::BlobSeer;
-use blobseer_types::{BlobSeerConfig, NodeId};
+use blobseer_core::{BlobSeer, EnginePorts, FaultPlan, FaultyBlockStore, PutFault};
+use blobseer_types::{BlobSeerConfig, Error, NodeId};
 use bsfs::BsfsCluster;
 use dfs::api::FileSystem;
 use dfs::util::{read_fully, write_file};
 use hdfs_sim::{HdfsCluster, HdfsConfig};
 use mapreduce::apps::{DistributedGrep, RandomTextWriter, WordCount};
 use mapreduce::{JobTracker, TaskTracker, TextGen};
+use std::sync::Arc;
 
 const BLOCK: u64 = 4096;
 const NODES: usize = 6;
@@ -338,4 +339,42 @@ fn chained_jobs_output_feeds_input() {
     }
     assert_eq!(grep_count(&fs, "/stage2"), expected);
     assert!(report.map_tasks >= 4);
+}
+
+/// A reduce whose output stream loses one block commit, while the sink
+/// accepts every later block, must fail the job: the part file has a hole
+/// and the record count is wrong.
+#[test]
+fn a_lost_reduce_output_block_fails_the_job() {
+    const SMALL: u64 = 256;
+    let cfg = BlobSeerConfig::small_for_tests().with_block_size(SMALL);
+    let base = EnginePorts::in_memory(&cfg, (0..NODES as u64).map(NodeId::new).collect(), 0);
+    let plan = FaultPlan::new();
+    let providers = FaultyBlockStore::new(Arc::clone(&base.providers), Arc::clone(&plan));
+    let ports = EnginePorts {
+        providers: Arc::new(providers),
+        ..base
+    };
+    let cluster = BsfsCluster::new(BlobSeer::deploy_ports(cfg, ports));
+    let fs = cluster.mount(NodeId::new(0));
+    write_file(&fs, "/in/w.txt", &TextGen::new(5).text(8 * SMALL as usize)).unwrap();
+    let jt = JobTracker::new(vec![TaskTracker::new(
+        NodeId::new(0),
+        Box::new(cluster.mount(NodeId::new(0))),
+    )]);
+    let job = WordCount::job("/in/w.txt", "/out/wc", 1);
+    let whole = jt.run_job(&job, &WordCount, &WordCount).unwrap();
+    assert!(
+        fs.status("/out/wc/part-r-00000").unwrap().len > 2 * SMALL,
+        "the output spans blocks after the lost one"
+    );
+
+    // The first block put of the rerun's output fails; the rest land.
+    plan.set(PutFault::FailOnce);
+    let err = jt.run_job(&job, &WordCount, &WordCount).unwrap_err();
+    assert!(
+        matches!(err, Error::WriteAborted(_)),
+        "{err:?} after {whole:?}"
+    );
+    assert_eq!(plan.counters().1, 1, "exactly one block put failed");
 }

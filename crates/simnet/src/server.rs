@@ -1,4 +1,4 @@
-//! A serialized RPC server: single FIFO queue, per-request service time.
+//! A work-conserving FIFO queue: one server, per-request service time.
 //!
 //! Models the centralized entities whose serialization the paper singles
 //! out: HDFS's namenode ("a centralized namenode is responsible to maintain
@@ -7,6 +7,13 @@
 //! in the writing process where concurrent requests are serialized",
 //! §III-A.4). Under N concurrent clients the queueing delay of this server
 //! is what bends the scaling curves.
+//!
+//! It models a node's disk too. The paper's workloads are large sequential
+//! block transfers (64 MB), for which a rate server is accurate: the
+//! service time is one block at the drain rate, and seeks and reordering
+//! are ignored. What matters for the figures is the queueing: when HDFS's
+//! placement lands several blocks on one datanode, their readers serialize
+//! on its queue (Fig. 4), while BlobSeer's round-robin keeps queues short.
 
 use crate::time::{SimDuration, SimTime};
 

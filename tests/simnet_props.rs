@@ -3,7 +3,7 @@
 
 use blobseer_types::NodeId;
 use proptest::prelude::*;
-use simnet::{Disk, FifoServer, FlowNet, NicSpec, SimDuration, SimGate, SimTask, SimTime};
+use simnet::{FifoServer, FlowNet, NicSpec, SimDuration, SimGate, SimTask, SimTime};
 use std::sync::Mutex;
 
 #[derive(Clone, Debug)]
@@ -137,8 +137,9 @@ proptest! {
         prop_assert!(end + 1e-9 >= min_time);
     }
 
-    /// FIFO servers: completion times are ordered, spacing ≥ service time,
-    /// and total busy time equals requests × service.
+    /// FIFO servers (the namenode, the version manager, every disk):
+    /// completion times are ordered and spaced at least one service time
+    /// apart.
     #[test]
     fn fifo_server_discipline(arrivals in proptest::collection::vec(0u32..10_000, 1..64)) {
         let svc = SimDuration::from_micros(500);
@@ -155,22 +156,16 @@ proptest! {
         prop_assert_eq!(server.served(), sorted.len() as u64);
     }
 
-    /// Disks: completions are monotone, and a busy disk finishes exactly
-    /// total_bytes/rate after its first idle start.
+    /// Disks (a FIFO server whose service time is one block at the drain
+    /// rate): a burst submitted at t = 0 drains back to back, the k-th block
+    /// completing at exactly k × service.
     #[test]
-    fn disk_work_conservation(jobs in proptest::collection::vec(1u32..100_000, 1..32)) {
-        let rate = 1_000_000.0;
-        let mut disk = Disk::new(rate);
-        let mut last = SimTime::ZERO;
-        for &bytes in &jobs {
-            let done = disk.submit(SimTime::ZERO, bytes as u64);
-            prop_assert!(done >= last);
-            last = done;
-        }
-        let total: f64 = jobs.iter().map(|&b| b as f64).sum();
-        let expect = total / rate;
-        // All submitted at t=0: the queue drains back-to-back.
-        prop_assert!((last.as_secs_f64() - expect).abs() < 1e-3 * jobs.len() as f64);
+    fn disk_work_conservation(block_kib in 1u32..100_000, jobs in 1usize..32) {
+        let svc = SimDuration::from_secs_f64(block_kib as f64 * 1024.0 / 1_000_000.0);
+        let mut disk = FifoServer::new(svc);
+        let ends: Vec<u64> = (0..jobs).map(|_| disk.submit(SimTime::ZERO).as_nanos()).collect();
+        let back_to_back: Vec<u64> = (1..=jobs as u64).map(|k| k * svc.as_nanos()).collect();
+        prop_assert_eq!(ends, back_to_back);
     }
 }
 
