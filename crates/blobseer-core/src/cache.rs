@@ -1,5 +1,5 @@
-//! Client-side hot-read block cache: a byte-budgeted LRU decorator over
-//! the [`BlockStore`] port.
+//! Client-side hot-read block cache: [`BlockCache`], a byte-budgeted LRU
+//! hook on the [`BlockStore`] port ([`Hooked`]).
 //!
 //! BlobSeer's concurrency control never mutates data in place: a block id
 //! is written once and its bytes are immutable from then on (§III-A.4 —
@@ -9,18 +9,18 @@
 //! policy. That is the "many readers of one hot snapshot" workload of
 //! Fig. 4: 250 clients re-fetching the same revealed blocks.
 //!
-//! The decorator wraps any adapter (`Arc<dyn BlockStore>`), so a
-//! deployment opts in — `blobseer_rpc::LoopbackCluster::deploy` wires it
-//! over the TCP adapter when
-//! [`blobseer_types::BlobSeerConfig::read_cache_bytes`] is non-zero, and
-//! the figure reproductions keep it off (the paper's curves are
+//! The hook intercepts only the vectored puts, gets and deletes of any
+//! adapter (`Arc<dyn BlockStore>`), so a deployment opts in —
+//! `blobseer_rpc::LoopbackCluster::deploy` wires it over the TCP adapter
+//! when [`blobseer_types::BlobSeerConfig::read_cache_bytes`] is non-zero,
+//! and the figure reproductions keep it off (the paper's curves are
 //! cache-cold). Tree nodes are not cached here: the one adapter that pays
 //! a round trip per tree level, `blobseer_rpc::RpcMetaStore`, keeps the
 //! inner nodes it has read itself, always on and outside this budget.
 //!
 //! Transparency contract: a cached deployment is observably equivalent to
 //! an uncached one for every `Result`-carrying operation
-//! (`tests/ports_equivalence.rs` holds the decorator to it). Entries are
+//! (`tests/ports_equivalence.rs` holds the cached store to it). Entries are
 //! keyed `(provider, block id)` — strictly finer than block identity — so
 //! per-provider semantics (a replica miss that triggers fetch-fallback,
 //! per-provider op accounting) survive the decoration. Hits, misses and
@@ -28,9 +28,9 @@
 //! [`EngineStats::cache_hits`]/[`EngineStats::cache_misses`]/
 //! [`EngineStats::cache_evictions`].
 
-use crate::ports::BlockStore;
+use crate::ports::{BlockHook, BlockStore, Hooked};
 use crate::stats::EngineStats;
-use blobseer_types::{BlockId, NodeId, Result};
+use blobseer_types::{BlockId, Result};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
@@ -39,7 +39,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// A byte-budgeted LRU map. Not a port itself — the engine behind the
-/// decorator. Entries larger than the whole budget are refused (caching
+/// hook. Entries larger than the whole budget are refused (caching
 /// them would evict everything for a single-use payload).
 struct Lru<K, V> {
     map: HashMap<K, LruEntry<V>>,
@@ -118,21 +118,22 @@ impl<K: Eq + Hash + Clone, V: Clone> Lru<K, V> {
     }
 }
 
-/// [`BlockStore`] decorator serving repeated block fetches from a
-/// byte-budgeted LRU over [`Bytes`] (zero-copy: a hit hands back a
-/// refcount bump of the cached buffer).
-pub struct CachedBlockStore {
-    inner: Arc<dyn BlockStore>,
+/// [`BlockHook`] serving repeated block fetches from a byte-budgeted LRU
+/// over [`Bytes`] (zero-copy: a hit hands back a refcount bump of the
+/// cached buffer).
+pub struct BlockCache {
     lru: Mutex<Lru<(usize, BlockId), Bytes>>,
     stats: Arc<EngineStats>,
 }
 
-impl CachedBlockStore {
-    /// Wraps `inner` with a cache of at most `budget_bytes` payload bytes.
-    /// Hit/miss/eviction counters land on `stats`.
-    pub fn new(inner: Arc<dyn BlockStore>, budget_bytes: u64, stats: Arc<EngineStats>) -> Self {
+/// A [`BlockStore`] behind a [`BlockCache`].
+pub type CachedBlockStore = Hooked<Arc<dyn BlockStore>, BlockCache>;
+
+impl BlockCache {
+    /// A cache of at most `budget_bytes` payload bytes. Hit/miss/eviction
+    /// counters land on `stats`.
+    pub fn new(budget_bytes: u64, stats: Arc<EngineStats>) -> Self {
         Self {
-            inner,
             lru: Mutex::named(Lru::new(budget_bytes), "cache.blocks.lru"),
             stats,
         }
@@ -150,29 +151,18 @@ impl CachedBlockStore {
     }
 }
 
-impl BlockStore for CachedBlockStore {
-    fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    fn node(&self, provider: usize) -> NodeId {
-        self.inner.node(provider)
-    }
-
-    fn index_of_node(&self, node: NodeId) -> Option<usize> {
-        self.inner.index_of_node(node)
-    }
-
-    fn contains(&self, provider: usize, id: BlockId) -> bool {
-        self.inner.contains(provider, id)
-    }
-
+impl BlockHook for BlockCache {
     /// Write-through, write-allocate: the stored bytes are the bytes a
     /// reader would fetch (blocks are immutable), and a writer's own
     /// blocks are the hottest read candidates right after the commit.
     /// Failed puts cache nothing.
-    fn put_many(&self, provider: usize, items: &[(BlockId, Bytes)]) -> Vec<Result<()>> {
-        let results = self.inner.put_many(provider, items);
+    fn put_many(
+        &self,
+        inner: &dyn BlockStore,
+        provider: usize,
+        items: &[(BlockId, Bytes)],
+    ) -> Vec<Result<()>> {
+        let results = inner.put_many(provider, items);
         let mut evicted = 0;
         {
             let mut lru = self.lru.lock();
@@ -188,7 +178,12 @@ impl BlockStore for CachedBlockStore {
 
     /// The vectored read-path hot spot: answered per item from the cache,
     /// with one inner `get_many` covering exactly the misses.
-    fn get_many(&self, provider: usize, ids: &[BlockId]) -> Vec<Result<Bytes>> {
+    fn get_many(
+        &self,
+        inner: &dyn BlockStore,
+        provider: usize,
+        ids: &[BlockId],
+    ) -> Vec<Result<Bytes>> {
         let mut out: Vec<Option<Result<Bytes>>> = vec![None; ids.len()];
         let mut missed: Vec<(usize, BlockId)> = Vec::new();
         {
@@ -205,7 +200,7 @@ impl BlockStore for CachedBlockStore {
         let mut evicted = 0;
         if !missed.is_empty() {
             let miss_ids: Vec<BlockId> = missed.iter().map(|&(_, id)| id).collect();
-            let fetched = self.inner.get_many(provider, &miss_ids);
+            let fetched = inner.get_many(provider, &miss_ids);
             let mut lru = self.lru.lock();
             for (&(slot, id), result) in missed.iter().zip(fetched) {
                 if let Ok(data) = &result {
@@ -220,30 +215,19 @@ impl BlockStore for CachedBlockStore {
             .collect()
     }
 
-    fn delete_many(&self, provider: usize, ids: &[BlockId]) -> Vec<Result<u64>> {
+    fn delete_many(
+        &self,
+        inner: &dyn BlockStore,
+        provider: usize,
+        ids: &[BlockId],
+    ) -> Vec<Result<u64>> {
         {
             let mut lru = self.lru.lock();
             for &id in ids {
                 lru.remove(&(provider, id));
             }
         }
-        self.inner.delete_many(provider, ids)
-    }
-
-    fn block_count(&self, provider: usize) -> usize {
-        self.inner.block_count(provider)
-    }
-
-    fn bytes_stored(&self, provider: usize) -> u64 {
-        self.inner.bytes_stored(provider)
-    }
-
-    fn op_counts(&self, provider: usize) -> (u64, u64) {
-        self.inner.op_counts(provider)
-    }
-
-    fn layout_vector(&self) -> Vec<u64> {
-        self.inner.layout_vector()
+        inner.delete_many(provider, ids)
     }
 }
 
@@ -251,6 +235,7 @@ impl BlockStore for CachedBlockStore {
 mod tests {
     use super::*;
     use crate::block_store::ProviderSet;
+    use blobseer_types::NodeId;
 
     fn payload(n: usize, fill: u8) -> Bytes {
         Bytes::from(vec![fill; n])
@@ -286,7 +271,7 @@ mod tests {
     fn cached_blocks_hit_after_miss_and_counters_track() {
         let stats = Arc::new(EngineStats::new());
         let inner = Arc::new(ProviderSet::new(2, |i| NodeId::new(i as u64)));
-        let store = CachedBlockStore::new(inner.clone(), 1 << 20, Arc::clone(&stats));
+        let store = CachedBlockStore::new(inner.clone(), BlockCache::new(1 << 20, stats.clone()));
         store.put(0, BlockId::new(1), payload(64, 0xAB)).unwrap();
         // Put is write-allocate: the first read is already a hit.
         assert_eq!(&store.get(0, BlockId::new(1)).unwrap()[..], &[0xAB; 64]);
@@ -312,7 +297,7 @@ mod tests {
     fn cached_block_delete_invalidates() {
         let stats = Arc::new(EngineStats::new());
         let inner = Arc::new(ProviderSet::new(1, |i| NodeId::new(i as u64)));
-        let store = CachedBlockStore::new(inner, 1 << 20, Arc::clone(&stats));
+        let store = CachedBlockStore::new(inner, BlockCache::new(1 << 20, stats.clone()));
         store.put(0, BlockId::new(7), payload(8, 9)).unwrap();
         assert_eq!(store.delete(0, BlockId::new(7)).unwrap(), 8);
         assert!(
@@ -326,7 +311,7 @@ mod tests {
         let stats = Arc::new(EngineStats::new());
         let inner = Arc::new(ProviderSet::new(1, |i| NodeId::new(i as u64)));
         // Budget of two blocks; storing four evicts two.
-        let store = CachedBlockStore::new(inner, 128, Arc::clone(&stats));
+        let store = CachedBlockStore::new(inner, BlockCache::new(128, stats.clone()));
         for i in 0..4u64 {
             store.put(0, BlockId::new(i), payload(64, i as u8)).unwrap();
         }

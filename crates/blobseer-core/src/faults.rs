@@ -1,8 +1,8 @@
-//! Fault-injecting decorators over the service ports.
+//! Fault injection on the store ports: [`Faults`], a [`Hooked`] store's hook.
 //!
 //! The paper leaves writer failure to "minimal mechanisms" (§VI-B); the
-//! crash-consistency tests make those mechanisms concrete by wrapping any
-//! [`BlockStore`]/[`MetaStore`] adapter in a decorator that misbehaves on
+//! crash-consistency tests make those mechanisms concrete by decorating
+//! any [`BlockStore`]/[`MetaStore`] adapter with a hook that misbehaves on
 //! command:
 //!
 //! * **drop** — the put reports success but stores nothing (a write lost in
@@ -10,7 +10,7 @@
 //! * **fail** — the put returns [`Error::WriteAborted`] (provider refused or
 //!   unreachable: the client observes the failure immediately);
 //! * **delay** — the put is buffered and only applied on
-//!   [`FaultyBlockStore::flush_delayed`] (reordering / late arrival; never flushing
+//!   [`Hooked::flush_delayed`] (reordering / late arrival; never flushing
 //!   models a crash with dirty buffers);
 //! * **duplicate** — the put is applied twice (a retried RPC whose first
 //!   attempt did land: exercises idempotence).
@@ -26,17 +26,18 @@
 
 use crate::meta::key::NodeKey;
 use crate::meta::node::TreeNode;
-use crate::ports::{BlockStore, MetaStore};
-use blobseer_types::{BlockId, Error, NodeId, Result};
+use crate::ports::{BlockHook, BlockStore, Hooked, MetaHook, MetaStore};
+use blobseer_types::{BlockId, Error, Result};
 use bytes::Bytes;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// What the decorator does with the next puts.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// What the hook does with the next puts.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum PutFault {
     /// Pass through untouched.
+    #[default]
     None,
     /// Acknowledge but store nothing.
     Drop,
@@ -46,42 +47,18 @@ pub enum PutFault {
     /// pass-through (a transient refusal: the window a writer's
     /// self-repair must survive).
     FailOnce,
-    /// Buffer until [`FaultyBlockStore::flush_delayed`].
+    /// Buffer until [`Hooked::flush_delayed`].
     Delay,
     /// Apply twice (simulated retry of a delivered request).
     Duplicate,
 }
 
-impl PutFault {
-    fn from_u8(v: u8) -> Self {
-        match v {
-            1 => PutFault::Drop,
-            2 => PutFault::Fail,
-            3 => PutFault::Delay,
-            4 => PutFault::Duplicate,
-            5 => PutFault::FailOnce,
-            _ => PutFault::None,
-        }
-    }
-
-    fn as_u8(self) -> u8 {
-        match self {
-            PutFault::None => 0,
-            PutFault::Drop => 1,
-            PutFault::Fail => 2,
-            PutFault::Delay => 3,
-            PutFault::Duplicate => 4,
-            PutFault::FailOnce => 5,
-        }
-    }
-}
-
 /// Shared fault switchboard: tests flip the mode mid-run and inspect the
 /// damage counters afterwards. One plan can drive both a block-store and a
-/// meta-store decorator.
+/// meta-store hook.
 #[derive(Debug, Default)]
 pub struct FaultPlan {
-    mode: AtomicU8,
+    mode: Mutex<PutFault>,
     dropped: AtomicU64,
     failed: AtomicU64,
     delayed: AtomicU64,
@@ -96,12 +73,23 @@ impl FaultPlan {
 
     /// Sets the behavior of subsequent puts.
     pub fn set(&self, fault: PutFault) {
-        self.mode.store(fault.as_u8(), Ordering::SeqCst);
+        *self.mode.lock() = fault;
     }
 
     /// The currently active fault.
     pub fn current(&self) -> PutFault {
-        PutFault::from_u8(self.mode.load(Ordering::SeqCst))
+        *self.mode.lock()
+    }
+
+    /// The fault the next put meets. A `FailOnce` reverts under the lock
+    /// it is read under, so of puts racing it exactly one fails.
+    fn take(&self) -> PutFault {
+        let mut mode = self.mode.lock();
+        let fault = *mode;
+        if fault == PutFault::FailOnce {
+            *mode = PutFault::None;
+        }
+        fault
     }
 
     /// Runs one `put_many` batch through the plan. Each item meets the
@@ -120,15 +108,11 @@ impl FaultPlan {
         let mut out = Vec::with_capacity(items.len());
         let mut clean_from = 0;
         for (i, item) in items.iter().enumerate() {
-            let fault = self.current();
+            let fault = self.take();
             let counter = match fault {
                 PutFault::None => continue,
                 PutFault::Drop => &self.dropped,
-                PutFault::Fail => &self.failed,
-                PutFault::FailOnce => {
-                    self.set(PutFault::None);
-                    &self.failed
-                }
+                PutFault::Fail | PutFault::FailOnce => &self.failed,
                 PutFault::Delay => &self.delayed,
                 PutFault::Duplicate => &self.duplicated,
             };
@@ -164,131 +148,95 @@ impl FaultPlan {
     }
 }
 
-/// A [`BlockStore`] decorator applying a [`FaultPlan`] to puts.
-pub struct FaultyBlockStore {
-    inner: Arc<dyn BlockStore>,
-    plan: Arc<FaultPlan>,
-    delayed: Mutex<Vec<(usize, BlockId, Bytes)>>,
+/// A put the [`Faults`] hook can hold back: one block on one provider,
+/// or one tree node.
+pub trait DelayedPut: Clone + Send {
+    /// The port the put lands on.
+    type Port: ?Sized;
+    /// Name of the delayed-put buffer's lock.
+    const LOCK: &'static str;
+    /// Applies the put to `port`.
+    fn land(self, port: &Self::Port) -> Result<()>;
 }
 
-impl FaultyBlockStore {
-    /// Wraps `inner`, controlled by `plan`.
-    pub fn new(inner: Arc<dyn BlockStore>, plan: Arc<FaultPlan>) -> Self {
+impl DelayedPut for (usize, BlockId, Bytes) {
+    type Port = dyn BlockStore;
+    const LOCK: &'static str = "faults.block.delayed";
+    fn land(self, port: &dyn BlockStore) -> Result<()> {
+        port.put(self.0, self.1, self.2)
+    }
+}
+
+impl DelayedPut for (NodeKey, TreeNode) {
+    type Port = dyn MetaStore;
+    const LOCK: &'static str = "faults.meta.delayed";
+    fn land(self, port: &dyn MetaStore) -> Result<()> {
+        port.put(self.0, self.1)
+    }
+}
+
+/// The fault-injecting hook: applies a [`FaultPlan`] to puts and buffers
+/// the delayed ones.
+pub struct Faults<T> {
+    plan: Arc<FaultPlan>,
+    delayed: Mutex<Vec<T>>,
+}
+
+impl<T: DelayedPut> Faults<T> {
+    /// A hook controlled by `plan`.
+    pub fn new(plan: Arc<FaultPlan>) -> Self {
         Self {
-            inner,
             plan,
-            delayed: Mutex::named(Vec::new(), "faults.block.delayed"),
+            delayed: Mutex::named(Vec::new(), T::LOCK),
         }
     }
+}
 
+/// A [`BlockStore`] applying a [`FaultPlan`] to puts.
+pub type FaultyBlockStore = Hooked<Arc<dyn BlockStore>, Faults<(usize, BlockId, Bytes)>>;
+
+/// A [`MetaStore`] applying a [`FaultPlan`] to puts.
+pub type FaultyMetaStore = Hooked<Arc<dyn MetaStore>, Faults<(NodeKey, TreeNode)>>;
+
+impl<T: DelayedPut> Hooked<Arc<T::Port>, Faults<T>> {
     /// Applies every delayed put (late arrival) in buffered order. If the
     /// inner store rejects one, the flush stops there and the rejected put
     /// plus the un-flushed tail stay buffered for a later retry — an
     /// interrupted flush must not silently discard healthy delayed puts.
     pub fn flush_delayed(&self) -> Result<()> {
-        let mut queue = self.delayed.lock();
-        while let Some((p, id, data)) = queue.first().cloned() {
-            self.inner.put(p, id, data)?;
+        let mut queue = self.hook.delayed.lock();
+        while let Some(put) = queue.first().cloned() {
+            put.land(&self.inner)?;
             queue.remove(0);
         }
         Ok(())
     }
 }
 
-impl BlockStore for FaultyBlockStore {
-    fn len(&self) -> usize {
-        self.inner.len()
-    }
-    fn node(&self, provider: usize) -> NodeId {
-        self.inner.node(provider)
-    }
-    fn index_of_node(&self, node: NodeId) -> Option<usize> {
-        self.inner.index_of_node(node)
-    }
-    fn put_many(&self, provider: usize, items: &[(BlockId, Bytes)]) -> Vec<Result<()>> {
+impl BlockHook for Faults<(usize, BlockId, Bytes)> {
+    fn put_many(
+        &self,
+        inner: &dyn BlockStore,
+        provider: usize,
+        items: &[(BlockId, Bytes)],
+    ) -> Vec<Result<()>> {
         self.plan.apply(
             items,
-            |run| self.inner.put_many(provider, run),
+            |run| inner.put_many(provider, run),
             |(id, _)| format!("injected fault: provider {provider} refused block {id}"),
             |(id, data)| self.delayed.lock().push((provider, *id, data.clone())),
         )
     }
-    fn get_many(&self, provider: usize, ids: &[BlockId]) -> Vec<Result<Bytes>> {
-        self.inner.get_many(provider, ids)
-    }
-    fn delete_many(&self, provider: usize, ids: &[BlockId]) -> Vec<Result<u64>> {
-        self.inner.delete_many(provider, ids)
-    }
-    fn contains(&self, provider: usize, id: BlockId) -> bool {
-        self.inner.contains(provider, id)
-    }
-    fn block_count(&self, provider: usize) -> usize {
-        self.inner.block_count(provider)
-    }
-    fn bytes_stored(&self, provider: usize) -> u64 {
-        self.inner.bytes_stored(provider)
-    }
-    fn op_counts(&self, provider: usize) -> (u64, u64) {
-        self.inner.op_counts(provider)
-    }
 }
 
-/// A [`MetaStore`] decorator applying a [`FaultPlan`] to puts.
-pub struct FaultyMetaStore {
-    inner: Arc<dyn MetaStore>,
-    plan: Arc<FaultPlan>,
-    delayed: Mutex<Vec<(NodeKey, TreeNode)>>,
-}
-
-impl FaultyMetaStore {
-    /// Wraps `inner`, controlled by `plan`.
-    pub fn new(inner: Arc<dyn MetaStore>, plan: Arc<FaultPlan>) -> Self {
-        Self {
-            inner,
-            plan,
-            delayed: Mutex::named(Vec::new(), "faults.meta.delayed"),
-        }
-    }
-
-    /// Applies every delayed put (late arrival) in buffered order. Like
-    /// [`FaultyBlockStore::flush_delayed`], an inner rejection stops the
-    /// flush and keeps the rejected put plus the tail buffered for retry.
-    pub fn flush_delayed(&self) -> Result<()> {
-        let mut queue = self.delayed.lock();
-        while let Some((key, node)) = queue.first().cloned() {
-            self.inner.put(key, node)?;
-            queue.remove(0);
-        }
-        Ok(())
-    }
-}
-
-impl MetaStore for FaultyMetaStore {
-    fn put_many(&self, items: &[(NodeKey, TreeNode)]) -> Vec<Result<()>> {
+impl MetaHook for Faults<(NodeKey, TreeNode)> {
+    fn put_many(&self, inner: &dyn MetaStore, items: &[(NodeKey, TreeNode)]) -> Vec<Result<()>> {
         self.plan.apply(
             items,
-            |run| self.inner.put_many(run),
+            |run| inner.put_many(run),
             |(key, _)| format!("injected fault: metadata put refused for {key:?}"),
             |item| self.delayed.lock().push(item.clone()),
         )
-    }
-    fn get_many(&self, keys: &[NodeKey]) -> Vec<Result<TreeNode>> {
-        self.inner.get_many(keys)
-    }
-    fn delete_many(&self, keys: &[NodeKey]) -> Vec<Result<bool>> {
-        self.inner.delete_many(keys)
-    }
-    fn shard_count(&self) -> usize {
-        self.inner.shard_count()
-    }
-    fn node_count(&self) -> usize {
-        self.inner.node_count()
-    }
-    fn shard_stats(&self) -> Vec<(usize, u64, u64)> {
-        self.inner.shard_stats()
-    }
-    fn crash_shard(&self, shard: usize) {
-        self.inner.crash_shard(shard)
     }
 }
 
@@ -297,10 +245,15 @@ mod tests {
     use super::*;
     use crate::block_store::ProviderSet;
 
+    use blobseer_types::NodeId;
+
     fn store() -> (FaultyBlockStore, Arc<FaultPlan>) {
         let plan = FaultPlan::new();
         let inner: Arc<dyn BlockStore> = Arc::new(ProviderSet::new(2, |i| NodeId::new(i as u64)));
-        (FaultyBlockStore::new(inner, Arc::clone(&plan)), plan)
+        (
+            FaultyBlockStore::new(inner, Faults::new(Arc::clone(&plan))),
+            plan,
+        )
     }
 
     #[test]
@@ -343,5 +296,38 @@ mod tests {
         assert_eq!(s.block_count(0), 1);
         assert_eq!(s.bytes_stored(0), 4, "no double counting");
         assert_eq!(plan.counters().3, 1);
+    }
+
+    /// Of puts racing an armed `FailOnce`, exactly one is refused: the
+    /// fault is read and reverted in one step.
+    #[test]
+    fn fail_once_refuses_exactly_one_of_racing_puts() {
+        const THREADS: u64 = 4;
+        const ROUNDS: u64 = 2000;
+        let (s, plan) = store();
+        let turn = std::sync::Barrier::new(THREADS as usize + 1);
+        let refused = AtomicU64::new(0);
+        let mut per_round = Vec::new();
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let (s, turn, refused) = (&s, &turn, &refused);
+                scope.spawn(move || {
+                    for round in 0..ROUNDS {
+                        turn.wait();
+                        let put = s.put(0, BlockId::new(round * THREADS + t), Bytes::new());
+                        refused.fetch_add(put.is_err() as u64, Ordering::SeqCst);
+                        turn.wait();
+                    }
+                });
+            }
+            for _ in 0..ROUNDS {
+                plan.set(PutFault::FailOnce);
+                turn.wait();
+                turn.wait();
+                per_round.push(refused.swap(0, Ordering::SeqCst));
+            }
+        });
+        let wrong = per_round.iter().filter(|&&n| n != 1).count();
+        assert_eq!(wrong, 0, "rounds not refusing exactly one put");
     }
 }

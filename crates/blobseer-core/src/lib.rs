@@ -57,14 +57,14 @@ pub mod sharded;
 pub mod stats;
 pub mod version_manager;
 
-pub use cache::CachedBlockStore;
+pub use cache::{BlockCache, CachedBlockStore};
 pub use client::{BlobClient, BlobSeer, BlockLocation, EnginePorts};
 pub use exec::FanoutExecutor;
-pub use faults::{FaultPlan, FaultyBlockStore, FaultyMetaStore, PutFault};
+pub use faults::{FaultPlan, Faults, FaultyBlockStore, FaultyMetaStore, PutFault};
 pub use gc::{GcHost, GcReport, GcTracker};
 pub use ports::{
-    BlockStore, GcService, MetaStore, NoopObserver, PlacementService, ProtocolObserver, ProtocolOp,
-    ProtocolPhase, VersionService,
+    BlockHook, BlockStore, GcService, Hooked, MetaHook, MetaStore, NoopObserver, PlacementService,
+    ProtocolObserver, ProtocolOp, ProtocolPhase, VersionService,
 };
 pub use provider_manager::{BlockAllocation, ProviderManager};
 pub use sharded::ShardedMap;

@@ -716,16 +716,16 @@ mod tests {
 
     #[test]
     fn a_failed_level_leaves_the_shallower_levels_unwritten_on_local_backends() {
-        use crate::faults::{FaultPlan, FaultyMetaStore, PutFault};
+        use crate::faults::{FaultPlan, Faults, FaultyMetaStore, PutFault};
         // The provided `put_levels` is the sequential loop: one `put_many`
         // per level, deepest first, stopping after the level an item
-        // failed in — what a fault decorator saw before the levels were
-        // handed over together.
+        // failed in — what a fault hook saw before the levels were handed
+        // over together.
         let mut fx = Fx::new();
         let plan = FaultPlan::new();
         fx.dht = Arc::new(FaultyMetaStore::new(
             Arc::new(MetaDht::new(1, 1)),
-            Arc::clone(&plan),
+            Faults::new(Arc::clone(&plan)),
         ));
         let entry = LogEntry {
             version: Version::new(1),

@@ -14,22 +14,22 @@
 //! * [`VersionService`] — the version manager: the serialization point of
 //!   the protocol (§III-A.4) plus snapshot/branch/GC bookkeeping.
 //!
-//! Four adapter families ship in-tree:
+//! The backends behind them: the **in-memory** structs
+//! ([`crate::block_store::ProviderSet`], [`crate::dht::MetaDht`],
+//! [`crate::version_manager::VersionManager`], lock-striped, see
+//! [`crate::sharded`]); the **disk** stores of `blobseer-disk`; and the
+//! **TCP RPC** adapters of `blobseer-rpc`, which take every trait call over
+//! real sockets to separate server processes — the paper's "communicate
+//! through remote procedure calls" (§III-B) — with every
+//! [`blobseer_types::Error`] variant surviving the wire round-trip.
 //!
-//! 1. the **in-memory** structs ([`crate::block_store::ProviderSet`],
-//!    [`crate::dht::MetaDht`], [`crate::version_manager::VersionManager`]),
-//!    now lock-striped (see [`crate::sharded`]);
-//! 2. the **simnet-backed** adapters (`experiments::concurrent`) that charge a
-//!    discrete-event cost model per call so the figure drivers exercise the
-//!    real client code path;
-//! 3. the **fault-injecting** decorators ([`crate::faults`]) that drop,
-//!    delay or duplicate puts for crash-consistency tests;
-//! 4. the **TCP RPC** adapters (`blobseer-rpc`) that take every trait call
-//!    over real sockets to separate server processes — the paper's
-//!    "communicate through remote procedure calls" (§III-B) — with every
-//!    [`blobseer_types::Error`] variant surviving the wire round-trip.
+//! A store is decorated through [`Hooked`], the one forwarding impl of
+//! each store port: it passes every call to the store it wraps, the I/O
+//! through a [`BlockHook`] or [`MetaHook`] that overrides only what it
+//! intercepts — fault injection ([`crate::faults`]), the block cache
+//! ([`crate::cache`]), the figures' SimGate charging.
 //!
-//! A fourth, *passive* port rides along: [`ProtocolObserver`] receives a
+//! A passive port rides along: [`ProtocolObserver`] receives a
 //! callback at every protocol phase boundary (data phase, version
 //! assignment, metadata publish, commit; snapshot resolve, tree descent,
 //! block fetches). Deployments default to [`NoopObserver`]; the
@@ -59,9 +59,8 @@
 //! `vectored-only` rule rejects an adapter that defines the single-item
 //! form itself.
 //!
-//! Everything here is object-safe on purpose (`Arc<dyn …>` wiring): later
-//! PRs can add RPC-backed or async-bridged adapters without touching any
-//! protocol code.
+//! Everything here is object-safe on purpose: a deployment wires its
+//! ports as `Arc<dyn …>`, and the protocol code never names a backend.
 
 #![warn(missing_docs)]
 
@@ -73,6 +72,7 @@ use crate::provider_manager::BlockAllocation;
 use crate::version_manager::{SnapshotInfo, WriteIntent, WriteTicket};
 use blobseer_types::{BlobId, BlockId, Error, NodeId, Result, Version};
 use bytes::Bytes;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// The answer of a one-item batch — what the provided single-item port
@@ -256,21 +256,12 @@ pub trait MetaStore: Send + Sync {
     /// (`blobseer-rpc` writes every level's frame before it awaits the
     /// first response). The default is the sequential loop: one
     /// [`Self::put_many`] per level, stopping after the first level in
-    /// which an item failed — so local backends and decorators (fault
-    /// injection, caching, SimGate charging) see exactly the calls a
+    /// which an item failed — so local backends and the hooks of fault
+    /// injection and SimGate charging ([`MetaHook`]) see exactly the calls a
     /// level-by-level publish makes, and a failed publish leaves the
     /// shallower levels unwritten.
     fn put_levels(&self, levels: &[Vec<(NodeKey, TreeNode)>]) -> Vec<Vec<Result<()>>> {
-        let mut attempted = Vec::with_capacity(levels.len());
-        for level in levels {
-            let results = self.put_many(level);
-            let failed = results.iter().any(Result::is_err);
-            attempted.push(results);
-            if failed {
-                break;
-            }
-        }
-        attempted
+        level_by_level(levels, |level| self.put_many(level))
     }
 
     /// Fetches a batch of nodes (trying replicas in order) with per-item
@@ -288,8 +279,8 @@ pub trait MetaStore: Send + Sync {
     /// the fan-out executor. Default: every key maps to group `0`, i.e.
     /// one batch per tree level — correct for single-endpoint backends
     /// (the RPC adapters: one socket pool, one frame per level) and for
-    /// decorators that must preserve their inner call structure (the
-    /// SimGate charging adapters' cost model counts `put_many` calls).
+    /// hooks that must preserve their inner call structure (the SimGate
+    /// charging hook's cost model counts `put_many` calls).
     /// Only backends whose shards are independently reachable (the
     /// in-memory [`crate::dht::MetaDht`]) override this.
     fn fanout_shard(&self, _key: &NodeKey) -> usize {
@@ -307,6 +298,178 @@ pub trait MetaStore: Send + Sync {
 
     /// Drops one shard's contents (fault-tolerance testing hook).
     fn crash_shard(&self, shard: usize);
+}
+
+/// The sequential publish of both `put_levels` defaults: one `put_many`
+/// per level, stopping after the first level in which an item failed.
+fn level_by_level(
+    levels: &[Vec<(NodeKey, TreeNode)>],
+    mut put_many: impl FnMut(&[(NodeKey, TreeNode)]) -> Vec<Result<()>>,
+) -> Vec<Vec<Result<()>>> {
+    let mut attempted = Vec::with_capacity(levels.len());
+    for level in levels {
+        let results = put_many(level);
+        let failed = results.iter().any(Result::is_err);
+        attempted.push(results);
+        if failed {
+            break;
+        }
+    }
+    attempted
+}
+
+/// A store with a hook on its I/O: `Hooked<Arc<dyn BlockStore>, H>` is a
+/// [`BlockStore`], `Hooked<Arc<dyn MetaStore>, H>` a [`MetaStore`]. Every
+/// call is forwarded to the wrapped store, the vectored I/O (and so the
+/// single-item calls) through the hook.
+pub struct Hooked<P, H> {
+    pub(crate) inner: P,
+    /// The hook, for the state a caller arms or reads back.
+    pub hook: H,
+}
+
+impl<P, H> Hooked<P, H> {
+    /// Decorates `inner` with `hook`.
+    pub fn new(inner: P, hook: H) -> Self {
+        Self { inner, hook }
+    }
+}
+
+/// The I/O hook of a [`Hooked`] block store. Each method is handed the
+/// wrapped store and defaults to passing the call on unchanged.
+pub trait BlockHook: Send + Sync {
+    /// Intercepts [`BlockStore::put_many`].
+    fn put_many(
+        &self,
+        inner: &dyn BlockStore,
+        provider: usize,
+        items: &[(BlockId, Bytes)],
+    ) -> Vec<Result<()>> {
+        inner.put_many(provider, items)
+    }
+    /// Intercepts [`BlockStore::get_many`].
+    fn get_many(
+        &self,
+        inner: &dyn BlockStore,
+        provider: usize,
+        ids: &[BlockId],
+    ) -> Vec<Result<Bytes>> {
+        inner.get_many(provider, ids)
+    }
+    /// Intercepts [`BlockStore::delete_many`].
+    fn delete_many(
+        &self,
+        inner: &dyn BlockStore,
+        provider: usize,
+        ids: &[BlockId],
+    ) -> Vec<Result<u64>> {
+        inner.delete_many(provider, ids)
+    }
+}
+
+/// The I/O hook of a [`Hooked`] metadata store, handed the wrapped store.
+/// Calls pass on by default; `put_levels` runs level by level through the
+/// hook's `put_many`, and `fanout_shard` is 0 (one batch per tree level).
+pub trait MetaHook: Send + Sync {
+    /// Intercepts [`MetaStore::put_many`].
+    fn put_many(&self, inner: &dyn MetaStore, items: &[(NodeKey, TreeNode)]) -> Vec<Result<()>> {
+        inner.put_many(items)
+    }
+    /// Intercepts [`MetaStore::get_many`].
+    fn get_many(&self, inner: &dyn MetaStore, keys: &[NodeKey]) -> Vec<Result<TreeNode>> {
+        inner.get_many(keys)
+    }
+    /// Intercepts [`MetaStore::delete_many`].
+    fn delete_many(&self, inner: &dyn MetaStore, keys: &[NodeKey]) -> Vec<Result<bool>> {
+        inner.delete_many(keys)
+    }
+    /// Intercepts [`MetaStore::put_levels`].
+    fn put_levels(
+        &self,
+        inner: &dyn MetaStore,
+        levels: &[Vec<(NodeKey, TreeNode)>],
+    ) -> Vec<Vec<Result<()>>> {
+        level_by_level(levels, |level| self.put_many(inner, level))
+    }
+    /// Answers [`MetaStore::fanout_shard`].
+    fn fanout_shard(&self, _inner: &dyn MetaStore, _key: &NodeKey) -> usize {
+        0
+    }
+}
+
+impl<H: BlockHook> BlockStore for Hooked<Arc<dyn BlockStore>, H> {
+    fn len(&self) -> usize {
+        self.inner.len()
+    }
+    fn node(&self, provider: usize) -> NodeId {
+        self.inner.node(provider)
+    }
+    fn index_of_node(&self, node: NodeId) -> Option<usize> {
+        self.inner.index_of_node(node)
+    }
+    fn put_many(&self, provider: usize, items: &[(BlockId, Bytes)]) -> Vec<Result<()>> {
+        self.hook.put_many(&*self.inner, provider, items)
+    }
+    fn get_many(&self, provider: usize, ids: &[BlockId]) -> Vec<Result<Bytes>> {
+        self.hook.get_many(&*self.inner, provider, ids)
+    }
+    fn delete_many(&self, provider: usize, ids: &[BlockId]) -> Vec<Result<u64>> {
+        self.hook.delete_many(&*self.inner, provider, ids)
+    }
+    fn contains(&self, provider: usize, id: BlockId) -> bool {
+        self.inner.contains(provider, id)
+    }
+    fn block_count(&self, provider: usize) -> usize {
+        self.inner.block_count(provider)
+    }
+    fn bytes_stored(&self, provider: usize) -> u64 {
+        self.inner.bytes_stored(provider)
+    }
+    fn op_counts(&self, provider: usize) -> (u64, u64) {
+        self.inner.op_counts(provider)
+    }
+    fn is_empty(&self) -> bool {
+        self.inner.is_empty()
+    }
+    fn layout_vector(&self) -> Vec<u64> {
+        self.inner.layout_vector()
+    }
+    fn total_block_count(&self) -> usize {
+        self.inner.total_block_count()
+    }
+    fn total_bytes_stored(&self) -> u64 {
+        self.inner.total_bytes_stored()
+    }
+}
+
+impl<H: MetaHook> MetaStore for Hooked<Arc<dyn MetaStore>, H> {
+    fn put_many(&self, items: &[(NodeKey, TreeNode)]) -> Vec<Result<()>> {
+        self.hook.put_many(&*self.inner, items)
+    }
+    fn get_many(&self, keys: &[NodeKey]) -> Vec<Result<TreeNode>> {
+        self.hook.get_many(&*self.inner, keys)
+    }
+    fn delete_many(&self, keys: &[NodeKey]) -> Vec<Result<bool>> {
+        self.hook.delete_many(&*self.inner, keys)
+    }
+    fn put_levels(&self, levels: &[Vec<(NodeKey, TreeNode)>]) -> Vec<Vec<Result<()>>> {
+        self.hook.put_levels(&*self.inner, levels)
+    }
+    fn fanout_shard(&self, key: &NodeKey) -> usize {
+        self.hook.fanout_shard(&*self.inner, key)
+    }
+    fn shard_count(&self) -> usize {
+        self.inner.shard_count()
+    }
+    fn node_count(&self) -> usize {
+        self.inner.node_count()
+    }
+    fn shard_stats(&self) -> Vec<(usize, u64, u64)> {
+        self.inner.shard_stats()
+    }
+    fn crash_shard(&self, shard: usize) {
+        self.inner.crash_shard(shard)
+    }
 }
 
 /// The version manager: assigns versions (the protocol's only serialization
@@ -673,7 +836,170 @@ mod tests {
     use crate::meta::node::BlockDescriptor;
     use crate::stats::EngineStats;
     use crate::version_manager::VersionManager;
-    use std::sync::Arc;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// A store whose every non-I/O method answers its own sentinel.
+    #[derive(Default)]
+    struct Sentinels {
+        crashed: AtomicUsize,
+    }
+
+    impl BlockStore for Sentinels {
+        fn len(&self) -> usize {
+            3
+        }
+        fn node(&self, provider: usize) -> NodeId {
+            NodeId::new(100 + provider as u64)
+        }
+        fn index_of_node(&self, node: NodeId) -> Option<usize> {
+            Some(node.raw() as usize + 7)
+        }
+        fn put_many(&self, _: usize, _: &[(BlockId, Bytes)]) -> Vec<Result<()>> {
+            Vec::new()
+        }
+        fn get_many(&self, _: usize, _: &[BlockId]) -> Vec<Result<Bytes>> {
+            Vec::new()
+        }
+        fn delete_many(&self, _: usize, _: &[BlockId]) -> Vec<Result<u64>> {
+            Vec::new()
+        }
+        fn contains(&self, provider: usize, id: BlockId) -> bool {
+            provider == 2 && id == BlockId::new(5)
+        }
+        fn block_count(&self, provider: usize) -> usize {
+            10 + provider
+        }
+        fn bytes_stored(&self, provider: usize) -> u64 {
+            1000 + provider as u64
+        }
+        fn op_counts(&self, provider: usize) -> (u64, u64) {
+            (20 + provider as u64, 30 + provider as u64)
+        }
+        fn is_empty(&self) -> bool {
+            true
+        }
+        fn layout_vector(&self) -> Vec<u64> {
+            vec![4, 5]
+        }
+        fn total_block_count(&self) -> usize {
+            61
+        }
+        fn total_bytes_stored(&self) -> u64 {
+            62
+        }
+    }
+
+    impl MetaStore for Sentinels {
+        fn put_many(&self, _: &[(NodeKey, TreeNode)]) -> Vec<Result<()>> {
+            Vec::new()
+        }
+        fn get_many(&self, _: &[NodeKey]) -> Vec<Result<TreeNode>> {
+            Vec::new()
+        }
+        fn delete_many(&self, _: &[NodeKey]) -> Vec<Result<bool>> {
+            Vec::new()
+        }
+        fn fanout_shard(&self, _: &NodeKey) -> usize {
+            9
+        }
+        fn shard_count(&self) -> usize {
+            71
+        }
+        fn node_count(&self) -> usize {
+            72
+        }
+        fn shard_stats(&self) -> Vec<(usize, u64, u64)> {
+            vec![(73, 74, 75)]
+        }
+        fn crash_shard(&self, shard: usize) {
+            self.crashed.store(shard, Ordering::SeqCst);
+        }
+    }
+
+    /// A hook that overrides nothing.
+    struct PassThrough;
+    impl BlockHook for PassThrough {}
+    impl MetaHook for PassThrough {}
+
+    fn key(pos: u64) -> NodeKey {
+        NodeKey::new(BlobId::new(1), Version::new(1), Pos::new(pos, 1))
+    }
+
+    #[test]
+    fn hooked_forwards_every_non_io_method() {
+        let sentinels = Arc::new(Sentinels::default());
+        let blocks = Hooked::new(Arc::clone(&sentinels) as Arc<dyn BlockStore>, PassThrough);
+        assert_eq!(blocks.len(), 3);
+        assert_eq!(blocks.node(2), NodeId::new(102));
+        assert_eq!(blocks.index_of_node(NodeId::new(1)), Some(8));
+        assert!(blocks.contains(2, BlockId::new(5)) && !blocks.contains(1, BlockId::new(5)));
+        assert_eq!(blocks.block_count(1), 11);
+        assert_eq!(blocks.bytes_stored(1), 1001);
+        assert_eq!(blocks.op_counts(1), (21, 31));
+        assert!(blocks.is_empty());
+        assert_eq!(blocks.layout_vector(), vec![4, 5]);
+        assert_eq!(blocks.total_block_count(), 61);
+        assert_eq!(blocks.total_bytes_stored(), 62);
+        let meta = Hooked::new(Arc::clone(&sentinels) as Arc<dyn MetaStore>, PassThrough);
+        assert_eq!(meta.shard_count(), 71);
+        assert_eq!(meta.node_count(), 72);
+        assert_eq!(meta.shard_stats(), vec![(73, 74, 75)]);
+        meta.crash_shard(76);
+        assert_eq!(sentinels.crashed.load(Ordering::SeqCst), 76);
+    }
+
+    /// The default `fanout_shard` is 0, whatever the wrapped store says:
+    /// the client sends a hooked store one batch per tree level.
+    #[test]
+    fn hooked_fanout_shard_defaults_to_zero() {
+        let meta = Hooked::new(
+            Arc::new(Sentinels::default()) as Arc<dyn MetaStore>,
+            PassThrough,
+        );
+        assert_eq!(meta.inner.fanout_shard(&key(0)), 9);
+        assert_eq!(meta.fanout_shard(&key(0)), 0);
+    }
+
+    /// Counts its `put_many` calls and refuses every item of the second.
+    struct FailSecondLevel(AtomicUsize);
+
+    impl MetaHook for FailSecondLevel {
+        fn put_many(
+            &self,
+            inner: &dyn MetaStore,
+            items: &[(NodeKey, TreeNode)],
+        ) -> Vec<Result<()>> {
+            if self.0.fetch_add(1, Ordering::SeqCst) == 1 {
+                return items
+                    .iter()
+                    .map(|_| Err(Error::Internal("refused".into())))
+                    .collect();
+            }
+            inner.put_many(items)
+        }
+    }
+
+    /// The default `put_levels` sends each level through the hook's own
+    /// `put_many`, deepest first, and stops after the first failing level.
+    #[test]
+    fn hooked_put_levels_runs_level_by_level_through_the_hook() {
+        let hook = FailSecondLevel(AtomicUsize::new(0));
+        let meta = Hooked::new(Arc::new(MetaDht::new(4, 1)) as Arc<dyn MetaStore>, hook);
+        let level = |pos: &[u64]| {
+            pos.iter()
+                .map(|&p| (key(p), TreeNode::LeafAlias(None)))
+                .collect()
+        };
+        let attempted = meta.put_levels(&[level(&[0, 1]), level(&[2]), level(&[3])]);
+        assert_eq!(meta.hook.0.load(Ordering::SeqCst), 2);
+        assert_eq!(
+            attempted.len(),
+            2,
+            "the level after the failed one is not tried"
+        );
+        assert!(attempted[0].iter().all(Result::is_ok) && attempted[1][0].is_err());
+        assert_eq!(meta.node_count(), 2, "only the first level landed");
+    }
 
     #[test]
     fn traits_are_object_safe_and_delegate() {

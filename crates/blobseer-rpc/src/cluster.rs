@@ -41,7 +41,7 @@ use blobseer_core::ports::{
 use blobseer_core::provider_manager::ProviderManager;
 use blobseer_core::version_manager::VersionManager;
 use blobseer_core::{
-    BlobSeer, CachedBlockStore, EnginePorts, EngineStats, FanoutExecutor, NoopObserver,
+    BlobSeer, BlockCache, CachedBlockStore, EnginePorts, EngineStats, FanoutExecutor, NoopObserver,
 };
 use blobseer_disk::frame::FrameLog;
 use blobseer_disk::volume::volume_path;
@@ -333,8 +333,7 @@ impl LoopbackCluster {
         if self.cfg.read_cache_bytes > 0 {
             providers = Arc::new(CachedBlockStore::new(
                 providers,
-                self.cfg.read_cache_bytes,
-                Arc::clone(&stats),
+                BlockCache::new(self.cfg.read_cache_bytes, Arc::clone(&stats)),
             ));
         }
         let ports = EnginePorts {

@@ -17,9 +17,10 @@
 //!   running unmodified `client/{write,append,read}.rs` code; the gate
 //!   serializes the threads onto the simulated clock and turns blocking
 //!   waits (disk, RPC queue, max-min-shared flows) into simulated time.
-//! * charging adapters ([`ConcBlockStore`], [`ConcMetaStore`],
-//!   [`ConcVersionService`]) — decorate the in-memory stores and
-//!   attribute every call to the calling client (a thread-local set by
+//! * charging — the [`Charging`] hook on the in-memory block and metadata
+//!   stores (through `blobseer_core::ports::Hooked`) and the
+//!   [`ConcVersionService`] decorator on the version manager — attributes
+//!   every call to the calling client (a thread-local set by
 //!   [`ConcurrentDeployment::run_clients`]) so each client pays its own
 //!   costs on its own node: block puts/gets become disk + flow time from
 //!   *that client's* node, version assignment queues in the shared
@@ -52,7 +53,7 @@ use blobseer_core::dht::MetaDht;
 use blobseer_core::meta::key::NodeKey;
 use blobseer_core::meta::log::LogChain;
 use blobseer_core::meta::node::TreeNode;
-use blobseer_core::ports::{BlockStore, MetaStore, VersionService};
+use blobseer_core::ports::{BlockHook, BlockStore, Hooked, MetaHook, MetaStore, VersionService};
 use blobseer_core::provider_manager::ProviderManager;
 use blobseer_core::{
     BlobClient, BlobSeer, EnginePorts, EngineStats, ProtocolObserver, ProtocolOp, ProtocolPhase,
@@ -345,88 +346,50 @@ impl ConcFabric {
     }
 }
 
-/// [`BlockStore`] adapter: stores real (small) blocks in the wrapped
-/// in-memory providers while charging each put/get as a modeled 64 MB
-/// transfer from/to the calling client's node.
-pub struct ConcBlockStore {
-    inner: ProviderSet,
-    fabric: Arc<ConcFabric>,
-}
+/// The charging hook on the in-memory stores: each block put/get is
+/// charged as a modeled 64 MB transfer from/to the calling client's node,
+/// tree-node puts as the parallel metadata phase, gets as sequential
+/// descent hops. The cost model counts `put_many` calls, so the hook keeps
+/// the level-by-level `put_levels` and `fanout_shard` 0.
+pub struct Charging(Arc<ConcFabric>);
 
-impl BlockStore for ConcBlockStore {
-    fn len(&self) -> usize {
-        BlockStore::len(&self.inner)
-    }
-    fn node(&self, provider: usize) -> NodeId {
-        BlockStore::node(&self.inner, provider)
-    }
-    fn index_of_node(&self, node: NodeId) -> Option<usize> {
-        BlockStore::index_of_node(&self.inner, node)
-    }
-    fn put_many(&self, provider: usize, items: &[(BlockId, Bytes)]) -> Vec<Result<()>> {
-        if self.fabric.should_charge() {
-            self.fabric.charge_block_put(provider, items.len());
+impl BlockHook for Charging {
+    fn put_many(
+        &self,
+        inner: &dyn BlockStore,
+        provider: usize,
+        items: &[(BlockId, Bytes)],
+    ) -> Vec<Result<()>> {
+        if self.0.should_charge() {
+            self.0.charge_block_put(provider, items.len());
         }
-        BlockStore::put_many(&self.inner, provider, items)
+        inner.put_many(provider, items)
     }
-    fn get_many(&self, provider: usize, ids: &[BlockId]) -> Vec<Result<Bytes>> {
-        if self.fabric.should_charge() {
-            self.fabric.charge_block_get(provider, ids.len());
+    fn get_many(
+        &self,
+        inner: &dyn BlockStore,
+        provider: usize,
+        ids: &[BlockId],
+    ) -> Vec<Result<Bytes>> {
+        if self.0.should_charge() {
+            self.0.charge_block_get(provider, ids.len());
         }
-        BlockStore::get_many(&self.inner, provider, ids)
-    }
-    fn delete_many(&self, provider: usize, ids: &[BlockId]) -> Vec<Result<u64>> {
-        BlockStore::delete_many(&self.inner, provider, ids)
-    }
-    fn contains(&self, provider: usize, id: BlockId) -> bool {
-        BlockStore::contains(&self.inner, provider, id)
-    }
-    fn block_count(&self, provider: usize) -> usize {
-        BlockStore::block_count(&self.inner, provider)
-    }
-    fn bytes_stored(&self, provider: usize) -> u64 {
-        BlockStore::bytes_stored(&self.inner, provider)
-    }
-    fn op_counts(&self, provider: usize) -> (u64, u64) {
-        BlockStore::op_counts(&self.inner, provider)
+        inner.get_many(provider, ids)
     }
 }
 
-/// [`MetaStore`] adapter: real tree nodes into the wrapped DHT, with puts
-/// charged as the parallel metadata phase and gets as sequential descent
-/// hops.
-pub struct ConcMetaStore {
-    inner: MetaDht,
-    fabric: Arc<ConcFabric>,
-}
-
-impl MetaStore for ConcMetaStore {
-    fn put_many(&self, items: &[(NodeKey, TreeNode)]) -> Vec<Result<()>> {
-        if self.fabric.should_charge() {
-            self.fabric.charge_meta_put(items.len());
+impl MetaHook for Charging {
+    fn put_many(&self, inner: &dyn MetaStore, items: &[(NodeKey, TreeNode)]) -> Vec<Result<()>> {
+        if self.0.should_charge() {
+            self.0.charge_meta_put(items.len());
         }
-        MetaStore::put_many(&self.inner, items)
+        inner.put_many(items)
     }
-    fn get_many(&self, keys: &[NodeKey]) -> Vec<Result<TreeNode>> {
-        if self.fabric.should_charge() {
-            self.fabric.charge_meta_get(keys.len());
+    fn get_many(&self, inner: &dyn MetaStore, keys: &[NodeKey]) -> Vec<Result<TreeNode>> {
+        if self.0.should_charge() {
+            self.0.charge_meta_get(keys.len());
         }
-        MetaStore::get_many(&self.inner, keys)
-    }
-    fn delete_many(&self, keys: &[NodeKey]) -> Vec<Result<bool>> {
-        MetaStore::delete_many(&self.inner, keys)
-    }
-    fn shard_count(&self) -> usize {
-        MetaStore::shard_count(&self.inner)
-    }
-    fn node_count(&self) -> usize {
-        MetaStore::node_count(&self.inner)
-    }
-    fn shard_stats(&self) -> Vec<(usize, u64, u64)> {
-        MetaStore::shard_stats(&self.inner)
-    }
-    fn crash_shard(&self, shard: usize) {
-        MetaStore::crash_shard(&self.inner, shard)
+        inner.get_many(keys)
     }
 }
 
@@ -642,15 +605,15 @@ pub fn deploy(
         ..BlobSeerConfig::small_for_tests()
     };
     let stats = Arc::new(EngineStats::new());
+    let blocks: Arc<dyn BlockStore> =
+        Arc::new(ProviderSet::new(n_providers, |i| NodeId::new(i as u64)));
+    let dht: Arc<dyn MetaStore> = Arc::new(MetaDht::new(
+        cfg.metadata_providers,
+        cfg.metadata_replication,
+    ));
     let ports = EnginePorts {
-        providers: Arc::new(ConcBlockStore {
-            inner: ProviderSet::new(n_providers, |i| NodeId::new(i as u64)),
-            fabric: Arc::clone(&fabric),
-        }),
-        dht: Arc::new(ConcMetaStore {
-            inner: MetaDht::new(cfg.metadata_providers, cfg.metadata_replication),
-            fabric: Arc::clone(&fabric),
-        }),
+        providers: Arc::new(Hooked::new(blocks, Charging(Arc::clone(&fabric)))),
+        dht: Arc::new(Hooked::new(dht, Charging(Arc::clone(&fabric)))),
         vm: Arc::new(ConcVersionService {
             inner: VersionManager::new(real_block_size, Arc::clone(&stats)),
             fabric: Arc::clone(&fabric),

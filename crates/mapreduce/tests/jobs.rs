@@ -1,7 +1,7 @@
 //! End-to-end Map/Reduce jobs on both storage backends — the live-scale
 //! counterpart of the paper's §V-G experiments.
 
-use blobseer_core::{BlobSeer, EnginePorts, FaultPlan, FaultyBlockStore, PutFault};
+use blobseer_core::{BlobSeer, EnginePorts, FaultPlan, Faults, FaultyBlockStore, PutFault};
 use blobseer_types::{BlobSeerConfig, Error, NodeId};
 use bsfs::BsfsCluster;
 use dfs::api::FileSystem;
@@ -350,7 +350,8 @@ fn a_lost_reduce_output_block_fails_the_job() {
     let cfg = BlobSeerConfig::small_for_tests().with_block_size(SMALL);
     let base = EnginePorts::in_memory(&cfg, (0..NODES as u64).map(NodeId::new).collect(), 0);
     let plan = FaultPlan::new();
-    let providers = FaultyBlockStore::new(Arc::clone(&base.providers), Arc::clone(&plan));
+    let providers =
+        FaultyBlockStore::new(Arc::clone(&base.providers), Faults::new(Arc::clone(&plan)));
     let ports = EnginePorts {
         providers: Arc::new(providers),
         ..base

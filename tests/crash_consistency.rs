@@ -17,7 +17,7 @@
 //! group's full history.
 
 use blobseer_control::ReplicatedVersionService;
-use blobseer_core::faults::{FaultPlan, FaultyBlockStore, FaultyMetaStore, PutFault};
+use blobseer_core::faults::{FaultPlan, Faults, FaultyBlockStore, FaultyMetaStore, PutFault};
 use blobseer_core::meta::key::{NodeKey, Pos};
 use blobseer_core::meta::node::{BlockDescriptor, TreeNode};
 use blobseer_core::ports::{single, MetaStore, VersionService};
@@ -53,11 +53,11 @@ fn rig() -> Rig {
     let meta_plan = FaultPlan::new();
     let data_store = Arc::new(FaultyBlockStore::new(
         Arc::clone(&base.providers),
-        Arc::clone(&data_plan),
+        Faults::new(Arc::clone(&data_plan)),
     ));
     let meta_store = Arc::new(FaultyMetaStore::new(
         Arc::clone(&base.dht),
-        Arc::clone(&meta_plan),
+        Faults::new(Arc::clone(&meta_plan)),
     ));
     let ports = EnginePorts {
         providers: Arc::clone(&data_store) as Arc<dyn blobseer_core::BlockStore>,

@@ -14,8 +14,8 @@
 //! * replica failover retries are batched and counted;
 //! * SimGate runs stay deterministic under the overlap charging model.
 
-use blobseer_core::faults::{FaultPlan, FaultyBlockStore, PutFault};
-use blobseer_core::ports::BlockStore;
+use blobseer_core::faults::{FaultPlan, Faults, FaultyBlockStore, PutFault};
+use blobseer_core::ports::{BlockHook, BlockStore, Hooked};
 use blobseer_core::{BlobClient, BlobSeer, EnginePorts};
 use blobseer_disk::testutil::TempDir;
 use blobseer_rpc::LoopbackCluster;
@@ -85,7 +85,7 @@ fn failed_put_mid_fanout_undoes_the_whole_allocation() {
     let plan = FaultPlan::new();
     let store = Arc::new(FaultyBlockStore::new(
         Arc::clone(&base.providers),
-        Arc::clone(&plan),
+        Faults::new(Arc::clone(&plan)),
     ));
     let ports = EnginePorts {
         providers: Arc::clone(&store) as Arc<dyn BlockStore>,
@@ -100,7 +100,7 @@ fn failed_put_mid_fanout_undoes_the_whole_allocation() {
         .write(blob, 0, &vec![7u8; (16 * BLOCK) as usize])
         .unwrap_err();
     assert!(matches!(err, Error::WriteAborted(_)), "{err}");
-    assert!(plan.counters().1 >= 1, "the injected fault fired");
+    assert_eq!(plan.counters().1, 1, "the injected fault fired once");
     for provider in 0..store.len() {
         assert_eq!(
             store.block_count(provider),
@@ -262,49 +262,26 @@ fn stream_matches_pinned_snapshot_under_concurrent_appends() {
     assert_eq!(&plain[..], &payload[..]);
 }
 
-/// A [`BlockStore`] decorator that fails the next vectored get wholesale —
-/// the shape of a provider crashing between locate and fetch.
+/// A [`BlockHook`] that fails the next vectored get wholesale — the shape
+/// of a provider crashing between locate and fetch.
 struct FailNextGet {
-    inner: Arc<dyn BlockStore>,
     armed: AtomicBool,
 }
 
-impl BlockStore for FailNextGet {
-    fn len(&self) -> usize {
-        self.inner.len()
-    }
-    fn node(&self, provider: usize) -> NodeId {
-        self.inner.node(provider)
-    }
-    fn index_of_node(&self, node: NodeId) -> Option<usize> {
-        self.inner.index_of_node(node)
-    }
-    fn put_many(&self, provider: usize, items: &[(BlockId, Bytes)]) -> Vec<Result<()>> {
-        self.inner.put_many(provider, items)
-    }
-    fn get_many(&self, provider: usize, ids: &[BlockId]) -> Vec<Result<Bytes>> {
+impl BlockHook for FailNextGet {
+    fn get_many(
+        &self,
+        inner: &dyn BlockStore,
+        provider: usize,
+        ids: &[BlockId],
+    ) -> Vec<Result<Bytes>> {
         if self.armed.swap(false, Ordering::SeqCst) {
             return ids
                 .iter()
                 .map(|&id| Err(Error::MissingBlock(id.raw())))
                 .collect();
         }
-        self.inner.get_many(provider, ids)
-    }
-    fn contains(&self, provider: usize, id: BlockId) -> bool {
-        self.inner.contains(provider, id)
-    }
-    fn delete_many(&self, provider: usize, ids: &[BlockId]) -> Vec<Result<u64>> {
-        self.inner.delete_many(provider, ids)
-    }
-    fn block_count(&self, provider: usize) -> usize {
-        self.inner.block_count(provider)
-    }
-    fn bytes_stored(&self, provider: usize) -> u64 {
-        self.inner.bytes_stored(provider)
-    }
-    fn op_counts(&self, provider: usize) -> (u64, u64) {
-        self.inner.op_counts(provider)
+        inner.get_many(provider, ids)
     }
 }
 
@@ -318,10 +295,12 @@ fn replica_fallback_is_batched_and_counted() {
         ..cfg_with_threads(4)
     };
     let base = EnginePorts::in_memory(&cfg, (0..4).map(NodeId::new).collect(), 0xFA_0004);
-    let store = Arc::new(FailNextGet {
-        inner: Arc::clone(&base.providers),
-        armed: AtomicBool::new(false),
-    });
+    let store = Arc::new(Hooked::new(
+        Arc::clone(&base.providers),
+        FailNextGet {
+            armed: AtomicBool::new(false),
+        },
+    ));
     let ports = EnginePorts {
         providers: Arc::clone(&store) as Arc<dyn BlockStore>,
         ..base
@@ -333,7 +312,7 @@ fn replica_fallback_is_batched_and_counted() {
     client.write(blob, 0, &payload).unwrap();
     assert_eq!(sys.stats().snapshot().read_replica_fallbacks, 0);
 
-    store.armed.store(true, Ordering::SeqCst);
+    store.hook.armed.store(true, Ordering::SeqCst);
     let data = client.read(blob, None, 0, payload.len() as u64).unwrap();
     assert_eq!(&data[..], &payload[..], "failover changed the bytes");
     assert!(

@@ -15,7 +15,7 @@
 
 use blobseer_core::meta::key::{NodeKey, Pos};
 use blobseer_core::meta::node::TreeNode;
-use blobseer_core::ports::{BlockStore, MetaStore};
+use blobseer_core::ports::{BlockHook, BlockStore, Hooked, MetaHook, MetaStore};
 use blobseer_core::{BlobSeer, EnginePorts};
 use blobseer_types::{BlobId, BlobSeerConfig, BlockId, Error, NodeId, Result, Version};
 use bytes::Bytes;
@@ -38,23 +38,18 @@ fn record(log: &Log, op: &str, target: String, items: impl IntoIterator<Item = S
 /// Records every vectored block-store call. Refuses, wholesale, the
 /// `refuse`-th `put_many` call it sees (1-based; 0 = never).
 struct RecordingBlocks {
-    inner: Arc<dyn BlockStore>,
     log: Log,
     puts: AtomicUsize,
     refuse: AtomicUsize,
 }
 
-impl BlockStore for RecordingBlocks {
-    fn len(&self) -> usize {
-        self.inner.len()
-    }
-    fn node(&self, provider: usize) -> NodeId {
-        self.inner.node(provider)
-    }
-    fn index_of_node(&self, node: NodeId) -> Option<usize> {
-        self.inner.index_of_node(node)
-    }
-    fn put_many(&self, provider: usize, items: &[(BlockId, Bytes)]) -> Vec<Result<()>> {
+impl BlockHook for RecordingBlocks {
+    fn put_many(
+        &self,
+        inner: &dyn BlockStore,
+        provider: usize,
+        items: &[(BlockId, Bytes)],
+    ) -> Vec<Result<()>> {
         let ids = items.iter().map(|(id, _)| id.raw().to_string());
         record(&self.log, "blocks.put_many", format!("p{provider}"), ids);
         let n = self.puts.fetch_add(1, Ordering::SeqCst) + 1;
@@ -62,17 +57,24 @@ impl BlockStore for RecordingBlocks {
             let refused = || Error::WriteAborted(format!("provider {provider} refused"));
             return items.iter().map(|_| Err(refused())).collect();
         }
-        self.inner.put_many(provider, items)
+        inner.put_many(provider, items)
     }
-    fn get_many(&self, provider: usize, ids: &[BlockId]) -> Vec<Result<Bytes>> {
+    fn get_many(
+        &self,
+        inner: &dyn BlockStore,
+        provider: usize,
+        ids: &[BlockId],
+    ) -> Vec<Result<Bytes>> {
         let shown = ids.iter().map(|id| id.raw().to_string());
         record(&self.log, "blocks.get_many", format!("p{provider}"), shown);
-        self.inner.get_many(provider, ids)
+        inner.get_many(provider, ids)
     }
-    fn contains(&self, provider: usize, id: BlockId) -> bool {
-        self.inner.contains(provider, id)
-    }
-    fn delete_many(&self, provider: usize, ids: &[BlockId]) -> Vec<Result<u64>> {
+    fn delete_many(
+        &self,
+        inner: &dyn BlockStore,
+        provider: usize,
+        ids: &[BlockId],
+    ) -> Vec<Result<u64>> {
         let shown = ids.iter().map(|id| id.raw().to_string());
         record(
             &self.log,
@@ -80,16 +82,7 @@ impl BlockStore for RecordingBlocks {
             format!("p{provider}"),
             shown,
         );
-        self.inner.delete_many(provider, ids)
-    }
-    fn block_count(&self, provider: usize) -> usize {
-        self.inner.block_count(provider)
-    }
-    fn bytes_stored(&self, provider: usize) -> u64 {
-        self.inner.bytes_stored(provider)
-    }
-    fn op_counts(&self, provider: usize) -> (u64, u64) {
-        self.inner.op_counts(provider)
+        inner.delete_many(provider, ids)
     }
 }
 
@@ -97,15 +90,19 @@ impl BlockStore for RecordingBlocks {
 /// map to (first-appearance order), and forwards `fanout_shard` so the
 /// client groups exactly as it would over the bare store.
 struct RecordingMeta {
-    inner: Arc<dyn MetaStore>,
     log: Log,
 }
 
 impl RecordingMeta {
-    fn record<'a>(&self, op: &str, keys: impl Iterator<Item = &'a NodeKey> + Clone) {
+    fn record<'a>(
+        &self,
+        inner: &dyn MetaStore,
+        op: &str,
+        keys: impl Iterator<Item = &'a NodeKey> + Clone,
+    ) {
         let mut shards: Vec<usize> = Vec::new();
         for key in keys.clone() {
-            let shard = self.inner.fanout_shard(key);
+            let shard = inner.fanout_shard(key);
             if !shards.contains(&shard) {
                 shards.push(shard);
             }
@@ -116,39 +113,27 @@ impl RecordingMeta {
     }
 }
 
-impl MetaStore for RecordingMeta {
-    fn put_many(&self, items: &[(NodeKey, TreeNode)]) -> Vec<Result<()>> {
-        self.record("meta.put_many", items.iter().map(|(key, _)| key));
-        self.inner.put_many(items)
+impl MetaHook for RecordingMeta {
+    fn put_many(&self, inner: &dyn MetaStore, items: &[(NodeKey, TreeNode)]) -> Vec<Result<()>> {
+        self.record(inner, "meta.put_many", items.iter().map(|(key, _)| key));
+        inner.put_many(items)
     }
-    fn get_many(&self, keys: &[NodeKey]) -> Vec<Result<TreeNode>> {
-        self.record("meta.get_many", keys.iter());
-        self.inner.get_many(keys)
+    fn get_many(&self, inner: &dyn MetaStore, keys: &[NodeKey]) -> Vec<Result<TreeNode>> {
+        self.record(inner, "meta.get_many", keys.iter());
+        inner.get_many(keys)
     }
-    fn delete_many(&self, keys: &[NodeKey]) -> Vec<Result<bool>> {
-        self.record("meta.delete_many", keys.iter());
-        self.inner.delete_many(keys)
+    fn delete_many(&self, inner: &dyn MetaStore, keys: &[NodeKey]) -> Vec<Result<bool>> {
+        self.record(inner, "meta.delete_many", keys.iter());
+        inner.delete_many(keys)
     }
-    fn fanout_shard(&self, key: &NodeKey) -> usize {
-        self.inner.fanout_shard(key)
-    }
-    fn shard_count(&self) -> usize {
-        self.inner.shard_count()
-    }
-    fn node_count(&self) -> usize {
-        self.inner.node_count()
-    }
-    fn shard_stats(&self) -> Vec<(usize, u64, u64)> {
-        self.inner.shard_stats()
-    }
-    fn crash_shard(&self, shard: usize) {
-        self.inner.crash_shard(shard)
+    fn fanout_shard(&self, inner: &dyn MetaStore, key: &NodeKey) -> usize {
+        inner.fanout_shard(key)
     }
 }
 
 struct Recorded {
     sys: Arc<BlobSeer>,
-    blocks: Arc<RecordingBlocks>,
+    blocks: Arc<Hooked<Arc<dyn BlockStore>, RecordingBlocks>>,
     /// The undecorated block store, for setup the log must not see.
     raw_blocks: Arc<dyn BlockStore>,
     log: Log,
@@ -164,16 +149,20 @@ impl Recorded {
             .with_replication(replication);
         let base = EnginePorts::in_memory(&cfg, (0..PROVIDERS).map(NodeId::new).collect(), 7);
         let log: Log = Arc::default();
-        let blocks = Arc::new(RecordingBlocks {
-            inner: Arc::clone(&base.providers),
-            log: Arc::clone(&log),
-            puts: AtomicUsize::new(0),
-            refuse: AtomicUsize::new(0),
-        });
-        let meta = Arc::new(RecordingMeta {
-            inner: Arc::clone(&base.dht),
-            log: Arc::clone(&log),
-        });
+        let blocks = Arc::new(Hooked::new(
+            Arc::clone(&base.providers),
+            RecordingBlocks {
+                log: Arc::clone(&log),
+                puts: AtomicUsize::new(0),
+                refuse: AtomicUsize::new(0),
+            },
+        ));
+        let meta = Arc::new(Hooked::new(
+            Arc::clone(&base.dht),
+            RecordingMeta {
+                log: Arc::clone(&log),
+            },
+        ));
         let raw_blocks = Arc::clone(&base.providers);
         let ports = EnginePorts {
             providers: Arc::clone(&blocks) as Arc<dyn BlockStore>,
@@ -234,8 +223,8 @@ fn every_scatter_gather_site_makes_the_pinned_port_calls() {
     });
     // The 4th put_many of the next write goes to the provider dispatched
     // last: refuse it, so the write fails after three batches landed.
-    let refuse_at = d.blocks.puts.load(Ordering::SeqCst) + PROVIDERS as usize;
-    d.blocks.refuse.store(refuse_at, Ordering::SeqCst);
+    let refuse_at = d.blocks.hook.puts.load(Ordering::SeqCst) + PROVIDERS as usize;
+    d.blocks.hook.refuse.store(refuse_at, Ordering::SeqCst);
     d.section(&mut text, "failed write and its undo", || {
         let err = client.write(blob, 0, &pattern(8, 3)).unwrap_err();
         assert!(matches!(err, Error::WriteAborted(_)), "{err}");
@@ -276,18 +265,14 @@ fn every_scatter_gather_site_makes_the_pinned_port_calls() {
     assert_eq!(got.len(), want.len(), "port call count differs");
 }
 
-/// A metadata store that rewrites the provider list of every leaf it
+/// A metadata hook that rewrites the provider list of every leaf it
 /// serves — the shape of a corrupt or hostile metadata service.
 struct RewriteLeaves {
-    inner: Arc<dyn MetaStore>,
     providers: Vec<u32>,
 }
 
-impl MetaStore for RewriteLeaves {
-    fn put_many(&self, items: &[(NodeKey, TreeNode)]) -> Vec<Result<()>> {
-        self.inner.put_many(items)
-    }
-    fn get_many(&self, keys: &[NodeKey]) -> Vec<Result<TreeNode>> {
+impl MetaHook for RewriteLeaves {
+    fn get_many(&self, inner: &dyn MetaStore, keys: &[NodeKey]) -> Vec<Result<TreeNode>> {
         let rewrite = |node| match node {
             TreeNode::Leaf(mut desc) => {
                 desc.providers = self.providers.clone();
@@ -295,29 +280,14 @@ impl MetaStore for RewriteLeaves {
             }
             other => other,
         };
-        self.inner
+        inner
             .get_many(keys)
             .into_iter()
             .map(|r| r.map(rewrite))
             .collect()
     }
-    fn delete_many(&self, keys: &[NodeKey]) -> Vec<Result<bool>> {
-        self.inner.delete_many(keys)
-    }
-    fn fanout_shard(&self, key: &NodeKey) -> usize {
-        self.inner.fanout_shard(key)
-    }
-    fn shard_count(&self) -> usize {
-        self.inner.shard_count()
-    }
-    fn node_count(&self) -> usize {
-        self.inner.node_count()
-    }
-    fn shard_stats(&self) -> Vec<(usize, u64, u64)> {
-        self.inner.shard_stats()
-    }
-    fn crash_shard(&self, shard: usize) {
-        self.inner.crash_shard(shard)
+    fn fanout_shard(&self, inner: &dyn MetaStore, key: &NodeKey) -> usize {
+        inner.fanout_shard(key)
     }
 }
 
@@ -330,10 +300,12 @@ fn a_leaf_naming_no_or_an_unknown_provider_fails_the_operation() {
         let cfg = BlobSeerConfig::small_for_tests().with_block_size(BLOCK);
         let base = EnginePorts::in_memory(&cfg, (0..PROVIDERS).map(NodeId::new).collect(), 7);
         let ports = EnginePorts {
-            dht: Arc::new(RewriteLeaves {
-                inner: Arc::clone(&base.dht),
-                providers: providers.clone(),
-            }),
+            dht: Arc::new(Hooked::new(
+                Arc::clone(&base.dht),
+                RewriteLeaves {
+                    providers: providers.clone(),
+                },
+            )),
             ..base
         };
         let sys = BlobSeer::deploy_ports(cfg, ports);
@@ -358,7 +330,10 @@ fn a_leaf_naming_no_or_an_unknown_provider_fails_the_operation() {
 #[test]
 fn a_failed_data_phase_counts_no_written_blocks() {
     let d = Recorded::deploy(1);
-    d.blocks.refuse.store(PROVIDERS as usize, Ordering::SeqCst);
+    d.blocks
+        .hook
+        .refuse
+        .store(PROVIDERS as usize, Ordering::SeqCst);
     let client = d.sys.client(NodeId::new(100));
     let blob = client.create();
     let err = client.write(blob, 0, &pattern(16, 0)).unwrap_err();

@@ -41,7 +41,7 @@ use blobseer_core::faults::{FaultPlan, PutFault};
 use blobseer_core::meta::key::{NodeKey, Pos};
 use blobseer_core::meta::node::{BlockDescriptor, NodeRef, TreeNode};
 use blobseer_core::ports::{BlockStore, MetaStore};
-use blobseer_core::{BlobSeer, CachedBlockStore, EngineStats, WriteIntent};
+use blobseer_core::{BlobSeer, BlockCache, CachedBlockStore, EngineStats, WriteIntent};
 use blobseer_disk::testutil::TempDir;
 use blobseer_disk::{DiskMetaStore, DiskProviderSet};
 use blobseer_rpc::{LoopbackCluster, RpcMetaStore, RpcServer, RpcService};
@@ -342,16 +342,16 @@ proptest! {
     /// batch on both sides, and the per-item `Result`s line up.
     #[test]
     fn fault_decorated_batches_equal_single_op_sequence(script in vec_ops()) {
-        use blobseer_core::faults::FaultyBlockStore;
+        use blobseer_core::faults::{Faults, FaultyBlockStore};
         let plan_a = FaultPlan::new();
         let plan_b = FaultPlan::new();
         let batched = FaultyBlockStore::new(
             Arc::new(ProviderSet::with_shards(2, |i| NodeId::new(i as u64), 32)),
-            Arc::clone(&plan_a),
+            Faults::new(Arc::clone(&plan_a)),
         );
         let sequential = FaultyBlockStore::new(
             Arc::new(ProviderSet::with_shards(2, |i| NodeId::new(i as u64), 32)),
-            Arc::clone(&plan_b),
+            Faults::new(Arc::clone(&plan_b)),
         );
         assert_block_batches_match_singles(&script, &batched, &sequential, Some((&plan_a, &plan_b)));
         prop_assert_eq!(plan_a.counters(), plan_b.counters(), "identical fault traffic");
@@ -375,8 +375,7 @@ proptest! {
         let stats = Arc::new(EngineStats::new());
         let cached = CachedBlockStore::new(
             Arc::new(ProviderSet::with_shards(2, |i| NodeId::new(i as u64), 32)),
-            256,
-            Arc::clone(&stats),
+            BlockCache::new(256, Arc::clone(&stats)),
         );
         let bare = ProviderSet::with_shards(2, |i| NodeId::new(i as u64), 32);
         assert_block_batches_match_singles(&script, &cached, &bare, None);
@@ -384,8 +383,7 @@ proptest! {
         // time, through the port's provided helpers.
         let cached = CachedBlockStore::new(
             Arc::new(ProviderSet::with_shards(2, |i| NodeId::new(i as u64), 32)),
-            256,
-            stats,
+            BlockCache::new(256, stats),
         );
         let bare = ProviderSet::with_shards(2, |i| NodeId::new(i as u64), 32);
         assert_block_batches_match_singles(&script, &bare, &cached, None);

@@ -6,7 +6,7 @@ use blobseer_core::meta::key::{NodeKey, Pos};
 use blobseer_core::meta::log::{LogChain, Materializer};
 use blobseer_core::meta::node::{BlockDescriptor, TreeNode};
 use blobseer_core::meta::tree::TreeStore;
-use blobseer_core::ports::{GcService, MetaStore};
+use blobseer_core::ports::{GcService, Hooked, MetaHook, MetaStore};
 use blobseer_core::{
     BlobSeer, EngineStats, FanoutExecutor, VersionManager, WriteIntent, WriteTicket,
 };
@@ -627,50 +627,32 @@ fn step_strategy() -> impl Strategy<Value = Step> {
     ]
 }
 
-/// A metadata port that refuses the root level of the next publish it is
+/// A metadata hook that refuses the root level of the next publish it is
 /// armed for, after every level below it landed: the aborted writer leaves
 /// inner nodes and leaves behind for its repair to re-put or replace.
 struct RefuseRootOnce {
-    inner: Arc<dyn MetaStore>,
     armed: Arc<std::sync::atomic::AtomicBool>,
 }
 
-impl MetaStore for RefuseRootOnce {
-    fn put_levels(&self, levels: &[Vec<(NodeKey, TreeNode)>]) -> Vec<Vec<Result<()>>> {
+impl MetaHook for RefuseRootOnce {
+    fn put_levels(
+        &self,
+        inner: &dyn MetaStore,
+        levels: &[Vec<(NodeKey, TreeNode)>],
+    ) -> Vec<Vec<Result<()>>> {
         let Some((root, below)) = levels.split_last() else {
             return Vec::new();
         };
         if !self.armed.swap(false, std::sync::atomic::Ordering::SeqCst) {
-            return self.inner.put_levels(levels);
+            return inner.put_levels(levels);
         }
-        let mut out = self.inner.put_levels(below);
+        let mut out = inner.put_levels(below);
         out.push(
             root.iter()
                 .map(|_| Err(Error::WriteAborted("refused root".into())))
                 .collect(),
         );
         out
-    }
-    fn put_many(&self, items: &[(NodeKey, TreeNode)]) -> Vec<Result<()>> {
-        self.inner.put_many(items)
-    }
-    fn get_many(&self, keys: &[NodeKey]) -> Vec<Result<TreeNode>> {
-        self.inner.get_many(keys)
-    }
-    fn delete_many(&self, keys: &[NodeKey]) -> Vec<Result<bool>> {
-        self.inner.delete_many(keys)
-    }
-    fn shard_count(&self) -> usize {
-        self.inner.shard_count()
-    }
-    fn node_count(&self) -> usize {
-        self.inner.node_count()
-    }
-    fn shard_stats(&self) -> Vec<(usize, u64, u64)> {
-        self.inner.shard_stats()
-    }
-    fn crash_shard(&self, shard: usize) {
-        self.inner.crash_shard(shard)
     }
 }
 
@@ -690,8 +672,7 @@ fn rpc_deployment(
     if block_lru {
         providers = Arc::new(blobseer_core::CachedBlockStore::new(
             providers,
-            1 << 20,
-            Arc::clone(&stats),
+            blobseer_core::BlockCache::new(1 << 20, Arc::clone(&stats)),
         ));
     }
     let meta = RpcMetaStore::connect(cluster.meta_addr(), Arc::clone(&stats)).unwrap();
@@ -737,7 +718,7 @@ proptest! {
         let cluster = blobseer_rpc::LoopbackCluster::boot(cfg, 2).unwrap();
         let refuse = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let writer_sys = rpc_deployment(&cluster, |inner| {
-            Arc::new(RefuseRootOnce { inner, armed: Arc::clone(&refuse) })
+            Arc::new(Hooked::new(inner, RefuseRootOnce { armed: Arc::clone(&refuse) }))
         }, false);
         let writer = writer_sys.client(NodeId::new(1));
         // Two warm readers: the inner-node cache alone, and with the block

@@ -8,7 +8,7 @@
 //! protocol, error variants crossing the wire as themselves, concurrent
 //! appenders, GC, BSFS and a complete Map-Reduce job.
 
-use blobseer_core::faults::{FaultPlan, FaultyMetaStore, PutFault};
+use blobseer_core::faults::{FaultPlan, Faults, FaultyMetaStore, PutFault};
 use blobseer_core::{BlobSeer, EnginePorts, EngineStats, NoopObserver};
 use blobseer_rpc::{
     LoopbackCluster, RpcBlockStore, RpcGcService, RpcMetaStore, RpcPlacementService,
@@ -426,7 +426,7 @@ fn self_repair_from_a_wire_ticket_reveals_the_previous_bytes() {
         providers: Arc::new(
             RpcBlockStore::connect(cluster.block_addrs(), Arc::clone(&stats)).unwrap(),
         ),
-        dht: Arc::new(FaultyMetaStore::new(dht, Arc::clone(&plan))),
+        dht: Arc::new(FaultyMetaStore::new(dht, Faults::new(Arc::clone(&plan)))),
         vm: Arc::new(RpcVersionService::connect(cluster.vm_addr(), Arc::clone(&stats)).unwrap()),
         pm: Arc::new(
             RpcPlacementService::connect(cluster.placement_addr(), Arc::clone(&stats)).unwrap(),

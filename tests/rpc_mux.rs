@@ -15,7 +15,7 @@
 use blobseer_core::block_store::ProviderSet;
 use blobseer_core::meta::key::{NodeKey, Pos};
 use blobseer_core::meta::node::{NodeRef, TreeNode};
-use blobseer_core::ports::{BlockStore, MetaStore};
+use blobseer_core::ports::{BlockHook, BlockStore, Hooked, MetaHook, MetaStore};
 use blobseer_core::{EngineStats, WriteIntent};
 use blobseer_rpc::{
     LoopbackCluster, RpcBlockStore, RpcMetaStore, RpcServer, RpcService, ServerOptions,
@@ -458,44 +458,21 @@ fn a_meta_server_restarted_over_a_fresh_store_is_not_answered_from_the_old_cache
     assert_eq!(server.frames_served(), 3);
 }
 
-/// A metadata store that runs `on_get` on every `get_many` batch before
-/// it answers the batch.
-struct HookedMeta<F> {
-    inner: blobseer_core::dht::MetaDht,
-    on_get: F,
-}
+/// A metadata hook that runs `on_get` on every `get_many` batch before
+/// the store answers the batch.
+struct OnGet<F>(F);
 
-/// A [`HookedMeta`] over a fresh two-shard DHT, hosted by a new server.
+/// A fresh two-shard DHT behind an [`OnGet`] hook, hosted by a new server.
 fn hooked_meta_server(on_get: impl Fn(&[NodeKey]) + Send + Sync + 'static) -> RpcServer {
-    let store = HookedMeta {
-        inner: blobseer_core::dht::MetaDht::new(2, 1),
-        on_get,
-    };
+    let dht: Arc<dyn MetaStore> = Arc::new(blobseer_core::dht::MetaDht::new(2, 1));
+    let store = Hooked::new(dht, OnGet(on_get));
     RpcServer::spawn(RpcService::Meta(Arc::new(store)), ServerOptions::default()).unwrap()
 }
 
-impl<F: Fn(&[NodeKey]) + Send + Sync> MetaStore for HookedMeta<F> {
-    fn put_many(&self, items: &[(NodeKey, TreeNode)]) -> Vec<Result<(), Error>> {
-        MetaStore::put_many(&self.inner, items)
-    }
-    fn get_many(&self, keys: &[NodeKey]) -> Vec<Result<TreeNode, Error>> {
-        (self.on_get)(keys);
-        MetaStore::get_many(&self.inner, keys)
-    }
-    fn delete_many(&self, keys: &[NodeKey]) -> Vec<Result<bool, Error>> {
-        MetaStore::delete_many(&self.inner, keys)
-    }
-    fn shard_count(&self) -> usize {
-        MetaStore::shard_count(&self.inner)
-    }
-    fn node_count(&self) -> usize {
-        MetaStore::node_count(&self.inner)
-    }
-    fn shard_stats(&self) -> Vec<(usize, u64, u64)> {
-        MetaStore::shard_stats(&self.inner)
-    }
-    fn crash_shard(&self, shard: usize) {
-        MetaStore::crash_shard(&self.inner, shard)
+impl<F: Fn(&[NodeKey]) + Send + Sync> MetaHook for OnGet<F> {
+    fn get_many(&self, inner: &dyn MetaStore, keys: &[NodeKey]) -> Vec<Result<TreeNode, Error>> {
+        (self.0)(keys);
+        inner.get_many(keys)
     }
 }
 
@@ -577,27 +554,15 @@ fn a_blocked_handler_delays_only_its_own_connection() {
     });
 }
 
-/// A block store that notes where in memory each item it is handed lies.
+/// A block hook that notes where in memory each item it is handed lies.
 struct AddressSpy {
-    inner: Arc<dyn BlockStore>,
     put_many_items: std::sync::Mutex<Vec<(usize, usize)>>,
 }
 
-impl BlockStore for AddressSpy {
-    fn len(&self) -> usize {
-        self.inner.len()
-    }
-    fn node(&self, provider: usize) -> NodeId {
-        self.inner.node(provider)
-    }
-    fn index_of_node(&self, node: NodeId) -> Option<usize> {
-        self.inner.index_of_node(node)
-    }
-    fn contains(&self, provider: usize, id: BlockId) -> bool {
-        self.inner.contains(provider, id)
-    }
+impl BlockHook for AddressSpy {
     fn put_many(
         &self,
+        inner: &dyn BlockStore,
         provider: usize,
         items: &[(BlockId, Bytes)],
     ) -> Vec<blobseer_types::Result<()>> {
@@ -606,22 +571,7 @@ impl BlockStore for AddressSpy {
                 .iter()
                 .map(|(_, data)| (data.as_ptr() as usize, data.len())),
         );
-        self.inner.put_many(provider, items)
-    }
-    fn get_many(&self, provider: usize, ids: &[BlockId]) -> Vec<blobseer_types::Result<Bytes>> {
-        self.inner.get_many(provider, ids)
-    }
-    fn delete_many(&self, provider: usize, ids: &[BlockId]) -> Vec<blobseer_types::Result<u64>> {
-        self.inner.delete_many(provider, ids)
-    }
-    fn block_count(&self, provider: usize) -> usize {
-        self.inner.block_count(provider)
-    }
-    fn bytes_stored(&self, provider: usize) -> u64 {
-        self.inner.bytes_stored(provider)
-    }
-    fn op_counts(&self, provider: usize) -> (u64, u64) {
-        self.inner.op_counts(provider)
+        inner.put_many(provider, items)
     }
 }
 
@@ -631,10 +581,13 @@ fn a_put_many_frame_reaches_the_store_as_slices_of_its_own_buffer() {
     // them. Seen from the store: the items of one frame lie in one
     // allocation, exactly as far apart as the frame's own item headers
     // are wide — copies would lie wherever the allocator put them.
-    let spy = Arc::new(AddressSpy {
-        inner: Arc::new(ProviderSet::new(1, |_| NodeId::new(0))),
-        put_many_items: std::sync::Mutex::new(Vec::new()),
-    });
+    let providers: Arc<dyn BlockStore> = Arc::new(ProviderSet::new(1, |_| NodeId::new(0)));
+    let spy = Arc::new(Hooked::new(
+        providers,
+        AddressSpy {
+            put_many_items: std::sync::Mutex::new(Vec::new()),
+        },
+    ));
     let server =
         RpcServer::spawn(RpcService::Block(spy.clone()), ServerOptions::default()).unwrap();
     let remote = RpcBlockStore::connect(&[server.addr()], Arc::new(EngineStats::new())).unwrap();
@@ -646,7 +599,7 @@ fn a_put_many_frame_reaches_the_store_as_slices_of_its_own_buffer() {
         })
         .collect();
     assert!(remote.put_many(0, &items).iter().all(|r| r.is_ok()));
-    let seen = spy.put_many_items.lock().unwrap().clone();
+    let seen = spy.hook.put_many_items.lock().unwrap().clone();
     assert_eq!(seen.len(), items.len(), "one frame, one put_many");
     for (k, pair) in seen.windows(2).enumerate() {
         let (at, len) = pair[0];
@@ -705,12 +658,12 @@ fn retired_single_item_tags_answer_unknown_tag_and_the_connection_lives_on() {
 }
 
 /// A transient refusal in the middle of batched traffic costs exactly one
-/// item, on both fault decorators: the plan is consulted per item and
+/// item, on both fault-hooked stores: the plan is consulted per item and
 /// reverts as it fires, the refused item never leaves, and the un-faulted
 /// rest of its batch lands — as one frame, not one per item.
 #[test]
 fn fail_once_fails_one_item_and_ships_the_rest_of_its_batch_as_one_frame() {
-    use blobseer_core::{FaultPlan, FaultyBlockStore, FaultyMetaStore, PutFault};
+    use blobseer_core::{FaultPlan, Faults, FaultyBlockStore, FaultyMetaStore, PutFault};
 
     let cluster = LoopbackCluster::boot(BlobSeerConfig::small_for_tests(), 1).unwrap();
     let stats = Arc::new(EngineStats::new());
@@ -723,7 +676,7 @@ fn fail_once_fails_one_item_and_ships_the_rest_of_its_batch_as_one_frame() {
     };
 
     let remote = RpcBlockStore::connect(cluster.block_addrs(), Arc::clone(&stats)).unwrap();
-    let blocks = FaultyBlockStore::new(Arc::new(remote), Arc::clone(&plan));
+    let blocks = FaultyBlockStore::new(Arc::new(remote), Faults::new(Arc::clone(&plan)));
     let items: Vec<(BlockId, Bytes)> = (0..8u64)
         .map(|k| (BlockId::new(500 + k), Bytes::from(vec![k as u8; 16])))
         .collect();
@@ -737,7 +690,7 @@ fn fail_once_fails_one_item_and_ships_the_rest_of_its_batch_as_one_frame() {
     assert_eq!(held, [true, true, false, true, true, true, true, true]);
 
     let remote = RpcMetaStore::connect(cluster.meta_addr(), Arc::clone(&stats)).unwrap();
-    let meta = FaultyMetaStore::new(Arc::new(remote), Arc::clone(&plan));
+    let meta = FaultyMetaStore::new(Arc::new(remote), Faults::new(Arc::clone(&plan)));
     let nodes: Vec<(NodeKey, TreeNode)> = (0..4u64)
         .map(|v| {
             let key = NodeKey::new(BlobId::new(77), Version::new(v), Pos::new(0, 1));
