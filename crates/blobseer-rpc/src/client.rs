@@ -5,37 +5,45 @@
 //! Each adapter holds a small fixed budget of shared connections per
 //! endpoint ([`blobseer_types::BlobSeerConfig::rpc_client_connections`]).
 //! A call picks a connection round-robin, tags its frame with a fresh
-//! request id, writes it under the connection's writer lock, and parks on
-//! the connection's waiter table; a per-connection demux thread reads
-//! response frames and routes each to the waiter holding the matching id.
-//! Many client threads therefore pipeline on a few sockets, responses may
-//! arrive out of order, and a blocking call (`wait_revealed`) parks only
-//! its own waiter — never the connection. One caller can pipeline too:
-//! `MuxPool::call_all` writes a whole run of frames in one vectored write
-//! before it awaits the first response, which is how a version's tree
-//! levels are published in overlapping round trips
-//! ([`MetaStore::put_levels`]). The demux thread wakes waiters once per
-//! burst of responses it finds buffered together, not once per response,
-//! so the server's one-write answer to such a run wakes its caller once.
-//! A `PUT_MANY` request carries its blocks by reference
-//! ([`wire::Body::put_bytes`]): that write takes each block from the
-//! caller's own [`Bytes`], so no block is copied into a request buffer.
+//! request id, writes it under the connection's writer lock, and awaits
+//! the response with the matching id. No thread serves a connection: a
+//! caller whose answer has not arrived takes the connection's reader role
+//! if no one holds it, files the other callers' answers into their slots
+//! and wakes exactly their owners, and hands the role to one caller still
+//! waiting when its own answer arrives. A lone caller therefore reads its
+//! own answer, with no thread hand-off at all. Many client threads
+//! pipeline on a few sockets, responses may arrive out of order, and a
+//! blocking call (`wait_revealed`) parks only its own waiter — never the
+//! connection: whoever reads files its answer for it. One caller can
+//! pipeline too: `MuxPool::call_all` writes a whole run of frames in one
+//! vectored write before it awaits the first response, which is how a
+//! version's tree levels are published in overlapping round trips
+//! ([`MetaStore::put_levels`]). A reader wakes the owners of the answers
+//! it filed once per burst of responses it finds buffered together, not
+//! once per response, and files the answers buffered behind its own
+//! before it hands the role on, so the server's one-write answer to such
+//! a run is read in one go. A `PUT_MANY` request carries its blocks by
+//! reference ([`wire::Body::put_bytes`]): that write takes each block from
+//! the caller's own [`Bytes`], so no block is copied into a request buffer.
 //!
 //! A connection that dies *idle* (server restart) is redialed
-//! transparently on next use: the demux thread observes EOF immediately
-//! and marks the connection dead, so the next call dials afresh instead
-//! of surfacing a stale [`Error::Transport`]. A request frame that *failed
-//! to write* whole also retries once on a fresh connection — the kernel
-//! never accepted all of it, so the server cannot have dispatched it and
-//! the retry is safe even for non-idempotent calls like `assign`; in a run,
-//! that is exactly the frames behind the last one the write took whole,
-//! and they retry together. A frame that was sent but never answered —
-//! its connection closed with it in flight — is resent once, on a freshly
-//! dialed connection, if its call is read-only (its tag is in the
-//! service's `READ_ONLY` list: block and metadata fetches, counts and
-//! diagnostics, and the version manager's queries). That covers a call
-//! that left on an idle connection the server had already closed, before
-//! the demux thread read the EOF. Any other call fails with
+//! transparently on next use. Nothing reads an idle connection, so a call
+//! tests one with nothing in flight before it sends on it: a non-blocking
+//! peek that reads zero bytes means the server closed it, and the call
+//! dials afresh instead of surfacing a stale [`Error::Transport`]. The
+//! pool's death count (`MuxPool::deaths`), which the read caches consult
+//! before answering without a frame, probes the idle connections the same
+//! way. A request frame that *failed to write* whole also retries once on a
+//! fresh connection — the kernel never accepted all of it, so the server
+//! cannot have dispatched it and the retry is safe even for non-idempotent
+//! calls like `assign`; in a run, that is exactly the frames behind the
+//! last one the write took whole, and they retry together. A frame that
+//! was sent but never answered — its connection closed with it in flight —
+//! is resent once, on a freshly dialed connection, if its call is
+//! read-only (its tag is in the service's `READ_ONLY` list: block and
+//! metadata fetches, counts and diagnostics, and the version manager's
+//! queries). That covers a call that left on a connection the server
+//! closed just after the probe. Any other call fails with
 //! [`Error::Transport`]: its remote outcome is genuinely unknown, and it
 //! is never sent again.
 //!
@@ -52,7 +60,8 @@
 //! of reporting zeros. The fixed deployment *shape* — provider count,
 //! hosting nodes, DHT shard count, block size — is fetched once at
 //! connect time and served from cache, so the hot paths that consult it
-//! stay local (as do the tree's inner nodes once read, see [`RpcMetaStore`]).
+//! stay local (as do the tree's inner nodes once read, see [`RpcMetaStore`],
+//! and the revealed snapshots once resolved, see [`RpcVersionService`]).
 
 use crate::server::{block_tag, gc_tag, meta_tag, placement_tag, version_tag};
 use crate::wire::{self, batch_status, decode_response, Body};
@@ -70,13 +79,15 @@ use blobseer_types::config::DEFAULT_RPC_CLIENT_CONNECTIONS;
 use blobseer_types::wire::Wire;
 use blobseer_types::{BlobId, BlockId, Error, NodeId, Result, Version};
 use bytes::Bytes;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::io::{BufReader, Write};
+use std::hash::Hash;
+use std::io::{BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, OnceLock};
+use std::thread::{self, Thread};
+use std::time::{Duration, Instant};
 
 /// Max items per vectored *metadata* frame. Tree nodes and node keys are
 /// tens of bytes, so this bounds both request and response frames to a
@@ -101,43 +112,91 @@ fn degraded(stats: &EngineStats, what: &str, e: &Error) {
     });
 }
 
-/// The waiter table of one multiplexed connection.
+/// How long a pool that heard from its server counts as alive without a
+/// probe: [`MuxPool::deaths`] tests the pool's idle connections for a
+/// close at most once per window, so a cache lookup pays a clock read, not
+/// a syscall. A send tests its idle connection every time.
+const LIVENESS_WINDOW_NS: u64 = 1_000_000;
+
+/// Nanoseconds on a process-wide monotonic clock.
+fn clock_ns() -> u64 {
+    static START: OnceLock<Instant> = OnceLock::new();
+    START.get_or_init(Instant::now).elapsed().as_nanos() as u64
+}
+
+/// What a pool shares with its connections.
+#[derive(Default)]
+struct Health {
+    /// Connections of the pool that have died, ever ([`MuxPool::deaths`]).
+    deaths: AtomicU64,
+    /// [`clock_ns`] when a connection last read an answer or passed a
+    /// probe.
+    alive_at: AtomicU64,
+}
+
+impl Health {
+    fn alive(&self) {
+        self.alive_at.store(clock_ns(), Ordering::Relaxed);
+    }
+}
+
+/// One in-flight request's entry in a connection's waiter table.
+#[derive(Default)]
+struct Slot {
+    /// The response body, once a reader filed it.
+    answer: Option<Vec<u8>>,
+    /// The caller parked on this slot, if any. Whoever files the answer,
+    /// hands the reader role over or closes the connection takes it and
+    /// wakes it, so a waiter wakes once per event, never for another's.
+    waiter: Option<Thread>,
+}
+
+/// The waiter table of one multiplexed connection, and its reader half.
 struct Pending {
-    /// Request id → response body; `None` while still in flight. Entries
-    /// are inserted by [`MuxConn::send`] and removed by [`MuxConn::wait`],
-    /// so the table is bounded by the number of in-flight calls.
-    results: HashMap<u64, Option<Vec<u8>>>,
-    /// Set by the demux thread when the connection dies; every current
-    /// and future waiter fails with this error (outcome unknown).
+    /// Request id → slot. Entries are inserted by [`MuxConn::send`] and
+    /// removed by [`MuxConn::wait`], so the table is bounded by the number
+    /// of in-flight calls.
+    slots: HashMap<u64, Slot>,
+    /// The reader half while no caller holds the reader role; gone for
+    /// good once the connection is closed.
+    reader: Option<BufReader<TcpStream>>,
+    /// Set when the connection dies; every current and future waiter fails
+    /// with this error (outcome unknown).
     closed: Option<Error>,
 }
 
-/// One multiplexed connection: a writer half shared under a mutex, a
-/// demux thread owning the reader half, and a waiter table keyed by
-/// request id.
+/// One multiplexed connection: a writer half shared under a mutex, and a
+/// waiter table keyed by request id that holds the reader half while no
+/// caller reads.
+///
+/// No thread serves the connection. A caller whose answer has not arrived
+/// takes the reader role if no one holds it ([`Self::wait`]): it files the
+/// other callers' answers into their slots and wakes their owners, and
+/// when its own answer arrives it hands the role to one caller still
+/// waiting. A lone caller therefore reads its own answer with no wake-up
+/// at all. A parked `wait_revealed` is a waiter like any other: whoever
+/// reads files its answer for it.
 struct MuxConn {
     addr: SocketAddr,
     writer: Mutex<Box<dyn Write + Send>>,
     pending: Mutex<Pending>,
-    ready: Condvar,
     next_id: AtomicU64,
-    /// Set when the demux thread exits or a frame write fails; the pool
-    /// replaces dead connections on next use.
+    /// Set when a read or a frame write fails or a probe finds the
+    /// connection closed; the pool replaces dead connections on next use.
     dead: AtomicBool,
-    /// The owning pool's count of connections that died ([`MuxPool::deaths`]).
-    deaths: Arc<AtomicU64>,
+    health: Arc<Health>,
 }
 
 impl MuxConn {
-    /// Dials the endpoint and starts its demux thread.
-    fn dial(addr: SocketAddr, deaths: Arc<AtomicU64>) -> Result<Arc<Self>> {
-        Self::dial_with(addr, deaths, |stream| Box::new(stream))
+    /// Dials the endpoint.
+    fn dial(addr: SocketAddr, health: Arc<Health>) -> Result<Arc<Self>> {
+        Self::dial_with(addr, health, |stream| Box::new(stream))
     }
 
     /// [`Self::dial`], writing through what `writer` makes of the stream.
     fn dial_with(
         addr: SocketAddr,
-        deaths: Arc<AtomicU64>,
+        health: Arc<Health>,
         writer: impl FnOnce(TcpStream) -> Box<dyn Write + Send>,
     ) -> Result<Arc<Self>> {
         let stream = TcpStream::connect(addr)
@@ -146,27 +205,21 @@ impl MuxConn {
         let reader = stream
             .try_clone()
             .map_err(|e| wire::transport("clone mux stream", e))?;
-        let conn = Arc::new(Self {
+        Ok(Arc::new(Self {
             addr,
             writer: Mutex::named(writer(stream), "rpc.mux.writer"),
             pending: Mutex::named(
                 Pending {
-                    results: HashMap::new(),
+                    slots: HashMap::new(),
+                    reader: Some(BufReader::new(reader)),
                     closed: None,
                 },
                 "rpc.mux.pending",
             ),
-            ready: Condvar::named("rpc.mux.ready"),
             next_id: AtomicU64::new(0),
             dead: AtomicBool::new(false),
-            deaths,
-        });
-        let demux = Arc::clone(&conn);
-        std::thread::Builder::new()
-            .name("rpc-demux".into())
-            .spawn(move || demux_loop(reader, &demux))
-            .map_err(|e| wire::transport("spawn demux thread", e))?;
-        Ok(conn)
+            health,
+        }))
     }
 
     fn is_dead(&self) -> bool {
@@ -175,15 +228,55 @@ impl MuxConn {
 
     fn mark_dead(&self) {
         if !self.dead.swap(true, Ordering::SeqCst) {
-            self.deaths.fetch_add(1, Ordering::SeqCst);
+            self.health.deaths.fetch_add(1, Ordering::SeqCst);
         }
     }
 
-    /// Registers a waiter per request, then writes the requests as one run
+    /// Marks the connection dead and fails its waiters, returning the
+    /// parked ones to wake. The caller holds the waiter table.
+    fn close(&self, p: &mut Pending) -> Vec<Thread> {
+        self.mark_dead();
+        p.reader = None;
+        p.closed = Some(Error::Transport(format!(
+            "{} closed the connection with requests in flight",
+            self.addr
+        )));
+        p.slots
+            .values_mut()
+            .filter_map(|s| s.waiter.take())
+            .collect()
+    }
+
+    /// Tests an idle connection — nothing in flight, no one reading — for
+    /// a close its server made while it idled, with a non-blocking peek:
+    /// zero bytes (or an error) marks it dead. A busy connection is left
+    /// alone: its reader sees the close. The socket is non-blocking for
+    /// the peek only, and the waiter-table lock keeps every other reader
+    /// and writer off it meanwhile (nothing in flight means no write is
+    /// under way, and none starts before its slot is registered).
+    fn probe(&self) {
+        let mut p = self.pending.lock();
+        let Some(reader) = p.reader.as_ref() else {
+            return;
+        };
+        if !p.slots.is_empty() || !reader.buffer().is_empty() {
+            return;
+        }
+        let stream = reader.get_ref();
+        let peeked = (stream.set_nonblocking(true)).and_then(|()| stream.peek(&mut [0u8; 1]));
+        let restored = stream.set_nonblocking(false);
+        match (peeked, restored) {
+            (Ok(1..), Ok(())) => self.health.alive(),
+            (Err(e), Ok(())) if e.kind() == ErrorKind::WouldBlock => self.health.alive(),
+            _ => drop(self.close(&mut p)),
+        }
+    }
+
+    /// Registers a slot per request, then writes the requests as one run
     /// of frames under one writer-lock hold. Returns the ids of the frames
     /// the connection took whole — a prefix of the run — and the write's
     /// outcome. On a failure the frames past that prefix are guaranteed
-    /// undelivered (the connection is marked dead and their waiters
+    /// undelivered (the connection is marked dead and their slots
     /// withdrawn), so the caller may safely retry them on a fresh
     /// connection; the prefix was sent, and its outcome is what its
     /// waiters learn.
@@ -197,8 +290,8 @@ impl MuxConn {
         let mut ids: Vec<u64> = (first..first + n).collect();
         self.pending
             .lock()
-            .results
-            .extend(ids.iter().map(|&id| (id, None)));
+            .slots
+            .extend(ids.iter().map(|&id| (id, Slot::default())));
         let frames: Vec<(u64, &Body)> = ids.iter().copied().zip(requests).collect();
         let written = wire::write_frames(&mut *self.writer.lock(), &frames);
         let Err((sent, e)) = written else {
@@ -207,52 +300,87 @@ impl MuxConn {
         self.mark_dead();
         let mut p = self.pending.lock();
         for id in ids.drain(sent..) {
-            p.results.remove(&id);
+            p.slots.remove(&id);
         }
         (ids, Err(e))
     }
 
-    /// Parks until the demux thread delivers the response for `id`, or
-    /// the connection dies.
+    /// The response for `id`: filed by another caller's read, or read here
+    /// by taking the reader role if no one holds it. Otherwise parks until
+    /// the answer is filed, the role is handed over, or the connection
+    /// dies.
     fn wait(&self, id: u64) -> Result<Vec<u8>> {
         let mut p = self.pending.lock();
         loop {
-            if let Some(body) = p.results.get_mut(&id).and_then(Option::take) {
-                p.results.remove(&id);
-                return Ok(body);
+            let Pending {
+                slots,
+                reader,
+                closed,
+            } = &mut *p;
+            let Some(slot) = slots.get_mut(&id) else {
+                return Err(Error::Internal(format!("no waiter for request {id}")));
+            };
+            if let Some(answer) = slot.answer.take() {
+                slots.remove(&id);
+                return Ok(answer);
             }
-            if let Some(e) = p.closed.clone() {
-                p.results.remove(&id);
+            if let Some(e) = closed.clone() {
+                slots.remove(&id);
                 return Err(e);
             }
-            self.ready.wait(&mut p);
+            if let Some(reader) = reader.take() {
+                drop(p);
+                return self.read_until(reader, id);
+            }
+            slot.waiter = Some(thread::current());
+            drop(p);
+            thread::park();
+            p = self.pending.lock();
         }
     }
-}
 
-/// The demux thread: reads response frames and routes each to its waiter.
-/// It wakes the waiters once per burst — when its buffer holds no complete
-/// next frame, before it could block reading — so a caller awaiting a run
-/// of answers that arrived together wakes once, not once per answer; each
-/// woken waiter re-checks its own slot. Exits on EOF or a transport error
-/// — marking the connection dead first, so idle death (a server restart)
-/// is already known the next time the pool considers this connection.
-fn demux_loop(stream: TcpStream, conn: &MuxConn) {
-    let mut stream = BufReader::new(stream);
-    while let Ok(Some((id, body))) = wire::read_frame(&mut stream) {
-        if let Some(slot) = conn.pending.lock().results.get_mut(&id) {
-            *slot = Some(body);
+    /// The reader role, held by the caller awaiting `id`. It reads frames,
+    /// filing other callers' answers and waking their owners once per
+    /// burst — when the buffer holds no complete next frame, before a read
+    /// that could block — until its own answer arrives. It then files the
+    /// answers already buffered behind its own, which need no read from
+    /// the network, and hands the role to one caller still waiting. A read
+    /// that fails or meets EOF closes the connection.
+    fn read_until(&self, mut reader: BufReader<TcpStream>, id: u64) -> Result<Vec<u8>> {
+        let mut wake: Vec<Thread> = Vec::new();
+        let mut own = None;
+        let failed = loop {
+            if !wire::complete_frame_buffered(reader.buffer()) {
+                if own.is_some() {
+                    break false;
+                }
+                wake.drain(..).for_each(|waiter| waiter.unpark());
+            }
+            match wire::read_frame(&mut reader) {
+                Ok(Some((answered, body))) if answered == id => own = Some(body),
+                Ok(Some((answered, body))) => {
+                    if let Some(slot) = self.pending.lock().slots.get_mut(&answered) {
+                        slot.answer = Some(body);
+                        wake.extend(slot.waiter.take());
+                    }
+                }
+                Ok(None) | Err(_) => break true,
+            }
+        };
+        let mut p = self.pending.lock();
+        p.slots.remove(&id);
+        if failed {
+            wake.extend(self.close(&mut p));
+        } else {
+            self.health.alive();
+            p.reader = Some(reader);
+            wake.extend(p.slots.values_mut().find_map(|s| s.waiter.take()));
         }
-        if !wire::complete_frame_buffered(stream.buffer()) {
-            conn.ready.notify_all();
-        }
+        let closed = p.closed.clone();
+        drop(p);
+        wake.into_iter().for_each(|waiter| waiter.unpark());
+        own.ok_or_else(|| closed.unwrap_or_else(|| Error::Internal("no answer read".into())))
     }
-    conn.mark_dead();
-    conn.pending.lock().closed = Some(Error::Transport(format!(
-        "{} closed the connection with requests in flight",
-        conn.addr
-    )));
-    conn.ready.notify_all();
 }
 
 /// A fixed budget of multiplexed connections to one endpoint. Slots are
@@ -270,8 +398,8 @@ pub(crate) struct MuxPool {
     stats: Arc<EngineStats>,
     /// Control-plane pools meter on `control_round_trips`.
     control: bool,
-    /// Connections of this pool that have died, ever (see [`Self::deaths`]).
-    deaths: Arc<AtomicU64>,
+    /// Deaths and last sign of life, shared with the pool's connections.
+    health: Arc<Health>,
     /// Method tags of the calls that change nothing on the server: the
     /// ones resent when their connection closes before answering.
     read_only: &'static [u8],
@@ -319,7 +447,7 @@ impl MuxPool {
             next: AtomicUsize::new(0),
             stats,
             control,
-            deaths: Arc::new(AtomicU64::new(0)),
+            health: Arc::default(),
             read_only,
         };
         pool.conn_at(0)?;
@@ -327,21 +455,36 @@ impl MuxPool {
     }
 
     /// How many of this pool's connections have died (EOF, reset, failed
-    /// write): when it moves, the peer may have been replaced.
+    /// write, a close found by a probe): when it moves, the peer may have
+    /// been replaced. Unless a connection of the pool heard from the
+    /// server within the last [`LIVENESS_WINDOW_NS`], every idle connection
+    /// is probed first ([`MuxConn::probe`]), so a cache that answers
+    /// without a frame still sees a server that restarted while this pool
+    /// sent nothing.
     pub(crate) fn deaths(&self) -> u64 {
-        self.deaths.load(Ordering::SeqCst)
+        let quiet = clock_ns().saturating_sub(self.health.alive_at.load(Ordering::Relaxed));
+        if quiet >= LIVENESS_WINDOW_NS {
+            for slot in &self.slots {
+                let conn = slot.lock().clone();
+                conn.inspect(|conn| conn.probe());
+            }
+        }
+        self.health.deaths.load(Ordering::SeqCst)
     }
 
     /// The healthy connection for a slot, dialing (or redialing a dead
-    /// one) under the slot lock so concurrent callers share one dial.
+    /// one) under the slot lock so concurrent callers share one dial. An
+    /// idle connection is probed first, so a call never leaves on a
+    /// connection its server already closed.
     fn conn_at(&self, slot: usize) -> Result<Arc<MuxConn>> {
         let mut guard = self.slots[slot].lock();
         if let Some(conn) = guard.as_ref() {
+            conn.probe();
             if !conn.is_dead() {
                 return Ok(Arc::clone(conn));
             }
         }
-        let conn = MuxConn::dial(self.addr, Arc::clone(&self.deaths))?;
+        let conn = MuxConn::dial(self.addr, Arc::clone(&self.health))?;
         *guard = Some(Arc::clone(&conn));
         Ok(conn)
     }
@@ -394,11 +537,12 @@ impl MuxPool {
     /// registered, then the whole run leaves in one vectored write on one
     /// connection, in order, before the first response is awaited — so the
     /// round trips overlap, and the answers a server sends back together
-    /// wake the caller once. One frame, one meter tick and one result per
+    /// are read in one go. One frame, one meter tick and one result per
     /// request; frames the write did not take whole retry once, together.
     /// A read-only request whose connection closed before answering it is
-    /// resent once, alone, on a freshly dialed connection (the demux
-    /// thread marked the old one dead before it failed the waiter).
+    /// resent once, alone, on a freshly dialed connection (the reader that
+    /// met the close marked the connection dead before it failed the
+    /// waiter).
     pub(crate) fn call_all(&self, requests: &[Body]) -> Vec<Result<Vec<u8>>> {
         let slot = self.next.fetch_add(1, Ordering::Relaxed) % self.slots.len();
         (requests.iter().zip(self.send_on(slot, requests)))
@@ -754,39 +898,66 @@ impl BlockStore for RpcBlockStore {
 
 // --- meta store -------------------------------------------------------------
 
-/// Entries the inner-node cache holds before it starts over: a descent
-/// touches O(depth) inner nodes, so this is thousands of hot paths.
-const INNER_NODES_MAX: usize = 1 << 16;
+/// Entries a [`ReadCache`] holds before it starts over: a descent touches
+/// O(depth) inner nodes, so this is thousands of hot paths, and as many
+/// revealed snapshots.
+const READ_CACHE_MAX: usize = 1 << 16;
 
-/// The inner tree nodes an [`RpcMetaStore`] has read.
-#[derive(Default)]
-struct InnerNodes {
-    nodes: HashMap<NodeKey, TreeNode>,
-    /// The pool's [`MuxPool::deaths`] when `nodes` were read.
+/// Answers an adapter has read that never change once published, so that
+/// asking again sends no frame: [`RpcMetaStore`]'s inner tree nodes and
+/// [`RpcVersionService`]'s revealed snapshots. A constant-size bound,
+/// cleared when full; dropped whole when the pool loses a connection,
+/// because the peer may be a restarted RAM server that reuses blob ids.
+struct ReadCache<K, V> {
+    entries: HashMap<K, V>,
+    /// The pool's [`MuxPool::deaths`] when `entries` were read.
     deaths: u64,
     /// Bumped by every invalidation, so a fetch that overlapped one does
     /// not put back what it removed.
     generation: u64,
 }
 
-impl InnerNodes {
+impl<K: Eq + Hash, V> ReadCache<K, V> {
+    fn new() -> Self {
+        Self {
+            entries: HashMap::new(),
+            deaths: 0,
+            generation: 0,
+        }
+    }
+
     /// The current entries' generation, after dropping them all if the
     /// pool lost a connection since they were read.
     fn generation(&mut self, deaths: u64) -> u64 {
         if self.deaths != deaths {
             self.deaths = deaths;
-            self.forget(None);
+            self.forget(|_| true);
         }
         self.generation
     }
 
-    /// Drops `keys`, or every entry.
-    fn forget(&mut self, keys: Option<&[NodeKey]>) {
-        self.generation += 1;
-        match keys {
-            Some(keys) => keys.iter().for_each(|key| drop(self.nodes.remove(key))),
-            None => self.nodes.clear(),
+    /// Keeps `value`, read during `generation`, unless an invalidation ran
+    /// since.
+    fn insert(&mut self, generation: u64, key: K, value: V) {
+        if generation != self.generation {
+            return;
         }
+        if self.entries.len() >= READ_CACHE_MAX {
+            self.entries.clear();
+        }
+        self.entries.insert(key, value);
+    }
+
+    /// Drops the entries whose key is `gone`.
+    fn forget(&mut self, mut gone: impl FnMut(&K) -> bool) {
+        self.generation += 1;
+        self.entries.retain(|key, _| !gone(key));
+    }
+
+    /// Drops `keys`.
+    fn forget_keys(&mut self, keys: &[K]) {
+        self.generation += 1;
+        keys.iter().for_each(|key| drop(self.entries.remove(key)));
     }
 }
 
@@ -795,13 +966,14 @@ impl InnerNodes {
 ///
 /// Published nodes never change, so `get_many` answers the keys it has
 /// seen from memory and sends one `GET_MANY` frame carrying only the
-/// misses, or none: a warm one-block read costs 4 frames (latest,
-/// snapshot info, the leaf level, the block) at any history depth instead
-/// of 3 + depth. The cache is read-allocate, so a cold read pays what it
-/// always did, and never holds a leaf — the node an abort repair replaces
-/// and GC frees a block behind — so a stale inner node leads only to a
-/// leaf that is gone (`MissingMetadata`) or that names the version's
-/// exact bytes (docs/ARCHITECTURE.md, "The read descent"). Entries leave
+/// misses, or none: with [`RpcVersionService`]'s revealed snapshots, a
+/// warm one-block read costs 3 frames (latest, the leaf level, the block)
+/// at any history depth instead of 3 + depth. The cache is read-allocate,
+/// so a cold read pays what it always did, and never holds a leaf — the
+/// node an abort repair replaces and GC frees a block behind — so a stale
+/// inner node leads only to a leaf that is gone (`MissingMetadata`) or
+/// that names the version's exact bytes (docs/ARCHITECTURE.md, "The read
+/// descent"). Entries leave
 /// on this adapter's `delete_many` and `crash_shard`, and all at once
 /// when the pool loses a connection: the peer may be a restarted RAM
 /// server that reuses blob ids. Hits and misses count on
@@ -810,7 +982,7 @@ pub struct RpcMetaStore {
     pool: MuxPool,
     shard_count: usize,
     stats: Arc<EngineStats>,
-    inner_nodes: Mutex<InnerNodes>,
+    inner_nodes: Mutex<ReadCache<NodeKey, TreeNode>>,
 }
 
 impl RpcMetaStore {
@@ -829,7 +1001,7 @@ impl RpcMetaStore {
             pool,
             shard_count,
             stats,
-            inner_nodes: Mutex::named(InnerNodes::default(), "rpc.meta.inner_nodes"),
+            inner_nodes: Mutex::named(ReadCache::new(), "rpc.meta.inner_nodes"),
         })
     }
 
@@ -905,12 +1077,13 @@ impl MetaStore for RpcMetaStore {
     /// rest, so a read descent pays at most one round trip per tree level
     /// and none for a level it has read before.
     fn get_many(&self, keys: &[NodeKey]) -> Vec<Result<TreeNode>> {
+        let deaths = self.pool.deaths();
         let (mut out, generation) = {
             let mut cache = self.inner_nodes.lock();
-            let generation = cache.generation(self.pool.deaths());
+            let generation = cache.generation(deaths);
             let hits: Vec<_> = keys
                 .iter()
-                .map(|key| cache.nodes.get(key).cloned().map(Ok))
+                .map(|key| cache.entries.get(key).cloned().map(Ok))
                 .collect();
             (hits, generation)
         };
@@ -924,15 +1097,13 @@ impl MetaStore for RpcMetaStore {
         if !missed.is_empty() {
             // `meta_batched` answers every key it is given, in order.
             let fetched: Vec<Result<TreeNode>> = self.meta_batched(meta_tag::GET_MANY, &missed);
+            let deaths = self.pool.deaths();
             let mut cache = self.inner_nodes.lock();
-            let keep = cache.generation(self.pool.deaths()) == generation;
+            cache.generation(deaths);
             let slots = keys.iter().zip(&mut out).filter(|(_, slot)| slot.is_none());
             for ((key, slot), result) in slots.zip(fetched) {
-                if let (true, Ok(node @ TreeNode::Inner { .. })) = (keep, &result) {
-                    if cache.nodes.len() >= INNER_NODES_MAX {
-                        cache.nodes.clear();
-                    }
-                    cache.nodes.insert(*key, node.clone());
+                if let Ok(node @ TreeNode::Inner { .. }) = &result {
+                    cache.insert(generation, *key, node.clone());
                 }
                 *slot = Some(result);
             }
@@ -944,7 +1115,7 @@ impl MetaStore for RpcMetaStore {
     /// trip. Per item, transport loss is an `Err` ("outcome unknown").
     fn delete_many(&self, keys: &[NodeKey]) -> Vec<Result<bool>> {
         let out = self.meta_batched(meta_tag::DELETE_MANY, keys);
-        self.inner_nodes.lock().forget(Some(keys));
+        self.inner_nodes.lock().forget_keys(keys);
         out
     }
 
@@ -969,16 +1140,29 @@ impl MetaStore for RpcMetaStore {
     /// not reveal their shard here — so the crash is not masked.
     fn crash_shard(&self, shard: usize) {
         let _: Result<()> = call(&self.pool, meta_tag::CRASH_SHARD, &shard);
-        self.inner_nodes.lock().forget(None);
+        self.inner_nodes.lock().forget(|_| true);
     }
 }
 
 // --- version service --------------------------------------------------------
 
-/// [`VersionService`] over a remote version manager.
+/// [`VersionService`] over a remote version manager, with an always-on
+/// cache of the revealed snapshots it has resolved.
+///
+/// A revealed snapshot never changes again, so `snapshot_info` answers a
+/// `(blob, version)` it has seen revealed from memory: a warm read pays
+/// `latest` and no second version-manager frame. An unrevealed answer is
+/// never kept — the same call asks again. Entries leave on this adapter's
+/// `delete_blob` (the BLOB's) and `collect_before` (the BLOB's below
+/// `keep_from`), and all at once when the pool loses a connection. Another
+/// deployment's GC cannot reach them: a stale entry sends the read into a
+/// tree whose nodes are the version's own or gone, so it ends in the
+/// version's exact bytes or [`Error::MissingMetadata`]
+/// (docs/ARCHITECTURE.md, "The read descent").
 pub struct RpcVersionService {
     pool: MuxPool,
     block_size: u64,
+    revealed: Mutex<ReadCache<(BlobId, Version), SnapshotInfo>>,
 }
 
 impl RpcVersionService {
@@ -992,7 +1176,11 @@ impl RpcVersionService {
     pub fn connect_with(addr: SocketAddr, stats: Arc<EngineStats>, budget: usize) -> Result<Self> {
         let pool = MuxPool::connect_with(addr, stats, budget, version_tag::READ_ONLY)?;
         let block_size = call(&pool, version_tag::BLOCK_SIZE, &())?;
-        Ok(Self { pool, block_size })
+        Ok(Self {
+            pool,
+            block_size,
+            revealed: Mutex::named(ReadCache::new(), "rpc.version.revealed"),
+        })
     }
 }
 
@@ -1021,8 +1209,26 @@ impl VersionService for RpcVersionService {
         call(&self.pool, version_tag::LATEST, &blob)
     }
 
+    /// A revealed snapshot seen before answers from memory; any other
+    /// crosses the wire, and is kept if it answers revealed.
     fn snapshot_info(&self, blob: BlobId, version: Version) -> Result<SnapshotInfo> {
-        call(&self.pool, version_tag::SNAPSHOT_INFO, &(blob, version))
+        let deaths = self.pool.deaths();
+        let generation = {
+            let mut cache = self.revealed.lock();
+            let generation = cache.generation(deaths);
+            if let Some(info) = cache.entries.get(&(blob, version)) {
+                return Ok(*info);
+            }
+            generation
+        };
+        let info: SnapshotInfo = call(&self.pool, version_tag::SNAPSHOT_INFO, &(blob, version))?;
+        if info.revealed {
+            let deaths = self.pool.deaths();
+            let mut cache = self.revealed.lock();
+            cache.generation(deaths);
+            cache.insert(generation, (blob, version), info);
+        }
+        Ok(info)
     }
 
     fn chain(&self, blob: BlobId) -> Result<LogChain> {
@@ -1042,11 +1248,17 @@ impl VersionService for RpcVersionService {
     }
 
     fn delete_blob(&self, blob: BlobId) -> Result<Vec<NodeKey>> {
-        call(&self.pool, version_tag::DELETE_BLOB, &blob)
+        let out = call(&self.pool, version_tag::DELETE_BLOB, &blob);
+        self.revealed.lock().forget(|&(b, _)| b == blob);
+        out
     }
 
     fn collect_before(&self, blob: BlobId, keep_from: Version) -> Result<Vec<NodeKey>> {
-        call(&self.pool, version_tag::COLLECT_BEFORE, &(blob, keep_from))
+        let out = call(&self.pool, version_tag::COLLECT_BEFORE, &(blob, keep_from));
+        self.revealed
+            .lock()
+            .forget(|&(b, v)| b == blob && v < keep_from);
+        out
     }
 }
 
@@ -1241,7 +1453,7 @@ mod tests {
             .unwrap();
             let stats = Arc::new(EngineStats::new());
             let pool = MuxPool::connect_with(server.addr(), Arc::clone(&stats), 1, &[]).unwrap();
-            let failing = MuxConn::dial_with(server.addr(), Arc::clone(&pool.deaths), |inner| {
+            let failing = MuxConn::dial_with(server.addr(), Arc::clone(&pool.health), |inner| {
                 Box::new(FailAfter { inner, left: k })
             })
             .unwrap();
@@ -1299,7 +1511,7 @@ mod tests {
         let offered = Arc::new(Mutex::new(Vec::new()));
         let pool = &store.endpoints[0].pool;
         let recording = Arc::clone(&offered);
-        let conn = MuxConn::dial_with(server.addr(), Arc::clone(&pool.deaths), |inner| {
+        let conn = MuxConn::dial_with(server.addr(), Arc::clone(&pool.health), |inner| {
             Box::new(Recording {
                 inner,
                 offered: recording,

@@ -24,9 +24,9 @@
 //! The request id is chosen by the client and echoed verbatim on the
 //! response frame; it is what lets many in-flight requests share one TCP
 //! connection — the server may answer out of order (a parked
-//! `wait_revealed` no longer blocks the answers behind it) and the
-//! client's demux thread routes each response to the waiter that sent the
-//! matching id.
+//! `wait_revealed` no longer blocks the answers behind it) and whichever
+//! client caller reads the connection files each response for the waiter
+//! that sent the matching id.
 //!
 //! A request body is a method tag, then the method's argument tuple; a
 //! response body is the envelope ([`response_writer`], [`decode_response`])

@@ -704,14 +704,16 @@ struct ModelBlob {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The descent cache cannot lie. After every step of a random history,
-    /// a deployment whose `RpcMetaStore` has read every version after every
-    /// earlier step — alone, and with the block LRU — reads every live
-    /// version exactly as a fresh, cold deployment does, and as the model
-    /// says. A collected
-    /// or deleted version may still read (its leaves are fetched, never
-    /// cached), but only as the exact bytes it held; otherwise it fails
-    /// with `NoSuchVersion`, `NoSuchBlob` or `MissingMetadata`.
+    /// The descent caches cannot lie. After every step of a random
+    /// history, a deployment whose `RpcMetaStore` and `RpcVersionService`
+    /// have read every version after every earlier step — alone, with the
+    /// block LRU, and one that never collects or deletes and so holds
+    /// stale revealed snapshots as any other client would — reads every
+    /// live version exactly as a fresh, cold deployment does, and as the
+    /// model says. A collected or deleted version may still read (its
+    /// leaves are fetched, never cached), but only as the exact bytes it
+    /// held; otherwise it fails with `NoSuchVersion`, `NoSuchBlob` or
+    /// `MissingMetadata`.
     #[test]
     fn a_warm_deployment_reads_like_a_fresh_one(steps in proptest::collection::vec(step_strategy(), 1..20)) {
         let cfg = BlobSeerConfig::small_for_tests().with_block_size(BLOCK);
@@ -727,6 +729,9 @@ proptest! {
         let warm = warm_sys.client(NodeId::new(2));
         let lru_sys = rpc_deployment(&cluster, |inner| inner, true);
         let warm_lru = lru_sys.client(NodeId::new(3));
+        // A warm reader that runs no GC: nothing invalidates its entries.
+        let stale_sys = cluster.deploy().unwrap();
+        let stale = stale_sys.client(NodeId::new(5));
         let mut blobs = vec![ModelBlob {
             id: writer.create(),
             versions: Vec::new(),
@@ -812,7 +817,13 @@ proptest! {
                     if live && len > BLOCK && !seen.insert((blob.id, v)) {
                         rereads += 1;
                     }
-                    for (who, c) in [("warm", &warm), ("warm+lru", &warm_lru), ("fresh", &fresh)] {
+                    let readers = [
+                        ("warm", &warm),
+                        ("warm+lru", &warm_lru),
+                        ("stale", &stale),
+                        ("fresh", &fresh),
+                    ];
+                    for (who, c) in readers {
                         let got = c.read(blob.id, Some(Version::new(v)), 0, len);
                         let exact = matches!(&got, Ok(bytes) if bytes[..] == expect[..]);
                         let gone = matches!(
@@ -828,7 +839,7 @@ proptest! {
                 }
             }
         }
-        for sys in [&warm_sys, &lru_sys] {
+        for sys in [&warm_sys, &lru_sys, &stale_sys] {
             let hits = sys.stats().snapshot().cache_hits;
             prop_assert!(rereads == 0 || hits > 0, "{} re-reads, no cache hit", rereads);
         }

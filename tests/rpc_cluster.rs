@@ -205,15 +205,16 @@ fn vectored_ports_cost_frames_proportional_to_levels_not_blocks() {
     );
 
     // The cold read left the tree's 63 inner nodes in the metadata
-    // adapter: the re-read descends through them locally and fetches the
-    // leaf level in one frame — 2 + 1 + 4 = 7. The descent still visits
-    // (and counts) all 127 nodes.
+    // adapter and the revealed snapshot in the version adapter: the
+    // re-read asks only `latest`, descends through the inner nodes
+    // locally and fetches the leaf level in one frame — 1 + 1 + 4 = 6.
+    // The descent still visits (and counts) all 127 nodes.
     let again = c.read(blob, None, 0, data.len() as u64).unwrap();
     assert_eq!(again, full);
     let after_reread = sys.stats().snapshot();
     assert_eq!(
         after_reread.port_round_trips - after_read.port_round_trips,
-        7
+        6
     );
     assert_eq!(
         after_reread.meta_nodes_read - after_read.meta_nodes_read,
@@ -236,11 +237,12 @@ fn vectored_ports_cost_frames_proportional_to_levels_not_blocks() {
 /// A 4 KiB-style one-block read at the head of a long append log: cold,
 /// the descent pays one frame per tree level (history 1 / 1024 / 8192 →
 /// 4 / 14 / 17 frames: latest + snapshot info + levels + block). Warm, the
-/// inner nodes it crossed are cached and only the leaf level crosses the
-/// wire: 4 frames at every depth. The cold counts are `perf counts`'
-/// `rpc_append_log.read.h*` rows; appends never fill the cache.
+/// snapshot and the inner nodes it crossed are cached and only `latest`,
+/// the leaf level and the block cross the wire: 3 frames at every depth.
+/// The cold counts are `perf counts`' `rpc_append_log.read.h*` rows;
+/// appends never fill the caches.
 #[test]
-fn a_warm_descent_costs_four_frames_at_any_history_depth() {
+fn a_warm_descent_costs_three_frames_at_any_history_depth() {
     let cluster = cluster_with_block(64, 4);
     let sys = cluster.deploy().unwrap();
     let c = sys.client(NodeId::new(100));
@@ -254,7 +256,7 @@ fn a_warm_descent_costs_four_frames_at_any_history_depth() {
             8192 => 14,
             _ => continue,
         };
-        for (pass, frames) in [("cold", 3 + levels), ("warm", 4)] {
+        for (pass, frames) in [("cold", 3 + levels), ("warm", 3)] {
             let (served, before) = (cluster.frames_served(), sys.stats().snapshot());
             let got = c.read(blob, None, offset, 64).unwrap();
             let after = sys.stats().snapshot();

@@ -1,9 +1,11 @@
 //! The multiplexed transport: many in-flight requests per connection, a
 //! bounded socket budget, transparent redial after a server restart (a
-//! read-only call cut off by a closing connection is resent once),
-//! connections served independently of each other and surviving a
-//! panicking handler, a pipelined metadata publish, and the read caches
-//! (the opt-in block LRU and the metadata adapter's inner-node cache).
+//! read-only call cut off by a closing connection is resent once, and a
+//! restart no call saw is noticed before a cached answer), connections
+//! served independently of each other and surviving a panicking handler,
+//! a pipelined metadata publish, and the read caches (the opt-in block
+//! LRU, the metadata adapter's inner-node cache and the version adapter's
+//! revealed snapshots).
 //!
 //! The old transport model spent one TCP connection per in-flight request
 //! (a parked `wait_revealed` pinned a whole socket). These tests pin down
@@ -370,14 +372,14 @@ fn read_cache_serves_hot_snapshots_and_reports_hits() {
     );
     assert_eq!(trips(&after_cold) - trips(&start), 2 + 5 + 2);
 
-    // … and the hot re-read hits every block and every inner node: only
-    // the leaf level crosses the wire besides the version manager.
+    // … and the hot re-read hits every block, every inner node and the
+    // revealed snapshot: only `latest` and the leaf level cross the wire.
     let warm = c2.read(blob, None, 0, payload.len() as u64).unwrap();
     assert_eq!(&warm[..], &payload[..]);
     let after_warm = sys2.stats().snapshot();
     assert_eq!(after_warm.cache_hits - after_cold.cache_hits, 16 + 15);
     assert_eq!(after_warm.cache_misses - after_cold.cache_misses, 16);
-    assert_eq!(trips(&after_warm) - trips(&after_cold), 2 + 1);
+    assert_eq!(trips(&after_warm) - trips(&after_cold), 1 + 1);
 }
 
 /// A metadata server restarted on the same port over a *fresh* RAM store
@@ -761,9 +763,9 @@ const BLOCK_SIZE: u8 = 0;
 const WAIT_REVEALED: u8 = 8;
 
 /// A peer that closes a connection with a request in flight — the state
-/// an idle connection is in when its server closed it before the client's
-/// demux thread read the EOF. A read-only call (`latest`) cut off so is
-/// resent once, on a freshly dialed connection, and answered there; a
+/// an idle connection is in when its server closed it just after the
+/// client's idle probe found it open. A read-only call (`latest`) cut off
+/// so is resent once, on a freshly dialed connection, and answered there; a
 /// mutating one (`assign`) fails with its outcome unknown and never
 /// reaches the peer again.
 #[test]
@@ -939,4 +941,165 @@ fn a_parked_wait_is_overtaken_by_the_answers_behind_it() {
         .unwrap();
     assert_eq!(id, 1);
     blobseer_rpc::wire::decode_response(&body, <()>::get).unwrap();
+}
+
+/// A server restarted on `addr` over `service`, once the old listener's
+/// port can be bound again.
+fn respawn(addr: std::net::SocketAddr, service: impl Fn() -> RpcService) -> RpcServer {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let opts = ServerOptions {
+            addr,
+            ..ServerOptions::default()
+        };
+        match RpcServer::spawn(service(), opts) {
+            Ok(server) => return server,
+            Err(_) if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(50)),
+            Err(e) => panic!("could not rebind {addr}: {e}"),
+        }
+    }
+}
+
+/// A metadata server and a version-manager server restart on their ports
+/// over fresh RAM stores while the adapters send nothing, so no call of
+/// theirs meets a dead connection. The next fully cached `get_many` and
+/// the next `snapshot_info` of a version cached before the restart still
+/// ask the new servers: a lookup probes the pool's idle connections and
+/// finds them closed. (A pool that heard from its server within the last
+/// millisecond skips the probe; the test lets that window pass.)
+#[test]
+fn a_silent_restart_is_noticed_before_a_cached_answer() {
+    use blobseer_core::dht::MetaDht;
+    use blobseer_core::ports::VersionService;
+    use blobseer_core::VersionManager;
+    use blobseer_rpc::RpcVersionService;
+
+    let meta_service = || RpcService::Meta(Arc::new(MetaDht::new(2, 1)));
+    let vm_service = || {
+        let vm = VersionManager::new(BLOCK, Arc::new(EngineStats::new()));
+        RpcService::Version(Arc::new(vm))
+    };
+    let mut meta_server = RpcServer::spawn(meta_service(), ServerOptions::default()).unwrap();
+    let mut vm_server = RpcServer::spawn(vm_service(), ServerOptions::default()).unwrap();
+    let stats = Arc::new(EngineStats::new());
+    let meta = RpcMetaStore::connect_with(meta_server.addr(), Arc::clone(&stats), 2).unwrap();
+    let vm = RpcVersionService::connect_with(vm_server.addr(), Arc::clone(&stats), 2).unwrap();
+
+    let key = NodeKey::new(BlobId::new(1), Version::new(1), Pos::new(0, 2));
+    let inner = TreeNode::Inner {
+        left: None,
+        right: None,
+    };
+    meta.put(key, inner.clone()).unwrap();
+    let blob = vm.create_blob().unwrap();
+    let ticket = vm
+        .assign(blob, WriteIntent::Append { size: BLOCK })
+        .unwrap();
+    vm.commit(blob, ticket.version).unwrap();
+    for _ in 0..2 {
+        assert_eq!(meta.get_many(&[key]), [Ok(inner.clone())]);
+        assert!(vm.snapshot_info(blob, ticket.version).unwrap().revealed);
+    }
+    let frames = (meta_server.frames_served(), vm_server.frames_served());
+    assert_eq!(meta.get_many(&[key]), [Ok(inner.clone())]);
+    assert!(vm.snapshot_info(blob, ticket.version).unwrap().revealed);
+    let cached = (meta_server.frames_served(), vm_server.frames_served());
+    assert_eq!(cached, frames, "both answers come from the caches");
+
+    let (meta_addr, vm_addr) = (meta_server.addr(), vm_server.addr());
+    meta_server.shutdown();
+    vm_server.shutdown();
+    drop((meta_server, vm_server));
+    let meta_server = respawn(meta_addr, meta_service);
+    let vm_server = respawn(vm_addr, vm_service);
+    std::thread::sleep(Duration::from_millis(5));
+
+    let got = meta.get_many(&[key]);
+    assert!(
+        matches!(got[..], [Err(Error::MissingMetadata(_))]),
+        "{got:?}"
+    );
+    assert_eq!(meta_server.frames_served(), 1, "asked the new meta server");
+    let got = vm.snapshot_info(blob, ticket.version);
+    assert!(
+        matches!(got, Err(Error::NoSuchBlob(_) | Error::NoSuchVersion { .. })),
+        "{got:?}"
+    );
+    assert_eq!(
+        vm_server.frames_served(),
+        1,
+        "asked the new version manager"
+    );
+}
+
+/// The version adapter keeps only revealed snapshots: an assigned but
+/// uncommitted version is asked again every time, and once committed the
+/// next call fetches it revealed and the one after answers from memory.
+/// This adapter's `delete_blob` and `collect_before` drop what they
+/// remove, so a read of such a version asks the server and fails.
+#[test]
+fn the_revealed_info_cache_never_holds_an_unrevealed_or_deleted_version() {
+    use blobseer_core::ports::VersionService;
+    use blobseer_core::VersionManager;
+    use blobseer_rpc::RpcVersionService;
+
+    let vm = VersionManager::new(BLOCK, Arc::new(EngineStats::new()));
+    let server =
+        RpcServer::spawn(RpcService::Version(Arc::new(vm)), ServerOptions::default()).unwrap();
+    let stats = Arc::new(EngineStats::new());
+    let vm = RpcVersionService::connect_with(server.addr(), stats, 2).unwrap();
+    // The frames one call sends.
+    let frames = |call: &dyn Fn()| {
+        let before = server.frames_served();
+        call();
+        server.frames_served() - before
+    };
+    let append = |blob| {
+        let ticket = vm
+            .assign(blob, WriteIntent::Append { size: BLOCK })
+            .unwrap();
+        ticket.version
+    };
+
+    let blob = vm.create_blob().unwrap();
+    let v1 = append(blob);
+    for _ in 0..2 {
+        let unrevealed = || assert!(!vm.snapshot_info(blob, v1).unwrap().revealed);
+        assert_eq!(
+            frames(&unrevealed),
+            1,
+            "an unrevealed version is asked again"
+        );
+    }
+    vm.commit(blob, v1).unwrap();
+    let revealed = || assert!(vm.snapshot_info(blob, v1).unwrap().revealed);
+    assert_eq!(frames(&revealed), 1, "the commit is seen on a fresh frame");
+    assert_eq!(frames(&revealed), 0, "then answered from memory");
+
+    vm.delete_blob(blob).unwrap();
+    let deleted = || {
+        let got = vm.snapshot_info(blob, v1);
+        assert!(matches!(got, Err(Error::NoSuchBlob(_))), "{got:?}");
+    };
+    assert_eq!(frames(&deleted), 1, "a deleted BLOB is asked, not cached");
+
+    let blob = vm.create_blob().unwrap();
+    let (v1, v2) = (append(blob), append(blob));
+    vm.commit(blob, v1).unwrap();
+    vm.commit(blob, v2).unwrap();
+    let both = || {
+        for v in [v1, v2] {
+            assert!(vm.snapshot_info(blob, v).unwrap().revealed);
+        }
+    };
+    assert_eq!(frames(&both), 2);
+    assert_eq!(frames(&both), 0);
+    vm.collect_before(blob, v2).unwrap();
+    let collected = || {
+        let got = vm.snapshot_info(blob, v1);
+        assert!(matches!(got, Err(Error::NoSuchVersion { .. })), "{got:?}");
+    };
+    assert_eq!(frames(&collected), 1, "a collected version is asked");
+    let kept = || assert!(vm.snapshot_info(blob, v2).unwrap().revealed);
+    assert_eq!(frames(&kept), 0, "the kept version stays cached");
 }
