@@ -70,13 +70,11 @@ impl BlobClient {
             // paper's workloads — never take this path and keep full
             // parallelism). On timeout (crashed predecessor), repair our
             // assigned version so the reveal pipeline is not stalled. The
-            // patience comes from `BlobSeerConfig::unaligned_append_timeout`
-            // so tests and simulation runs can shrink it.
-            if let Err(e) = self.wait_revealed(
-                blob,
-                ticket.version.prev(),
-                self.sys.cfg.unaligned_append_timeout,
-            ) {
+            // patience comes from `BlobSeerConfig::reveal_timeout` so tests
+            // and simulation runs can shrink it.
+            if let Err(e) =
+                self.wait_revealed(blob, ticket.version.prev(), self.sys.cfg.reveal_timeout)
+            {
                 self.repair_aborted(&ticket)?;
                 return Err(e);
             }

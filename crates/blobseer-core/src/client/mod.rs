@@ -32,7 +32,8 @@
 //!   byte is ever lost. Block-aligned appends — all of Hadoop's traffic,
 //!   thanks to BSFS's write-behind cache, and all the paper's workloads —
 //!   skip the wait and retain the protocol's full parallelism. The wait's
-//!   patience is `BlobSeerConfig::unaligned_append_timeout`.
+//!   patience is `BlobSeerConfig::reveal_timeout`, the same one
+//!   `BsfsOutput::close()` waits for its final append's reveal.
 //!
 //! # How to add a backend
 //!

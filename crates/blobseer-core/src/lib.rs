@@ -44,7 +44,6 @@
 #![forbid(unsafe_code)]
 
 pub mod block_store;
-pub mod cache;
 pub mod client;
 pub mod dht;
 pub mod exec;
@@ -57,7 +56,6 @@ pub mod sharded;
 pub mod stats;
 pub mod version_manager;
 
-pub use cache::{BlockCache, CachedBlockStore};
 pub use client::{BlobClient, BlobSeer, BlockLocation, EnginePorts};
 pub use exec::FanoutExecutor;
 pub use faults::{FaultPlan, Faults, FaultyBlockStore, FaultyMetaStore, PutFault};

@@ -26,8 +26,8 @@
 //! A store is decorated through [`Hooked`], the one forwarding impl of
 //! each store port: it passes every call to the store it wraps, the I/O
 //! through a [`BlockHook`] or [`MetaHook`] that overrides only what it
-//! intercepts — fault injection ([`crate::faults`]), the block cache
-//! ([`crate::cache`]), the figures' SimGate charging.
+//! intercepts — fault injection ([`crate::faults`]), the figures'
+//! SimGate charging.
 //!
 //! A passive port rides along: [`ProtocolObserver`] receives a
 //! callback at every protocol phase boundary (data phase, version

@@ -49,15 +49,11 @@ pub struct EngineStats {
     /// exactly 3 control frames (allocate, child refcounts, root
     /// registration) and a read costs 0.
     pub control_round_trips: AtomicU64,
-    /// Hot-read cache hits (blocks + metadata tree nodes served from the
-    /// client-side [`crate::cache`] decorators without touching the
-    /// backend).
+    /// Read-cache hits: inner tree nodes the RPC metadata adapter
+    /// answered from its own cache without a round trip.
     pub cache_hits: AtomicU64,
-    /// Hot-read cache misses (requests the decorators forwarded).
+    /// Read-cache misses: node lookups that cache forwarded to the server.
     pub cache_misses: AtomicU64,
-    /// Entries evicted from the hot-read cache to stay within its byte
-    /// budget.
-    pub cache_evictions: AtomicU64,
     /// Diagnostic port calls (non-`Result` methods: counts, sizes, op
     /// counters) that a remote adapter answered with a zero/empty default
     /// because the backend was unreachable. Always 0 in a healthy
@@ -126,7 +122,6 @@ impl EngineStats {
             control_round_trips: g(&self.control_round_trips),
             cache_hits: g(&self.cache_hits),
             cache_misses: g(&self.cache_misses),
-            cache_evictions: g(&self.cache_evictions),
             rpc_degraded_diagnostics: g(&self.rpc_degraded_diagnostics),
             fanout_batches: g(&self.fanout_batches),
             fanout_max_width: g(&self.fanout_max_width),
@@ -155,7 +150,6 @@ pub struct StatsSnapshot {
     pub control_round_trips: u64,
     pub cache_hits: u64,
     pub cache_misses: u64,
-    pub cache_evictions: u64,
     pub rpc_degraded_diagnostics: u64,
     pub fanout_batches: u64,
     pub fanout_max_width: u64,

@@ -40,9 +40,7 @@ use blobseer_core::ports::{
 };
 use blobseer_core::provider_manager::ProviderManager;
 use blobseer_core::version_manager::VersionManager;
-use blobseer_core::{
-    BlobSeer, BlockCache, CachedBlockStore, EnginePorts, EngineStats, FanoutExecutor, NoopObserver,
-};
+use blobseer_core::{BlobSeer, EnginePorts, EngineStats, FanoutExecutor, NoopObserver};
 use blobseer_disk::frame::FrameLog;
 use blobseer_disk::volume::volume_path;
 use blobseer_disk::{DiskMetaStore, DiskProviderSet, DiskVolume, DurableVersionService};
@@ -160,8 +158,17 @@ impl LoopbackCluster {
     /// hosted on node `i`), one metadata-DHT server, one version-manager
     /// server, one placement (provider-manager) server and one GC server,
     /// all on loopback ephemeral ports.
+    ///
+    /// A non-zero `read_cache_bytes` is refused with
+    /// [`Error::Unsupported`]: the client keeps no block cache, and a
+    /// budget it would silently ignore is a misconfiguration.
     pub fn boot(cfg: BlobSeerConfig, n_providers: usize) -> Result<Self> {
         assert!(n_providers > 0, "need at least one data provider");
+        if cfg.read_cache_bytes > 0 {
+            return Err(Error::Unsupported(
+                "read_cache_bytes: the client keeps no block cache",
+            ));
+        }
         // One tracker across all servers: its high watermark observes
         // requests overlapping *anywhere* in the cluster, which is what
         // client-side fan-out produces and a serial client cannot.
@@ -321,23 +328,12 @@ impl LoopbackCluster {
         // `control_round_trips`.
         let stats = Arc::new(EngineStats::new());
         let budget = self.cfg.rpc_client_connections;
-        let mut providers: Arc<dyn BlockStore> = Arc::new(RpcBlockStore::connect_with(
-            &self.block_addrs,
-            Arc::clone(&stats),
-            budget,
-        )?);
-        // Opt-in hot-read block cache, safe because revealed blocks are
-        // immutable. `read_cache_bytes == 0` (the default) leaves the block
-        // path untouched; the tree's inner nodes are cached by
-        // `RpcMetaStore` itself, always.
-        if self.cfg.read_cache_bytes > 0 {
-            providers = Arc::new(CachedBlockStore::new(
-                providers,
-                BlockCache::new(self.cfg.read_cache_bytes, Arc::clone(&stats)),
-            ));
-        }
         let ports = EnginePorts {
-            providers,
+            providers: Arc::new(RpcBlockStore::connect_with(
+                &self.block_addrs,
+                Arc::clone(&stats),
+                budget,
+            )?),
             dht: Arc::new(RpcMetaStore::connect_with(
                 self.meta_addr,
                 Arc::clone(&stats),

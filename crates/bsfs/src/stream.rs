@@ -21,7 +21,7 @@ use std::time::Duration;
 
 /// Upper bound on the reveal wait performed by `Drop` (an abandoned
 /// stream). `close()` waits the full configured
-/// `BlobSeerConfig::close_reveal_timeout`; `Drop` is best-effort and must
+/// `BlobSeerConfig::reveal_timeout`; `Drop` is best-effort and must
 /// never stall a harness for the production patience — in particular, a
 /// simulated-time SimGate turn can never satisfy a real condvar wait, so
 /// an unbounded drop-wait would hang the whole simulation.
@@ -82,7 +82,7 @@ pub type BsfsOutput = BlockWriter<BlobAppender>;
 pub fn append_stream(client: BlobClient, blob: BlobId) -> BsfsOutput {
     let cfg = client.system().config();
     let block_size = cfg.block_size as usize;
-    let patience = cfg.close_reveal_timeout;
+    let patience = cfg.reveal_timeout;
     BlockWriter::new(
         block_size,
         BlobAppender {
@@ -101,7 +101,7 @@ pub struct BlobAppender {
     blob: BlobId,
     last_version: Option<Version>,
     /// Patience of `close()`'s reveal wait, from
-    /// `BlobSeerConfig::close_reveal_timeout`.
+    /// `BlobSeerConfig::reveal_timeout`.
     patience: Duration,
 }
 
@@ -214,7 +214,7 @@ mod tests {
         // bound, instead of stalling the caller.
         let cfg = BlobSeerConfig::small_for_tests()
             .with_block_size(256)
-            .with_close_reveal_timeout(Duration::from_millis(50));
+            .with_reveal_timeout(Duration::from_millis(50));
         let sys = BlobSeer::deploy(cfg, 4);
         let c = sys.client(NodeId::new(0));
         let blob = c.create();

@@ -592,11 +592,10 @@ pub fn deploy(
         // wait on a *real* condvar for a reveal — but under the gate the
         // committing peer is parked and can never run while this thread
         // holds the turn, so such a wait can only ever time out. Fail fast
-        // instead of stalling the whole simulation for the 30 s defaults.
+        // instead of stalling the whole simulation for the 30 s default.
         // (All figure workloads are block-aligned and reveal before close,
         // so neither path is taken.)
-        unaligned_append_timeout: Duration::from_millis(50),
-        close_reveal_timeout: Duration::from_millis(50),
+        reveal_timeout: Duration::from_millis(50),
         // The gate serializes simulated threads; an OS thread pool would
         // run uncharged (its workers never set `CLIENT_NODE`) and deadlock
         // the turn-taking. Inline execution + the charging adapters'

@@ -10,16 +10,13 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-/// Default patience of the unaligned-append slow path: how long a writer
-/// waits for the preceding snapshot's reveal before repairing its own
-/// version (see `blobseer_core::client` module docs).
-pub const DEFAULT_UNALIGNED_APPEND_TIMEOUT: Duration = Duration::from_secs(30);
-
-/// Default patience of `BsfsOutput::close()`: how long a closing stream
-/// waits for its final append's snapshot to be revealed (close-to-open
+/// Default reveal patience: how long a writer waits for a snapshot's
+/// reveal, both in the unaligned-append slow path (the preceding
+/// snapshot, see `blobseer_core::client` module docs) and in
+/// `BsfsOutput::close()` (its own final append, close-to-open
 /// visibility). Tests and simulated-time deployments shrink it — a 30 s
 /// real condvar wait can never be satisfied inside a SimGate turn.
-pub const DEFAULT_CLOSE_REVEAL_TIMEOUT: Duration = Duration::from_secs(30);
+pub const DEFAULT_REVEAL_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Default multiplexed-connection budget per remote endpoint: how many TCP
 /// connections a client adapter opens to one service before pipelining
@@ -45,17 +42,13 @@ pub struct BlobSeerConfig {
     /// Replication level of metadata tree nodes within the DHT (§VI-B:
     /// "metadata is stored in a DHT … resilient to faults by construction").
     pub metadata_replication: usize,
-    /// How long an unaligned append waits for the preceding snapshot's
-    /// reveal before giving up and repairing its assigned version. Tests
-    /// and simulation runs shrink this so a crashed predecessor does not
-    /// stall them for the full production patience.
-    pub unaligned_append_timeout: Duration,
-    /// How long a closing BSFS output stream waits for its final append's
-    /// reveal (close-to-open visibility). Like the unaligned-append
-    /// patience, tests and simulated-time deployments shrink this: `Drop`
-    /// additionally bounds it so an abandoned stream can never stall a
-    /// harness for the full production patience.
-    pub close_reveal_timeout: Duration,
+    /// How long a writer waits for a snapshot's reveal: an unaligned
+    /// append for the preceding snapshot (on timeout it repairs its
+    /// assigned version), and a closing BSFS output stream for its final
+    /// append (close-to-open visibility; `Drop` additionally bounds it).
+    /// Tests and simulated-time deployments shrink it so a crashed
+    /// predecessor does not stall them for the full production patience.
+    pub reveal_timeout: Duration,
     /// Multiplexed TCP connections a remote-backend client opens per
     /// service endpoint. Concurrent requests beyond the budget pipeline
     /// onto the shared connections instead of opening new sockets.
@@ -64,10 +57,10 @@ pub struct BlobSeerConfig {
     /// own thread and have no worker pool to size. The field stays only
     /// because the benchmark prints it into its provenance record.
     pub rpc_server_workers: usize,
-    /// Byte budget of the client-side hot-read block cache of an RPC
-    /// deployment. `0` disables it — the default, and what the figure
-    /// reproductions run with (the paper's curves are cache-cold; see
-    /// `docs/REPRODUCING.md`). Tree nodes are not in this budget.
+    /// Inert, like `rpc_server_workers`: the benchmark prints it into its
+    /// provenance record. The client keeps no block cache, so a hosted
+    /// cluster refuses a non-zero value at boot (`Error::Unsupported`)
+    /// rather than ignore it; the default is 0.
     pub read_cache_bytes: u64,
     /// Threads in the client's fan-out I/O pool, which overlaps
     /// per-provider batches across the data, fetch, publish and GC phases.
@@ -100,8 +93,7 @@ impl Default for BlobSeerConfig {
             replication: 1,
             metadata_providers: 20,
             metadata_replication: 1,
-            unaligned_append_timeout: DEFAULT_UNALIGNED_APPEND_TIMEOUT,
-            close_reveal_timeout: DEFAULT_CLOSE_REVEAL_TIMEOUT,
+            reveal_timeout: DEFAULT_REVEAL_TIMEOUT,
             rpc_client_connections: DEFAULT_RPC_CLIENT_CONNECTIONS,
             rpc_server_workers: 4,
             read_cache_bytes: 0,
@@ -114,14 +106,15 @@ impl Default for BlobSeerConfig {
 
 impl BlobSeerConfig {
     /// A configuration with small blocks, convenient for tests that want
-    /// many-block files without gigabytes of RAM. Reveal patiences shrink
-    /// too: in-process reveals are immediate, so a stuck predecessor should
-    /// fail a test in seconds, not stall it for the production 30 s.
+    /// many-block files without gigabytes of RAM. The reveal patience
+    /// shrinks too: in-process reveals are immediate, so a stuck
+    /// predecessor should fail a test in seconds, not stall it for the
+    /// production 30 s.
     pub fn small_for_tests() -> Self {
         Self {
             block_size: 4 * 1024,
             metadata_providers: 4,
-            close_reveal_timeout: Duration::from_secs(2),
+            reveal_timeout: Duration::from_secs(2),
             // Small but real fan-out: tests exercise the pooled dispatch
             // path by default while staying cheap on 1-CPU runners.
             client_io_threads: Some(2),
@@ -153,24 +146,10 @@ impl BlobSeerConfig {
         self
     }
 
-    /// Builder-style override of the unaligned-append patience.
+    /// Builder-style override of the reveal patience.
     #[must_use]
-    pub fn with_unaligned_append_timeout(mut self, timeout: Duration) -> Self {
-        self.unaligned_append_timeout = timeout;
-        self
-    }
-
-    /// Builder-style override of the close-reveal patience.
-    #[must_use]
-    pub fn with_close_reveal_timeout(mut self, timeout: Duration) -> Self {
-        self.close_reveal_timeout = timeout;
-        self
-    }
-
-    /// Builder-style override of the hot-read cache budget (`0` disables).
-    #[must_use]
-    pub fn with_read_cache_bytes(mut self, bytes: u64) -> Self {
-        self.read_cache_bytes = bytes;
+    pub fn with_reveal_timeout(mut self, timeout: Duration) -> Self {
+        self.reveal_timeout = timeout;
         self
     }
 
@@ -214,14 +193,15 @@ mod tests {
         assert_eq!(c.block_size, 64 * 1024 * 1024);
         assert_eq!(c.replication, 1);
         assert_eq!(c.metadata_providers, 20);
-        assert_eq!(c.unaligned_append_timeout, Duration::from_secs(30));
-        assert_eq!(c.close_reveal_timeout, Duration::from_secs(30));
+        assert_eq!(c.reveal_timeout, Duration::from_secs(30));
         assert_eq!(c.rpc_client_connections, 4);
         assert_eq!(c.rpc_server_workers, 4, "inert, kept at its old value");
-        assert_eq!(c.read_cache_bytes, 0, "figure runs are cache-cold");
+        assert_eq!(c.read_cache_bytes, 0, "inert; non-zero is refused at boot");
         assert_eq!(c.data_dir, None, "RAM-backed unless opted in");
         assert_eq!(c.client_io_threads, None, "auto: min(8, providers)");
         assert_eq!(c.version_replicas, 1, "the paper runs one version manager");
+        let small = BlobSeerConfig::small_for_tests();
+        assert_eq!(small.reveal_timeout, Duration::from_secs(2));
     }
 
     #[test]
@@ -230,18 +210,14 @@ mod tests {
             .with_block_size(1024)
             .with_replication(3)
             .with_metadata_providers(2)
-            .with_unaligned_append_timeout(Duration::from_millis(50))
-            .with_close_reveal_timeout(Duration::from_millis(80))
-            .with_read_cache_bytes(1 << 20)
+            .with_reveal_timeout(Duration::from_millis(50))
             .with_data_dir("/tmp/blobseer-data")
             .with_client_io_threads(4)
             .with_version_replicas(3);
-        assert_eq!(c.unaligned_append_timeout, Duration::from_millis(50));
-        assert_eq!(c.close_reveal_timeout, Duration::from_millis(80));
+        assert_eq!(c.reveal_timeout, Duration::from_millis(50));
         assert_eq!(c.block_size, 1024);
         assert_eq!(c.replication, 3);
         assert_eq!(c.metadata_providers, 2);
-        assert_eq!(c.read_cache_bytes, 1 << 20);
         assert_eq!(c.data_dir, Some(PathBuf::from("/tmp/blobseer-data")));
         assert_eq!(c.client_io_threads, Some(4));
         assert_eq!(c.version_replicas, 3);

@@ -341,13 +341,13 @@ fn failed_metadata_publish_releases_orphaned_blocks() {
 }
 
 #[test]
-fn unaligned_append_timeout_is_configurable_and_repairs() {
-    // Satellite check: the unaligned-append patience comes from the config
-    // (the seed hard-coded 30 s), so a crashed predecessor only stalls an
+fn reveal_timeout_is_configurable_and_repairs() {
+    // The unaligned-append patience is the config's reveal timeout (the
+    // seed hard-coded 30 s), so a crashed predecessor only stalls an
     // unaligned appender for the configured window before self-repair.
     let cfg = BlobSeerConfig::small_for_tests()
         .with_block_size(BLOCK)
-        .with_unaligned_append_timeout(Duration::from_millis(50));
+        .with_reveal_timeout(Duration::from_millis(50));
     let sys = BlobSeer::deploy(cfg, 4);
     let c = sys.client(NodeId::new(0));
     let blob = c.create();

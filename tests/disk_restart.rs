@@ -25,7 +25,7 @@ const BLOCK: u64 = 256;
 fn disk_cfg(dir: &Path) -> BlobSeerConfig {
     BlobSeerConfig::small_for_tests()
         .with_block_size(BLOCK)
-        .with_unaligned_append_timeout(Duration::from_millis(200))
+        .with_reveal_timeout(Duration::from_millis(200))
         .with_data_dir(dir)
 }
 

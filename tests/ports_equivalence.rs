@@ -15,16 +15,15 @@
 //!    (`put_many`/`get_many`/`delete_many`) must answer exactly like the
 //!    equivalent sequence of single ops, per item and in input order, on
 //!    every adapter family — in-memory sharded, fault-decorated
-//!    (including partial batch failures via `FailOnce`), cached, disk and
-//!    the RPC loopback adapters (including per-item conflicts inside one
+//!    (including partial batch failures via `FailOnce`), disk and the RPC
+//!    loopback adapters (including per-item conflicts inside one
 //!    frame). The single ops are the ports' provided one-item helpers, so
 //!    every family appears on the *sequential* side of a pairing too: a
 //!    batch of one must be as good as any batch.
 //!
-//! 4. **Cached ≡ uncached** (PR 7): the hot-read block LRU
-//!    (`CachedBlockStore`) and the inner-node cache inside `RpcMetaStore`
-//!    must be observationally invisible under every script — including
-//!    conflicts, deletes and evictions forced by a tiny byte budget.
+//! 4. **Cached ≡ uncached**: the inner-node cache inside `RpcMetaStore`,
+//!    warmed first, must be observationally invisible under every script
+//!    — including conflicting re-puts and deletes.
 //!
 //! 5. **Disk-backed ≡ in-memory** (this PR): the append-only stores of
 //!    `blobseer-disk` must answer every op script exactly like the
@@ -41,7 +40,7 @@ use blobseer_core::faults::{FaultPlan, PutFault};
 use blobseer_core::meta::key::{NodeKey, Pos};
 use blobseer_core::meta::node::{BlockDescriptor, NodeRef, TreeNode};
 use blobseer_core::ports::{BlockStore, MetaStore};
-use blobseer_core::{BlobSeer, BlockCache, CachedBlockStore, EngineStats, WriteIntent};
+use blobseer_core::{BlobSeer, EngineStats, WriteIntent};
 use blobseer_disk::testutil::TempDir;
 use blobseer_disk::{DiskMetaStore, DiskProviderSet};
 use blobseer_rpc::{LoopbackCluster, RpcMetaStore, RpcServer, RpcService};
@@ -366,34 +365,11 @@ proptest! {
         assert_meta_batches_match_singles(&script, &batched, &sequential);
     }
 
-    /// The hot-read LRU decorator over the block store is observationally
-    /// invisible: every script answers identically with and without it.
-    /// The byte budget is tiny (256 B) so eviction churn happens mid-case;
-    /// the only permitted difference is the counters.
-    #[test]
-    fn cached_block_store_is_observationally_transparent(script in vec_ops()) {
-        let stats = Arc::new(EngineStats::new());
-        let cached = CachedBlockStore::new(
-            Arc::new(ProviderSet::with_shards(2, |i| NodeId::new(i as u64), 32)),
-            BlockCache::new(256, Arc::clone(&stats)),
-        );
-        let bare = ProviderSet::with_shards(2, |i| NodeId::new(i as u64), 32);
-        assert_block_batches_match_singles(&script, &cached, &bare, None);
-        // And the other way round: the decorator driven one item at a
-        // time, through the port's provided helpers.
-        let cached = CachedBlockStore::new(
-            Arc::new(ProviderSet::with_shards(2, |i| NodeId::new(i as u64), 32)),
-            BlockCache::new(256, stats),
-        );
-        let bare = ProviderSet::with_shards(2, |i| NodeId::new(i as u64), 32);
-        assert_block_batches_match_singles(&script, &bare, &cached, None);
-    }
-
-    /// Same for the inner-node cache of the RPC metadata adapter, warmed
-    /// first — every key stored unsalted and read once through it — so
-    /// conflicting re-puts must keep answering the *stored* node, and a
-    /// delete followed by a re-put of the other salt must answer the new
-    /// one: batched over the warm adapter against singles on a bare DHT
+    /// The inner-node cache of the RPC metadata adapter is observationally
+    /// invisible. It is warmed first — every key stored unsalted and read
+    /// once through it — so conflicting re-puts must keep answering the
+    /// *stored* node, and a delete followed by a re-put of the other salt
+    /// must answer the new one: batched over the warm adapter against singles on a bare DHT
     /// given the same prefix, then the other way round.
     #[test]
     fn warmed_rpc_meta_store_is_observationally_transparent(script in meta_script()) {
@@ -658,7 +634,7 @@ fn rpc_rig() -> &'static RpcRig {
     RIG.get_or_init(|| {
         let cfg = BlobSeerConfig::small_for_tests()
             .with_block_size(RPC_BLOCK)
-            .with_unaligned_append_timeout(std::time::Duration::from_millis(200));
+            .with_reveal_timeout(std::time::Duration::from_millis(200));
         let cluster = LoopbackCluster::boot(cfg.clone(), 4).unwrap();
         RpcRig {
             in_memory: BlobSeer::deploy(cfg, 4),
@@ -934,7 +910,7 @@ proptest! {
     fn hosted_placement_and_gc_match_in_memory(ops in control_ops()) {
         let cfg = BlobSeerConfig::small_for_tests()
             .with_block_size(RPC_BLOCK)
-            .with_unaligned_append_timeout(std::time::Duration::from_millis(200));
+            .with_reveal_timeout(std::time::Duration::from_millis(200));
         let cluster = LoopbackCluster::boot(cfg.clone(), 4).unwrap();
         let hosted = cluster.deploy().unwrap();
         let in_mem = BlobSeer::deploy(cfg, 4);

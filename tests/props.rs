@@ -657,27 +657,20 @@ impl MetaHook for RefuseRootOnce {
 }
 
 /// A client deployment on `cluster` over the RPC adapters, with the
-/// metadata port `dht` builds and, if asked, the block LRU.
+/// metadata port `dht` builds.
 fn rpc_deployment(
     cluster: &blobseer_rpc::LoopbackCluster,
     dht: impl FnOnce(Arc<dyn MetaStore>) -> Arc<dyn MetaStore>,
-    block_lru: bool,
 ) -> Arc<BlobSeer> {
     use blobseer_rpc::{
         RpcBlockStore, RpcGcService, RpcMetaStore, RpcPlacementService, RpcVersionService,
     };
     let stats = Arc::new(EngineStats::new());
-    let mut providers: Arc<dyn blobseer_core::BlockStore> =
-        Arc::new(RpcBlockStore::connect(cluster.block_addrs(), Arc::clone(&stats)).unwrap());
-    if block_lru {
-        providers = Arc::new(blobseer_core::CachedBlockStore::new(
-            providers,
-            blobseer_core::BlockCache::new(1 << 20, Arc::clone(&stats)),
-        ));
-    }
     let meta = RpcMetaStore::connect(cluster.meta_addr(), Arc::clone(&stats)).unwrap();
     let ports = blobseer_core::EnginePorts {
-        providers,
+        providers: Arc::new(
+            RpcBlockStore::connect(cluster.block_addrs(), Arc::clone(&stats)).unwrap(),
+        ),
         dht: dht(Arc::new(meta)),
         vm: Arc::new(RpcVersionService::connect(cluster.vm_addr(), Arc::clone(&stats)).unwrap()),
         pm: Arc::new(
@@ -706,9 +699,9 @@ proptest! {
 
     /// The descent caches cannot lie. After every step of a random
     /// history, a deployment whose `RpcMetaStore` and `RpcVersionService`
-    /// have read every version after every earlier step — alone, with the
-    /// block LRU, and one that never collects or deletes and so holds
-    /// stale revealed snapshots as any other client would — reads every
+    /// have read every version after every earlier step — one that
+    /// collects and deletes, and one that never does and so holds stale
+    /// revealed snapshots as any other client would — reads every
     /// live version exactly as a fresh, cold deployment does, and as the
     /// model says. A collected or deleted version may still read (its
     /// leaves are fetched, never cached), but only as the exact bytes it
@@ -721,14 +714,11 @@ proptest! {
         let refuse = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let writer_sys = rpc_deployment(&cluster, |inner| {
             Arc::new(Hooked::new(inner, RefuseRootOnce { armed: Arc::clone(&refuse) }))
-        }, false);
+        });
         let writer = writer_sys.client(NodeId::new(1));
-        // Two warm readers: the inner-node cache alone, and with the block
-        // LRU in front of the providers too.
+        // A warm reader that runs this history's GC.
         let warm_sys = cluster.deploy().unwrap();
         let warm = warm_sys.client(NodeId::new(2));
-        let lru_sys = rpc_deployment(&cluster, |inner| inner, true);
-        let warm_lru = lru_sys.client(NodeId::new(3));
         // A warm reader that runs no GC: nothing invalidates its entries.
         let stale_sys = cluster.deploy().unwrap();
         let stale = stale_sys.client(NodeId::new(5));
@@ -819,7 +809,6 @@ proptest! {
                     }
                     let readers = [
                         ("warm", &warm),
-                        ("warm+lru", &warm_lru),
                         ("stale", &stale),
                         ("fresh", &fresh),
                     ];
@@ -839,7 +828,7 @@ proptest! {
                 }
             }
         }
-        for sys in [&warm_sys, &lru_sys, &stale_sys] {
+        for sys in [&warm_sys, &stale_sys] {
             let hits = sys.stats().snapshot().cache_hits;
             prop_assert!(rereads == 0 || hits > 0, "{} re-reads, no cache hit", rereads);
         }

@@ -29,10 +29,24 @@ fn cluster_with_block(block_size: u64, n_providers: usize) -> LoopbackCluster {
     LoopbackCluster::boot(
         BlobSeerConfig::small_for_tests()
             .with_block_size(block_size)
-            .with_unaligned_append_timeout(Duration::from_millis(200)),
+            .with_reveal_timeout(Duration::from_millis(200)),
         n_providers,
     )
     .unwrap()
+}
+
+/// The client keeps no block cache, so a cluster asked for one refuses
+/// to boot rather than run without it.
+#[test]
+fn a_block_cache_budget_is_refused() {
+    let cfg = BlobSeerConfig {
+        read_cache_bytes: 1 << 20,
+        ..BlobSeerConfig::small_for_tests()
+    };
+    let err = LoopbackCluster::boot(cfg, 2)
+        .err()
+        .expect("boot must refuse");
+    assert!(matches!(err, Error::Unsupported(_)), "{err}");
 }
 
 #[test]

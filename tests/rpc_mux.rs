@@ -3,9 +3,9 @@
 //! read-only call cut off by a closing connection is resent once, and a
 //! restart no call saw is noticed before a cached answer), connections
 //! served independently of each other and surviving a panicking handler,
-//! a pipelined metadata publish, and the read caches (the opt-in block
-//! LRU, the metadata adapter's inner-node cache and the version adapter's
-//! revealed snapshots).
+//! a pipelined metadata publish, and the two read caches (the metadata
+//! adapter's inner-node cache and the version adapter's revealed
+//! snapshots).
 //!
 //! The old transport model spent one TCP connection per in-flight request
 //! (a parked `wait_revealed` pinned a whole socket). These tests pin down
@@ -334,11 +334,12 @@ fn diagnostics_against_a_dead_cluster_degrade_loudly_not_silently() {
     assert_eq!(stats.snapshot().rpc_degraded_diagnostics, 5);
 }
 
+/// The client's two read caches, inner tree nodes in `RpcMetaStore` and
+/// revealed snapshots in `RpcVersionService`, serve a hot re-read; blocks
+/// always cross the wire.
 #[test]
-fn read_cache_serves_hot_snapshots_and_reports_hits() {
-    let cfg = BlobSeerConfig::small_for_tests()
-        .with_block_size(BLOCK)
-        .with_read_cache_bytes(1 << 20);
+fn descent_caches_serve_hot_snapshots_and_report_hits() {
+    let cfg = BlobSeerConfig::small_for_tests().with_block_size(BLOCK);
     let cluster = LoopbackCluster::boot(cfg, 2).unwrap();
     let sys = cluster.deploy().unwrap();
     let c = sys.client(NodeId::new(0));
@@ -348,38 +349,40 @@ fn read_cache_serves_hot_snapshots_and_reports_hits() {
     let payload: Vec<u8> = (0..16 * BLOCK).map(|i| (i / 3) as u8).collect();
     c.write(blob, 0, &payload).unwrap();
 
-    // Blocks are write-allocate, so the writer's read-back fetches no
-    // block; tree nodes are read-allocate, so its descent misses all 31.
+    // Tree nodes are read-allocate, so the writer's read-back misses all
+    // 31 of them, and it fetches its 16 blocks from the 2 providers.
     let trips = |snap: &blobseer_core::StatsSnapshot| snap.port_round_trips;
     let before = sys.stats().snapshot();
     let first = c.read(blob, None, 0, payload.len() as u64).unwrap();
     assert_eq!(&first[..], &payload[..]);
     let writer = sys.stats().snapshot();
-    assert_eq!((writer.cache_hits, writer.cache_misses), (16, 31));
-    assert_eq!(trips(&writer) - trips(&before), 2 + 5, "no block frame");
+    assert_eq!((writer.cache_hits, writer.cache_misses), (0, 31));
+    assert_eq!(trips(&writer) - trips(&before), 2 + 5 + 2);
 
-    // A second deployment starts cold: every block and node misses and
-    // the read costs its full 2 + 5 levels + 2 providers frames …
+    // A second deployment starts cold too: every node misses and the
+    // read costs its full 2 + 5 levels + 2 providers frames …
     let sys2 = cluster.deploy().unwrap();
     let c2 = sys2.client(NodeId::new(9));
     let start = sys2.stats().snapshot();
+    let frames = cluster.frames_served();
     let cold = c2.read(blob, None, 0, payload.len() as u64).unwrap();
     assert_eq!(&cold[..], &payload[..]);
     let after_cold = sys2.stats().snapshot();
-    assert_eq!(
-        (after_cold.cache_hits, after_cold.cache_misses),
-        (0, 16 + 31)
-    );
+    assert_eq!((after_cold.cache_hits, after_cold.cache_misses), (0, 31));
     assert_eq!(trips(&after_cold) - trips(&start), 2 + 5 + 2);
+    assert_eq!(cluster.frames_served() - frames, 2 + 5 + 2);
 
-    // … and the hot re-read hits every block, every inner node and the
-    // revealed snapshot: only `latest` and the leaf level cross the wire.
+    // … and the hot re-read hits every inner node and the revealed
+    // snapshot: only `latest`, the leaf level and the blocks cross the
+    // wire.
+    let frames = cluster.frames_served();
     let warm = c2.read(blob, None, 0, payload.len() as u64).unwrap();
     assert_eq!(&warm[..], &payload[..]);
     let after_warm = sys2.stats().snapshot();
-    assert_eq!(after_warm.cache_hits - after_cold.cache_hits, 16 + 15);
+    assert_eq!(after_warm.cache_hits - after_cold.cache_hits, 15);
     assert_eq!(after_warm.cache_misses - after_cold.cache_misses, 16);
-    assert_eq!(trips(&after_warm) - trips(&after_cold), 1 + 1);
+    assert_eq!(trips(&after_warm) - trips(&after_cold), 1 + 1 + 2);
+    assert_eq!(cluster.frames_served() - frames, 1 + 1 + 2);
 }
 
 /// A metadata server restarted on the same port over a *fresh* RAM store
